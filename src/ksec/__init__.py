@@ -7,6 +7,7 @@ from .graph import (
     components,
     cut_width,
     diameter,
+    forest_summary,
     induced_subgraph,
     link_components,
     longest_path,

@@ -19,23 +19,29 @@ from .errors import (
     InvariantViolation,
     KNotPowerOfTwo,
     KOutOfRange,
-    NotAForest,
-    NotATree,
+    NotATreeDecomposition,
     SizesDontSum,
 )
 from .graph import (
     Graph,
     KSection,
     cut_width,
-    diameter,
     induced_subgraph,
-    is_connected,
     max_degree,
     relative_diameter,
-    validate_forest,
+    require_forest,
+    require_tree,
+    summary_relative_diameter,
 )
 from .treecut import diameter_preserving_cut
-from .treedec import TreeDecomposition, heaviest_path, induced, make_nonredundant, relabel_clusters
+from .treedec import (
+    TreeDecomposition,
+    heaviest_path,
+    induced,
+    make_nonredundant,
+    relabel_clusters,
+    validation_errors,
+)
 from .tdcut import r_preserving_cut
 
 
@@ -102,13 +108,14 @@ def _trivial_sections(g: Graph, k: int) -> KSection:
 
 
 def _peel(
-    g: Graph, sizes: list[int], cutter
+    g: Graph, sizes: list[int], cutter, check_remainder=None
 ) -> tuple[list[tuple[int, ...]], list[int], list]:
     """Cut parts of the given sizes off g, one at a time.
 
     ``cutter(graph, m) -> (Cut, trace)`` must preserve the relevant
-    shrinking invariant; the caller rechecks it.  Returns parts in
-    original vertex ids, per-cut widths, and traces.
+    shrinking invariant; the caller rechecks it, inside ``cutter`` or in
+    ``check_remainder``, which receives each remainder graph.  Returns
+    parts in original vertex ids, per-cut widths, and traces.
     """
     parts: list[tuple[int, ...]] = []
     widths: list[int] = []
@@ -126,8 +133,28 @@ def _peel(
         nxt, sub_old = induced_subgraph(cur, keep)
         old_of = [old_of[u - 1] for u in sub_old]
         cur = nxt
+        if check_remainder is not None:
+            check_remainder(cur)
     parts.append(tuple(sorted(old_of)))
     return parts, widths, traces
+
+
+def _peel_forest(
+    forest: Graph, floor: Fraction, sizes: list[int]
+) -> tuple[list[tuple[int, ...]], list[int], list]:
+    """``_peel`` with the diameter-preserving cut; diam* never drops below ``floor``.
+
+    ``floor`` is diam* of ``forest`` and rises with each remainder.
+    """
+
+    def check_remainder(rest: Graph) -> None:
+        nonlocal floor
+        after = relative_diameter(rest)
+        if after < floor:
+            raise InvariantViolation("relative diameter decreased across a cut")
+        floor = after
+
+    return _peel(forest, sizes, diameter_preserving_cut, check_remainder)
 
 
 def ksection_tree(tree: Graph, k: int) -> tuple[KSection, BoundReport]:
@@ -144,30 +171,18 @@ def ksection_tree_detailed(tree: Graph, k: int) -> tuple[KSection, BoundReport, 
     """Like ksection_tree but also returns one trace dict per cut."""
     if not isinstance(k, int) or k < 2:
         raise KOutOfRange(f"k={k} must be an integer >= 2")
-    if not (validate_forest(tree) and is_connected(tree)) or tree.n == 0:
-        raise NotATree("ksection_tree requires a connected acyclic graph")
+    summary = require_tree(tree, "ksection_tree")
     n = tree.n
     delta = max_degree(tree)
-    diam = diameter(tree) if n > 1 else 0
+    diam = summary.diameter
 
     if k >= n:
         section = _trivial_sections(tree, k)
         traces = []
     else:
-        d0 = relative_diameter(tree)
         sizes = oracle.balanced_sizes(n, k)
-        current_floor = d0
-
-        def cutter(g: Graph, m: int):
-            nonlocal current_floor
-            cut, trace = diameter_preserving_cut(g, m)
-            after = relative_diameter(induced_subgraph(g, sorted(cut.white))[0])
-            if after < current_floor:
-                raise InvariantViolation("relative diameter decreased across a cut")
-            current_floor = after
-            return cut, trace
-
-        parts, widths, traces = _peel(tree, sizes, cutter)
+        d0 = summary_relative_diameter([summary], n)
+        parts, widths, traces = _peel_forest(tree, d0, sizes)
         section = KSection.from_parts(tree, parts)
         if section.width != sum(widths):
             raise InvariantViolation("per-cut widths do not add up to the final width")
@@ -210,22 +225,14 @@ def cut_prescribed_sizes(
     forest: Graph, sizes: list[int]
 ) -> tuple[tuple[tuple[int, ...], ...], BoundReport]:
     """Partition with exactly the prescribed part sizes, in the given order."""
-    if not validate_forest(forest):
-        raise NotAForest("cut_prescribed_sizes requires a forest")
+    comps = require_forest(forest, "cut_prescribed_sizes")
     if not sizes or any(s <= 0 or not isinstance(s, int) for s in sizes):
         raise SizesDontSum("sizes must be positive integers")
     if sum(sizes) != forest.n:
         raise SizesDontSum(f"sizes sum to {sum(sizes)}, vertex count is {forest.n}")
-    d0 = relative_diameter(forest)
+    d0 = summary_relative_diameter(comps, forest.n)
     delta = max_degree(forest)
-
-    def cutter(g: Graph, m: int):
-        cut, trace = diameter_preserving_cut(g, m)
-        if relative_diameter(induced_subgraph(g, sorted(cut.white))[0]) < d0:
-            raise InvariantViolation("relative diameter decreased across a cut")
-        return cut, trace
-
-    parts, widths, _ = _peel(forest, sizes, cutter)
+    parts, widths, _ = _peel_forest(forest, d0, sizes)
     width = cut_width(forest, [set(p) for p in parts])
     if width != sum(widths):
         raise InvariantViolation("per-cut widths do not add up to the final width")
@@ -262,6 +269,13 @@ def ksection_td_detailed(
         raise KOutOfRange(f"k={k} must be an integer >= 2")
     if g.n == 0:
         raise KOutOfRange("cannot section an empty graph")
+    problems = validation_errors(td, g)
+    if problems:
+        cond, witness = problems[0]
+        raise NotATreeDecomposition(
+            f"ksection_td: the decomposition fails {cond} at {witness}"
+            f" ({len(problems)} violation(s) in all)"
+        )
     n = g.n
     delta = max_degree(g)
     td0 = make_nonredundant(td)
@@ -321,8 +335,7 @@ def recursive_bisection_baseline(tree: Graph, k: int) -> KSection:
     Each level cuts an exact minimum bisection of every current piece.
     Matches the optimum on paths but can be far off in general.
     """
-    if not validate_forest(tree):
-        raise NotAForest("recursive_bisection_baseline requires a forest")
+    require_forest(tree, "recursive_bisection_baseline")
     if k < 1 or k & (k - 1):
         raise KNotPowerOfTwo(f"k={k} is not a power of two")
     if k > tree.n:

@@ -3,14 +3,20 @@
 Everything here is immutable after construction and safe for concurrent
 reads.  Vertices are dense 1-indexed integers; parsers reject anything
 else.
+
+Validation policy: each public entry point checks its input once, through
+``require_forest`` / ``require_tree`` (both built on ``forest_summary``),
+and rejects bad input with a typed ``KsecError`` that names a witness.
+Internal layers take the summary the entry point computed and do not
+check the same forest again.  ``InvariantViolation`` is reserved for
+failed postconditions, i.e. bugs.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FormatError, KsecError, NotAForest, NotAPartition, NotATree
 
@@ -106,48 +112,120 @@ class KSection:
         return cls(tidy, width)
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """BFS distances from ``source``; -1 for unreachable vertices."""
-    dist = [-1] * (g.n + 1)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
+def bfs_tree(adj: Sequence[Sequence[int]], root: int, parent: list[int] | None = None):
+    """(order, parent) of a BFS from ``root`` that scans each adjacency in order.
+
+    ``adj`` is any 1-indexed adjacency (graph vertices or decomposition
+    nodes).  ``parent`` marks unvisited entries with -1; pass one array to
+    several calls to sweep a forest without allocating per component.  The
+    root gets parent 0, every other reached entry its BFS parent.
+    """
+    if parent is None:
+        parent = [-1] * len(adj)
+    parent[root] = 0
+    order = [root]
+    for u in order:
+        for w in adj[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    return order, parent
 
 
 def components(g: Graph) -> list[set[int]]:
     """Connected components as vertex sets, ascending by minimum vertex id."""
-    seen = [False] * (g.n + 1)
-    comps = []
-    for s in g.vertices():
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(comp)
-    return comps
+    parent = [-1] * (g.n + 1)
+    return [set(bfs_tree(g.adj, s, parent)[0]) for s in g.vertices() if parent[s] < 0]
+
+
+class TreeSummary(NamedTuple):
+    """One component of a forest: its vertices and a longest path.
+
+    ``order`` lists the vertices in BFS order from the smallest id;
+    ``path`` runs between the ends of the double BFS sweep, smaller
+    endpoint first.
+    """
+
+    order: list
+    path: tuple
+
+    @property
+    def diameter(self) -> int:
+        return len(self.path) - 1
+
+
+def _farthest(order: list[int], parent: list[int], depth: list[int]) -> int:
+    """Deepest vertex of a BFS order, ties toward the smaller id."""
+    depth[order[0]] = 0
+    for w in order[1:]:
+        depth[w] = depth[parent[w]] + 1
+    last = depth[order[-1]]
+    best = order[-1]
+    for w in reversed(order):
+        if depth[w] != last:
+            break
+        best = min(best, w)
+    return best
+
+
+def forest_summary(g: Graph) -> list[TreeSummary]:
+    """Components of a forest, ascending by smallest id, each with a longest path.
+
+    O(n + m): one BFS sweep finds the components and rejects cycles, a
+    second sweep per component from the far end of the first gives a
+    longest path.  Raises ``NotAForest`` naming an edge on a cycle.
+    """
+    parent = [-1] * (g.n + 1)
+    orders = [bfs_tree(g.adj, s, parent)[0] for s in g.vertices() if parent[s] < 0]
+    if len(g.edges) != g.n - len(orders):
+        u, v = min(e for e in g.edges if parent[e[0]] != e[1] and parent[e[1]] != e[0])
+        raise NotAForest(f"edge ({u},{v}) closes a cycle")
+    depth = [0] * (g.n + 1)
+    parent2 = [-1] * (g.n + 1)
+    out = []
+    for order in orders:
+        a = _farthest(order, parent, depth)
+        order2, _ = bfs_tree(g.adj, a, parent2)
+        path = [_farthest(order2, parent2, depth)]
+        while path[-1] != a:
+            path.append(parent2[path[-1]])
+        if path[0] > path[-1]:
+            path.reverse()
+        out.append(TreeSummary(order, tuple(path)))
+    return out
+
+
+def require_forest(g: Graph, who: str) -> list[TreeSummary]:
+    """``forest_summary(g)``; the ``NotAForest`` it raises names the caller."""
+    try:
+        return forest_summary(g)
+    except NotAForest as exc:
+        raise NotAForest(f"{who} requires a forest; {exc}") from None
+
+
+def require_tree(g: Graph, who: str) -> TreeSummary:
+    """Summary of the single component of g, or ``NotATree`` with a witness."""
+    try:
+        comps = forest_summary(g)
+    except NotAForest as exc:
+        raise NotATree(f"{who} requires a tree; {exc}") from None
+    if not comps:
+        raise NotATree(f"{who} requires a tree; the graph is empty")
+    if len(comps) > 1:
+        raise NotATree(
+            f"{who} requires a tree; vertices {comps[0].order[0]} and "
+            f"{comps[1].order[0]} are not connected"
+        )
+    return comps[0]
 
 
 def validate_forest(g: Graph) -> bool:
     """True iff g is acyclic (every component a tree)."""
-    return len(g.edges) == g.n - len(components(g))
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
+    try:
+        forest_summary(g)
+    except NotAForest:
+        return False
+    return True
 
 
 def max_degree(g: Graph) -> int:
@@ -156,47 +234,13 @@ def max_degree(g: Graph) -> int:
     return max(len(g.adj[v]) for v in g.vertices())
 
 
-def _farthest(g: Graph, source: int) -> tuple[int, int, list[int]]:
-    """(vertex, distance, parents) of the farthest vertex from source.
-
-    Ties break toward the smaller vertex id; parents come from a BFS that
-    scans sorted adjacency, so the returned tree is deterministic.
-    """
-    dist = [-1] * (g.n + 1)
-    parent = [0] * (g.n + 1)
-    dist[source] = 0
-    queue = deque([source])
-    best, best_d = source, 0
-    while queue:
-        u = queue.popleft()
-        if dist[u] > best_d or (dist[u] == best_d and u < best):
-            best, best_d = u, dist[u]
-        for w in g.adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                queue.append(w)
-    return best, best_d, parent
-
-
 def longest_path(tree: Graph) -> list[int]:
     """A longest path in a tree via the double BFS sweep.
 
     Returns the vertex sequence; its length in edges is diam(tree).  The
     result is normalized so that the first endpoint has the smaller id.
     """
-    if not validate_forest(tree) or not is_connected(tree):
-        raise NotATree("longest_path requires a connected acyclic graph")
-    if tree.n == 0:
-        raise NotATree("empty graph")
-    a, _, _ = _farthest(tree, 1)
-    b, _, parent = _farthest(tree, a)
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    if path[0] > path[-1]:
-        path.reverse()
-    return path
+    return list(require_tree(tree, "longest_path").path)
 
 
 def diameter(tree: Graph) -> int:
@@ -205,15 +249,15 @@ def diameter(tree: Graph) -> int:
 
 def relative_diameter(g: Graph) -> Fraction:
     """diam*(g) = (1/n) * sum over components of (diameter + 1), exact."""
-    if not validate_forest(g):
-        raise NotAForest("relative_diameter requires a forest")
+    comps = require_forest(g, "relative_diameter")
     if g.n == 0:
         raise NotAForest("empty graph has no relative diameter")
-    total = 0
-    for comp in components(g):
-        sub, _ = induced_subgraph(g, sorted(comp))
-        total += diameter(sub) + 1
-    return Fraction(total, g.n)
+    return summary_relative_diameter(comps, g.n)
+
+
+def summary_relative_diameter(comps: Sequence[TreeSummary], n: int) -> Fraction:
+    """diam* of an n-vertex forest from its ``forest_summary``."""
+    return Fraction(sum(len(c.path) for c in comps), n)
 
 
 def cut_width(g: Graph, parts: Sequence[Iterable[int]]) -> int:
@@ -235,18 +279,14 @@ def link_components(g: Graph) -> Graph:
     Each added edge joins the ends of longest paths in two consecutive
     components, so the longest paths chain into one longest path.
     """
-    if not validate_forest(g):
-        raise NotAForest("link_components requires a forest")
-    comps = components(g)
+    return link_summarized(g, require_forest(g, "link_components"))
+
+
+def link_summarized(g: Graph, comps: Sequence[TreeSummary]) -> Graph:
+    """``link_components`` for a forest whose ``forest_summary`` is known."""
     if len(comps) <= 1:
         return g
-    ends = []
-    for comp in comps:
-        order = sorted(comp)
-        sub, old_of = induced_subgraph(g, order)
-        p = longest_path(sub)
-        ends.append((old_of[p[0] - 1], old_of[p[-1] - 1]))
-    extra = [(ends[i][1], ends[i + 1][0]) for i in range(len(ends) - 1)]
+    extra = [(a.path[-1], b.path[0]) for a, b in zip(comps, comps[1:])]
     return Graph(g.n, list(g.edges) + extra)
 
 

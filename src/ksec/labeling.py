@@ -10,10 +10,9 @@ label arithmetic is cyclic modulo n (residues kept in 1..n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import InvariantViolation, NotATree, PathNotInTree
-from .graph import Graph, is_connected, validate_forest
+from .errors import InvariantViolation, PathNotInTree
+from .graph import Graph, bfs_tree, require_tree
 
 
 @dataclass(frozen=True)
@@ -76,36 +75,35 @@ def is_between(b: int, a: int, c: int, n: int) -> bool:
 
 def decompose_along_path(tree: Graph, path) -> PathDecomposition:
     """Split ``tree`` into the subtrees hanging off ``path``."""
-    if not (validate_forest(tree) and is_connected(tree)) or tree.n == 0:
-        raise NotATree("decompose_along_path requires a connected acyclic graph")
+    require_tree(tree, "decompose_along_path")
+    return path_decomposition(tree, path)
+
+
+def path_decomposition(tree: Graph, path) -> PathDecomposition:
+    """``decompose_along_path`` for a graph the caller already knows is a tree."""
     path = tuple(path)
     if len(set(path)) != len(path) or not path:
         raise PathNotInTree("path vertices must be distinct and non-empty")
     for a, b in zip(path, path[1:]):
         if not tree.has_edge(a, b):
             raise PathNotInTree(f"({a},{b}) is not an edge of the tree")
-    path_edges = {frozenset(e) for e in zip(path, path[1:])}
-    subtree_of = {}
-    members = {v: [v] for v in path}
-    stack = list(path)
+    # path vertices start out visited, so each search stays inside its T_v
+    parent = [-1] * (tree.n + 1)
     for v in path:
-        subtree_of[v] = v
-    while stack:
-        u = stack.pop()
-        anchor = subtree_of[u]
-        for w in tree.adj[u]:
-            if w in subtree_of or frozenset((u, w)) in path_edges:
-                continue
-            subtree_of[w] = anchor
-            members[anchor].append(w)
-            stack.append(w)
+        parent[v] = 0
+    subtree_of = {}
+    members = {}
+    for v in path:
+        order, _ = bfs_tree(tree.adj, v, parent)
+        members[v] = frozenset(order)
+        subtree_of.update(dict.fromkeys(order, v))
     if len(subtree_of) != tree.n:
         raise PathNotInTree("path does not lie in this tree")
     return PathDecomposition(
         tree=tree,
         path=path,
         subtree_of=subtree_of,
-        subtree_members={v: frozenset(m) for v, m in members.items()},
+        subtree_members=members,
     )
 
 
@@ -199,7 +197,3 @@ def labels_interval(lab: PLabeling, start: int, count: int) -> set[int]:
     """Vertices whose labels are start, start+1, ..., start+count-1 (cyclic)."""
     n = lab.n
     return {lab.vertex_of[cyclic(start + i, n)] for i in range(count)}
-
-
-def relative_diameter_of_labeling(lab: PLabeling) -> Fraction:
-    return Fraction(lab.num_path, lab.n)

@@ -22,8 +22,8 @@ from .errors import (
     TooLarge,
     WidthTooLarge,
 )
-from .graph import Cut, Graph, KSection, components
-from .treedec import TreeDecomposition
+from .graph import Cut, Graph, KSection, bfs_tree, require_forest
+from .treedec import TreeDecomposition, edge_home, occurrences
 
 INF = 1 << 28
 
@@ -53,21 +53,17 @@ def _minplus(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
 # --- Trees ------------------------------------------------------------------
 
 class _TreeTables:
-    """Per-vertex DP tables for one component, rooted at its smallest id."""
+    """Per-vertex DP tables for one component, rooted at its smallest id.
 
-    def __init__(self, g: Graph, comp: list[int], cap: int):
+    ``parent`` is BFS scratch shared by all components of the forest.
+    """
+
+    def __init__(self, g: Graph, root: int, parent: list[int], cap: int):
         self.g = g
         self.cap = cap
-        self.root = comp[0]
-        parent = {self.root: 0}
-        order = [self.root]
-        for u in order:
-            for w in g.adj[u]:
-                if w not in parent:
-                    parent[w] = u
-                    order.append(w)
-        self.order = order
-        self.children = {v: [w for w in g.adj[v] if parent.get(w) == v] for v in comp}
+        self.root = root
+        self.order, _ = bfs_tree(g.adj, root, parent)
+        self.children = {v: [w for w in g.adj[v] if parent[w] == v] for v in self.order}
         self.table: dict[int, np.ndarray] = {}
 
     def base(self) -> np.ndarray:
@@ -152,15 +148,14 @@ def dp_min_size_cut_tree(
     n = forest.n
     if not (0 <= m <= n):
         raise MOutOfRange(f"m={m} not in 0..{n}")
-    if len(forest.edges) != n - len(components(forest)):
-        raise KsecError("dp_min_size_cut_tree requires a forest")
+    comps = require_forest(forest, "dp_min_size_cut_tree")
     mem_limit = _mem_limit_bytes(mem_limit_mb)
 
-    comps = [sorted(c) for c in components(forest)]
+    parent = [-1] * (n + 1)
     dps = []
     tables = []
     for comp in comps:
-        t = _TreeTables(forest, comp, min(m, len(comp)))
+        t = _TreeTables(forest, comp.order[0], parent, min(m, len(comp.order)))
         dps.append(t.run(mem_limit))
         tables.append(t)
 
@@ -195,27 +190,13 @@ def dp_min_size_cut_tree(
 
 # --- Tree decompositions ----------------------------------------------------
 
-def _root_td(td: TreeDecomposition) -> tuple[list[int], list[int]]:
-    parent = [0] * (td.num_nodes + 1)
-    order = [1]
-    seen = [False] * (td.num_nodes + 1)
-    seen[1] = True
-    for u in order:
-        for w in td.tree_adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                order.append(w)
-    return order, parent
-
-
 class _TDTables:
     def __init__(self, g: Graph, td: TreeDecomposition, cap: int, mem_limit: int):
         self.g = g
         self.td = td
         self.cap = cap
         self.mem_limit = mem_limit
-        self.order, self.parent = _root_td(td)
+        self.order, self.parent = bfs_tree(td.tree_adj, 1)
         self.children = {
             i: [w for w in td.tree_adj[i] if self.parent[w] == i] for i in td.nodes()
         }
@@ -223,12 +204,9 @@ class _TDTables:
         self.pos = {i: {v: p for p, v in enumerate(self.bag_list[i])} for i in td.nodes()}
         # each edge is charged to the smallest node whose cluster contains it
         self.cost_edges: dict[int, list[tuple[int, int]]] = {i: [] for i in td.nodes()}
+        occ = occurrences(td)
         for u, v in sorted(g.edges):
-            home = None
-            for i in td.nodes():
-                if u in td.bag(i) and v in td.bag(i):
-                    home = i
-                    break
+            home = edge_home(td, occ, u, v)
             if home is None:
                 raise KsecError(f"edge ({u},{v}) not covered by any cluster (T2 fails)")
             self.cost_edges[home].append((u, v))

@@ -10,13 +10,12 @@ heaviest-path weight of the remainder never drops.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import oracle
 from .errors import InvariantViolation, MOutOfRange, RedundantDecomposition
-from .graph import Cut, Graph, max_degree
+from .graph import Cut, Graph, bfs_tree, induced_subgraph, max_degree
 from .treedec import (
     HeaviestPathResult,
     TreeDecomposition,
@@ -99,20 +98,15 @@ def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> 
     """
     n = g.n
     path_nodes = tuple(path.path)
-    path_edges = {frozenset(e) for e in zip(path_nodes, path_nodes[1:])}
 
-    # component of T - E_P containing each node
+    # component of T - E_P containing each node; path nodes start out
+    # visited, so each search stays inside its component
+    parent = [-1] * (td.num_nodes + 1)
+    for i in path_nodes:
+        parent[i] = 0
     comp_of = {}
     for i in path_nodes:
-        comp_of[i] = i
-        queue = deque([i])
-        while queue:
-            u = queue.popleft()
-            for w in td.tree_adj[u]:
-                if w in comp_of or frozenset((u, w)) in path_edges:
-                    continue
-                comp_of[w] = i
-                queue.append(w)
+        comp_of.update(dict.fromkeys(bfs_tree(td.tree_adj, i, parent)[0], i))
     if len(comp_of) != td.num_nodes:
         raise InvariantViolation("path does not lie in the decomposition tree")
 
@@ -207,18 +201,10 @@ def approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
     if m >= n:
         return Cut.from_black(g, set(g.vertices()))
 
-    order = [1]
-    parent = [0] * (td.num_nodes + 1)
+    order, parent = bfs_tree(td.tree_adj, 1)
     depth = [0] * (td.num_nodes + 1)
-    seen = [False] * (td.num_nodes + 1)
-    seen[1] = True
-    for u in order:
-        for w in td.tree_adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                depth[w] = depth[u] + 1
-                order.append(w)
+    for u in order[1:]:
+        depth[u] = depth[parent[u]] + 1
 
     top = {}
     for i in td.nodes():
@@ -347,7 +333,7 @@ def r_preserving_cut(
         raise InvariantViolation(f"{case}: m-tilde {m_tilde} out of range")
 
     s_sorted = sorted(s_set)
-    sub_s, _ = _induced_local_graph(g, s_sorted)
+    sub_s, _ = induced_subgraph(g, s_sorted)
     td_s, _ = _induced_local(td0, s_sorted)
     local_cut = approximate_cut_td(sub_s, td_s, m_tilde)
     b_side = frozenset(s_sorted[u - 1] for u in local_cut.black)
@@ -394,14 +380,6 @@ def r_preserving_cut(
         outer_width=outer,
         **base,
     )
-
-
-def _induced_local_graph(g: Graph, vertices: list[int]) -> tuple[Graph, dict]:
-    new_of = {old: i + 1 for i, old in enumerate(vertices)}
-    edges = [
-        (new_of[u], new_of[v]) for (u, v) in g.edges if u in new_of and v in new_of
-    ]
-    return Graph(len(vertices), edges), new_of
 
 
 def _glue_decompositions(

@@ -20,26 +20,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .errors import InvariantViolation, MOutOfRange, NotAForest, NotATree
+from .errors import InvariantViolation, MOutOfRange
 from .graph import (
     Cut,
     Graph,
-    components,
+    TreeSummary,
+    bfs_tree,
+    forest_summary,
     induced_subgraph,
-    is_connected,
-    link_components,
-    longest_path,
+    link_summarized,
     max_degree,
-    validate_forest,
+    require_forest,
+    require_tree,
 )
-from .labeling import (
-    PLabeling,
-    cyclic,
-    decompose_along_path,
-    find_anchor,
-    labels_interval,
-    p_labeling,
-)
+from .labeling import cyclic, find_anchor, labels_interval, p_labeling, path_decomposition
 
 
 @dataclass(frozen=True)
@@ -75,22 +69,19 @@ def approximate_cut(tree: Graph, v: int, m: int) -> Cut:
     assembled from rooted subtrees below a deepest vertex whose subtree
     still exceeds m.
     """
+    require_tree(tree, "approximate_cut")
+    return _approximate_cut(tree, v, m)
+
+
+def _approximate_cut(tree: Graph, v: int, m: int) -> Cut:
     n = tree.n
-    if not (validate_forest(tree) and is_connected(tree)):
-        raise NotATree("approximate_cut requires a connected acyclic graph")
     if not (1 <= m <= 2 * n - 2):
         raise MOutOfRange(f"m={m} not in 1..{2 * n - 2}")
     if m >= n - 1:
         return Cut.from_black(tree, set(tree.vertices()) - {v})
 
-    parent = {v: 0}
-    order = [v]
-    for u in order:
-        for w in tree.adj[u]:
-            if w not in parent:
-                parent[w] = u
-                order.append(w)
-    size = {u: 1 for u in order}
+    order, parent = bfs_tree(tree.adj, v)
+    size = [1] * (n + 1)
     for u in reversed(order):
         if parent[u]:
             size[parent[u]] += size[u]
@@ -132,43 +123,36 @@ def exact_cut_bounded(forest: Graph, m: int) -> Cut:
     The exact optimum automatically satisfies the (8/diam*)Δ guarantee
     and its polylog refinement, since cuts within those bounds exist.
     """
-    if not validate_forest(forest):
-        raise NotAForest("exact_cut_bounded requires a forest")
+    require_forest(forest, "exact_cut_bounded")
     if not (1 <= m <= forest.n):
         raise MOutOfRange(f"m={m} not in 1..{forest.n}")
     cut, _ = oracle.dp_min_size_cut_tree(forest, m)
     return cut
 
 
-def _deg2_cut(g: Graph, m: int) -> tuple[Cut, DiamCutTrace]:
-    """Forests of maximum degree <= 2 are disjoint paths: take a prefix."""
+def _deg2_cut(g: Graph, comps: list[TreeSummary], m: int) -> tuple[Cut, DiamCutTrace]:
+    """Forests of maximum degree <= 2 are disjoint paths: take a prefix.
+
+    Each component's longest path is the whole component, starting at its
+    smaller end.
+    """
     black: set[int] = set()
     need = m
-    for comp in components(g):
+    for comp in comps:
         if need == 0:
             break
-        order = sorted(comp)
-        endpoints = [u for u in order if sum(1 for w in g.adj[u] if w in comp) <= 1]
-        walk = [min(endpoints)]
-        prev = 0
-        while len(walk) < len(comp):
-            nxt = [w for w in g.adj[walk[-1]] if w != prev]
-            prev = walk[-1]
-            walk.append(nxt[0])
-        take = min(need, len(walk))
-        black.update(walk[:take])
+        take = min(need, len(comp.path))
+        black.update(comp.path[:take])
         need -= take
     cut = Cut.from_black(g, black)
     return cut, DiamCutTrace(case_tag="Deg2", m=m)
 
 
-def _subtree_cut(
-    tree: Graph, lab: PLabeling, members: frozenset, z: int, m_tilde: int
-) -> Cut:
+def _subtree_cut(tree: Graph, members: frozenset, z: int, m_tilde: int) -> Cut:
     """Approximate m̃-cut inside T_z keeping z white, in original vertex ids."""
     sub, old_of = induced_subgraph(tree, sorted(members))
     new_of = {old: i + 1 for i, old in enumerate(old_of)}
-    local = approximate_cut(sub, new_of[z], m_tilde)
+    local = _approximate_cut(sub, new_of[z], m_tilde)
     return Cut.from_black(tree, {old_of[u - 1] for u in local.black})
 
 
@@ -180,17 +164,16 @@ def diameter_preserving_cut(forest: Graph, m: int) -> tuple[Cut, DiamCutTrace]:
     removing the linking edges cannot decrease diam* of G[W].
     """
     n = forest.n
-    if not validate_forest(forest):
-        raise NotAForest("diameter_preserving_cut requires a forest")
+    comps = require_forest(forest, "diameter_preserving_cut")
     if not (1 <= m <= n - 1):
         raise MOutOfRange(f"m={m} not in 1..{n - 1}")
     delta = max_degree(forest)
     if delta <= 2:
-        return _deg2_cut(forest, m)
+        return _deg2_cut(forest, comps, m)
 
-    tree = link_components(forest)
-    path = longest_path(tree)
-    dec = decompose_along_path(tree, path)
+    tree = link_summarized(forest, comps)
+    path = comps[0].path if tree is forest else forest_summary(tree)[0].path
+    dec = path_decomposition(tree, path)
     lab = p_labeling(dec)
     floor_dm = (lab.num_path * m) // n
     v = find_anchor(lab, m)
@@ -216,7 +199,7 @@ def diameter_preserving_cut(forest: Graph, m: int) -> tuple[Cut, DiamCutTrace]:
         members = dec.subtree_members[z]
         t_z_prime = members - {z}
         m_tilde = 2 * len(t_z_prime & m_vertices)
-        cut_z = _subtree_cut(tree, lab, members, z, m_tilde)
+        cut_z = _subtree_cut(tree, members, z, m_tilde)
         v_tilde = (m_vertices - t_z_prime) | cut_z.black
         case = "Case2b"
     else:
@@ -224,7 +207,7 @@ def diameter_preserving_cut(forest: Graph, m: int) -> tuple[Cut, DiamCutTrace]:
         members = dec.subtree_members[z]
         t_z_prime = members - {z}
         m_tilde = 2 * len(t_z_prime & m_vertices)
-        cut_z = _subtree_cut(tree, lab, members, z, m_tilde)
+        cut_z = _subtree_cut(tree, members, z, m_tilde)
         if z == vm_vertex:
             v_tilde = frozenset(cut_z.black)
             case = "Case3a"

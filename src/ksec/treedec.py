@@ -8,13 +8,13 @@ in the degenerate single-node case.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import FormatError, NotATreeDecomposition
-from .graph import Graph
+from .errors import FormatError, InvariantViolation, NotATreeDecomposition
+from .graph import Graph, bfs_tree
 
 
 class TreeDecomposition:
@@ -43,20 +43,8 @@ class TreeDecomposition:
             adj[i].append(j)
             adj[j].append(i)
         # connectivity: num-1 edges + connected <=> tree
-        if num > 1:
-            seen = [False] * (num + 1)
-            seen[1] = True
-            queue = deque([1])
-            count = 1
-            while queue:
-                u = queue.popleft()
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        count += 1
-                        queue.append(w)
-            if count != num:
-                raise NotATreeDecomposition("decomposition tree is disconnected")
+        if len(bfs_tree(adj, 1)[0]) != num:
+            raise NotATreeDecomposition("decomposition tree is disconnected")
         self.num_nodes = num
         self.bags = tuple(frozenset(b) for b in bags)
         self.tree_adj = tuple(tuple(sorted(a)) for a in adj)
@@ -87,37 +75,44 @@ class HeaviestPathResult:
     relative_weight: Fraction
 
 
-def validation_errors(td: TreeDecomposition, g: Graph) -> list[tuple[str, object]]:
-    """Violations of (T1), (T2), (T3'), each with a witness."""
-    problems: list[tuple[str, object]] = []
-    covered = set()
-    for b in td.bags:
-        covered |= b
-    for v in sorted(covered):
-        if not (1 <= v <= g.n):
-            problems.append(("bag-range", v))
-    for v in g.vertices():
-        if v not in covered:
-            problems.append(("T1", v))
-    for u, v in sorted(g.edges):
-        if not any(u in b and v in b for b in td.bags):
-            problems.append(("T2", (u, v)))
+def occurrences(td: TreeDecomposition) -> dict[int, list[int]]:
+    """Nodes whose cluster holds each vertex, ascending."""
     occ: dict[int, list[int]] = {}
     for i in td.nodes():
         for v in td.bag(i):
             occ.setdefault(v, []).append(i)
+    return occ
+
+
+def edge_home(td: TreeDecomposition, occ: dict, u: int, v: int) -> int | None:
+    """Smallest node whose cluster holds both u and v; None when (T2) fails for uv."""
+    if len(occ.get(v, ())) < len(occ.get(u, ())):
+        u, v = v, u
+    for i in occ.get(u, ()):
+        if v in td.bags[i - 1]:
+            return i
+    return None
+
+
+def validation_errors(td: TreeDecomposition, g: Graph) -> list[tuple[str, object]]:
+    """Violations of (T1), (T2), (T3'), each with a witness; linear in the sizes."""
+    problems: list[tuple[str, object]] = []
+    occ = occurrences(td)
     for v in sorted(occ):
-        nodes = set(occ[v])
-        start = occ[v][0]
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in td.tree_adj[u]:
-                if w in nodes and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if seen != nodes:
+        if not (1 <= v <= g.n):
+            problems.append(("bag-range", v))
+    for v in g.vertices():
+        if v not in occ:
+            problems.append(("T1", v))
+    for u, v in sorted(g.edges):
+        if edge_home(td, occ, u, v) is None:
+            problems.append(("T2", (u, v)))
+    # the nodes holding v span a subtree iff exactly |occ[v]| - 1 tree edges join them
+    joined: Counter = Counter()
+    for i, j in td.tree_edges:
+        joined.update(td.bag(i) & td.bag(j))
+    for v in sorted(occ):
+        if joined[v] != len(occ[v]) - 1:
             problems.append(("T3", v))
     return problems
 
@@ -197,17 +192,7 @@ def heaviest_path(td: TreeDecomposition, n: int) -> HeaviestPathResult:
     normalized endpoint pair.
     """
     num = td.num_nodes
-    root = 1
-    parent = [0] * (num + 1)
-    order = [root]
-    seen = [False] * (num + 1)
-    seen[root] = True
-    for u in order:
-        for w in td.tree_adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                order.append(w)
+    order, parent = bfs_tree(td.tree_adj, 1)
 
     # g[i]: best weight of a chain from some descendant endpoint up to i
     g_val = [0] * (num + 1)
@@ -257,7 +242,7 @@ def heaviest_path(td: TreeDecomposition, n: int) -> HeaviestPathResult:
     for i in path:
         union |= td.bag(i)
     if len(union) != best[0]:
-        raise AssertionError("heaviest-path DP disagrees with its own path")
+        raise InvariantViolation("heaviest-path DP disagrees with its own path")
     if path[0] > path[-1]:
         path = path[::-1]
     return HeaviestPathResult(path=path, weight=best[0], relative_weight=Fraction(best[0], n))
@@ -278,19 +263,10 @@ def remove_cluster_parts(td: TreeDecomposition, g: Graph, i: int) -> list[set]:
     """
     bag = td.bag(i)
     parts: list[set] = [{v} for v in sorted(bag)]
-    blocked = [False] * (td.num_nodes + 1)
-    blocked[i] = True
+    parent = [-1] * (td.num_nodes + 1)
+    parent[i] = 0  # node i starts out visited, so each search stays on its side
     for nb in td.tree_adj[i]:
-        comp_nodes = [nb]
-        blocked[nb] = True
-        queue = deque([nb])
-        while queue:
-            u = queue.popleft()
-            for w in td.tree_adj[u]:
-                if not blocked[w]:
-                    blocked[w] = True
-                    comp_nodes.append(w)
-                    queue.append(w)
+        comp_nodes, _ = bfs_tree(td.tree_adj, nb, parent)
         part = set()
         for node in comp_nodes:
             part |= td.bag(node)
@@ -301,16 +277,7 @@ def remove_cluster_parts(td: TreeDecomposition, g: Graph, i: int) -> list[set]:
 def tree_to_width1_td(tree: Graph) -> TreeDecomposition:
     """Width-1 decomposition of a tree: one node per vertex, bag {v, parent}."""
     root = 1
-    parent = [0] * (tree.n + 1)
-    seen = [False] * (tree.n + 1)
-    seen[root] = True
-    order = [root]
-    for u in order:
-        for w in tree.adj[u]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = u
-                order.append(w)
+    _, parent = bfs_tree(tree.adj, root)
     bags = []
     for v in tree.vertices():
         bags.append({v} if v == root else {v, parent[v]})

@@ -1,0 +1,73 @@
+"""Input checks at the public entry points: each rejects bad input with a typed error."""
+
+import pytest
+
+from conftest import path
+from ksec.engine import (
+    cut_prescribed_sizes,
+    ksection_td,
+    ksection_tree,
+    recursive_bisection_baseline,
+)
+from ksec.errors import InvariantViolation, NotAForest, NotATree, NotATreeDecomposition
+from ksec.graph import Graph, link_components, longest_path, relative_diameter
+from ksec.labeling import decompose_along_path
+from ksec.oracle import dp_min_size_cut_tree
+from ksec.treecut import approximate_cut, diameter_preserving_cut, exact_cut_bounded
+from ksec.treedec import TreeDecomposition, heaviest_path, make_nonredundant
+
+# a 5-cycle with a pendant vertex; BFS from 1 leaves (3,4) as the closing edge
+CYCLE = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (5, 6)])
+DISCONNECTED = Graph(5, [(1, 2), (2, 3), (4, 5)])
+
+TREE_ENTRY_POINTS = {
+    "approximate_cut": lambda g: approximate_cut(g, 1, 2),
+    "decompose_along_path": lambda g: decompose_along_path(g, [1, 2]),
+    "longest_path": longest_path,
+    "ksection_tree": lambda g: ksection_tree(g, 2),
+}
+
+FOREST_ENTRY_POINTS = {
+    "relative_diameter": relative_diameter,
+    "link_components": link_components,
+    "diameter_preserving_cut": lambda g: diameter_preserving_cut(g, 2),
+    "exact_cut_bounded": lambda g: exact_cut_bounded(g, 2),
+    "cut_prescribed_sizes": lambda g: cut_prescribed_sizes(g, [2, 4]),
+    "dp_min_size_cut_tree": lambda g: dp_min_size_cut_tree(g, 2),
+    "recursive_bisection_baseline": lambda g: recursive_bisection_baseline(g, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TREE_ENTRY_POINTS))
+def test_tree_entry_points_reject_cycles_and_disconnected_graphs(name):
+    call = TREE_ENTRY_POINTS[name]
+    with pytest.raises(NotATree, match=r"\(3,4\) closes a cycle"):
+        call(CYCLE)
+    with pytest.raises(NotATree, match="vertices 1 and 4 are not connected"):
+        call(DISCONNECTED)
+
+
+@pytest.mark.parametrize("name", sorted(FOREST_ENTRY_POINTS))
+def test_forest_entry_points_reject_cycles(name):
+    with pytest.raises(NotAForest, match=r"\(3,4\) closes a cycle"):
+        FOREST_ENTRY_POINTS[name](CYCLE)
+
+
+# decompositions of the path 1-2-3-4, each breaking one condition
+T1_BROKEN = TreeDecomposition([{1, 2}, {2, 3}], [(1, 2)])  # vertex 4 in no cluster
+T2_BROKEN = TreeDecomposition([{1, 2}, {3, 4}], [(1, 2)])  # edge (2,3) in no cluster
+T3_BROKEN = TreeDecomposition([{1, 2}, {3, 4}, {2, 3}], [(1, 2), (2, 3)])  # 2 in nodes 1, 3 only
+
+
+@pytest.mark.parametrize(
+    "td, named",
+    [(T1_BROKEN, "T1 at 4"), (T2_BROKEN, r"T2 at \(2, 3\)"), (T3_BROKEN, "T3 at 2")],
+)
+def test_ksection_td_rejects_invalid_decompositions(td, named):
+    with pytest.raises(NotATreeDecomposition, match=named):
+        ksection_td(path(4), td, 2)
+
+
+def test_heaviest_path_reports_broken_t3_as_invariant_violation():
+    with pytest.raises(InvariantViolation):
+        heaviest_path(make_nonredundant(T3_BROKEN), 4)

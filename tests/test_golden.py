@@ -1,0 +1,91 @@
+"""Golden outputs: SHA-256 of the full result of the public section calls.
+
+Each case hashes the parts, the width, ``BoundReport.to_dict()`` and every
+per-cut trace dict (case tags, anchors, intermediate sets) of one seeded
+instance.  A refactor that claims to keep behaviour must keep these hashes;
+a change that alters output on purpose must update them and say why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+import oracles
+from ksec.engine import cut_prescribed_sizes, ksection_td_detailed, ksection_tree_detailed
+from ksec.instances import GeneratorSpec, Xorshift64Star, generate
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _tree(seed: int, n: int, k: int, cap: int = 5) -> str:
+    g, _ = generate(GeneratorSpec("random_tree_maxdeg", seed=seed, n=n, max_degree=cap))
+    section, report, traces = ksection_tree_detailed(g, k)
+    return _digest([section.parts, section.width, report.to_dict(), traces])
+
+
+def _adversarial(height: int, k: int) -> str:
+    g, _ = generate(GeneratorSpec("adversarial_ternary_path", height=height))
+    section, report, traces = ksection_tree_detailed(g, k)
+    return _digest([section.parts, section.width, report.to_dict(), traces])
+
+
+def _forest(seed: int, shares: tuple) -> str:
+    g = oracles.random_forest(Xorshift64Star(seed), n_lo=300, n_hi=600, max_degree=5, drop=8)
+    sizes = [g.n * s // sum(shares) for s in shares]
+    sizes[-1] += g.n - sum(sizes)
+    parts, report = cut_prescribed_sizes(g, sizes)
+    return _digest([parts, report.to_dict()])
+
+
+def _td(seed: int, n: int, k: int) -> str:
+    g, td = generate(GeneratorSpec("random_partial_ktree", seed=seed, n=n, t=4))
+    section, report, traces = ksection_td_detailed(g, td, k)
+    return _digest([section.parts, section.width, report.to_dict(), traces])
+
+
+CASES = {
+    "tree-s11-n200-k2": (_tree, (11, 200, 2)),
+    "tree-s12-n200-k16": (_tree, (12, 200, 16)),
+    "tree-s13-n700-k3": (_tree, (13, 700, 3)),
+    "tree-s14-n1200-k16": (_tree, (14, 1200, 16)),
+    "tree-s15-n2000-k2": (_tree, (15, 2000, 2)),
+    "tree-s16-n2000-k16": (_tree, (16, 2000, 16)),
+    "tree-s19-n300-k16-cap3": (_tree, (19, 300, 16, 3)),
+    "adversarial-h4-k2": (_adversarial, (4, 2)),
+    "adversarial-h4-k3": (_adversarial, (4, 3)),
+    "adversarial-h4-k16": (_adversarial, (4, 16)),
+    "forest-s21-1:1:1": (_forest, (21, (1, 1, 1))),
+    "forest-s22-1:3:2:5": (_forest, (22, (1, 3, 2, 5))),
+    "td-s31-n200-k2": (_td, (31, 200, 2)),
+    "td-s32-n200-k4": (_td, (32, 200, 4)),
+    "td-s34-n200-k4": (_td, (34, 200, 4)),
+    "td-s44-n200-k4": (_td, (44, 200, 4)),
+}
+
+EXPECTED = {
+    "adversarial-h4-k16": "280e1e7365715eeb8c479b9a53aac3f0539677bb4c2ac9e0436ee99f44a49349",
+    "adversarial-h4-k2": "3b94a5310c767ca911bab205e6ba05a3279de245e772b92b32974e33c34112b8",
+    "adversarial-h4-k3": "f0278caebeb41df07ba9177e678aeda221e127574b2fab6a39e44647ea6abe77",
+    "forest-s21-1:1:1": "2cd2f4bb71c4fab92c9c1d3e82107973f191429805240234c6c3ec69c9a931c2",
+    "forest-s22-1:3:2:5": "c11250f215168f53425cfbc99ec06422b6f7dc34f002e0b64bba9bfa8735c37d",
+    "td-s31-n200-k2": "478e92b0765dd040124042b62c0484f9acecfcc56e0726a34eda9d14acbe7141",
+    "td-s32-n200-k4": "bc9b2a41901daeb9e54406d3ce97e1aa1bd0ffcd6b13db6695ea107d87c70e0b",
+    "td-s34-n200-k4": "f1cb3307bd855c50284881e7b113888dc0921a89118a4c11ed709be0e94b2052",
+    "td-s44-n200-k4": "79aa91defba1952cfcd6f2c01270726913d7d175ea86d1d7e52b15df3bbca6fe",
+    "tree-s11-n200-k2": "64777b64159b4fa2f8ded3729fb8c2e180af6077d4b94dea38d5fabb3f1d3d9a",
+    "tree-s12-n200-k16": "40e9b6ede24d363116323f9158f3a946c3a5eb2f3c394f8415773ba30a566e2f",
+    "tree-s13-n700-k3": "268dfe184dfbf2ee375ba96828f6c2cd8c170f7265f1121543c28a85142e0342",
+    "tree-s14-n1200-k16": "3eded74add74a9ad8b9b6d76abfd3a683195ba47d112ea1ea5ab89e9de0f118f",
+    "tree-s15-n2000-k2": "29946586cf0212af3bb4da0b6798e6cfaf92ae2e4da2f6c4755119a111907b1b",
+    "tree-s16-n2000-k16": "6fb5a5d78dbb54d9d6520bf733263c7d9e93410145c78ef8e4643f8cc14735a3",
+    "tree-s19-n300-k16-cap3": "bfa6c038f24fcf44da26c0290bce84d3e4c8500269bc43ab2416af277eb47489",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    fn, args = CASES[name]
+    assert fn(*args) == EXPECTED[name]

@@ -1,17 +1,19 @@
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import path, star
-from ksec.errors import FormatError, KsecError, NotAPartition, NotATree
+from ksec.errors import FormatError, KsecError, NotAForest, NotAPartition, NotATree
 from ksec.graph import (
     Graph,
     components,
     cut_width,
     diameter,
+    forest_summary,
     induced_subgraph,
     link_components,
     longest_path,
@@ -75,6 +77,35 @@ def test_longest_path_adversarial_contains_path_part_and_root():
 def test_longest_path_matches_bfs_diameter(seed, n):
     g = random_tree_maxdeg(n, 5, Xorshift64Star(seed))
     assert len(longest_path(g)) - 1 == oracles.bfs_diameter(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(1, 40), st.integers(0, 3))
+def test_forest_summary_matches_bfs_diameter(seed, n_hi, isolated):
+    rng = Xorshift64Star(seed)
+    base = oracles.random_forest(rng, n_lo=1, n_hi=n_hi, drop=5)
+    g = Graph(base.n + isolated, base.edges)  # trailing isolated vertices
+    comps = forest_summary(g)
+    expected = sorted((sorted(c) for c in nx.connected_components(oracles.to_nx(g))), key=min)
+    assert [sorted(c.order) for c in comps] == expected
+    for c in comps:
+        assert c.order[0] == min(c.order)
+        sub, _ = induced_subgraph(g, c.order)
+        assert c.diameter == oracles.bfs_diameter(sub)
+        assert c.path[0] <= c.path[-1] and len(set(c.path)) == len(c.path)
+        assert all(g.has_edge(a, b) for a, b in zip(c.path, c.path[1:]))
+
+
+def test_forest_summary_single_vertex_and_cycle():
+    (only,) = forest_summary(Graph(1, []))
+    assert only.order == [1] and only.path == (1,) and only.diameter == 0
+    rng = Xorshift64Star(77)
+    for _ in range(50):
+        tree = random_tree_maxdeg(rng.randint(3, 40), 4, rng)
+        extra = next((u, v) for u in tree.vertices() for v in tree.vertices()
+                     if u < v and not tree.has_edge(u, v))
+        with pytest.raises(NotAForest):
+            forest_summary(Graph(tree.n, list(tree.edges) + [extra]))
 
 
 def test_relative_diameter_examples():

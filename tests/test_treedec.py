@@ -10,9 +10,11 @@ from ksec.instances import Xorshift64Star, random_partial_ktree, random_tree_max
 from ksec.treedec import (
     TreeDecomposition,
     cluster_incident_edges,
+    edge_home,
     heaviest_path,
     induced,
     make_nonredundant,
+    occurrences,
     parse_td,
     remove_cluster_parts,
     tree_to_width1_td,
@@ -68,6 +70,27 @@ def test_validate_equals_triple_checker():
             bags[-1].add(min(bags[0]) if bags[0] else 1)
             hacked = TreeDecomposition(bags, td.tree_edges)
             assert validate(hacked, g) == oracles.naive_t3_holds(hacked)
+
+
+def test_edge_homes_and_t2_witnesses_match_a_scan_of_all_clusters():
+    rng = Xorshift64Star(4048)
+    for _ in range(40):
+        g, td = random_partial_ktree(rng.randint(3, 30), rng.randint(2, 4), rng)
+        bags = [set(b) for b in td.bags]
+        for _ in range(rng.randint(0, 3)):  # drop vertices from clusters to break T2
+            bag = bags[rng.randint(0, len(bags) - 1)]
+            if bag:
+                bag.discard(min(bag))
+        hacked = TreeDecomposition(bags, td.tree_edges)
+        occ = occurrences(hacked)
+        uncovered = []
+        for u, v in sorted(g.edges):
+            homes = [i for i in hacked.nodes() if {u, v} <= hacked.bag(i)]
+            assert edge_home(hacked, occ, u, v) == (homes[0] if homes else None)
+            if not homes:
+                uncovered.append((u, v))
+        t2 = [w for cond, w in validation_errors(hacked, g) if cond == "T2"]
+        assert t2 == uncovered
 
 
 def test_induced_examples():
