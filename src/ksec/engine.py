@@ -19,16 +19,16 @@ from .errors import (
     InvariantViolation,
     KNotPowerOfTwo,
     KOutOfRange,
-    NotATreeDecomposition,
     SizesDontSum,
 )
 from .graph import (
     Graph,
     KSection,
+    TreeSummary,
     cut_width,
+    forest_summary,
     induced_subgraph,
     max_degree,
-    relative_diameter,
     require_forest,
     require_tree,
     summary_relative_diameter,
@@ -40,7 +40,7 @@ from .treedec import (
     induced,
     make_nonredundant,
     relabel_clusters,
-    validation_errors,
+    require_decomposition,
 )
 from .tdcut import r_preserving_cut
 
@@ -140,21 +140,28 @@ def _peel(
 
 
 def _peel_forest(
-    forest: Graph, floor: Fraction, sizes: list[int]
+    forest: Graph, comps: list[TreeSummary], sizes: list[int]
 ) -> tuple[list[tuple[int, ...]], list[int], list]:
-    """``_peel`` with the diameter-preserving cut; diam* never drops below ``floor``.
+    """``_peel`` with the diameter-preserving cut; diam* never drops.
 
-    ``floor`` is diam* of ``forest`` and rises with each remainder.
+    ``comps`` is the forest summary of ``forest``.  Each remainder is
+    summarized once: the summary feeds both the diam* check and the
+    next cut.
     """
+    floor = summary_relative_diameter(comps, forest.n)
+
+    def cutter(g: Graph, m: int):
+        return diameter_preserving_cut(g, m, comps)
 
     def check_remainder(rest: Graph) -> None:
-        nonlocal floor
-        after = relative_diameter(rest)
+        nonlocal comps, floor
+        comps = forest_summary(rest)
+        after = summary_relative_diameter(comps, rest.n)
         if after < floor:
             raise InvariantViolation("relative diameter decreased across a cut")
         floor = after
 
-    return _peel(forest, sizes, diameter_preserving_cut, check_remainder)
+    return _peel(forest, sizes, cutter, check_remainder)
 
 
 def ksection_tree(tree: Graph, k: int) -> tuple[KSection, BoundReport]:
@@ -181,8 +188,7 @@ def ksection_tree_detailed(tree: Graph, k: int) -> tuple[KSection, BoundReport, 
         traces = []
     else:
         sizes = oracle.balanced_sizes(n, k)
-        d0 = summary_relative_diameter([summary], n)
-        parts, widths, traces = _peel_forest(tree, d0, sizes)
+        parts, widths, traces = _peel_forest(tree, [summary], sizes)
         section = KSection.from_parts(tree, parts)
         if section.width != sum(widths):
             raise InvariantViolation("per-cut widths do not add up to the final width")
@@ -232,7 +238,7 @@ def cut_prescribed_sizes(
         raise SizesDontSum(f"sizes sum to {sum(sizes)}, vertex count is {forest.n}")
     d0 = summary_relative_diameter(comps, forest.n)
     delta = max_degree(forest)
-    parts, widths, _ = _peel_forest(forest, d0, sizes)
+    parts, widths, _ = _peel_forest(forest, comps, sizes)
     width = cut_width(forest, [set(p) for p in parts])
     if width != sum(widths):
         raise InvariantViolation("per-cut widths do not add up to the final width")
@@ -269,13 +275,7 @@ def ksection_td_detailed(
         raise KOutOfRange(f"k={k} must be an integer >= 2")
     if g.n == 0:
         raise KOutOfRange("cannot section an empty graph")
-    problems = validation_errors(td, g)
-    if problems:
-        cond, witness = problems[0]
-        raise NotATreeDecomposition(
-            f"ksection_td: the decomposition fails {cond} at {witness}"
-            f" ({len(problems)} violation(s) in all)"
-        )
+    require_decomposition(td, g, "ksection_td")
     n = g.n
     delta = max_degree(g)
     td0 = make_nonredundant(td)
@@ -290,7 +290,8 @@ def ksection_td_detailed(
         state = {"td": td0, "floor": r0}
 
         def cutter(cur: Graph, m: int):
-            cut, trace = r_preserving_cut(cur, state["td"], m)
+            # induced from the validated input, so valid for the remainder
+            cut, trace = r_preserving_cut(cur, state["td"], m, trusted=True)
             keep = sorted(cut.white)
             remainder_td = induced(trace.normalized_td, cut.white)
             r_after = heaviest_path(remainder_td, len(keep)).relative_weight

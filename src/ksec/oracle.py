@@ -5,6 +5,11 @@ decomposition DP keeps one table per node mapping (cluster coloring,
 black count) to the minimum number of cut edges.  Both reconstruct an
 optimal black set deterministically (ascending scans everywhere) and
 respect a hard memory guard (KSEC_MAX_MEM_MB).
+
+The tree DP runs once: it keeps every vertex's per-child accumulations
+and rebuilds the cut from them, and the memory guard counts those kept
+arrays with the tables.  The decomposition DP still recomputes its
+accumulations while tracing.
 """
 
 from __future__ import annotations
@@ -16,14 +21,13 @@ import numpy as np
 from .errors import (
     InvariantViolation,
     KOutOfRange,
-    KsecError,
     MOutOfRange,
     ResourceLimit,
     TooLarge,
     WidthTooLarge,
 )
 from .graph import Cut, Graph, KSection, bfs_tree, require_forest
-from .treedec import TreeDecomposition, edge_home, occurrences
+from .treedec import TreeDecomposition, edge_home, occurrences, require_decomposition
 
 INF = 1 << 28
 
@@ -52,10 +56,27 @@ def _minplus(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
 
 # --- Trees ------------------------------------------------------------------
 
+def _split(prev: np.ndarray, part: np.ndarray, c: int, target: int) -> int | None:
+    """Smallest cu with prev[c - cu] + part[cu] == target, or None.
+
+    Undoes one min-plus step ``cur = _minplus(prev, part)`` at count c,
+    where target = cur[c].
+    """
+    lo = max(0, c - len(prev) + 1)
+    hi = min(len(part), c + 1)
+    if lo >= hi:
+        return None
+    sums = prev[c - hi + 1 : c - lo + 1][::-1] + part[lo:hi]
+    hits = np.flatnonzero(sums == target)
+    return lo + int(hits[0]) if len(hits) else None
+
+
 class _TreeTables:
     """Per-vertex DP tables for one component, rooted at its smallest id.
 
-    ``parent`` is BFS scratch shared by all components of the forest.
+    ``run`` keeps every vertex's accumulation list, so ``trace`` rebuilds
+    the cut from them without re-running the DP.  ``parent`` is BFS
+    scratch shared by all components of the forest.
     """
 
     def __init__(self, g: Graph, root: int, parent: list[int], cap: int):
@@ -64,7 +85,7 @@ class _TreeTables:
         self.root = root
         self.order, _ = bfs_tree(g.adj, root, parent)
         self.children = {v: [w for w in g.adj[v] if parent[w] == v] for v in self.order}
-        self.table: dict[int, np.ndarray] = {}
+        self.accs: dict[int, list[np.ndarray]] = {}  # the last one is the vertex's table
 
     def base(self) -> np.ndarray:
         t = np.full((2, min(1, self.cap) + 1), INF, dtype=np.int32)
@@ -75,7 +96,7 @@ class _TreeTables:
 
     def child_best(self, u: int) -> np.ndarray:
         """min over the child's own color, paying 1 when colors differ."""
-        du = self.table[u]
+        du = self.accs[u][-1]
         out = np.empty_like(du)
         np.minimum(du[0], du[1] + 1, out=out[0])
         np.minimum(du[1], du[0] + 1, out=out[1])
@@ -94,23 +115,26 @@ class _TreeTables:
             )
         return accs
 
-    def run(self, mem_limit: int) -> np.ndarray:
-        used = 0
+    def run(self, mem_limit: int, used: int) -> tuple[np.ndarray, int]:
+        """Fill the tables; returns the component's table and the bytes kept so far.
+
+        ``used`` counts what earlier components of the forest keep; the
+        guard covers every kept accumulation, tables included.
+        """
         for v in reversed(self.order):
-            self.table[v] = self.accumulate(v)[-1]
-            used += self.table[v].nbytes
+            accs = self.accs[v] = self.accumulate(v)
+            used += sum(a.nbytes for a in accs)
             if used > mem_limit:
                 raise ResourceLimit(
                     f"tree DP tables exceed memory guard ({used >> 20} MB); "
                     "raise KSEC_MAX_MEM_MB"
                 )
-        root_t = self.table[self.root]
-        comp_table = np.minimum(root_t[0], root_t[1])
-        return comp_table
+        root_t = self.accs[self.root][-1]
+        return np.minimum(root_t[0], root_t[1]), used
 
     def trace(self, count: int, color: dict[int, int]) -> None:
         """Assign colors for the whole component given the root's black count."""
-        root_t = self.table[self.root]
+        root_t = self.accs[self.root][-1]
         if count < root_t.shape[1] and root_t[0][count] <= root_t[1][count]:
             state = (self.root, 0, count)
         else:
@@ -119,24 +143,17 @@ class _TreeTables:
         while stack:
             v, s, c = stack.pop()
             color[v] = s
-            accs = self.accumulate(v)
-            for idx in range(len(self.children[v]) - 1, -1, -1):
-                u = self.children[v][idx]
-                best = self.child_best(u)
-                prev, cur = accs[idx], accs[idx + 1]
-                target = int(cur[s][c])
-                found = False
-                for cu in range(min(len(best[s]), c + 1)):
-                    rest = c - cu
-                    if rest < len(prev[s]) and int(prev[s][rest]) + int(best[s][cu]) == target:
-                        du = self.table[u]
-                        su = s if (cu < du.shape[1] and int(du[s][cu]) == int(best[s][cu])) else 1 - s
-                        stack.append((u, su, cu))
-                        c = rest
-                        found = True
-                        break
-                if not found:
+            accs = self.accs[v]
+            children = self.children[v]
+            for idx in range(len(children) - 1, -1, -1):
+                du = self.accs[children[idx]][-1]
+                best = np.minimum(du[s], du[1 - s] + 1)  # row s of child_best
+                cu = _split(accs[idx][s], best, c, int(accs[idx + 1][s][c]))
+                if cu is None:
                     raise InvariantViolation("tree DP trace failed to split a count")
+                su = s if du[s][cu] == best[cu] else 1 - s
+                stack.append((children[idx], su, cu))
+                c -= cu
             if c != (1 if s else 0):
                 raise InvariantViolation("tree DP trace ended on a bad count")
 
@@ -154,9 +171,11 @@ def dp_min_size_cut_tree(
     parent = [-1] * (n + 1)
     dps = []
     tables = []
+    used = 0
     for comp in comps:
         t = _TreeTables(forest, comp.order[0], parent, min(m, len(comp.order)))
-        dps.append(t.run(mem_limit))
+        d, used = t.run(mem_limit, used)
+        dps.append(d)
         tables.append(t)
 
     # knapsack across components
@@ -171,16 +190,11 @@ def dp_min_size_cut_tree(
     color: dict[int, int] = {}
     c = m
     for idx in range(len(comps) - 1, -1, -1):
-        prev, cur = accs[idx], accs[idx + 1]
-        target = int(cur[c])
-        for cu in range(min(len(dps[idx]), c + 1)):
-            rest = c - cu
-            if rest < len(prev) and int(prev[rest]) + int(dps[idx][cu]) == target:
-                tables[idx].trace(cu, color)
-                c = rest
-                break
-        else:
+        cu = _split(accs[idx], dps[idx], c, int(accs[idx + 1][c]))
+        if cu is None:
             raise InvariantViolation("component knapsack trace failed")
+        tables[idx].trace(cu, color)
+        c -= cu
     black = {v for v, s in color.items() if s == 1}
     cut = Cut.from_black(forest, black)
     if len(cut.black) != m or cut.width != width:
@@ -208,7 +222,7 @@ class _TDTables:
         for u, v in sorted(g.edges):
             home = edge_home(td, occ, u, v)
             if home is None:
-                raise KsecError(f"edge ({u},{v}) not covered by any cluster (T2 fails)")
+                raise InvariantViolation(f"edge ({u},{v}) not covered by any cluster (T2 fails)")
             self.cost_edges[home].append((u, v))
         self.table: dict[int, list[np.ndarray]] = {}
         self.used_bytes = 0
@@ -345,22 +359,22 @@ def dp_min_size_cut_td(
     m: int,
     max_width: int = 12,
     mem_limit_mb: int | None = None,
+    trusted: bool = False,
 ) -> tuple[Cut, int]:
     """Exact minimum-width cut with |B| = m, via DP over the decomposition.
 
     Exponential in the decomposition width; refuses widths above
-    ``max_width``.
+    ``max_width``.  ``td`` is checked against ``g``
+    (``NotATreeDecomposition`` with a witness) unless ``trusted``, which
+    callers pass for decompositions valid by construction.
     """
     n = g.n
     if not (0 <= m <= n):
         raise MOutOfRange(f"m={m} not in 0..{n}")
     if td.width > max_width:
         raise WidthTooLarge(f"decomposition width {td.width} exceeds limit {max_width}")
-    covered = set()
-    for b in td.bags:
-        covered |= b
-    if covered != set(g.vertices()):
-        raise KsecError("clusters do not cover the vertex set (T1 fails)")
+    if not trusted:
+        require_decomposition(td, g, "dp_min_size_cut_td")
 
     tables = _TDTables(g, td, m, _mem_limit_bytes(mem_limit_mb))
     root_tabs = tables.run()

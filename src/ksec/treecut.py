@@ -156,15 +156,22 @@ def _subtree_cut(tree: Graph, members: frozenset, z: int, m_tilde: int) -> Cut:
     return Cut.from_black(tree, {old_of[u - 1] for u in local.black})
 
 
-def diameter_preserving_cut(forest: Graph, m: int) -> tuple[Cut, DiamCutTrace]:
+def diameter_preserving_cut(
+    forest: Graph, m: int, comps: list[TreeSummary] | None = None
+) -> tuple[Cut, DiamCutTrace]:
     """Cut with |B| = m, diam*(G[W]) >= diam*(G), width <= (2 + 16/diam*)Δ.
 
     Disconnected inputs are linked into a tree first; any cut of the
     linked tree only loses width when read back in the forest, and
     removing the linking edges cannot decrease diam* of G[W].
+
+    ``comps`` is ``forest_summary(forest)`` when the caller already has
+    it (the peel loop does); it is trusted, and the forest check is
+    skipped.
     """
     n = forest.n
-    comps = require_forest(forest, "diameter_preserving_cut")
+    if comps is None:
+        comps = require_forest(forest, "diameter_preserving_cut")
     if not (1 <= m <= n - 1):
         raise MOutOfRange(f"m={m} not in 1..{n - 1}")
     delta = max_degree(forest)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import FormatError, InvariantViolation, NotATreeDecomposition
-from .graph import Graph, bfs_tree
+from .graph import Graph, bfs_tree, require_tree
 
 
 class TreeDecomposition:
@@ -119,6 +119,17 @@ def validation_errors(td: TreeDecomposition, g: Graph) -> list[tuple[str, object
 
 def validate(td: TreeDecomposition, g: Graph) -> bool:
     return not validation_errors(td, g)
+
+
+def require_decomposition(td: TreeDecomposition, g: Graph, who: str) -> None:
+    """``NotATreeDecomposition`` naming the first failed condition and its witness."""
+    problems = validation_errors(td, g)
+    if problems:
+        cond, witness = problems[0]
+        raise NotATreeDecomposition(
+            f"{who}: the decomposition fails {cond} at {witness}"
+            f" ({len(problems)} violation(s) in all)"
+        )
 
 
 def induced(td: TreeDecomposition, vertex_set: Iterable[int]) -> TreeDecomposition:
@@ -276,6 +287,7 @@ def remove_cluster_parts(td: TreeDecomposition, g: Graph, i: int) -> list[set]:
 
 def tree_to_width1_td(tree: Graph) -> TreeDecomposition:
     """Width-1 decomposition of a tree: one node per vertex, bag {v, parent}."""
+    require_tree(tree, "tree_to_width1_td")
     root = 1
     _, parent = bfs_tree(tree.adj, root)
     bags = []

@@ -12,9 +12,10 @@ from ksec.engine import (
 from ksec.errors import InvariantViolation, NotAForest, NotATree, NotATreeDecomposition
 from ksec.graph import Graph, link_components, longest_path, relative_diameter
 from ksec.labeling import decompose_along_path
-from ksec.oracle import dp_min_size_cut_tree
+from ksec.oracle import dp_min_size_cut_td, dp_min_size_cut_tree
+from ksec.tdcut import r_preserving_cut
 from ksec.treecut import approximate_cut, diameter_preserving_cut, exact_cut_bounded
-from ksec.treedec import TreeDecomposition, heaviest_path, make_nonredundant
+from ksec.treedec import TreeDecomposition, heaviest_path, make_nonredundant, tree_to_width1_td
 
 # a 5-cycle with a pendant vertex; BFS from 1 leaves (3,4) as the closing edge
 CYCLE = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (5, 6)])
@@ -25,6 +26,7 @@ TREE_ENTRY_POINTS = {
     "decompose_along_path": lambda g: decompose_along_path(g, [1, 2]),
     "longest_path": longest_path,
     "ksection_tree": lambda g: ksection_tree(g, 2),
+    "tree_to_width1_td": tree_to_width1_td,
 }
 
 FOREST_ENTRY_POINTS = {
@@ -47,6 +49,12 @@ def test_tree_entry_points_reject_cycles_and_disconnected_graphs(name):
         call(DISCONNECTED)
 
 
+@pytest.mark.parametrize("name", sorted(TREE_ENTRY_POINTS))
+def test_tree_entry_points_reject_the_empty_graph(name):
+    with pytest.raises(NotATree, match="the graph is empty"):
+        TREE_ENTRY_POINTS[name](Graph(0, []))
+
+
 @pytest.mark.parametrize("name", sorted(FOREST_ENTRY_POINTS))
 def test_forest_entry_points_reject_cycles(name):
     with pytest.raises(NotAForest, match=r"\(3,4\) closes a cycle"):
@@ -66,6 +74,18 @@ T3_BROKEN = TreeDecomposition([{1, 2}, {3, 4}, {2, 3}], [(1, 2), (2, 3)])  # 2 i
 def test_ksection_td_rejects_invalid_decompositions(td, named):
     with pytest.raises(NotATreeDecomposition, match=named):
         ksection_td(path(4), td, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda g, td: r_preserving_cut(g, td, 2), id="r_preserving_cut"),
+        pytest.param(lambda g, td: dp_min_size_cut_td(g, td, 2), id="dp_min_size_cut_td"),
+    ],
+)
+def test_decomposition_cuts_reject_an_uncovered_edge(call):
+    with pytest.raises(NotATreeDecomposition, match=r"T2 at \(2, 3\)"):
+        call(path(4), T2_BROKEN)
 
 
 def test_heaviest_path_reports_broken_t3_as_invariant_violation():

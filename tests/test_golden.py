@@ -57,6 +57,7 @@ CASES = {
     "adversarial-h4-k2": (_adversarial, (4, 2)),
     "adversarial-h4-k3": (_adversarial, (4, 3)),
     "adversarial-h4-k16": (_adversarial, (4, 16)),
+    "adversarial-h6-k2": (_adversarial, (6, 2)),
     "forest-s21-1:1:1": (_forest, (21, (1, 1, 1))),
     "forest-s22-1:3:2:5": (_forest, (22, (1, 3, 2, 5))),
     "td-s31-n200-k2": (_td, (31, 200, 2)),
@@ -69,6 +70,7 @@ EXPECTED = {
     "adversarial-h4-k16": "280e1e7365715eeb8c479b9a53aac3f0539677bb4c2ac9e0436ee99f44a49349",
     "adversarial-h4-k2": "3b94a5310c767ca911bab205e6ba05a3279de245e772b92b32974e33c34112b8",
     "adversarial-h4-k3": "f0278caebeb41df07ba9177e678aeda221e127574b2fab6a39e44647ea6abe77",
+    "adversarial-h6-k2": "70488a951e4335939c3b41c0b563427be1c32d7722c53f96ba9ede0a0de9a88a",
     "forest-s21-1:1:1": "2cd2f4bb71c4fab92c9c1d3e82107973f191429805240234c6c3ec69c9a931c2",
     "forest-s22-1:3:2:5": "c11250f215168f53425cfbc99ec06422b6f7dc34f002e0b64bba9bfa8735c37d",
     "td-s31-n200-k2": "478e92b0765dd040124042b62c0484f9acecfcc56e0726a34eda9d14acbe7141",

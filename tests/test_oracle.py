@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import path, star
-from ksec import bounds
-from ksec.errors import MOutOfRange, TooLarge, WidthTooLarge
-from ksec.graph import Graph, max_degree, relative_diameter
+from ksec import bounds, oracle
+from ksec.errors import MOutOfRange, ResourceLimit, TooLarge, WidthTooLarge
+from ksec.graph import Graph, components, max_degree, relative_diameter
 from ksec.instances import (
     Xorshift64Star,
     adversarial_ternary_path,
@@ -85,6 +87,46 @@ def test_dp_tree_matches_subset_enumeration():
             cut, w = dp_min_size_cut_tree(g, m)
             assert len(cut.black) == m
             assert w == oracles.min_cut_over_subsets(g, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 60))
+def test_dp_tree_on_random_forests_matches_subset_enumeration(seed):
+    g = oracles.random_forest(Xorshift64Star(seed), n_lo=2, n_hi=12, drop=4)
+    assume(len(components(g)) >= 2)
+    for m in range(g.n + 1):
+        cut, w = dp_min_size_cut_tree(g, m)
+        assert len(cut.black) == m
+        assert cut.width == w == oracles.min_cut_over_subsets(g, m)
+
+
+def test_dp_tree_merges_each_vertex_once(monkeypatch):
+    """The trace rebuilds the cut from kept accumulations; the DP runs once."""
+    calls = []
+    merge = oracle._TreeTables.accumulate
+
+    def spy(self, v):
+        calls.append(v)
+        return merge(self, v)
+
+    monkeypatch.setattr(oracle._TreeTables, "accumulate", spy)
+    g = oracles.random_forest(Xorshift64Star(77), n_lo=40, n_hi=40, drop=5)
+    assert len(components(g)) >= 3
+    for m in (1, g.n // 2, g.n):
+        calls.clear()
+        dp_min_size_cut_tree(g, m)
+        assert sorted(calls) == list(g.vertices())
+
+
+def test_dp_tree_memory_guard_counts_kept_accumulations_of_all_components():
+    # the center of a 1000-leaf star keeps ~3 MB of accumulations beside a 4 kB table
+    with pytest.raises(ResourceLimit):
+        dp_min_size_cut_tree(star(1001), 500, mem_limit_mb=1)
+    # one 600-vertex path keeps ~1.4 MB; two of them in one forest exceed 2 MB together
+    dp_min_size_cut_tree(path(600), 600, mem_limit_mb=2)
+    two_paths = Graph(1200, [(i, i + 1) for i in range(1, 1200) if i != 600])
+    with pytest.raises(ResourceLimit):
+        dp_min_size_cut_tree(two_paths, 600, mem_limit_mb=2)
 
 
 def test_dp_tree_meets_existence_bound():
