@@ -290,8 +290,7 @@ def ksection_td_detailed(
         state = {"td": td0, "floor": r0}
 
         def cutter(cur: Graph, m: int):
-            # induced from the validated input, so valid for the remainder
-            cut, trace = r_preserving_cut(cur, state["td"], m, trusted=True)
+            cut, trace = r_preserving_cut(cur, state["td"], m)
             keep = sorted(cut.white)
             remainder_td = induced(trace.normalized_td, cut.white)
             r_after = heaviest_path(remainder_td, len(keep)).relative_weight

@@ -6,9 +6,11 @@ black count) to the minimum number of cut edges.  Both reconstruct an
 optimal black set deterministically (ascending scans everywhere) and
 respect a hard memory guard (KSEC_MAX_MEM_MB).
 
-The tree DP runs once: it keeps every vertex's per-child accumulations
-and rebuilds the cut from them, and the memory guard counts those kept
-arrays with the tables.  The decomposition DP still recomputes its
+The tree DP runs once: it keeps every vertex's table and, where they
+take at most KEEP_RATIO times that table, its per-child accumulations,
+and rebuilds the cut from them; only the accumulations of vertices with
+many children are recomputed while tracing.  The memory guard counts
+every kept array.  The decomposition DP still recomputes its
 accumulations while tracing.
 """
 
@@ -71,21 +73,69 @@ def _split(prev: np.ndarray, part: np.ndarray, c: int, target: int) -> int | Non
     return lo + int(hits[0]) if len(hits) else None
 
 
+KEEP_RATIO = 4  # a vertex keeps accumulations of at most this many times its table
+
+
+class _Kept:
+    """What the tree DP keeps for one forest, under the memory guard.
+
+    Every vertex's table stays.  Its intermediate accumulations (all but
+    the last, which is the table) stay as well when they take at most
+    KEEP_RATIO times the table's bytes and fit under the guard; a vertex
+    with many children, whose accumulations grow with its degree times
+    its table, recomputes them when traced instead.  When a table does not
+    fit, the intermediates are dropped first, so the guard trips only when
+    the tables of the whole forest exceed it.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.table: dict[int, np.ndarray] = {}
+        self.accs: dict[int, list[np.ndarray]] = {}  # the last one is the vertex's table
+        self.table_bytes = 0
+        self.inner_bytes = 0
+
+    def add(self, v: int, accs: list[np.ndarray]) -> None:
+        table = accs[-1]
+        self.table[v] = table
+        self.table_bytes += table.nbytes
+        if self.table_bytes + self.inner_bytes > self.limit:
+            self.accs.clear()
+            self.inner_bytes = 0
+            if self.table_bytes > self.limit:
+                raise ResourceLimit(
+                    f"tree DP tables exceed memory guard ({self.table_bytes >> 20} MB); "
+                    "raise KSEC_MAX_MEM_MB"
+                )
+        inner = sum(a.nbytes for a in accs[:-1])
+        if (
+            inner <= KEEP_RATIO * table.nbytes
+            and self.table_bytes + self.inner_bytes + inner <= self.limit
+        ):
+            self.accs[v] = accs
+            self.inner_bytes += inner
+
+
+def _best_row(du: np.ndarray, s: int) -> np.ndarray:
+    """Best of child table ``du`` under a parent of color s, paying 1 when colors differ."""
+    return np.minimum(np.minimum(du[s], du[1 - s] + 1), INF)
+
+
 class _TreeTables:
     """Per-vertex DP tables for one component, rooted at its smallest id.
 
-    ``run`` keeps every vertex's accumulation list, so ``trace`` rebuilds
-    the cut from them without re-running the DP.  ``parent`` is BFS
-    scratch shared by all components of the forest.
+    ``run`` fills ``kept``, shared by all components of the forest, and
+    ``trace`` rebuilds the cut from it, recomputing only the
+    accumulations ``kept`` dropped.  ``parent`` is BFS scratch shared by
+    all components.
     """
 
-    def __init__(self, g: Graph, root: int, parent: list[int], cap: int):
-        self.g = g
+    def __init__(self, g: Graph, root: int, parent: list[int], cap: int, kept: _Kept):
         self.cap = cap
         self.root = root
+        self.kept = kept
         self.order, _ = bfs_tree(g.adj, root, parent)
         self.children = {v: [w for w in g.adj[v] if parent[w] == v] for v in self.order}
-        self.accs: dict[int, list[np.ndarray]] = {}  # the last one is the vertex's table
 
     def base(self) -> np.ndarray:
         t = np.full((2, min(1, self.cap) + 1), INF, dtype=np.int32)
@@ -94,47 +144,24 @@ class _TreeTables:
             t[1][1] = 0
         return t
 
-    def child_best(self, u: int) -> np.ndarray:
-        """min over the child's own color, paying 1 when colors differ."""
-        du = self.accs[u][-1]
-        out = np.empty_like(du)
-        np.minimum(du[0], du[1] + 1, out=out[0])
-        np.minimum(du[1], du[0] + 1, out=out[1])
-        np.minimum(out, INF, out=out)
-        return out
-
     def accumulate(self, v: int) -> list[np.ndarray]:
         accs = [self.base()]
         for u in self.children[v]:
-            best = self.child_best(u)
+            du = self.kept.table[u]
             acc = accs[-1]
-            accs.append(
-                np.stack(
-                    [_minplus(acc[0], best[0], self.cap), _minplus(acc[1], best[1], self.cap)]
-                )
-            )
+            accs.append(np.stack([_minplus(acc[s], _best_row(du, s), self.cap) for s in (0, 1)]))
         return accs
 
-    def run(self, mem_limit: int, used: int) -> tuple[np.ndarray, int]:
-        """Fill the tables; returns the component's table and the bytes kept so far.
-
-        ``used`` counts what earlier components of the forest keep; the
-        guard covers every kept accumulation, tables included.
-        """
+    def run(self) -> np.ndarray:
+        """Fill the tables; returns the component's table."""
         for v in reversed(self.order):
-            accs = self.accs[v] = self.accumulate(v)
-            used += sum(a.nbytes for a in accs)
-            if used > mem_limit:
-                raise ResourceLimit(
-                    f"tree DP tables exceed memory guard ({used >> 20} MB); "
-                    "raise KSEC_MAX_MEM_MB"
-                )
-        root_t = self.accs[self.root][-1]
-        return np.minimum(root_t[0], root_t[1]), used
+            self.kept.add(v, self.accumulate(v))
+        root_t = self.kept.table[self.root]
+        return np.minimum(root_t[0], root_t[1])
 
     def trace(self, count: int, color: dict[int, int]) -> None:
         """Assign colors for the whole component given the root's black count."""
-        root_t = self.accs[self.root][-1]
+        root_t = self.kept.table[self.root]
         if count < root_t.shape[1] and root_t[0][count] <= root_t[1][count]:
             state = (self.root, 0, count)
         else:
@@ -143,11 +170,11 @@ class _TreeTables:
         while stack:
             v, s, c = stack.pop()
             color[v] = s
-            accs = self.accs[v]
+            accs = self.kept.accs.get(v) or self.accumulate(v)
             children = self.children[v]
             for idx in range(len(children) - 1, -1, -1):
-                du = self.accs[children[idx]][-1]
-                best = np.minimum(du[s], du[1 - s] + 1)  # row s of child_best
+                du = self.kept.table[children[idx]]
+                best = _best_row(du, s)
                 cu = _split(accs[idx][s], best, c, int(accs[idx + 1][s][c]))
                 if cu is None:
                     raise InvariantViolation("tree DP trace failed to split a count")
@@ -169,14 +196,12 @@ def dp_min_size_cut_tree(
     mem_limit = _mem_limit_bytes(mem_limit_mb)
 
     parent = [-1] * (n + 1)
-    dps = []
-    tables = []
-    used = 0
-    for comp in comps:
-        t = _TreeTables(forest, comp.order[0], parent, min(m, len(comp.order)))
-        d, used = t.run(mem_limit, used)
-        dps.append(d)
-        tables.append(t)
+    kept = _Kept(mem_limit)
+    tables = [
+        _TreeTables(forest, comp.order[0], parent, min(m, len(comp.order)), kept)
+        for comp in comps
+    ]
+    dps = [t.run() for t in tables]
 
     # knapsack across components
     accs = [np.zeros(1, dtype=np.int32)]
@@ -359,22 +384,19 @@ def dp_min_size_cut_td(
     m: int,
     max_width: int = 12,
     mem_limit_mb: int | None = None,
-    trusted: bool = False,
 ) -> tuple[Cut, int]:
     """Exact minimum-width cut with |B| = m, via DP over the decomposition.
 
     Exponential in the decomposition width; refuses widths above
     ``max_width``.  ``td`` is checked against ``g``
-    (``NotATreeDecomposition`` with a witness) unless ``trusted``, which
-    callers pass for decompositions valid by construction.
+    (``NotATreeDecomposition`` with a witness).
     """
     n = g.n
     if not (0 <= m <= n):
         raise MOutOfRange(f"m={m} not in 0..{n}")
     if td.width > max_width:
         raise WidthTooLarge(f"decomposition width {td.width} exceeds limit {max_width}")
-    if not trusted:
-        require_decomposition(td, g, "dp_min_size_cut_td")
+    require_decomposition(td, g, "dp_min_size_cut_td")
 
     tables = _TDTables(g, td, m, _mem_limit_bytes(mem_limit_mb))
     root_tabs = tables.run()

@@ -293,7 +293,6 @@ def r_preserving_cut(
     m: int,
     max_width: int = 12,
     check: bool = False,
-    trusted: bool = False,
 ) -> tuple[Cut, RCutTrace]:
     """Cut with |B| = m whose remainder keeps the relative path weight.
 
@@ -302,16 +301,13 @@ def r_preserving_cut(
     and r of the decomposition induced by G[W] is at least r.
 
     ``td`` is checked against ``g`` (``NotATreeDecomposition`` with a
-    witness) unless ``trusted``, which callers pass for decompositions
-    valid by construction.  ``check=True`` additionally validates the
-    spliced inner decomposition against the inner graph (slow; meant for
-    tests).
+    witness).  ``check=True`` additionally validates the spliced inner
+    decomposition against the inner graph (slow; meant for tests).
     """
     n = g.n
     if not (1 <= m <= n - 1):
         raise MOutOfRange(f"m={m} not in 1..{n - 1}")
-    if not trusted:
-        require_decomposition(td, g, "r_preserving_cut")
+    require_decomposition(td, g, "r_preserving_cut")
     td0 = make_nonredundant(td)
     t = td0.width + 1
     hp = heaviest_path(td0, n)
@@ -374,7 +370,7 @@ def r_preserving_cut(
         raise InvariantViolation(f"{case}: glued decomposition too light ({r_tilde} < {r}/2)")
     glued_small = make_nonredundant(glued)
     inner_cut, inner_width = oracle.dp_min_size_cut_td(
-        g_tilde, glued_small, m, max_width=max_width, trusted=True
+        g_tilde, glued_small, m, max_width=max_width
     )
     black = {vt_sorted[u - 1] for u in inner_cut.black}
     outer = sum(1 for (a, b) in g.edges if (a in v_tilde) != (b in v_tilde))

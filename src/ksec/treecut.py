@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import oracle
-from .errors import InvariantViolation, MOutOfRange
+from .errors import InvariantViolation, MOutOfRange, NotAPartition
 from .graph import (
     Cut,
     Graph,
@@ -166,12 +166,18 @@ def diameter_preserving_cut(
     removing the linking edges cannot decrease diam* of G[W].
 
     ``comps`` is ``forest_summary(forest)`` when the caller already has
-    it (the peel loop does); it is trusted, and the forest check is
-    skipped.
+    it (the peel loop does).  It replaces the forest check and is checked
+    only against the forest's vertex and edge counts.
     """
     n = forest.n
     if comps is None:
         comps = require_forest(forest, "diameter_preserving_cut")
+    elif sum(len(c.order) for c in comps) != n or len(comps) != n - len(forest.edges):
+        raise NotAPartition(
+            f"diameter_preserving_cut: a summary of {len(comps)} component(s) on "
+            f"{sum(len(c.order) for c in comps)} vertices does not fit a forest "
+            f"of {n} vertices and {len(forest.edges)} edges"
+        )
     if not (1 <= m <= n - 1):
         raise MOutOfRange(f"m={m} not in 1..{n - 1}")
     delta = max_degree(forest)

@@ -9,8 +9,14 @@ from ksec.engine import (
     ksection_tree,
     recursive_bisection_baseline,
 )
-from ksec.errors import InvariantViolation, NotAForest, NotATree, NotATreeDecomposition
-from ksec.graph import Graph, link_components, longest_path, relative_diameter
+from ksec.errors import (
+    InvariantViolation,
+    NotAForest,
+    NotAPartition,
+    NotATree,
+    NotATreeDecomposition,
+)
+from ksec.graph import Graph, forest_summary, link_components, longest_path, relative_diameter
 from ksec.labeling import decompose_along_path
 from ksec.oracle import dp_min_size_cut_td, dp_min_size_cut_tree
 from ksec.tdcut import r_preserving_cut
@@ -86,6 +92,14 @@ def test_ksection_td_rejects_invalid_decompositions(td, named):
 def test_decomposition_cuts_reject_an_uncovered_edge(call):
     with pytest.raises(NotATreeDecomposition, match=r"T2 at \(2, 3\)"):
         call(path(4), T2_BROKEN)
+
+
+def test_diameter_preserving_cut_rejects_a_summary_of_another_forest():
+    stale = forest_summary(DISCONNECTED)
+    with pytest.raises(NotAPartition, match="2 component"):
+        diameter_preserving_cut(path(5), 2, stale)
+    with pytest.raises(NotAPartition, match="5 vertices"):
+        diameter_preserving_cut(path(6), 2, forest_summary(path(5)))
 
 
 def test_heaviest_path_reports_broken_t3_as_invariant_violation():

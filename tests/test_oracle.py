@@ -118,15 +118,42 @@ def test_dp_tree_merges_each_vertex_once(monkeypatch):
         assert sorted(calls) == list(g.vertices())
 
 
-def test_dp_tree_memory_guard_counts_kept_accumulations_of_all_components():
-    # the center of a 1000-leaf star keeps ~3 MB of accumulations beside a 4 kB table
-    with pytest.raises(ResourceLimit):
-        dp_min_size_cut_tree(star(1001), 500, mem_limit_mb=1)
-    # one 600-vertex path keeps ~1.4 MB; two of them in one forest exceed 2 MB together
+def _star_comb(hubs, leaves):
+    """``hubs`` vertices on a path, each with ``leaves`` pendant leaves numbered after them."""
+    edges = [(h, h + 1) for h in range(1, hubs)]
+    for h in range(1, hubs + 1):
+        edges += [(h, hubs + (h - 1) * leaves + i) for i in range(1, leaves + 1)]
+    return Graph(hubs * (leaves + 1), edges)
+
+
+def test_dp_tree_recomputes_only_the_accumulations_of_high_degree_vertices(monkeypatch):
+    """A star comb keeps its tables (~0.2 MB) under a 1 MB guard, not all accumulations (~8 MB)."""
+    calls = []
+    merge = oracle._TreeTables.accumulate
+
+    def spy(self, v):
+        calls.append(v)
+        return merge(self, v)
+
+    monkeypatch.setattr(oracle._TreeTables, "accumulate", spy)
+    comb = _star_comb(40, 40)
+    cut, w = dp_min_size_cut_tree(comb, comb.n // 2, mem_limit_mb=1)
+    assert (len(cut.black), w) == (comb.n // 2, 1)
+    # each hub merges again when traced; every leaf keeps its accumulations
+    assert sorted(calls) == sorted([*comb.vertices(), *range(1, 41)])
+
+
+def test_dp_tree_memory_guard_trips_only_on_the_tables_of_all_components():
+    # one 600-vertex path keeps ~1.4 MB of tables; two of them in one forest exceed 2 MB together
     dp_min_size_cut_tree(path(600), 600, mem_limit_mb=2)
     two_paths = Graph(1200, [(i, i + 1) for i in range(1, 1200) if i != 600])
     with pytest.raises(ResourceLimit):
         dp_min_size_cut_tree(two_paths, 600, mem_limit_mb=2)
+    # a 350-vertex caterpillar keeps 0.7 MB of tables and 0.7 MB of accumulations:
+    # the accumulations are dropped, so a 1 MB guard does not trip
+    spine = [(i, i + 1) for i in range(1, 350)]
+    caterpillar = Graph(700, spine + [(i, 350 + i) for i in range(1, 351)])
+    assert dp_min_size_cut_tree(caterpillar, 350, mem_limit_mb=1)[1] == 1
 
 
 def test_dp_tree_meets_existence_bound():
