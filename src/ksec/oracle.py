@@ -9,9 +9,10 @@ respect a hard memory guard (KSEC_MAX_MEM_MB).
 The tree DP runs once: it keeps every vertex's table and, where they
 take at most KEEP_RATIO times that table, its per-child accumulations,
 and rebuilds the cut from them; only the accumulations of vertices with
-many children are recomputed while tracing.  The memory guard counts
-every kept array.  The decomposition DP still recomputes its
-accumulations while tracing.
+many children are recomputed while tracing.  The decomposition DP runs
+once as well: it keeps each child's table reduced to the coloring of
+the cluster it shares with its parent, and the trace reads those
+reductions.  The memory guard counts every kept array.
 """
 
 from __future__ import annotations
@@ -230,9 +231,15 @@ def dp_min_size_cut_tree(
 # --- Tree decompositions ----------------------------------------------------
 
 class _TDTables:
+    """Per-node DP tables over the decomposition, rooted at node 1.
+
+    ``run`` fills the tables and keeps each child's ``reduce_child``
+    result beside them; ``trace`` follows one root state down through
+    the kept reductions, building the base row only for the coloring it
+    follows.  The memory guard counts tables and reductions alike.
+    """
+
     def __init__(self, g: Graph, td: TreeDecomposition, cap: int, mem_limit: int):
-        self.g = g
-        self.td = td
         self.cap = cap
         self.mem_limit = mem_limit
         self.order, self.parent = bfs_tree(td.tree_adj, 1)
@@ -250,32 +257,34 @@ class _TDTables:
                 raise InvariantViolation(f"edge ({u},{v}) not covered by any cluster (T2 fails)")
             self.cost_edges[home].append((u, v))
         self.table: dict[int, list[np.ndarray]] = {}
+        self.red: dict[int, tuple[int, dict[int, np.ndarray]]] = {}
         self.used_bytes = 0
 
-    def base(self, i: int) -> list[np.ndarray]:
-        bag = self.bag_list[i]
+    def base_row(self, i: int, mask: int) -> np.ndarray:
+        """Node i's own table for one coloring of its cluster."""
         pos = self.pos[i]
-        tabs = []
-        for mask in range(1 << len(bag)):
-            blacks = bin(mask).count("1")
-            cost = 0
-            for u, v in self.cost_edges[i]:
-                if ((mask >> pos[u]) & 1) != ((mask >> pos[v]) & 1):
-                    cost += 1
-            t = np.full(min(blacks, self.cap) + 1, INF, dtype=np.int32)
-            if blacks <= self.cap:
-                t[blacks] = cost
-            tabs.append(t)
-        return tabs
+        blacks = bin(mask).count("1")
+        cost = 0
+        for u, v in self.cost_edges[i]:
+            if ((mask >> pos[u]) & 1) != ((mask >> pos[v]) & 1):
+                cost += 1
+        t = np.full(min(blacks, self.cap) + 1, INF, dtype=np.int32)
+        if blacks <= self.cap:
+            t[blacks] = cost
+        return t
 
-    def reduce_child(self, i: int, j: int) -> dict[int, np.ndarray]:
+    def reduce_child(self, i: int, j: int) -> tuple[int, dict[int, np.ndarray]]:
         """Group the child table by the coloring of the shared vertices.
 
-        Keys are masks over bag(i) positions restricted to shared
-        vertices; red[key][c] = best child entry with c black vertices
-        counted below j but outside the shared set.
+        Returns the mask of the shared positions in bag(i) and the
+        reduction: keys are masks over bag(i) positions restricted to
+        shared vertices; red[key][c] = best child entry with c black
+        vertices counted below j but outside the shared set.
         """
         shared = [v for v in self.bag_list[j] if v in self.pos[i]]
+        shared_mask = 0
+        for v in shared:
+            shared_mask |= 1 << self.pos[i][v]
         tabs = self.table[j]
         max_len = max(len(t) for t in tabs)
         red: dict[int, np.ndarray] = {}
@@ -294,68 +303,55 @@ class _TDTables:
             ln = len(t) - lo
             if ln > 0:
                 np.minimum(arr[:ln], t[lo:], out=arr[:ln])
-        return red
+        return shared_mask, red
+
+    def _keep(self, arrays) -> None:
+        self.used_bytes += sum(a.nbytes for a in arrays)
+        if self.used_bytes > self.mem_limit:
+            raise ResourceLimit(
+                f"decomposition DP tables exceed memory guard "
+                f"({self.used_bytes >> 20} MB); raise KSEC_MAX_MEM_MB"
+            )
 
     def run(self) -> list[np.ndarray]:
+        empty = np.full(1, INF, dtype=np.int32)
         for i in reversed(self.order):
-            tabs = self.base(i)
-            bag_mask_all = (1 << len(self.bag_list[i])) - 1
+            masks = range(1 << len(self.bag_list[i]))
+            tabs = [self.base_row(i, mask) for mask in masks]
             for j in self.children[i]:
-                red = self.reduce_child(i, j)
-                shared_mask = 0
-                for v in self.bag_list[j]:
-                    if v in self.pos[i]:
-                        shared_mask |= 1 << self.pos[i][v]
-                empty = np.full(1, INF, dtype=np.int32)
+                shared_mask, red = self.red[j] = self.reduce_child(i, j)
+                self._keep(red.values())
                 tabs = [
                     _minplus(tabs[mask], red.get(mask & shared_mask, empty), self.cap)
-                    for mask in range(bag_mask_all + 1)
+                    for mask in masks
                 ]
             self.table[i] = tabs
-            self.used_bytes += sum(t.nbytes for t in tabs)
-            if self.used_bytes > self.mem_limit:
-                raise ResourceLimit(
-                    f"decomposition DP tables exceed memory guard "
-                    f"({self.used_bytes >> 20} MB); raise KSEC_MAX_MEM_MB"
-                )
+            self._keep(tabs)
         return self.table[self.order[0]]
 
     def trace(self, mask0: int, count: int) -> dict[int, int]:
         color: dict[int, int] = {}
+        empty = np.full(1, INF, dtype=np.int32)
         stack = [(self.order[0], mask0, count)]
         while stack:
             i, mask, c = stack.pop()
             for v, p in self.pos[i].items():
                 color[v] = (mask >> p) & 1
-            # rebuild the accumulation sequence for node i
-            accs = [self.base(i)[mask]]
-            reds = []
+            # the accumulation sequence of node i under this coloring
+            accs = [self.base_row(i, mask)]
+            steps = []
             for j in self.children[i]:
-                red = self.reduce_child(i, j)
-                shared_mask = 0
-                for v in self.bag_list[j]:
-                    if v in self.pos[i]:
-                        shared_mask |= 1 << self.pos[i][v]
-                empty = np.full(1, INF, dtype=np.int32)
-                arr = red.get(mask & shared_mask, empty)
-                reds.append((j, shared_mask, arr))
-                accs.append(_minplus(accs[-1], arr, self.cap))
-            for idx in range(len(self.children[i]) - 1, -1, -1):
-                j, shared_mask, arr = reds[idx]
-                prev, cur = accs[idx], accs[idx + 1]
-                target = int(cur[c])
-                found = False
-                for ct in range(min(len(arr), c + 1)):
-                    rest = c - ct
-                    if rest < len(prev) and int(prev[rest]) + int(arr[ct]) == target:
-                        key = mask & shared_mask
-                        mask_j, c_j = self._find_child_state(i, j, key, int(arr[ct]), ct)
-                        stack.append((j, mask_j, c_j))
-                        c = rest
-                        found = True
-                        break
-                if not found:
+                shared_mask, red = self.red[j]
+                key = mask & shared_mask
+                steps.append((j, key, red.get(key, empty)))
+                accs.append(_minplus(accs[-1], steps[-1][2], self.cap))
+            for idx in range(len(steps) - 1, -1, -1):
+                j, key, arr = steps[idx]
+                ct = _split(accs[idx], arr, c, int(accs[idx + 1][c]))
+                if ct is None:
                     raise InvariantViolation("decomposition DP trace failed on a count")
+                stack.append((j, *self._find_child_state(i, j, key, int(arr[ct]), ct)))
+                c -= ct
             blacks = bin(mask).count("1")
             if c != blacks:
                 raise InvariantViolation("decomposition DP trace ended on a bad count")

@@ -194,11 +194,13 @@ def approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
     """Approximate m-cut with width <= t*Δ(g), t-1 the decomposition width.
 
     Deletes all edges around one well-chosen cluster and reassembles the
-    resulting disjoint parts greedily.
+    resulting disjoint parts greedily.  ``td`` is checked against ``g``
+    (``NotATreeDecomposition`` with a witness).
     """
     n = g.n
     if not (1 <= m <= 2 * n):
         raise MOutOfRange(f"m={m} not in 1..{2 * n}")
+    require_decomposition(td, g, "approximate_cut_td")
     if m >= n:
         return Cut.from_black(g, set(g.vertices()))
 
@@ -212,8 +214,6 @@ def approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
         for v in td.bag(i):
             if v not in top or depth[i] < depth[top[v]]:
                 top[v] = i
-    if len(top) != n:
-        raise InvariantViolation("clusters do not cover the vertex set (T1 fails)")
 
     by_top: dict[int, list[int]] = {}
     for v, i in top.items():

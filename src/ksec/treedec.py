@@ -8,6 +8,7 @@ in the degenerate single-node case.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,26 +153,26 @@ def make_nonredundant(td: TreeDecomposition) -> TreeDecomposition:
     relative heaviest-path weight.  Deterministic: always contracts the
     smallest eligible edge, absorbing the subset side (on equal clusters
     the larger node id is absorbed).
+
+    Clusters never change, so neither does an edge's eligibility: a heap
+    holds the nesting edges as (min, max) pairs, stale ones are skipped
+    when popped, and each contraction pushes the survivor's new nesting
+    edges.  O(E log E) for E tree edges, plus the neighbours each
+    contraction moves over to its survivor.
     """
-    alive = set(td.nodes())
     bags = {i: td.bag(i) for i in td.nodes()}
     adj = {i: set(td.tree_adj[i]) for i in td.nodes()}
-    while True:
-        candidate = None
-        for i in sorted(alive):
-            for j in sorted(adj[i]):
-                if j < i:
-                    continue
-                if bags[i] <= bags[j] or bags[j] <= bags[i]:
-                    candidate = (i, j)
-                    break
-            if candidate:
-                break
-        if candidate is None:
-            break
-        i, j = candidate
+
+    def nests(i: int, j: int) -> bool:
+        return bags[i] <= bags[j] or bags[j] <= bags[i]
+
+    heap = sorted(e for e in td.tree_edges if nests(*e))
+    while heap:
+        i, j = heapq.heappop(heap)
+        if i not in bags or j not in bags or j not in adj[i]:
+            continue
         if bags[i] == bags[j]:
-            absorbed, survivor = max(i, j), min(i, j)
+            absorbed, survivor = j, i
         elif bags[i] < bags[j]:
             absorbed, survivor = i, j
         else:
@@ -181,10 +182,11 @@ def make_nonredundant(td: TreeDecomposition) -> TreeDecomposition:
                 adj[w].discard(absorbed)
                 adj[w].add(survivor)
                 adj[survivor].add(w)
+                if nests(survivor, w):
+                    heapq.heappush(heap, (min(survivor, w), max(survivor, w)))
         adj[survivor].discard(absorbed)
         del adj[absorbed], bags[absorbed]
-        alive.discard(absorbed)
-    order = sorted(alive)
+    order = sorted(bags)
     new_id = {old: k + 1 for k, old in enumerate(order)}
     edges = set()
     for i in order:

@@ -147,3 +147,50 @@ def random_forest(rng, n_lo=2, n_hi=60, max_degree=5, drop=3):
         if edges:
             edges.pop(rng.randint(0, len(edges) - 1))
     return Graph(n, edges)
+
+
+def make_nonredundant_rescan(td):
+    """``treedec.make_nonredundant`` as first written: rescan every node after each contraction.
+
+    Quadratic; the reference for the contraction order of the heap worklist.
+    """
+    from ksec.treedec import TreeDecomposition
+
+    alive = set(td.nodes())
+    bags = {i: td.bag(i) for i in td.nodes()}
+    adj = {i: set(td.tree_adj[i]) for i in td.nodes()}
+    while True:
+        candidate = None
+        for i in sorted(alive):
+            for j in sorted(adj[i]):
+                if j < i:
+                    continue
+                if bags[i] <= bags[j] or bags[j] <= bags[i]:
+                    candidate = (i, j)
+                    break
+            if candidate:
+                break
+        if candidate is None:
+            break
+        i, j = candidate
+        if bags[i] == bags[j]:
+            absorbed, survivor = max(i, j), min(i, j)
+        elif bags[i] < bags[j]:
+            absorbed, survivor = i, j
+        else:
+            absorbed, survivor = j, i
+        for w in adj[absorbed]:
+            if w != survivor:
+                adj[w].discard(absorbed)
+                adj[w].add(survivor)
+                adj[survivor].add(w)
+        adj[survivor].discard(absorbed)
+        del adj[absorbed], bags[absorbed]
+        alive.discard(absorbed)
+    order = sorted(alive)
+    new_id = {old: k + 1 for k, old in enumerate(order)}
+    edges = set()
+    for i in order:
+        for j in adj[i]:
+            edges.add((min(new_id[i], new_id[j]), max(new_id[i], new_id[j])))
+    return TreeDecomposition([bags[i] for i in order], edges)

@@ -19,7 +19,7 @@ from ksec.errors import (
 from ksec.graph import Graph, forest_summary, link_components, longest_path, relative_diameter
 from ksec.labeling import decompose_along_path
 from ksec.oracle import dp_min_size_cut_td, dp_min_size_cut_tree
-from ksec.tdcut import r_preserving_cut
+from ksec.tdcut import approximate_cut_td, r_preserving_cut
 from ksec.treecut import approximate_cut, diameter_preserving_cut, exact_cut_bounded
 from ksec.treedec import TreeDecomposition, heaviest_path, make_nonredundant, tree_to_width1_td
 
@@ -92,6 +92,15 @@ def test_ksection_td_rejects_invalid_decompositions(td, named):
 def test_decomposition_cuts_reject_an_uncovered_edge(call):
     with pytest.raises(NotATreeDecomposition, match=r"T2 at \(2, 3\)"):
         call(path(4), T2_BROKEN)
+
+
+@pytest.mark.parametrize(
+    "td, named",
+    [(T1_BROKEN, "T1 at 4"), (T2_BROKEN, r"T2 at \(2, 3\)"), (T3_BROKEN, "T3 at 2")],
+)
+def test_approximate_cut_td_rejects_invalid_decompositions(td, named):
+    with pytest.raises(NotATreeDecomposition, match=f"approximate_cut_td: .*{named}"):
+        approximate_cut_td(path(4), td, 2)
 
 
 def test_diameter_preserving_cut_rejects_a_summary_of_another_forest():

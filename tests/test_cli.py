@@ -143,3 +143,14 @@ def test_resource_guard_exit_4(tmp_path, capsys, monkeypatch):
     gr.write_text("p ks 40 39\n" + "".join(f"{i} {i+1}\n" for i in range(1, 40)))
     assert run(["oracle", "mincut", "--input", str(gr), "-m", "20"]) == 4
     assert "resource guard" in capsys.readouterr().err
+
+
+def test_resource_guard_exit_4_on_the_decomposition_dp(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KSEC_MAX_MEM_MB", "0")
+    gr = tmp_path / "p.gr"
+    gr.write_text("p ks 8 7\n" + "".join(f"{i} {i+1}\n" for i in range(1, 8)))
+    td = tmp_path / "p.td"
+    td.write_text("s td 7 2 8\n" + "".join(f"b {i} {i} {i+1}\n" for i in range(1, 8))
+                  + "".join(f"{i} {i+1}\n" for i in range(1, 7)))
+    assert run(["oracle", "mincut-td", "--graph", str(gr), "--td", str(td), "-m", "4"]) == 4
+    assert "resource guard" in capsys.readouterr().err

@@ -64,6 +64,8 @@ CASES = {
     "td-s32-n200-k4": (_td, (32, 200, 4)),
     "td-s34-n200-k4": (_td, (34, 200, 4)),
     "td-s44-n200-k4": (_td, (44, 200, 4)),
+    # its induced and glued decompositions hold about 2600 empty nodes in all
+    "td-s51-n1000-k4": (_td, (51, 1000, 4)),
 }
 
 EXPECTED = {
@@ -77,6 +79,7 @@ EXPECTED = {
     "td-s32-n200-k4": "bc9b2a41901daeb9e54406d3ce97e1aa1bd0ffcd6b13db6695ea107d87c70e0b",
     "td-s34-n200-k4": "f1cb3307bd855c50284881e7b113888dc0921a89118a4c11ed709be0e94b2052",
     "td-s44-n200-k4": "79aa91defba1952cfcd6f2c01270726913d7d175ea86d1d7e52b15df3bbca6fe",
+    "td-s51-n1000-k4": "c256296b653fe6884406cf95b168d0f2892da2d546713d39f0a01c567d77ece0",
     "tree-s11-n200-k2": "64777b64159b4fa2f8ded3729fb8c2e180af6077d4b94dea38d5fabb3f1d3d9a",
     "tree-s12-n200-k16": "40e9b6ede24d363116323f9158f3a946c3a5eb2f3c394f8415773ba30a566e2f",
     "tree-s13-n700-k3": "268dfe184dfbf2ee375ba96828f6c2cd8c170f7265f1121543c28a85142e0342",

@@ -195,6 +195,36 @@ def test_dp_td_partial_two_tree_matches_subsets():
         assert w == oracles.min_cut_over_subsets(g, m)
 
 
+def test_dp_td_reduces_each_child_once(monkeypatch):
+    """The trace reads the reductions ``run`` kept; the DP runs once."""
+    calls = []
+    reduce = oracle._TDTables.reduce_child
+
+    def spy(self, i, j):
+        calls.append((i, j))
+        return reduce(self, i, j)
+
+    monkeypatch.setattr(oracle._TDTables, "reduce_child", spy)
+    g, td = random_partial_ktree(60, 4, Xorshift64Star(31))
+    for m in (1, g.n // 2, g.n):
+        calls.clear()
+        dp_min_size_cut_td(g, td, m)
+        assert sorted(tuple(sorted(e)) for e in calls) == sorted(td.tree_edges)
+
+
+def test_dp_td_memory_guard_counts_the_kept_reductions():
+    g, td = random_partial_ktree(120, 4, Xorshift64Star(32))
+    m = g.n // 2
+    tables = oracle._TDTables(g, td, m, mem_limit=1 << 40)
+    tables.run()
+    table_bytes = sum(t.nbytes for tabs in tables.table.values() for t in tabs)
+    red_bytes = sum(r.nbytes for _, red in tables.red.values() for r in red.values())
+    assert red_bytes > 0 and tables.used_bytes == table_bytes + red_bytes
+    oracle._TDTables(g, td, m, mem_limit=table_bytes + red_bytes).run()
+    with pytest.raises(ResourceLimit):  # the tables alone would fit
+        oracle._TDTables(g, td, m, mem_limit=table_bytes + red_bytes - 1).run()
+
+
 def test_dp_td_width_guard():
     g = Graph(14, [])
     td = TreeDecomposition([set(range(1, 15))], [])

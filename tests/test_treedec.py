@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import path
@@ -140,6 +142,36 @@ def test_make_nonredundant_random_postconditions():
             assert not out.bag(j) <= out.bag(i)
         if out.num_nodes > 1:
             assert all(out.bag(i) for i in out.nodes())  # empty clusters are gone
+
+
+@st.composite
+def redundant_decompositions(draw):
+    """Small trees with shuffled node ids whose clusters repeat, nest and are often empty."""
+    num = draw(st.integers(1, 14))
+    ids = draw(st.permutations(range(1, num + 1)))
+    parents = [draw(st.integers(0, k - 1)) for k in range(1, num)]
+    pool = st.frozensets(st.integers(1, 4), max_size=3)
+    bags = [draw(pool) for _ in range(num)]
+    edges = [(ids[p], ids[k]) for k, p in enumerate(parents, start=1)]
+    return TreeDecomposition(bags, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(redundant_decompositions())
+def test_make_nonredundant_keeps_the_rescan_order_on_small_decompositions(td):
+    out, ref = make_nonredundant(td), oracles.make_nonredundant_rescan(td)
+    assert out.bags == ref.bags and out.tree_edges == ref.tree_edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(10, 120), st.integers(2, 4))
+def test_make_nonredundant_keeps_the_rescan_order_on_induced_halves(seed, n, t):
+    """The peel loop's shape: a partial k-tree's decomposition induced on half its vertices."""
+    rng = Xorshift64Star(seed)
+    _, td = random_partial_ktree(n, t, rng)
+    sub = induced(td, rng.sample(list(range(1, n + 1)), n // 2))
+    out, ref = make_nonredundant(sub), oracles.make_nonredundant_rescan(sub)
+    assert out.bags == ref.bags and out.tree_edges == ref.tree_edges
 
 
 def test_heaviest_path_path_shaped():
