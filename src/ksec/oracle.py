@@ -6,6 +6,12 @@ black count) to the minimum number of cut edges.  Both reconstruct an
 optimal black set deterministically (ascending scans everywhere) and
 respect a hard memory guard (KSEC_MAX_MEM_MB).
 
+In both DPs a table is one 2-D array with a row per coloring (of the
+vertex, or of the cluster) and a column per black count, and merging a
+child is one call of the row-wise min-plus kernel ``_minplus`` over all
+rows.  Decomposition tables are padded with INF to their widest row,
+and the memory guard counts them at their allocated bytes.
+
 The tree DP runs once: it keeps every vertex's table and, where they
 take at most KEEP_RATIO times that table, its per-child accumulations,
 and rebuilds the cut from them; only the accumulations of vertices with
@@ -17,6 +23,7 @@ reductions.  The memory guard counts every kept array.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -42,18 +49,24 @@ def _mem_limit_bytes(mem_limit_mb: int | None) -> int:
 
 
 def _minplus(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
-    """out[c] = min over i+j=c of a[i]+b[j], truncated to counts 0..cap."""
-    out_len = min(len(a) + len(b) - 1, cap + 1)
-    out = np.full(out_len, INF, dtype=np.int32)
-    if len(b) > len(a):
+    """Row-wise min-plus: out[r, c] = min over i+j=c of a[r, i]+b[r, j], for c in 0..cap.
+
+    ``a`` and ``b`` are 2-D with one row per coloring (one row for a single
+    sequence) and entries in 0..INF.  Each step of the loop advances every
+    row at once; it runs over the columns of the narrower operand that are
+    finite in some row.
+    """
+    if b.shape[1] > a.shape[1]:
         a, b = b, a
-    for j in range(min(len(b), out_len)):
-        bj = int(b[j])
+    width = a.shape[1]
+    out_len = min(width + b.shape[1] - 1, cap + 1)
+    out = np.full((a.shape[0], out_len), INF, dtype=np.int32)
+    for j, bj in enumerate(b[:, :out_len].min(axis=0).tolist()):
         if bj >= INF:
             continue
-        hi = min(len(a), out_len - j)
-        np.minimum(out[j : j + hi], a[:hi] + bj, out=out[j : j + hi])
-    np.minimum(out, INF, out=out)
+        hi = min(width, out_len - j)
+        dst = out[:, j : j + hi]
+        np.minimum(dst, a[:, :hi] + b[:, j : j + 1], out=dst)
     return out
 
 
@@ -117,17 +130,18 @@ class _Kept:
             self.inner_bytes += inner
 
 
-def _best_row(du: np.ndarray, s: int) -> np.ndarray:
-    """Best of child table ``du`` under a parent of color s, paying 1 when colors differ."""
-    return np.minimum(np.minimum(du[s], du[1 - s] + 1), INF)
+def _best(du: np.ndarray) -> np.ndarray:
+    """Row s: best of child table ``du`` under a parent of color s, paying 1 when colors differ."""
+    return np.minimum(du, du[::-1] + 1)
 
 
 class _TreeTables:
     """Per-vertex DP tables for one component, rooted at its smallest id.
 
-    ``run`` fills ``kept``, shared by all components of the forest, and
-    ``trace`` rebuilds the cut from it, recomputing only the
-    accumulations ``kept`` dropped.  ``parent`` is BFS scratch shared by
+    A table has one row per color of its vertex.  ``run`` fills ``kept``,
+    shared by all components of the forest, and ``trace`` rebuilds the cut
+    from it, recomputing only the accumulations ``kept`` dropped.  Every
+    leaf shares one read-only table.  ``parent`` is BFS scratch shared by
     all components.
     """
 
@@ -137,28 +151,28 @@ class _TreeTables:
         self.kept = kept
         self.order, _ = bfs_tree(g.adj, root, parent)
         self.children = {v: [w for w in g.adj[v] if parent[w] == v] for v in self.order}
+        self.leaf = np.full((2, min(1, cap) + 1), INF, dtype=np.int32)
+        self.leaf[0, 0] = 0
+        if cap >= 1:
+            self.leaf[1, 1] = 0
+        self.leaf_best = _best(self.leaf)
+        self.leaf.flags.writeable = self.leaf_best.flags.writeable = False
 
-    def base(self) -> np.ndarray:
-        t = np.full((2, min(1, self.cap) + 1), INF, dtype=np.int32)
-        t[0][0] = 0
-        if self.cap >= 1:
-            t[1][1] = 0
-        return t
+    def best(self, du: np.ndarray) -> np.ndarray:
+        return self.leaf_best if du is self.leaf else _best(du)
 
     def accumulate(self, v: int) -> list[np.ndarray]:
-        accs = [self.base()]
+        accs = [self.leaf]
         for u in self.children[v]:
-            du = self.kept.table[u]
-            acc = accs[-1]
-            accs.append(np.stack([_minplus(acc[s], _best_row(du, s), self.cap) for s in (0, 1)]))
+            accs.append(_minplus(accs[-1], self.best(self.kept.table[u]), self.cap))
         return accs
 
     def run(self) -> np.ndarray:
-        """Fill the tables; returns the component's table."""
+        """Fill the tables; returns the component's row, best over the root's colors."""
         for v in reversed(self.order):
             self.kept.add(v, self.accumulate(v))
         root_t = self.kept.table[self.root]
-        return np.minimum(root_t[0], root_t[1])
+        return np.minimum(root_t[:1], root_t[1:])
 
     def trace(self, count: int, color: dict[int, int]) -> None:
         """Assign colors for the whole component given the root's black count."""
@@ -175,7 +189,7 @@ class _TreeTables:
             children = self.children[v]
             for idx in range(len(children) - 1, -1, -1):
                 du = self.kept.table[children[idx]]
-                best = _best_row(du, s)
+                best = self.best(du)[s]
                 cu = _split(accs[idx][s], best, c, int(accs[idx + 1][s][c]))
                 if cu is None:
                     raise InvariantViolation("tree DP trace failed to split a count")
@@ -205,10 +219,10 @@ def dp_min_size_cut_tree(
     dps = [t.run() for t in tables]
 
     # knapsack across components
-    accs = [np.zeros(1, dtype=np.int32)]
+    accs = [np.zeros((1, 1), dtype=np.int32)]
     for d in dps:
         accs.append(_minplus(accs[-1], d, m))
-    total = accs[-1]
+    total = accs[-1][0]
     if m >= len(total) or total[m] >= INF:
         raise InvariantViolation("no cut of the requested size exists")
     width = int(total[m])
@@ -216,7 +230,7 @@ def dp_min_size_cut_tree(
     color: dict[int, int] = {}
     c = m
     for idx in range(len(comps) - 1, -1, -1):
-        cu = _split(accs[idx], dps[idx], c, int(accs[idx + 1][c]))
+        cu = _split(accs[idx][0], dps[idx][0], c, int(accs[idx + 1][0][c]))
         if cu is None:
             raise InvariantViolation("component knapsack trace failed")
         tables[idx].trace(cu, color)
@@ -230,13 +244,30 @@ def dp_min_size_cut_tree(
 
 # --- Tree decompositions ----------------------------------------------------
 
+@functools.cache
+def _bits(b: int) -> np.ndarray:
+    """Entry [mask, p] is bit p of mask, for the masks 0..2^b - 1 (read-only)."""
+    bits = (np.arange(1 << b)[:, None] >> np.arange(b)) & 1
+    bits.flags.writeable = False
+    return bits
+
+
+def _pack(b: int, positions: list[int]) -> np.ndarray:
+    """For each mask of b bits, its bits at ``positions`` packed into its low bits, in order."""
+    return _bits(b)[:, positions] @ (1 << np.arange(len(positions)))
+
+
 class _TDTables:
     """Per-node DP tables over the decomposition, rooted at node 1.
 
-    ``run`` fills the tables and keeps each child's ``reduce_child``
-    result beside them; ``trace`` follows one root state down through
-    the kept reductions, building the base row only for the coloring it
-    follows.  The memory guard counts tables and reductions alike.
+    A node's table has one row per coloring of its cluster (bit p of the
+    row's mask colors the p-th smallest cluster vertex) and one column per
+    black count, INF where a coloring cannot reach the count.  ``run``
+    fills the tables, merging each child in one min-plus call over all
+    colorings, and keeps each child's ``reduce_child`` result beside them;
+    ``trace`` follows one root state down through the kept reductions,
+    building the base row only for the coloring it follows.  The memory
+    guard counts tables and reductions alike, at their allocated bytes.
     """
 
     def __init__(self, g: Graph, td: TreeDecomposition, cap: int, mem_limit: int):
@@ -256,54 +287,48 @@ class _TDTables:
             if home is None:
                 raise InvariantViolation(f"edge ({u},{v}) not covered by any cluster (T2 fails)")
             self.cost_edges[home].append((u, v))
-        self.table: dict[int, list[np.ndarray]] = {}
+        self.table: dict[int, np.ndarray] = {}
         self.red: dict[int, tuple[int, dict[int, np.ndarray]]] = {}
         self.used_bytes = 0
 
-    def base_row(self, i: int, mask: int) -> np.ndarray:
-        """Node i's own table for one coloring of its cluster."""
+    def base(self, i: int, rows: slice) -> np.ndarray:
+        """Node i's own table for the colorings ``rows`` of its cluster."""
         pos = self.pos[i]
-        blacks = bin(mask).count("1")
-        cost = 0
+        bits = _bits(len(pos))[rows]
+        blacks = bits.sum(axis=1)
+        cost = np.zeros(len(bits), dtype=np.int32)
         for u, v in self.cost_edges[i]:
-            if ((mask >> pos[u]) & 1) != ((mask >> pos[v]) & 1):
-                cost += 1
-        t = np.full(min(blacks, self.cap) + 1, INF, dtype=np.int32)
-        if blacks <= self.cap:
-            t[blacks] = cost
+            cost += bits[:, pos[u]] != bits[:, pos[v]]
+        t = np.full((len(bits), min(len(pos), self.cap) + 1), INF, dtype=np.int32)
+        fit = np.flatnonzero(blacks <= self.cap)
+        t[fit, blacks[fit]] = cost[fit]
         return t
 
-    def reduce_child(self, i: int, j: int) -> tuple[int, dict[int, np.ndarray]]:
+    def reduce_child(self, i: int, j: int) -> tuple[int, dict[int, np.ndarray], np.ndarray]:
         """Group the child table by the coloring of the shared vertices.
 
-        Returns the mask of the shared positions in bag(i) and the
-        reduction: keys are masks over bag(i) positions restricted to
-        shared vertices; red[key][c] = best child entry with c black
-        vertices counted below j but outside the shared set.
+        Returns the mask of the shared positions in bag(i), the reduction
+        and its rows gathered for every coloring of bag(i).  Keys of the
+        reduction are masks over bag(i) positions restricted to shared
+        vertices (each occurs); red[key][0, c] = best child entry with c
+        black vertices counted below j but outside the shared set.
         """
         shared = [v for v in self.bag_list[j] if v in self.pos[i]]
-        shared_mask = 0
-        for v in shared:
-            shared_mask |= 1 << self.pos[i][v]
-        tabs = self.table[j]
-        max_len = max(len(t) for t in tabs)
-        red: dict[int, np.ndarray] = {}
-        for mask_j, t in enumerate(tabs):
-            key = 0
-            s_count = 0
-            for v in shared:
-                if (mask_j >> self.pos[j][v]) & 1:
-                    key |= 1 << self.pos[i][v]
-                    s_count += 1
-            arr = red.get(key)
-            if arr is None:
-                arr = np.full(max_len, INF, dtype=np.int32)
-                red[key] = arr
-            lo = s_count
-            ln = len(t) - lo
-            if ln > 0:
-                np.minimum(arr[:ln], t[lo:], out=arr[:ln])
-        return shared_mask, red
+        at_i = [self.pos[i][v] for v in shared]
+        tab = self.table[j]
+        width = tab.shape[1]
+        # keys packed to 0..2^|shared| - 1; once sorted, each key's rows form one block
+        keys = _pack(len(self.bag_list[j]), [self.pos[j][v] for v in shared])
+        grouped = tab[np.argsort(keys, kind="stable")].reshape(1 << len(shared), -1, width)
+        padded = np.full((len(grouped), width + len(shared)), INF, dtype=np.int32)
+        padded[:, :width] = grouped.min(axis=1)
+        # shift each key's row left by its number of shared black vertices
+        shift = _bits(len(shared)).sum(axis=1)
+        mat = padded[np.arange(len(padded))[:, None], np.arange(width) + shift[:, None]]
+        key_of = _bits(len(shared)) @ (1 << np.array(at_i, dtype=np.int64))
+        red = dict(zip(key_of.tolist(), mat[:, None]))
+        shared_mask = sum(1 << p for p in at_i)
+        return shared_mask, red, mat[_pack(len(self.bag_list[i]), at_i)]
 
     def _keep(self, arrays) -> None:
         self.used_bytes += sum(a.nbytes for a in arrays)
@@ -313,44 +338,39 @@ class _TDTables:
                 f"({self.used_bytes >> 20} MB); raise KSEC_MAX_MEM_MB"
             )
 
-    def run(self) -> list[np.ndarray]:
-        empty = np.full(1, INF, dtype=np.int32)
+    def run(self) -> np.ndarray:
         for i in reversed(self.order):
-            masks = range(1 << len(self.bag_list[i]))
-            tabs = [self.base_row(i, mask) for mask in masks]
+            tab = self.base(i, slice(None))
             for j in self.children[i]:
-                shared_mask, red = self.red[j] = self.reduce_child(i, j)
+                shared_mask, red, rows = self.reduce_child(i, j)
+                self.red[j] = (shared_mask, red)
                 self._keep(red.values())
-                tabs = [
-                    _minplus(tabs[mask], red.get(mask & shared_mask, empty), self.cap)
-                    for mask in masks
-                ]
-            self.table[i] = tabs
-            self._keep(tabs)
+                tab = _minplus(tab, rows, self.cap)
+            self.table[i] = tab
+            self._keep([tab])
         return self.table[self.order[0]]
 
     def trace(self, mask0: int, count: int) -> dict[int, int]:
         color: dict[int, int] = {}
-        empty = np.full(1, INF, dtype=np.int32)
         stack = [(self.order[0], mask0, count)]
         while stack:
             i, mask, c = stack.pop()
             for v, p in self.pos[i].items():
                 color[v] = (mask >> p) & 1
             # the accumulation sequence of node i under this coloring
-            accs = [self.base_row(i, mask)]
+            accs = [self.base(i, slice(mask, mask + 1))]
             steps = []
             for j in self.children[i]:
                 shared_mask, red = self.red[j]
                 key = mask & shared_mask
-                steps.append((j, key, red.get(key, empty)))
-                accs.append(_minplus(accs[-1], steps[-1][2], self.cap))
+                steps.append((j, key, red[key]))
+                accs.append(_minplus(accs[-1], red[key], self.cap))
             for idx in range(len(steps) - 1, -1, -1):
-                j, key, arr = steps[idx]
-                ct = _split(accs[idx], arr, c, int(accs[idx + 1][c]))
+                j, key, row = steps[idx]
+                ct = _split(accs[idx][0], row[0], c, int(accs[idx + 1][0, c]))
                 if ct is None:
                     raise InvariantViolation("decomposition DP trace failed on a count")
-                stack.append((j, *self._find_child_state(i, j, key, int(arr[ct]), ct)))
+                stack.append((j, *self._find_child_state(i, j, key, int(row[0, ct]), ct)))
                 c -= ct
             blacks = bin(mask).count("1")
             if c != blacks:

@@ -133,17 +133,25 @@ def require_decomposition(td: TreeDecomposition, g: Graph, who: str) -> None:
         )
 
 
+def _with_bags(td: TreeDecomposition, bags: Iterable[frozenset]) -> TreeDecomposition:
+    """``td``'s own tree with new clusters, one per node; the tree was checked when ``td`` was built."""
+    out = TreeDecomposition.__new__(TreeDecomposition)
+    out.num_nodes = td.num_nodes
+    out.bags = tuple(bags)
+    out.tree_adj = td.tree_adj
+    out.tree_edges = td.tree_edges
+    return out
+
+
 def induced(td: TreeDecomposition, vertex_set: Iterable[int]) -> TreeDecomposition:
     """Same tree, clusters intersected with ``vertex_set``."""
     keep = frozenset(vertex_set)
-    return TreeDecomposition([b & keep for b in td.bags], td.tree_edges)
+    return _with_bags(td, (b & keep for b in td.bags))
 
 
 def relabel_clusters(td: TreeDecomposition, new_of: dict) -> TreeDecomposition:
     """Rename cluster vertices through ``new_of`` (same decomposition tree)."""
-    return TreeDecomposition(
-        [frozenset(new_of[v] for v in b) for b in td.bags], td.tree_edges
-    )
+    return _with_bags(td, (frozenset(new_of[v] for v in b) for b in td.bags))
 
 
 def make_nonredundant(td: TreeDecomposition) -> TreeDecomposition:

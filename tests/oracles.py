@@ -10,6 +10,11 @@ from __future__ import annotations
 import itertools
 
 import networkx as nx
+import numpy as np
+
+from ksec.errors import InvariantViolation, ResourceLimit
+from ksec.graph import Graph, bfs_tree
+from ksec.treedec import TreeDecomposition, edge_home, occurrences
 
 
 def to_nx(g) -> nx.Graph:
@@ -194,3 +199,127 @@ def make_nonredundant_rescan(td):
         for j in adj[i]:
             edges.add((min(new_id[i], new_id[j]), max(new_id[i], new_id[j])))
     return TreeDecomposition([bags[i] for i in order], edges)
+
+
+# --- The decomposition DP with one table row per coloring -------------------
+#
+# ``oracle._TDTables`` as it was before its tables became padded row arrays:
+# one array per cluster coloring, each as long as that coloring can reach, and
+# one 1-D min-plus call per coloring and child.  The reference for the padded
+# tables and the kept reductions.
+
+INF = 1 << 28
+
+
+def _minplus(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
+    """out[c] = min over i+j=c of a[i]+b[j], truncated to counts 0..cap."""
+    out_len = min(len(a) + len(b) - 1, cap + 1)
+    out = np.full(out_len, INF, dtype=np.int32)
+    if len(b) > len(a):
+        a, b = b, a
+    for j in range(min(len(b), out_len)):
+        bj = int(b[j])
+        if bj >= INF:
+            continue
+        hi = min(len(a), out_len - j)
+        np.minimum(out[j : j + hi], a[:hi] + bj, out=out[j : j + hi])
+    np.minimum(out, INF, out=out)
+    return out
+
+
+class TDTablesPerColoring:
+    """Per-node DP tables over the decomposition, rooted at node 1 (the table pass only).
+
+    ``run`` fills the tables and keeps each child's ``reduce_child``
+    result beside them.  The memory guard counts tables and reductions alike.
+    """
+
+    def __init__(self, g: Graph, td: TreeDecomposition, cap: int, mem_limit: int):
+        self.cap = cap
+        self.mem_limit = mem_limit
+        self.order, self.parent = bfs_tree(td.tree_adj, 1)
+        self.children = {
+            i: [w for w in td.tree_adj[i] if self.parent[w] == i] for i in td.nodes()
+        }
+        self.bag_list = {i: sorted(td.bag(i)) for i in td.nodes()}
+        self.pos = {i: {v: p for p, v in enumerate(self.bag_list[i])} for i in td.nodes()}
+        # each edge is charged to the smallest node whose cluster contains it
+        self.cost_edges: dict[int, list[tuple[int, int]]] = {i: [] for i in td.nodes()}
+        occ = occurrences(td)
+        for u, v in sorted(g.edges):
+            home = edge_home(td, occ, u, v)
+            if home is None:
+                raise InvariantViolation(f"edge ({u},{v}) not covered by any cluster (T2 fails)")
+            self.cost_edges[home].append((u, v))
+        self.table: dict[int, list[np.ndarray]] = {}
+        self.red: dict[int, tuple[int, dict[int, np.ndarray]]] = {}
+        self.used_bytes = 0
+
+    def base_row(self, i: int, mask: int) -> np.ndarray:
+        """Node i's own table for one coloring of its cluster."""
+        pos = self.pos[i]
+        blacks = bin(mask).count("1")
+        cost = 0
+        for u, v in self.cost_edges[i]:
+            if ((mask >> pos[u]) & 1) != ((mask >> pos[v]) & 1):
+                cost += 1
+        t = np.full(min(blacks, self.cap) + 1, INF, dtype=np.int32)
+        if blacks <= self.cap:
+            t[blacks] = cost
+        return t
+
+    def reduce_child(self, i: int, j: int) -> tuple[int, dict[int, np.ndarray]]:
+        """Group the child table by the coloring of the shared vertices.
+
+        Returns the mask of the shared positions in bag(i) and the
+        reduction: keys are masks over bag(i) positions restricted to
+        shared vertices; red[key][c] = best child entry with c black
+        vertices counted below j but outside the shared set.
+        """
+        shared = [v for v in self.bag_list[j] if v in self.pos[i]]
+        shared_mask = 0
+        for v in shared:
+            shared_mask |= 1 << self.pos[i][v]
+        tabs = self.table[j]
+        max_len = max(len(t) for t in tabs)
+        red: dict[int, np.ndarray] = {}
+        for mask_j, t in enumerate(tabs):
+            key = 0
+            s_count = 0
+            for v in shared:
+                if (mask_j >> self.pos[j][v]) & 1:
+                    key |= 1 << self.pos[i][v]
+                    s_count += 1
+            arr = red.get(key)
+            if arr is None:
+                arr = np.full(max_len, INF, dtype=np.int32)
+                red[key] = arr
+            lo = s_count
+            ln = len(t) - lo
+            if ln > 0:
+                np.minimum(arr[:ln], t[lo:], out=arr[:ln])
+        return shared_mask, red
+
+    def _keep(self, arrays) -> None:
+        self.used_bytes += sum(a.nbytes for a in arrays)
+        if self.used_bytes > self.mem_limit:
+            raise ResourceLimit(
+                f"decomposition DP tables exceed memory guard "
+                f"({self.used_bytes >> 20} MB); raise KSEC_MAX_MEM_MB"
+            )
+
+    def run(self) -> list[np.ndarray]:
+        empty = np.full(1, INF, dtype=np.int32)
+        for i in reversed(self.order):
+            masks = range(1 << len(self.bag_list[i]))
+            tabs = [self.base_row(i, mask) for mask in masks]
+            for j in self.children[i]:
+                shared_mask, red = self.red[j] = self.reduce_child(i, j)
+                self._keep(red.values())
+                tabs = [
+                    _minplus(tabs[mask], red.get(mask & shared_mask, empty), self.cap)
+                    for mask in masks
+                ]
+            self.table[i] = tabs
+            self._keep(tabs)
+        return self.table[self.order[0]]

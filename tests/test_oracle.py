@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,13 +20,49 @@ from ksec.oracle import (
     dp_min_size_cut_td,
     dp_min_size_cut_tree,
 )
-from ksec.treedec import TreeDecomposition, tree_to_width1_td
+from ksec.treedec import TreeDecomposition, induced, tree_to_width1_td
 
 
 def test_balanced_sizes():
     assert balanced_sizes(10, 3) == [4, 3, 3]
     assert balanced_sizes(9, 3) == [3, 3, 3]
     assert balanced_sizes(2, 3) == [1, 1, 0]
+
+
+def _naive_minplus(a, b, cap):
+    """out[r][c] = min over i+j=c of a[r][i]+b[r][j] by a double loop per row, capped at INF."""
+    out_len = min(len(a[0]) + len(b[0]) - 1, cap + 1)
+    out = []
+    for ra, rb in zip(a, b):
+        row = [oracle.INF] * out_len
+        for i, x in enumerate(ra):
+            for j, y in enumerate(rb):
+                if i + j < out_len:
+                    row[i + j] = min(row[i + j], x + y)
+        out.append(row)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_minplus_matches_a_per_row_double_loop(data):
+    rows = data.draw(st.integers(1, 16))
+    entry = st.one_of(st.integers(0, 60), st.just(oracle.INF))
+
+    def operand():
+        width = data.draw(st.integers(1, 40))
+        cells = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                                   min_size=rows, max_size=rows))
+        dead = data.draw(st.sets(st.integers(0, width - 1)))  # INF in every row
+        return np.array([[oracle.INF if c in dead else x for c, x in enumerate(row)]
+                         for row in cells], dtype=np.int32)
+
+    a, b = operand(), operand()
+    cap = data.draw(st.integers(0, 80))
+    want = _naive_minplus(a.tolist(), b.tolist(), cap)
+    for x, y in ((a, b), (b, a)):  # the kernel loops over the narrower operand
+        out = oracle._minplus(x, y, cap)
+        assert out.dtype == np.int32 and out.tolist() == want
 
 
 def test_brute_min_ksection_examples():
@@ -116,6 +153,31 @@ def test_dp_tree_merges_each_vertex_once(monkeypatch):
         calls.clear()
         dp_min_size_cut_tree(g, m)
         assert sorted(calls) == list(g.vertices())
+
+
+def _count_minplus(monkeypatch):
+    """Record the row count of every ``oracle._minplus`` call."""
+    rows = []
+    kernel = oracle._minplus
+
+    def spy(a, b, cap):
+        rows.append(a.shape[0])
+        return kernel(a, b, cap)
+
+    monkeypatch.setattr(oracle, "_minplus", spy)
+    return rows
+
+
+def test_dp_tree_merges_each_child_in_one_minplus_call(monkeypatch):
+    """One kernel call per tree edge covers both colors; the knapsack adds one per component."""
+    calls = _count_minplus(monkeypatch)
+    g = oracles.random_forest(Xorshift64Star(78), n_lo=40, n_hi=40, drop=5)
+    comps = len(components(g))
+    assert comps >= 3
+    for m in (1, g.n // 2, g.n):
+        calls.clear()
+        dp_min_size_cut_tree(g, m)
+        assert sorted(calls) == [1] * comps + [2] * len(g.edges)
 
 
 def _star_comb(hubs, leaves):
@@ -210,6 +272,43 @@ def test_dp_td_reduces_each_child_once(monkeypatch):
         calls.clear()
         dp_min_size_cut_td(g, td, m)
         assert sorted(tuple(sorted(e)) for e in calls) == sorted(td.tree_edges)
+
+
+def test_dp_td_merges_each_child_in_one_minplus_call(monkeypatch):
+    """One kernel call per decomposition tree edge, over every coloring of the parent's cluster."""
+    calls = _count_minplus(monkeypatch)
+    g, td = random_partial_ktree(60, 4, Xorshift64Star(33))
+    tables = oracle._TDTables(g, td, g.n // 2, mem_limit=1 << 40)
+    tables.run()
+    want = [1 << len(td.bag(tables.parent[j])) for j in td.nodes() if j != tables.order[0]]
+    assert sorted(calls) == sorted(want) and len(calls) == len(td.tree_edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(10, 120), st.integers(2, 4), st.booleans())
+def test_dp_td_padded_tables_extend_the_per_coloring_rows(seed, n, t, half):
+    """Each row equals the per-coloring row where that is defined and is INF beyond it."""
+    rng = Xorshift64Star(seed)
+    g, td = random_partial_ktree(n, t, rng)
+    if half:  # the peel loop's shape: induced clusters, many of them empty
+        keep = set(rng.sample(list(range(1, n + 1)), n // 2))
+        td = induced(td, keep)
+        g = Graph(n, [(u, v) for u, v in g.edges if u in keep and v in keep])
+    m = rng.randint(0, n)
+    new = oracle._TDTables(g, td, m, mem_limit=1 << 40)
+    new.run()
+    old = oracles.TDTablesPerColoring(g, td, m, mem_limit=1 << 40)
+    old.run()
+    for i in td.nodes():
+        assert len(new.table[i]) == len(old.table[i])
+        for row, ref in zip(new.table[i], old.table[i]):
+            assert row[: len(ref)].tolist() == ref.tolist()
+            assert (row[len(ref):] == oracle.INF).all()
+    assert new.red.keys() == old.red.keys()
+    for j, (shared_mask, red) in old.red.items():
+        assert new.red[j][0] == shared_mask and new.red[j][1].keys() == red.keys()
+        for key, arr in red.items():
+            assert new.red[j][1][key].tolist() == [arr.tolist()]
 
 
 def test_dp_td_memory_guard_counts_the_kept_reductions():
