@@ -21,6 +21,7 @@ from .labeling import PathDecomposition, PLabeling, d_p, decompose_along_path, f
 from .treecut import DiamCutTrace, approximate_cut, diameter_preserving_cut, exact_cut_bounded
 from .treedec import (
     HeaviestPathResult,
+    TDSummary,
     TreeDecomposition,
     cluster_incident_edges,
     heaviest_path,
@@ -28,6 +29,7 @@ from .treedec import (
     make_nonredundant,
     parse_td,
     remove_cluster_parts,
+    td_summary,
     tree_to_width1_td,
     validate,
     validation_errors,

@@ -18,7 +18,7 @@ from . import bounds, engine, instances, oracle
 from .errors import FormatError, InvariantViolation, KsecError, ResourceLimit
 from .graph import Graph, longest_path, parse_gr, write_gr
 from .labeling import decompose_along_path, p_labeling
-from .treedec import parse_td, validation_errors, write_td
+from .treedec import parse_td, write_td
 
 RUNTIME_NOTE = (
     "note: inner exact-size cuts run an O(n*m) dynamic program; "
@@ -61,6 +61,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def _load_td(path: str, g: Graph):
+    """Parse a .td file for ``g``; the library call it feeds checks T1-T3."""
     try:
         with open(path) as fh:
             td, declared_n = parse_td(fh.read())
@@ -68,10 +69,6 @@ def _load_td(path: str, g: Graph):
         raise FormatError(0, f"cannot read {path}: {exc}") from None
     if declared_n != g.n:
         raise FormatError(0, f"decomposition declares {declared_n} vertices, graph has {g.n}")
-    problems = validation_errors(td, g)
-    if problems:
-        cond, witness = problems[0]
-        raise FormatError(0, f"invalid tree decomposition: {cond} fails, witness {witness}")
     return td
 
 

@@ -38,9 +38,9 @@ from .treedec import (
     TreeDecomposition,
     heaviest_path,
     induced,
-    make_nonredundant,
     relabel_clusters,
     require_decomposition,
+    td_summary,
 )
 from .tdcut import r_preserving_cut
 
@@ -278,19 +278,22 @@ def ksection_td_detailed(
     require_decomposition(td, g, "ksection_td")
     n = g.n
     delta = max_degree(g)
-    td0 = make_nonredundant(td)
-    t = td0.width + 1
-    r0 = heaviest_path(td0, n).relative_weight
+    summary = td_summary(td, n)
+    t = summary.t
+    r0 = summary.path.relative_weight
 
     if k >= n:
         section = _trivial_sections(g, k)
         traces = []
     else:
         sizes = oracle.balanced_sizes(n, k)
-        state = {"td": td0, "floor": r0}
+        # the input was checked once above; each remainder's decomposition is
+        # derived from it and summarized only when a cut follows
+        state = {"td": summary.td, "summary": summary, "floor": r0}
 
         def cutter(cur: Graph, m: int):
-            cut, trace = r_preserving_cut(cur, state["td"], m)
+            summ = state["summary"] or td_summary(state["td"], cur.n)
+            cut, trace = r_preserving_cut(cur, state["td"], m, summary=summ)
             keep = sorted(cut.white)
             remainder_td = induced(trace.normalized_td, cut.white)
             r_after = heaviest_path(remainder_td, len(keep)).relative_weight
@@ -299,6 +302,7 @@ def ksection_td_detailed(
             state["floor"] = r_after
             new_of = {old: i + 1 for i, old in enumerate(keep)}
             state["td"] = relabel_clusters(induced(state["td"], cut.white), new_of)
+            state["summary"] = None
             return cut, trace
 
         parts, widths, traces = _peel(g, sizes, cutter)

@@ -14,16 +14,23 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import oracle
-from .errors import InvariantViolation, MOutOfRange, RedundantDecomposition
+from .errors import (
+    InvariantViolation,
+    MOutOfRange,
+    NotATreeDecomposition,
+    RedundantDecomposition,
+)
 from .graph import Cut, Graph, bfs_tree, induced_subgraph, max_degree
 from .treedec import (
     HeaviestPathResult,
+    TDSummary,
     TreeDecomposition,
     heaviest_path,
     induced,
     make_nonredundant,
     relabel_clusters,
     require_decomposition,
+    td_summary,
 )
 
 
@@ -197,10 +204,14 @@ def approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
     resulting disjoint parts greedily.  ``td`` is checked against ``g``
     (``NotATreeDecomposition`` with a witness).
     """
+    require_decomposition(td, g, "approximate_cut_td")
+    return _approximate_cut_td(g, td, m)
+
+
+def _approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
     n = g.n
     if not (1 <= m <= 2 * n):
         raise MOutOfRange(f"m={m} not in 1..{2 * n}")
-    require_decomposition(td, g, "approximate_cut_td")
     if m >= n:
         return Cut.from_black(g, set(g.vertices()))
 
@@ -293,6 +304,7 @@ def r_preserving_cut(
     m: int,
     max_width: int = 12,
     check: bool = False,
+    summary: TDSummary | None = None,
 ) -> tuple[Cut, RCutTrace]:
     """Cut with |B| = m whose remainder keeps the relative path weight.
 
@@ -301,16 +313,25 @@ def r_preserving_cut(
     and r of the decomposition induced by G[W] is at least r.
 
     ``td`` is checked against ``g`` (``NotATreeDecomposition`` with a
-    witness).  ``check=True`` additionally validates the spliced inner
-    decomposition against the inner graph (slow; meant for tests).
+    witness), then normalized and weighed.  ``summary`` is
+    ``td_summary(td, g.n)`` when the caller already has it (the peel loop
+    does): it replaces all three, ``td`` is then not read, and the summary
+    is checked only against g's vertex set (``NotATreeDecomposition``).
+    ``check=True`` additionally validates the spliced inner decomposition
+    against the inner graph (slow; meant for tests).
     """
     n = g.n
     if not (1 <= m <= n - 1):
         raise MOutOfRange(f"m={m} not in 1..{n - 1}")
-    require_decomposition(td, g, "r_preserving_cut")
-    td0 = make_nonredundant(td)
-    t = td0.width + 1
-    hp = heaviest_path(td0, n)
+    if summary is None:
+        require_decomposition(td, g, "r_preserving_cut")
+        summary = td_summary(td, n)
+    elif summary.n != n or frozenset().union(*summary.td.bags) != frozenset(g.vertices()):
+        raise NotATreeDecomposition(
+            f"r_preserving_cut: a summary of a decomposition of {summary.n} vertices"
+            f" does not cover the {n} vertices of the graph"
+        )
+    td0, t, hp = summary.td, summary.t, summary.path
     r = hp.relative_weight
     lab = td_p_labeling(g, td0, hp)
     floor_rm = (lab.r_size * m) // n
@@ -342,7 +363,7 @@ def r_preserving_cut(
     s_sorted = sorted(s_set)
     sub_s, _ = induced_subgraph(g, s_sorted)
     td_s, _ = _induced_local(td0, s_sorted)
-    local_cut = approximate_cut_td(sub_s, td_s, m_tilde)
+    local_cut = _approximate_cut_td(sub_s, td_s, m_tilde)
     b_side = frozenset(s_sorted[u - 1] for u in local_cut.black)
 
     v_tilde = frozenset((m_vertices - s_set) | b_side)

@@ -76,6 +76,16 @@ class HeaviestPathResult:
     relative_weight: Fraction
 
 
+@dataclass(frozen=True)
+class TDSummary:
+    """A checked decomposition's nonredundant form, its heaviest path, t and n."""
+
+    td: TreeDecomposition
+    path: HeaviestPathResult
+    t: int
+    n: int
+
+
 def occurrences(td: TreeDecomposition) -> dict[int, list[int]]:
     """Nodes whose cluster holds each vertex, ascending."""
     occ: dict[int, list[int]] = {}
@@ -166,15 +176,18 @@ def make_nonredundant(td: TreeDecomposition) -> TreeDecomposition:
     holds the nesting edges as (min, max) pairs, stale ones are skipped
     when popped, and each contraction pushes the survivor's new nesting
     edges.  O(E log E) for E tree edges, plus the neighbours each
-    contraction moves over to its survivor.
+    contraction moves over to its survivor.  Returns ``td`` itself when
+    no tree edge nests.
     """
-    bags = {i: td.bag(i) for i in td.nodes()}
-    adj = {i: set(td.tree_adj[i]) for i in td.nodes()}
+    bags = dict(enumerate(td.bags, start=1))
 
     def nests(i: int, j: int) -> bool:
         return bags[i] <= bags[j] or bags[j] <= bags[i]
 
     heap = sorted(e for e in td.tree_edges if nests(*e))
+    if not heap:
+        return td  # already nonredundant: the rebuild below would be the identity
+    adj = {i: set(td.tree_adj[i]) for i in td.nodes()}
     while heap:
         i, j = heapq.heappop(heap)
         if i not in bags or j not in bags or j not in adj[i]:
@@ -210,63 +223,77 @@ def heaviest_path(td: TreeDecomposition, n: int) -> HeaviestPathResult:
     occurrences are contiguous, so extending a chain from child ch to
     node c adds exactly |X^c| - |X^c ∩ X^ch| new vertices.  Ties break
     toward smaller endpoint ids, then the lexicographically smaller
-    normalized endpoint pair.
+    normalized endpoint pair.  One pass over the nodes, bottom up.
     """
     num = td.num_nodes
+    bags = td.bags
     order, parent = bfs_tree(td.tree_adj, 1)
 
     # g[i]: best weight of a chain from some descendant endpoint up to i
     g_val = [0] * (num + 1)
     g_end = [0] * (num + 1)
-    best: tuple[int, tuple[int, int]] | None = None
+    best_w, best_pair = -1, (0, 0)
     for i in reversed(order):
-        bag_i = td.bag(i)
-        g_val[i], g_end[i] = len(bag_i), i
-        legs = []  # (gain, endpoint) of extending each child chain to i
+        bag_i = bags[i - 1]
+        size_i = len(bag_i)
+        # the two best legs (gain, endpoint) from distinct children: larger gain, then smaller end
+        w1 = w2 = -1
+        e1 = e2 = 0
         for ch in td.tree_adj[i]:
-            if ch == i or parent[ch] != i:
+            if parent[ch] != i:
                 continue
-            gain = g_val[ch] + len(bag_i) - len(bag_i & td.bag(ch))
-            legs.append((gain, g_end[ch]))
-            if gain > g_val[i] or (gain == g_val[i] and g_end[ch] < g_end[i]):
-                g_val[i], g_end[i] = gain, g_end[ch]
-        # best path through i: top two legs from distinct children (or fewer)
-        candidates = [(len(bag_i), (i, i))]
-        for gain, end in legs:
-            pair = (min(i, end), max(i, end))
-            candidates.append((gain, pair))
-        legs.sort(key=lambda t: (-t[0], t[1]))
-        if len(legs) >= 2:
-            (ga, ea), (gb, eb) = legs[0], legs[1]
-            pair = (min(ea, eb), max(ea, eb))
-            candidates.append((ga + gb - len(bag_i), pair))
-        for w, pair in candidates:
-            if best is None or w > best[0] or (w == best[0] and pair < best[1]):
-                best = (w, pair)
-
-    a, b = best[1]
-    # reconstruct the a..b node path through the rooted tree
-    depth = [0] * (num + 1)
-    for u in order[1:]:
-        depth[u] = depth[parent[u]] + 1
-    up_a, up_b = [a], [b]
-    x, y = a, b
-    while x != y:
-        if depth[x] >= depth[y]:
-            x = parent[x]
-            up_a.append(x)
+            gain = g_val[ch] + size_i - len(bag_i & bags[ch - 1])
+            end = g_end[ch]
+            if gain > w1 or (gain == w1 and end < e1):
+                w2, e2, w1, e1 = w1, e1, gain, end
+            elif gain > w2 or (gain == w2 and end < e2):
+                w2, e2 = gain, end
+        if w1 > size_i or (w1 == size_i and e1 < i):
+            g_val[i], g_end[i] = w1, e1
         else:
-            y = parent[y]
-            up_b.append(y)
-    path = tuple(up_a + up_b[:-1][::-1])
-    union = set()
-    for i in path:
-        union |= td.bag(i)
-    if len(union) != best[0]:
+            g_val[i], g_end[i] = size_i, i
+        # best path through i: no leg, the best leg, or the top two legs
+        if size_i > best_w or (size_i == best_w and (i, i) < best_pair):
+            best_w, best_pair = size_i, (i, i)
+        if w1 >= 0:
+            pair = (i, e1) if i < e1 else (e1, i)
+            if w1 > best_w or (w1 == best_w and pair < best_pair):
+                best_w, best_pair = w1, pair
+        if w2 >= 0:
+            w = w1 + w2 - size_i
+            pair = (e1, e2) if e1 < e2 else (e2, e1)
+            if w > best_w or (w == best_w and pair < best_pair):
+                best_w, best_pair = w, pair
+
+    a, b = best_pair
+    # the a..b node path: a up to the root, then b up to the first common node
+    up_a = []
+    x = a
+    while x:
+        up_a.append(x)
+        x = parent[x]
+    at = {x: k for k, x in enumerate(up_a)}
+    up_b = []
+    y = b
+    while y not in at:
+        up_b.append(y)
+        y = parent[y]
+    path = tuple(up_a[: at[y] + 1] + up_b[::-1])
+    if len(frozenset().union(*(bags[i - 1] for i in path))) != best_w:
         raise InvariantViolation("heaviest-path DP disagrees with its own path")
     if path[0] > path[-1]:
         path = path[::-1]
-    return HeaviestPathResult(path=path, weight=best[0], relative_weight=Fraction(best[0], n))
+    return HeaviestPathResult(path=path, weight=best_w, relative_weight=Fraction(best_w, n))
+
+
+def td_summary(td: TreeDecomposition, n: int) -> TDSummary:
+    """Normalize ``td`` and weigh its heaviest path; ``td`` is not checked.
+
+    For decompositions already checked against their graph, or derived
+    from one by ``induced`` and ``relabel_clusters``.
+    """
+    td0 = make_nonredundant(td)
+    return TDSummary(td=td0, path=heaviest_path(td0, n), t=td0.width + 1, n=n)
 
 
 def cluster_incident_edges(td: TreeDecomposition, g: Graph, i: int) -> set:

@@ -8,13 +8,14 @@ package under test.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 
 from ksec.errors import InvariantViolation, ResourceLimit
 from ksec.graph import Graph, bfs_tree
-from ksec.treedec import TreeDecomposition, edge_home, occurrences
+from ksec.treedec import HeaviestPathResult, TreeDecomposition, edge_home, occurrences
 
 
 def to_nx(g) -> nx.Graph:
@@ -138,6 +139,76 @@ def naive_t3_holds(td) -> bool:
                 if not common <= td.bag(mid):
                     return False
     return True
+
+
+def heaviest_path_candidate_list(td: TreeDecomposition, n: int) -> HeaviestPathResult:
+    """Path in the decomposition tree maximizing |union of clusters|.
+
+    Exact, relying on (T3'): along any rooted chain a vertex's
+    occurrences are contiguous, so extending a chain from child ch to
+    node c adds exactly |X^c| - |X^c ∩ X^ch| new vertices.  Ties break
+    toward smaller endpoint ids, then the lexicographically smaller
+    normalized endpoint pair.
+
+    ``treedec.heaviest_path`` as it was before its one-pass rewrite: a
+    list of candidate paths per node and a sort of the child legs.  The
+    reference for the new version's result, tie-breaks included.
+    """
+    num = td.num_nodes
+    order, parent = bfs_tree(td.tree_adj, 1)
+
+    # g[i]: best weight of a chain from some descendant endpoint up to i
+    g_val = [0] * (num + 1)
+    g_end = [0] * (num + 1)
+    best: tuple[int, tuple[int, int]] | None = None
+    for i in reversed(order):
+        bag_i = td.bag(i)
+        g_val[i], g_end[i] = len(bag_i), i
+        legs = []  # (gain, endpoint) of extending each child chain to i
+        for ch in td.tree_adj[i]:
+            if ch == i or parent[ch] != i:
+                continue
+            gain = g_val[ch] + len(bag_i) - len(bag_i & td.bag(ch))
+            legs.append((gain, g_end[ch]))
+            if gain > g_val[i] or (gain == g_val[i] and g_end[ch] < g_end[i]):
+                g_val[i], g_end[i] = gain, g_end[ch]
+        # best path through i: top two legs from distinct children (or fewer)
+        candidates = [(len(bag_i), (i, i))]
+        for gain, end in legs:
+            pair = (min(i, end), max(i, end))
+            candidates.append((gain, pair))
+        legs.sort(key=lambda t: (-t[0], t[1]))
+        if len(legs) >= 2:
+            (ga, ea), (gb, eb) = legs[0], legs[1]
+            pair = (min(ea, eb), max(ea, eb))
+            candidates.append((ga + gb - len(bag_i), pair))
+        for w, pair in candidates:
+            if best is None or w > best[0] or (w == best[0] and pair < best[1]):
+                best = (w, pair)
+
+    a, b = best[1]
+    # reconstruct the a..b node path through the rooted tree
+    depth = [0] * (num + 1)
+    for u in order[1:]:
+        depth[u] = depth[parent[u]] + 1
+    up_a, up_b = [a], [b]
+    x, y = a, b
+    while x != y:
+        if depth[x] >= depth[y]:
+            x = parent[x]
+            up_a.append(x)
+        else:
+            y = parent[y]
+            up_b.append(y)
+    path = tuple(up_a + up_b[:-1][::-1])
+    union = set()
+    for i in path:
+        union |= td.bag(i)
+    if len(union) != best[0]:
+        raise InvariantViolation("heaviest-path DP disagrees with its own path")
+    if path[0] > path[-1]:
+        path = path[::-1]
+    return HeaviestPathResult(path=path, weight=best[0], relative_weight=Fraction(best[0], n))
 
 
 def random_forest(rng, n_lo=2, n_hi=60, max_degree=5, drop=3):

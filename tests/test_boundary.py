@@ -21,7 +21,13 @@ from ksec.labeling import decompose_along_path
 from ksec.oracle import dp_min_size_cut_td, dp_min_size_cut_tree
 from ksec.tdcut import approximate_cut_td, r_preserving_cut
 from ksec.treecut import approximate_cut, diameter_preserving_cut, exact_cut_bounded
-from ksec.treedec import TreeDecomposition, heaviest_path, make_nonredundant, tree_to_width1_td
+from ksec.treedec import (
+    TreeDecomposition,
+    heaviest_path,
+    make_nonredundant,
+    td_summary,
+    tree_to_width1_td,
+)
 
 # a 5-cycle with a pendant vertex; BFS from 1 leaves (3,4) as the closing edge
 CYCLE = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (5, 6)])
@@ -109,6 +115,16 @@ def test_diameter_preserving_cut_rejects_a_summary_of_another_forest():
         diameter_preserving_cut(path(5), 2, stale)
     with pytest.raises(NotAPartition, match="5 vertices"):
         diameter_preserving_cut(path(6), 2, forest_summary(path(5)))
+
+
+def test_r_preserving_cut_rejects_a_summary_of_another_graph():
+    p5_td = TreeDecomposition([{i, i + 1} for i in range(1, 5)], [(i, i + 1) for i in range(1, 4)])
+    p4_td = TreeDecomposition([{1, 2}, {2, 3}, {3, 4}], [(1, 2), (2, 3)])
+    with pytest.raises(NotATreeDecomposition, match="5 vertices"):
+        r_preserving_cut(path(4), p4_td, 2, summary=td_summary(p5_td, 5))
+    # right vertex count, but vertex 4 lies in no cluster of the summary
+    with pytest.raises(NotATreeDecomposition, match="does not cover"):
+        r_preserving_cut(path(4), p4_td, 2, summary=td_summary(T1_BROKEN, 4))
 
 
 def test_heaviest_path_reports_broken_t3_as_invariant_violation():

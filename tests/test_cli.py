@@ -55,6 +55,21 @@ def test_td_end_to_end_and_invalid_td(tmp_path, capsys):
     assert "T2" in capsys.readouterr().err
 
 
+def test_invalid_td_is_checked_once_and_named(tmp_path, capsys):
+    gr = tmp_path / "p4.gr"
+    gr.write_text("p ks 4 3\n1 2\n2 3\n3 4\n")
+    uncovered = tmp_path / "t2.td"  # edge (2,3) lies in no cluster
+    uncovered.write_text("s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 2\n")
+    assert run(["td", "--graph", str(gr), "--td", str(uncovered), "-k", "2"]) == 2
+    assert "fails T2 at (2, 3)" in capsys.readouterr().err
+
+    missing = tmp_path / "t1.td"  # vertex 4 lies in no cluster
+    missing.write_text("s td 2 2 4\nb 1 1 2\nb 2 2 3\n1 2\n")
+    argv = ["oracle", "mincut-td", "--graph", str(gr), "--td", str(missing), "-m", "2"]
+    assert run(argv) == 2
+    assert "fails T1 at 4" in capsys.readouterr().err
+
+
 def test_gen_run_pipeline(tmp_path, capsys):
     out = tmp_path / "inst"
     assert run(["gen", "adversarial_ternary_path", "--height", "2", "--seed", "3", "--out", str(out)]) == 0

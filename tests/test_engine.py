@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import path, star
-from ksec import bounds
+from ksec import bounds, engine, oracle, tdcut, treedec
 from ksec.engine import (
     ksection_tree_detailed,
     cut_prescribed_sizes,
@@ -19,7 +21,13 @@ from ksec.instances import (
     random_tree_maxdeg,
 )
 from ksec.oracle import brute_min_ksection
-from ksec.treedec import TreeDecomposition, tree_to_width1_td
+from ksec.treedec import (
+    TreeDecomposition,
+    make_nonredundant,
+    td_summary,
+    tree_to_width1_td,
+    validate,
+)
 
 
 def check_section(g, section, k):
@@ -191,3 +199,71 @@ def test_ksection_tree_balance_for_every_k():
     for k in range(2, 21):
         section, _ = ksection_tree(g, k)
         check_section(g, section, k)
+
+
+def spy_on(monkeypatch, name, modules, record):
+    """Replace ``name`` in each module binding it by a wrapper that records its arguments."""
+    real = getattr(treedec, name)
+
+    def spy(*args):
+        record.append(args)
+        return real(*args)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, spy)
+
+
+def td_section_spied(monkeypatch):
+    """One k=4 section of a partial 3-tree with every check, weighing and inner DP recorded."""
+    g, td = random_partial_ktree(400, 4, Xorshift64Star(2024))
+    checks, weighings, dp_calls = [], [], []
+    spy_on(monkeypatch, "require_decomposition", (engine, tdcut, oracle, treedec), checks)
+    spy_on(monkeypatch, "heaviest_path", (engine, tdcut, treedec), weighings)
+    real_dp = oracle.dp_min_size_cut_td
+
+    def dp(*args, **kwargs):
+        dp_calls.append(args)
+        return real_dp(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "dp_min_size_cut_td", dp)
+    section, _ = ksection_td(g, td, 4)
+    check_section(g, section, 4)
+    return td, checks, weighings, dp_calls
+
+
+def test_ksection_td_checks_its_input_once_and_each_inner_dp_its_own(monkeypatch):
+    _, checks, _, dp_calls = td_section_spied(monkeypatch)
+    assert dp_calls  # the section takes at least one Case 2b/3 cut
+    assert [who for _, _, who in checks] == ["ksection_td"] + ["dp_min_size_cut_td"] * len(dp_calls)
+    # each inner DP checks the glued decomposition it was handed
+    assert [c[:2] for c in checks[1:]] == [(args[1], args[0]) for args in dp_calls]
+
+
+def test_ksection_td_weighs_the_input_once(monkeypatch):
+    td, _, weighings, _ = td_section_spied(monkeypatch)
+    td0 = make_nonredundant(td)
+    same = [w for w in weighings if w[0].bags == td0.bags and w[0].tree_edges == td0.tree_edges]
+    assert len(same) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(10, 120), st.integers(2, 4), st.integers(2, 6))
+def test_peel_loop_hands_each_cut_a_valid_decomposition_and_its_summary(seed, n, t, k):
+    """The remainders' decompositions are derived, not checked, at run time; they stay valid."""
+    g, td = random_partial_ktree(n, t, Xorshift64Star(seed))
+    seen = []
+    real = engine.r_preserving_cut
+
+    def cut(cur, cur_td, m, **kwargs):
+        seen.append((cur, cur_td, kwargs["summary"]))
+        return real(cur, cur_td, m, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "r_preserving_cut", cut)
+        ksection_td(g, td, k)
+    assert len(seen) == k - 1
+    for cur, cur_td, summ in seen:
+        assert validate(cur_td, cur) and validate(summ.td, cur)
+        fresh = td_summary(cur_td, cur.n)
+        assert (summ.td.bags, summ.td.tree_edges) == (fresh.td.bags, fresh.td.tree_edges)
+        assert (summ.path, summ.t, summ.n) == (fresh.path, fresh.t, fresh.n)

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import path
-from ksec import bounds
+from ksec import bounds, tdcut
 from ksec.errors import MOutOfRange, RedundantDecomposition
 from ksec.graph import max_degree
 from ksec.instances import Xorshift64Star, random_partial_ktree, random_tree_maxdeg
@@ -23,6 +25,7 @@ from ksec.treedec import (
     induced,
     make_nonredundant,
     tree_to_width1_td,
+    validate,
 )
 
 
@@ -302,3 +305,37 @@ def test_cut_plabeling_parts_edge_scan():
             if after:
                 labels = sorted(lab.a_l[v] for v in after)
                 assert labels == list(range(g.n - len(after) + 1, g.n + 1))
+
+
+def glued_decompositions(g, td, ms):
+    """(inner graph, glued decomposition) of each Case 2b/3 cut of g for the sizes ms."""
+    captured = []
+    real_inner, real_glue = tdcut._subgraph_minus_cluster_edges, tdcut._glue_decompositions
+
+    def inner(*args):
+        captured.append([real_inner(*args)])
+        return captured[-1][0]
+
+    def glue(*args):
+        captured[-1].append(real_glue(*args))
+        return captured[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tdcut, "_subgraph_minus_cluster_edges", inner)
+        mp.setattr(tdcut, "_glue_decompositions", glue)
+        for m in ms:
+            r_preserving_cut(g, td, m)
+    return captured
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(10, 120), st.integers(2, 4))
+def test_glued_decompositions_are_valid_and_weigh_as_before(seed, n, t):
+    """The glued decomposition reaches the inner DP's check; this holds without it too."""
+    rng = Xorshift64Star(seed)
+    g, td = random_partial_ktree(n, t, rng)
+    for g_tilde, glued in glued_decompositions(g, td, rng.sample(range(1, n), 4)):
+        assert validate(glued, g_tilde)
+        assert validate(make_nonredundant(glued), g_tilde)
+        assert heaviest_path(glued, g_tilde.n) == \
+            oracles.heaviest_path_candidate_list(glued, g_tilde.n)

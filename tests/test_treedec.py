@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import path
-from ksec.errors import FormatError, NotATreeDecomposition
-from ksec.graph import Graph, diameter
+from ksec.errors import FormatError, InvariantViolation, NotATreeDecomposition
+from ksec.graph import Graph, diameter, induced_subgraph
 from ksec.instances import Xorshift64Star, random_partial_ktree, random_tree_maxdeg
 from ksec.treedec import (
     TreeDecomposition,
@@ -18,6 +18,7 @@ from ksec.treedec import (
     make_nonredundant,
     occurrences,
     parse_td,
+    relabel_clusters,
     remove_cluster_parts,
     tree_to_width1_td,
     validate,
@@ -172,6 +173,66 @@ def test_make_nonredundant_keeps_the_rescan_order_on_induced_halves(seed, n, t):
     sub = induced(td, rng.sample(list(range(1, n + 1)), n // 2))
     out, ref = make_nonredundant(sub), oracles.make_nonredundant_rescan(sub)
     assert out.bags == ref.bags and out.tree_edges == ref.tree_edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(redundant_decompositions())
+def test_make_nonredundant_returns_a_nonredundant_input_itself(td):
+    out = make_nonredundant(td)
+    assert make_nonredundant(out) is out
+    ref = oracles.make_nonredundant_rescan(out)
+    assert ref.bags == out.bags and ref.tree_edges == out.tree_edges
+
+
+def test_make_nonredundant_returns_the_path_decomposition_itself():
+    td = p4_td()
+    assert make_nonredundant(td) is td
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(10, 120), st.integers(2, 4))
+def test_derived_decompositions_stay_valid(seed, n, t):
+    """What the peel loop derives from a checked decomposition is valid without a check.
+
+    A remainder's decomposition is the input's induced on the kept
+    vertices and renamed onto ``induced_subgraph``'s ids; the cuts then
+    normalize it.
+    """
+    rng = Xorshift64Star(seed)
+    g, td = random_partial_ktree(n, t, rng)
+    assert validate(make_nonredundant(td), g)
+    keep = sorted(rng.sample(list(range(1, n + 1)), rng.randint(1, n)))
+    sub, old_of = induced_subgraph(g, keep)
+    assert old_of == keep
+    sub_td = relabel_clusters(induced(td, keep), {old: i + 1 for i, old in enumerate(keep)})
+    assert validate(sub_td, sub)
+    assert validate(make_nonredundant(sub_td), sub)
+
+
+def heaviest_path_outcome(fn, td, n):
+    """The result, or the invariant violation a broken (T3) shows up as."""
+    try:
+        return fn(td, n)
+    except InvariantViolation:
+        return InvariantViolation
+
+
+@settings(max_examples=400, deadline=None)
+@given(redundant_decompositions())
+def test_heaviest_path_matches_the_candidate_list_version_on_small_decompositions(td):
+    for given_td in (td, make_nonredundant(td)):
+        assert heaviest_path_outcome(heaviest_path, given_td, 4) == \
+            heaviest_path_outcome(oracles.heaviest_path_candidate_list, given_td, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(10, 120), st.integers(2, 4))
+def test_heaviest_path_matches_the_candidate_list_version_on_induced_halves(seed, n, t):
+    rng = Xorshift64Star(seed)
+    _, td = random_partial_ktree(n, t, rng)
+    sub = induced(td, rng.sample(list(range(1, n + 1)), n // 2))
+    for given_td in (td, sub, make_nonredundant(sub)):
+        assert heaviest_path(given_td, n) == oracles.heaviest_path_candidate_list(given_td, n)
 
 
 def test_heaviest_path_path_shaped():
