@@ -1,9 +1,13 @@
 """Assemble k-sections by iterating the preserving cuts.
 
-The tree pipeline peels off one part at a time with
-``diameter_preserving_cut`` (the relative diameter of the remainder
-never drops); the decomposition pipeline does the same with
-``r_preserving_cut``.  Each run returns the section together with a
+Both pipelines share one peel loop, ``_peel``, which cuts off one part
+at a time and summarizes each remainder once: the tree pipeline with
+``diameter_preserving_cut`` and ``forest_summary`` (the relative
+diameter of the remainder never drops), the decomposition pipeline with
+``r_preserving_cut`` and the ``td_summary`` of the remainder of the
+cut's own nonredundant decomposition (its relative heaviest-path weight
+never drops).  The floor is checked on the same summary that the next
+cut receives.  Each run returns the section together with a
 ``BoundReport`` evaluating every applicable width guarantee; the
 guarantees are re-checked here and a violation raises
 ``InvariantViolation`` (CLI exit 3) because it can only mean a bug.
@@ -24,8 +28,6 @@ from .errors import (
 from .graph import (
     Graph,
     KSection,
-    TreeSummary,
-    cut_width,
     forest_summary,
     induced_subgraph,
     max_degree,
@@ -36,7 +38,6 @@ from .graph import (
 from .treecut import diameter_preserving_cut
 from .treedec import (
     TreeDecomposition,
-    heaviest_path,
     induced,
     relabel_clusters,
     require_decomposition,
@@ -108,60 +109,61 @@ def _trivial_sections(g: Graph, k: int) -> KSection:
 
 
 def _peel(
-    g: Graph, sizes: list[int], cutter, check_remainder=None
-) -> tuple[list[tuple[int, ...]], list[int], list]:
-    """Cut parts of the given sizes off g, one at a time.
+    g: Graph, summary, sizes: list[int], cut, rest_summary, measure
+) -> tuple[KSection, list]:
+    """Cut parts of the given sizes off g, one at a time, keeping a floor.
 
-    ``cutter(graph, m) -> (Cut, trace)`` must preserve the relevant
-    shrinking invariant; the caller rechecks it, inside ``cutter`` or in
-    ``check_remainder``, which receives each remainder graph.  Returns
-    parts in original vertex ids, per-cut widths, and traces.
+    ``summary`` describes g.  Each round calls ``cut(graph, summary, m)
+    -> (Cut, trace)``, then summarizes the remainder once with
+    ``rest_summary(remainder, summary, keep)``, where ``keep`` lists the
+    remainder's vertices in the cut graph's ids.  ``measure(summary, n)``
+    is the quantity the cut must not lower (diam* for trees, r for
+    decompositions): it is read off that one summary, which then goes to
+    the next cut.  The loop checks that every cut has |B| = m, that the
+    measure never drops and that the per-cut widths add up to the width
+    of the section; a failure raises ``InvariantViolation``.  Returns the
+    section, parts in the order of ``sizes``, and the per-cut traces.
     """
     parts: list[tuple[int, ...]] = []
-    widths: list[int] = []
+    width = 0
     traces = []
     cur = g
     old_of = list(g.vertices())
+    floor = measure(summary, g.n)
     for m in sizes[:-1]:
-        cut, trace = cutter(cur, m)
-        if len(cut.black) != m:
-            raise InvariantViolation(f"cut returned {len(cut.black)} vertices, wanted {m}")
-        parts.append(tuple(sorted(old_of[u - 1] for u in cut.black)))
-        widths.append(cut.width)
+        c, trace = cut(cur, summary, m)
+        if len(c.black) != m:
+            raise InvariantViolation(f"cut returned {len(c.black)} vertices, wanted {m}")
+        parts.append(tuple(sorted(old_of[u - 1] for u in c.black)))
+        width += c.width
         traces.append(trace)
-        keep = sorted(cut.white)
-        nxt, sub_old = induced_subgraph(cur, keep)
+        keep = sorted(c.white)
+        rest, sub_old = induced_subgraph(cur, keep)
         old_of = [old_of[u - 1] for u in sub_old]
-        cur = nxt
-        if check_remainder is not None:
-            check_remainder(cur)
+        summary = rest_summary(rest, summary, keep)
+        after = measure(summary, rest.n)
+        if after < floor:
+            raise InvariantViolation(f"the remainder's measure fell from {floor} to {after}")
+        floor, cur = after, rest
     parts.append(tuple(sorted(old_of)))
-    return parts, widths, traces
+    section = KSection.from_parts(g, parts)
+    if section.width != width:
+        raise InvariantViolation("per-cut widths do not add up to the final width")
+    return section, traces
 
 
-def _peel_forest(
-    forest: Graph, comps: list[TreeSummary], sizes: list[int]
-) -> tuple[list[tuple[int, ...]], list[int], list]:
+def _peel_forest(forest: Graph, comps: list, sizes: list[int]) -> tuple[KSection, list]:
     """``_peel`` with the diameter-preserving cut; diam* never drops.
 
-    ``comps`` is the forest summary of ``forest``.  Each remainder is
-    summarized once: the summary feeds both the diam* check and the
-    next cut.
+    ``comps`` is the forest summary of ``forest``; each remainder gets
+    its own ``forest_summary``.
     """
-    floor = summary_relative_diameter(comps, forest.n)
-
-    def cutter(g: Graph, m: int):
-        return diameter_preserving_cut(g, m, comps)
-
-    def check_remainder(rest: Graph) -> None:
-        nonlocal comps, floor
-        comps = forest_summary(rest)
-        after = summary_relative_diameter(comps, rest.n)
-        if after < floor:
-            raise InvariantViolation("relative diameter decreased across a cut")
-        floor = after
-
-    return _peel(forest, sizes, cutter, check_remainder)
+    return _peel(
+        forest, comps, sizes,
+        cut=lambda f, c, m: diameter_preserving_cut(f, m, c),
+        rest_summary=lambda rest, c, keep: forest_summary(rest),
+        measure=summary_relative_diameter,
+    )
 
 
 def ksection_tree(tree: Graph, k: int) -> tuple[KSection, BoundReport]:
@@ -187,11 +189,7 @@ def ksection_tree_detailed(tree: Graph, k: int) -> tuple[KSection, BoundReport, 
         section = _trivial_sections(tree, k)
         traces = []
     else:
-        sizes = oracle.balanced_sizes(n, k)
-        parts, widths, traces = _peel_forest(tree, [summary], sizes)
-        section = KSection.from_parts(tree, parts)
-        if section.width != sum(widths):
-            raise InvariantViolation("per-cut widths do not add up to the final width")
+        section, traces = _peel_forest(tree, [summary], oracle.balanced_sizes(n, k))
 
     _check_balance(section, n, k)
     report = _tree_report(section.width, n, k, diam, delta)
@@ -238,23 +236,20 @@ def cut_prescribed_sizes(
         raise SizesDontSum(f"sizes sum to {sum(sizes)}, vertex count is {forest.n}")
     d0 = summary_relative_diameter(comps, forest.n)
     delta = max_degree(forest)
-    parts, widths, _ = _peel_forest(forest, comps, sizes)
-    width = cut_width(forest, [set(p) for p in parts])
-    if width != sum(widths):
-        raise InvariantViolation("per-cut widths do not add up to the final width")
+    section, _ = _peel_forest(forest, comps, sizes)
     k = len(sizes)
     bound = (k - 1) * bounds.tree_cut_bound(d0, delta) if delta else Fraction(0)
-    if width > bound:
+    if section.width > bound:
         raise InvariantViolation("prescribed-size cut violates its bound")
     report = BoundReport(
         n=forest.n,
         k=k,
         max_degree=delta,
-        achieved=width,
+        achieved=section.width,
         rel_diam=d0,
         bound_tree=bound,
     )
-    return tuple(parts), report
+    return section.parts, report
 
 
 def ksection_td(g: Graph, td: TreeDecomposition, k: int) -> tuple[KSection, BoundReport]:
@@ -286,29 +281,17 @@ def ksection_td_detailed(
         section = _trivial_sections(g, k)
         traces = []
     else:
-        sizes = oracle.balanced_sizes(n, k)
         # the input was checked once above; each remainder's decomposition is
-        # derived from it and summarized only when a cut follows
-        state = {"td": summary.td, "summary": summary, "floor": r0}
-
-        def cutter(cur: Graph, m: int):
-            summ = state["summary"] or td_summary(state["td"], cur.n)
-            cut, trace = r_preserving_cut(cur, state["td"], m, summary=summ)
-            keep = sorted(cut.white)
-            remainder_td = induced(trace.normalized_td, cut.white)
-            r_after = heaviest_path(remainder_td, len(keep)).relative_weight
-            if r_after < state["floor"]:
-                raise InvariantViolation("relative heaviest-path weight decreased")
-            state["floor"] = r_after
-            new_of = {old: i + 1 for i, old in enumerate(keep)}
-            state["td"] = relabel_clusters(induced(state["td"], cut.white), new_of)
-            state["summary"] = None
-            return cut, trace
-
-        parts, widths, traces = _peel(g, sizes, cutter)
-        section = KSection.from_parts(g, parts)
-        if section.width != sum(widths):
-            raise InvariantViolation("per-cut widths do not add up to the final width")
+        # derived from the cut's own normalized one, so it is not checked again
+        section, traces = _peel(
+            g, summary, oracle.balanced_sizes(n, k),
+            cut=lambda cur, s, m: r_preserving_cut(cur, s.td, m, summary=s),
+            rest_summary=lambda rest, s, keep: td_summary(
+                relabel_clusters(induced(s.td, keep), {v: i + 1 for i, v in enumerate(keep)}),
+                rest.n,
+            ),
+            measure=lambda s, _n: s.path.relative_weight,
+        )
 
     _check_balance(section, n, k)
     if delta == 0:

@@ -268,13 +268,11 @@ def _approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
     return Cut.from_black(g, black)
 
 
-def exact_cut_bounded_td(
-    g: Graph, td: TreeDecomposition, m: int, max_width: int = 12
-) -> Cut:
+def exact_cut_bounded_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
     """Minimum-width cut with |B| = m; meets the (t/2)(log² + 9log + 8)Δ bound."""
     if not (1 <= m <= g.n):
         raise MOutOfRange(f"m={m} not in 1..{g.n}")
-    cut, _ = oracle.dp_min_size_cut_td(g, td, m, max_width=max_width)
+    cut, _ = oracle.dp_min_size_cut_td(g, td, m)
     return cut
 
 
@@ -302,8 +300,6 @@ def r_preserving_cut(
     g: Graph,
     td: TreeDecomposition,
     m: int,
-    max_width: int = 12,
-    check: bool = False,
     summary: TDSummary | None = None,
 ) -> tuple[Cut, RCutTrace]:
     """Cut with |B| = m whose remainder keeps the relative path weight.
@@ -317,8 +313,8 @@ def r_preserving_cut(
     ``td_summary(td, g.n)`` when the caller already has it (the peel loop
     does): it replaces all three, ``td`` is then not read, and the summary
     is checked only against g's vertex set (``NotATreeDecomposition``).
-    ``check=True`` additionally validates the spliced inner decomposition
-    against the inner graph (slow; meant for tests).
+    The inner exact DP checks the glued decomposition it is handed, and
+    refuses widths above its default limit (``WidthTooLarge``).
     """
     n = g.n
     if not (1 <= m <= n - 1):
@@ -381,18 +377,11 @@ def r_preserving_cut(
     glued = _glue_decompositions(td0, vt_sorted, new_of, b_local, lab.j0)
     if glued.width > t - 1:
         raise InvariantViolation(f"{case}: glued decomposition too wide")
-    if check:
-        from .treedec import validate
-
-        if not validate(glued, g_tilde):
-            raise InvariantViolation(f"{case}: glued decomposition invalid")
     r_tilde = heaviest_path(glued, len(vt_sorted)).relative_weight
     if 2 * r_tilde < r:
         raise InvariantViolation(f"{case}: glued decomposition too light ({r_tilde} < {r}/2)")
     glued_small = make_nonredundant(glued)
-    inner_cut, inner_width = oracle.dp_min_size_cut_td(
-        g_tilde, glued_small, m, max_width=max_width
-    )
+    inner_cut, inner_width = oracle.dp_min_size_cut_td(g_tilde, glued_small, m)
     black = {vt_sorted[u - 1] for u in inner_cut.black}
     outer = sum(1 for (a, b) in g.edges if (a in v_tilde) != (b in v_tilde))
     if outer > 3 * t * max_degree(g):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,7 @@ from ksec.engine import (
     ksection_tree,
     recursive_bisection_baseline,
 )
-from ksec.errors import KNotPowerOfTwo, KOutOfRange, NotATree, SizesDontSum
+from ksec.errors import InvariantViolation, KNotPowerOfTwo, KOutOfRange, NotATree, SizesDontSum
 from ksec.graph import Graph, cut_width, induced_subgraph, max_degree, relative_diameter
 from ksec.instances import (
     Xorshift64Star,
@@ -218,7 +220,7 @@ def td_section_spied(monkeypatch):
     g, td = random_partial_ktree(400, 4, Xorshift64Star(2024))
     checks, weighings, dp_calls = [], [], []
     spy_on(monkeypatch, "require_decomposition", (engine, tdcut, oracle, treedec), checks)
-    spy_on(monkeypatch, "heaviest_path", (engine, tdcut, treedec), weighings)
+    spy_on(monkeypatch, "heaviest_path", (tdcut, treedec), weighings)
     real_dp = oracle.dp_min_size_cut_td
 
     def dp(*args, **kwargs):
@@ -267,3 +269,61 @@ def test_peel_loop_hands_each_cut_a_valid_decomposition_and_its_summary(seed, n,
         fresh = td_summary(cur_td, cur.n)
         assert (summ.td.bags, summ.td.tree_edges) == (fresh.td.bags, fresh.td.tree_edges)
         assert (summ.path, summ.t, summ.n) == (fresh.path, fresh.t, fresh.n)
+
+
+def seeded_partial_ktree(seed):
+    rng = Xorshift64Star(seed)
+    n = rng.randint(6, 60)
+    g, td = random_partial_ktree(n, rng.randint(2, 4), rng)
+    return g, td, rng.randint(3, 8)
+
+
+def check_td_section(g, td, k):
+    section, report = ksection_td(g, td, k)
+    check_section(g, section, k)
+    assert report.max_degree == 0 or bounds.ksection_td_bound_holds(
+        section.width, k, report.r, report.t, report.max_degree
+    )
+
+
+@pytest.mark.parametrize("seed", [26, 130, 243, 341, 432])
+def test_ksection_td_floor_holds_where_two_weighings_disagreed(seed):
+    """Instances whose remainders once weighed lighter at the next cut than at the floor check."""
+    check_td_section(*seeded_partial_ktree(seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(6, 60), st.integers(2, 4), st.integers(3, 8))
+def test_ksection_td_returns_within_its_bound(seed, n, t, k):
+    g, td = random_partial_ktree(n, t, Xorshift64Star(seed))
+    check_td_section(g, td, k)
+
+
+def lighter(summary):
+    """The summary with a lower floor measure: shorter forest paths, or a lighter heaviest path."""
+    if isinstance(summary, treedec.TDSummary):
+        path = dataclasses.replace(summary.path, relative_weight=summary.path.relative_weight / 2)
+        return dataclasses.replace(summary, path=path)
+    return [c._replace(path=c.path[:1]) for c in summary]
+
+
+@pytest.mark.parametrize("pipeline", ["tree", "td"])
+def test_the_floor_check_catches_a_remainder_that_weighs_less(monkeypatch, pipeline):
+    """One peel loop checks the floor of both pipelines; a lighter last remainder must raise."""
+    g = path(10)
+    name = "forest_summary" if pipeline == "tree" else "td_summary"
+    real = getattr(engine, name)
+    calls = []
+
+    def summarize(*args):
+        calls.append(args)
+        # the input's own summary (the td pipeline makes it here too) stays true
+        return real(*args) if pipeline == "td" and len(calls) == 1 else lighter(real(*args))
+
+    monkeypatch.setattr(engine, name, summarize)
+    with pytest.raises(InvariantViolation, match="measure fell"):
+        if pipeline == "tree":
+            ksection_tree(g, 2)
+        else:
+            ksection_td(g, tree_to_width1_td(g), 2)
+    assert len(calls) == (1 if pipeline == "tree" else 2)

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -230,19 +231,27 @@ def test_r_preserving_cut_partial_two_tree_selected_m():
 def test_r_preserving_case_internals():
     rng = Xorshift64Star(171717)
     seen = set()
-    for _ in range(250):
-        g, td = random_partial_ktree(rng.randint(6, 40), rng.randint(2, 4), rng)
-        m = rng.randint(1, g.n - 1)
-        cut, trace = r_preserving_cut(g, td, m, check=True)
-        seen.add(trace.case_tag)
-        assert len(cut.black) == m
-        assert r_after_cut(g, trace.normalized_td, cut.white) >= trace.r
-        assert bounds.td_cut_bound_holds(cut.width, trace.r, trace.t, max_degree(g))
-        if trace.case_tag in ("Case2b", "Case3"):
-            assert 2 <= trace.m_tilde <= 2 * m
-            assert m <= len(trace.v_tilde) <= 2 * m
-            assert 2 * trace.r_tilde >= trace.r
-            assert trace.outer_width <= 3 * trace.t * max_degree(g)
+    with glue_spy() as captured:
+        for _ in range(250):
+            g, td = random_partial_ktree(rng.randint(6, 40), rng.randint(2, 4), rng)
+            m = rng.randint(1, g.n - 1)
+            before = len(captured)
+            cut, trace = r_preserving_cut(g, td, m)
+            seen.add(trace.case_tag)
+            assert len(cut.black) == m
+            assert r_after_cut(g, trace.normalized_td, cut.white) >= trace.r
+            assert bounds.td_cut_bound_holds(cut.width, trace.r, trace.t, max_degree(g))
+            if trace.case_tag in ("Case2b", "Case3"):
+                assert 2 <= trace.m_tilde <= 2 * m
+                assert m <= len(trace.v_tilde) <= 2 * m
+                assert 2 * trace.r_tilde >= trace.r
+                assert trace.outer_width <= 3 * trace.t * max_degree(g)
+                # every glued decomposition is valid for its inner graph
+                assert len(captured) == before + 1
+                g_tilde, glued = captured[-1]
+                assert validate(glued, g_tilde)
+            else:
+                assert len(captured) == before
     assert {"Case1", "Case2a", "Case2b", "Case3"} <= seen
 
 
@@ -307,8 +316,9 @@ def test_cut_plabeling_parts_edge_scan():
                 assert labels == list(range(g.n - len(after) + 1, g.n + 1))
 
 
-def glued_decompositions(g, td, ms):
-    """(inner graph, glued decomposition) of each Case 2b/3 cut of g for the sizes ms."""
+@contextmanager
+def glue_spy():
+    """Yield a list that gets (inner graph, glued decomposition) of each Case 2b/3 cut made."""
     captured = []
     real_inner, real_glue = tdcut._subgraph_minus_cluster_edges, tdcut._glue_decompositions
 
@@ -323,6 +333,12 @@ def glued_decompositions(g, td, ms):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tdcut, "_subgraph_minus_cluster_edges", inner)
         mp.setattr(tdcut, "_glue_decompositions", glue)
+        yield captured
+
+
+def glued_decompositions(g, td, ms):
+    """(inner graph, glued decomposition) of each Case 2b/3 cut of g for the sizes ms."""
+    with glue_spy() as captured:
         for m in ms:
             r_preserving_cut(g, td, m)
     return captured
