@@ -77,7 +77,7 @@ EXPECTED = {
     "forest-s22-1:3:2:5": "c11250f215168f53425cfbc99ec06422b6f7dc34f002e0b64bba9bfa8735c37d",
     "td-s31-n200-k2": "478e92b0765dd040124042b62c0484f9acecfcc56e0726a34eda9d14acbe7141",
     "td-s32-n200-k4": "bc9b2a41901daeb9e54406d3ce97e1aa1bd0ffcd6b13db6695ea107d87c70e0b",
-    "td-s34-n200-k4": "f1cb3307bd855c50284881e7b113888dc0921a89118a4c11ed709be0e94b2052",
+    "td-s34-n200-k4": "5a17a066a2840bc3938a65d1d8a4a0a5142d8274ea8bc2b42fe76053c8104fec",
     "td-s44-n200-k4": "79aa91defba1952cfcd6f2c01270726913d7d175ea86d1d7e52b15df3bbca6fe",
     "td-s51-n1000-k4": "c256296b653fe6884406cf95b168d0f2892da2d546713d39f0a01c567d77ece0",
     "tree-s11-n200-k2": "64777b64159b4fa2f8ded3729fb8c2e180af6077d4b94dea38d5fabb3f1d3d9a",
