@@ -18,7 +18,7 @@ from .graph import (
     write_gr,
 )
 from .labeling import PathDecomposition, PLabeling, d_p, decompose_along_path, find_anchor, p_labeling
-from .treecut import DiamCutTrace, approximate_cut, diameter_preserving_cut, exact_cut_bounded
+from .treecut import DiamCutTrace, approximate_cut, diameter_preserving_cut
 from .treedec import (
     HeaviestPathResult,
     TDSummary,
@@ -39,8 +39,6 @@ from .tdcut import (
     RCutTrace,
     TDPLabeling,
     approximate_cut_td,
-    d_r,
-    exact_cut_bounded_td,
     r_preserving_cut,
     td_p_labeling,
 )

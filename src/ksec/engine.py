@@ -36,13 +36,7 @@ from .graph import (
     summary_relative_diameter,
 )
 from .treecut import diameter_preserving_cut
-from .treedec import (
-    TreeDecomposition,
-    induced,
-    relabel_clusters,
-    require_decomposition,
-    td_summary,
-)
+from .treedec import TreeDecomposition, induced_local, require_decomposition, td_summary
 from .tdcut import r_preserving_cut
 
 
@@ -230,7 +224,7 @@ def cut_prescribed_sizes(
 ) -> tuple[tuple[tuple[int, ...], ...], BoundReport]:
     """Partition with exactly the prescribed part sizes, in the given order."""
     comps = require_forest(forest, "cut_prescribed_sizes")
-    if not sizes or any(s <= 0 or not isinstance(s, int) for s in sizes):
+    if not sizes or any(not isinstance(s, int) or s <= 0 for s in sizes):
         raise SizesDontSum("sizes must be positive integers")
     if sum(sizes) != forest.n:
         raise SizesDontSum(f"sizes sum to {sum(sizes)}, vertex count is {forest.n}")
@@ -286,10 +280,7 @@ def ksection_td_detailed(
         section, traces = _peel(
             g, summary, oracle.balanced_sizes(n, k),
             cut=lambda cur, s, m: r_preserving_cut(cur, s.td, m, summary=s),
-            rest_summary=lambda rest, s, keep: td_summary(
-                relabel_clusters(induced(s.td, keep), {v: i + 1 for i, v in enumerate(keep)}),
-                rest.n,
-            ),
+            rest_summary=lambda rest, s, keep: td_summary(induced_local(s.td, keep), rest.n),
             measure=lambda s, _n: s.path.relative_weight,
         )
 

@@ -1,15 +1,22 @@
-"""Labelings of trees along a fixed path.
+"""Cyclic labelings along a fixed path, with a marked vertex set.
 
 Removing the edges of a path P from a tree splits the tree into one
 subtree T_v per path vertex v.  The labeling built here assigns
 1..n so that each subtree's vertices occupy a consecutive block, the
 path vertex closes its block, and blocks follow the path order.  All
 label arithmetic is cyclic modulo n (residues kept in 1..n).
+
+The same labeling serves a graph with a tree decomposition
+(``tdcut.td_p_labeling``): there the marked set is R, the vertices
+covered by the heaviest path's clusters, and d_P, the anchor and the
+label intervals are read exactly as for a tree.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InvariantViolation, PathNotInTree
 from .graph import Graph, bfs_tree, require_tree
@@ -41,9 +48,10 @@ class PathDecomposition:
 class PLabeling:
     """Bijection vertex <-> label plus O(1) path-distance machinery.
 
-    ``path_prefix[x]`` counts path vertices with label < x, so
+    The marked vertices are the path P of a tree, or R of a decomposed
+    graph.  ``path_prefix[x]`` counts marked vertices with label < x, so
     d_P(x, y) is a prefix difference.  ``on_path[x]`` flags labels of
-    path vertices.
+    marked vertices, and ``num_path`` counts them.
     """
 
     n: int
@@ -53,8 +61,23 @@ class PLabeling:
     on_path: tuple
     num_path: int
 
-    def label(self, vertex: int) -> int:
-        return self.label_of[vertex]
+    @classmethod
+    def from_order(cls, order: list[int], marked: Container[int]) -> "PLabeling":
+        """Label ``order[i]`` with i+1; ``order`` lists the vertices 1..n once each."""
+        n = len(order)
+        label_of = [0] * (n + 1)
+        for lbl, v in enumerate(order, start=1):
+            label_of[v] = lbl
+        on_path = (False, *(v in marked for v in order))
+        prefix = (0, *accumulate(on_path[1:], initial=0))
+        return cls(
+            n=n,
+            label_of=tuple(label_of),
+            vertex_of=(0, *order),
+            path_prefix=prefix,
+            on_path=on_path,
+            num_path=prefix[n + 1],
+        )
 
     def vertex(self, label: int) -> int:
         return self.vertex_of[cyclic(label, self.n)]
@@ -65,17 +88,12 @@ def cyclic(label: int, n: int) -> int:
     return (label - 1) % n + 1
 
 
-def is_between(b: int, a: int, c: int, n: int) -> bool:
-    """True iff walking cyclically from a reaches b no later than c."""
-    a, b, c = cyclic(a, n), cyclic(b, n), cyclic(c, n)
-    if a == c:
-        return b == a
-    return (b - a) % n <= (c - a) % n
-
-
 def decompose_along_path(tree: Graph, path) -> PathDecomposition:
     """Split ``tree`` into the subtrees hanging off ``path``."""
     require_tree(tree, "decompose_along_path")
+    for v in path:
+        if not isinstance(v, int) or not 1 <= v <= tree.n:
+            raise PathNotInTree(f"path vertex {v!r} out of vertex range 1..{tree.n}")
     return path_decomposition(tree, path)
 
 
@@ -112,29 +130,22 @@ def p_labeling(dec: PathDecomposition) -> PLabeling:
 
     The path predecessor is forced to the front of each path vertex's
     adjacency list; remaining neighbors are visited ascending by id, so
-    the labeling is deterministic.
+    the labeling is deterministic.  Labels follow the DFS finishing order.
     """
     tree, path = dec.tree, dec.path
     n = tree.n
-    order: dict[int, list[int]] = {}
+    nbrs_of: dict[int, list[int]] = {}
     pred = {path[h]: path[h - 1] for h in range(1, len(path))}
     for v in tree.vertices():
         nbrs = list(tree.adj[v])
         if v in pred:
             nbrs.remove(pred[v])
             nbrs = [pred[v]] + nbrs
-        order[v] = nbrs
+        nbrs_of[v] = nbrs
 
-    label_of = [0] * (n + 1)
-    vertex_of = [0] * (n + 1)
-    prefix = [0] * (n + 2)
-    on_path = [False] * (n + 1)
-    path_set = set(path)
-    next_label = 1
-    path_seen = 0
-
+    finished: list[int] = []
     visited = [False] * (n + 1)
-    stack = [(dec.y0, iter(order[dec.y0]))]
+    stack = [(dec.y0, iter(nbrs_of[dec.y0]))]
     visited[dec.y0] = True
     while stack:
         v, it = stack[-1]
@@ -142,34 +153,20 @@ def p_labeling(dec: PathDecomposition) -> PLabeling:
         for w in it:
             if not visited[w]:
                 visited[w] = True
-                stack.append((w, iter(order[w])))
+                stack.append((w, iter(nbrs_of[w])))
                 advanced = True
                 break
         if advanced:
             continue
         stack.pop()
-        label_of[v] = next_label
-        vertex_of[next_label] = v
-        prefix[next_label] = path_seen
-        if v in path_set:
-            on_path[next_label] = True
-            path_seen += 1
-        next_label += 1
-    if next_label != n + 1:
+        finished.append(v)
+    if len(finished) != n:
         raise InvariantViolation("DFS did not reach every vertex")
-    prefix[n + 1] = path_seen
-    return PLabeling(
-        n=n,
-        label_of=tuple(label_of),
-        vertex_of=tuple(vertex_of),
-        path_prefix=tuple(prefix),
-        on_path=tuple(on_path),
-        num_path=len(path),
-    )
+    return PLabeling.from_order(finished, frozenset(path))
 
 
 def d_p(lab: PLabeling, x: int, y: int) -> int:
-    """Count path vertices between labels x and y, excluding y (cyclic)."""
+    """Count marked vertices between labels x and y, excluding y (cyclic)."""
     n = lab.n
     x, y = cyclic(x, n), cyclic(y, n)
     if x <= y:
@@ -178,9 +175,10 @@ def d_p(lab: PLabeling, x: int, y: int) -> int:
 
 
 def find_anchor(lab: PLabeling, m: int) -> int:
-    """Smallest label v with d_P(v, v+m) = floor(diam* * m) hitting the path.
+    """Smallest label v with d_P(v, v+m) = floor(|P| m / n) hitting the path.
 
-    The returned v satisfies: v or v+m is a path vertex.  Existence is
+    The returned v satisfies: v or v+m is marked (a path vertex, or in
+    R).  For a tree |P|/n is diam*, for a decomposition r.  Existence is
     guaranteed by an averaging argument; failure to find one means the
     labeling is corrupt.
     """

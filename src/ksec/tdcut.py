@@ -2,8 +2,10 @@
 
 Mirrors the tree machinery: the heaviest path of the decomposition
 plays the role of a longest path, the vertex set splits into R (covered
-by path clusters) and the per-node remainders S_i, and a cyclic
-labeling places each R_i ∪ S_i block consecutively with R_i last.  The
+by path clusters) and the per-node remainders S_i, and the tree's
+cyclic labeling (``labeling.PLabeling``, with R marked in place of the
+path) places each R_i ∪ S_i block consecutively with R_i last.  The
+anchor and the label interval are found as for a tree.  The
 r-preserving cut peels off exactly m vertices while the relative
 heaviest-path weight of the remainder never drops.
 """
@@ -21,14 +23,15 @@ from .errors import (
     RedundantDecomposition,
 )
 from .graph import Cut, Graph, bfs_tree, induced_subgraph, max_degree
+from .labeling import PLabeling, cyclic, find_anchor, labels_interval
+from .treecut import CutTrace
 from .treedec import (
     HeaviestPathResult,
     TDSummary,
     TreeDecomposition,
     heaviest_path,
-    induced,
+    induced_local,
     make_nonredundant,
-    relabel_clusters,
     require_decomposition,
     td_summary,
 )
@@ -36,30 +39,19 @@ from .treedec import (
 
 @dataclass(frozen=True)
 class TDPLabeling:
-    """Arrays of the decomposition labeling (A_L, A_V, A_R, A_P, L_P, d_1)."""
+    """The cyclic labeling with R marked, plus the blocks along the path."""
 
-    n: int
-    a_l: tuple  # vertex -> label
-    a_v: tuple  # label -> vertex
-    a_r: tuple  # vertex -> in R?
+    labeling: PLabeling
     a_p: tuple  # vertex -> path node
     l_p: tuple  # path nodes in order
-    i0: int
-    j0: int
     r_of: dict  # path node -> sorted tuple R_i
     s_of: dict  # path node -> sorted tuple S_i
-    d1: tuple  # label -> number of R-labels among labels < it
-    r_size: int
-
-    def label(self, vertex: int) -> int:
-        return self.a_l[vertex]
-
-    def vertex(self, label: int) -> int:
-        return self.a_v[(label - 1) % self.n + 1]
 
 
 @dataclass(frozen=True)
-class RCutTrace:
+class RCutTrace(CutTrace):
+    """What the r-preserving cut actually did."""
+
     case_tag: str
     m: int
     r: Fraction
@@ -75,32 +67,13 @@ class RCutTrace:
     outer_width: int | None = None
     normalized_td: TreeDecomposition | None = field(default=None, repr=False)
 
-    def to_dict(self) -> dict:
-        out = {
-            "case_tag": self.case_tag,
-            "m": self.m,
-            "r": [self.r.numerator, self.r.denominator],
-            "t": self.t,
-            "anchor": self.anchor,
-            "floor_rm": self.floor_rm,
-            "node": self.node,
-            "m_tilde": self.m_tilde,
-            "b_side": sorted(self.b_side) if self.b_side is not None else None,
-            "v_tilde": sorted(self.v_tilde) if self.v_tilde is not None else None,
-            "r_tilde": [self.r_tilde.numerator, self.r_tilde.denominator]
-            if self.r_tilde is not None
-            else None,
-            "inner_width": self.inner_width,
-            "outer_width": self.outer_width,
-        }
-        return out
-
 
 def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> TDPLabeling:
     """Labeling of g along a path of a nonredundant decomposition.
 
     Blocks follow the path; within the block of node i the S_i vertices
-    come first and the R_i vertices take the largest labels.  Raises
+    come first and the R_i vertices take the largest labels.  That order
+    and the marked set R make the ``PLabeling`` the tree cut uses.  Raises
     ``RedundantDecomposition`` when some R_i is empty, which cannot
     happen after ``make_nonredundant``.
     """
@@ -118,13 +91,13 @@ def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> 
     if len(comp_of) != td.num_nodes:
         raise InvariantViolation("path does not lie in the decomposition tree")
 
-    in_r = [False] * (n + 1)
+    in_r: set[int] = set()
     path_node_of = [0] * (n + 1)
     r_of: dict[int, list[int]] = {i: [] for i in path_nodes}
     for i in path_nodes:
         for v in sorted(td.bag(i)):
-            if not in_r[v]:
-                in_r[v] = True
+            if v not in in_r:
+                in_r.add(v)
                 path_node_of[v] = i
                 r_of[i].append(v)
 
@@ -132,7 +105,7 @@ def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> 
     for node in td.nodes():
         anchor = comp_of[node]
         for v in td.bag(node):
-            if not in_r[v]:
+            if v not in in_r:
                 s_of[anchor].add(v)
                 path_node_of[v] = anchor
 
@@ -143,58 +116,14 @@ def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> 
     if sum(len(r_of[i]) + len(s_of[i]) for i in path_nodes) != n:
         raise InvariantViolation("labeling blocks do not partition the vertex set")
 
-    a_l = [0] * (n + 1)
-    a_v = [0] * (n + 1)
-    next_label = 1
-    for i in path_nodes:
-        for v in sorted(s_of[i]) + r_of[i]:
-            a_l[v] = next_label
-            a_v[next_label] = v
-            next_label += 1
-
-    d1 = [0] * (n + 2)
-    seen_r = 0
-    for lbl in range(1, n + 1):
-        d1[lbl] = seen_r
-        if in_r[a_v[lbl]]:
-            seen_r += 1
-    d1[n + 1] = seen_r
-
+    order = [v for i in path_nodes for v in sorted(s_of[i]) + r_of[i]]
     return TDPLabeling(
-        n=n,
-        a_l=tuple(a_l),
-        a_v=tuple(a_v),
-        a_r=tuple(in_r),
+        labeling=PLabeling.from_order(order, in_r),
         a_p=tuple(path_node_of),
         l_p=path_nodes,
-        i0=path_nodes[0],
-        j0=path_nodes[-1],
         r_of={i: tuple(r_of[i]) for i in path_nodes},
         s_of={i: tuple(sorted(s_of[i])) for i in path_nodes},
-        d1=tuple(d1),
-        r_size=seen_r,
     )
-
-
-def d_r(lab: TDPLabeling, x: int, y: int) -> int:
-    """Count R-vertices between labels x and y, excluding y (cyclic)."""
-    n = lab.n
-    x, y = (x - 1) % n + 1, (y - 1) % n + 1
-    if x <= y:
-        return lab.d1[y] - lab.d1[x]
-    return lab.r_size - lab.d1[x] + lab.d1[y]
-
-
-def find_anchor_td(lab: TDPLabeling, m: int) -> int:
-    """Smallest label v with d_R(v, v+m) = floor(r*m) and v or v+m in R."""
-    n = lab.n
-    target = (lab.r_size * m) // n
-    for v in range(1, n + 1):
-        vm = (v + m - 1) % n + 1
-        if lab.a_r[lab.a_v[v]] or lab.a_r[lab.a_v[vm]]:
-            if d_r(lab, v, v + m) == target:
-                return v
-    raise InvariantViolation(f"no anchor for m={m}; labeling corrupt")
 
 
 def approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
@@ -205,15 +134,16 @@ def approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
     (``NotATreeDecomposition`` with a witness).
     """
     require_decomposition(td, g, "approximate_cut_td")
-    return _approximate_cut_td(g, td, m)
+    return Cut.from_black(g, _approximate_cut_td(g, td, m))
 
 
-def _approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
+def _approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> frozenset:
+    """Black set of ``approximate_cut_td``."""
     n = g.n
     if not (1 <= m <= 2 * n):
         raise MOutOfRange(f"m={m} not in 1..{2 * n}")
     if m >= n:
-        return Cut.from_black(g, set(g.vertices()))
+        return frozenset(g.vertices())
 
     order, parent = bfs_tree(td.tree_adj, 1)
     depth = [0] * (td.num_nodes + 1)
@@ -265,23 +195,7 @@ def _approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
             black.update(part)
     if not (m <= 2 * len(black) and len(black) <= m):
         raise InvariantViolation("approximate cluster cut missed its size window")
-    return Cut.from_black(g, black)
-
-
-def exact_cut_bounded_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
-    """Minimum-width cut with |B| = m; meets the (t/2)(log² + 9log + 8)Δ bound."""
-    if not (1 <= m <= g.n):
-        raise MOutOfRange(f"m={m} not in 1..{g.n}")
-    cut, _ = oracle.dp_min_size_cut_td(g, td, m)
-    return cut
-
-
-def _induced_local(
-    td: TreeDecomposition, vertices: list[int]
-) -> tuple[TreeDecomposition, dict]:
-    """Induced decomposition with clusters renamed to 1..|vertices|."""
-    new_of = {old: i + 1 for i, old in enumerate(vertices)}
-    return relabel_clusters(induced(td, vertices), new_of), new_of
+    return frozenset(black)
 
 
 def _subgraph_minus_cluster_edges(
@@ -329,38 +243,38 @@ def r_preserving_cut(
         )
     td0, t, hp = summary.td, summary.t, summary.path
     r = hp.relative_weight
-    lab = td_p_labeling(g, td0, hp)
-    floor_rm = (lab.r_size * m) // n
-    v = find_anchor_td(lab, m)
-    m_vertices = frozenset(lab.a_v[(v - 1 + i) % n + 1] for i in range(m))
-    v_in_r = lab.a_r[lab.a_v[v]]
+    blocks = td_p_labeling(g, td0, hp)
+    lab = blocks.labeling
+    floor_rm = (lab.num_path * m) // n
+    v = find_anchor(lab, m)
+    m_vertices = frozenset(labels_interval(lab, v, m))
+    v_in_r = lab.on_path[v]
+    vm_in_r = lab.on_path[cyclic(v + m, n)]
     vm_vertex = lab.vertex(v + m)
-    vm_in_r = lab.a_r[vm_vertex]
 
     base = dict(m=m, r=r, t=t, anchor=v, floor_rm=floor_rm, normalized_td=td0)
     if v_in_r and vm_in_r:
         return Cut.from_black(g, m_vertices), RCutTrace(case_tag="Case1", **base)
-    if v_in_r and lab.a_r[lab.vertex(v + m - 1)]:
+    if v_in_r and lab.on_path[cyclic(v + m - 1, n)]:
         return Cut.from_black(g, m_vertices), RCutTrace(
-            case_tag="Case2a", node=lab.a_p[vm_vertex], **base
+            case_tag="Case2a", node=blocks.a_p[vm_vertex], **base
         )
 
     if v_in_r:
-        split_node = lab.a_p[vm_vertex]  # path node of v+m, which lies in S
+        split_node = blocks.a_p[vm_vertex]  # path node of v+m, which lies in S
         case = "Case2b"
     else:
-        split_node = lab.a_p[lab.a_v[v]]  # path node of v, which lies in S
+        split_node = blocks.a_p[lab.vertex(v)]  # path node of v, which lies in S
         case = "Case3"
-    s_set = set(lab.s_of[split_node])
+    s_set = set(blocks.s_of[split_node])
     m_tilde = 2 * len(s_set & m_vertices)
     if not (2 <= m_tilde <= 2 * m):
         raise InvariantViolation(f"{case}: m-tilde {m_tilde} out of range")
 
     s_sorted = sorted(s_set)
     sub_s, _ = induced_subgraph(g, s_sorted)
-    td_s, _ = _induced_local(td0, s_sorted)
-    local_cut = _approximate_cut_td(sub_s, td_s, m_tilde)
-    b_side = frozenset(s_sorted[u - 1] for u in local_cut.black)
+    local_black = _approximate_cut_td(sub_s, induced_local(td0, s_sorted), m_tilde)
+    b_side = frozenset(s_sorted[u - 1] for u in local_black)
 
     v_tilde = frozenset((m_vertices - s_set) | b_side)
     if not (m <= len(v_tilde) <= 2 * m):
@@ -374,7 +288,7 @@ def r_preserving_cut(
     if any((u in b_local) != (w in b_local) for (u, w) in g_tilde.edges):
         raise InvariantViolation(f"{case}: split sides are still connected")
 
-    glued = _glue_decompositions(td0, vt_sorted, new_of, b_local, lab.j0)
+    glued = _glue_decompositions(td0, vt_sorted, new_of, b_local, blocks.l_p[-1])
     if glued.width > t - 1:
         raise InvariantViolation(f"{case}: glued decomposition too wide")
     r_tilde = heaviest_path(glued, len(vt_sorted)).relative_weight

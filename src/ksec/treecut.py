@@ -1,26 +1,26 @@
 """Cutting primitives for trees and forests.
 
-Three operations:
+Two operations:
 
 * ``approximate_cut``       -- an approximate m-cut (m/2 <= |B| <= m) of
                                width at most the maximum degree, avoiding
                                a designated vertex;
-* ``exact_cut_bounded``     -- |B| = m exactly, width within the
-                               relative-diameter guarantees (backed by
-                               the exact DP, which dominates them);
 * ``diameter_preserving_cut`` -- |B| = m and diam*(G[W]) >= diam*(G),
                                the workhorse the k-section loop iterates.
 
-The last one follows a five-way case analysis over the anchor position
-in the path labeling; the executed case is recorded in a trace.
+The second one follows a five-way case analysis over the anchor position
+in the path labeling; the executed case is recorded in a trace.  Its
+inner exact-size cut is ``oracle.dp_min_size_cut_tree``, whose optimum
+meets the relative-diameter guarantees since cuts within them exist.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from fractions import Fraction
 
 from . import oracle
-from .errors import InvariantViolation, MOutOfRange, NotAPartition
+from .errors import InvariantViolation, KsecError, MOutOfRange, NotAPartition
 from .graph import (
     Cut,
     Graph,
@@ -36,8 +36,27 @@ from .graph import (
 from .labeling import cyclic, find_anchor, labels_interval, p_labeling, path_decomposition
 
 
+class CutTrace:
+    """Base of the trace dataclasses; ``to_dict`` is their JSON form.
+
+    Fields keep their order; fields declared with ``repr=False`` stay
+    out, frozensets become sorted lists and Fractions [num, den].
+    """
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self) if f.repr}
+
+
+def _plain(x):
+    if isinstance(x, frozenset):
+        return sorted(x)
+    if isinstance(x, Fraction):
+        return [x.numerator, x.denominator]
+    return x
+
+
 @dataclass(frozen=True)
-class DiamCutTrace:
+class DiamCutTrace(CutTrace):
     """What the diameter-preserving cut actually did."""
 
     case_tag: str
@@ -53,14 +72,6 @@ class DiamCutTrace:
     inner_width: int | None = None
     outer_width: int | None = None
 
-    def to_dict(self) -> dict:
-        def conv(x):
-            if isinstance(x, frozenset):
-                return sorted(x)
-            return x
-
-        return {k: conv(v) for k, v in self.__dict__.items()}
-
 
 def approximate_cut(tree: Graph, v: int, m: int) -> Cut:
     """Approximate m-cut (B, W) with width <= Δ(tree) and v in W.
@@ -70,15 +81,18 @@ def approximate_cut(tree: Graph, v: int, m: int) -> Cut:
     still exceeds m.
     """
     require_tree(tree, "approximate_cut")
-    return _approximate_cut(tree, v, m)
+    if not isinstance(v, int) or not 1 <= v <= tree.n:
+        raise KsecError(f"approximate_cut: vertex {v!r} out of vertex range 1..{tree.n}")
+    return Cut.from_black(tree, _approximate_cut(tree, v, m))
 
 
-def _approximate_cut(tree: Graph, v: int, m: int) -> Cut:
+def _approximate_cut(tree: Graph, v: int, m: int) -> frozenset:
+    """Black set of ``approximate_cut``."""
     n = tree.n
     if not (1 <= m <= 2 * n - 2):
         raise MOutOfRange(f"m={m} not in 1..{2 * n - 2}")
     if m >= n - 1:
-        return Cut.from_black(tree, set(tree.vertices()) - {v})
+        return frozenset(tree.vertices()) - {v}
 
     order, parent = bfs_tree(tree.adj, v)
     size = [1] * (n + 1)
@@ -114,20 +128,7 @@ def _approximate_cut(tree: Graph, v: int, m: int) -> Cut:
                 stack.extend(ww for ww in tree.adj[u] if parent[ww] == u)
     if not (m <= 2 * len(black) and len(black) <= m):
         raise InvariantViolation("approximate cut missed its size window")
-    return Cut.from_black(tree, black)
-
-
-def exact_cut_bounded(forest: Graph, m: int) -> Cut:
-    """Minimum-width cut with |B| = m in a forest.
-
-    The exact optimum automatically satisfies the (8/diam*)Δ guarantee
-    and its polylog refinement, since cuts within those bounds exist.
-    """
-    require_forest(forest, "exact_cut_bounded")
-    if not (1 <= m <= forest.n):
-        raise MOutOfRange(f"m={m} not in 1..{forest.n}")
-    cut, _ = oracle.dp_min_size_cut_tree(forest, m)
-    return cut
+    return frozenset(black)
 
 
 def _deg2_cut(g: Graph, comps: list[TreeSummary], m: int) -> tuple[Cut, DiamCutTrace]:
@@ -148,12 +149,11 @@ def _deg2_cut(g: Graph, comps: list[TreeSummary], m: int) -> tuple[Cut, DiamCutT
     return cut, DiamCutTrace(case_tag="Deg2", m=m)
 
 
-def _subtree_cut(tree: Graph, members: frozenset, z: int, m_tilde: int) -> Cut:
-    """Approximate m̃-cut inside T_z keeping z white, in original vertex ids."""
+def _subtree_cut(tree: Graph, members: frozenset, z: int, m_tilde: int) -> frozenset:
+    """Black set of an approximate m̃-cut inside T_z keeping z white, in original ids."""
     sub, old_of = induced_subgraph(tree, sorted(members))
-    new_of = {old: i + 1 for i, old in enumerate(old_of)}
-    local = _approximate_cut(sub, new_of[z], m_tilde)
-    return Cut.from_black(tree, {old_of[u - 1] for u in local.black})
+    local = _approximate_cut(sub, old_of.index(z) + 1, m_tilde)
+    return frozenset(old_of[u - 1] for u in local)
 
 
 def diameter_preserving_cut(
@@ -192,9 +192,8 @@ def diameter_preserving_cut(
     v = find_anchor(lab, m)
     m_vertices = frozenset(labels_interval(lab, v, m))
     v_on = lab.on_path[v]
-    vm_label = cyclic(v + m, n)
-    vm_on = lab.on_path[vm_label]
-    vm_vertex = lab.vertex_of[vm_label]
+    vm_on = lab.on_path[cyclic(v + m, n)]
+    vm_vertex = lab.vertex(v + m)
 
     if v_on and vm_on:
         cut = Cut.from_black(forest, m_vertices)
@@ -212,20 +211,20 @@ def diameter_preserving_cut(
         members = dec.subtree_members[z]
         t_z_prime = members - {z}
         m_tilde = 2 * len(t_z_prime & m_vertices)
-        cut_z = _subtree_cut(tree, members, z, m_tilde)
-        v_tilde = (m_vertices - t_z_prime) | cut_z.black
+        b_z = _subtree_cut(tree, members, z, m_tilde)
+        v_tilde = (m_vertices - t_z_prime) | b_z
         case = "Case2b"
     else:
-        z = dec.subtree_of[lab.vertex_of[v]]
+        z = dec.subtree_of[lab.vertex(v)]
         members = dec.subtree_members[z]
         t_z_prime = members - {z}
         m_tilde = 2 * len(t_z_prime & m_vertices)
-        cut_z = _subtree_cut(tree, members, z, m_tilde)
+        b_z = _subtree_cut(tree, members, z, m_tilde)
         if z == vm_vertex:
-            v_tilde = frozenset(cut_z.black)
+            v_tilde = b_z
             case = "Case3a"
         else:
-            v_tilde = (m_vertices - (t_z_prime | {z})) | cut_z.black | {vm_vertex}
+            v_tilde = (m_vertices - (t_z_prime | {z})) | b_z | {vm_vertex}
             case = "Case3b"
 
     if not (m <= len(v_tilde) <= 2 * m) or z in v_tilde:
@@ -245,8 +244,8 @@ def diameter_preserving_cut(
         m_set=m_vertices,
         z=z,
         m_tilde=m_tilde,
-        b_z=cut_z.black,
-        w_z=frozenset(members - cut_z.black),
+        b_z=b_z,
+        w_z=members - b_z,
         v_tilde=v_tilde,
         inner_width=inner_width,
         outer_width=outer,

@@ -164,6 +164,15 @@ def relabel_clusters(td: TreeDecomposition, new_of: dict) -> TreeDecomposition:
     return _with_bags(td, (frozenset(new_of[v] for v in b) for b in td.bags))
 
 
+def induced_local(td: TreeDecomposition, vertices: Sequence[int]) -> TreeDecomposition:
+    """``induced`` on ``vertices``, renamed to 1..len(vertices) in their order.
+
+    For a sorted list, a decomposition of the subgraph that
+    ``graph.induced_subgraph`` builds from it.
+    """
+    return relabel_clusters(induced(td, vertices), {v: i + 1 for i, v in enumerate(vertices)})
+
+
 def make_nonredundant(td: TreeDecomposition) -> TreeDecomposition:
     """Contract tree edges whose endpoint clusters nest.
 

@@ -11,16 +11,19 @@ from ksec.engine import (
 )
 from ksec.errors import (
     InvariantViolation,
+    KsecError,
     NotAForest,
     NotAPartition,
     NotATree,
     NotATreeDecomposition,
+    PathNotInTree,
+    SizesDontSum,
 )
 from ksec.graph import Graph, forest_summary, link_components, longest_path, relative_diameter
 from ksec.labeling import decompose_along_path
 from ksec.oracle import dp_min_size_cut_td, dp_min_size_cut_tree
 from ksec.tdcut import approximate_cut_td, r_preserving_cut
-from ksec.treecut import approximate_cut, diameter_preserving_cut, exact_cut_bounded
+from ksec.treecut import approximate_cut, diameter_preserving_cut
 from ksec.treedec import (
     TreeDecomposition,
     heaviest_path,
@@ -45,7 +48,6 @@ FOREST_ENTRY_POINTS = {
     "relative_diameter": relative_diameter,
     "link_components": link_components,
     "diameter_preserving_cut": lambda g: diameter_preserving_cut(g, 2),
-    "exact_cut_bounded": lambda g: exact_cut_bounded(g, 2),
     "cut_prescribed_sizes": lambda g: cut_prescribed_sizes(g, [2, 4]),
     "dp_min_size_cut_tree": lambda g: dp_min_size_cut_tree(g, 2),
     "recursive_bisection_baseline": lambda g: recursive_bisection_baseline(g, 2),
@@ -71,6 +73,30 @@ def test_tree_entry_points_reject_the_empty_graph(name):
 def test_forest_entry_points_reject_cycles(name):
     with pytest.raises(NotAForest, match=r"\(3,4\) closes a cycle"):
         FOREST_ENTRY_POINTS[name](CYCLE)
+
+
+@pytest.mark.parametrize("v", [0, 7, 99, 2.5, "a"])
+def test_approximate_cut_names_a_vertex_out_of_range(v):
+    named = rf"approximate_cut: vertex {v!r} out of vertex range 1\.\.6"
+    with pytest.raises(KsecError, match=named) as exc:
+        approximate_cut(path(6), v, 2)
+    assert not isinstance(exc.value, InvariantViolation)
+
+
+def test_decompose_along_path_names_a_path_vertex_out_of_range():
+    with pytest.raises(PathNotInTree, match=r"path vertex 99 out of vertex range 1\.\.6"):
+        decompose_along_path(path(6), [99])
+    with pytest.raises(PathNotInTree, match="path vertex 0"):
+        decompose_along_path(path(6), [1, 0])
+    with pytest.raises(PathNotInTree, match="path vertex 2.5"):
+        decompose_along_path(path(6), [2.5])
+
+
+def test_cut_prescribed_sizes_rejects_a_size_that_is_not_an_integer():
+    with pytest.raises(SizesDontSum, match="positive integers"):
+        cut_prescribed_sizes(path(6), ["a", 3])
+    with pytest.raises(SizesDontSum, match="positive integers"):
+        cut_prescribed_sizes(path(6), [3, 0, 3])
 
 
 # decompositions of the path 1-2-3-4, each breaking one condition

@@ -2,16 +2,21 @@
 
 Each case hashes the parts, the width, ``BoundReport.to_dict()`` and every
 per-cut trace dict (case tags, anchors, intermediate sets) of one seeded
-instance.  A refactor that claims to keep behaviour must keep these hashes;
-a change that alters output on purpose must update them and say why.
+instance.  The CLI cases hash the bytes that ``ksec tree --json``, ``ksec td
+--json`` and ``ksec labeling --json`` write for an instance from ``ksec gen``.
+A refactor that claims to keep behaviour must keep these hashes; a change
+that alters output on purpose must update them and say why.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
 
 import oracles
+from ksec.cli import main
 from ksec.engine import cut_prescribed_sizes, ksection_td_detailed, ksection_tree_detailed
 from ksec.instances import GeneratorSpec, Xorshift64Star, generate
 
@@ -94,3 +99,46 @@ EXPECTED = {
 def test_golden(name):
     fn, args = CASES[name]
     assert fn(*args) == EXPECTED[name]
+
+
+# name -> (``ksec gen`` arguments, command and its arguments); the instance
+# files are handed to the command as --input, or --graph and --td
+CLI_CASES = {
+    "tree-s61-n400-k4": (
+        ["random_tree_maxdeg", "--seed", "61", "--n", "400", "--max-degree", "5"],
+        ["tree", "-k", "4"],
+    ),
+    "tree-adversarial-h4-k3": (
+        ["adversarial_ternary_path", "--seed", "64", "--height", "4"],
+        ["tree", "-k", "3"],
+    ),
+    "td-s62-n150-k4": (
+        ["random_partial_ktree", "--seed", "62", "--n", "150", "--t", "3"],
+        ["td", "-k", "4"],
+    ),
+    "labeling-s63-n120": (
+        ["random_tree_maxdeg", "--seed", "63", "--n", "120", "--max-degree", "4"],
+        ["labeling"],
+    ),
+}
+
+CLI_EXPECTED = {
+    "labeling-s63-n120": "f3fff65f7c30c3424ab7baeb2be58a6c60cb2d2d072aadf85306610ff001e6d0",
+    "td-s62-n150-k4": "a5a9c9ece5426104faecb41752fd3bd8d4c6358cf2dc642d1b544a74cfe431c0",
+    "tree-adversarial-h4-k3": "6d37dcb1b7cc46072d0d1eaf634a50510345447f8194e699baa85dd8a87c389c",
+    "tree-s61-n400-k4": "746687047f5b5316c0849b9851a782a31564bfeef8790d0c4c3f6fd38c2d74fa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_golden(name, tmp_path):
+    gen, (cmd, *rest) = CLI_CASES[name]
+    inst, out = tmp_path / "inst", tmp_path / "out.json"
+    if cmd == "td":
+        files = ["--graph", f"{inst}.gr", "--td", f"{inst}.td"]
+    else:
+        files = ["--input", f"{inst}.gr"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", *gen, "--out", str(inst)]) == 0
+        assert main([cmd, *files, *rest, "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_EXPECTED[name]

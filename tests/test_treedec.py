@@ -15,10 +15,10 @@ from ksec.treedec import (
     edge_home,
     heaviest_path,
     induced,
+    induced_local,
     make_nonredundant,
     occurrences,
     parse_td,
-    relabel_clusters,
     remove_cluster_parts,
     tree_to_width1_td,
     validate,
@@ -195,8 +195,8 @@ def test_derived_decompositions_stay_valid(seed, n, t):
     """What the peel loop derives from a checked decomposition is valid without a check.
 
     A remainder's decomposition is the input's induced on the kept
-    vertices and renamed onto ``induced_subgraph``'s ids; the cuts then
-    normalize it.
+    vertices and renamed onto ``induced_subgraph``'s ids (``induced_local``);
+    the cuts then normalize it.
     """
     rng = Xorshift64Star(seed)
     g, td = random_partial_ktree(n, t, rng)
@@ -204,7 +204,7 @@ def test_derived_decompositions_stay_valid(seed, n, t):
     keep = sorted(rng.sample(list(range(1, n + 1)), rng.randint(1, n)))
     sub, old_of = induced_subgraph(g, keep)
     assert old_of == keep
-    sub_td = relabel_clusters(induced(td, keep), {old: i + 1 for i, old in enumerate(keep)})
+    sub_td = induced_local(td, keep)
     assert validate(sub_td, sub)
     assert validate(make_nonredundant(sub_td), sub)
 
