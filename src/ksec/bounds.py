@@ -113,10 +113,6 @@ def td_cut_bound_holds(width: int, r: Fraction, t: int, delta: int) -> bool:
     return log_poly_holds(width, Fraction(t * delta, 2), 1 / r, 11, 24)
 
 
-def td_cut_bound(r: Fraction, t: int, delta: int) -> float:
-    return log_poly_value(Fraction(t * delta, 2), 1 / r, 11, 24)
-
-
 def ksection_td_bound_holds(width: int, k: int, r: Fraction, t: int, delta: int) -> bool:
     """width <= (1/2)(k-1) t Δ (log2(1/r)^2 + 11 log2(1/r) + 24), certified."""
     return log_poly_holds(width, Fraction((k - 1) * t * delta, 2), 1 / r, 11, 24)

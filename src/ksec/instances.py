@@ -178,33 +178,6 @@ def random_tree_maxdeg(n: int, cap: int, rng: Xorshift64Star) -> Graph:
 _PARTIAL_KEEP = (4, 5)
 
 
-def random_tree_prufer(n: int, rng: Xorshift64Star) -> Graph:
-    """Uniform labeled tree via a random Prüfer sequence (no degree cap)."""
-    if n < 1:
-        raise BadParameters("prufer tree needs n >= 1")
-    if n <= 2:
-        return path_graph(n)
-    seq = [rng.randint(1, n) for _ in range(n - 2)]
-    degree = [1] * (n + 1)
-    for x in seq:
-        degree[x] += 1
-    import heapq
-
-    leaves = [v for v in range(1, n + 1) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return Graph(n, edges)
-
-
 def random_partial_ktree(
     n: int, t: int, rng: Xorshift64Star
 ) -> tuple[Graph, TreeDecomposition]:

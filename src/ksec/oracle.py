@@ -1,24 +1,23 @@
 """Ground-truth computations: exact size-constrained cuts and minimum k-sections.
 
-The tree DP follows the classic knapsack-over-subtrees scheme; the
-decomposition DP keeps one table per node mapping (cluster coloring,
-black count) to the minimum number of cut edges.  Both reconstruct an
-optimal black set deterministically (ascending scans everywhere) and
-respect a hard memory guard (KSEC_MAX_MEM_MB).
+The exact-size cut is one min-plus DP over a rooted tree, run over the
+vertices of a forest (``dp_min_size_cut_tree``) or over the nodes of a
+tree decomposition (``dp_min_size_cut_td``).  A node's table is one 2-D
+array with a row per state (the color of the vertex, or a coloring of
+the cluster) and a column per black count; merging a child is one call
+of the row-wise min-plus kernel ``_minplus`` over all rows.
+Decomposition tables are padded with INF to their widest row.
 
-In both DPs a table is one 2-D array with a row per coloring (of the
-vertex, or of the cluster) and a column per black count, and merging a
-child is one call of the row-wise min-plus kernel ``_minplus`` over all
-rows.  Decomposition tables are padded with INF to their widest row,
-and the memory guard counts them at their allocated bytes.
-
-The tree DP runs once: it keeps every vertex's table and, where they
-take at most KEEP_RATIO times that table, its per-child accumulations,
-and rebuilds the cut from them; only the accumulations of vertices with
-many children are recomputed while tracing.  The decomposition DP runs
-once as well: it keeps each child's table reduced to the coloring of
-the cluster it shares with its parent, and the trace reads those
-reductions.  The memory guard counts every kept array.
+Both DPs share one engine, ``_Tables``: it fills the tables once, keeps
+each node's table and, where they take at most KEEP_RATIO times that
+table, its per-child accumulations, and rebuilds an optimal black set
+from them deterministically (ascending scans everywhere), recomputing
+only the followed row of a node whose accumulations were dropped.  The
+decomposition DP also keeps each child's table reduced to the coloring
+of the cluster it shares with its parent.  One hard memory guard
+(KSEC_MAX_MEM_MB) counts every kept array at its allocated bytes; it
+drops accumulations first and trips only when the tables and
+reductions alone exceed it.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ def _minplus(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
     return out
 
 
-# --- Trees ------------------------------------------------------------------
+# --- The exact-cut DP engine ------------------------------------------------
 
 def _split(prev: np.ndarray, part: np.ndarray, c: int, target: int) -> int | None:
     """Smallest cu with prev[c - cu] + part[cu] == target, or None.
@@ -87,67 +86,126 @@ def _split(prev: np.ndarray, part: np.ndarray, c: int, target: int) -> int | Non
     return lo + int(hits[0]) if len(hits) else None
 
 
-KEEP_RATIO = 4  # a vertex keeps accumulations of at most this many times its table
+KEEP_RATIO = 4  # a node keeps accumulations of at most this many times its table
 
 
 class _Kept:
-    """What the tree DP keeps for one forest, under the memory guard.
+    """What one exact-cut DP keeps, under the memory guard.
 
-    Every vertex's table stays.  Its intermediate accumulations (all but
-    the last, which is the table) stay as well when they take at most
-    KEEP_RATIO times the table's bytes and fit under the guard; a vertex
-    with many children, whose accumulations grow with its degree times
-    its table, recomputes them when traced instead.  When a table does not
-    fit, the intermediates are dropped first, so the guard trips only when
-    the tables of the whole forest exceed it.
+    Every node's table stays, and so does every array counted by ``need``
+    (the decomposition DP's reductions).  A node's intermediate
+    accumulations (all but the last, which is its table) stay as well when
+    they take at most KEEP_RATIO times the table's bytes and fit under the
+    guard; a node with many children, whose accumulations grow with its
+    degree times its table, recomputes the followed row when traced
+    instead.  When an array that must stay does not fit, the
+    accumulations are dropped first, so the guard trips only when the
+    arrays that must stay exceed it.
     """
 
     def __init__(self, limit: int):
         self.limit = limit
         self.table: dict[int, np.ndarray] = {}
-        self.accs: dict[int, list[np.ndarray]] = {}  # the last one is the vertex's table
-        self.table_bytes = 0
+        self.accs: dict[int, list[np.ndarray]] = {}  # the last one is the node's table
+        self.need_bytes = 0
         self.inner_bytes = 0
 
-    def add(self, v: int, accs: list[np.ndarray]) -> None:
-        table = accs[-1]
-        self.table[v] = table
-        self.table_bytes += table.nbytes
-        if self.table_bytes + self.inner_bytes > self.limit:
+    def need(self, nbytes: int) -> None:
+        """Count ``nbytes`` of arrays that must stay until the trace ends."""
+        self.need_bytes += nbytes
+        if self.need_bytes + self.inner_bytes > self.limit:
             self.accs.clear()
             self.inner_bytes = 0
-            if self.table_bytes > self.limit:
+            if self.need_bytes > self.limit:
                 raise ResourceLimit(
-                    f"tree DP tables exceed memory guard ({self.table_bytes >> 20} MB); "
+                    f"exact-cut DP tables exceed memory guard ({self.need_bytes >> 20} MB); "
                     "raise KSEC_MAX_MEM_MB"
                 )
+
+    def add(self, i: int, accs: list[np.ndarray]) -> None:
+        table = accs[-1]
+        self.table[i] = table
+        self.need(table.nbytes)
         inner = sum(a.nbytes for a in accs[:-1])
         if (
             inner <= KEEP_RATIO * table.nbytes
-            and self.table_bytes + self.inner_bytes + inner <= self.limit
+            and self.need_bytes + self.inner_bytes + inner <= self.limit
         ):
-            self.accs[v] = accs
+            self.accs[i] = accs
             self.inner_bytes += inner
 
+
+class _Tables:
+    """One exact-cut DP: a table per node of a rooted tree, filled bottom-up.
+
+    A table has one row per state of its node and one column per black
+    count up to ``cap``, INF where a state cannot reach the count.
+    ``run`` fills ``kept``; ``trace`` follows one state down from the
+    root, reading the kept accumulations and recomputing only the followed
+    row where ``kept`` dropped them.  A subclass gives the node's own rows
+    (``own``), a child's rows for each state of the node (``child_rows``),
+    the child state a split came from (``child_state``) and the vertex
+    colors of a state (``paint``).  ``rows`` is a slice of states, or None
+    for all of them; given one state, ``child_rows`` returns one row.
+    """
+
+    cap: int
+    kept: _Kept
+    order: list[int]  # BFS order from the root
+    children: dict[int, list[int]]
+
+    def accumulate(self, i: int, rows: slice | None = None) -> list[np.ndarray]:
+        """Node i's own rows, then one min-plus merge per child; the last is its table."""
+        accs = [self.own(i, rows)]
+        for j in self.children[i]:
+            accs.append(_minplus(accs[-1], self.child_rows(i, j, rows), self.cap))
+        return accs
+
+    def run(self) -> np.ndarray:
+        """Fill the tables; returns the root's."""
+        for i in reversed(self.order):
+            self.kept.add(i, self.accumulate(i))
+        return self.kept.table[self.order[0]]
+
+    def trace(self, state: int, count: int, color: dict[int, int]) -> None:
+        """Color every vertex, following the root's ``state`` with ``count`` black vertices."""
+        stack = [(self.order[0], state, count)]
+        while stack:
+            i, s, c = stack.pop()
+            self.paint(i, s, color)
+            accs, r = self.kept.accs.get(i), s
+            if accs is None:
+                accs, r = self.accumulate(i, slice(s, s + 1)), 0
+            children = self.children[i]
+            for idx in range(len(children) - 1, -1, -1):
+                j = children[idx]
+                part = self.child_rows(i, j, s)
+                cj = _split(accs[idx][r], part, c, int(accs[idx + 1][r, c]))
+                if cj is None:
+                    raise InvariantViolation("exact-cut DP trace failed to split a count")
+                stack.append((j, *self.child_state(i, j, s, part, cj)))
+                c -= cj
+            if c != s.bit_count():
+                raise InvariantViolation("exact-cut DP trace ended on a bad count")
+
+
+# --- Trees ------------------------------------------------------------------
 
 def _best(du: np.ndarray) -> np.ndarray:
     """Row s: best of child table ``du`` under a parent of color s, paying 1 when colors differ."""
     return np.minimum(du, du[::-1] + 1)
 
 
-class _TreeTables:
+class _TreeTables(_Tables):
     """Per-vertex DP tables for one component, rooted at its smallest id.
 
-    A table has one row per color of its vertex.  ``run`` fills ``kept``,
-    shared by all components of the forest, and ``trace`` rebuilds the cut
-    from it, recomputing only the accumulations ``kept`` dropped.  Every
-    leaf shares one read-only table.  ``parent`` is BFS scratch shared by
-    all components.
+    A vertex's state is its color.  Every leaf shares one read-only table.
+    ``kept`` is shared by all components of the forest, and ``parent`` is
+    BFS scratch shared by them as well.
     """
 
     def __init__(self, g: Graph, root: int, parent: list[int], cap: int, kept: _Kept):
         self.cap = cap
-        self.root = root
         self.kept = kept
         self.order, _ = bfs_tree(g.adj, root, parent)
         self.children = {v: [w for w in g.adj[v] if parent[w] == v] for v in self.order}
@@ -158,46 +216,19 @@ class _TreeTables:
         self.leaf_best = _best(self.leaf)
         self.leaf.flags.writeable = self.leaf_best.flags.writeable = False
 
-    def best(self, du: np.ndarray) -> np.ndarray:
-        return self.leaf_best if du is self.leaf else _best(du)
+    def own(self, v: int, rows: slice | None) -> np.ndarray:
+        return self.leaf if rows is None else self.leaf[rows]
 
-    def accumulate(self, v: int) -> list[np.ndarray]:
-        accs = [self.leaf]
-        for u in self.children[v]:
-            accs.append(_minplus(accs[-1], self.best(self.kept.table[u]), self.cap))
-        return accs
+    def child_rows(self, v: int, u: int, rows: int | slice | None) -> np.ndarray:
+        du = self.kept.table[u]
+        best = self.leaf_best if du is self.leaf else _best(du)
+        return best if rows is None else best[rows]
 
-    def run(self) -> np.ndarray:
-        """Fill the tables; returns the component's row, best over the root's colors."""
-        for v in reversed(self.order):
-            self.kept.add(v, self.accumulate(v))
-        root_t = self.kept.table[self.root]
-        return np.minimum(root_t[:1], root_t[1:])
+    def child_state(self, v: int, u: int, s: int, part: np.ndarray, cu: int) -> tuple[int, int]:
+        return (s if self.kept.table[u][s, cu] == part[cu] else 1 - s), cu
 
-    def trace(self, count: int, color: dict[int, int]) -> None:
-        """Assign colors for the whole component given the root's black count."""
-        root_t = self.kept.table[self.root]
-        if count < root_t.shape[1] and root_t[0][count] <= root_t[1][count]:
-            state = (self.root, 0, count)
-        else:
-            state = (self.root, 1, count)
-        stack = [state]
-        while stack:
-            v, s, c = stack.pop()
-            color[v] = s
-            accs = self.kept.accs.get(v) or self.accumulate(v)
-            children = self.children[v]
-            for idx in range(len(children) - 1, -1, -1):
-                du = self.kept.table[children[idx]]
-                best = self.best(du)[s]
-                cu = _split(accs[idx][s], best, c, int(accs[idx + 1][s][c]))
-                if cu is None:
-                    raise InvariantViolation("tree DP trace failed to split a count")
-                su = s if du[s][cu] == best[cu] else 1 - s
-                stack.append((children[idx], su, cu))
-                c -= cu
-            if c != (1 if s else 0):
-                raise InvariantViolation("tree DP trace ended on a bad count")
+    def paint(self, v: int, s: int, color: dict[int, int]) -> None:
+        color[v] = s
 
 
 def dp_min_size_cut_tree(
@@ -205,8 +236,8 @@ def dp_min_size_cut_tree(
 ) -> tuple[Cut, int]:
     """Exact minimum-width cut with |B| = m in a forest; O(n*m) time."""
     n = forest.n
-    if not (0 <= m <= n):
-        raise MOutOfRange(f"m={m} not in 0..{n}")
+    if not isinstance(m, int) or not (0 <= m <= n):
+        raise MOutOfRange(f"m={m!r} not in 0..{n}")
     comps = require_forest(forest, "dp_min_size_cut_tree")
     mem_limit = _mem_limit_bytes(mem_limit_mb)
 
@@ -216,7 +247,8 @@ def dp_min_size_cut_tree(
         _TreeTables(forest, comp.order[0], parent, min(m, len(comp.order)), kept)
         for comp in comps
     ]
-    dps = [t.run() for t in tables]
+    roots = [t.run() for t in tables]
+    dps = [np.minimum(r[:1], r[1:]) for r in roots]  # best over the root's colors
 
     # knapsack across components
     accs = [np.zeros((1, 1), dtype=np.int32)]
@@ -233,7 +265,8 @@ def dp_min_size_cut_tree(
         cu = _split(accs[idx][0], dps[idx][0], c, int(accs[idx + 1][0][c]))
         if cu is None:
             raise InvariantViolation("component knapsack trace failed")
-        tables[idx].trace(cu, color)
+        root = roots[idx]  # its color: white unless black is strictly better
+        tables[idx].trace(0 if root[0, cu] <= root[1, cu] else 1, cu, color)
         c -= cu
     black = {v for v, s in color.items() if s == 1}
     cut = Cut.from_black(forest, black)
@@ -257,22 +290,19 @@ def _pack(b: int, positions: list[int]) -> np.ndarray:
     return _bits(b)[:, positions] @ (1 << np.arange(len(positions)))
 
 
-class _TDTables:
+class _TDTables(_Tables):
     """Per-node DP tables over the decomposition, rooted at node 1.
 
-    A node's table has one row per coloring of its cluster (bit p of the
-    row's mask colors the p-th smallest cluster vertex) and one column per
-    black count, INF where a coloring cannot reach the count.  ``run``
-    fills the tables, merging each child in one min-plus call over all
-    colorings, and keeps each child's ``reduce_child`` result beside them;
-    ``trace`` follows one root state down through the kept reductions,
-    building the base row only for the coloring it follows.  The memory
-    guard counts tables and reductions alike, at their allocated bytes.
+    A node's state is a coloring of its cluster: bit p of the row's mask
+    colors the p-th smallest cluster vertex.  A child's rows come from its
+    table reduced to the coloring of the vertices it shares with its
+    parent; ``red`` keeps each reduction, which the memory guard counts
+    as arrays that must stay.
     """
 
-    def __init__(self, g: Graph, td: TreeDecomposition, cap: int, mem_limit: int):
+    def __init__(self, g: Graph, td: TreeDecomposition, cap: int, kept: _Kept):
         self.cap = cap
-        self.mem_limit = mem_limit
+        self.kept = kept
         self.order, self.parent = bfs_tree(td.tree_adj, 1)
         self.children = {
             i: [w for w in td.tree_adj[i] if self.parent[w] == i] for i in td.nodes()
@@ -287,14 +317,12 @@ class _TDTables:
             if home is None:
                 raise InvariantViolation(f"edge ({u},{v}) not covered by any cluster (T2 fails)")
             self.cost_edges[home].append((u, v))
-        self.table: dict[int, np.ndarray] = {}
-        self.red: dict[int, tuple[int, dict[int, np.ndarray]]] = {}
-        self.used_bytes = 0
+        self.red: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def base(self, i: int, rows: slice) -> np.ndarray:
-        """Node i's own table for the colorings ``rows`` of its cluster."""
+    def own(self, i: int, rows: slice | None) -> np.ndarray:
+        """Node i's base rows: the cut edges charged to it, at the cluster's own black count."""
         pos = self.pos[i]
-        bits = _bits(len(pos))[rows]
+        bits = _bits(len(pos)) if rows is None else _bits(len(pos))[rows]
         blacks = bits.sum(axis=1)
         cost = np.zeros(len(bits), dtype=np.int32)
         for u, v in self.cost_edges[i]:
@@ -304,94 +332,54 @@ class _TDTables:
         t[fit, blacks[fit]] = cost[fit]
         return t
 
-    def reduce_child(self, i: int, j: int) -> tuple[int, dict[int, np.ndarray], np.ndarray]:
+    def _shared(self, i: int, j: int) -> tuple[list[int], list[int]]:
+        """Positions in bag(j) and in bag(i) of the vertices the two clusters share."""
+        shared = [v for v in self.bag_list[j] if v in self.pos[i]]
+        return [self.pos[j][v] for v in shared], [self.pos[i][v] for v in shared]
+
+    def reduce_child(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Group the child table by the coloring of the shared vertices.
 
-        Returns the mask of the shared positions in bag(i), the reduction
-        and its rows gathered for every coloring of bag(i).  Keys of the
-        reduction are masks over bag(i) positions restricted to shared
-        vertices (each occurs); red[key][0, c] = best child entry with c
-        black vertices counted below j but outside the shared set.
+        Returns the reduction, whose row key (the shared vertices' colors
+        packed in bag(j) order) holds at column c the best child entry with
+        c black vertices counted below j but outside the shared set, and
+        for each coloring of bag(i) the key of its row.
         """
-        shared = [v for v in self.bag_list[j] if v in self.pos[i]]
-        at_i = [self.pos[i][v] for v in shared]
-        tab = self.table[j]
+        at_j, at_i = self._shared(i, j)
+        tab = self.kept.table[j]
         width = tab.shape[1]
         # keys packed to 0..2^|shared| - 1; once sorted, each key's rows form one block
-        keys = _pack(len(self.bag_list[j]), [self.pos[j][v] for v in shared])
-        grouped = tab[np.argsort(keys, kind="stable")].reshape(1 << len(shared), -1, width)
-        padded = np.full((len(grouped), width + len(shared)), INF, dtype=np.int32)
+        keys = _pack(len(self.bag_list[j]), at_j)
+        grouped = tab[np.argsort(keys, kind="stable")].reshape(1 << len(at_j), -1, width)
+        padded = np.full((len(grouped), width + len(at_j)), INF, dtype=np.int32)
         padded[:, :width] = grouped.min(axis=1)
         # shift each key's row left by its number of shared black vertices
-        shift = _bits(len(shared)).sum(axis=1)
+        shift = _bits(len(at_j)).sum(axis=1)
         mat = padded[np.arange(len(padded))[:, None], np.arange(width) + shift[:, None]]
-        key_of = _bits(len(shared)) @ (1 << np.array(at_i, dtype=np.int64))
-        red = dict(zip(key_of.tolist(), mat[:, None]))
-        shared_mask = sum(1 << p for p in at_i)
-        return shared_mask, red, mat[_pack(len(self.bag_list[i]), at_i)]
+        return mat, _pack(len(self.bag_list[i]), at_i)
 
-    def _keep(self, arrays) -> None:
-        self.used_bytes += sum(a.nbytes for a in arrays)
-        if self.used_bytes > self.mem_limit:
-            raise ResourceLimit(
-                f"decomposition DP tables exceed memory guard "
-                f"({self.used_bytes >> 20} MB); raise KSEC_MAX_MEM_MB"
-            )
+    def child_rows(self, i: int, j: int, rows: int | slice | None) -> np.ndarray:
+        if j not in self.red:
+            self.red[j] = self.reduce_child(i, j)
+            self.kept.need(sum(a.nbytes for a in self.red[j]))
+        mat, gather = self.red[j]
+        return mat[gather if rows is None else gather[rows]]
 
-    def run(self) -> np.ndarray:
-        for i in reversed(self.order):
-            tab = self.base(i, slice(None))
-            for j in self.children[i]:
-                shared_mask, red, rows = self.reduce_child(i, j)
-                self.red[j] = (shared_mask, red)
-                self._keep(red.values())
-                tab = _minplus(tab, rows, self.cap)
-            self.table[i] = tab
-            self._keep([tab])
-        return self.table[self.order[0]]
+    def child_state(self, i: int, j: int, s: int, part: np.ndarray, ct: int) -> tuple[int, int]:
+        """Smallest coloring of bag(j) agreeing with s on the shared vertices that gave part[ct]."""
+        key = int(self.red[j][1][s])
+        c = ct + key.bit_count()
+        tab = self.kept.table[j]
+        if c < tab.shape[1]:
+            keys = _pack(len(self.bag_list[j]), self._shared(i, j)[0])
+            hits = np.flatnonzero((keys == key) & (tab[:, c] == part[ct]))
+            if len(hits):
+                return int(hits[0]), c
+        raise InvariantViolation("exact-cut DP trace failed on a cluster coloring")
 
-    def trace(self, mask0: int, count: int) -> dict[int, int]:
-        color: dict[int, int] = {}
-        stack = [(self.order[0], mask0, count)]
-        while stack:
-            i, mask, c = stack.pop()
-            for v, p in self.pos[i].items():
-                color[v] = (mask >> p) & 1
-            # the accumulation sequence of node i under this coloring
-            accs = [self.base(i, slice(mask, mask + 1))]
-            steps = []
-            for j in self.children[i]:
-                shared_mask, red = self.red[j]
-                key = mask & shared_mask
-                steps.append((j, key, red[key]))
-                accs.append(_minplus(accs[-1], red[key], self.cap))
-            for idx in range(len(steps) - 1, -1, -1):
-                j, key, row = steps[idx]
-                ct = _split(accs[idx][0], row[0], c, int(accs[idx + 1][0, c]))
-                if ct is None:
-                    raise InvariantViolation("decomposition DP trace failed on a count")
-                stack.append((j, *self._find_child_state(i, j, key, int(row[0, ct]), ct)))
-                c -= ct
-            blacks = bin(mask).count("1")
-            if c != blacks:
-                raise InvariantViolation("decomposition DP trace ended on a bad count")
-        return color
-
-    def _find_child_state(self, i: int, j: int, key: int, want: int, ct: int) -> tuple[int, int]:
-        shared = [v for v in self.bag_list[j] if v in self.pos[i]]
-        for mask_j, t in enumerate(self.table[j]):
-            k = 0
-            s_count = 0
-            for v in shared:
-                if (mask_j >> self.pos[j][v]) & 1:
-                    k |= 1 << self.pos[i][v]
-                    s_count += 1
-            if k != key:
-                continue
-            c_j = ct + s_count
-            if c_j < len(t) and int(t[c_j]) == want:
-                return mask_j, c_j
-        raise InvariantViolation("decomposition DP trace failed on a cluster coloring")
+    def paint(self, i: int, s: int, color: dict[int, int]) -> None:
+        for v, p in self.pos[i].items():
+            color[v] = (s >> p) & 1
 
 
 def dp_min_size_cut_td(
@@ -408,13 +396,13 @@ def dp_min_size_cut_td(
     (``NotATreeDecomposition`` with a witness).
     """
     n = g.n
-    if not (0 <= m <= n):
-        raise MOutOfRange(f"m={m} not in 0..{n}")
+    if not isinstance(m, int) or not (0 <= m <= n):
+        raise MOutOfRange(f"m={m!r} not in 0..{n}")
     if td.width > max_width:
         raise WidthTooLarge(f"decomposition width {td.width} exceeds limit {max_width}")
     require_decomposition(td, g, "dp_min_size_cut_td")
 
-    tables = _TDTables(g, td, m, _mem_limit_bytes(mem_limit_mb))
+    tables = _TDTables(g, td, m, _Kept(_mem_limit_bytes(mem_limit_mb)))
     root_tabs = tables.run()
     best_mask, best = None, INF
     for mask, t in enumerate(root_tabs):
@@ -422,7 +410,8 @@ def dp_min_size_cut_td(
             best_mask, best = mask, int(t[m])
     if best_mask is None or best >= INF:
         raise InvariantViolation("no cut of the requested size exists")
-    color = tables.trace(best_mask, m)
+    color: dict[int, int] = {}
+    tables.trace(best_mask, m, color)
     black = {v for v, s in color.items() if s == 1}
     cut = Cut.from_black(g, black)
     if len(cut.black) != m or cut.width != best:

@@ -140,8 +140,8 @@ def approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
 def _approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> frozenset:
     """Black set of ``approximate_cut_td``."""
     n = g.n
-    if not (1 <= m <= 2 * n):
-        raise MOutOfRange(f"m={m} not in 1..{2 * n}")
+    if not isinstance(m, int) or not (1 <= m <= 2 * n):
+        raise MOutOfRange(f"m={m!r} not in 1..{2 * n}")
     if m >= n:
         return frozenset(g.vertices())
 
@@ -231,8 +231,8 @@ def r_preserving_cut(
     refuses widths above its default limit (``WidthTooLarge``).
     """
     n = g.n
-    if not (1 <= m <= n - 1):
-        raise MOutOfRange(f"m={m} not in 1..{n - 1}")
+    if not isinstance(m, int) or not (1 <= m <= n - 1):
+        raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
     if summary is None:
         require_decomposition(td, g, "r_preserving_cut")
         summary = td_summary(td, n)

@@ -89,8 +89,8 @@ def approximate_cut(tree: Graph, v: int, m: int) -> Cut:
 def _approximate_cut(tree: Graph, v: int, m: int) -> frozenset:
     """Black set of ``approximate_cut``."""
     n = tree.n
-    if not (1 <= m <= 2 * n - 2):
-        raise MOutOfRange(f"m={m} not in 1..{2 * n - 2}")
+    if not isinstance(m, int) or not (1 <= m <= 2 * n - 2):
+        raise MOutOfRange(f"m={m!r} not in 1..{2 * n - 2}")
     if m >= n - 1:
         return frozenset(tree.vertices()) - {v}
 
@@ -178,8 +178,8 @@ def diameter_preserving_cut(
             f"{sum(len(c.order) for c in comps)} vertices does not fit a forest "
             f"of {n} vertices and {len(forest.edges)} edges"
         )
-    if not (1 <= m <= n - 1):
-        raise MOutOfRange(f"m={m} not in 1..{n - 1}")
+    if not isinstance(m, int) or not (1 <= m <= n - 1):
+        raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
     delta = max_degree(forest)
     if delta <= 2:
         return _deg2_cut(forest, comps, m)

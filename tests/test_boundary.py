@@ -1,5 +1,7 @@
 """Input checks at the public entry points: each rejects bad input with a typed error."""
 
+import re
+
 import pytest
 
 from conftest import path
@@ -12,6 +14,7 @@ from ksec.engine import (
 from ksec.errors import (
     InvariantViolation,
     KsecError,
+    MOutOfRange,
     NotAForest,
     NotAPartition,
     NotATree,
@@ -81,6 +84,24 @@ def test_approximate_cut_names_a_vertex_out_of_range(v):
     with pytest.raises(KsecError, match=named) as exc:
         approximate_cut(path(6), v, 2)
     assert not isinstance(exc.value, InvariantViolation)
+
+
+# each cut entry point on path(6), called with the size m it is handed
+CUT_ENTRY_POINTS = {
+    "approximate_cut": lambda m: approximate_cut(path(6), 1, m),
+    "approximate_cut_td": lambda m: approximate_cut_td(path(6), tree_to_width1_td(path(6)), m),
+    "diameter_preserving_cut": lambda m: diameter_preserving_cut(path(6), m),
+    "dp_min_size_cut_td": lambda m: dp_min_size_cut_td(path(6), tree_to_width1_td(path(6)), m),
+    "dp_min_size_cut_tree": lambda m: dp_min_size_cut_tree(path(6), m),
+    "r_preserving_cut": lambda m: r_preserving_cut(path(6), tree_to_width1_td(path(6)), m),
+}
+
+
+@pytest.mark.parametrize("m", [2.5, "a"])
+@pytest.mark.parametrize("name", sorted(CUT_ENTRY_POINTS))
+def test_cut_entry_points_name_an_m_that_is_not_an_integer(name, m):
+    with pytest.raises(MOutOfRange, match=re.escape(f"m={m!r} not in")):
+        CUT_ENTRY_POINTS[name](m)
 
 
 def test_decompose_along_path_names_a_path_vertex_out_of_range():

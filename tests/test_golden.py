@@ -3,12 +3,15 @@
 Each case hashes the parts, the width, ``BoundReport.to_dict()`` and every
 per-cut trace dict (case tags, anchors, intermediate sets) of one seeded
 instance.  The CLI cases hash the bytes that ``ksec tree --json``, ``ksec td
---json`` and ``ksec labeling --json`` write for an instance from ``ksec gen``.
+--json`` and ``ksec labeling --json`` write for an instance from ``ksec gen``,
+and the CSV that each ``ksec bench`` suite writes with its ``seconds`` column
+blanked.
 A refactor that claims to keep behaviour must keep these hashes; a change
 that alters output on purpose must update them and say why.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -142,3 +145,34 @@ def test_cli_golden(name, tmp_path):
         assert main(["gen", *gen, "--out", str(inst)]) == 0
         assert main([cmd, *files, *rest, "--json", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CLI_EXPECTED[name]
+
+
+# name -> ``ksec bench`` arguments; the suites build their own seeded instances
+BENCH_CASES = {
+    "adversarial-h3..5-k4": ["adversarial", "--seed", "1", "--heights", "3..5", "-k", "4"],
+    "partial-ktrees-s72": ["partial-ktrees", "--seed", "72", "--count", "3", "--n", "40..120",
+                           "-k", "2,4"],
+    "random-trees-s71": ["random-trees", "--seed", "71", "--count", "5", "--n", "6..30",
+                         "-k", "2,3", "--oracle", "--oracle-limit", "10"],
+}
+
+BENCH_EXPECTED = {
+    "adversarial-h3..5-k4": "f418f97ef5d3fddf59c1093c6eb53e2154b4ef735f4c50d88840becbdff2af9d",
+    "partial-ktrees-s72": "b259d5c65b0d5d5290c6942d95edd762f041619ba89abb8d76e1b4b5767eb94b",
+    "random-trees-s71": "f6364cfe9a33f37fde91459efbd1d79ee88a4cc2f25eaf542a1570a7410ed7a3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_CASES))
+def test_bench_csv_golden(name, tmp_path):
+    out = tmp_path / "bench.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["bench", *BENCH_CASES[name], "--csv", str(out)]) == 0
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("seconds")
+    for row in rows[1:]:
+        row[col] = ""  # wall time, the one column that varies between runs
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    assert hashlib.sha256(text.getvalue().encode()).hexdigest() == BENCH_EXPECTED[name]

@@ -90,16 +90,6 @@ def test_random_partial_ktree_valid():
         assert td.width <= t - 1
 
 
-def test_prufer_trees_are_valid():
-    rng = Xorshift64Star(606)
-    for _ in range(60):
-        n = rng.randint(1, 40)
-        from ksec.instances import random_tree_prufer
-
-        g = random_tree_prufer(n, rng)
-        assert validate_forest(g) and len(g.edges) == n - 1 if n > 1 else True
-
-
 def test_bad_parameters():
     with pytest.raises(BadParameters):
         generate(GeneratorSpec(family="no-such-family", n=3))

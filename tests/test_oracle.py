@@ -142,9 +142,9 @@ def test_dp_tree_merges_each_vertex_once(monkeypatch):
     calls = []
     merge = oracle._TreeTables.accumulate
 
-    def spy(self, v):
+    def spy(self, v, rows=None):
         calls.append(v)
-        return merge(self, v)
+        return merge(self, v, rows)
 
     monkeypatch.setattr(oracle._TreeTables, "accumulate", spy)
     g = oracles.random_forest(Xorshift64Star(77), n_lo=40, n_hi=40, drop=5)
@@ -193,9 +193,9 @@ def test_dp_tree_recomputes_only_the_accumulations_of_high_degree_vertices(monke
     calls = []
     merge = oracle._TreeTables.accumulate
 
-    def spy(self, v):
+    def spy(self, v, rows=None):
         calls.append(v)
-        return merge(self, v)
+        return merge(self, v, rows)
 
     monkeypatch.setattr(oracle._TreeTables, "accumulate", spy)
     comb = _star_comb(40, 40)
@@ -278,7 +278,7 @@ def test_dp_td_merges_each_child_in_one_minplus_call(monkeypatch):
     """One kernel call per decomposition tree edge, over every coloring of the parent's cluster."""
     calls = _count_minplus(monkeypatch)
     g, td = random_partial_ktree(60, 4, Xorshift64Star(33))
-    tables = oracle._TDTables(g, td, g.n // 2, mem_limit=1 << 40)
+    tables = oracle._TDTables(g, td, g.n // 2, oracle._Kept(1 << 40))
     tables.run()
     want = [1 << len(td.bag(tables.parent[j])) for j in td.nodes() if j != tables.order[0]]
     assert sorted(calls) == sorted(want) and len(calls) == len(td.tree_edges)
@@ -295,33 +295,96 @@ def test_dp_td_padded_tables_extend_the_per_coloring_rows(seed, n, t, half):
         td = induced(td, keep)
         g = Graph(n, [(u, v) for u, v in g.edges if u in keep and v in keep])
     m = rng.randint(0, n)
-    new = oracle._TDTables(g, td, m, mem_limit=1 << 40)
+    new = oracle._TDTables(g, td, m, oracle._Kept(1 << 40))
     new.run()
     old = oracles.TDTablesPerColoring(g, td, m, mem_limit=1 << 40)
     old.run()
     for i in td.nodes():
-        assert len(new.table[i]) == len(old.table[i])
-        for row, ref in zip(new.table[i], old.table[i]):
+        assert len(new.kept.table[i]) == len(old.table[i])
+        for row, ref in zip(new.kept.table[i], old.table[i]):
             assert row[: len(ref)].tolist() == ref.tolist()
             assert (row[len(ref):] == oracle.INF).all()
     assert new.red.keys() == old.red.keys()
     for j, (shared_mask, red) in old.red.items():
-        assert new.red[j][0] == shared_mask and new.red[j][1].keys() == red.keys()
+        # each coloring of the parent's cluster reads its row through its shared colors
+        mat, gather = new.red[j]
+        masks = np.arange(len(gather))
+        assert (gather[masks & shared_mask] == gather).all() and len(mat) == len(red)
         for key, arr in red.items():
-            assert new.red[j][1][key].tolist() == [arr.tolist()]
+            assert mat[gather[key]].tolist() == arr.tolist()
 
 
 def test_dp_td_memory_guard_counts_the_kept_reductions():
     g, td = random_partial_ktree(120, 4, Xorshift64Star(32))
     m = g.n // 2
-    tables = oracle._TDTables(g, td, m, mem_limit=1 << 40)
+    kept = oracle._Kept(1 << 40)
+    tables = oracle._TDTables(g, td, m, kept)
     tables.run()
-    table_bytes = sum(t.nbytes for tabs in tables.table.values() for t in tabs)
-    red_bytes = sum(r.nbytes for _, red in tables.red.values() for r in red.values())
-    assert red_bytes > 0 and tables.used_bytes == table_bytes + red_bytes
-    oracle._TDTables(g, td, m, mem_limit=table_bytes + red_bytes).run()
+    table_bytes = sum(t.nbytes for tabs in kept.table.values() for t in tabs)
+    red_bytes = sum(a.nbytes for red in tables.red.values() for a in red)
+    assert red_bytes > 0 and kept.need_bytes == table_bytes + red_bytes
+    oracle._TDTables(g, td, m, oracle._Kept(table_bytes + red_bytes)).run()
     with pytest.raises(ResourceLimit):  # the tables alone would fit
-        oracle._TDTables(g, td, m, mem_limit=table_bytes + red_bytes - 1).run()
+        oracle._TDTables(g, td, m, oracle._Kept(table_bytes + red_bytes - 1)).run()
+
+
+def test_dp_td_accumulates_each_node_once(monkeypatch):
+    """Under a roomy guard the trace reads the kept accumulations.
+
+    A node recomputes one row when traced only where its accumulations
+    take more than KEEP_RATIO times its table, as in the tree DP; with
+    m = 1 all rows are two counts wide, so a node with five children does.
+    """
+    full, single, heavy = [], [], set()
+    merge = oracle._TDTables.accumulate
+
+    def spy(self, i, rows=None):
+        accs = merge(self, i, rows)
+        if rows is not None:
+            assert rows.stop - rows.start == 1
+            single.append(i)
+        else:
+            full.append(i)
+            if sum(a.nbytes for a in accs[:-1]) > oracle.KEEP_RATIO * accs[-1].nbytes:
+                heavy.add(i)
+        return accs
+
+    monkeypatch.setattr(oracle._TDTables, "accumulate", spy)
+    g, td = random_partial_ktree(60, 4, Xorshift64Star(31))
+    for m in (1, g.n // 2, g.n):
+        full.clear(), single.clear(), heavy.clear()
+        dp_min_size_cut_td(g, td, m)
+        assert sorted(full) == sorted(td.nodes())
+        assert sorted(single) == sorted(heavy)
+        assert bool(heavy) == (m == 1)
+
+
+def _td_trace(g, td, m, kept):
+    """Width and black set the decomposition DP traces from its best root coloring."""
+    tables = oracle._TDTables(g, td, m, kept)
+    root = tables.run()
+    color = {}
+    tables.trace(int(np.argmin(root[:, m])), m, color)
+    return int(root[:, m].min()), {v for v, s in color.items() if s}
+
+
+def test_dp_td_trace_recomputes_single_rows_under_a_guard_for_tables_and_reductions(monkeypatch):
+    g, td = random_partial_ktree(120, 4, Xorshift64Star(32))
+    m = g.n // 2
+    roomy = oracle._Kept(1 << 40)
+    want = _td_trace(g, td, m, roomy)
+    assert want[1] == dp_min_size_cut_td(g, td, m)[0].black
+    recomputed = []
+    merge = oracle._TDTables.accumulate
+
+    def spy(self, i, rows=None):
+        if rows is not None:
+            recomputed.append(rows.stop - rows.start)
+        return merge(self, i, rows)
+
+    monkeypatch.setattr(oracle._TDTables, "accumulate", spy)
+    assert _td_trace(g, td, m, oracle._Kept(roomy.need_bytes)) == want
+    assert recomputed and set(recomputed) == {1}
 
 
 def test_dp_td_width_guard():
