@@ -29,7 +29,8 @@ from .graph import (
     Graph,
     KSection,
     forest_summary,
-    induced_subgraph,
+    induced_sorted,
+    is_int,
     max_degree,
     require_forest,
     require_tree,
@@ -132,8 +133,8 @@ def _peel(
         width += c.width
         traces.append(trace)
         keep = sorted(c.white)
-        rest, sub_old = induced_subgraph(cur, keep)
-        old_of = [old_of[u - 1] for u in sub_old]
+        rest = induced_sorted(cur, keep)
+        old_of = [old_of[u - 1] for u in keep]
         summary = rest_summary(rest, summary, keep)
         after = measure(summary, rest.n)
         if after < floor:
@@ -224,7 +225,7 @@ def cut_prescribed_sizes(
 ) -> tuple[tuple[tuple[int, ...], ...], BoundReport]:
     """Partition with exactly the prescribed part sizes, in the given order."""
     comps = require_forest(forest, "cut_prescribed_sizes")
-    if not sizes or any(not isinstance(s, int) or s <= 0 for s in sizes):
+    if not sizes or any(not is_int(s) or s <= 0 for s in sizes):
         raise SizesDontSum("sizes must be positive integers")
     if sum(sizes) != forest.n:
         raise SizesDontSum(f"sizes sum to {sum(sizes)}, vertex count is {forest.n}")
@@ -325,8 +326,7 @@ def recursive_bisection_baseline(tree: Graph, k: int) -> KSection:
         cut, _ = oracle.dp_min_size_cut_tree(g, g.n // 2)
         out = []
         for side in (sorted(cut.black), sorted(cut.white)):
-            sub, sub_old = induced_subgraph(g, side)
-            out.extend(rec(sub, [old_of[u - 1] for u in sub_old], kk // 2))
+            out.extend(rec(induced_sorted(g, side), [old_of[u - 1] for u in side], kk // 2))
         return out
 
     parts = rec(tree, list(tree.vertices()), k)

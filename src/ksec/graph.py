@@ -10,6 +10,17 @@ and rejects bad input with a typed ``KsecError`` that names a witness.
 Internal layers take the summary the entry point computed and do not
 check the same forest again.  ``InvariantViolation`` is reserved for
 failed postconditions, i.e. bugs.
+
+Derived graphs skip validation by construction.  ``Graph(n, edges)`` is
+the one public, checked constructor.  Every graph the pipelines derive
+from a checked one (an induced subgraph, a linked forest, a subgraph
+with a cluster's edges removed) is built by ``Graph._trusted`` straight
+from adjacency tuples, which are sorted because each builder keeps them
+so.  Such a graph builds its ``edges`` frozenset on first use.  Two
+threads that race on that first use build equal sets, and one of them
+is kept, so the lazy cache stays safe for concurrent reads.  Widths and
+edge counts are read off the adjacency (``boundary_width``,
+``num_edges``), not off ``edges``.
 """
 
 from __future__ import annotations
@@ -21,6 +32,11 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import FormatError, KsecError, NotAForest, NotAPartition, NotATree
 
 
+def is_int(x) -> bool:
+    """True for an ``int`` that is not a ``bool``: a valid vertex id, count or size type."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Graph:
     """Undirected simple graph with adjacency lists.
 
@@ -29,28 +45,53 @@ class Graph:
     traversal in the package is deterministic.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "adj", "_edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise KsecError(f"vertex count must be non-negative, got {n}")
+        if not is_int(n) or n < 0:
+            raise KsecError(f"vertex count must be a non-negative integer, got {n!r}")
+        edges = list(edges)
         edge_set = set()
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise KsecError(f"edge ({u},{v}) out of vertex range 1..{n}")
-            if u == v:
-                raise KsecError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in edge_set:
-                raise KsecError(f"parallel edge ({e[0]},{e[1]})")
-            edge_set.add(e)
         adj: list[list[int]] = [[] for _ in range(n + 1)]
-        for u, v in edge_set:
-            adj[u].append(v)
-            adj[v].append(u)
+        try:
+            for u, v in edges:
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise KsecError(f"edge ({u},{v}) out of vertex range 1..{n}")
+                if u == v:
+                    raise KsecError(f"self-loop at vertex {u}")
+                e = (u, v) if u < v else (v, u)
+                if e in edge_set:
+                    raise KsecError(f"parallel edge ({e[0]},{e[1]})")
+                edge_set.add(e)
+                adj[u].append(v)
+                adj[v].append(u)
+        except (TypeError, ValueError):  # named here, so valid edges pay no type check
+            why = next(filter(None, map(_bad_edge, edges)), "edges must be pairs of vertex ids")
+            raise KsecError(why) from None
         self.n = n
-        self.edges = frozenset(edge_set)
+        self._edges = frozenset(edge_set)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
+
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple) -> "Graph":
+        """A graph derived from a checked one, built from its adjacency; nothing is checked.
+
+        ``adj[v]`` is the sorted tuple of v's neighbors for v in 1..n, and
+        ``adj[0]`` is empty.  The caller guarantees the invariants.
+        """
+        g = cls.__new__(cls)
+        g.n = n
+        g.adj = adj
+        g._edges = None
+        return g
+
+    @property
+    def edges(self) -> frozenset:
+        """The edges as (smaller id, larger id) pairs; built on first use for a derived graph."""
+        if self._edges is None:
+            adj = self.adj
+            self._edges = frozenset((u, v) for u in range(1, self.n + 1) for v in adj[u] if u < v)
+        return self._edges
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adj[v]
@@ -63,7 +104,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -75,7 +116,28 @@ class Graph:
         return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+def _bad_edge(e) -> str | None:
+    """Why ``e`` is no edge: not a pair, or an id that is no integer; None for a pair of ints."""
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        return f"edge {e!r} is not a pair of vertex ids"
+    bad = [x for x in (u, v) if not is_int(x)]
+    return f"vertex id {bad[0]!r} in edge {e!r} is not an integer" if bad else None
+
+
+def _out_of_range(vertices: Iterable, n: int):
+    """The first of ``vertices`` that is not an id in 1..n, or None."""
+    return next((v for v in vertices if not (is_int(v) and 1 <= v <= n)), None)
+
+
+def boundary_width(g: Graph, side) -> int:
+    """Edges of g with exactly one end in the vertex set ``side``, counted from side's adjacency."""
+    adj = g.adj
+    return sum(1 for v in side for u in adj[v] if u not in side)
 
 
 @dataclass(frozen=True)
@@ -88,10 +150,19 @@ class Cut:
 
     @classmethod
     def from_black(cls, g: Graph, black: Iterable[int]) -> "Cut":
+        """The cut with black side ``black``; ``NotAPartition`` names an id outside 1..n."""
+        b = frozenset(black)
+        bad = _out_of_range(b, g.n)
+        if bad is not None:
+            raise NotAPartition(f"Cut.from_black: vertex {bad!r} out of vertex range 1..{g.n}")
+        return cls._trusted(g, b)
+
+    @classmethod
+    def _trusted(cls, g: Graph, black: Iterable[int]) -> "Cut":
+        """``from_black`` for ids known to lie in 1..n; the width is counted over the smaller side."""
         b = frozenset(black)
         w = frozenset(g.vertices()) - b
-        width = sum(1 for (u, v) in g.edges if (u in b) != (v in b))
-        return cls(b, w, width)
+        return cls(b, w, boundary_width(g, b if len(b) <= len(w) else w))
 
 
 @dataclass(frozen=True)
@@ -132,10 +203,15 @@ def bfs_tree(adj: Sequence[Sequence[int]], root: int, parent: list[int] | None =
     return order, parent
 
 
+def component_orders(g: Graph) -> tuple[list[list[int]], list[int]]:
+    """One BFS sweep: each component's order from its smallest id, ascending, and the parents."""
+    parent = [-1] * (g.n + 1)
+    return [bfs_tree(g.adj, s, parent)[0] for s in g.vertices() if parent[s] < 0], parent
+
+
 def components(g: Graph) -> list[set[int]]:
     """Connected components as vertex sets, ascending by minimum vertex id."""
-    parent = [-1] * (g.n + 1)
-    return [set(bfs_tree(g.adj, s, parent)[0]) for s in g.vertices() if parent[s] < 0]
+    return [set(order) for order in component_orders(g)[0]]
 
 
 class TreeSummary(NamedTuple):
@@ -175,9 +251,8 @@ def forest_summary(g: Graph) -> list[TreeSummary]:
     second sweep per component from the far end of the first gives a
     longest path.  Raises ``NotAForest`` naming an edge on a cycle.
     """
-    parent = [-1] * (g.n + 1)
-    orders = [bfs_tree(g.adj, s, parent)[0] for s in g.vertices() if parent[s] < 0]
-    if len(g.edges) != g.n - len(orders):
+    orders, parent = component_orders(g)
+    if g.num_edges != g.n - len(orders):
         u, v = min(e for e in g.edges if parent[e[0]] != e[1] and parent[e[1]] != e[0])
         raise NotAForest(f"edge ({u},{v}) closes a cycle")
     depth = [0] * (g.n + 1)
@@ -229,9 +304,7 @@ def validate_forest(g: Graph) -> bool:
 
 
 def max_degree(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    return max(len(g.adj[v]) for v in g.vertices())
+    return max(map(len, g.adj))
 
 
 def longest_path(tree: Graph) -> list[int]:
@@ -286,23 +359,44 @@ def link_summarized(g: Graph, comps: Sequence[TreeSummary]) -> Graph:
     """``link_components`` for a forest whose ``forest_summary`` is known."""
     if len(comps) <= 1:
         return g
-    extra = [(a.path[-1], b.path[0]) for a, b in zip(comps, comps[1:])]
-    return Graph(g.n, list(g.edges) + extra)
+    adj = list(g.adj)
+    for a, b in zip(comps, comps[1:]):
+        x, y = a.path[-1], b.path[0]
+        adj[x] += (y,)
+        adj[y] += (x,)
+    # only the path ends gained a neighbor; a lone vertex may gain two
+    for v in {c.path[i] for c in comps for i in (0, -1)}:
+        adj[v] = tuple(sorted(adj[v]))
+    return Graph._trusted(g.n, tuple(adj))
 
 
-def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, list[int]]:
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
     """Induced subgraph relabeled to 1..|S| by ascending original id.
 
     Returns (subgraph, old_ids) with old_ids[new - 1] = original id.
+    Raises ``KsecError`` naming a vertex that is not an id in 1..n.
     """
+    vertices = list(vertices)
+    bad = _out_of_range(vertices, g.n)
+    if bad is not None:
+        raise KsecError(f"induced_subgraph: vertex {bad!r} out of vertex range 1..{g.n}")
     old_of = sorted(set(vertices))
-    new_of = {old: i + 1 for i, old in enumerate(old_of)}
-    edges = [
-        (new_of[u], new_of[v])
-        for (u, v) in g.edges
-        if u in new_of and v in new_of
-    ]
-    return Graph(len(old_of), edges), old_of
+    return induced_sorted(g, old_of), old_of
+
+
+def induced_sorted(g: Graph, old_of: Sequence[int]) -> Graph:
+    """``induced_subgraph`` for ids the caller knows are ascending, distinct and in 1..n.
+
+    The relabeling is monotone, so each parent adjacency list, filtered
+    and mapped through one array, stays sorted.  Nothing is checked.
+    """
+    new_of = [0] * (g.n + 1)
+    for i, v in enumerate(old_of, start=1):
+        new_of[v] = i
+    get, adj = new_of.__getitem__, g.adj
+    return Graph._trusted(
+        len(old_of), ((), *[tuple(filter(None, map(get, adj[v]))) for v in old_of])
+    )
 
 
 # --- .gr file format ------------------------------------------------------

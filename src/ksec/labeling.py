@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InvariantViolation, PathNotInTree
-from .graph import Graph, bfs_tree, require_tree
+from .graph import Graph, require_tree
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,16 @@ class PathDecomposition:
     """Subtrees T_v hanging off a fixed path of a tree.
 
     ``subtree_of`` maps every vertex to its path vertex; ``subtree_members``
-    maps each path vertex v to V(T_v) (including v itself).
+    maps each path vertex v to V(T_v) (including v itself).  ``order``
+    lists every T_v in post-order, children ascending, so v closes its
+    block, with the blocks in path order: the order ``p_labeling`` labels.
     """
 
     tree: Graph
     path: tuple
     subtree_of: dict
     subtree_members: dict
+    order: list
 
     @property
     def x0(self) -> int:
@@ -68,7 +71,7 @@ class PLabeling:
         label_of = [0] * (n + 1)
         for lbl, v in enumerate(order, start=1):
             label_of[v] = lbl
-        on_path = (False, *(v in marked for v in order))
+        on_path = (False, *map(marked.__contains__, order))
         prefix = (0, *accumulate(on_path[1:], initial=0))
         return cls(
             n=n,
@@ -98,71 +101,58 @@ def decompose_along_path(tree: Graph, path) -> PathDecomposition:
 
 
 def path_decomposition(tree: Graph, path) -> PathDecomposition:
-    """``decompose_along_path`` for a graph the caller already knows is a tree."""
+    """``decompose_along_path`` for a graph the caller already knows is a tree.
+
+    One sweep per path vertex v finds T_v and its post-order: a
+    pre-order that takes the largest child first, reversed.
+    """
     path = tuple(path)
     if len(set(path)) != len(path) or not path:
         raise PathNotInTree("path vertices must be distinct and non-empty")
+    adj = tree.adj
     for a, b in zip(path, path[1:]):
-        if not tree.has_edge(a, b):
+        if b not in adj[a]:
             raise PathNotInTree(f"({a},{b}) is not an edge of the tree")
-    # path vertices start out visited, so each search stays inside its T_v
-    parent = [-1] * (tree.n + 1)
+    # path vertices start out seen, so each sweep stays inside its T_v
+    seen = [False] * (tree.n + 1)
     for v in path:
-        parent[v] = 0
+        seen[v] = True
+    order: list[int] = []
     subtree_of = {}
     members = {}
     for v in path:
-        order, _ = bfs_tree(tree.adj, v, parent)
-        members[v] = frozenset(order)
-        subtree_of.update(dict.fromkeys(order, v))
-    if len(subtree_of) != tree.n:
+        stack, block = [v], []
+        while stack:
+            u = stack.pop()
+            block.append(u)
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        block.reverse()
+        order += block
+        members[v] = frozenset(block)
+        subtree_of.update(dict.fromkeys(block, v))
+    if len(order) != tree.n:
         raise PathNotInTree("path does not lie in this tree")
     return PathDecomposition(
         tree=tree,
         path=path,
         subtree_of=subtree_of,
         subtree_members=members,
+        order=order,
     )
 
 
 def p_labeling(dec: PathDecomposition) -> PLabeling:
     """Label vertices by a DFS from y0 that finishes each subtree in a block.
 
-    The path predecessor is forced to the front of each path vertex's
-    adjacency list; remaining neighbors are visited ascending by id, so
-    the labeling is deterministic.  Labels follow the DFS finishing order.
+    The DFS visits the path predecessor of each path vertex first and the
+    remaining neighbors ascending by id, so the labeling is deterministic.
+    Labels follow its finishing order, which is ``dec.order``: the blocks
+    T_x0, ..., T_y0 along the path, each in post-order.
     """
-    tree, path = dec.tree, dec.path
-    n = tree.n
-    nbrs_of: dict[int, list[int]] = {}
-    pred = {path[h]: path[h - 1] for h in range(1, len(path))}
-    for v in tree.vertices():
-        nbrs = list(tree.adj[v])
-        if v in pred:
-            nbrs.remove(pred[v])
-            nbrs = [pred[v]] + nbrs
-        nbrs_of[v] = nbrs
-
-    finished: list[int] = []
-    visited = [False] * (n + 1)
-    stack = [(dec.y0, iter(nbrs_of[dec.y0]))]
-    visited[dec.y0] = True
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for w in it:
-            if not visited[w]:
-                visited[w] = True
-                stack.append((w, iter(nbrs_of[w])))
-                advanced = True
-                break
-        if advanced:
-            continue
-        stack.pop()
-        finished.append(v)
-    if len(finished) != n:
-        raise InvariantViolation("DFS did not reach every vertex")
-    return PLabeling.from_order(finished, frozenset(path))
+    return PLabeling.from_order(dec.order, frozenset(dec.path))
 
 
 def d_p(lab: PLabeling, x: int, y: int) -> int:

@@ -12,7 +12,9 @@ Both DPs share one engine, ``_Tables``: it fills the tables once, keeps
 each node's table and, where they take at most KEEP_RATIO times that
 table, its per-child accumulations, and rebuilds an optimal black set
 from them deterministically (ascending scans everywhere), recomputing
-only the followed row of a node whose accumulations were dropped.  The
+only the followed row of a node whose accumulations were dropped.  A
+tree subtree whose traced count is 0 or its size can take one coloring
+only, so the trace paints it whole without splitting counts.  The
 decomposition DP also keeps each child's table reduced to the coloring
 of the cluster it shares with its parent.  One hard memory guard
 (KSEC_MAX_MEM_MB) counts every kept array at its allocated bytes; it
@@ -35,7 +37,7 @@ from .errors import (
     TooLarge,
     WidthTooLarge,
 )
-from .graph import Cut, Graph, KSection, bfs_tree, require_forest
+from .graph import Cut, Graph, KSection, bfs_tree, component_orders, is_int, require_forest
 from .treedec import TreeDecomposition, edge_home, occurrences, require_decomposition
 
 INF = 1 << 28
@@ -145,8 +147,10 @@ class _Tables:
     row where ``kept`` dropped them.  A subclass gives the node's own rows
     (``own``), a child's rows for each state of the node (``child_rows``),
     the child state a split came from (``child_state``) and the vertex
-    colors of a state (``paint``).  ``rows`` is a slice of states, or None
-    for all of them; given one state, ``child_rows`` returns one row.
+    colors of a state (``paint``); it may also paint a whole subtree whose
+    count leaves one coloring (``paint_forced``).  ``rows`` is a slice of
+    states, or None for all of them; given one state, ``child_rows``
+    returns one row.
     """
 
     cap: int
@@ -172,6 +176,8 @@ class _Tables:
         stack = [(self.order[0], state, count)]
         while stack:
             i, s, c = stack.pop()
+            if self.paint_forced(i, s, c, color):
+                continue
             self.paint(i, s, color)
             accs, r = self.kept.accs.get(i), s
             if accs is None:
@@ -188,6 +194,10 @@ class _Tables:
             if c != s.bit_count():
                 raise InvariantViolation("exact-cut DP trace ended on a bad count")
 
+    def paint_forced(self, i: int, s: int, c: int, color: dict[int, int]) -> bool:
+        """Color all of node i's subtree when ``c`` leaves it one coloring; True if it did."""
+        return False
+
 
 # --- Trees ------------------------------------------------------------------
 
@@ -200,15 +210,20 @@ class _TreeTables(_Tables):
     """Per-vertex DP tables for one component, rooted at its smallest id.
 
     A vertex's state is its color.  Every leaf shares one read-only table.
-    ``kept`` is shared by all components of the forest, and ``parent`` is
-    BFS scratch shared by them as well.
+    ``kept`` is shared by all components of the forest.  ``order`` is the
+    component's BFS order from its root, and ``parent`` the BFS parents
+    of the sweep over the whole forest that found it.
     """
 
-    def __init__(self, g: Graph, root: int, parent: list[int], cap: int, kept: _Kept):
+    def __init__(self, g: Graph, order: list[int], parent: list[int], cap: int, kept: _Kept):
         self.cap = cap
         self.kept = kept
-        self.order, _ = bfs_tree(g.adj, root, parent)
-        self.children = {v: [w for w in g.adj[v] if parent[w] == v] for v in self.order}
+        self.order = order
+        adj = g.adj
+        self.children = {v: [w for w in adj[v] if parent[w] == v] for v in order}
+        self.size = dict.fromkeys(order, 1)
+        for v in reversed(order[1:]):
+            self.size[parent[v]] += self.size[v]
         self.leaf = np.full((2, min(1, cap) + 1), INF, dtype=np.int32)
         self.leaf[0, 0] = 0
         if cap >= 1:
@@ -230,23 +245,37 @@ class _TreeTables(_Tables):
     def paint(self, v: int, s: int, color: dict[int, int]) -> None:
         color[v] = s
 
+    def paint_forced(self, v: int, s: int, c: int, color: dict[int, int]) -> bool:
+        """A subtree with no black vertex, or only black ones, has one way to split its count."""
+        if c != s * self.size[v]:
+            return False
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            color[u] = s
+            stack += self.children[u]
+        return True
+
 
 def dp_min_size_cut_tree(
     forest: Graph, m: int, mem_limit_mb: int | None = None
 ) -> tuple[Cut, int]:
-    """Exact minimum-width cut with |B| = m in a forest; O(n*m) time."""
-    n = forest.n
-    if not isinstance(m, int) or not (0 <= m <= n):
-        raise MOutOfRange(f"m={m!r} not in 0..{n}")
-    comps = require_forest(forest, "dp_min_size_cut_tree")
-    mem_limit = _mem_limit_bytes(mem_limit_mb)
+    """Exact minimum-width cut with |B| = m in a forest; O(n*m) time.
 
-    parent = [-1] * (n + 1)
-    kept = _Kept(mem_limit)
-    tables = [
-        _TreeTables(forest, comp.order[0], parent, min(m, len(comp.order)), kept)
-        for comp in comps
-    ]
+    One BFS sweep, from each smallest id not yet reached, roots the
+    components.  With the edge count it also checks that the graph is a
+    forest, so a caller that knows it has one pays no second check; only
+    a graph with a cycle goes through ``require_forest``, which names an
+    edge on it.
+    """
+    n = forest.n
+    if not is_int(m) or not (0 <= m <= n):
+        raise MOutOfRange(f"m={m!r} not in 0..{n}")
+    orders, parent = component_orders(forest)
+    if forest.num_edges != n - len(orders):
+        require_forest(forest, "dp_min_size_cut_tree")  # a cycle: raises NotAForest naming an edge
+    kept = _Kept(_mem_limit_bytes(mem_limit_mb))
+    tables = [_TreeTables(forest, order, parent, min(m, len(order)), kept) for order in orders]
     roots = [t.run() for t in tables]
     dps = [np.minimum(r[:1], r[1:]) for r in roots]  # best over the root's colors
 
@@ -261,7 +290,7 @@ def dp_min_size_cut_tree(
 
     color: dict[int, int] = {}
     c = m
-    for idx in range(len(comps) - 1, -1, -1):
+    for idx in range(len(tables) - 1, -1, -1):
         cu = _split(accs[idx][0], dps[idx][0], c, int(accs[idx + 1][0][c]))
         if cu is None:
             raise InvariantViolation("component knapsack trace failed")
@@ -269,7 +298,7 @@ def dp_min_size_cut_tree(
         tables[idx].trace(0 if root[0, cu] <= root[1, cu] else 1, cu, color)
         c -= cu
     black = {v for v, s in color.items() if s == 1}
-    cut = Cut.from_black(forest, black)
+    cut = Cut._trusted(forest, black)
     if len(cut.black) != m or cut.width != width:
         raise InvariantViolation("tree DP reconstruction mismatch")
     return cut, width
@@ -343,7 +372,8 @@ class _TDTables(_Tables):
         Returns the reduction, whose row key (the shared vertices' colors
         packed in bag(j) order) holds at column c the best child entry with
         c black vertices counted below j but outside the shared set, and
-        for each coloring of bag(i) the key of its row.
+        for each coloring of bag(i) the key of its row, in the smallest
+        unsigned dtype that holds every key.
         """
         at_j, at_i = self._shared(i, j)
         tab = self.kept.table[j]
@@ -356,7 +386,8 @@ class _TDTables(_Tables):
         # shift each key's row left by its number of shared black vertices
         shift = _bits(len(at_j)).sum(axis=1)
         mat = padded[np.arange(len(padded))[:, None], np.arange(width) + shift[:, None]]
-        return mat, _pack(len(self.bag_list[i]), at_i)
+        gather = _pack(len(self.bag_list[i]), at_i)
+        return mat, gather.astype(np.min_scalar_type(len(mat) - 1))
 
     def child_rows(self, i: int, j: int, rows: int | slice | None) -> np.ndarray:
         if j not in self.red:
@@ -396,7 +427,7 @@ def dp_min_size_cut_td(
     (``NotATreeDecomposition`` with a witness).
     """
     n = g.n
-    if not isinstance(m, int) or not (0 <= m <= n):
+    if not is_int(m) or not (0 <= m <= n):
         raise MOutOfRange(f"m={m!r} not in 0..{n}")
     if td.width > max_width:
         raise WidthTooLarge(f"decomposition width {td.width} exceeds limit {max_width}")
@@ -413,7 +444,7 @@ def dp_min_size_cut_td(
     color: dict[int, int] = {}
     tables.trace(best_mask, m, color)
     black = {v for v, s in color.items() if s == 1}
-    cut = Cut.from_black(g, black)
+    cut = Cut._trusted(g, black)
     if len(cut.black) != m or cut.width != best:
         raise InvariantViolation("decomposition DP reconstruction mismatch")
     return cut, best

@@ -22,7 +22,7 @@ from .errors import (
     NotATreeDecomposition,
     RedundantDecomposition,
 )
-from .graph import Cut, Graph, bfs_tree, induced_subgraph, max_degree
+from .graph import Cut, Graph, bfs_tree, boundary_width, induced_sorted, is_int, max_degree
 from .labeling import PLabeling, cyclic, find_anchor, labels_interval
 from .treecut import CutTrace
 from .treedec import (
@@ -134,13 +134,13 @@ def approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
     (``NotATreeDecomposition`` with a witness).
     """
     require_decomposition(td, g, "approximate_cut_td")
-    return Cut.from_black(g, _approximate_cut_td(g, td, m))
+    return Cut._trusted(g, _approximate_cut_td(g, td, m))
 
 
 def _approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> frozenset:
     """Black set of ``approximate_cut_td``."""
     n = g.n
-    if not isinstance(m, int) or not (1 <= m <= 2 * n):
+    if not is_int(m) or not (1 <= m <= 2 * n):
         raise MOutOfRange(f"m={m!r} not in 1..{2 * n}")
     if m >= n:
         return frozenset(g.vertices())
@@ -201,13 +201,16 @@ def _approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> frozenset:
 def _subgraph_minus_cluster_edges(
     g: Graph, vertices: list[int], bag: frozenset
 ) -> Graph:
-    new_of = {old: i + 1 for i, old in enumerate(vertices)}
-    edges = [
-        (new_of[u], new_of[v])
-        for (u, v) in g.edges
-        if u in new_of and v in new_of and u not in bag and v not in bag
-    ]
-    return Graph(len(vertices), edges)
+    """``induced_sorted(g, vertices)`` without the edges that touch ``bag``."""
+    new_of = [0] * (g.n + 1)
+    for i, v in enumerate(vertices, start=1):
+        if v not in bag:
+            new_of[v] = i
+    get, adj = new_of.__getitem__, g.adj
+    return Graph._trusted(
+        len(vertices),
+        ((), *[tuple(filter(None, map(get, adj[v]))) if new_of[v] else () for v in vertices]),
+    )
 
 
 def r_preserving_cut(
@@ -231,7 +234,7 @@ def r_preserving_cut(
     refuses widths above its default limit (``WidthTooLarge``).
     """
     n = g.n
-    if not isinstance(m, int) or not (1 <= m <= n - 1):
+    if not is_int(m) or not (1 <= m <= n - 1):
         raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
     if summary is None:
         require_decomposition(td, g, "r_preserving_cut")
@@ -254,9 +257,9 @@ def r_preserving_cut(
 
     base = dict(m=m, r=r, t=t, anchor=v, floor_rm=floor_rm, normalized_td=td0)
     if v_in_r and vm_in_r:
-        return Cut.from_black(g, m_vertices), RCutTrace(case_tag="Case1", **base)
+        return Cut._trusted(g, m_vertices), RCutTrace(case_tag="Case1", **base)
     if v_in_r and lab.on_path[cyclic(v + m - 1, n)]:
-        return Cut.from_black(g, m_vertices), RCutTrace(
+        return Cut._trusted(g, m_vertices), RCutTrace(
             case_tag="Case2a", node=blocks.a_p[vm_vertex], **base
         )
 
@@ -272,7 +275,7 @@ def r_preserving_cut(
         raise InvariantViolation(f"{case}: m-tilde {m_tilde} out of range")
 
     s_sorted = sorted(s_set)
-    sub_s, _ = induced_subgraph(g, s_sorted)
+    sub_s = induced_sorted(g, s_sorted)
     local_black = _approximate_cut_td(sub_s, induced_local(td0, s_sorted), m_tilde)
     b_side = frozenset(s_sorted[u - 1] for u in local_black)
 
@@ -285,7 +288,7 @@ def r_preserving_cut(
     g_tilde = _subgraph_minus_cluster_edges(g, vt_sorted, bag)
     new_of = {old: i + 1 for i, old in enumerate(vt_sorted)}
     b_local = {new_of[u] for u in b_side}
-    if any((u in b_local) != (w in b_local) for (u, w) in g_tilde.edges):
+    if boundary_width(g_tilde, b_local):
         raise InvariantViolation(f"{case}: split sides are still connected")
 
     glued = _glue_decompositions(td0, vt_sorted, new_of, b_local, blocks.l_p[-1])
@@ -297,10 +300,10 @@ def r_preserving_cut(
     glued_small = make_nonredundant(glued)
     inner_cut, inner_width = oracle.dp_min_size_cut_td(g_tilde, glued_small, m)
     black = {vt_sorted[u - 1] for u in inner_cut.black}
-    outer = sum(1 for (a, b) in g.edges if (a in v_tilde) != (b in v_tilde))
+    outer = boundary_width(g, v_tilde)
     if outer > 3 * t * max_degree(g):
         raise InvariantViolation(f"{case}: outer cut exceeds 3tΔ")
-    return Cut.from_black(g, black), RCutTrace(
+    return Cut._trusted(g, black), RCutTrace(
         case_tag=case,
         node=split_node,
         m_tilde=m_tilde,

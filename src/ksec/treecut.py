@@ -26,8 +26,10 @@ from .graph import (
     Graph,
     TreeSummary,
     bfs_tree,
+    boundary_width,
     forest_summary,
-    induced_subgraph,
+    induced_sorted,
+    is_int,
     link_summarized,
     max_degree,
     require_forest,
@@ -83,13 +85,13 @@ def approximate_cut(tree: Graph, v: int, m: int) -> Cut:
     require_tree(tree, "approximate_cut")
     if not isinstance(v, int) or not 1 <= v <= tree.n:
         raise KsecError(f"approximate_cut: vertex {v!r} out of vertex range 1..{tree.n}")
-    return Cut.from_black(tree, _approximate_cut(tree, v, m))
+    return Cut._trusted(tree, _approximate_cut(tree, v, m))
 
 
 def _approximate_cut(tree: Graph, v: int, m: int) -> frozenset:
     """Black set of ``approximate_cut``."""
     n = tree.n
-    if not isinstance(m, int) or not (1 <= m <= 2 * n - 2):
+    if not is_int(m) or not (1 <= m <= 2 * n - 2):
         raise MOutOfRange(f"m={m!r} not in 1..{2 * n - 2}")
     if m >= n - 1:
         return frozenset(tree.vertices()) - {v}
@@ -145,14 +147,14 @@ def _deg2_cut(g: Graph, comps: list[TreeSummary], m: int) -> tuple[Cut, DiamCutT
         take = min(need, len(comp.path))
         black.update(comp.path[:take])
         need -= take
-    cut = Cut.from_black(g, black)
+    cut = Cut._trusted(g, black)
     return cut, DiamCutTrace(case_tag="Deg2", m=m)
 
 
 def _subtree_cut(tree: Graph, members: frozenset, z: int, m_tilde: int) -> frozenset:
     """Black set of an approximate m̃-cut inside T_z keeping z white, in original ids."""
-    sub, old_of = induced_subgraph(tree, sorted(members))
-    local = _approximate_cut(sub, old_of.index(z) + 1, m_tilde)
+    old_of = sorted(members)
+    local = _approximate_cut(induced_sorted(tree, old_of), old_of.index(z) + 1, m_tilde)
     return frozenset(old_of[u - 1] for u in local)
 
 
@@ -172,13 +174,13 @@ def diameter_preserving_cut(
     n = forest.n
     if comps is None:
         comps = require_forest(forest, "diameter_preserving_cut")
-    elif sum(len(c.order) for c in comps) != n or len(comps) != n - len(forest.edges):
+    elif sum(len(c.order) for c in comps) != n or len(comps) != n - forest.num_edges:
         raise NotAPartition(
             f"diameter_preserving_cut: a summary of {len(comps)} component(s) on "
             f"{sum(len(c.order) for c in comps)} vertices does not fit a forest "
-            f"of {n} vertices and {len(forest.edges)} edges"
+            f"of {n} vertices and {forest.num_edges} edges"
         )
-    if not isinstance(m, int) or not (1 <= m <= n - 1):
+    if not is_int(m) or not (1 <= m <= n - 1):
         raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
     delta = max_degree(forest)
     if delta <= 2:
@@ -196,7 +198,7 @@ def diameter_preserving_cut(
     vm_vertex = lab.vertex(v + m)
 
     if v_on and vm_on:
-        cut = Cut.from_black(forest, m_vertices)
+        cut = Cut._trusted(forest, m_vertices)
         return cut, DiamCutTrace(
             case_tag="Case1", m=m, anchor=v, floor_dm=floor_dm, m_set=m_vertices
         )
@@ -204,7 +206,7 @@ def diameter_preserving_cut(
     if v_on:
         z = dec.subtree_of[vm_vertex]
         if lab.on_path[cyclic(v + m - 1, n)]:
-            cut = Cut.from_black(forest, m_vertices)
+            cut = Cut._trusted(forest, m_vertices)
             return cut, DiamCutTrace(
                 case_tag="Case2a", m=m, anchor=v, floor_dm=floor_dm, m_set=m_vertices, z=z
             )
@@ -229,13 +231,13 @@ def diameter_preserving_cut(
 
     if not (m <= len(v_tilde) <= 2 * m) or z in v_tilde:
         raise InvariantViolation(f"{case}: bad inner vertex set")
-    sub, old_of = induced_subgraph(tree, sorted(v_tilde))
-    inner_cut, inner_width = oracle.dp_min_size_cut_tree(sub, m)
+    old_of = sorted(v_tilde)
+    inner_cut, inner_width = oracle.dp_min_size_cut_tree(induced_sorted(tree, old_of), m)
     black = {old_of[u - 1] for u in inner_cut.black}
-    outer = sum(1 for (a, b) in tree.edges if (a in v_tilde) != (b in v_tilde))
+    outer = boundary_width(tree, v_tilde)
     if outer > 2 * delta:
         raise InvariantViolation(f"{case}: outer cut exceeds 2Δ")
-    cut = Cut.from_black(forest, black)
+    cut = Cut._trusted(forest, black)
     return cut, DiamCutTrace(
         case_tag=case,
         m=m,

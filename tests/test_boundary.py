@@ -97,7 +97,7 @@ CUT_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("m", [2.5, "a"])
+@pytest.mark.parametrize("m", [2.5, "a", True, False])
 @pytest.mark.parametrize("name", sorted(CUT_ENTRY_POINTS))
 def test_cut_entry_points_name_an_m_that_is_not_an_integer(name, m):
     with pytest.raises(MOutOfRange, match=re.escape(f"m={m!r} not in")):
@@ -118,6 +118,8 @@ def test_cut_prescribed_sizes_rejects_a_size_that_is_not_an_integer():
         cut_prescribed_sizes(path(6), ["a", 3])
     with pytest.raises(SizesDontSum, match="positive integers"):
         cut_prescribed_sizes(path(6), [3, 0, 3])
+    with pytest.raises(SizesDontSum, match="positive integers"):
+        cut_prescribed_sizes(path(6), [True, 5])
 
 
 # decompositions of the path 1-2-3-4, each breaking one condition

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import path, star
-from ksec import bounds, engine, oracle, tdcut, treedec
+from ksec import bounds, engine, graph, oracle, tdcut, treedec
 from ksec.engine import (
     ksection_tree_detailed,
     cut_prescribed_sizes,
@@ -201,6 +202,38 @@ def test_ksection_tree_balance_for_every_k():
     for k in range(2, 21):
         section, _ = ksection_tree(g, k)
         check_section(g, section, k)
+
+
+def test_tree_peel_rounds_build_no_checked_graph_and_two_summaries_a_round(monkeypatch):
+    """After the entry point every graph is derived, and each round summarizes two forests.
+
+    The remainder and the linked tree are summarized once each; the inner
+    DP checks its forest from the BFS sweep it needs anyway.
+    """
+    g = random_tree_maxdeg(2000, 6, Xorshift64Star(2000))
+    k = 16
+    built, summaries = [], []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    real = graph.forest_summary
+
+    def summarize(forest):
+        summaries.append(forest.n)
+        return real(forest)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    for mod in [m for name, m in sys.modules.items() if name.startswith("ksec.")]:
+        if getattr(mod, "forest_summary", None) is real:
+            monkeypatch.setattr(mod, "forest_summary", summarize)
+    section, _ = ksection_tree(g, k)
+    assert built == []
+    assert 1 + (k - 1) <= len(summaries) <= 1 + 2 * (k - 1)
+    monkeypatch.undo()
+    check_section(g, section, k)
 
 
 def spy_on(monkeypatch, name, modules, record):

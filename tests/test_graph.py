@@ -9,13 +9,16 @@ import oracles
 from conftest import path, star
 from ksec.errors import FormatError, KsecError, NotAForest, NotAPartition, NotATree
 from ksec.graph import (
+    Cut,
     Graph,
     components,
     cut_width,
     diameter,
     forest_summary,
+    induced_sorted,
     induced_subgraph,
     link_components,
+    link_summarized,
     longest_path,
     max_degree,
     parse_gr,
@@ -23,7 +26,8 @@ from ksec.graph import (
     validate_forest,
     write_gr,
 )
-from ksec.instances import Xorshift64Star, random_tree_maxdeg
+from ksec.instances import Xorshift64Star, random_partial_ktree, random_tree_maxdeg
+from ksec.tdcut import _subgraph_minus_cluster_edges
 
 
 def test_graph_rejects_bad_edges():
@@ -188,3 +192,117 @@ def test_induced_subgraph_relabels_densely():
     assert sub.n == 4 and old == [2, 3, 5, 6]
     assert sub.edges == frozenset({(1, 2), (3, 4)})
     assert diameter(path(9)) == 8
+
+
+@pytest.mark.parametrize(
+    "n, edges, named",
+    [
+        (2.5, [], "got 2.5"),
+        ("3", [], "got '3'"),
+        (True, [], "got True"),
+        (3, [(1, 2, 3)], r"edge \(1, 2, 3\) is not a pair"),
+        (3, [5], "edge 5 is not a pair"),
+        (3, [(1.0, 2)], r"vertex id 1\.0 in edge \(1\.0, 2\) is not an integer"),
+        (3, [(1, 2), (2, "3")], "vertex id '3'"),
+        (3, iter([(1, 2), (2, 3.0)]), r"vertex id 3\.0"),
+    ],
+)
+def test_graph_names_a_count_edge_or_id_of_the_wrong_type(n, edges, named):
+    with pytest.raises(KsecError, match=named):
+        Graph(n, edges)
+
+
+def test_induced_subgraph_and_cut_name_a_vertex_out_of_range():
+    for bad, vertices in [(9, [1, 9]), (0, [0, 2]), (-1, [-1]), (2.0, [2.0]), ("a", ["a"])]:
+        with pytest.raises(KsecError, match=rf"induced_subgraph: vertex {bad!r} out of vertex range"):
+            induced_subgraph(path(4), vertices)
+    with pytest.raises(NotAPartition, match=r"Cut\.from_black: vertex 9 out of vertex range 1\.\.3"):
+        Cut.from_black(Graph(3, [(1, 2)]), [9])
+    with pytest.raises(NotAPartition, match="vertex -1"):
+        Cut.from_black(path(3), [1, -1])
+
+
+def test_cut_width_is_counted_from_either_side():
+    g = star(6)
+    assert Cut.from_black(g, [1]).width == 5
+    assert Cut.from_black(g, [2, 3, 4, 5, 6]).width == 5
+    assert Cut.from_black(g, []).width == Cut.from_black(g, g.vertices()).width == 0
+
+
+def assert_checked_equal(derived, n, edges):
+    """``derived`` is the graph the checked constructor builds from (n, edges)."""
+    checked = Graph(n, edges)
+    assert derived.n == checked.n and derived.adj == checked.adj
+    assert derived.edges == checked.edges and derived.num_edges == checked.num_edges
+    assert derived == checked and hash(derived) == hash(checked)
+
+
+def forest_or_partial_ktree(seed, use_ktree):
+    rng = Xorshift64Star(seed)
+    if use_ktree:
+        return random_partial_ktree(rng.randint(1, 40), rng.randint(2, 4), rng)[0], rng
+    return oracles.random_forest(rng, n_lo=1, n_hi=40, drop=5), rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 60), st.booleans())
+def test_trusted_derived_graphs_equal_checked_ones(seed, use_ktree):
+    """Each derived graph skips the checked constructor, yet equals what it would build."""
+    g, rng = forest_or_partial_ktree(seed, use_ktree)
+    keep = sorted(rng.sample(list(g.vertices()), rng.randint(0, g.n)))
+    new_of = {v: i for i, v in enumerate(keep, start=1)}
+    inside = [(new_of[u], new_of[v]) for u, v in g.edges if u in new_of and v in new_of]
+    assert_checked_equal(induced_sorted(g, keep), len(keep), inside)
+    sub, old = induced_subgraph(g, reversed(keep))
+    assert old == keep
+    assert_checked_equal(sub, len(keep), inside)
+
+    bag = frozenset(rng.sample(list(g.vertices()), rng.randint(0, min(4, g.n))))
+    outside = [(new_of[u], new_of[v]) for u, v in g.edges
+               if u in new_of and v in new_of and u not in bag and v not in bag]
+    assert_checked_equal(_subgraph_minus_cluster_edges(g, keep, bag), len(keep), outside)
+
+    if not use_ktree:
+        comps = forest_summary(g)
+        links = [(a.path[-1], b.path[0]) for a, b in zip(comps, comps[1:])]
+        assert_checked_equal(link_summarized(g, comps), g.n, list(g.edges) + links)
+
+
+# a .gr file mutated one token or line at a time; every replacement stays short,
+# so no mutation can declare a graph too large to allocate
+GR_TOKENS = ["", "0", "1", "3", "7", "12", "-1", "+2", "2.5", "1e2", "1_0", "0x1", "٣",
+             "x", "p", "ks", "tw", "c", "p ks 3 2", "1 2 3"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2 ** 60),
+    st.lists(
+        st.tuples(st.sampled_from(["token", "insert", "delete", "duplicate", "swap"]),
+                  st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.sampled_from(GR_TOKENS)),
+        min_size=1, max_size=5,
+    ),
+)
+def test_parse_gr_on_mutated_files_raises_only_typed_errors(seed, edits):
+    rng = Xorshift64Star(seed)
+    lines = write_gr(random_tree_maxdeg(rng.randint(1, 9), 4, rng), comment="fuzz").splitlines()
+    for op, a, b, token in edits:
+        i, j = a % len(lines), b % len(lines)
+        if op == "token":
+            words = lines[i].split() or [""]
+            words[b % len(words)] = token
+            lines[i] = " ".join(words)
+        elif op == "insert":
+            lines.insert(i, token)
+        elif op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+    text = "\n".join(lines) + "\n"
+    try:
+        g = parse_gr(text)
+    except KsecError:
+        return
+    assert parse_gr(write_gr(g)) == g

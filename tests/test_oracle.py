@@ -201,8 +201,13 @@ def test_dp_tree_recomputes_only_the_accumulations_of_high_degree_vertices(monke
     comb = _star_comb(40, 40)
     cut, w = dp_min_size_cut_tree(comb, comb.n // 2, mem_limit_mb=1)
     assert (len(cut.black), w) == (comb.n // 2, 1)
-    # each hub merges again when traced; every leaf keeps its accumulations
-    assert sorted(calls) == sorted([*comb.vertices(), *range(1, 41)])
+    # the trace merges a hub again unless its subtree takes one color (then it paints
+    # the subtree whole); every leaf keeps its accumulations
+    def below(h):
+        return {*range(h, 41), *(40 + (g - 1) * 40 + i for g in range(h, 41) for i in range(1, 41))}
+
+    mixed = [h for h in range(1, 41) if 0 < len(below(h) & cut.black) < len(below(h))]
+    assert mixed and sorted(calls) == sorted([*comb.vertices(), *mixed])
 
 
 def test_dp_tree_memory_guard_trips_only_on_the_tables_of_all_components():
@@ -312,6 +317,19 @@ def test_dp_td_padded_tables_extend_the_per_coloring_rows(seed, n, t, half):
         assert (gather[masks & shared_mask] == gather).all() and len(mat) == len(red)
         for key, arr in red.items():
             assert mat[gather[key]].tolist() == arr.tolist()
+
+
+def test_dp_td_reduction_indices_take_the_smallest_dtype():
+    """Keys stay below 2^|shared|: one byte each for partial 3-trees, two for wide clusters."""
+    g, td = random_partial_ktree(120, 4, Xorshift64Star(32))
+    wide = TreeDecomposition([set(range(1, 11)), set(range(2, 12))], [(1, 2)])
+    for graph, dec, itemsize in ((g, td, 1), (Graph(11, [(2, 11)]), wide, 2)):
+        tables = oracle._TDTables(graph, dec, graph.n // 2, oracle._Kept(1 << 40))
+        tables.run()
+        assert tables.red
+        for mat, gather in tables.red.values():
+            assert gather.dtype.kind == "u" and gather.dtype.itemsize == itemsize
+            assert gather.max() < len(mat)
 
 
 def test_dp_td_memory_guard_counts_the_kept_reductions():
