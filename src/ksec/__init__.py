@@ -4,17 +4,11 @@ from .graph import (
     Cut,
     Graph,
     KSection,
-    components,
     cut_width,
-    diameter,
     forest_summary,
     induced_subgraph,
-    link_components,
-    longest_path,
     max_degree,
     parse_gr,
-    relative_diameter,
-    validate_forest,
     write_gr,
 )
 from .labeling import PathDecomposition, PLabeling, d_p, decompose_along_path, find_anchor, p_labeling
@@ -23,15 +17,12 @@ from .treedec import (
     HeaviestPathResult,
     TDSummary,
     TreeDecomposition,
-    cluster_incident_edges,
     heaviest_path,
     induced,
     make_nonredundant,
     parse_td,
-    remove_cluster_parts,
     td_summary,
     tree_to_width1_td,
-    validate,
     validation_errors,
     write_td,
 )

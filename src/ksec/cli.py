@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 from . import bounds, engine, instances, oracle
 from .errors import FormatError, InvariantViolation, KsecError, ResourceLimit
-from .graph import Graph, longest_path, parse_gr, write_gr
+from .graph import Graph, parse_gr, require_tree, write_gr
 from .labeling import decompose_along_path, p_labeling
 from .treedec import parse_td, write_td
 
@@ -133,7 +133,7 @@ def cmd_td(args) -> int:
 
 def cmd_labeling(args) -> int:
     g = _load_graph(args.input)
-    path = longest_path(g)
+    path = require_tree(g, "ksec labeling").path
     lab = p_labeling(decompose_along_path(g, path))
     payload = {
         "path": path,

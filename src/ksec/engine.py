@@ -173,8 +173,8 @@ def ksection_tree(tree: Graph, k: int) -> tuple[KSection, BoundReport]:
 
 def ksection_tree_detailed(tree: Graph, k: int) -> tuple[KSection, BoundReport, list]:
     """Like ksection_tree but also returns one trace dict per cut."""
-    if not isinstance(k, int) or k < 2:
-        raise KOutOfRange(f"k={k} must be an integer >= 2")
+    if not is_int(k) or k < 2:
+        raise KOutOfRange(f"k={k!r} must be an integer >= 2")
     summary = require_tree(tree, "ksection_tree")
     n = tree.n
     delta = max_degree(tree)
@@ -261,8 +261,8 @@ def ksection_td_detailed(
     g: Graph, td: TreeDecomposition, k: int
 ) -> tuple[KSection, BoundReport, list]:
     """Like ksection_td but also returns one trace dict per cut."""
-    if not isinstance(k, int) or k < 2:
-        raise KOutOfRange(f"k={k} must be an integer >= 2")
+    if not is_int(k) or k < 2:
+        raise KOutOfRange(f"k={k!r} must be an integer >= 2")
     if g.n == 0:
         raise KOutOfRange("cannot section an empty graph")
     require_decomposition(td, g, "ksection_td")
@@ -314,6 +314,8 @@ def recursive_bisection_baseline(tree: Graph, k: int) -> KSection:
     Each level cuts an exact minimum bisection of every current piece.
     Matches the optimum on paths but can be far off in general.
     """
+    if not is_int(k):
+        raise KOutOfRange(f"k={k!r} must be an integer")
     require_forest(tree, "recursive_bisection_baseline")
     if k < 1 or k & (k - 1):
         raise KNotPowerOfTwo(f"k={k} is not a power of two")

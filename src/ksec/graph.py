@@ -25,11 +25,12 @@ edge counts are read off the adjacency (``boundary_width``,
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import FormatError, KsecError, NotAForest, NotAPartition, NotATree
+from .errors import FormatError, KsecError, NotAForest, NotAPartition, NotATree, ResourceLimit
 
 
 def is_int(x) -> bool:
@@ -92,9 +93,6 @@ class Graph:
             adj = self.adj
             self._edges = frozenset((u, v) for u in range(1, self.n + 1) for v in adj[u] if u < v)
         return self._edges
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -209,11 +207,6 @@ def component_orders(g: Graph) -> tuple[list[list[int]], list[int]]:
     return [bfs_tree(g.adj, s, parent)[0] for s in g.vertices() if parent[s] < 0], parent
 
 
-def components(g: Graph) -> list[set[int]]:
-    """Connected components as vertex sets, ascending by minimum vertex id."""
-    return [set(order) for order in component_orders(g)[0]]
-
-
 class TreeSummary(NamedTuple):
     """One component of a forest: its vertices and a longest path.
 
@@ -294,38 +287,8 @@ def require_tree(g: Graph, who: str) -> TreeSummary:
     return comps[0]
 
 
-def validate_forest(g: Graph) -> bool:
-    """True iff g is acyclic (every component a tree)."""
-    try:
-        forest_summary(g)
-    except NotAForest:
-        return False
-    return True
-
-
 def max_degree(g: Graph) -> int:
     return max(map(len, g.adj))
-
-
-def longest_path(tree: Graph) -> list[int]:
-    """A longest path in a tree via the double BFS sweep.
-
-    Returns the vertex sequence; its length in edges is diam(tree).  The
-    result is normalized so that the first endpoint has the smaller id.
-    """
-    return list(require_tree(tree, "longest_path").path)
-
-
-def diameter(tree: Graph) -> int:
-    return len(longest_path(tree)) - 1
-
-
-def relative_diameter(g: Graph) -> Fraction:
-    """diam*(g) = (1/n) * sum over components of (diameter + 1), exact."""
-    comps = require_forest(g, "relative_diameter")
-    if g.n == 0:
-        raise NotAForest("empty graph has no relative diameter")
-    return summary_relative_diameter(comps, g.n)
 
 
 def summary_relative_diameter(comps: Sequence[TreeSummary], n: int) -> Fraction:
@@ -346,17 +309,13 @@ def cut_width(g: Graph, parts: Sequence[Iterable[int]]) -> int:
     return sum(1 for (u, v) in g.edges if part_of[u] != part_of[v])
 
 
-def link_components(g: Graph) -> Graph:
+def link_summarized(g: Graph, comps: Sequence[TreeSummary]) -> Graph:
     """Connect a forest into a tree without changing diam* or (for Δ ≥ 2) Δ.
 
-    Each added edge joins the ends of longest paths in two consecutive
-    components, so the longest paths chain into one longest path.
+    ``comps`` is the forest's ``forest_summary``.  Each added edge joins
+    the ends of longest paths in two consecutive components, so the
+    longest paths chain into one longest path.
     """
-    return link_summarized(g, require_forest(g, "link_components"))
-
-
-def link_summarized(g: Graph, comps: Sequence[TreeSummary]) -> Graph:
-    """``link_components`` for a forest whose ``forest_summary`` is known."""
     if len(comps) <= 1:
         return g
     adj = list(g.adj)
@@ -399,13 +358,33 @@ def induced_sorted(g: Graph, old_of: Sequence[int]) -> Graph:
     )
 
 
+def mem_limit_bytes(mem_limit_mb: int | None = None) -> int:
+    """The memory guard in bytes: ``mem_limit_mb``, else KSEC_MAX_MEM_MB (default 2048).
+
+    A variable that is not an integer raises ``KsecError`` naming it.
+    """
+    if mem_limit_mb is None:
+        raw = os.environ.get("KSEC_MAX_MEM_MB", "2048")
+        try:
+            mem_limit_mb = int(raw)
+        except ValueError:
+            raise KsecError(f"KSEC_MAX_MEM_MB must be an integer (MB), got {raw!r}") from None
+    return mem_limit_mb * (1 << 20)
+
+
 # --- .gr file format ------------------------------------------------------
 #
 # c <comment>
 # p ks <n> <m>
 # <u> <v>          (m edge lines, 1-indexed)
 
+# what a parsed graph costs per declared vertex: 10^6 isolated vertices
+# take about 77 MB on 64-bit CPython
+GR_BYTES_PER_VERTEX = 80
+
+
 def parse_gr(text: str) -> Graph:
+    """Parse a .gr file; ``ResourceLimit`` when the declared n would not fit the memory guard."""
     n = m = -1
     edges: list[tuple[int, int]] = []
     seen = set()
@@ -425,6 +404,12 @@ def parse_gr(text: str) -> Graph:
                 raise FormatError(lineno, "non-integer counts in problem line") from None
             if n < 0 or m < 0:
                 raise FormatError(lineno, "negative counts in problem line")
+            limit = mem_limit_bytes()
+            if n * GR_BYTES_PER_VERTEX > limit:
+                raise ResourceLimit(
+                    f"line {lineno}: {n} vertices need about {n * GR_BYTES_PER_VERTEX >> 20} MB, "
+                    f"over the {limit >> 20} MB of KSEC_MAX_MEM_MB"
+                )
             continue
         if n < 0:
             raise FormatError(lineno, "edge line before problem line")

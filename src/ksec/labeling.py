@@ -38,14 +38,6 @@ class PathDecomposition:
     subtree_members: dict
     order: list
 
-    @property
-    def x0(self) -> int:
-        return self.path[0]
-
-    @property
-    def y0(self) -> int:
-        return self.path[-1]
-
 
 @dataclass(frozen=True)
 class PLabeling:

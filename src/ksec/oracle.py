@@ -25,7 +25,6 @@ reductions alone exceed it.
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 
@@ -37,16 +36,19 @@ from .errors import (
     TooLarge,
     WidthTooLarge,
 )
-from .graph import Cut, Graph, KSection, bfs_tree, component_orders, is_int, require_forest
+from .graph import (
+    Cut,
+    Graph,
+    KSection,
+    bfs_tree,
+    component_orders,
+    is_int,
+    mem_limit_bytes,
+    require_forest,
+)
 from .treedec import TreeDecomposition, edge_home, occurrences, require_decomposition
 
 INF = 1 << 28
-
-
-def _mem_limit_bytes(mem_limit_mb: int | None) -> int:
-    if mem_limit_mb is None:
-        mem_limit_mb = int(os.environ.get("KSEC_MAX_MEM_MB", "2048"))
-    return mem_limit_mb * (1 << 20)
 
 
 def _minplus(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
@@ -274,7 +276,7 @@ def dp_min_size_cut_tree(
     orders, parent = component_orders(forest)
     if forest.num_edges != n - len(orders):
         require_forest(forest, "dp_min_size_cut_tree")  # a cycle: raises NotAForest naming an edge
-    kept = _Kept(_mem_limit_bytes(mem_limit_mb))
+    kept = _Kept(mem_limit_bytes(mem_limit_mb))
     tables = [_TreeTables(forest, order, parent, min(m, len(order)), kept) for order in orders]
     roots = [t.run() for t in tables]
     dps = [np.minimum(r[:1], r[1:]) for r in roots]  # best over the root's colors
@@ -433,7 +435,7 @@ def dp_min_size_cut_td(
         raise WidthTooLarge(f"decomposition width {td.width} exceeds limit {max_width}")
     require_decomposition(td, g, "dp_min_size_cut_td")
 
-    tables = _TDTables(g, td, m, _Kept(_mem_limit_bytes(mem_limit_mb)))
+    tables = _TDTables(g, td, m, _Kept(mem_limit_bytes(mem_limit_mb)))
     root_tabs = tables.run()
     best_mask, best = None, INF
     for mask, t in enumerate(root_tabs):
@@ -460,10 +462,10 @@ def balanced_sizes(n: int, k: int) -> list[int]:
 
 def brute_min_ksection(g: Graph, k: int, limit: int = 14) -> tuple[KSection, int]:
     """Exact MinSec(k, g) by enumerating balanced partitions (n <= limit)."""
+    if not is_int(k) or k < 1:
+        raise KOutOfRange(f"k={k!r} must be an integer >= 1")
     if g.n > limit:
         raise TooLarge(f"n={g.n} exceeds enumeration limit {limit}")
-    if k < 1:
-        raise KOutOfRange(f"k={k} must be >= 1")
     n = g.n
     quotas = balanced_sizes(n, k)
     adj_sets = [set(g.adj[v]) if v <= n else set() for v in range(n + 1)]

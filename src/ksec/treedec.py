@@ -128,10 +128,6 @@ def validation_errors(td: TreeDecomposition, g: Graph) -> list[tuple[str, object
     return problems
 
 
-def validate(td: TreeDecomposition, g: Graph) -> bool:
-    return not validation_errors(td, g)
-
-
 def require_decomposition(td: TreeDecomposition, g: Graph, who: str) -> None:
     """``NotATreeDecomposition`` naming the first failed condition and its witness."""
     problems = validation_errors(td, g)
@@ -303,32 +299,6 @@ def td_summary(td: TreeDecomposition, n: int) -> TDSummary:
     """
     td0 = make_nonredundant(td)
     return TDSummary(td=td0, path=heaviest_path(td0, n), t=td0.width + 1, n=n)
-
-
-def cluster_incident_edges(td: TreeDecomposition, g: Graph, i: int) -> set:
-    """E_G(i): edges of g touching the cluster of node i."""
-    bag = td.bag(i)
-    return {e for e in g.edges if e[0] in bag or e[1] in bag}
-
-
-def remove_cluster_parts(td: TreeDecomposition, g: Graph, i: int) -> list[set]:
-    """Disjoint parts of g after deleting E_G(i).
-
-    One singleton per cluster vertex (ascending), then one part per
-    component of the decomposition tree minus node i (by ascending
-    neighbor id); empty parts are kept.
-    """
-    bag = td.bag(i)
-    parts: list[set] = [{v} for v in sorted(bag)]
-    parent = [-1] * (td.num_nodes + 1)
-    parent[i] = 0  # node i starts out visited, so each search stays on its side
-    for nb in td.tree_adj[i]:
-        comp_nodes, _ = bfs_tree(td.tree_adj, nb, parent)
-        part = set()
-        for node in comp_nodes:
-            part |= td.bag(node)
-        parts.append(part - bag)
-    return parts
 
 
 def tree_to_width1_td(tree: Graph) -> TreeDecomposition:

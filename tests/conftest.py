@@ -4,8 +4,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 import pytest
+from hypothesis import strategies as st
 
-from ksec.graph import Graph
+from ksec.graph import Graph, forest_summary, summary_relative_diameter
 
 
 @pytest.fixture
@@ -25,3 +26,40 @@ def path(n):
 
 def star(n):
     return Graph(n, [(1, v) for v in range(2, n + 1)])
+
+
+def diam_star(g):
+    """diam*(g) of a forest, read off its one forest summary."""
+    return summary_relative_diameter(forest_summary(g), g.n)
+
+
+# .gr and .td files mutated one token or line at a time; every replacement
+# stays short, so no mutation can declare an instance too large to allocate
+FILE_TOKENS = ["", "0", "1", "3", "7", "12", "-1", "+2", "2.5", "1e2", "1_0", "0x1", "٣",
+               "x", "p", "ks", "tw", "c", "p ks 3 2", "1 2 3",
+               "s", "td", "b", "s td 2 2 3", "b 1 1 2"]
+FILE_EDITS = st.lists(
+    st.tuples(st.sampled_from(["token", "insert", "delete", "duplicate", "swap"]),
+              st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.sampled_from(FILE_TOKENS)),
+    min_size=1, max_size=5,
+)
+
+
+def mutate(text, edits):
+    """``text`` with each (operation, position, position, token) of ``edits`` applied in turn."""
+    lines = text.splitlines()
+    for op, a, b, token in edits:
+        i, j = a % len(lines), b % len(lines)
+        if op == "token":
+            words = lines[i].split() or [""]
+            words[b % len(words)] = token
+            lines[i] = " ".join(words)
+        elif op == "insert":
+            lines.insert(i, token)
+        elif op == "delete" and len(lines) > 1:
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, lines[i])
+        elif op == "swap":
+            lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"

@@ -14,14 +14,13 @@ from fractions import Fraction
 import networkx as nx
 
 import oracles
-from conftest import path
+from conftest import diam_star, path
 from ksec import bounds
 from ksec.engine import ksection_td, ksection_tree, recursive_bisection_baseline
 from ksec.graph import (
     Graph,
     induced_subgraph,
     max_degree,
-    relative_diameter,
 )
 from ksec.instances import (
     Xorshift64Star,
@@ -32,7 +31,7 @@ from ksec.instances import (
 from ksec.oracle import brute_min_ksection, dp_min_size_cut_tree
 from ksec.tdcut import r_preserving_cut
 from ksec.treecut import approximate_cut, diameter_preserving_cut
-from ksec.treedec import heaviest_path, induced, make_nonredundant, validate
+from ksec.treedec import heaviest_path, induced, make_nonredundant, validation_errors
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -115,13 +114,13 @@ def test_criterion_3_cutting_primitive_properties():
     for _ in range(1000):
         g = oracles.random_forest(rng, n_lo=2, n_hi=60, max_degree=6)
         m = rng.randint(1, g.n - 1) if g.n > 1 else 1
-        d = relative_diameter(g)
+        d = diam_star(g)
         delta = max_degree(g)
         cut, _ = diameter_preserving_cut(g, m)
         if len(cut.black) != m:
             bad += 1
         rest, _ = induced_subgraph(g, sorted(cut.white))
-        if relative_diameter(rest) < d:
+        if diam_star(rest) < d:
             bad += 1
         if delta and Fraction(cut.width) > bounds.tree_cut_bound(d, delta):
             bad += 1
@@ -189,7 +188,7 @@ def test_criterion_5_tree_decomposition_suite():
         td0 = make_nonredundant(td)
         if td0.width != td.width or td0.size > td.size:
             bad += 1
-        if not validate(td0, g):
+        if validation_errors(td0, g):
             bad += 1
         r_before = heaviest_path(td, n).relative_weight
         r_after = heaviest_path(td0, n).relative_weight

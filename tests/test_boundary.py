@@ -13,6 +13,7 @@ from ksec.engine import (
 )
 from ksec.errors import (
     InvariantViolation,
+    KOutOfRange,
     KsecError,
     MOutOfRange,
     NotAForest,
@@ -22,9 +23,9 @@ from ksec.errors import (
     PathNotInTree,
     SizesDontSum,
 )
-from ksec.graph import Graph, forest_summary, link_components, longest_path, relative_diameter
+from ksec.graph import Graph, forest_summary
 from ksec.labeling import decompose_along_path
-from ksec.oracle import dp_min_size_cut_td, dp_min_size_cut_tree
+from ksec.oracle import brute_min_ksection, dp_min_size_cut_td, dp_min_size_cut_tree
 from ksec.tdcut import approximate_cut_td, r_preserving_cut
 from ksec.treecut import approximate_cut, diameter_preserving_cut
 from ksec.treedec import (
@@ -42,14 +43,11 @@ DISCONNECTED = Graph(5, [(1, 2), (2, 3), (4, 5)])
 TREE_ENTRY_POINTS = {
     "approximate_cut": lambda g: approximate_cut(g, 1, 2),
     "decompose_along_path": lambda g: decompose_along_path(g, [1, 2]),
-    "longest_path": longest_path,
     "ksection_tree": lambda g: ksection_tree(g, 2),
     "tree_to_width1_td": tree_to_width1_td,
 }
 
 FOREST_ENTRY_POINTS = {
-    "relative_diameter": relative_diameter,
-    "link_components": link_components,
     "diameter_preserving_cut": lambda g: diameter_preserving_cut(g, 2),
     "cut_prescribed_sizes": lambda g: cut_prescribed_sizes(g, [2, 4]),
     "dp_min_size_cut_tree": lambda g: dp_min_size_cut_tree(g, 2),
@@ -102,6 +100,22 @@ CUT_ENTRY_POINTS = {
 def test_cut_entry_points_name_an_m_that_is_not_an_integer(name, m):
     with pytest.raises(MOutOfRange, match=re.escape(f"m={m!r} not in")):
         CUT_ENTRY_POINTS[name](m)
+
+
+# each section entry point on path(6), called with the part count k it is handed
+K_ENTRY_POINTS = {
+    "brute_min_ksection": lambda k: brute_min_ksection(path(6), k),
+    "ksection_td": lambda k: ksection_td(path(6), tree_to_width1_td(path(6)), k),
+    "ksection_tree": lambda k: ksection_tree(path(6), k),
+    "recursive_bisection_baseline": lambda k: recursive_bisection_baseline(path(6), k),
+}
+
+
+@pytest.mark.parametrize("k", [2.5, "a", True])
+@pytest.mark.parametrize("name", sorted(K_ENTRY_POINTS))
+def test_section_entry_points_name_a_k_that_is_not_an_integer(name, k):
+    with pytest.raises(KOutOfRange, match=re.escape(f"k={k!r} must be an integer")):
+        K_ENTRY_POINTS[name](k)
 
 
 def test_decompose_along_path_names_a_path_vertex_out_of_range():

@@ -1,7 +1,18 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import FILE_EDITS, mutate
 from ksec.cli import RunRecord, main
+from ksec.errors import KsecError
+from ksec.treedec import parse_td
 
 
 def run(args):
@@ -152,20 +163,95 @@ def test_labeling_dump(tmp_path, capsys):
     assert payload["label_of"]["1"] == 1
 
 
+def path_gr(n):
+    return f"p ks {n} {n - 1}\n" + "".join(f"{i} {i+1}\n" for i in range(1, n))
+
+
+def path_td(n):
+    return (f"s td {n - 1} 2 {n}\n" + "".join(f"b {i} {i} {i+1}\n" for i in range(1, n))
+            + "".join(f"{i} {i+1}\n" for i in range(1, n - 1)))
+
+
+# the DP guard: 1 MB admits the parse of a 2000-vertex path (160 kB) but not its tables
+DP_TRIPPED = "resource guard: exact-cut DP tables exceed memory guard"
+
+
 def test_resource_guard_exit_4(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KSEC_MAX_MEM_MB", "0")
+    monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
     gr = tmp_path / "p.gr"
-    gr.write_text("p ks 40 39\n" + "".join(f"{i} {i+1}\n" for i in range(1, 40)))
-    assert run(["oracle", "mincut", "--input", str(gr), "-m", "20"]) == 4
-    assert "resource guard" in capsys.readouterr().err
+    gr.write_text(path_gr(2000))
+    assert run(["oracle", "mincut", "--input", str(gr), "-m", "1000"]) == 4
+    assert DP_TRIPPED in capsys.readouterr().err
 
 
 def test_resource_guard_exit_4_on_the_decomposition_dp(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
+    gr = tmp_path / "p.gr"
+    gr.write_text(path_gr(2000))
+    td = tmp_path / "p.td"
+    td.write_text(path_td(2000))
+    assert run(["oracle", "mincut-td", "--graph", str(gr), "--td", str(td), "-m", "1000"]) == 4
+    assert DP_TRIPPED in capsys.readouterr().err
+
+
+def test_resource_guard_exit_4_on_the_parse(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "0")
     gr = tmp_path / "p.gr"
-    gr.write_text("p ks 8 7\n" + "".join(f"{i} {i+1}\n" for i in range(1, 8)))
-    td = tmp_path / "p.td"
-    td.write_text("s td 7 2 8\n" + "".join(f"b {i} {i} {i+1}\n" for i in range(1, 8))
-                  + "".join(f"{i} {i+1}\n" for i in range(1, 7)))
-    assert run(["oracle", "mincut-td", "--graph", str(gr), "--td", str(td), "-m", "4"]) == 4
-    assert "resource guard" in capsys.readouterr().err
+    gr.write_text(path_gr(40))
+    assert run(["oracle", "mincut", "--input", str(gr), "-m", "20"]) == 4
+    err = capsys.readouterr().err
+    assert "resource guard: line 1: 40 vertices need about 0 MB, over the 0 MB" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", ""])
+@pytest.mark.parametrize("cmd", [["tree", "-k", "2"], ["oracle", "mincut", "-m", "2"]])
+def test_a_malformed_memory_guard_is_named_with_exit_2(tmp_path, capsys, monkeypatch, cmd,
+                                                       value):
+    monkeypatch.setenv("KSEC_MAX_MEM_MB", value)
+    gr = tmp_path / "p.gr"
+    gr.write_text(path_gr(5))
+    assert run(cmd + ["--input", str(gr)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: KSEC_MAX_MEM_MB must be an integer (MB), got {value!r}" in err
+
+
+def gen_pair(out, seed, n, t):
+    """Write ``out``.gr and ``out``.td, a random partial t-tree from ``ksec gen``."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["gen", "random_partial_ktree", "--seed", str(seed), "--n", str(n),
+                    "--t", str(t), "--out", str(out)]) == 0
+    return Path(f"{out}.gr"), Path(f"{out}.td")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 30), st.integers(1, 10), st.integers(1, 4), FILE_EDITS)
+def test_parse_td_on_mutated_files_raises_only_typed_errors(seed, n, t, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        _, td_file = gen_pair(Path(tmp) / "g", seed, n, t)
+        text = mutate(td_file.read_text(), edits)
+    with contextlib.suppress(KsecError):  # FormatError is one
+        parse_td(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 30), st.integers(1, 10), st.integers(1, 4),
+       st.sampled_from(["gr", "td"]), FILE_EDITS, st.integers(-1, 11),
+       st.sampled_from([None, "0", "abc"]))
+def test_cli_on_a_mutated_pair_exits_only_with_a_contract_code(seed, n, t, which, edits, size, mem):
+    """``ksec td``, ``tree``, ``oracle mincut`` and ``mincut-td`` exit 0, 2, 3 or 4."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        gr, td = gen_pair(Path(tmp) / "g", seed, n, t)
+        hit = gr if which == "gr" else td
+        hit.write_text(mutate(hit.read_text(), edits))
+        if mem is None:
+            mp.delenv("KSEC_MAX_MEM_MB", raising=False)
+        else:
+            mp.setenv("KSEC_MAX_MEM_MB", mem)
+        pair = ["--graph", str(gr), "--td", str(td)]
+        for argv in (["td", *pair, "-k", str(size)],
+                     ["tree", "--input", str(gr), "-k", str(size)],
+                     ["oracle", "mincut", "--input", str(gr), "-m", str(size)],
+                     ["oracle", "mincut-td", *pair, "-m", str(size)]):
+            quiet = io.StringIO()
+            with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+                assert run(argv) in (0, 2, 3, 4), argv

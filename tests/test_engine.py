@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import path, star
+from conftest import diam_star, path, star
 from ksec import bounds, engine, graph, oracle, tdcut, treedec
 from ksec.engine import (
     ksection_tree_detailed,
@@ -16,7 +16,7 @@ from ksec.engine import (
     recursive_bisection_baseline,
 )
 from ksec.errors import InvariantViolation, KNotPowerOfTwo, KOutOfRange, NotATree, SizesDontSum
-from ksec.graph import Graph, cut_width, induced_subgraph, max_degree, relative_diameter
+from ksec.graph import Graph, cut_width, induced_subgraph, max_degree
 from ksec.instances import (
     Xorshift64Star,
     adversarial_ternary_path,
@@ -29,7 +29,7 @@ from ksec.treedec import (
     make_nonredundant,
     td_summary,
     tree_to_width1_td,
-    validate,
+    validation_errors,
 )
 
 
@@ -116,7 +116,7 @@ def test_cut_prescribed_sizes_random_postconditions():
         sizes = [1] * ones + [g.n - ones]
         parts, report = cut_prescribed_sizes(g, sizes)
         assert [len(p) for p in parts] == sizes
-        d = relative_diameter(g)
+        d = diam_star(g)
         assert report.achieved <= (len(sizes) - 1) * bounds.tree_cut_bound(d, max_degree(g))
 
 
@@ -181,12 +181,12 @@ def test_diam_star_never_drops_during_peeling():
         g = random_tree_maxdeg(rng.randint(8, 36), 5, rng)
         k = rng.randint(2, 4)
         section, _ = ksection_tree(g, k)
-        d0 = relative_diameter(g)
+        d0 = diam_star(g)
         remaining = set(g.vertices())
         for part in section.parts[:-1]:
             remaining -= set(part)
             rest, _ = induced_subgraph(g, sorted(remaining))
-            assert relative_diameter(rest) >= d0
+            assert diam_star(rest) >= d0
 
 
 def test_bound_report_serialization():
@@ -298,7 +298,7 @@ def test_peel_loop_hands_each_cut_a_valid_decomposition_and_its_summary(seed, n,
         ksection_td(g, td, k)
     assert len(seen) == k - 1
     for cur, cur_td, summ in seen:
-        assert validate(cur_td, cur) and validate(summ.td, cur)
+        assert not validation_errors(cur_td, cur) and not validation_errors(summ.td, cur)
         fresh = td_summary(cur_td, cur.n)
         assert (summ.td.bags, summ.td.tree_edges) == (fresh.td.bags, fresh.td.tree_edges)
         assert (summ.path, summ.t, summ.n) == (fresh.path, fresh.t, fresh.n)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import networkx as nx
@@ -6,24 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import path, star
-from ksec.errors import FormatError, KsecError, NotAForest, NotAPartition, NotATree
+from conftest import FILE_EDITS, diam_star, mutate, path, star
+from ksec.errors import FormatError, KsecError, NotAForest, NotAPartition, NotATree, ResourceLimit
 from ksec.graph import (
     Cut,
     Graph,
-    components,
     cut_width,
-    diameter,
     forest_summary,
     induced_sorted,
     induced_subgraph,
-    link_components,
     link_summarized,
-    longest_path,
     max_degree,
     parse_gr,
-    relative_diameter,
-    validate_forest,
+    require_tree,
     write_gr,
 )
 from ksec.instances import Xorshift64Star, random_partial_ktree, random_tree_maxdeg
@@ -40,15 +36,24 @@ def test_graph_rejects_bad_edges():
 
 
 def test_validate_forest_examples():
-    assert validate_forest(path(4))
-    assert not validate_forest(Graph(3, [(1, 2), (2, 3), (1, 3)]))
-    assert validate_forest(Graph(3, []))
+    assert len(forest_summary(path(4))) == 1
+    with pytest.raises(NotAForest, match=r"edge \(2,3\) closes a cycle"):
+        forest_summary(Graph(3, [(1, 2), (2, 3), (1, 3)]))
+    assert len(forest_summary(Graph(3, []))) == 3
 
 
 def test_max_degree_examples():
     assert max_degree(star(5)) == 4
     assert max_degree(path(5)) == 2
     assert max_degree(Graph(1, [])) == 0
+
+
+def components(g):
+    return [set(c.order) for c in forest_summary(g)]
+
+
+def longest_path(tree):
+    return require_tree(tree, "test").path
 
 
 def test_components_examples():
@@ -59,7 +64,7 @@ def test_components_examples():
 
 
 def test_longest_path_examples():
-    assert longest_path(path(6)) == [1, 2, 3, 4, 5, 6]
+    assert longest_path(path(6)) == (1, 2, 3, 4, 5, 6)
     lp = longest_path(star(4))
     assert len(lp) == 3 and lp[1] == 1  # leaf-center-leaf
     with pytest.raises(NotATree):
@@ -113,10 +118,10 @@ def test_forest_summary_single_vertex_and_cycle():
 
 
 def test_relative_diameter_examples():
-    assert relative_diameter(path(7)) == 1
-    assert relative_diameter(star(4)) == Fraction(3, 4)
+    assert diam_star(path(7)) == 1
+    assert diam_star(star(4)) == Fraction(3, 4)
     forest = Graph(8, [(1, 2), (1, 3), (1, 4), (5, 6), (6, 7), (7, 8)])
-    assert relative_diameter(forest) == Fraction(7, 8)
+    assert diam_star(forest) == Fraction(7, 8)
 
 
 def test_cut_width_examples():
@@ -141,19 +146,23 @@ def test_cut_width_matches_recount(seed, n, k):
     assert cut_width(g, parts) == oracles.recount_cut(g, parts)
 
 
+def linked(g):
+    return link_summarized(g, forest_summary(g))
+
+
 def test_link_components_examples():
     g = Graph(7, [(1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
-    t = link_components(g)
-    assert validate_forest(t) and len(components(t)) == 1
+    t = linked(g)
+    assert len(forest_summary(t)) == 1
     assert len(t.edges) == len(g.edges) + 1
-    assert relative_diameter(t) == 1  # P7
+    assert diam_star(t) == 1  # P7
 
     connected = path(5)
-    assert link_components(connected) is connected
+    assert linked(connected) is connected
 
     two_stars = Graph(8, [(1, 2), (1, 3), (1, 4), (5, 6), (5, 7), (5, 8)])
-    t = link_components(two_stars)
-    assert relative_diameter(t) == Fraction(6, 8)
+    t = linked(two_stars)
+    assert diam_star(t) == Fraction(6, 8)
     assert max_degree(t) == 3
 
 
@@ -161,10 +170,10 @@ def test_link_components_preserves_invariants_many():
     rng = Xorshift64Star(20240809)
     for _ in range(1000):
         g = oracles.random_forest(rng, n_lo=2, n_hi=40)
-        t = link_components(g)
+        t = linked(g)
         assert g.edges <= t.edges  # any cut in t is at least as wide in g
-        assert len(components(t)) == 1
-        assert relative_diameter(t) == relative_diameter(g)
+        assert len(forest_summary(t)) == 1
+        assert diam_star(t) == diam_star(g)
         if max_degree(g) >= 2:
             assert max_degree(t) == max_degree(g)
 
@@ -191,7 +200,7 @@ def test_induced_subgraph_relabels_densely():
     sub, old = induced_subgraph(g, [2, 3, 5, 6])
     assert sub.n == 4 and old == [2, 3, 5, 6]
     assert sub.edges == frozenset({(1, 2), (3, 4)})
-    assert diameter(path(9)) == 8
+    assert require_tree(path(9), "test").diameter == 8
 
 
 @pytest.mark.parametrize(
@@ -268,41 +277,26 @@ def test_trusted_derived_graphs_equal_checked_ones(seed, use_ktree):
         assert_checked_equal(link_summarized(g, comps), g.n, list(g.edges) + links)
 
 
-# a .gr file mutated one token or line at a time; every replacement stays short,
-# so no mutation can declare a graph too large to allocate
-GR_TOKENS = ["", "0", "1", "3", "7", "12", "-1", "+2", "2.5", "1e2", "1_0", "0x1", "٣",
-             "x", "p", "ks", "tw", "c", "p ks 3 2", "1 2 3"]
-
-
 @settings(max_examples=300, deadline=None)
-@given(
-    st.integers(0, 2 ** 60),
-    st.lists(
-        st.tuples(st.sampled_from(["token", "insert", "delete", "duplicate", "swap"]),
-                  st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.sampled_from(GR_TOKENS)),
-        min_size=1, max_size=5,
-    ),
-)
+@given(st.integers(0, 2 ** 60), FILE_EDITS)
 def test_parse_gr_on_mutated_files_raises_only_typed_errors(seed, edits):
     rng = Xorshift64Star(seed)
-    lines = write_gr(random_tree_maxdeg(rng.randint(1, 9), 4, rng), comment="fuzz").splitlines()
-    for op, a, b, token in edits:
-        i, j = a % len(lines), b % len(lines)
-        if op == "token":
-            words = lines[i].split() or [""]
-            words[b % len(words)] = token
-            lines[i] = " ".join(words)
-        elif op == "insert":
-            lines.insert(i, token)
-        elif op == "delete" and len(lines) > 1:
-            del lines[i]
-        elif op == "duplicate":
-            lines.insert(j, lines[i])
-        elif op == "swap":
-            lines[i], lines[j] = lines[j], lines[i]
-    text = "\n".join(lines) + "\n"
+    text = mutate(write_gr(random_tree_maxdeg(rng.randint(1, 9), 4, rng), comment="fuzz"), edits)
     try:
         g = parse_gr(text)
     except KsecError:
         return
     assert parse_gr(write_gr(g)) == g
+
+
+def test_parse_gr_names_a_vertex_count_over_the_memory_guard(monkeypatch):
+    # the small case runs first: without a cap it allocates only a few MB, and fails here
+    monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
+    with pytest.raises(ResourceLimit, match="line 2: 100000 vertices need about 7 MB, over the 1 MB"):
+        parse_gr("c small\np ks 100000 0\n")
+    monkeypatch.delenv("KSEC_MAX_MEM_MB")
+    assert parse_gr("p ks 100000 0\n").n == 100000
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="KSEC_MAX_MEM_MB"):
+        parse_gr(f"p ks {10 ** 12} 0\n")
+    assert time.perf_counter() - start < 1

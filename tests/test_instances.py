@@ -1,7 +1,7 @@
 import pytest
 
 import oracles
-from ksec.graph import max_degree, validate_forest, write_gr
+from ksec.graph import max_degree, require_tree, write_gr
 from ksec.instances import (
     BadParameters,
     GeneratorSpec,
@@ -12,7 +12,7 @@ from ksec.instances import (
     perfect_dary_tree,
     spider_graph,
 )
-from ksec.treedec import validate, write_td
+from ksec.treedec import validation_errors, write_td
 
 
 def test_xorshift_is_stable():
@@ -49,7 +49,7 @@ def test_simple_families():
     g, _ = generate(GeneratorSpec(family="star", n=6))
     assert max_degree(g) == 5
     g = caterpillar_graph(16)
-    assert g.n == 16 and validate_forest(g)
+    assert g.n == 16 and require_tree(g, "test")
     g = spider_graph(3, 4)
     assert g.n == 13 and g.degree(1) == 3
     g = perfect_dary_tree(2, 3)
@@ -61,7 +61,7 @@ def test_adversarial_structure():
         g = adversarial_ternary_path(h)
         t = (3 ** (h + 1) - 1) // 2
         assert g.n == 2 * t
-        assert validate_forest(g)
+        assert require_tree(g, "test")
         assert max_degree(g) == 4
         # longest path: through the whole path part, the bridge, and down
         # one ternary branch: (t - 1) + 1 + h edges
@@ -74,7 +74,7 @@ def test_random_trees_respect_degree_cap():
         n = rng.randint(2, 60)
         cap = rng.randint(2, 6)
         g, _ = generate(GeneratorSpec(family="random_tree_maxdeg", n=n, max_degree=cap, seed=rng.next_u64()))
-        assert validate_forest(g)
+        assert require_tree(g, "test")
         assert len(g.edges) == n - 1
         assert max_degree(g) <= cap
 
@@ -86,7 +86,7 @@ def test_random_partial_ktree_valid():
         t = rng.randint(1, 4)
         g, td = generate(GeneratorSpec(family="random_partial_ktree", n=n, t=t, seed=rng.next_u64()))
         assert td is not None
-        assert validate(td, g)
+        assert not validation_errors(td, g)
         assert td.width <= t - 1
 
 

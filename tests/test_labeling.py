@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import path, star
 from ksec.errors import PathNotInTree
-from ksec.graph import longest_path
+from ksec.graph import require_tree
 from ksec.instances import Xorshift64Star, caterpillar_graph, random_tree_maxdeg
 from ksec.labeling import (
     cyclic,
@@ -18,7 +18,7 @@ from ksec.labeling import (
 
 def labeled_tree(seed, n, cap=5):
     g = random_tree_maxdeg(n, cap, Xorshift64Star(seed))
-    dec = decompose_along_path(g, longest_path(g))
+    dec = decompose_along_path(g, require_tree(g, "test").path)
     return g, dec, p_labeling(dec)
 
 
@@ -52,7 +52,7 @@ def test_decompose_rejects_non_paths():
 
 def test_p_labeling_path_is_identity_from_x0():
     g = path(6)
-    dec = decompose_along_path(g, longest_path(g))
+    dec = decompose_along_path(g, require_tree(g, "test").path)
     lab = p_labeling(dec)
     assert [lab.label_of[v] for v in range(1, 7)] == [1, 2, 3, 4, 5, 6]
 
@@ -115,7 +115,7 @@ def test_d_p_against_naive_scan():
 
 def test_d_p_on_pure_path_is_label_difference():
     g = path(8)
-    lab = p_labeling(decompose_along_path(g, longest_path(g)))
+    lab = p_labeling(decompose_along_path(g, require_tree(g, "test").path))
     for x in range(1, 9):
         for y in range(x, 9):
             assert d_p(lab, x, y) == y - x
@@ -133,7 +133,7 @@ def test_d_p_shift_continuity():
 
 def test_find_anchor_on_path_returns_first_label():
     g = path(9)
-    lab = p_labeling(decompose_along_path(g, longest_path(g)))
+    lab = p_labeling(decompose_along_path(g, require_tree(g, "test").path))
     for m in range(1, 9):
         assert find_anchor(lab, m) == 1
         assert d_p(lab, 1, 1 + m) == m
@@ -141,7 +141,7 @@ def test_find_anchor_on_path_returns_first_label():
 
 def test_find_anchor_star_m2():
     g = star(4)
-    lab = p_labeling(decompose_along_path(g, longest_path(g)))
+    lab = p_labeling(decompose_along_path(g, require_tree(g, "test").path))
     v = find_anchor(lab, 2)
     # d = 3/4, target = floor(3/2) = 1; label 1 qualifies
     assert v == 1

@@ -4,10 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import path, star
+from conftest import diam_star, path, star
 from ksec import bounds, oracle
-from ksec.errors import MOutOfRange, ResourceLimit, TooLarge, WidthTooLarge
-from ksec.graph import Graph, components, max_degree, relative_diameter
+from ksec.errors import KsecError, MOutOfRange, ResourceLimit, TooLarge, WidthTooLarge
+from ksec.graph import Graph, forest_summary, max_degree
 from ksec.instances import (
     Xorshift64Star,
     adversarial_ternary_path,
@@ -130,7 +130,7 @@ def test_dp_tree_matches_subset_enumeration():
 @given(st.integers(0, 2 ** 60))
 def test_dp_tree_on_random_forests_matches_subset_enumeration(seed):
     g = oracles.random_forest(Xorshift64Star(seed), n_lo=2, n_hi=12, drop=4)
-    assume(len(components(g)) >= 2)
+    assume(len(forest_summary(g)) >= 2)
     for m in range(g.n + 1):
         cut, w = dp_min_size_cut_tree(g, m)
         assert len(cut.black) == m
@@ -148,7 +148,7 @@ def test_dp_tree_merges_each_vertex_once(monkeypatch):
 
     monkeypatch.setattr(oracle._TreeTables, "accumulate", spy)
     g = oracles.random_forest(Xorshift64Star(77), n_lo=40, n_hi=40, drop=5)
-    assert len(components(g)) >= 3
+    assert len(forest_summary(g)) >= 3
     for m in (1, g.n // 2, g.n):
         calls.clear()
         dp_min_size_cut_tree(g, m)
@@ -172,7 +172,7 @@ def test_dp_tree_merges_each_child_in_one_minplus_call(monkeypatch):
     """One kernel call per tree edge covers both colors; the knapsack adds one per component."""
     calls = _count_minplus(monkeypatch)
     g = oracles.random_forest(Xorshift64Star(78), n_lo=40, n_hi=40, drop=5)
-    comps = len(components(g))
+    comps = len(forest_summary(g))
     assert comps >= 3
     for m in (1, g.n // 2, g.n):
         calls.clear()
@@ -210,6 +210,14 @@ def test_dp_tree_recomputes_only_the_accumulations_of_high_degree_vertices(monke
     assert mixed and sorted(calls) == sorted([*comb.vertices(), *mixed])
 
 
+def test_a_malformed_memory_guard_is_named(monkeypatch):
+    monkeypatch.setenv("KSEC_MAX_MEM_MB", "1.5")
+    with pytest.raises(KsecError, match=r"KSEC_MAX_MEM_MB must be an integer \(MB\), got '1\.5'"):
+        dp_min_size_cut_tree(path(4), 2)
+    with pytest.raises(KsecError, match="KSEC_MAX_MEM_MB"):
+        dp_min_size_cut_td(path(4), tree_to_width1_td(path(4)), 2)
+
+
 def test_dp_tree_memory_guard_trips_only_on_the_tables_of_all_components():
     # one 600-vertex path keeps ~1.4 MB of tables; two of them in one forest exceed 2 MB together
     dp_min_size_cut_tree(path(600), 600, mem_limit_mb=2)
@@ -227,7 +235,7 @@ def test_dp_tree_meets_existence_bound():
     rng = Xorshift64Star(1000003)
     for _ in range(1000):
         g = oracles.random_forest(rng, n_lo=2, n_hi=40)
-        d = relative_diameter(g)
+        d = diam_star(g)
         delta = max_degree(g)
         m = rng.randint(1, g.n)
         _, w = dp_min_size_cut_tree(g, m)

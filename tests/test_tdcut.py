@@ -20,7 +20,7 @@ from ksec.treedec import (
     induced,
     make_nonredundant,
     tree_to_width1_td,
-    validate,
+    validation_errors,
 )
 
 
@@ -250,7 +250,7 @@ def test_r_preserving_case_internals():
                 # every glued decomposition is valid for its inner graph
                 assert len(captured) == before + 1
                 g_tilde, glued = captured[-1]
-                assert validate(glued, g_tilde)
+                assert not validation_errors(glued, g_tilde)
             else:
                 assert len(captured) == before
     assert {"Case1", "Case2a", "Case2b", "Case3"} <= seen
@@ -352,7 +352,7 @@ def test_glued_decompositions_are_valid_and_weigh_as_before(seed, n, t):
     rng = Xorshift64Star(seed)
     g, td = random_partial_ktree(n, t, rng)
     for g_tilde, glued in glued_decompositions(g, td, rng.sample(range(1, n), 4)):
-        assert validate(glued, g_tilde)
-        assert validate(make_nonredundant(glued), g_tilde)
+        assert not validation_errors(glued, g_tilde)
+        assert not validation_errors(make_nonredundant(glued), g_tilde)
         assert heaviest_path(glued, g_tilde.n) == \
             oracles.heaviest_path_candidate_list(glued, g_tilde.n)

@@ -1,14 +1,13 @@
 import pytest
 
 import oracles
-from conftest import path, star
+from conftest import diam_star, path, star
 from ksec import bounds
 from ksec.errors import MOutOfRange
 from ksec.graph import (
     Graph,
     induced_subgraph,
     max_degree,
-    relative_diameter,
 )
 from ksec.instances import Xorshift64Star, caterpillar_graph, random_tree_maxdeg
 from ksec.oracle import dp_min_size_cut_tree
@@ -76,14 +75,14 @@ def test_exact_cut_bounded_star_matches_subset_enumeration():
     g = star(7)
     cut, _ = dp_min_size_cut_tree(g, 3)
     assert cut.width == oracles.min_cut_over_subsets(g, 3) == 3
-    assert cut.width <= bounds.size_cut_bound(relative_diameter(g), max_degree(g))
+    assert cut.width <= bounds.size_cut_bound(diam_star(g), max_degree(g))
 
 
 def test_exact_cut_bounded_random_trees_all_m():
     rng = Xorshift64Star(333)
     for _ in range(12):
         g = random_tree_maxdeg(12, 4, rng)
-        d = relative_diameter(g)
+        d = diam_star(g)
         delta = max_degree(g)
         for m in range(1, 13):
             cut, _ = dp_min_size_cut_tree(g, m)
@@ -94,11 +93,11 @@ def test_exact_cut_bounded_random_trees_all_m():
 
 
 def check_diam_cut(g, m, cut):
-    d = relative_diameter(g)
+    d = diam_star(g)
     delta = max_degree(g)
     assert len(cut.black) == m
     rest, _ = induced_subgraph(g, sorted(cut.white))
-    assert relative_diameter(rest) >= d
+    assert diam_star(rest) >= d
     assert cut.width <= bounds.tree_cut_bound(d, delta)
     if delta:
         assert bounds.tree_cut_bound_improved_holds(cut.width, d, delta)
@@ -111,7 +110,7 @@ def test_diameter_preserving_cut_path():
     assert cut.width <= 1
     check_diam_cut(g, 3, cut)
     rest, _ = induced_subgraph(g, sorted(cut.white))
-    assert relative_diameter(rest) == 1
+    assert diam_star(rest) == 1
 
 
 def test_diameter_preserving_cut_two_paths():
@@ -122,7 +121,7 @@ def test_diameter_preserving_cut_two_paths():
         assert cut.width <= 2
         check_diam_cut(g, m, cut)
         rest, _ = induced_subgraph(g, sorted(cut.white))
-        assert relative_diameter(rest) == 1
+        assert diam_star(rest) == 1
 
 
 def test_diameter_preserving_cut_caterpillar16_case():
@@ -163,13 +162,13 @@ def test_case2b_and_3_internal_assertions():
             assert trace.outer_width <= 2 * max_degree(g)
         if trace.case_tag == "Case2b":
             # the inner graph splits: the approximate cut side is detached
-            from ksec.graph import components as comps
+            from ksec.graph import forest_summary
             from ksec.graph import induced_subgraph as sub
 
             inner, _ = sub(g, sorted(trace.v_tilde))
             # inside the *linked* tree this has >= 2 components; in the
             # original forest it can only split further
-            assert len(comps(inner)) >= 2
+            assert len(forest_summary(inner)) >= 2
     assert {"Case1", "Case2a", "Case2b", "Case3a", "Case3b"} <= seen
 
 
