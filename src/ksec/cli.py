@@ -21,7 +21,8 @@ from .labeling import decompose_along_path, p_labeling
 from .treedec import parse_td, write_td
 
 RUNTIME_NOTE = (
-    "note: inner exact-size cuts run an O(n*m) dynamic program; "
+    "note: inner exact-size cuts run a dynamic program, on trees in O(N*min(m, N-m)) "
+    "for m of N vertices with identical subtrees built once; "
     "the linear-time subroutine behind the original O(kn) claim is not reproduced"
 )
 

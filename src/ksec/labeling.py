@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InvariantViolation, PathNotInTree
-from .graph import Graph, require_tree
+from .graph import Graph, is_int, require_tree
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def decompose_along_path(tree: Graph, path) -> PathDecomposition:
     """Split ``tree`` into the subtrees hanging off ``path``."""
     require_tree(tree, "decompose_along_path")
     for v in path:
-        if not isinstance(v, int) or not 1 <= v <= tree.n:
+        if not is_int(v) or not 1 <= v <= tree.n:
             raise PathNotInTree(f"path vertex {v!r} out of vertex range 1..{tree.n}")
     return path_decomposition(tree, path)
 

@@ -6,7 +6,11 @@ tree decomposition (``dp_min_size_cut_td``).  A node's table is one 2-D
 array with a row per state (the color of the vertex, or a coloring of
 the cluster) and a column per black count; merging a child is one call
 of the row-wise min-plus kernel ``_minplus`` over all rows.
-Decomposition tables are padded with INF to their widest row.
+Decomposition tables are padded with INF to their widest row.  A tree
+table over s of the forest's n vertices keeps only the counts
+max(0, s - (n - m))..min(s, m) that a cut of m vertices can give them,
+and identical ordered subtrees share one table, so the tree DP takes
+O(n * min(m, n - m)) time and memory.
 
 Both DPs share one engine, ``_Tables``: it fills the tables once, keeps
 each node's table and, where they take at most KEEP_RATIO times that
@@ -17,16 +21,18 @@ tree subtree whose traced count is 0 or its size can take one coloring
 only, so the trace paints it whole without splitting counts.  The
 decomposition DP also keeps each child's table reduced to the coloring
 of the cluster it shares with its parent.  One hard memory guard
-(KSEC_MAX_MEM_MB) counts every kept array at its allocated bytes; it
-drops accumulations first and trips only when the tables and
-reductions alone exceed it.
+(KSEC_MAX_MEM_MB) counts every distinct kept array once, at its
+allocated bytes; it drops accumulations first and trips only when the
+tables and reductions alone exceed it.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     InvariantViolation,
@@ -51,41 +57,64 @@ from .treedec import TreeDecomposition, edge_home, occurrences, require_decompos
 INF = 1 << 28
 
 
-def _minplus(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
-    """Row-wise min-plus: out[r, c] = min over i+j=c of a[r, i]+b[r, j], for c in 0..cap.
+def _minplus(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Row-wise min-plus over index sums lo..hi: out[r, c] = min over i+j=lo+c of a[r, i]+b[r, j].
 
     ``a`` and ``b`` are 2-D with one row per coloring (one row for a single
-    sequence) and entries in 0..INF.  Each step of the loop advances every
+    sequence) and entries in 0..INF; the output ends early where the
+    operands do, and ``lo`` is at most its last index sum.  A small merge
+    is one strided reduction.  Otherwise each step of a loop advances every
     row at once; it runs over the columns of the narrower operand that are
     finite in some row.
     """
     if b.shape[1] > a.shape[1]:
         a, b = b, a
-    width = a.shape[1]
-    out_len = min(width + b.shape[1] - 1, cap + 1)
-    out = np.full((a.shape[0], out_len), INF, dtype=np.int32)
-    for j, bj in enumerate(b[:, :out_len].min(axis=0).tolist()):
+    rows, width = a.shape
+    narrow = b.shape[1]
+    out_len = min(width + narrow - 1, hi + 1) - lo
+    if rows <= 2 and narrow > 4 and out_len <= 512 and rows * out_len * narrow <= 1 << 16:
+        # window c of the INF-padded a holds a[lo + c - j] at position narrow - 1 - j
+        pad = np.full((rows, width + 2 * (narrow - 1)), INF, dtype=np.int32)
+        pad[:, narrow - 1 : narrow - 1 + width] = a
+        step, col = pad.strides
+        windows = as_strided(
+            pad[:, lo:], (rows, out_len, narrow), (step, col, col), writeable=False
+        )
+        out = (windows + b[:, None, ::-1]).min(axis=2)
+        return np.minimum(out, INF, out=out)
+    out = np.full((rows, out_len), INF, dtype=np.int32)
+    for j, bj in enumerate(b[:, : lo + out_len].min(axis=0).tolist()):
         if bj >= INF:
             continue
-        hi = min(width, out_len - j)
-        dst = out[:, j : j + hi]
-        np.minimum(dst, a[:, :hi] + b[:, j : j + 1], out=dst)
+        k = j - lo  # the output column of a's column 0
+        if k >= 0:
+            span = min(width, out_len - k)
+            dst = out[:, k : k + span]
+            np.minimum(dst, a[:, :span] + b[:, j : j + 1], out=dst)
+        elif k + width > 0:
+            span = min(width + k, out_len)
+            dst = out[:, :span]
+            np.minimum(dst, a[:, -k : span - k] + b[:, j : j + 1], out=dst)
     return out
 
 
 # --- The exact-cut DP engine ------------------------------------------------
 
-def _split(prev: np.ndarray, part: np.ndarray, c: int, target: int) -> int | None:
+def _split(
+    prev: np.ndarray, first: int, part: np.ndarray, part_first: int, c: int, target: int
+) -> int | None:
     """Smallest cu with prev[c - cu] + part[cu] == target, or None.
 
-    Undoes one min-plus step ``cur = _minplus(prev, part)`` at count c,
-    where target = cur[c].
+    Undoes one min-plus merge of ``prev`` and ``part`` at black count c,
+    where target is the merged entry at c.  ``prev`` starts at count
+    ``first`` and ``part`` at count ``part_first``.
     """
-    lo = max(0, c - len(prev) + 1)
-    hi = min(len(part), c + 1)
+    at = c - first  # prev's index at cu = 0
+    lo = max(part_first, at - len(prev) + 1)
+    hi = min(part_first + len(part), at + 1)
     if lo >= hi:
         return None
-    sums = prev[c - hi + 1 : c - lo + 1][::-1] + part[lo:hi]
+    sums = prev[at - hi + 1 : at - lo + 1][::-1] + part[lo - part_first : hi - part_first]
     hits = np.flatnonzero(sums == target)
     return lo + int(hits[0]) if len(hits) else None
 
@@ -104,7 +133,10 @@ class _Kept:
     degree times its table, recomputes the followed row when traced
     instead.  When an array that must stay does not fit, the
     accumulations are dropped first, so the guard trips only when the
-    arrays that must stay exceed it.
+    arrays that must stay exceed it.  Each distinct array is counted once:
+    a node that ``share``s another's tables adds no bytes, and a read-only
+    array (the tree's leaf table, which every vertex starts from) counts
+    only as a table.
     """
 
     def __init__(self, limit: int):
@@ -130,7 +162,7 @@ class _Kept:
         table = accs[-1]
         self.table[i] = table
         self.need(table.nbytes)
-        inner = sum(a.nbytes for a in accs[:-1])
+        inner = sum(a.nbytes for a in accs[:-1] if a.flags.writeable)
         if (
             inner <= KEEP_RATIO * table.nbytes
             and self.need_bytes + self.inner_bytes + inner <= self.limit
@@ -138,24 +170,30 @@ class _Kept:
             self.accs[i] = accs
             self.inner_bytes += inner
 
+    def share(self, i: int, j: int) -> None:
+        """Node i's table and accumulations are node j's: keep them under both."""
+        self.table[i] = self.table[j]
+        if j in self.accs:
+            self.accs[i] = self.accs[j]
+
 
 class _Tables:
     """One exact-cut DP: a table per node of a rooted tree, filled bottom-up.
 
     A table has one row per state of its node and one column per black
-    count up to ``cap``, INF where a state cannot reach the count.
-    ``run`` fills ``kept``; ``trace`` follows one state down from the
-    root, reading the kept accumulations and recomputing only the followed
-    row where ``kept`` dropped them.  A subclass gives the node's own rows
-    (``own``), a child's rows for each state of the node (``child_rows``),
-    the child state a split came from (``child_state``) and the vertex
-    colors of a state (``paint``); it may also paint a whole subtree whose
-    count leaves one coloring (``paint_forced``).  ``rows`` is a slice of
-    states, or None for all of them; given one state, ``child_rows``
-    returns one row.
+    count in its band, INF where a state cannot reach the count.  ``run``
+    fills ``kept``; ``trace`` follows one state down from the root,
+    reading the kept accumulations and recomputing only the followed row
+    where ``kept`` dropped them.  A subclass gives the node's own rows
+    (``own``), the first and last count each accumulation keeps
+    (``band``), a child's rows for each state of the node
+    (``child_rows``), the child state a split came from (``child_state``)
+    and the vertex colors of a state (``paint``); it may also paint a
+    whole subtree whose count leaves one coloring (``paint_forced``).
+    ``rows`` is a slice of states, or None for all of them; given one
+    state, ``child_rows`` returns one row.
     """
 
-    cap: int
     kept: _Kept
     order: list[int]  # BFS order from the root
     children: dict[int, list[int]]
@@ -163,8 +201,12 @@ class _Tables:
     def accumulate(self, i: int, rows: slice | None = None) -> list[np.ndarray]:
         """Node i's own rows, then one min-plus merge per child; the last is its table."""
         accs = [self.own(i, rows)]
-        for j in self.children[i]:
-            accs.append(_minplus(accs[-1], self.child_rows(i, j, rows), self.cap))
+        first = self.band(i, 0)[0]
+        for idx, j in enumerate(self.children[i], 1):
+            lo, hi = self.band(i, idx)
+            base = first + self.band(j, -1)[0]  # the count of index sum 0
+            accs.append(_minplus(accs[-1], self.child_rows(i, j, rows), lo - base, hi - base))
+            first = lo
         return accs
 
     def run(self) -> np.ndarray:
@@ -185,14 +227,17 @@ class _Tables:
             if accs is None:
                 accs, r = self.accumulate(i, slice(s, s + 1)), 0
             children = self.children[i]
+            after = self.band(i, -1)[0]  # the first count of accumulation idx + 1
             for idx in range(len(children) - 1, -1, -1):
                 j = children[idx]
                 part = self.child_rows(i, j, s)
-                cj = _split(accs[idx][r], part, c, int(accs[idx + 1][r, c]))
+                first = self.band(i, idx)[0]
+                target = int(accs[idx + 1][r, c - after])
+                cj = _split(accs[idx][r], first, part, self.band(j, -1)[0], c, target)
                 if cj is None:
                     raise InvariantViolation("exact-cut DP trace failed to split a count")
                 stack.append((j, *self.child_state(i, j, s, part, cj)))
-                c -= cj
+                c, after = c - cj, first
             if c != s.bit_count():
                 raise InvariantViolation("exact-cut DP trace ended on a bad count")
 
@@ -203,6 +248,11 @@ class _Tables:
 
 # --- Trees ------------------------------------------------------------------
 
+def _band(s: int, m: int, n: int) -> tuple[int, int]:
+    """First and last black count that s of a forest's n vertices can hold when |B| = m."""
+    return max(0, s - (n - m)), min(s, m)
+
+
 def _best(du: np.ndarray) -> np.ndarray:
     """Row s: best of child table ``du`` under a parent of color s, paying 1 when colors differ."""
     return np.minimum(du, du[::-1] + 1)
@@ -211,27 +261,50 @@ def _best(du: np.ndarray) -> np.ndarray:
 class _TreeTables(_Tables):
     """Per-vertex DP tables for one component, rooted at its smallest id.
 
-    A vertex's state is its color.  Every leaf shares one read-only table.
-    ``kept`` is shared by all components of the forest.  ``order`` is the
-    component's BFS order from its root, and ``parent`` the BFS parents
-    of the sweep over the whole forest that found it.
+    A vertex's state is its color.  Its accumulation idx covers the vertex
+    and its first idx children's subtrees (``cover``), and keeps only the
+    black counts a cut of m of the forest's n vertices can give that many
+    vertices.  Every leaf shares one read-only table, and a vertex whose
+    ordered children have the tables of an earlier vertex's shares that
+    vertex's table and accumulations.  ``kept`` is shared by all
+    components of the forest.  ``order`` is the component's BFS order from
+    its root, and ``parent`` the BFS parents of the sweep over the whole
+    forest that found it.
     """
 
-    def __init__(self, g: Graph, order: list[int], parent: list[int], cap: int, kept: _Kept):
-        self.cap = cap
+    def __init__(self, g: Graph, order: list[int], parent: list[int], m: int, kept: _Kept):
+        self.m, self.n = m, g.n
         self.kept = kept
         self.order = order
         adj = g.adj
         self.children = {v: [w for w in adj[v] if parent[w] == v] for v in order}
-        self.size = dict.fromkeys(order, 1)
-        for v in reversed(order[1:]):
-            self.size[parent[v]] += self.size[v]
-        self.leaf = np.full((2, min(1, cap) + 1), INF, dtype=np.int32)
-        self.leaf[0, 0] = 0
-        if cap >= 1:
-            self.leaf[1, 1] = 0
+        self.cover: dict[int, list[int]] = {}
+        for v in reversed(order):
+            sizes = (self.cover[u][-1] for u in self.children[v])
+            self.cover[v] = list(accumulate(sizes, initial=1))
+        lo, hi = _band(1, m, g.n)
+        self.leaf = np.array([[0, INF], [INF, 0]], dtype=np.int32)[:, lo : hi + 1].copy()
         self.leaf_best = _best(self.leaf)
         self.leaf.flags.writeable = self.leaf_best.flags.writeable = False
+
+    def band(self, v: int, idx: int) -> tuple[int, int]:
+        return _band(self.cover[v][idx], self.m, self.n)
+
+    def run(self) -> np.ndarray:
+        """Fill one table per class of identical ordered subtrees; returns the root's.
+
+        A vertex's class is the first vertex, in reverse BFS order, whose
+        children are of the same classes in the same order.
+        """
+        rep: dict[int, int] = {}
+        class_of: dict[tuple[int, ...], int] = {}  # the children's classes -> a class
+        for v in reversed(self.order):
+            r = rep[v] = class_of.setdefault(tuple([rep[u] for u in self.children[v]]), v)
+            if r == v:
+                self.kept.add(v, self.accumulate(v))
+            else:
+                self.kept.share(v, r)
+        return self.kept.table[self.order[0]]
 
     def own(self, v: int, rows: slice | None) -> np.ndarray:
         return self.leaf if rows is None else self.leaf[rows]
@@ -242,14 +315,15 @@ class _TreeTables(_Tables):
         return best if rows is None else best[rows]
 
     def child_state(self, v: int, u: int, s: int, part: np.ndarray, cu: int) -> tuple[int, int]:
-        return (s if self.kept.table[u][s, cu] == part[cu] else 1 - s), cu
+        k = cu - self.band(u, -1)[0]
+        return (s if self.kept.table[u][s, k] == part[k] else 1 - s), cu
 
     def paint(self, v: int, s: int, color: dict[int, int]) -> None:
         color[v] = s
 
     def paint_forced(self, v: int, s: int, c: int, color: dict[int, int]) -> bool:
         """A subtree with no black vertex, or only black ones, has one way to split its count."""
-        if c != s * self.size[v]:
+        if c != s * self.cover[v][-1]:
             return False
         stack = [v]
         while stack:
@@ -262,7 +336,11 @@ class _TreeTables(_Tables):
 def dp_min_size_cut_tree(
     forest: Graph, m: int, mem_limit_mb: int | None = None
 ) -> tuple[Cut, int]:
-    """Exact minimum-width cut with |B| = m in a forest; O(n*m) time.
+    """Exact minimum-width cut with |B| = m in a forest of n vertices.
+
+    Time and kept memory are O(n * min(m, n - m)): a table over s vertices
+    keeps only the black counts max(0, s - (n - m))..min(s, m) a cut can
+    give them, and identical ordered subtrees share one table.
 
     One BFS sweep, from each smallest id not yet reached, roots the
     components.  With the edge count it also checks that the graph is a
@@ -277,27 +355,32 @@ def dp_min_size_cut_tree(
     if forest.num_edges != n - len(orders):
         require_forest(forest, "dp_min_size_cut_tree")  # a cycle: raises NotAForest naming an edge
     kept = _Kept(mem_limit_bytes(mem_limit_mb))
-    tables = [_TreeTables(forest, order, parent, min(m, len(order)), kept) for order in orders]
+    tables = [_TreeTables(forest, order, parent, m, kept) for order in orders]
     roots = [t.run() for t in tables]
     dps = [np.minimum(r[:1], r[1:]) for r in roots]  # best over the root's colors
+    firsts = [t.band(t.order[0], -1)[0] for t in tables]
 
-    # knapsack across components
-    accs = [np.zeros((1, 1), dtype=np.int32)]
-    for d in dps:
-        accs.append(_minplus(accs[-1], d, m))
-    total = accs[-1][0]
-    if m >= len(total) or total[m] >= INF:
+    # knapsack across components, banded like the tables by the vertices covered
+    accs, starts, covered = [np.zeros((1, 1), dtype=np.int32)], [0], 0
+    for t, d, f in zip(tables, dps, firsts):
+        covered += len(t.order)
+        lo, hi = _band(covered, m, n)
+        base = starts[-1] + f
+        accs.append(_minplus(accs[-1], d, lo - base, hi - base))
+        starts.append(lo)
+    width = int(accs[-1][0, 0])  # all n vertices: the one count kept is m
+    if width >= INF:
         raise InvariantViolation("no cut of the requested size exists")
-    width = int(total[m])
 
     color: dict[int, int] = {}
     c = m
     for idx in range(len(tables) - 1, -1, -1):
-        cu = _split(accs[idx][0], dps[idx][0], c, int(accs[idx + 1][0][c]))
+        target = int(accs[idx + 1][0, c - starts[idx + 1]])
+        cu = _split(accs[idx][0], starts[idx], dps[idx][0], firsts[idx], c, target)
         if cu is None:
             raise InvariantViolation("component knapsack trace failed")
-        root = roots[idx]  # its color: white unless black is strictly better
-        tables[idx].trace(0 if root[0, cu] <= root[1, cu] else 1, cu, color)
+        root = roots[idx][:, cu - firsts[idx]]  # its color: white unless black is strictly better
+        tables[idx].trace(0 if root[0] <= root[1] else 1, cu, color)
         c -= cu
     black = {v for v, s in color.items() if s == 1}
     cut = Cut._trusted(forest, black)
@@ -349,6 +432,9 @@ class _TDTables(_Tables):
                 raise InvariantViolation(f"edge ({u},{v}) not covered by any cluster (T2 fails)")
             self.cost_edges[home].append((u, v))
         self.red: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def band(self, i: int, idx: int) -> tuple[int, int]:
+        return 0, self.cap
 
     def own(self, i: int, rows: slice | None) -> np.ndarray:
         """Node i's base rows: the cut edges charged to it, at the cluster's own black count."""

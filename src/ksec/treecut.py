@@ -83,7 +83,7 @@ def approximate_cut(tree: Graph, v: int, m: int) -> Cut:
     still exceeds m.
     """
     require_tree(tree, "approximate_cut")
-    if not isinstance(v, int) or not 1 <= v <= tree.n:
+    if not is_int(v) or not 1 <= v <= tree.n:
         raise KsecError(f"approximate_cut: vertex {v!r} out of vertex range 1..{tree.n}")
     return Cut._trusted(tree, _approximate_cut(tree, v, m))
 

@@ -13,8 +13,16 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
-from ksec.errors import InvariantViolation, ResourceLimit
-from ksec.graph import Graph, bfs_tree
+from ksec.errors import InvariantViolation, MOutOfRange, ResourceLimit
+from ksec.graph import (
+    Cut,
+    Graph,
+    bfs_tree,
+    component_orders,
+    is_int,
+    mem_limit_bytes,
+    require_forest,
+)
 from ksec.treedec import HeaviestPathResult, TreeDecomposition, edge_home, occurrences
 
 
@@ -225,6 +233,54 @@ def random_forest(rng, n_lo=2, n_hi=60, max_degree=5, drop=3):
     return Graph(n, edges)
 
 
+def rooted_forest(g):
+    """BFS order and parents (0 at a root) of a forest, as in the tree DP.
+
+    Each component is rooted at its smallest id, and a vertex's children
+    are its other neighbours in ascending order.
+    """
+    order, parent = [], {}
+    for root in g.vertices():
+        if root in parent:
+            continue
+        parent[root] = 0
+        i = len(order)
+        order.append(root)
+        while i < len(order):
+            fresh = [u for u in sorted(g.adj[order[i]]) if u not in parent]
+            parent.update(dict.fromkeys(fresh, order[i]))
+            order += fresh
+            i += 1
+    return order, parent
+
+
+def subtree_totals(g, weight):
+    """For each vertex, the sum of ``weight(u)`` over the vertices u of its subtree."""
+    order, parent = rooted_forest(g)
+    total = {v: weight(v) for v in order}
+    for v in reversed(order):
+        if parent[v]:
+            total[parent[v]] += total[v]
+    return total
+
+
+def subtree_classes(g):
+    """Each vertex's class of identical ordered subtrees within its component.
+
+    A class is (component root, the numbers of its children's classes in
+    order), so its second item has one entry per child; the tree DP builds
+    one table per class.
+    """
+    order, parent = rooted_forest(g)
+    root, cls, number = {}, {}, {}
+    for v in order:
+        root[v] = root[parent[v]] if parent[v] else v
+    for v in reversed(order):
+        cls[v] = (root[v], tuple(number[cls[u]] for u in sorted(g.adj[v]) if parent[u] == v))
+        number.setdefault(cls[v], len(number))
+    return cls
+
+
 def make_nonredundant_rescan(td):
     """``treedec.make_nonredundant`` as first written: rescan every node after each contraction.
 
@@ -394,3 +450,262 @@ class TDTablesPerColoring:
             self.table[i] = tabs
             self._keep(tabs)
         return self.table[self.order[0]]
+
+
+# --- The tree DP with full-width tables ------------------------------------
+#
+# ``oracle.dp_min_size_cut_tree`` and its engine as they were before the
+# tables kept only the feasible count band and identical subtrees shared a
+# table: every table spans the counts 0..min(s, m), every vertex builds its
+# own, and every merge runs the column loop.  Only the kernel and the entry
+# point are renamed.  The reference for the black set and the width.
+
+def _minplus_rows(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
+    """Row-wise min-plus: out[r, c] = min over i+j=c of a[r, i]+b[r, j], for c in 0..cap.
+
+    ``a`` and ``b`` are 2-D with one row per coloring (one row for a single
+    sequence) and entries in 0..INF.  Each step of the loop advances every
+    row at once; it runs over the columns of the narrower operand that are
+    finite in some row.
+    """
+    if b.shape[1] > a.shape[1]:
+        a, b = b, a
+    width = a.shape[1]
+    out_len = min(width + b.shape[1] - 1, cap + 1)
+    out = np.full((a.shape[0], out_len), INF, dtype=np.int32)
+    for j, bj in enumerate(b[:, :out_len].min(axis=0).tolist()):
+        if bj >= INF:
+            continue
+        hi = min(width, out_len - j)
+        dst = out[:, j : j + hi]
+        np.minimum(dst, a[:, :hi] + b[:, j : j + 1], out=dst)
+    return out
+
+
+def _split(prev: np.ndarray, part: np.ndarray, c: int, target: int) -> int | None:
+    """Smallest cu with prev[c - cu] + part[cu] == target, or None.
+
+    Undoes one min-plus step ``cur = _minplus_rows(prev, part)`` at count c,
+    where target = cur[c].
+    """
+    lo = max(0, c - len(prev) + 1)
+    hi = min(len(part), c + 1)
+    if lo >= hi:
+        return None
+    sums = prev[c - hi + 1 : c - lo + 1][::-1] + part[lo:hi]
+    hits = np.flatnonzero(sums == target)
+    return lo + int(hits[0]) if len(hits) else None
+
+
+KEEP_RATIO = 4  # a node keeps accumulations of at most this many times its table
+
+
+class _Kept:
+    """What one exact-cut DP keeps, under the memory guard.
+
+    Every node's table stays, and so does every array counted by ``need``
+    (the decomposition DP's reductions).  A node's intermediate
+    accumulations (all but the last, which is its table) stay as well when
+    they take at most KEEP_RATIO times the table's bytes and fit under the
+    guard; a node with many children, whose accumulations grow with its
+    degree times its table, recomputes the followed row when traced
+    instead.  When an array that must stay does not fit, the
+    accumulations are dropped first, so the guard trips only when the
+    arrays that must stay exceed it.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.table: dict[int, np.ndarray] = {}
+        self.accs: dict[int, list[np.ndarray]] = {}  # the last one is the node's table
+        self.need_bytes = 0
+        self.inner_bytes = 0
+
+    def need(self, nbytes: int) -> None:
+        """Count ``nbytes`` of arrays that must stay until the trace ends."""
+        self.need_bytes += nbytes
+        if self.need_bytes + self.inner_bytes > self.limit:
+            self.accs.clear()
+            self.inner_bytes = 0
+            if self.need_bytes > self.limit:
+                raise ResourceLimit(
+                    f"exact-cut DP tables exceed memory guard ({self.need_bytes >> 20} MB); "
+                    "raise KSEC_MAX_MEM_MB"
+                )
+
+    def add(self, i: int, accs: list[np.ndarray]) -> None:
+        table = accs[-1]
+        self.table[i] = table
+        self.need(table.nbytes)
+        inner = sum(a.nbytes for a in accs[:-1])
+        if (
+            inner <= KEEP_RATIO * table.nbytes
+            and self.need_bytes + self.inner_bytes + inner <= self.limit
+        ):
+            self.accs[i] = accs
+            self.inner_bytes += inner
+
+
+class _Tables:
+    """One exact-cut DP: a table per node of a rooted tree, filled bottom-up.
+
+    A table has one row per state of its node and one column per black
+    count up to ``cap``, INF where a state cannot reach the count.
+    ``run`` fills ``kept``; ``trace`` follows one state down from the
+    root, reading the kept accumulations and recomputing only the followed
+    row where ``kept`` dropped them.  A subclass gives the node's own rows
+    (``own``), a child's rows for each state of the node (``child_rows``),
+    the child state a split came from (``child_state``) and the vertex
+    colors of a state (``paint``); it may also paint a whole subtree whose
+    count leaves one coloring (``paint_forced``).  ``rows`` is a slice of
+    states, or None for all of them; given one state, ``child_rows``
+    returns one row.
+    """
+
+    cap: int
+    kept: _Kept
+    order: list[int]  # BFS order from the root
+    children: dict[int, list[int]]
+
+    def accumulate(self, i: int, rows: slice | None = None) -> list[np.ndarray]:
+        """Node i's own rows, then one min-plus merge per child; the last is its table."""
+        accs = [self.own(i, rows)]
+        for j in self.children[i]:
+            accs.append(_minplus_rows(accs[-1], self.child_rows(i, j, rows), self.cap))
+        return accs
+
+    def run(self) -> np.ndarray:
+        """Fill the tables; returns the root's."""
+        for i in reversed(self.order):
+            self.kept.add(i, self.accumulate(i))
+        return self.kept.table[self.order[0]]
+
+    def trace(self, state: int, count: int, color: dict[int, int]) -> None:
+        """Color every vertex, following the root's ``state`` with ``count`` black vertices."""
+        stack = [(self.order[0], state, count)]
+        while stack:
+            i, s, c = stack.pop()
+            if self.paint_forced(i, s, c, color):
+                continue
+            self.paint(i, s, color)
+            accs, r = self.kept.accs.get(i), s
+            if accs is None:
+                accs, r = self.accumulate(i, slice(s, s + 1)), 0
+            children = self.children[i]
+            for idx in range(len(children) - 1, -1, -1):
+                j = children[idx]
+                part = self.child_rows(i, j, s)
+                cj = _split(accs[idx][r], part, c, int(accs[idx + 1][r, c]))
+                if cj is None:
+                    raise InvariantViolation("exact-cut DP trace failed to split a count")
+                stack.append((j, *self.child_state(i, j, s, part, cj)))
+                c -= cj
+            if c != s.bit_count():
+                raise InvariantViolation("exact-cut DP trace ended on a bad count")
+
+    def paint_forced(self, i: int, s: int, c: int, color: dict[int, int]) -> bool:
+        """Color all of node i's subtree when ``c`` leaves it one coloring; True if it did."""
+        return False
+
+
+def _best(du: np.ndarray) -> np.ndarray:
+    """Row s: best of child table ``du`` under a parent of color s, paying 1 when colors differ."""
+    return np.minimum(du, du[::-1] + 1)
+
+
+class _TreeTables(_Tables):
+    """Per-vertex DP tables for one component, rooted at its smallest id.
+
+    A vertex's state is its color.  Every leaf shares one read-only table.
+    ``kept`` is shared by all components of the forest.  ``order`` is the
+    component's BFS order from its root, and ``parent`` the BFS parents
+    of the sweep over the whole forest that found it.
+    """
+
+    def __init__(self, g: Graph, order: list[int], parent: list[int], cap: int, kept: _Kept):
+        self.cap = cap
+        self.kept = kept
+        self.order = order
+        adj = g.adj
+        self.children = {v: [w for w in adj[v] if parent[w] == v] for v in order}
+        self.size = dict.fromkeys(order, 1)
+        for v in reversed(order[1:]):
+            self.size[parent[v]] += self.size[v]
+        self.leaf = np.full((2, min(1, cap) + 1), INF, dtype=np.int32)
+        self.leaf[0, 0] = 0
+        if cap >= 1:
+            self.leaf[1, 1] = 0
+        self.leaf_best = _best(self.leaf)
+        self.leaf.flags.writeable = self.leaf_best.flags.writeable = False
+
+    def own(self, v: int, rows: slice | None) -> np.ndarray:
+        return self.leaf if rows is None else self.leaf[rows]
+
+    def child_rows(self, v: int, u: int, rows: int | slice | None) -> np.ndarray:
+        du = self.kept.table[u]
+        best = self.leaf_best if du is self.leaf else _best(du)
+        return best if rows is None else best[rows]
+
+    def child_state(self, v: int, u: int, s: int, part: np.ndarray, cu: int) -> tuple[int, int]:
+        return (s if self.kept.table[u][s, cu] == part[cu] else 1 - s), cu
+
+    def paint(self, v: int, s: int, color: dict[int, int]) -> None:
+        color[v] = s
+
+    def paint_forced(self, v: int, s: int, c: int, color: dict[int, int]) -> bool:
+        """A subtree with no black vertex, or only black ones, has one way to split its count."""
+        if c != s * self.size[v]:
+            return False
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            color[u] = s
+            stack += self.children[u]
+        return True
+
+
+def dp_min_size_cut_tree_full_width(
+    forest: Graph, m: int, mem_limit_mb: int | None = None
+) -> tuple[Cut, int]:
+    """Exact minimum-width cut with |B| = m in a forest; O(n*m) time.
+
+    One BFS sweep, from each smallest id not yet reached, roots the
+    components.  With the edge count it also checks that the graph is a
+    forest, so a caller that knows it has one pays no second check; only
+    a graph with a cycle goes through ``require_forest``, which names an
+    edge on it.
+    """
+    n = forest.n
+    if not is_int(m) or not (0 <= m <= n):
+        raise MOutOfRange(f"m={m!r} not in 0..{n}")
+    orders, parent = component_orders(forest)
+    if forest.num_edges != n - len(orders):
+        require_forest(forest, "dp_min_size_cut_tree")  # a cycle: raises NotAForest naming an edge
+    kept = _Kept(mem_limit_bytes(mem_limit_mb))
+    tables = [_TreeTables(forest, order, parent, min(m, len(order)), kept) for order in orders]
+    roots = [t.run() for t in tables]
+    dps = [np.minimum(r[:1], r[1:]) for r in roots]  # best over the root's colors
+
+    # knapsack across components
+    accs = [np.zeros((1, 1), dtype=np.int32)]
+    for d in dps:
+        accs.append(_minplus_rows(accs[-1], d, m))
+    total = accs[-1][0]
+    if m >= len(total) or total[m] >= INF:
+        raise InvariantViolation("no cut of the requested size exists")
+    width = int(total[m])
+
+    color: dict[int, int] = {}
+    c = m
+    for idx in range(len(tables) - 1, -1, -1):
+        cu = _split(accs[idx][0], dps[idx][0], c, int(accs[idx + 1][0][c]))
+        if cu is None:
+            raise InvariantViolation("component knapsack trace failed")
+        root = roots[idx]  # its color: white unless black is strictly better
+        tables[idx].trace(0 if root[0, cu] <= root[1, cu] else 1, cu, color)
+        c -= cu
+    black = {v for v, s in color.items() if s == 1}
+    cut = Cut._trusted(forest, black)
+    if len(cut.black) != m or cut.width != width:
+        raise InvariantViolation("tree DP reconstruction mismatch")
+    return cut, width

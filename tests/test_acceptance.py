@@ -225,7 +225,8 @@ def test_criterion_7_scaling_sanity():
     """Doubling n must grow the median ksection time by < 4.5x.
 
     The O(kn) of the underlying method is intentionally NOT reproduced
-    (the exact-cut subroutine is an O(n*m) DP); this only pins down
+    (the exact-cut subroutine is a DP in O(N*min(m, N-m)) on the N vertices
+    it cuts, with identical subtrees built once); this only pins down
     subquadratic behavior.
     """
     rng = Xorshift64Star(0xAC7)

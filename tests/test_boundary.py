@@ -76,7 +76,7 @@ def test_forest_entry_points_reject_cycles(name):
         FOREST_ENTRY_POINTS[name](CYCLE)
 
 
-@pytest.mark.parametrize("v", [0, 7, 99, 2.5, "a"])
+@pytest.mark.parametrize("v", [0, 7, 99, 2.5, "a", True, False])
 def test_approximate_cut_names_a_vertex_out_of_range(v):
     named = rf"approximate_cut: vertex {v!r} out of vertex range 1\.\.6"
     with pytest.raises(KsecError, match=named) as exc:
@@ -125,6 +125,9 @@ def test_decompose_along_path_names_a_path_vertex_out_of_range():
         decompose_along_path(path(6), [1, 0])
     with pytest.raises(PathNotInTree, match="path vertex 2.5"):
         decompose_along_path(path(6), [2.5])
+    for flag in (True, False):  # a bool is no vertex, though it is an int
+        with pytest.raises(PathNotInTree, match=f"path vertex {flag}"):
+            decompose_along_path(path(6), [flag, 2])
 
 
 def test_cut_prescribed_sizes_rejects_a_size_that_is_not_an_integer():

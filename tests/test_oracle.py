@@ -11,6 +11,7 @@ from ksec.graph import Graph, forest_summary, max_degree
 from ksec.instances import (
     Xorshift64Star,
     adversarial_ternary_path,
+    caterpillar_graph,
     random_partial_ktree,
     random_tree_maxdeg,
 )
@@ -29,39 +30,58 @@ def test_balanced_sizes():
     assert balanced_sizes(2, 3) == [1, 1, 0]
 
 
-def _naive_minplus(a, b, cap):
-    """out[r][c] = min over i+j=c of a[r][i]+b[r][j] by a double loop per row, capped at INF."""
-    out_len = min(len(a[0]) + len(b[0]) - 1, cap + 1)
+def _naive_minplus(a, b, lo, hi):
+    """out[r][c] = min over i+j=lo+c of a[r][i]+b[r][j], for lo+c <= hi, by a double loop per row."""
+    out_len = min(len(a[0]) + len(b[0]) - 1, hi + 1) - lo
     out = []
     for ra, rb in zip(a, b):
         row = [oracle.INF] * out_len
         for i, x in enumerate(ra):
             for j, y in enumerate(rb):
-                if i + j < out_len:
-                    row[i + j] = min(row[i + j], x + y)
+                if 0 <= i + j - lo < out_len:
+                    row[i + j - lo] = min(row[i + j - lo], x + y)
         out.append(row)
     return out
 
 
+def _strided(rows, out_len, narrow):
+    """The kernel's rule for folding a merge into one strided reduction."""
+    return rows <= 2 and narrow > 4 and out_len <= 512 and rows * out_len * narrow <= 1 << 16
+
+
+# (rows, both widths) on each side of the rule: small merges of one or two rows with
+# operands wider than 4; many rows; a narrow operand of at most 4; too much work
+_SHAPES = {
+    "strided": ((1, 2), (5, 40), (5, 40)),
+    "many rows": ((3, 16), (1, 40), (1, 40)),
+    "narrow": ((1, 2), (1, 4), (1, 60)),
+    "large": ((2, 2), (200, 260), (200, 260)),
+}
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_minplus_matches_a_per_row_double_loop(data):
-    rows = data.draw(st.integers(1, 16))
-    entry = st.one_of(st.integers(0, 60), st.just(oracle.INF))
+@given(st.sampled_from(sorted(_SHAPES)), st.data())
+def test_minplus_matches_a_per_row_double_loop(shape, data):
+    rows_range, *width_ranges = _SHAPES[shape]
+    rows = data.draw(st.integers(*rows_range))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32)))
+    inf_share = data.draw(st.sampled_from([0.0, 0.3, 0.9]))
 
-    def operand():
-        width = data.draw(st.integers(1, 40))
-        cells = data.draw(st.lists(st.lists(entry, min_size=width, max_size=width),
-                                   min_size=rows, max_size=rows))
-        dead = data.draw(st.sets(st.integers(0, width - 1)))  # INF in every row
-        return np.array([[oracle.INF if c in dead else x for c, x in enumerate(row)]
-                         for row in cells], dtype=np.int32)
+    def operand(width):
+        cells = rng.integers(0, 61, size=(rows, width), dtype=np.int32)
+        cells[rng.random((rows, width)) < inf_share] = oracle.INF
+        cells[:, rng.random(width) < inf_share / 3] = oracle.INF  # INF in every row
+        return cells
 
-    a, b = operand(), operand()
-    cap = data.draw(st.integers(0, 80))
-    want = _naive_minplus(a.tolist(), b.tolist(), cap)
+    a, b = (operand(data.draw(st.integers(*w))) for w in width_ranges)
+    full = a.shape[1] + b.shape[1] - 2  # the last index sum
+    hi = full if shape == "large" else data.draw(st.integers(0, full + 5))
+    lo = data.draw(st.integers(0, min(full, hi, 50)))
+    out_len = min(full, hi) + 1 - lo
+    assert _strided(rows, out_len, min(a.shape[1], b.shape[1])) == (shape == "strided")
+    want = _naive_minplus(a.tolist(), b.tolist(), lo, hi)
     for x, y in ((a, b), (b, a)):  # the kernel loops over the narrower operand
-        out = oracle._minplus(x, y, cap)
+        out = oracle._minplus(x, y, lo, hi)
         assert out.dtype == np.int32 and out.tolist() == want
 
 
@@ -137,49 +157,6 @@ def test_dp_tree_on_random_forests_matches_subset_enumeration(seed):
         assert cut.width == w == oracles.min_cut_over_subsets(g, m)
 
 
-def test_dp_tree_merges_each_vertex_once(monkeypatch):
-    """The trace rebuilds the cut from kept accumulations; the DP runs once."""
-    calls = []
-    merge = oracle._TreeTables.accumulate
-
-    def spy(self, v, rows=None):
-        calls.append(v)
-        return merge(self, v, rows)
-
-    monkeypatch.setattr(oracle._TreeTables, "accumulate", spy)
-    g = oracles.random_forest(Xorshift64Star(77), n_lo=40, n_hi=40, drop=5)
-    assert len(forest_summary(g)) >= 3
-    for m in (1, g.n // 2, g.n):
-        calls.clear()
-        dp_min_size_cut_tree(g, m)
-        assert sorted(calls) == list(g.vertices())
-
-
-def _count_minplus(monkeypatch):
-    """Record the row count of every ``oracle._minplus`` call."""
-    rows = []
-    kernel = oracle._minplus
-
-    def spy(a, b, cap):
-        rows.append(a.shape[0])
-        return kernel(a, b, cap)
-
-    monkeypatch.setattr(oracle, "_minplus", spy)
-    return rows
-
-
-def test_dp_tree_merges_each_child_in_one_minplus_call(monkeypatch):
-    """One kernel call per tree edge covers both colors; the knapsack adds one per component."""
-    calls = _count_minplus(monkeypatch)
-    g = oracles.random_forest(Xorshift64Star(78), n_lo=40, n_hi=40, drop=5)
-    comps = len(forest_summary(g))
-    assert comps >= 3
-    for m in (1, g.n // 2, g.n):
-        calls.clear()
-        dp_min_size_cut_tree(g, m)
-        assert sorted(calls) == [1] * comps + [2] * len(g.edges)
-
-
 def _star_comb(hubs, leaves):
     """``hubs`` vertices on a path, each with ``leaves`` pendant leaves numbered after them."""
     edges = [(h, h + 1) for h in range(1, hubs)]
@@ -188,26 +165,136 @@ def _star_comb(hubs, leaves):
     return Graph(hubs * (leaves + 1), edges)
 
 
-def test_dp_tree_recomputes_only_the_accumulations_of_high_degree_vertices(monkeypatch):
-    """A star comb keeps its tables (~0.2 MB) under a 1 MB guard, not all accumulations (~8 MB)."""
-    calls = []
+def _assert_full_width_cut(g, ms):
+    """The DP traces the black set and width of the full-width reference for each m."""
+    for m in ms:
+        cut, w = dp_min_size_cut_tree(g, m)
+        ref, ref_w = oracles.dp_min_size_cut_tree_full_width(g, m)
+        assert (cut.black, w) == (ref.black, ref_w), m
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 60), st.data())
+def test_dp_tree_traces_the_cut_of_the_full_width_dp_on_random_forests(seed, data):
+    g = oracles.random_forest(Xorshift64Star(seed), n_lo=1, n_hi=80, drop=6)
+    _assert_full_width_cut(g, sorted({0, 1, g.n - 1, g.n, data.draw(st.integers(0, g.n))}))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_star_comb(6, 5), _star_comb(12, 12), caterpillar_graph(120), caterpillar_graph(121),
+     *(adversarial_ternary_path(h) for h in range(1, 5))],
+    ids=["comb-6x5", "comb-12x12", "caterpillar-120", "caterpillar-121",
+         *(f"adversarial-{h}" for h in range(1, 5))],
+)
+def test_dp_tree_traces_the_cut_of_the_full_width_dp_on_structured_trees(g):
+    _assert_full_width_cut(g, sorted({*range(0, g.n + 1, max(1, g.n // 40)), g.n - 1, g.n}))
+
+
+def _mixed(g, black):
+    """Vertices whose subtree holds black and white vertices: the ones the trace splits."""
+    size = oracles.subtree_totals(g, lambda v: 1)
+    blacks = oracles.subtree_totals(g, lambda v: int(v in black))
+    return {v for v in size if 0 < blacks[v] < size[v]}
+
+
+def _spy_accumulate(monkeypatch):
+    """Record ``_TreeTables.accumulate`` calls.
+
+    Returns the vertices of full-table calls, the vertices of traced single
+    rows, and the full-table vertices whose accumulations (all but the
+    table, without the shared read-only leaf) exceed KEEP_RATIO times
+    their table, which the trace must recompute.
+    """
+    full, traced, heavy = [], [], set()
     merge = oracle._TreeTables.accumulate
 
     def spy(self, v, rows=None):
-        calls.append(v)
-        return merge(self, v, rows)
+        accs = merge(self, v, rows)
+        if rows is None:
+            full.append(v)
+            inner = sum(a.nbytes for a in accs[:-1] if a.flags.writeable)
+            if inner > oracle.KEEP_RATIO * accs[-1].nbytes:
+                heavy.add(v)
+        else:
+            traced.append(v)
+        return accs
 
     monkeypatch.setattr(oracle._TreeTables, "accumulate", spy)
+    return full, traced, heavy
+
+
+def test_dp_tree_merges_each_class_of_identical_subtrees_once(monkeypatch):
+    """The trace rebuilds the cut from kept accumulations; the DP runs once per subtree class.
+
+    The trace recomputes one row only of a split vertex whose class keeps
+    no accumulations.
+    """
+    full, traced, heavy = _spy_accumulate(monkeypatch)
+    g = oracles.random_forest(Xorshift64Star(77), n_lo=40, n_hi=40, drop=5)
+    assert len(forest_summary(g)) >= 3
+    cls = oracles.subtree_classes(g)
+    assert len(set(cls.values())) < g.n - 10  # leaves and small shapes repeat
+    for m in (1, g.n // 2, g.n):
+        full.clear(), traced.clear(), heavy.clear()
+        cut, _ = dp_min_size_cut_tree(g, m)
+        assert sorted(cls[v] for v in full) == sorted(set(cls.values()))
+        heavy_classes = {cls[v] for v in heavy}
+        assert sorted(traced) == sorted(v for v in _mixed(g, cut.black) if cls[v] in heavy_classes)
+
+
+def _count_minplus(monkeypatch):
+    """Record the row count of every ``oracle._minplus`` call."""
+    rows = []
+    kernel = oracle._minplus
+
+    def spy(a, b, lo, hi):
+        rows.append(a.shape[0])
+        return kernel(a, b, lo, hi)
+
+    monkeypatch.setattr(oracle, "_minplus", spy)
+    return rows
+
+
+def test_dp_tree_merges_each_child_in_one_minplus_call(monkeypatch):
+    """One kernel call per child of each subtree class covers both colors.
+
+    The knapsack adds one call per component, and a row the trace
+    recomputes one per child of its vertex.
+    """
+    calls = _count_minplus(monkeypatch)
+    _, traced, _ = _spy_accumulate(monkeypatch)
+    g = oracles.random_forest(Xorshift64Star(78), n_lo=40, n_hi=40, drop=5)
+    comps = len(forest_summary(g))
+    assert comps >= 3
+    cls = oracles.subtree_classes(g)
+    merges = sum(len(shape) for _, shape in set(cls.values()))
+    assert merges < len(g.edges)
+    recomputed = []
+    for m in (1, g.n // 2, g.n):
+        calls.clear(), traced.clear()
+        dp_min_size_cut_tree(g, m)
+        rows = comps + sum(len(cls[v][1]) for v in traced)
+        assert sorted(calls) == [1] * rows + [2] * merges
+        recomputed += traced
+    assert recomputed  # m = n // 2 splits a vertex that keeps no accumulations
+
+
+def test_dp_tree_recomputes_only_the_accumulations_of_high_degree_vertices(monkeypatch):
+    """A star comb keeps its tables (~0.2 MB) under a 1 MB guard, not all accumulations (~8 MB)."""
+    full, traced, heavy = _spy_accumulate(monkeypatch)
     comb = _star_comb(40, 40)
     cut, w = dp_min_size_cut_tree(comb, comb.n // 2, mem_limit_mb=1)
     assert (len(cut.black), w) == (comb.n // 2, 1)
+    # each hub is its own class, and all leaves are one, which keeps its accumulations
+    cls = oracles.subtree_classes(comb)
+    assert len(set(cls.values())) == 41
+    assert sorted(cls[v] for v in full) == sorted(set(cls.values()))
+    assert sorted(heavy) == list(range(1, 41))
     # the trace merges a hub again unless its subtree takes one color (then it paints
-    # the subtree whole); every leaf keeps its accumulations
-    def below(h):
-        return {*range(h, 41), *(40 + (g - 1) * 40 + i for g in range(h, 41) for i in range(1, 41))}
-
-    mixed = [h for h in range(1, 41) if 0 < len(below(h) & cut.black) < len(below(h))]
-    assert mixed and sorted(calls) == sorted([*comb.vertices(), *mixed])
+    # the subtree whole); a leaf is never split
+    mixed = _mixed(comb, cut.black)
+    assert mixed and sorted(traced) == sorted(mixed)
 
 
 def test_a_malformed_memory_guard_is_named(monkeypatch):

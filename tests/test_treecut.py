@@ -2,14 +2,20 @@ import pytest
 
 import oracles
 from conftest import diam_star, path, star
-from ksec import bounds
+from ksec import bounds, oracle
 from ksec.errors import MOutOfRange
 from ksec.graph import (
     Graph,
     induced_subgraph,
     max_degree,
 )
-from ksec.instances import Xorshift64Star, caterpillar_graph, random_tree_maxdeg
+from ksec.instances import (
+    Xorshift64Star,
+    adversarial_ternary_path,
+    caterpillar_graph,
+    random_tree_maxdeg,
+    spider_graph,
+)
 from ksec.oracle import dp_min_size_cut_tree
 from ksec.treecut import approximate_cut, diameter_preserving_cut
 
@@ -207,3 +213,54 @@ def test_m_tilde_definition_matches_trace():
         t_z_prime = (trace.b_z | trace.w_z) - {trace.z}
         assert trace.m_tilde == 2 * len(t_z_prime & trace.m_set)
     assert hits > 20
+
+
+def _full_width_columns(forest, m):
+    """Table columns of a DP that keeps the counts 0..min(s, m) for every subtree of s vertices."""
+    return sum(min(s, m) + 1 for s in oracles.subtree_totals(forest, lambda v: 1).values())
+
+
+def test_inner_exact_cut_keeps_the_count_band_and_builds_each_subtree_class_once(monkeypatch):
+    """Counted, not timed: the inner DP of Cases 2b, 3a and 3b stays within O(N * min(m, N - m)).
+
+    On its forest of N vertices it keeps at most N * (min(m, N - m) + 1)
+    table columns, and it merges once per class of identical ordered
+    subtrees.  On trees with long paths Ṽ holds few vertices beside m, and
+    tables of min(s, m) + 1 columns would exceed that bound.
+    """
+    calls, columns, full = [], [], []
+    dp, run, merge = oracle.dp_min_size_cut_tree, oracle._TreeTables.run, oracle._TreeTables.accumulate
+
+    def spy_dp(forest, m, *args, **kwargs):
+        columns.clear(), full.clear()
+        result = dp(forest, m, *args, **kwargs)
+        calls.append((forest, m, sum(columns), list(full)))
+        return result
+
+    def spy_run(self):
+        root = run(self)
+        columns.append(sum(self.kept.table[v].shape[1] for v in self.order))
+        return root
+
+    def spy_merge(self, v, rows=None):
+        if rows is None:
+            full.append(v)
+        return merge(self, v, rows)
+
+    monkeypatch.setattr(oracle, "dp_min_size_cut_tree", spy_dp)
+    monkeypatch.setattr(oracle._TreeTables, "run", spy_run)
+    monkeypatch.setattr(oracle._TreeTables, "accumulate", spy_merge)
+    rng = Xorshift64Star(0xBA4D)
+    cuts = [(spider_graph(3, 100), m) for m in (13, 157, 229, 289)]
+    cuts += [(adversarial_ternary_path(6), m) for m in (610, 1480, 2002)]
+    cuts += [(caterpillar_graph(400), 65)]
+    cuts += [(random_tree_maxdeg(n, 6, rng), n // 2) for n in (1500, 3000)]
+    for g, m in cuts:
+        diameter_preserving_cut(g, m)
+    assert len(calls) == len(cuts)
+    for forest, m, kept_columns, merged in calls:
+        n = forest.n
+        assert kept_columns <= n * (min(m, n - m) + 1)
+        cls = oracles.subtree_classes(forest)
+        assert sorted(cls[v] for v in merged) == sorted(set(cls.values()))
+    assert sum(_full_width_columns(f, m) > f.n * (min(m, f.n - m) + 1) for f, m, *_ in calls) >= 6
