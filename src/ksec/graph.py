@@ -361,7 +361,7 @@ def induced_sorted(g: Graph, old_of: Sequence[int]) -> Graph:
 def mem_limit_bytes(mem_limit_mb: int | None = None) -> int:
     """The memory guard in bytes: ``mem_limit_mb``, else KSEC_MAX_MEM_MB (default 2048).
 
-    A variable that is not an integer raises ``KsecError`` naming it.
+    An argument or variable that is not an integer raises ``KsecError`` naming it.
     """
     if mem_limit_mb is None:
         raw = os.environ.get("KSEC_MAX_MEM_MB", "2048")
@@ -369,6 +369,8 @@ def mem_limit_bytes(mem_limit_mb: int | None = None) -> int:
             mem_limit_mb = int(raw)
         except ValueError:
             raise KsecError(f"KSEC_MAX_MEM_MB must be an integer (MB), got {raw!r}") from None
+    elif not is_int(mem_limit_mb):
+        raise KsecError(f"mem_limit_mb must be an integer (MB), got {mem_limit_mb!r}")
     return mem_limit_mb * (1 << 20)
 
 

@@ -1,18 +1,19 @@
 """Ground-truth computations: exact size-constrained cuts and minimum k-sections.
 
 The exact-size cut is one min-plus DP over a rooted tree, run over the
-vertices of a forest (``dp_min_size_cut_tree``) or over the nodes of a
-tree decomposition (``dp_min_size_cut_td``).  A node's table is one 2-D
-array with a row per state (the color of the vertex, or a coloring of
-the cluster) and a column per black count; merging a child is one call
-of the row-wise min-plus kernel ``_minplus`` over all rows.
-Decomposition tables are padded with INF to their widest row.  A tree
-table over s of the forest's n vertices keeps only the counts
-max(0, s - (n - m))..min(s, m) that a cut of m vertices can give them,
-and identical ordered subtrees share one table, so the tree DP takes
-O(n * min(m, n - m)) time and memory.
+vertices of a forest under a virtual root 0 (``dp_min_size_cut_tree``)
+or over the nodes of a tree decomposition (``dp_min_size_cut_td``).  A
+node's table is one 2-D array with a row per state (the color of the
+vertex, or a coloring of the cluster) and a column per black count;
+merging a child is one call of the row-wise min-plus kernel ``_minplus``
+over all rows.  Decomposition tables are padded with INF to their widest
+row.  A tree table over s of the forest's n vertices keeps only the
+counts max(0, s - (n - m))..min(s, m) that a cut of m vertices can give
+them, and identical ordered subtrees, in any of its components, share
+one table, so the tree DP takes O(n * min(m, n - m)) time and memory.
 
-Both DPs share one engine, ``_Tables``: it fills the tables once, keeps
+Both DPs share one engine, ``_Tables``, and end in its ``cut``: it fills
+the tables once, picks the root's state of least width at count m, keeps
 each node's table and, where they take at most KEEP_RATIO times that
 table, its per-child accumulations, and rebuilds an optimal black set
 from them deterministically (ascending scans everywhere), recomputing
@@ -184,12 +185,13 @@ class _Tables:
     count in its band, INF where a state cannot reach the count.  ``run``
     fills ``kept``; ``trace`` follows one state down from the root,
     reading the kept accumulations and recomputing only the followed row
-    where ``kept`` dropped them.  A subclass gives the node's own rows
-    (``own``), the first and last count each accumulation keeps
-    (``band``), a child's rows for each state of the node
-    (``child_rows``), the child state a split came from (``child_state``)
-    and the vertex colors of a state (``paint``); it may also paint a
-    whole subtree whose count leaves one coloring (``paint_forced``).
+    where ``kept`` dropped them; ``cut`` does both for one count.  A
+    subclass gives the node's own rows (``own``), the first and last count
+    each accumulation keeps (``band``), a child's rows for each state of
+    the node (``child_rows``), the child state a split came from
+    (``child_state``) and the vertex colors of a state (``paint``); it may
+    also paint a whole subtree whose count leaves one coloring
+    (``paint_forced``).
     ``rows`` is a slice of states, or None for all of them; given one
     state, ``child_rows`` returns one row.
     """
@@ -245,6 +247,24 @@ class _Tables:
         """Color all of node i's subtree when ``c`` leaves it one coloring; True if it did."""
         return False
 
+    def cut(self, g: Graph, m: int) -> tuple[Cut, int]:
+        """Fill the tables and trace a minimum-width cut of ``g`` with |B| = m.
+
+        The root's state is the first one of least width at count m.
+        """
+        root = self.run()
+        col = m - self.band(self.order[0], -1)[0]
+        if col >= root.shape[1] or root[:, col].min() >= INF:
+            raise InvariantViolation("no cut of the requested size exists")
+        state = int(root[:, col].argmin())
+        width = int(root[state, col])
+        color: dict[int, int] = {}
+        self.trace(state, m, color)
+        cut = Cut._trusted(g, {v for v, s in color.items() if s == 1})
+        if len(cut.black) != m or cut.width != width:
+            raise InvariantViolation("exact-cut DP reconstruction mismatch")
+        return cut, width
+
 
 # --- Trees ------------------------------------------------------------------
 
@@ -259,29 +279,31 @@ def _best(du: np.ndarray) -> np.ndarray:
 
 
 class _TreeTables(_Tables):
-    """Per-vertex DP tables for one component, rooted at its smallest id.
+    """Per-vertex DP tables for a forest, as one tree under a virtual root 0.
 
     A vertex's state is its color.  Its accumulation idx covers the vertex
     and its first idx children's subtrees (``cover``), and keeps only the
     black counts a cut of m of the forest's n vertices can give that many
-    vertices.  Every leaf shares one read-only table, and a vertex whose
-    ordered children have the tables of an earlier vertex's shares that
-    vertex's table and accumulations.  ``kept`` is shared by all
-    components of the forest.  ``order`` is the component's BFS order from
-    its root, and ``parent`` the BFS parents of the sweep over the whole
-    forest that found it.
+    vertices.  The root's children are the components' roots, its one
+    state pays nothing and covers no vertex, and a component root under it
+    may take either color at no cost.  Every leaf shares one read-only
+    table, and a vertex whose ordered children have the tables of an
+    earlier vertex's, in any component, shares that vertex's table and
+    accumulations.  ``orders`` are the components' BFS orders and
+    ``parent`` the parents of the sweep that found them.
     """
 
-    def __init__(self, g: Graph, order: list[int], parent: list[int], m: int, kept: _Kept):
+    def __init__(self, g: Graph, orders: list[list[int]], parent: list[int], m: int, kept: _Kept):
         self.m, self.n = m, g.n
         self.kept = kept
-        self.order = order
+        self.order = [0, *(v for order in orders for v in order)]
         adj = g.adj
-        self.children = {v: [w for w in adj[v] if parent[w] == v] for v in order}
+        self.children = {v: [w for w in adj[v] if parent[w] == v] for v in self.order[1:]}
+        self.children[0] = [order[0] for order in orders]
         self.cover: dict[int, list[int]] = {}
-        for v in reversed(order):
+        for v in reversed(self.order):
             sizes = (self.cover[u][-1] for u in self.children[v])
-            self.cover[v] = list(accumulate(sizes, initial=1))
+            self.cover[v] = list(accumulate(sizes, initial=1 if v else 0))
         lo, hi = _band(1, m, g.n)
         self.leaf = np.array([[0, INF], [INF, 0]], dtype=np.int32)[:, lo : hi + 1].copy()
         self.leaf_best = _best(self.leaf)
@@ -294,24 +316,31 @@ class _TreeTables(_Tables):
         """Fill one table per class of identical ordered subtrees; returns the root's.
 
         A vertex's class is the first vertex, in reverse BFS order, whose
-        children are of the same classes in the same order.
+        children are of the same classes in the same order.  The virtual
+        root comes last and in no class, since its own rows differ.
         """
         rep: dict[int, int] = {}
         class_of: dict[tuple[int, ...], int] = {}  # the children's classes -> a class
-        for v in reversed(self.order):
+        for v in reversed(self.order[1:]):
             r = rep[v] = class_of.setdefault(tuple([rep[u] for u in self.children[v]]), v)
             if r == v:
                 self.kept.add(v, self.accumulate(v))
             else:
                 self.kept.share(v, r)
-        return self.kept.table[self.order[0]]
+        self.kept.add(0, self.accumulate(0))
+        return self.kept.table[0]
 
     def own(self, v: int, rows: slice | None) -> np.ndarray:
+        if v == 0:
+            return np.zeros((1, 1), dtype=np.int32)
         return self.leaf if rows is None else self.leaf[rows]
 
     def child_rows(self, v: int, u: int, rows: int | slice | None) -> np.ndarray:
         du = self.kept.table[u]
-        best = self.leaf_best if du is self.leaf else _best(du)
+        if v == 0:
+            best = np.minimum(du[:1], du[1:])  # a component root takes either color
+        else:
+            best = self.leaf_best if du is self.leaf else _best(du)
         return best if rows is None else best[rows]
 
     def child_state(self, v: int, u: int, s: int, part: np.ndarray, cu: int) -> tuple[int, int]:
@@ -338,9 +367,11 @@ def dp_min_size_cut_tree(
 ) -> tuple[Cut, int]:
     """Exact minimum-width cut with |B| = m in a forest of n vertices.
 
-    Time and kept memory are O(n * min(m, n - m)): a table over s vertices
-    keeps only the black counts max(0, s - (n - m))..min(s, m) a cut can
-    give them, and identical ordered subtrees share one table.
+    The forest is one tree under a virtual root.  Time and kept memory are
+    O(n * min(m, n - m)): a table over s vertices keeps only the black
+    counts max(0, s - (n - m))..min(s, m) a cut can give them, and
+    identical ordered subtrees, in one component or in several, share one
+    table.
 
     One BFS sweep, from each smallest id not yet reached, roots the
     components.  With the edge count it also checks that the graph is a
@@ -355,38 +386,7 @@ def dp_min_size_cut_tree(
     if forest.num_edges != n - len(orders):
         require_forest(forest, "dp_min_size_cut_tree")  # a cycle: raises NotAForest naming an edge
     kept = _Kept(mem_limit_bytes(mem_limit_mb))
-    tables = [_TreeTables(forest, order, parent, m, kept) for order in orders]
-    roots = [t.run() for t in tables]
-    dps = [np.minimum(r[:1], r[1:]) for r in roots]  # best over the root's colors
-    firsts = [t.band(t.order[0], -1)[0] for t in tables]
-
-    # knapsack across components, banded like the tables by the vertices covered
-    accs, starts, covered = [np.zeros((1, 1), dtype=np.int32)], [0], 0
-    for t, d, f in zip(tables, dps, firsts):
-        covered += len(t.order)
-        lo, hi = _band(covered, m, n)
-        base = starts[-1] + f
-        accs.append(_minplus(accs[-1], d, lo - base, hi - base))
-        starts.append(lo)
-    width = int(accs[-1][0, 0])  # all n vertices: the one count kept is m
-    if width >= INF:
-        raise InvariantViolation("no cut of the requested size exists")
-
-    color: dict[int, int] = {}
-    c = m
-    for idx in range(len(tables) - 1, -1, -1):
-        target = int(accs[idx + 1][0, c - starts[idx + 1]])
-        cu = _split(accs[idx][0], starts[idx], dps[idx][0], firsts[idx], c, target)
-        if cu is None:
-            raise InvariantViolation("component knapsack trace failed")
-        root = roots[idx][:, cu - firsts[idx]]  # its color: white unless black is strictly better
-        tables[idx].trace(0 if root[0] <= root[1] else 1, cu, color)
-        c -= cu
-    black = {v for v, s in color.items() if s == 1}
-    cut = Cut._trusted(forest, black)
-    if len(cut.black) != m or cut.width != width:
-        raise InvariantViolation("tree DP reconstruction mismatch")
-    return cut, width
+    return _TreeTables(forest, orders, parent, m, kept).cut(forest, m)
 
 
 # --- Tree decompositions ----------------------------------------------------
@@ -521,21 +521,7 @@ def dp_min_size_cut_td(
         raise WidthTooLarge(f"decomposition width {td.width} exceeds limit {max_width}")
     require_decomposition(td, g, "dp_min_size_cut_td")
 
-    tables = _TDTables(g, td, m, _Kept(mem_limit_bytes(mem_limit_mb)))
-    root_tabs = tables.run()
-    best_mask, best = None, INF
-    for mask, t in enumerate(root_tabs):
-        if m < len(t) and int(t[m]) < best:
-            best_mask, best = mask, int(t[m])
-    if best_mask is None or best >= INF:
-        raise InvariantViolation("no cut of the requested size exists")
-    color: dict[int, int] = {}
-    tables.trace(best_mask, m, color)
-    black = {v for v, s in color.items() if s == 1}
-    cut = Cut._trusted(g, black)
-    if len(cut.black) != m or cut.width != best:
-        raise InvariantViolation("decomposition DP reconstruction mismatch")
-    return cut, best
+    return _TDTables(g, td, m, _Kept(mem_limit_bytes(mem_limit_mb))).cut(g, m)
 
 
 # --- Brute force ------------------------------------------------------------

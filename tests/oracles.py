@@ -265,18 +265,16 @@ def subtree_totals(g, weight):
 
 
 def subtree_classes(g):
-    """Each vertex's class of identical ordered subtrees within its component.
+    """Each vertex's class of identical ordered subtrees, across the whole forest.
 
-    A class is (component root, the numbers of its children's classes in
-    order), so its second item has one entry per child; the tree DP builds
-    one table per class.
+    A class is the tuple of the numbers of its children's classes, in
+    order, so it has one entry per child; the tree DP builds one table per
+    class.
     """
     order, parent = rooted_forest(g)
-    root, cls, number = {}, {}, {}
-    for v in order:
-        root[v] = root[parent[v]] if parent[v] else v
+    cls, number = {}, {}
     for v in reversed(order):
-        cls[v] = (root[v], tuple(number[cls[u]] for u in sorted(g.adj[v]) if parent[u] == v))
+        cls[v] = tuple(number[cls[u]] for u in sorted(g.adj[v]) if parent[u] == v)
         number.setdefault(cls[v], len(number))
     return cls
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -165,6 +167,15 @@ def _star_comb(hubs, leaves):
     return Graph(hubs * (leaves + 1), edges)
 
 
+def _union(*gs):
+    """The disjoint union of ``gs``, each numbered after the ones before it."""
+    edges, n = [], 0
+    for g in gs:
+        edges += [(u + n, v + n) for u, v in g.edges]
+        n += g.n
+    return Graph(n, edges)
+
+
 def _assert_full_width_cut(g, ms):
     """The DP traces the black set and width of the full-width reference for each m."""
     for m in ms:
@@ -183,9 +194,11 @@ def test_dp_tree_traces_the_cut_of_the_full_width_dp_on_random_forests(seed, dat
 @pytest.mark.parametrize(
     "g",
     [_star_comb(6, 5), _star_comb(12, 12), caterpillar_graph(120), caterpillar_graph(121),
-     *(adversarial_ternary_path(h) for h in range(1, 5))],
+     *(adversarial_ternary_path(h) for h in range(1, 5)),
+     _union(_star_comb(6, 5), Graph(1, []), _star_comb(6, 5), _star_comb(6, 5), Graph(2, []),
+            path(20), _star_comb(6, 5))],
     ids=["comb-6x5", "comb-12x12", "caterpillar-120", "caterpillar-121",
-         *(f"adversarial-{h}" for h in range(1, 5))],
+         *(f"adversarial-{h}" for h in range(1, 5)), "four-combs-forest"],
 )
 def test_dp_tree_traces_the_cut_of_the_full_width_dp_on_structured_trees(g):
     _assert_full_width_cut(g, sorted({*range(0, g.n + 1, max(1, g.n // 40)), g.n - 1, g.n}))
@@ -204,7 +217,8 @@ def _spy_accumulate(monkeypatch):
     Returns the vertices of full-table calls, the vertices of traced single
     rows, and the full-table vertices whose accumulations (all but the
     table, without the shared read-only leaf) exceed KEEP_RATIO times
-    their table, which the trace must recompute.
+    their table, which the trace must recompute.  The virtual root 0 comes
+    last in the full-table calls.
     """
     full, traced, heavy = [], [], set()
     merge = oracle._TreeTables.accumulate
@@ -227,6 +241,7 @@ def _spy_accumulate(monkeypatch):
 def test_dp_tree_merges_each_class_of_identical_subtrees_once(monkeypatch):
     """The trace rebuilds the cut from kept accumulations; the DP runs once per subtree class.
 
+    A class spans the whole forest, and the virtual root merges once more.
     The trace recomputes one row only of a split vertex whose class keeps
     no accumulations.
     """
@@ -238,9 +253,12 @@ def test_dp_tree_merges_each_class_of_identical_subtrees_once(monkeypatch):
     for m in (1, g.n // 2, g.n):
         full.clear(), traced.clear(), heavy.clear()
         cut, _ = dp_min_size_cut_tree(g, m)
-        assert sorted(cls[v] for v in full) == sorted(set(cls.values()))
-        heavy_classes = {cls[v] for v in heavy}
-        assert sorted(traced) == sorted(v for v in _mixed(g, cut.black) if cls[v] in heavy_classes)
+        assert full[-1] == 0
+        assert sorted(cls[v] for v in full[:-1]) == sorted(set(cls.values()))
+        heavy_classes = {cls[v] for v in heavy if v}
+        root = [0] if m and 0 in heavy else []  # the virtual root splits every m > 0
+        split = [v for v in _mixed(g, cut.black) if cls[v] in heavy_classes]
+        assert sorted(traced) == sorted(root + split)
 
 
 def _count_minplus(monkeypatch):
@@ -259,8 +277,8 @@ def _count_minplus(monkeypatch):
 def test_dp_tree_merges_each_child_in_one_minplus_call(monkeypatch):
     """One kernel call per child of each subtree class covers both colors.
 
-    The knapsack adds one call per component, and a row the trace
-    recomputes one per child of its vertex.
+    The virtual root adds a one-row call per component, and a row the
+    trace recomputes one per child of its vertex.
     """
     calls = _count_minplus(monkeypatch)
     _, traced, _ = _spy_accumulate(monkeypatch)
@@ -268,16 +286,17 @@ def test_dp_tree_merges_each_child_in_one_minplus_call(monkeypatch):
     comps = len(forest_summary(g))
     assert comps >= 3
     cls = oracles.subtree_classes(g)
-    merges = sum(len(shape) for _, shape in set(cls.values()))
+    merges = sum(len(shape) for shape in set(cls.values()))
     assert merges < len(g.edges)
     recomputed = []
     for m in (1, g.n // 2, g.n):
         calls.clear(), traced.clear()
         dp_min_size_cut_tree(g, m)
-        rows = comps + sum(len(cls[v][1]) for v in traced)
+        rows = comps + sum(len(cls[v]) if v else comps for v in traced)
         assert sorted(calls) == [1] * rows + [2] * merges
         recomputed += traced
-    assert recomputed  # m = n // 2 splits a vertex that keeps no accumulations
+    assert 0 in recomputed  # the root's accumulations, one per component, exceed KEEP_RATIO
+    assert set(recomputed) - {0}  # m = n // 2 splits a vertex that keeps no accumulations
 
 
 def test_dp_tree_recomputes_only_the_accumulations_of_high_degree_vertices(monkeypatch):
@@ -289,7 +308,9 @@ def test_dp_tree_recomputes_only_the_accumulations_of_high_degree_vertices(monke
     # each hub is its own class, and all leaves are one, which keeps its accumulations
     cls = oracles.subtree_classes(comb)
     assert len(set(cls.values())) == 41
-    assert sorted(cls[v] for v in full) == sorted(set(cls.values()))
+    assert full[-1] == 0
+    assert sorted(cls[v] for v in full[:-1]) == sorted(set(cls.values()))
+    # the virtual root of one component keeps its two one-column accumulations
     assert sorted(heavy) == list(range(1, 41))
     # the trace merges a hub again unless its subtree takes one color (then it paints
     # the subtree whole); a leaf is never split
@@ -298,6 +319,13 @@ def test_dp_tree_recomputes_only_the_accumulations_of_high_degree_vertices(monke
 
 
 def test_a_malformed_memory_guard_is_named(monkeypatch):
+    td = tree_to_width1_td(path(4))
+    for bad in ("1", 1.5, True):
+        named = rf"mem_limit_mb must be an integer \(MB\), got {re.escape(repr(bad))}"
+        with pytest.raises(KsecError, match=named):
+            dp_min_size_cut_tree(path(4), 2, mem_limit_mb=bad)
+        with pytest.raises(KsecError, match=named):
+            dp_min_size_cut_td(path(4), td, 2, mem_limit_mb=bad)
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "1.5")
     with pytest.raises(KsecError, match=r"KSEC_MAX_MEM_MB must be an integer \(MB\), got '1\.5'"):
         dp_min_size_cut_tree(path(4), 2)
@@ -306,16 +334,18 @@ def test_a_malformed_memory_guard_is_named(monkeypatch):
 
 
 def test_dp_tree_memory_guard_trips_only_on_the_tables_of_all_components():
-    # one 600-vertex path keeps ~1.4 MB of tables; two of them in one forest exceed 2 MB together
-    dp_min_size_cut_tree(path(600), 600, mem_limit_mb=2)
+    # with n = 1200 and m = 600 a 600-vertex path keeps ~1.4 MB of tables: two identical
+    # paths share them and fit under 2 MB, but a path beside a path ending in a fork does not
     two_paths = Graph(1200, [(i, i + 1) for i in range(1, 1200) if i != 600])
+    assert dp_min_size_cut_tree(two_paths, 600, mem_limit_mb=2)[1] == 0
+    path_and_fork = Graph(1200, [(i, i + 1) for i in range(1, 1199) if i != 600] + [(1198, 1200)])
     with pytest.raises(ResourceLimit):
-        dp_min_size_cut_tree(two_paths, 600, mem_limit_mb=2)
-    # a 350-vertex caterpillar keeps 0.7 MB of tables and 0.7 MB of accumulations:
-    # the accumulations are dropped, so a 1 MB guard does not trip
-    spine = [(i, i + 1) for i in range(1, 350)]
-    caterpillar = Graph(700, spine + [(i, 350 + i) for i in range(1, 351)])
-    assert dp_min_size_cut_tree(caterpillar, 350, mem_limit_mb=1)[1] == 1
+        dp_min_size_cut_tree(path_and_fork, 600, mem_limit_mb=2)
+    # with m = 400 a caterpillar on a 400-vertex spine keeps 0.61 MB of tables and 0.61 MB
+    # of accumulations: most accumulations are dropped, so a 1 MB guard does not trip
+    spine = [(i, i + 1) for i in range(1, 400)]
+    caterpillar = Graph(800, spine + [(i, 400 + i) for i in range(1, 401)])
+    assert dp_min_size_cut_tree(caterpillar, 400, mem_limit_mb=1)[1] == 1
 
 
 def test_dp_tree_meets_existence_bound():

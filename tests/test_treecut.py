@@ -224,9 +224,10 @@ def test_inner_exact_cut_keeps_the_count_band_and_builds_each_subtree_class_once
     """Counted, not timed: the inner DP of Cases 2b, 3a and 3b stays within O(N * min(m, N - m)).
 
     On its forest of N vertices it keeps at most N * (min(m, N - m) + 1)
-    table columns, and it merges once per class of identical ordered
-    subtrees.  On trees with long paths Ṽ holds few vertices beside m, and
-    tables of min(s, m) + 1 columns would exceed that bound.
+    table columns, beside the virtual root's one, and it merges once per
+    class of identical ordered subtrees, then once at the virtual root.
+    On trees with long paths Ṽ holds few vertices beside m, and tables of
+    min(s, m) + 1 columns would exceed that bound.
     """
     calls, columns, full = [], [], []
     dp, run, merge = oracle.dp_min_size_cut_tree, oracle._TreeTables.run, oracle._TreeTables.accumulate
@@ -239,7 +240,7 @@ def test_inner_exact_cut_keeps_the_count_band_and_builds_each_subtree_class_once
 
     def spy_run(self):
         root = run(self)
-        columns.append(sum(self.kept.table[v].shape[1] for v in self.order))
+        columns.append(sum(self.kept.table[v].shape[1] for v in self.order[1:]))
         return root
 
     def spy_merge(self, v, rows=None):
@@ -262,5 +263,6 @@ def test_inner_exact_cut_keeps_the_count_band_and_builds_each_subtree_class_once
         n = forest.n
         assert kept_columns <= n * (min(m, n - m) + 1)
         cls = oracles.subtree_classes(forest)
-        assert sorted(cls[v] for v in merged) == sorted(set(cls.values()))
+        assert merged[-1] == 0
+        assert sorted(cls[v] for v in merged[:-1]) == sorted(set(cls.values()))
     assert sum(_full_width_columns(f, m) > f.n * (min(m, f.n - m) + 1) for f, m, *_ in calls) >= 6
