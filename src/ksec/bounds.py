@@ -9,8 +9,12 @@ Rational bounds are compared with exact Fraction arithmetic.  For the
 log-poly shape L is irrational unless q is a power of two, so a float
 comparison could misreport a bound violation.  ``log_poly_holds`` decides
 the comparison exactly: powers of two are evaluated in rational
-arithmetic, everything else through interval arithmetic at escalating
-precision (the difference is provably nonzero, so refinement terminates).
+arithmetic.  Otherwise, when a >= 0, the polynomial grows with L, and
+L lies between floor(L) and floor(L) + 1, both read off bit lengths; a
+width on or beyond the value at either end is decided in rational
+arithmetic too.  Only a width between the two goes through interval
+arithmetic at escalating precision (the difference is provably nonzero,
+so refinement terminates).
 """
 
 from __future__ import annotations
@@ -37,6 +41,13 @@ def log_poly_value(scale: Fraction, q: Fraction, a: int, b: int) -> float:
     return float(scale) * (ell * ell + a * ell + b)
 
 
+def _floor_log2(q: Fraction) -> int:
+    """floor(log2(q)) for q >= 1, exactly, from bit lengths."""
+    num, den = q.numerator, q.denominator
+    f = num.bit_length() - den.bit_length()
+    return f if den << f <= num else f - 1
+
+
 def log_poly_holds(width: int, scale: Fraction, q: Fraction, a: int, b: int) -> bool:
     """Certified check of ``width <= scale * (L^2 + a*L + b)``, L = log2(q).
 
@@ -47,6 +58,18 @@ def log_poly_holds(width: int, scale: Fraction, q: Fraction, a: int, b: int) -> 
     exact = _power_of_two_log(q)
     if exact is not None:
         return Fraction(width) <= scale * (exact * exact + a * exact + b)
+    if a >= 0 and scale >= 0:
+        # f <= L < f + 1, and L^2 + aL + b grows with L >= 0
+        f = _floor_log2(q)
+        if width <= scale * (f * f + a * f + b):
+            return True
+        if width >= scale * ((f + 1) ** 2 + a * (f + 1) + b):
+            return False
+    return _interval_holds(width, scale, q, a, b)
+
+
+def _interval_holds(width: int, scale: Fraction, q: Fraction, a: int, b: int) -> bool:
+    """``log_poly_holds`` in interval arithmetic, for q > 1 not a power of two."""
     num, den = q.numerator, q.denominator
     sn, sd = scale.numerator, scale.denominator
     for prec in (80, 200, 1000, 5000):

@@ -9,22 +9,24 @@ merging a child is one call of the row-wise min-plus kernel ``_minplus``
 over all rows.  Decomposition tables are padded with INF to their widest
 row.  A tree table over s of the forest's n vertices keeps only the
 counts max(0, s - (n - m))..min(s, m) that a cut of m vertices can give
-them, and identical ordered subtrees, in any of its components, share
-one table, so the tree DP takes O(n * min(m, n - m)) time and memory.
+them, identical unordered subtrees, in any of its components, share one
+table, and a vertex's leaf children are merged in closed form, so the
+tree DP takes O(n * min(m, n - m)) time and memory.
 
 Both DPs share one engine, ``_Tables``, and end in its ``cut``: it fills
-the tables once, picks the root's state of least width at count m, keeps
-each node's table and, where they take at most KEEP_RATIO times that
-table, its per-child accumulations, and rebuilds an optimal black set
-from them deterministically (ascending scans everywhere), recomputing
-only the followed row of a node whose accumulations were dropped.  A
-tree subtree whose traced count is 0 or its size can take one coloring
-only, so the trace paints it whole without splitting counts.  The
-decomposition DP also keeps each child's table reduced to the coloring
-of the cluster it shares with its parent.  One hard memory guard
-(KSEC_MAX_MEM_MB) counts every distinct kept array once, at its
-allocated bytes; it drops accumulations first and trips only when the
-tables and reductions alone exceed it.
+the tables once, picks the root's state of least width at count m, and
+rebuilds an optimal black set deterministically (ascending scans
+everywhere).  It reads the accumulations a node kept, and recomputes
+only the followed row of a node that kept none.  A tree keeps its tables
+only, plus the virtual root's accumulations; a decomposition node also
+keeps its per-child accumulations where they take at most KEEP_RATIO
+times its table, and each child's table reduced to the coloring of the
+cluster it shares with its parent.  A tree subtree whose traced count is
+0 or its size can take one coloring only, so the trace paints it whole
+without splitting counts.  One hard memory guard (KSEC_MAX_MEM_MB)
+counts every distinct kept array once, at its allocated bytes; it drops
+the decomposition's accumulations first and trips only when the arrays
+that must stay exceed it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import functools
 from itertools import accumulate
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     InvariantViolation,
@@ -58,31 +59,41 @@ from .treedec import TreeDecomposition, edge_home, occurrences, require_decompos
 INF = 1 << 28
 
 
+def _strided(rows: int, out_len: int, narrow: int) -> bool:
+    """Whether ``_minplus`` merges in one strided reduction rather than a column loop.
+
+    A merge of at most two rows with at most 512 output counts and at most
+    2^16 sums is; bigger merges and the decomposition's many-row tables loop.
+    """
+    return rows <= 2 and out_len <= 512 and rows * out_len * narrow <= 1 << 16
+
+
 def _minplus(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Row-wise min-plus over index sums lo..hi: out[r, c] = min over i+j=lo+c of a[r, i]+b[r, j].
 
     ``a`` and ``b`` are 2-D with one row per coloring (one row for a single
     sequence) and entries in 0..INF; the output ends early where the
     operands do, and ``lo`` is at most its last index sum.  A small merge
-    is one strided reduction.  Otherwise each step of a loop advances every
-    row at once; it runs over the columns of the narrower operand that are
-    finite in some row.
+    (``_strided``) is one reduction over a strided view of the INF-padded
+    wider operand.  Otherwise each step of a loop advances every row at
+    once; it runs over the columns of the narrower operand that are finite
+    in some row.
     """
     if b.shape[1] > a.shape[1]:
         a, b = b, a
     rows, width = a.shape
     narrow = b.shape[1]
     out_len = min(width + narrow - 1, hi + 1) - lo
-    if rows <= 2 and narrow > 4 and out_len <= 512 and rows * out_len * narrow <= 1 << 16:
-        # window c of the INF-padded a holds a[lo + c - j] at position narrow - 1 - j
-        pad = np.full((rows, width + 2 * (narrow - 1)), INF, dtype=np.int32)
+    if _strided(rows, out_len, narrow):
+        # window t of the INF-padded a holds a[lo + c + t - (narrow - 1)] at column c,
+        # to be added to b's column narrow - 1 - t; 4 is the int32 item size
+        span = width + 2 * (narrow - 1)
+        pad = np.full((rows, span), INF, dtype=np.int32)
         pad[:, narrow - 1 : narrow - 1 + width] = a
-        step, col = pad.strides
-        windows = as_strided(
-            pad[:, lo:], (rows, out_len, narrow), (step, col, col), writeable=False
+        windows = np.ndarray(
+            (narrow, rows, out_len), np.int32, buffer=pad, offset=4 * lo, strides=(4, 4 * span, 4)
         )
-        out = (windows + b[:, None, ::-1]).min(axis=2)
-        return np.minimum(out, INF, out=out)
+        return np.minimum.reduce(windows + b.T[::-1, :, None], axis=0, initial=INF)
     out = np.full((rows, out_len), INF, dtype=np.int32)
     for j, bj in enumerate(b[:, : lo + out_len].min(axis=0).tolist()):
         if bj >= INF:
@@ -120,24 +131,24 @@ def _split(
     return lo + int(hits[0]) if len(hits) else None
 
 
-KEEP_RATIO = 4  # a node keeps accumulations of at most this many times its table
+KEEP_RATIO = 4  # a decomposition node keeps accumulations of at most this many times its table
 
 
 class _Kept:
     """What one exact-cut DP keeps, under the memory guard.
 
-    Every node's table stays, and so does every array counted by ``need``
-    (the decomposition DP's reductions).  A node's intermediate
-    accumulations (all but the last, which is its table) stay as well when
-    they take at most KEEP_RATIO times the table's bytes and fit under the
-    guard; a node with many children, whose accumulations grow with its
-    degree times its table, recomputes the followed row when traced
-    instead.  When an array that must stay does not fit, the
-    accumulations are dropped first, so the guard trips only when the
-    arrays that must stay exceed it.  Each distinct array is counted once:
-    a node that ``share``s another's tables adds no bytes, and a read-only
-    array (the tree's leaf table, which every vertex starts from) counts
-    only as a table.
+    Every node's table stays, and so does every array counted by ``need``:
+    the decomposition DP's reductions, and the tree's virtual root's
+    accumulations (``keep``).  A decomposition node's intermediate
+    accumulations (all but the last, which is its table) stay as well
+    when they take at most KEEP_RATIO times the table's bytes and fit
+    under the guard (``add``); a node with many children, whose
+    accumulations grow with its degree times its table, recomputes the
+    followed row when traced instead.  When an array that must stay does
+    not fit, those accumulations are dropped first, so the guard trips
+    only when the arrays that must stay exceed it.  A tree vertex keeps
+    its table only, and vertices of one subtree class hold one table,
+    counted once.
     """
 
     def __init__(self, limit: int):
@@ -160,10 +171,11 @@ class _Kept:
                 )
 
     def add(self, i: int, accs: list[np.ndarray]) -> None:
+        """Keep node i's table, and its accumulations where they are cheap enough."""
         table = accs[-1]
         self.table[i] = table
         self.need(table.nbytes)
-        inner = sum(a.nbytes for a in accs[:-1] if a.flags.writeable)
+        inner = sum(a.nbytes for a in accs[:-1])
         if (
             inner <= KEEP_RATIO * table.nbytes
             and self.need_bytes + self.inner_bytes + inner <= self.limit
@@ -171,11 +183,15 @@ class _Kept:
             self.accs[i] = accs
             self.inner_bytes += inner
 
-    def share(self, i: int, j: int) -> None:
-        """Node i's table and accumulations are node j's: keep them under both."""
-        self.table[i] = self.table[j]
-        if j in self.accs:
-            self.accs[i] = self.accs[j]
+    def keep(self, i: int, accs: list[np.ndarray]) -> None:
+        """Keep node i's table and all its accumulations as arrays that must stay.
+
+        Only a DP's last node may use it: a later ``need`` that drops
+        accumulations would drop these too.
+        """
+        self.need(sum(a.nbytes for a in accs))
+        self.table[i] = accs[-1]
+        self.accs[i] = accs
 
 
 class _Tables:
@@ -185,7 +201,7 @@ class _Tables:
     count in its band, INF where a state cannot reach the count.  ``run``
     fills ``kept``; ``trace`` follows one state down from the root,
     reading the kept accumulations and recomputing only the followed row
-    where ``kept`` dropped them; ``cut`` does both for one count.  A
+    of a node that has none in ``kept``; ``cut`` does both for one count.  A
     subclass gives the node's own rows (``own``), the first and last count
     each accumulation keeps (``band``), a child's rows for each state of
     the node (``child_rows``), the child state a split came from
@@ -282,14 +298,16 @@ class _TreeTables(_Tables):
     """Per-vertex DP tables for a forest, as one tree under a virtual root 0.
 
     A vertex's state is its color.  Its accumulation idx covers the vertex
-    and its first idx children's subtrees (``cover``), and keeps only the
-    black counts a cut of m of the forest's n vertices can give that many
-    vertices.  The root's children are the components' roots, its one
-    state pays nothing and covers no vertex, and a component root under it
-    may take either color at no cost.  Every leaf shares one read-only
-    table, and a vertex whose ordered children have the tables of an
-    earlier vertex's, in any component, shares that vertex's table and
-    accumulations.  ``orders`` are the components' BFS orders and
+    and its first idx children's subtrees, and keeps only the black counts
+    a cut of m of the forest's n vertices can give that many vertices.  The
+    root's children are the components' roots, its one state pays nothing
+    and covers no vertex, and a component root under it may take either
+    color at no cost.  ``run`` keeps one table per class of identical
+    unordered subtrees, in any component, and no accumulations but the
+    root's; the trace recomputes the followed row of any other vertex it
+    splits, in that vertex's own child order.  ``size`` holds the subtree
+    sizes, and ``cover`` the per-accumulation covers of the vertices the
+    trace splits.  ``orders`` are the components' BFS orders and
     ``parent`` the parents of the sweep that found them.
     """
 
@@ -300,35 +318,75 @@ class _TreeTables(_Tables):
         adj = g.adj
         self.children = {v: [w for w in adj[v] if parent[w] == v] for v in self.order[1:]}
         self.children[0] = [order[0] for order in orders]
+        self.size = dict.fromkeys(self.order, 1)
+        self.size[0] = 0
+        for v in reversed(self.order[1:]):
+            self.size[parent[v]] += self.size[v]
         self.cover: dict[int, list[int]] = {}
-        for v in reversed(self.order):
-            sizes = (self.cover[u][-1] for u in self.children[v])
-            self.cover[v] = list(accumulate(sizes, initial=1 if v else 0))
-        lo, hi = _band(1, m, g.n)
-        self.leaf = np.array([[0, INF], [INF, 0]], dtype=np.int32)[:, lo : hi + 1].copy()
+        self.closed: dict[int, np.ndarray] = {}
+        self.leaf = self.leaves(0)
         self.leaf_best = _best(self.leaf)
-        self.leaf.flags.writeable = self.leaf_best.flags.writeable = False
 
     def band(self, v: int, idx: int) -> tuple[int, int]:
+        if idx < 0:
+            return _band(self.size[v], self.m, self.n)
+        if v not in self.cover:
+            sizes = (self.size[u] for u in self.children[v])
+            self.cover[v] = list(accumulate(sizes, initial=1 if v else 0))
         return _band(self.cover[v][idx], self.m, self.n)
 
+    def leaves(self, count: int) -> np.ndarray:
+        """A vertex merged with ``count`` leaf children, in closed form.
+
+        White, it pays one edge per black leaf: counts 0..count at cost
+        0..count.  Black, it pays one per white leaf: counts 1..count + 1
+        at cost count..0.  Built once per count and call, over its band.
+        """
+        if count not in self.closed:
+            lo, hi = _band(count + 1, self.m, self.n)
+            c = np.arange(lo, hi + 1)
+            white, black = np.where(c <= count, c, INF), np.where(c >= 1, count + 1 - c, INF)
+            self.closed[count] = np.array([white, black], dtype=np.int32)
+        return self.closed[count]
+
+    def class_table(self, v: int) -> np.ndarray:
+        """Vertex v's table: its leaf children in closed form, then one merge per other child."""
+        m, n = self.m, self.n
+        inner = [u for u in self.children[v] if self.children[u]]
+        s = len(self.children[v]) - len(inner) + 1
+        acc = self.leaves(s - 1)
+        first = _band(s, m, n)[0]
+        for u in inner:
+            s += self.size[u]
+            lo, hi = _band(s, m, n)
+            base = first + _band(self.size[u], m, n)[0]  # the count of index sum 0
+            acc = _minplus(acc, _best(self.kept.table[u]), lo - base, hi - base)
+            first = lo
+        return acc
+
     def run(self) -> np.ndarray:
-        """Fill one table per class of identical ordered subtrees; returns the root's.
+        """Fill one table per class of identical unordered subtrees; returns the root's.
 
         A vertex's class is the first vertex, in reverse BFS order, whose
-        children are of the same classes in the same order.  The virtual
-        root comes last and in no class, since its own rows differ.
+        children are of the same classes in any order.  A banded table
+        does not depend on the order of the merges: a coloring whose count
+        lies in the last band has every partial count in its partial band.
+        The virtual root comes last and in no class, since its own rows
+        differ, and keeps its accumulations.
         """
+        kept, table = self.kept, self.kept.table
         rep: dict[int, int] = {}
-        class_of: dict[tuple[int, ...], int] = {}  # the children's classes -> a class
+        class_of: dict[tuple[int, ...], int] = {}  # the children's sorted classes -> a class
         for v in reversed(self.order[1:]):
-            r = rep[v] = class_of.setdefault(tuple([rep[u] for u in self.children[v]]), v)
+            key = tuple(sorted([rep[u] for u in self.children[v]]))
+            r = rep[v] = class_of.setdefault(key, v)
             if r == v:
-                self.kept.add(v, self.accumulate(v))
+                table[v] = self.class_table(v)
+                kept.need(table[v].nbytes)
             else:
-                self.kept.share(v, r)
-        self.kept.add(0, self.accumulate(0))
-        return self.kept.table[0]
+                table[v] = table[r]
+        kept.keep(0, self.accumulate(0))
+        return table[0]
 
     def own(self, v: int, rows: slice | None) -> np.ndarray:
         if v == 0:
@@ -352,7 +410,7 @@ class _TreeTables(_Tables):
 
     def paint_forced(self, v: int, s: int, c: int, color: dict[int, int]) -> bool:
         """A subtree with no black vertex, or only black ones, has one way to split its count."""
-        if c != s * self.cover[v][-1]:
+        if c != s * self.size[v]:
             return False
         stack = [v]
         while stack:
@@ -369,9 +427,11 @@ def dp_min_size_cut_tree(
 
     The forest is one tree under a virtual root.  Time and kept memory are
     O(n * min(m, n - m)): a table over s vertices keeps only the black
-    counts max(0, s - (n - m))..min(s, m) a cut can give them, and
-    identical ordered subtrees, in one component or in several, share one
-    table.
+    counts max(0, s - (n - m))..min(s, m) a cut can give them, identical
+    unordered subtrees, in one component or in several, share one table,
+    and a vertex's leaf children are merged in closed form.  Only the
+    tables stay, plus the virtual root's accumulations; the trace
+    recomputes the followed row of each vertex it splits.
 
     One BFS sweep, from each smallest id not yet reached, roots the
     components.  With the edge count it also checks that the graph is a

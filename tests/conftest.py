@@ -6,6 +6,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import pytest
 from hypothesis import strategies as st
 
+from ksec import oracle
 from ksec.graph import Graph, forest_summary, summary_relative_diameter
 
 
@@ -63,3 +64,53 @@ def mutate(text, edits):
         elif op == "swap":
             lines[i], lines[j] = lines[j], lines[i]
     return "\n".join(lines) + "\n"
+
+
+class TreeDPSpy:
+    """What ``oracle.dp_min_size_cut_tree`` merged and kept since the last ``reset``.
+
+    ``merges`` holds (rows, tracing, vertex) for each ``_minplus`` call:
+    tracing is True once ``run`` has returned, and vertex is the one
+    ``accumulate`` merges (None outside it, as in a class's table build).
+    ``traced`` holds the vertices whose followed row the trace recomputed,
+    and ``dp`` is the last run's ``_TreeTables``.
+    """
+
+    def __init__(self, monkeypatch):
+        kernel, run, accumulate = oracle._minplus, oracle._TreeTables.run, oracle._TreeTables.accumulate
+        spy = self
+
+        def spy_minplus(a, b, lo, hi):
+            spy.merges.append((a.shape[0], spy.tracing, spy.vertex))
+            return kernel(a, b, lo, hi)
+
+        def spy_run(tables):
+            spy.tracing = False
+            root = run(tables)
+            spy.tracing, spy.dp = True, tables
+            return root
+
+        def spy_accumulate(tables, v, rows=None):
+            if rows is not None:
+                spy.traced.append(v)
+            spy.vertex = v
+            try:
+                return accumulate(tables, v, rows)
+            finally:
+                spy.vertex = None
+
+        monkeypatch.setattr(oracle, "_minplus", spy_minplus)
+        monkeypatch.setattr(oracle._TreeTables, "run", spy_run)
+        monkeypatch.setattr(oracle._TreeTables, "accumulate", spy_accumulate)
+        self.reset()
+
+    def reset(self):
+        self.merges, self.traced, self.tracing, self.vertex, self.dp = [], [], False, None, None
+
+    def tables(self):
+        """The distinct tables kept for real vertices."""
+        return {id(t) for v, t in self.dp.kept.table.items() if v}
+
+    def rows(self, tracing):
+        """The row counts of the merges before the trace (False) or in it (True)."""
+        return sorted(rows for rows, t, _ in self.merges if t == tracing)

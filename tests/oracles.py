@@ -264,19 +264,32 @@ def subtree_totals(g, weight):
     return total
 
 
-def subtree_classes(g):
-    """Each vertex's class of identical ordered subtrees, across the whole forest.
+def subtree_classes(g, ordered=False):
+    """Each vertex's class of identical unordered subtrees, across the whole forest.
 
-    A class is the tuple of the numbers of its children's classes, in
-    order, so it has one entry per child; the tree DP builds one table per
-    class.
+    A class is the sorted tuple of the numbers of its children's classes,
+    so it has one entry per child.  The leaves' class () is number 0, so a
+    class's nonzero entries are its children that are not leaves.  The
+    tree DP builds one table per class.  With ``ordered`` the tuple keeps
+    the children's ascending id order instead: the classes of identical
+    ordered subtrees.
     """
     order, parent = rooted_forest(g)
-    cls, number = {}, {}
+    cls, number = {}, {(): 0}
     for v in reversed(order):
-        cls[v] = tuple(number[cls[u]] for u in sorted(g.adj[v]) if parent[u] == v)
+        shape = [number[cls[u]] for u in sorted(g.adj[v]) if parent[u] == v]
+        cls[v] = tuple(shape if ordered else sorted(shape))
         number.setdefault(cls[v], len(number))
     return cls
+
+
+def inner_merges(cls):
+    """Min-plus merges that build one table per class: one per child that is not a leaf.
+
+    ``cls`` is ``subtree_classes``'s output; a class merges its leaf
+    children (class 0) in closed form.
+    """
+    return sum(1 for shape in set(cls.values()) for c in shape if c)
 
 
 def make_nonredundant_rescan(td):

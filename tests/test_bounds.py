@@ -2,7 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from ksec import bounds
 from ksec.bounds import (
     log_poly_holds,
     log_poly_value,
@@ -44,3 +47,23 @@ def test_monotone_in_q():
 def test_named_bounds_match_formulas():
     assert tree_cut_bound(Fraction(1, 2), 3) == (2 + 32) * 3
     assert size_cut_bound(Fraction(1, 4), 2) == 64
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 10 ** 6), st.integers(1, 10 ** 6), st.fractions(0, 20),
+    st.integers(0, 12), st.integers(-10, 40), st.integers(0, 3),
+)
+def test_rational_fast_path_agrees_with_interval_arithmetic(den, extra, scale, a, b, at):
+    """Widths at floor(rhs), floor(rhs) + 1 and the rational bracket's ends get the interval answer."""
+    q = Fraction(den + extra, den)
+    assume(bounds._power_of_two_log(q) is None)
+    f = math.floor(math.log2(q))
+    widths = (
+        math.floor(log_poly_value(scale, q, a, b)),
+        math.floor(log_poly_value(scale, q, a, b)) + 1,
+        math.floor(scale * (f * f + a * f + b)),
+        math.ceil(scale * ((f + 1) ** 2 + a * (f + 1) + b)),
+    )
+    width = widths[at]
+    assert log_poly_holds(width, scale, q, a, b) == bounds._interval_holds(width, scale, q, a, b)

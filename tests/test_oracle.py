@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import diam_star, path, star
+from conftest import TreeDPSpy, diam_star, path, star
 from ksec import bounds, oracle
 from ksec.errors import KsecError, MOutOfRange, ResourceLimit, TooLarge, WidthTooLarge
 from ksec.graph import Graph, forest_summary, max_degree
@@ -46,17 +46,12 @@ def _naive_minplus(a, b, lo, hi):
     return out
 
 
-def _strided(rows, out_len, narrow):
-    """The kernel's rule for folding a merge into one strided reduction."""
-    return rows <= 2 and narrow > 4 and out_len <= 512 and rows * out_len * narrow <= 1 << 16
-
-
-# (rows, both widths) on each side of the rule: small merges of one or two rows with
-# operands wider than 4; many rows; a narrow operand of at most 4; too much work
+# (rows, both widths) on each side of ``oracle._strided``: small merges of one or two rows,
+# with wide or narrow operands; many rows; too much work
 _SHAPES = {
     "strided": ((1, 2), (5, 40), (5, 40)),
-    "many rows": ((3, 16), (1, 40), (1, 40)),
     "narrow": ((1, 2), (1, 4), (1, 60)),
+    "many rows": ((3, 16), (1, 40), (1, 40)),
     "large": ((2, 2), (200, 260), (200, 260)),
 }
 
@@ -80,7 +75,8 @@ def test_minplus_matches_a_per_row_double_loop(shape, data):
     hi = full if shape == "large" else data.draw(st.integers(0, full + 5))
     lo = data.draw(st.integers(0, min(full, hi, 50)))
     out_len = min(full, hi) + 1 - lo
-    assert _strided(rows, out_len, min(a.shape[1], b.shape[1])) == (shape == "strided")
+    strided = oracle._strided(rows, out_len, min(a.shape[1], b.shape[1]))
+    assert strided == (shape in ("strided", "narrow"))
     want = _naive_minplus(a.tolist(), b.tolist(), lo, hi)
     for x, y in ((a, b), (b, a)):  # the kernel loops over the narrower operand
         out = oracle._minplus(x, y, lo, hi)
@@ -176,6 +172,12 @@ def _union(*gs):
     return Graph(n, edges)
 
 
+def _relabel(g, seed):
+    """``g`` with its vertices relabelled by a permutation drawn from ``seed``."""
+    perm = [0, *Xorshift64Star(seed).sample(list(range(1, g.n + 1)), g.n)]
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 def _assert_full_width_cut(g, ms):
     """The DP traces the black set and width of the full-width reference for each m."""
     for m in ms:
@@ -204,6 +206,21 @@ def test_dp_tree_traces_the_cut_of_the_full_width_dp_on_structured_trees(g):
     _assert_full_width_cut(g, sorted({*range(0, g.n + 1, max(1, g.n // 40)), g.n - 1, g.n}))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["forest", "comb", "caterpillar"]), st.integers(0, 2 ** 60), st.data())
+def test_dp_tree_traces_the_cut_of_the_full_width_dp_with_siblings_in_shuffled_order(kind, seed, data):
+    """Identical and leaf siblings in any id order: one table per unordered class changes no cut."""
+    rng = Xorshift64Star(seed)
+    if kind == "forest":
+        g = oracles.random_forest(rng, n_lo=1, n_hi=80, drop=6)
+    elif kind == "comb":
+        g = _star_comb(rng.randint(1, 8), rng.randint(1, 8))
+    else:
+        g = caterpillar_graph(rng.randint(1, 90))
+    g = _relabel(g, seed)
+    _assert_full_width_cut(g, sorted({1, g.n // 2, g.n - 1, data.draw(st.integers(0, g.n))}))
+
+
 def _mixed(g, black):
     """Vertices whose subtree holds black and white vertices: the ones the trace splits."""
     size = oracles.subtree_totals(g, lambda v: 1)
@@ -211,111 +228,82 @@ def _mixed(g, black):
     return {v for v in size if 0 < blacks[v] < size[v]}
 
 
-def _spy_accumulate(monkeypatch):
-    """Record ``_TreeTables.accumulate`` calls.
-
-    Returns the vertices of full-table calls, the vertices of traced single
-    rows, and the full-table vertices whose accumulations (all but the
-    table, without the shared read-only leaf) exceed KEEP_RATIO times
-    their table, which the trace must recompute.  The virtual root 0 comes
-    last in the full-table calls.
-    """
-    full, traced, heavy = [], [], set()
-    merge = oracle._TreeTables.accumulate
-
-    def spy(self, v, rows=None):
-        accs = merge(self, v, rows)
-        if rows is None:
-            full.append(v)
-            inner = sum(a.nbytes for a in accs[:-1] if a.flags.writeable)
-            if inner > oracle.KEEP_RATIO * accs[-1].nbytes:
-                heavy.add(v)
-        else:
-            traced.append(v)
-        return accs
-
-    monkeypatch.setattr(oracle._TreeTables, "accumulate", spy)
-    return full, traced, heavy
-
-
 def test_dp_tree_merges_each_class_of_identical_subtrees_once(monkeypatch):
-    """The trace rebuilds the cut from kept accumulations; the DP runs once per subtree class.
+    """One table per class of identical unordered subtrees, across the whole forest.
 
-    A class spans the whole forest, and the virtual root merges once more.
-    The trace recomputes one row only of a split vertex whose class keeps
-    no accumulations.
+    Copies of a star comb, relabelled, list a hub's leaf and non-leaf
+    children in different orders, but share one table.  No vertex but the
+    virtual root keeps accumulations, so the trace recomputes the followed
+    row of every vertex it splits, and of no other.
     """
-    full, traced, heavy = _spy_accumulate(monkeypatch)
-    g = oracles.random_forest(Xorshift64Star(77), n_lo=40, n_hi=40, drop=5)
-    assert len(forest_summary(g)) >= 3
+    spy = TreeDPSpy(monkeypatch)
+    forest = oracles.random_forest(Xorshift64Star(77), n_lo=40, n_hi=40, drop=5)
+    g = _relabel(_union(forest, *[_star_comb(2, 3)] * 4), 77)
+    assert len(forest_summary(g)) >= 7
     cls = oracles.subtree_classes(g)
-    assert len(set(cls.values())) < g.n - 10  # leaves and small shapes repeat
+    assert len(set(cls.values())) < len(set(oracles.subtree_classes(g, ordered=True).values()))
+    assert len(set(cls.values())) < g.n - 30  # leaves and small shapes repeat
     for m in (1, g.n // 2, g.n):
-        full.clear(), traced.clear(), heavy.clear()
+        spy.reset()
         cut, _ = dp_min_size_cut_tree(g, m)
-        assert full[-1] == 0
-        assert sorted(cls[v] for v in full[:-1]) == sorted(set(cls.values()))
-        heavy_classes = {cls[v] for v in heavy if v}
-        root = [0] if m and 0 in heavy else []  # the virtual root splits every m > 0
-        split = [v for v in _mixed(g, cut.black) if cls[v] in heavy_classes]
-        assert sorted(traced) == sorted(root + split)
-
-
-def _count_minplus(monkeypatch):
-    """Record the row count of every ``oracle._minplus`` call."""
-    rows = []
-    kernel = oracle._minplus
-
-    def spy(a, b, lo, hi):
-        rows.append(a.shape[0])
-        return kernel(a, b, lo, hi)
-
-    monkeypatch.setattr(oracle, "_minplus", spy)
-    return rows
+        assert len(spy.tables()) == len(set(cls.values()))
+        assert list(spy.dp.kept.accs) == [0]
+        assert sorted(spy.traced) == sorted(_mixed(g, cut.black))
 
 
 def test_dp_tree_merges_each_child_in_one_minplus_call(monkeypatch):
-    """One kernel call per child of each subtree class covers both colors.
+    """One kernel call per child that is not a leaf, for each subtree class, covers both colors.
 
-    The virtual root adds a one-row call per component, and a row the
-    trace recomputes one per child of its vertex.
+    A class's leaf children are merged in closed form.  The virtual root
+    adds a one-row call per component, and a row the trace recomputes one
+    per child of its vertex.
     """
-    calls = _count_minplus(monkeypatch)
-    _, traced, _ = _spy_accumulate(monkeypatch)
+    spy = TreeDPSpy(monkeypatch)
     g = oracles.random_forest(Xorshift64Star(78), n_lo=40, n_hi=40, drop=5)
     comps = len(forest_summary(g))
     assert comps >= 3
     cls = oracles.subtree_classes(g)
-    merges = sum(len(shape) for shape in set(cls.values()))
-    assert merges < len(g.edges)
-    recomputed = []
+    merges = oracles.inner_merges(cls)
+    assert merges < sum(len(shape) for shape in set(cls.values())) < len(g.edges)
     for m in (1, g.n // 2, g.n):
-        calls.clear(), traced.clear()
+        spy.reset()
         dp_min_size_cut_tree(g, m)
-        rows = comps + sum(len(cls[v]) if v else comps for v in traced)
-        assert sorted(calls) == [1] * rows + [2] * merges
-        recomputed += traced
-    assert 0 in recomputed  # the root's accumulations, one per component, exceed KEEP_RATIO
-    assert set(recomputed) - {0}  # m = n // 2 splits a vertex that keeps no accumulations
+        assert spy.rows(False) == [1] * comps + [2] * merges
+        assert spy.rows(True) == [1] * sum(len(cls[v]) for v in spy.traced)
+        assert bool(spy.traced) == (m == g.n // 2)
 
 
-def test_dp_tree_recomputes_only_the_accumulations_of_high_degree_vertices(monkeypatch):
-    """A star comb keeps its tables (~0.2 MB) under a 1 MB guard, not all accumulations (~8 MB)."""
-    full, traced, heavy = _spy_accumulate(monkeypatch)
+def test_dp_tree_trace_reads_the_virtual_roots_kept_accumulations(monkeypatch):
+    """The trace splits the root's count over the components without merging its row again."""
+    spy = TreeDPSpy(monkeypatch)
+    g = oracles.random_forest(Xorshift64Star(78), n_lo=40, n_hi=40, drop=5)
+    assert len(forest_summary(g)) == 3
+    for m in range(g.n + 1):
+        spy.reset()
+        dp_min_size_cut_tree(g, m)
+        assert not [v for rows, tracing, v in spy.merges if tracing and v == 0], m
+        assert len(spy.dp.kept.accs[0]) == 4  # the root's own row, then one per component
+
+
+def test_dp_tree_merges_a_hubs_leaves_in_closed_form(monkeypatch):
+    """A star comb of 40 hubs with 40 leaves each merges once per hub, under a 1 MB guard.
+
+    Each hub is its own class, and all leaves are one; a hub's 40 leaves
+    are one closed-form table, so the hubs but the last merge only the
+    next hub.  The tables (~0.2 MB) stay; the trace recomputes a hub's row
+    unless its subtree takes one color (then it paints the subtree whole),
+    and never splits a leaf.
+    """
+    spy = TreeDPSpy(monkeypatch)
     comb = _star_comb(40, 40)
     cut, w = dp_min_size_cut_tree(comb, comb.n // 2, mem_limit_mb=1)
     assert (len(cut.black), w) == (comb.n // 2, 1)
-    # each hub is its own class, and all leaves are one, which keeps its accumulations
     cls = oracles.subtree_classes(comb)
-    assert len(set(cls.values())) == 41
-    assert full[-1] == 0
-    assert sorted(cls[v] for v in full[:-1]) == sorted(set(cls.values()))
-    # the virtual root of one component keeps its two one-column accumulations
-    assert sorted(heavy) == list(range(1, 41))
-    # the trace merges a hub again unless its subtree takes one color (then it paints
-    # the subtree whole); a leaf is never split
+    assert len(set(cls.values())) == len(spy.tables()) == 41
+    assert spy.rows(False) == [1] + [2] * 39
+    assert list(spy.dp.kept.accs) == [0] and spy.dp.kept.need_bytes < 1 << 18
     mixed = _mixed(comb, cut.black)
-    assert mixed and sorted(traced) == sorted(mixed)
+    assert mixed and sorted(spy.traced) == sorted(mixed)
 
 
 def test_a_malformed_memory_guard_is_named(monkeypatch):
@@ -402,6 +390,19 @@ def test_dp_td_reduces_each_child_once(monkeypatch):
         calls.clear()
         dp_min_size_cut_td(g, td, m)
         assert sorted(tuple(sorted(e)) for e in calls) == sorted(td.tree_edges)
+
+
+def _count_minplus(monkeypatch):
+    """Record the row count of every ``oracle._minplus`` call."""
+    rows = []
+    kernel = oracle._minplus
+
+    def spy(a, b, lo, hi):
+        rows.append(a.shape[0])
+        return kernel(a, b, lo, hi)
+
+    monkeypatch.setattr(oracle, "_minplus", spy)
+    return rows
 
 
 def test_dp_td_merges_each_child_in_one_minplus_call(monkeypatch):

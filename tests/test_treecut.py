@@ -1,7 +1,9 @@
+import copy
+
 import pytest
 
 import oracles
-from conftest import diam_star, path, star
+from conftest import TreeDPSpy, diam_star, path, star
 from ksec import bounds, oracle
 from ksec.errors import MOutOfRange
 from ksec.graph import (
@@ -220,49 +222,64 @@ def _full_width_columns(forest, m):
     return sum(min(s, m) + 1 for s in oracles.subtree_totals(forest, lambda v: 1).values())
 
 
-def test_inner_exact_cut_keeps_the_count_band_and_builds_each_subtree_class_once(monkeypatch):
+@pytest.fixture(scope="module")
+def inner_dps():
+    """The inner DPs of 10 real Case 2b, 3a and 3b cuts: (forest, m, ``TreeDPSpy`` state) each."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        spy = TreeDPSpy(mp)
+        dp = oracle.dp_min_size_cut_tree
+
+        def spy_dp(forest, m, *args, **kwargs):
+            spy.reset()
+            result = dp(forest, m, *args, **kwargs)
+            calls.append((forest, m, copy.copy(spy)))
+            return result
+
+        mp.setattr(oracle, "dp_min_size_cut_tree", spy_dp)
+        rng = Xorshift64Star(0xBA4D)
+        cuts = [(spider_graph(3, 100), m) for m in (13, 157, 229, 289)]
+        cuts += [(adversarial_ternary_path(6), m) for m in (610, 1480, 2002)]
+        cuts += [(caterpillar_graph(400), 65)]
+        cuts += [(random_tree_maxdeg(n, 6, rng), n // 2) for n in (1500, 3000)]
+        for g, m in cuts:
+            diameter_preserving_cut(g, m)
+    assert len(calls) == len(cuts)
+    return calls
+
+
+def test_inner_exact_cut_keeps_the_count_band_and_builds_each_subtree_class_once(inner_dps):
     """Counted, not timed: the inner DP of Cases 2b, 3a and 3b stays within O(N * min(m, N - m)).
 
     On its forest of N vertices it keeps at most N * (min(m, N - m) + 1)
-    table columns, beside the virtual root's one, and it merges once per
-    class of identical ordered subtrees, then once at the virtual root.
-    On trees with long paths Ṽ holds few vertices beside m, and tables of
-    min(s, m) + 1 columns would exceed that bound.
+    table columns, beside the virtual root's one, in one table per class
+    of identical unordered subtrees, and no accumulations but the virtual
+    root's.  On trees with long paths Ṽ holds few vertices beside m, and
+    tables of min(s, m) + 1 columns would exceed that bound.
     """
-    calls, columns, full = [], [], []
-    dp, run, merge = oracle.dp_min_size_cut_tree, oracle._TreeTables.run, oracle._TreeTables.accumulate
+    wide = 0
+    for forest, m, spy in inner_dps:
+        n, table = forest.n, spy.dp.kept.table
+        bound = n * (min(m, n - m) + 1)
+        assert sum(table[v].shape[1] for v in spy.dp.order[1:]) <= bound
+        assert len(spy.tables()) == len(set(oracles.subtree_classes(forest).values()))
+        assert list(spy.dp.kept.accs) == [0]
+        wide += _full_width_columns(forest, m) > bound
+    assert wide >= 6
 
-    def spy_dp(forest, m, *args, **kwargs):
-        columns.clear(), full.clear()
-        result = dp(forest, m, *args, **kwargs)
-        calls.append((forest, m, sum(columns), list(full)))
-        return result
 
-    def spy_run(self):
-        root = run(self)
-        columns.append(sum(self.kept.table[v].shape[1] for v in self.order[1:]))
-        return root
+def test_inner_exact_cut_merges_once_per_inner_child_of_each_subtree_class(inner_dps):
+    """Counted, not timed: the kernel calls of the inner DP of 10 real cuts.
 
-    def spy_merge(self, v, rows=None):
-        if rows is None:
-            full.append(v)
-        return merge(self, v, rows)
-
-    monkeypatch.setattr(oracle, "dp_min_size_cut_tree", spy_dp)
-    monkeypatch.setattr(oracle._TreeTables, "run", spy_run)
-    monkeypatch.setattr(oracle._TreeTables, "accumulate", spy_merge)
-    rng = Xorshift64Star(0xBA4D)
-    cuts = [(spider_graph(3, 100), m) for m in (13, 157, 229, 289)]
-    cuts += [(adversarial_ternary_path(6), m) for m in (610, 1480, 2002)]
-    cuts += [(caterpillar_graph(400), 65)]
-    cuts += [(random_tree_maxdeg(n, 6, rng), n // 2) for n in (1500, 3000)]
-    for g, m in cuts:
-        diameter_preserving_cut(g, m)
-    assert len(calls) == len(cuts)
-    for forest, m, kept_columns, merged in calls:
-        n = forest.n
-        assert kept_columns <= n * (min(m, n - m) + 1)
-        cls = oracles.subtree_classes(forest)
-        assert merged[-1] == 0
-        assert sorted(cls[v] for v in merged[:-1]) == sorted(set(cls.values()))
-    assert sum(_full_width_columns(f, m) > f.n * (min(m, f.n - m) + 1) for f, m, *_ in calls) >= 6
+    Building the tables takes one two-row ``_minplus`` call per child that
+    is not a leaf, summed over the classes of identical unordered
+    subtrees, and one one-row call per component at the virtual root.  The
+    trace adds at most one one-row call per child of each vertex whose row
+    it recomputes.
+    """
+    for forest, m, spy in inner_dps:
+        merges = oracles.inner_merges(oracles.subtree_classes(forest))
+        assert spy.rows(False) == [1] * len(spy.dp.children[0]) + [2] * merges
+        retraced = spy.rows(True)
+        assert set(retraced) <= {1}
+        assert len(retraced) <= sum(len(spy.dp.children[v]) for v in spy.traced)
