@@ -11,7 +11,7 @@ from .graph import (
     parse_gr,
     write_gr,
 )
-from .labeling import PathDecomposition, PLabeling, d_p, decompose_along_path, find_anchor, p_labeling
+from .labeling import PLabeling, d_p, find_anchor, p_labeling
 from .treecut import DiamCutTrace, approximate_cut, diameter_preserving_cut
 from .treedec import (
     HeaviestPathResult,
@@ -28,7 +28,6 @@ from .treedec import (
 )
 from .tdcut import (
     RCutTrace,
-    TDPLabeling,
     approximate_cut_td,
     r_preserving_cut,
     td_p_labeling,

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 from . import bounds, engine, instances, oracle
 from .errors import FormatError, InvariantViolation, KsecError, ResourceLimit
 from .graph import Graph, parse_gr, require_tree, write_gr
-from .labeling import decompose_along_path, p_labeling
+from .labeling import _p_labeling
 from .treedec import parse_td, write_td
 
 RUNTIME_NOTE = (
@@ -135,7 +135,7 @@ def cmd_td(args) -> int:
 def cmd_labeling(args) -> int:
     g = _load_graph(args.input)
     path = require_tree(g, "ksec labeling").path
-    lab = p_labeling(decompose_along_path(g, path))
+    lab = _p_labeling(g, path)
     payload = {
         "path": path,
         "label_of": {str(v): lab.label_of[v] for v in g.vertices()},

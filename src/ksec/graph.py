@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FormatError, KsecError, NotAForest, NotAPartition, NotATree, ResourceLimit
@@ -52,23 +53,22 @@ class Graph:
         if not is_int(n) or n < 0:
             raise KsecError(f"vertex count must be a non-negative integer, got {n!r}")
         edges = list(edges)
+        why = bad_pair(edges, "vertex")
+        if why:
+            raise KsecError(why)
         edge_set = set()
         adj: list[list[int]] = [[] for _ in range(n + 1)]
-        try:
-            for u, v in edges:
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise KsecError(f"edge ({u},{v}) out of vertex range 1..{n}")
-                if u == v:
-                    raise KsecError(f"self-loop at vertex {u}")
-                e = (u, v) if u < v else (v, u)
-                if e in edge_set:
-                    raise KsecError(f"parallel edge ({e[0]},{e[1]})")
-                edge_set.add(e)
-                adj[u].append(v)
-                adj[v].append(u)
-        except (TypeError, ValueError):  # named here, so valid edges pay no type check
-            why = next(filter(None, map(_bad_edge, edges)), "edges must be pairs of vertex ids")
-            raise KsecError(why) from None
+        for u, v in edges:
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise KsecError(f"edge ({u},{v}) out of vertex range 1..{n}")
+            if u == v:
+                raise KsecError(f"self-loop at vertex {u}")
+            e = (u, v) if u < v else (v, u)
+            if e in edge_set:
+                raise KsecError(f"parallel edge ({e[0]},{e[1]})")
+            edge_set.add(e)
+            adj[u].append(v)
+            adj[v].append(u)
         self.n = n
         self._edges = frozenset(edge_set)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
@@ -117,14 +117,26 @@ class Graph:
         return f"Graph(n={self.n}, m={self.num_edges})"
 
 
-def _bad_edge(e) -> str | None:
-    """Why ``e`` is no edge: not a pair, or an id that is no integer; None for a pair of ints."""
+def bad_pair(pairs: list, what: str) -> str | None:
+    """Why one of ``pairs`` is not a pair of ``what`` ids (``is_int``), or None.
+
+    Pairs of plain ``int`` cost two passes at C speed; only other input
+    is scanned pair by pair.
+    """
     try:
-        u, v = e
-    except (TypeError, ValueError):
-        return f"edge {e!r} is not a pair of vertex ids"
-    bad = [x for x in (u, v) if not is_int(x)]
-    return f"vertex id {bad[0]!r} in edge {e!r} is not an integer" if bad else None
+        if set(map(len, pairs)) <= {2} and set(map(type, chain.from_iterable(pairs))) <= {int}:
+            return None
+    except TypeError:  # a pair without a length, or not iterable
+        pass
+    for e in pairs:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            return f"edge {e!r} is not a pair of {what} ids"
+        bad = [x for x in (u, v) if not is_int(x)]
+        if bad:
+            return f"{what} id {bad[0]!r} in edge {e!r} is not an integer"
+    return None
 
 
 def _out_of_range(vertices: Iterable, n: int):
@@ -301,8 +313,8 @@ def cut_width(g: Graph, parts: Sequence[Iterable[int]]) -> int:
     part_of = [-1] * (g.n + 1)
     for idx, part in enumerate(parts):
         for v in part:
-            if not (1 <= v <= g.n) or part_of[v] != -1:
-                raise NotAPartition(f"vertex {v} repeated or out of range")
+            if not (is_int(v) and 1 <= v <= g.n) or part_of[v] != -1:
+                raise NotAPartition(f"vertex {v!r} repeated or out of range")
             part_of[v] = idx
     if any(part_of[v] == -1 for v in g.vertices()):
         raise NotAPartition("parts do not cover the vertex set")
@@ -358,20 +370,16 @@ def induced_sorted(g: Graph, old_of: Sequence[int]) -> Graph:
     )
 
 
-def mem_limit_bytes(mem_limit_mb: int | None = None) -> int:
-    """The memory guard in bytes: ``mem_limit_mb``, else KSEC_MAX_MEM_MB (default 2048).
+def mem_limit_bytes() -> int:
+    """The memory guard in bytes: KSEC_MAX_MEM_MB (default 2048).
 
-    An argument or variable that is not an integer raises ``KsecError`` naming it.
+    A value that is not an integer raises ``KsecError`` naming it.
     """
-    if mem_limit_mb is None:
-        raw = os.environ.get("KSEC_MAX_MEM_MB", "2048")
-        try:
-            mem_limit_mb = int(raw)
-        except ValueError:
-            raise KsecError(f"KSEC_MAX_MEM_MB must be an integer (MB), got {raw!r}") from None
-    elif not is_int(mem_limit_mb):
-        raise KsecError(f"mem_limit_mb must be an integer (MB), got {mem_limit_mb!r}")
-    return mem_limit_mb * (1 << 20)
+    raw = os.environ.get("KSEC_MAX_MEM_MB", "2048")
+    try:
+        return int(raw) * (1 << 20)
+    except ValueError:
+        raise KsecError(f"KSEC_MAX_MEM_MB must be an integer (MB), got {raw!r}") from None
 
 
 # --- .gr file format ------------------------------------------------------

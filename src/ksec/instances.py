@@ -9,10 +9,10 @@ no modulo bias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import KsecError
-from .graph import Graph
+from .graph import Graph, is_int
 from .treedec import TreeDecomposition
 
 MASK64 = (1 << 64) - 1
@@ -211,6 +211,10 @@ def random_partial_ktree(
 
 def generate(spec: GeneratorSpec) -> tuple[Graph, TreeDecomposition | None]:
     """Build the instance described by ``spec`` (graph plus optional decomposition)."""
+    for f in fields(spec)[1:]:  # the seed, and the sizes a family may leave unset
+        value = getattr(spec, f.name)
+        if not is_int(value) and (value is not None or f.name == "seed"):
+            raise BadParameters(f"parameter {f.name!r} must be an integer, got {value!r}")
     rng = Xorshift64Star(spec.seed)
     fam = spec.family
     if fam == "path":

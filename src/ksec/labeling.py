@@ -3,17 +3,21 @@
 Removing the edges of a path P from a tree splits the tree into one
 subtree T_v per path vertex v.  The labeling built here assigns
 1..n so that each subtree's vertices occupy a consecutive block, the
-path vertex closes its block, and blocks follow the path order.  All
-label arithmetic is cyclic modulo n (residues kept in 1..n).
+path vertex closes its block, and blocks follow the path order.  The
+labeling keeps where each block ends, so a cut reads the block that
+holds a label (``PLabeling.block``) instead of a vertex->block map.
+All label arithmetic is cyclic modulo n (residues kept in 1..n).
 
 The same labeling serves a graph with a tree decomposition
 (``tdcut.td_p_labeling``): there the marked set is R, the vertices
-covered by the heaviest path's clusters, and d_P, the anchor and the
-label intervals are read exactly as for a tree.
+covered by the heaviest path's clusters, block i is S_i followed by
+R_i of path node i, and d_P, the anchor and the label intervals are
+read exactly as for a tree.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Container
 from dataclasses import dataclass
 from itertools import accumulate
@@ -23,30 +27,15 @@ from .graph import Graph, is_int, require_tree
 
 
 @dataclass(frozen=True)
-class PathDecomposition:
-    """Subtrees T_v hanging off a fixed path of a tree.
-
-    ``subtree_of`` maps every vertex to its path vertex; ``subtree_members``
-    maps each path vertex v to V(T_v) (including v itself).  ``order``
-    lists every T_v in post-order, children ascending, so v closes its
-    block, with the blocks in path order: the order ``p_labeling`` labels.
-    """
-
-    tree: Graph
-    path: tuple
-    subtree_of: dict
-    subtree_members: dict
-    order: list
-
-
-@dataclass(frozen=True)
 class PLabeling:
     """Bijection vertex <-> label plus O(1) path-distance machinery.
 
     The marked vertices are the path P of a tree, or R of a decomposed
     graph.  ``path_prefix[x]`` counts marked vertices with label < x, so
     d_P(x, y) is a prefix difference.  ``on_path[x]`` flags labels of
-    marked vertices, and ``num_path`` counts them.
+    marked vertices, and ``num_path`` counts them.  The labels run in
+    blocks of consecutive labels, one per path vertex or path node, in
+    path order; ``ends[i]`` is the last label of block i.
     """
 
     n: int
@@ -55,10 +44,12 @@ class PLabeling:
     path_prefix: tuple
     on_path: tuple
     num_path: int
+    ends: tuple
 
     @classmethod
-    def from_order(cls, order: list[int], marked: Container[int]) -> "PLabeling":
-        """Label ``order[i]`` with i+1; ``order`` lists the vertices 1..n once each."""
+    def from_blocks(cls, blocks: list[list[int]], marked: Container[int]) -> "PLabeling":
+        """Label the vertices of the blocks 1..n in order; the blocks partition 1..n."""
+        order = [v for block in blocks for v in block]
         n = len(order)
         label_of = [0] * (n + 1)
         for lbl, v in enumerate(order, start=1):
@@ -72,10 +63,17 @@ class PLabeling:
             path_prefix=prefix,
             on_path=on_path,
             num_path=prefix[n + 1],
+            ends=tuple(accumulate(map(len, blocks))),
         )
 
     def vertex(self, label: int) -> int:
         return self.vertex_of[cyclic(label, self.n)]
+
+    def block(self, label: int) -> tuple[int, int, int]:
+        """(i, first, last): block i holds the labels first..last, ``label`` (cyclic) among them."""
+        ends = self.ends
+        i = bisect_left(ends, cyclic(label, self.n))
+        return i, ends[i - 1] + 1 if i else 1, ends[i]
 
 
 def cyclic(label: int, n: int) -> int:
@@ -83,20 +81,22 @@ def cyclic(label: int, n: int) -> int:
     return (label - 1) % n + 1
 
 
-def decompose_along_path(tree: Graph, path) -> PathDecomposition:
-    """Split ``tree`` into the subtrees hanging off ``path``."""
-    require_tree(tree, "decompose_along_path")
+def p_labeling(tree: Graph, path) -> PLabeling:
+    """The labeling of ``tree`` with ``path`` marked, one block per subtree T_v off the path."""
+    require_tree(tree, "p_labeling")
     for v in path:
         if not is_int(v) or not 1 <= v <= tree.n:
             raise PathNotInTree(f"path vertex {v!r} out of vertex range 1..{tree.n}")
-    return path_decomposition(tree, path)
+    return _p_labeling(tree, path)
 
 
-def path_decomposition(tree: Graph, path) -> PathDecomposition:
-    """``decompose_along_path`` for a graph the caller already knows is a tree.
+def _p_labeling(tree: Graph, path) -> PLabeling:
+    """``p_labeling`` for a graph the caller already knows is a tree.
 
-    One sweep per path vertex v finds T_v and its post-order: a
-    pre-order that takes the largest child first, reversed.
+    Removing the path's edges leaves one subtree T_v per path vertex v;
+    block i is T_v of the i-th path vertex v, in post-order with v last.
+    One sweep per path vertex finds T_v and its post-order: a pre-order
+    that takes the largest child first, reversed.
     """
     path = tuple(path)
     if len(set(path)) != len(path) or not path:
@@ -109,9 +109,7 @@ def path_decomposition(tree: Graph, path) -> PathDecomposition:
     seen = [False] * (tree.n + 1)
     for v in path:
         seen[v] = True
-    order: list[int] = []
-    subtree_of = {}
-    members = {}
+    blocks = []
     for v in path:
         stack, block = [v], []
         while stack:
@@ -122,29 +120,10 @@ def path_decomposition(tree: Graph, path) -> PathDecomposition:
                     seen[w] = True
                     stack.append(w)
         block.reverse()
-        order += block
-        members[v] = frozenset(block)
-        subtree_of.update(dict.fromkeys(block, v))
-    if len(order) != tree.n:
+        blocks.append(block)
+    if sum(map(len, blocks)) != tree.n:
         raise PathNotInTree("path does not lie in this tree")
-    return PathDecomposition(
-        tree=tree,
-        path=path,
-        subtree_of=subtree_of,
-        subtree_members=members,
-        order=order,
-    )
-
-
-def p_labeling(dec: PathDecomposition) -> PLabeling:
-    """Label vertices by a DFS from y0 that finishes each subtree in a block.
-
-    The DFS visits the path predecessor of each path vertex first and the
-    remaining neighbors ascending by id, so the labeling is deterministic.
-    Labels follow its finishing order, which is ``dec.order``: the blocks
-    T_x0, ..., T_y0 along the path, each in post-order.
-    """
-    return PLabeling.from_order(dec.order, frozenset(dec.path))
+    return PLabeling.from_blocks(blocks, frozenset(path))
 
 
 def d_p(lab: PLabeling, x: int, y: int) -> int:

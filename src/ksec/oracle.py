@@ -420,9 +420,7 @@ class _TreeTables(_Tables):
         return True
 
 
-def dp_min_size_cut_tree(
-    forest: Graph, m: int, mem_limit_mb: int | None = None
-) -> tuple[Cut, int]:
+def dp_min_size_cut_tree(forest: Graph, m: int) -> tuple[Cut, int]:
     """Exact minimum-width cut with |B| = m in a forest of n vertices.
 
     The forest is one tree under a virtual root.  Time and kept memory are
@@ -445,7 +443,7 @@ def dp_min_size_cut_tree(
     orders, parent = component_orders(forest)
     if forest.num_edges != n - len(orders):
         require_forest(forest, "dp_min_size_cut_tree")  # a cycle: raises NotAForest naming an edge
-    kept = _Kept(mem_limit_bytes(mem_limit_mb))
+    kept = _Kept(mem_limit_bytes())
     return _TreeTables(forest, orders, parent, m, kept).cut(forest, m)
 
 
@@ -566,7 +564,6 @@ def dp_min_size_cut_td(
     td: TreeDecomposition,
     m: int,
     max_width: int = 12,
-    mem_limit_mb: int | None = None,
 ) -> tuple[Cut, int]:
     """Exact minimum-width cut with |B| = m, via DP over the decomposition.
 
@@ -581,7 +578,7 @@ def dp_min_size_cut_td(
         raise WidthTooLarge(f"decomposition width {td.width} exceeds limit {max_width}")
     require_decomposition(td, g, "dp_min_size_cut_td")
 
-    return _TDTables(g, td, m, _Kept(mem_limit_bytes(mem_limit_mb))).cut(g, m)
+    return _TDTables(g, td, m, _Kept(mem_limit_bytes())).cut(g, m)
 
 
 # --- Brute force ------------------------------------------------------------

@@ -4,8 +4,8 @@ Mirrors the tree machinery: the heaviest path of the decomposition
 plays the role of a longest path, the vertex set splits into R (covered
 by path clusters) and the per-node remainders S_i, and the tree's
 cyclic labeling (``labeling.PLabeling``, with R marked in place of the
-path) places each R_i ∪ S_i block consecutively with R_i last.  The
-anchor and the label interval are found as for a tree.  The
+path) gives path node i the block S_i ∪ R_i, with R_i last.  The anchor,
+the label interval and the block to split are found as for a tree.  The
 r-preserving cut peels off exactly m vertices while the relative
 heaviest-path weight of the remainder never drops.
 """
@@ -38,17 +38,6 @@ from .treedec import (
 
 
 @dataclass(frozen=True)
-class TDPLabeling:
-    """The cyclic labeling with R marked, plus the blocks along the path."""
-
-    labeling: PLabeling
-    a_p: tuple  # vertex -> path node
-    l_p: tuple  # path nodes in order
-    r_of: dict  # path node -> sorted tuple R_i
-    s_of: dict  # path node -> sorted tuple S_i
-
-
-@dataclass(frozen=True)
 class RCutTrace(CutTrace):
     """What the r-preserving cut actually did."""
 
@@ -68,14 +57,13 @@ class RCutTrace(CutTrace):
     normalized_td: TreeDecomposition | None = field(default=None, repr=False)
 
 
-def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> TDPLabeling:
-    """Labeling of g along a path of a nonredundant decomposition.
+def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> PLabeling:
+    """Labeling of g along a path of a nonredundant decomposition, with R marked.
 
-    Blocks follow the path; within the block of node i the S_i vertices
-    come first and the R_i vertices take the largest labels.  That order
-    and the marked set R make the ``PLabeling`` the tree cut uses.  Raises
-    ``RedundantDecomposition`` when some R_i is empty, which cannot
-    happen after ``make_nonredundant``.
+    Block i holds the vertices of path node i: S_i first, then R_i, which
+    take the block's largest labels.  Raises ``RedundantDecomposition``
+    when some R_i is empty, which cannot happen after
+    ``make_nonredundant``.
     """
     n = g.n
     path_nodes = tuple(path.path)
@@ -92,13 +80,11 @@ def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> 
         raise InvariantViolation("path does not lie in the decomposition tree")
 
     in_r: set[int] = set()
-    path_node_of = [0] * (n + 1)
     r_of: dict[int, list[int]] = {i: [] for i in path_nodes}
     for i in path_nodes:
         for v in sorted(td.bag(i)):
             if v not in in_r:
                 in_r.add(v)
-                path_node_of[v] = i
                 r_of[i].append(v)
 
     s_of: dict[int, set] = {i: set() for i in path_nodes}
@@ -107,23 +93,15 @@ def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> 
         for v in td.bag(node):
             if v not in in_r:
                 s_of[anchor].add(v)
-                path_node_of[v] = anchor
 
     for i in path_nodes:
         if not r_of[i]:
             raise RedundantDecomposition(f"cluster block of node {i} adds no new vertex")
 
-    if sum(len(r_of[i]) + len(s_of[i]) for i in path_nodes) != n:
+    blocks = [sorted(s_of[i]) + r_of[i] for i in path_nodes]
+    if sum(map(len, blocks)) != n:
         raise InvariantViolation("labeling blocks do not partition the vertex set")
-
-    order = [v for i in path_nodes for v in sorted(s_of[i]) + r_of[i]]
-    return TDPLabeling(
-        labeling=PLabeling.from_order(order, in_r),
-        a_p=tuple(path_node_of),
-        l_p=path_nodes,
-        r_of={i: tuple(r_of[i]) for i in path_nodes},
-        s_of={i: tuple(sorted(s_of[i])) for i in path_nodes},
-    )
+    return PLabeling.from_blocks(blocks, in_r)
 
 
 def approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
@@ -246,35 +224,29 @@ def r_preserving_cut(
         )
     td0, t, hp = summary.td, summary.t, summary.path
     r = hp.relative_weight
-    blocks = td_p_labeling(g, td0, hp)
-    lab = blocks.labeling
+    lab = td_p_labeling(g, td0, hp)
     floor_rm = (lab.num_path * m) // n
     v = find_anchor(lab, m)
     m_vertices = frozenset(labels_interval(lab, v, m))
     v_in_r = lab.on_path[v]
     vm_in_r = lab.on_path[cyclic(v + m, n)]
-    vm_vertex = lab.vertex(v + m)
 
     base = dict(m=m, r=r, t=t, anchor=v, floor_rm=floor_rm, normalized_td=td0)
     if v_in_r and vm_in_r:
         return Cut._trusted(g, m_vertices), RCutTrace(case_tag="Case1", **base)
+    # the end of the m-window outside R lies in S_i of the split node i
+    i, first, last = lab.block(v + m if v_in_r else v)
+    split_node = hp.path[i]
     if v_in_r and lab.on_path[cyclic(v + m - 1, n)]:
-        return Cut._trusted(g, m_vertices), RCutTrace(
-            case_tag="Case2a", node=blocks.a_p[vm_vertex], **base
-        )
+        return Cut._trusted(g, m_vertices), RCutTrace(case_tag="Case2a", node=split_node, **base)
 
-    if v_in_r:
-        split_node = blocks.a_p[vm_vertex]  # path node of v+m, which lies in S
-        case = "Case2b"
-    else:
-        split_node = blocks.a_p[lab.vertex(v)]  # path node of v, which lies in S
-        case = "Case3"
-    s_set = set(blocks.s_of[split_node])
+    case = "Case2b" if v_in_r else "Case3"
+    s_sorted = sorted(lab.vertex_of[x] for x in range(first, last + 1) if not lab.on_path[x])
+    s_set = set(s_sorted)
     m_tilde = 2 * len(s_set & m_vertices)
     if not (2 <= m_tilde <= 2 * m):
         raise InvariantViolation(f"{case}: m-tilde {m_tilde} out of range")
 
-    s_sorted = sorted(s_set)
     sub_s = induced_sorted(g, s_sorted)
     local_black = _approximate_cut_td(sub_s, induced_local(td0, s_sorted), m_tilde)
     b_side = frozenset(s_sorted[u - 1] for u in local_black)
@@ -291,7 +263,7 @@ def r_preserving_cut(
     if boundary_width(g_tilde, b_local):
         raise InvariantViolation(f"{case}: split sides are still connected")
 
-    glued = _glue_decompositions(td0, vt_sorted, new_of, b_local, blocks.l_p[-1])
+    glued = _glue_decompositions(td0, vt_sorted, new_of, b_local, hp.path[-1])
     if glued.width > t - 1:
         raise InvariantViolation(f"{case}: glued decomposition too wide")
     r_tilde = heaviest_path(glued, len(vt_sorted)).relative_weight

@@ -35,7 +35,7 @@ from .graph import (
     require_forest,
     require_tree,
 )
-from .labeling import cyclic, find_anchor, labels_interval, p_labeling, path_decomposition
+from .labeling import _p_labeling, cyclic, find_anchor, labels_interval
 
 
 class CutTrace:
@@ -188,14 +188,12 @@ def diameter_preserving_cut(
 
     tree = link_summarized(forest, comps)
     path = comps[0].path if tree is forest else forest_summary(tree)[0].path
-    dec = path_decomposition(tree, path)
-    lab = p_labeling(dec)
+    lab = _p_labeling(tree, path)
     floor_dm = (lab.num_path * m) // n
     v = find_anchor(lab, m)
     m_vertices = frozenset(labels_interval(lab, v, m))
     v_on = lab.on_path[v]
     vm_on = lab.on_path[cyclic(v + m, n)]
-    vm_vertex = lab.vertex(v + m)
 
     if v_on and vm_on:
         cut = Cut._trusted(forest, m_vertices)
@@ -203,30 +201,28 @@ def diameter_preserving_cut(
             case_tag="Case1", m=m, anchor=v, floor_dm=floor_dm, m_set=m_vertices
         )
 
+    # the unmarked end of the m-window lies in T_z, z the path vertex of its block
+    i, first, last = lab.block(v + m if v_on else v)
+    z = path[i]
+    if v_on and lab.on_path[cyclic(v + m - 1, n)]:
+        cut = Cut._trusted(forest, m_vertices)
+        return cut, DiamCutTrace(
+            case_tag="Case2a", m=m, anchor=v, floor_dm=floor_dm, m_set=m_vertices, z=z
+        )
+    members = frozenset(lab.vertex_of[first : last + 1])
+    t_z_prime = members - {z}
+    m_tilde = 2 * len(t_z_prime & m_vertices)
+    b_z = _subtree_cut(tree, members, z, m_tilde)
     if v_on:
-        z = dec.subtree_of[vm_vertex]
-        if lab.on_path[cyclic(v + m - 1, n)]:
-            cut = Cut._trusted(forest, m_vertices)
-            return cut, DiamCutTrace(
-                case_tag="Case2a", m=m, anchor=v, floor_dm=floor_dm, m_set=m_vertices, z=z
-            )
-        members = dec.subtree_members[z]
-        t_z_prime = members - {z}
-        m_tilde = 2 * len(t_z_prime & m_vertices)
-        b_z = _subtree_cut(tree, members, z, m_tilde)
         v_tilde = (m_vertices - t_z_prime) | b_z
         case = "Case2b"
     else:
-        z = dec.subtree_of[lab.vertex(v)]
-        members = dec.subtree_members[z]
-        t_z_prime = members - {z}
-        m_tilde = 2 * len(t_z_prime & m_vertices)
-        b_z = _subtree_cut(tree, members, z, m_tilde)
+        vm_vertex = lab.vertex(v + m)
         if z == vm_vertex:
             v_tilde = b_z
             case = "Case3a"
         else:
-            v_tilde = (m_vertices - (t_z_prime | {z})) | b_z | {vm_vertex}
+            v_tilde = (m_vertices - members) | b_z | {vm_vertex}
             case = "Case3b"
 
     if not (m <= len(v_tilde) <= 2 * m) or z in v_tilde:

@@ -12,10 +12,11 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import FormatError, InvariantViolation, NotATreeDecomposition
-from .graph import Graph, bfs_tree, require_tree
+from .graph import Graph, bad_pair, bfs_tree, is_int, require_tree
 
 
 class TreeDecomposition:
@@ -25,6 +26,11 @@ class TreeDecomposition:
         num = len(bags)
         if num == 0:
             raise NotATreeDecomposition("a decomposition needs at least one node")
+        tree_edges = list(tree_edges)
+        why = bad_pair(tree_edges, "node")
+        if why:
+            raise NotATreeDecomposition(why)
+        frozen = _frozen_bags(bags)
         edge_set = set()
         for i, j in tree_edges:
             if not (1 <= i <= num and 1 <= j <= num):
@@ -47,7 +53,7 @@ class TreeDecomposition:
         if len(bfs_tree(adj, 1)[0]) != num:
             raise NotATreeDecomposition("decomposition tree is disconnected")
         self.num_nodes = num
-        self.bags = tuple(frozenset(b) for b in bags)
+        self.bags = frozen
         self.tree_adj = tuple(tuple(sorted(a)) for a in adj)
         self.tree_edges = frozenset(edge_set)
 
@@ -67,6 +73,28 @@ class TreeDecomposition:
 
     def __repr__(self) -> str:
         return f"TreeDecomposition(nodes={self.num_nodes}, width={self.width})"
+
+
+def _frozen_bags(bags: Sequence[Iterable[int]]) -> tuple:
+    """The clusters as frozensets; ``NotATreeDecomposition`` names one that is no set of ids."""
+    try:
+        frozen = tuple(map(frozenset, bags))
+        if set(map(type, chain.from_iterable(frozen))) <= {int}:
+            return frozen
+    except TypeError:  # a cluster that is not iterable, or holds an unhashable value
+        pass
+    for i, b in enumerate(bags, start=1):
+        try:
+            bad = [v for v in b if not is_int(v)]
+        except TypeError:
+            raise NotATreeDecomposition(
+                f"cluster {b!r} of node {i} is not a set of vertex ids"
+            ) from None
+        if bad:
+            raise NotATreeDecomposition(
+                f"cluster of node {i} holds {bad[0]!r}, which is no vertex id"
+            )
+    return frozen  # ids of an int subclass other than bool
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,22 @@ package under test.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Container
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
 
-from ksec.errors import InvariantViolation, MOutOfRange, ResourceLimit
+from ksec.errors import (
+    InvariantViolation,
+    MOutOfRange,
+    PathNotInTree,
+    RedundantDecomposition,
+    ResourceLimit,
+)
 from ksec.graph import (
     Cut,
     Graph,
@@ -675,9 +685,7 @@ class _TreeTables(_Tables):
         return True
 
 
-def dp_min_size_cut_tree_full_width(
-    forest: Graph, m: int, mem_limit_mb: int | None = None
-) -> tuple[Cut, int]:
+def dp_min_size_cut_tree_full_width(forest: Graph, m: int) -> tuple[Cut, int]:
     """Exact minimum-width cut with |B| = m in a forest; O(n*m) time.
 
     One BFS sweep, from each smallest id not yet reached, roots the
@@ -692,7 +700,7 @@ def dp_min_size_cut_tree_full_width(
     orders, parent = component_orders(forest)
     if forest.num_edges != n - len(orders):
         require_forest(forest, "dp_min_size_cut_tree")  # a cycle: raises NotAForest naming an edge
-    kept = _Kept(mem_limit_bytes(mem_limit_mb))
+    kept = _Kept(mem_limit_bytes())
     tables = [_TreeTables(forest, order, parent, min(m, len(order)), kept) for order in orders]
     roots = [t.run() for t in tables]
     dps = [np.minimum(r[:1], r[1:]) for r in roots]  # best over the root's colors
@@ -720,3 +728,172 @@ def dp_min_size_cut_tree_full_width(
     if len(cut.black) != m or cut.width != width:
         raise InvariantViolation("tree DP reconstruction mismatch")
     return cut, width
+
+
+# --- Labelings with a vertex->block map beside them ---------------------------
+#
+# The tree and decomposition labelings as built before ``PLabeling`` kept
+# its blocks: each pipeline kept its own map from a vertex to its block.
+# Only ``from_order`` moved out of ``PLabeling``, into ``labeling_from_order``.
+
+
+class LabelingFromOrder(NamedTuple):
+    n: int
+    label_of: tuple
+    vertex_of: tuple
+    path_prefix: tuple
+    on_path: tuple
+    num_path: int
+
+
+def labeling_from_order(order: list[int], marked: Container[int]) -> LabelingFromOrder:
+    """Label ``order[i]`` with i+1; ``order`` lists the vertices 1..n once each."""
+    n = len(order)
+    label_of = [0] * (n + 1)
+    for lbl, v in enumerate(order, start=1):
+        label_of[v] = lbl
+    on_path = (False, *map(marked.__contains__, order))
+    prefix = (0, *accumulate(on_path[1:], initial=0))
+    return LabelingFromOrder(
+        n=n,
+        label_of=tuple(label_of),
+        vertex_of=(0, *order),
+        path_prefix=prefix,
+        on_path=on_path,
+        num_path=prefix[n + 1],
+    )
+
+
+@dataclass(frozen=True)
+class PathDecomposition:
+    """Subtrees T_v hanging off a fixed path of a tree.
+
+    ``subtree_of`` maps every vertex to its path vertex; ``subtree_members``
+    maps each path vertex v to V(T_v) (including v itself).  ``order``
+    lists every T_v in post-order, children ascending, so v closes its
+    block, with the blocks in path order: the order ``p_labeling`` labels.
+    """
+
+    tree: Graph
+    path: tuple
+    subtree_of: dict
+    subtree_members: dict
+    order: list
+
+
+def path_decomposition(tree: Graph, path) -> PathDecomposition:
+    """``decompose_along_path`` for a graph the caller already knows is a tree.
+
+    One sweep per path vertex v finds T_v and its post-order: a
+    pre-order that takes the largest child first, reversed.
+    """
+    path = tuple(path)
+    if len(set(path)) != len(path) or not path:
+        raise PathNotInTree("path vertices must be distinct and non-empty")
+    adj = tree.adj
+    for a, b in zip(path, path[1:]):
+        if b not in adj[a]:
+            raise PathNotInTree(f"({a},{b}) is not an edge of the tree")
+    # path vertices start out seen, so each sweep stays inside its T_v
+    seen = [False] * (tree.n + 1)
+    for v in path:
+        seen[v] = True
+    order: list[int] = []
+    subtree_of = {}
+    members = {}
+    for v in path:
+        stack, block = [v], []
+        while stack:
+            u = stack.pop()
+            block.append(u)
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+        block.reverse()
+        order += block
+        members[v] = frozenset(block)
+        subtree_of.update(dict.fromkeys(block, v))
+    if len(order) != tree.n:
+        raise PathNotInTree("path does not lie in this tree")
+    return PathDecomposition(
+        tree=tree,
+        path=path,
+        subtree_of=subtree_of,
+        subtree_members=members,
+        order=order,
+    )
+
+
+def p_labeling(dec: PathDecomposition) -> LabelingFromOrder:
+    """Label vertices by a DFS from y0 that finishes each subtree in a block."""
+    return labeling_from_order(dec.order, frozenset(dec.path))
+
+
+@dataclass(frozen=True)
+class TDPLabeling:
+    """The cyclic labeling with R marked, plus the blocks along the path."""
+
+    labeling: LabelingFromOrder
+    a_p: tuple  # vertex -> path node
+    l_p: tuple  # path nodes in order
+    r_of: dict  # path node -> sorted tuple R_i
+    s_of: dict  # path node -> sorted tuple S_i
+
+
+def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> TDPLabeling:
+    """Labeling of g along a path of a nonredundant decomposition.
+
+    Blocks follow the path; within the block of node i the S_i vertices
+    come first and the R_i vertices take the largest labels.  That order
+    and the marked set R make the labeling the tree cut uses.  Raises
+    ``RedundantDecomposition`` when some R_i is empty, which cannot
+    happen after ``make_nonredundant``.
+    """
+    n = g.n
+    path_nodes = tuple(path.path)
+
+    # component of T - E_P containing each node; path nodes start out
+    # visited, so each search stays inside its component
+    parent = [-1] * (td.num_nodes + 1)
+    for i in path_nodes:
+        parent[i] = 0
+    comp_of = {}
+    for i in path_nodes:
+        comp_of.update(dict.fromkeys(bfs_tree(td.tree_adj, i, parent)[0], i))
+    if len(comp_of) != td.num_nodes:
+        raise InvariantViolation("path does not lie in the decomposition tree")
+
+    in_r: set[int] = set()
+    path_node_of = [0] * (n + 1)
+    r_of: dict[int, list[int]] = {i: [] for i in path_nodes}
+    for i in path_nodes:
+        for v in sorted(td.bag(i)):
+            if v not in in_r:
+                in_r.add(v)
+                path_node_of[v] = i
+                r_of[i].append(v)
+
+    s_of: dict[int, set] = {i: set() for i in path_nodes}
+    for node in td.nodes():
+        anchor = comp_of[node]
+        for v in td.bag(node):
+            if v not in in_r:
+                s_of[anchor].add(v)
+                path_node_of[v] = anchor
+
+    for i in path_nodes:
+        if not r_of[i]:
+            raise RedundantDecomposition(f"cluster block of node {i} adds no new vertex")
+
+    if sum(len(r_of[i]) + len(s_of[i]) for i in path_nodes) != n:
+        raise InvariantViolation("labeling blocks do not partition the vertex set")
+
+    order = [v for i in path_nodes for v in sorted(s_of[i]) + r_of[i]]
+    return TDPLabeling(
+        labeling=labeling_from_order(order, in_r),
+        a_p=tuple(path_node_of),
+        l_p=path_nodes,
+        r_of={i: tuple(r_of[i]) for i in path_nodes},
+        s_of={i: tuple(sorted(s_of[i])) for i in path_nodes},
+    )

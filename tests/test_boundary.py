@@ -23,8 +23,9 @@ from ksec.errors import (
     PathNotInTree,
     SizesDontSum,
 )
-from ksec.graph import Graph, forest_summary
-from ksec.labeling import decompose_along_path
+from ksec.graph import Graph, cut_width, forest_summary
+from ksec.instances import BadParameters, GeneratorSpec, generate
+from ksec.labeling import p_labeling
 from ksec.oracle import brute_min_ksection, dp_min_size_cut_td, dp_min_size_cut_tree
 from ksec.tdcut import approximate_cut_td, r_preserving_cut
 from ksec.treecut import approximate_cut, diameter_preserving_cut
@@ -34,6 +35,7 @@ from ksec.treedec import (
     make_nonredundant,
     td_summary,
     tree_to_width1_td,
+    validation_errors,
 )
 
 # a 5-cycle with a pendant vertex; BFS from 1 leaves (3,4) as the closing edge
@@ -42,8 +44,8 @@ DISCONNECTED = Graph(5, [(1, 2), (2, 3), (4, 5)])
 
 TREE_ENTRY_POINTS = {
     "approximate_cut": lambda g: approximate_cut(g, 1, 2),
-    "decompose_along_path": lambda g: decompose_along_path(g, [1, 2]),
     "ksection_tree": lambda g: ksection_tree(g, 2),
+    "p_labeling": lambda g: p_labeling(g, [1, 2]),
     "tree_to_width1_td": tree_to_width1_td,
 }
 
@@ -118,16 +120,73 @@ def test_section_entry_points_name_a_k_that_is_not_an_integer(name, k):
         K_ENTRY_POINTS[name](k)
 
 
-def test_decompose_along_path_names_a_path_vertex_out_of_range():
+def test_p_labeling_names_a_path_vertex_out_of_range():
     with pytest.raises(PathNotInTree, match=r"path vertex 99 out of vertex range 1\.\.6"):
-        decompose_along_path(path(6), [99])
+        p_labeling(path(6), [99])
     with pytest.raises(PathNotInTree, match="path vertex 0"):
-        decompose_along_path(path(6), [1, 0])
+        p_labeling(path(6), [1, 0])
     with pytest.raises(PathNotInTree, match="path vertex 2.5"):
-        decompose_along_path(path(6), [2.5])
+        p_labeling(path(6), [2.5])
     for flag in (True, False):  # a bool is no vertex, though it is an int
         with pytest.raises(PathNotInTree, match=f"path vertex {flag}"):
-            decompose_along_path(path(6), [flag, 2])
+            p_labeling(path(6), [flag, 2])
+
+
+def test_graph_names_a_bool_vertex_id():
+    with pytest.raises(KsecError, match=r"vertex id True in edge \(True, 2\) is not an integer"):
+        Graph(3, [(True, 2), (2, 3)])
+
+
+@pytest.mark.parametrize(
+    "edge, named",
+    [
+        ((True, 2), r"node id True in edge \(True, 2\)"),
+        (("1", 2), r"node id '1' in edge \('1', 2\)"),
+        ((1.0, 2), r"node id 1\.0 in edge \(1\.0, 2\)"),
+        ((1, 2, 3), r"edge \(1, 2, 3\) is not a pair of node ids"),
+    ],
+)
+def test_tree_decomposition_names_a_tree_edge_that_is_not_a_pair_of_node_ids(edge, named):
+    with pytest.raises(NotATreeDecomposition, match=named):
+        TreeDecomposition([{1, 2}, {2, 3}], [edge])
+
+
+def test_tree_decomposition_names_a_cluster_that_is_not_a_set():
+    with pytest.raises(NotATreeDecomposition, match="cluster None of node 2"):
+        TreeDecomposition([{1, 2}, None], [(1, 2)])
+
+
+# each entry point that reads the clusters of a decomposition of path(3)
+CLUSTER_ENTRY_POINTS = {
+    "approximate_cut_td": lambda td: approximate_cut_td(path(3), td, 1),
+    "dp_min_size_cut_td": lambda td: dp_min_size_cut_td(path(3), td, 1),
+    "ksection_td": lambda td: ksection_td(path(3), td, 2),
+    "r_preserving_cut": lambda td: r_preserving_cut(path(3), td, 1),
+    "validation_errors": lambda td: validation_errors(td, path(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLUSTER_ENTRY_POINTS))
+def test_cluster_entry_points_name_a_cluster_vertex_that_is_not_an_id(name):
+    named = "cluster of node 2 holds 'a', which is no vertex id"
+    with pytest.raises(NotATreeDecomposition, match=named):
+        CLUSTER_ENTRY_POINTS[name](TreeDecomposition([{1, 2}, {2, 3, "a"}], [(1, 2)]))
+
+
+@pytest.mark.parametrize("bag, x", [({2, 3.0}, 3.0), ({2, 3, 2.5}, 2.5), ({2, 3, True}, True)])
+def test_ksection_td_names_a_cluster_vertex_that_is_not_an_integer(bag, x):
+    with pytest.raises(NotATreeDecomposition, match=f"cluster of node 2 holds {x!r}"):
+        ksection_td(path(3), TreeDecomposition([{1, 2}, bag], [(1, 2)]), 2)
+
+
+def test_cut_width_names_a_vertex_that_is_not_an_id():
+    with pytest.raises(NotAPartition, match="vertex 'a' repeated or out of range"):
+        cut_width(path(3), [[1, "a"], [2, 3]])
+
+
+def test_generate_names_a_parameter_that_is_not_an_integer():
+    with pytest.raises(BadParameters, match="parameter 'n' must be an integer, got '3'"):
+        generate(GeneratorSpec("path", n="3"))
 
 
 def test_cut_prescribed_sizes_rejects_a_size_that_is_not_an_integer():

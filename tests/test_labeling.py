@@ -6,62 +6,66 @@ import oracles
 from conftest import path, star
 from ksec.errors import PathNotInTree
 from ksec.graph import require_tree
-from ksec.instances import Xorshift64Star, caterpillar_graph, random_tree_maxdeg
-from ksec.labeling import (
-    cyclic,
-    d_p,
-    decompose_along_path,
-    find_anchor,
-    p_labeling,
+from ksec.instances import (
+    Xorshift64Star,
+    caterpillar_graph,
+    random_tree_maxdeg,
+    spider_graph,
 )
+from ksec.labeling import cyclic, d_p, find_anchor, p_labeling
 
 
 def labeled_tree(seed, n, cap=5):
     g = random_tree_maxdeg(n, cap, Xorshift64Star(seed))
-    dec = decompose_along_path(g, require_tree(g, "test").path)
-    return g, dec, p_labeling(dec)
+    p = require_tree(g, "test").path
+    return g, p, p_labeling(g, p)
 
 
-def test_decompose_path_itself():
-    g = path(5)
-    dec = decompose_along_path(g, [1, 2, 3, 4, 5])
-    assert all(dec.subtree_members[v] == frozenset({v}) for v in g.vertices())
+def block_vertices(lab, label):
+    """The vertices of the block that holds ``label``."""
+    _, first, last = lab.block(label)
+    return frozenset(lab.vertex_of[first : last + 1])
 
 
-def test_decompose_star_off_path_leaf():
-    g = star(4)
-    dec = decompose_along_path(g, [2, 1, 3])
-    assert dec.subtree_members[1] == frozenset({1, 4})
-    assert dec.subtree_of[4] == 1
+def test_p_labeling_path_itself_has_one_vertex_per_block():
+    lab = p_labeling(path(5), [1, 2, 3, 4, 5])
+    assert [lab.block(x) for x in range(1, 6)] == [(x - 1, x, x) for x in range(1, 6)]
 
 
-def test_decompose_caterpillar_two_per_subtree():
+def test_p_labeling_star_off_path_leaf_shares_the_center_block():
+    lab = p_labeling(star(4), [2, 1, 3])
+    assert lab.block(lab.label_of[4]) == (1, 2, 3)
+    assert block_vertices(lab, lab.label_of[4]) == frozenset({1, 4})
+
+
+def test_p_labeling_caterpillar_two_per_block():
     # spine P4 with one leg per spine vertex (n = 8)
-    g = caterpillar_graph(8)
-    dec = decompose_along_path(g, [1, 2, 3, 4])
-    assert all(len(dec.subtree_members[v]) == 2 for v in (1, 2, 3, 4))
+    lab = p_labeling(caterpillar_graph(8), [1, 2, 3, 4])
+    blocks = [(i, 2 * i + 1, 2 * i + 2) for i in range(4)]
+    assert [lab.block(x) for x in range(1, 9)] == [b for b in blocks for _ in range(2)]
+    assert [block_vertices(lab, lab.label_of[v]) for v in (1, 2, 3, 4)] == [
+        frozenset({v, v + 4}) for v in (1, 2, 3, 4)
+    ]
 
 
-def test_decompose_rejects_non_paths():
+def test_p_labeling_rejects_non_paths():
     g = path(5)
     with pytest.raises(PathNotInTree):
-        decompose_along_path(g, [1, 3])
+        p_labeling(g, [1, 3])
     with pytest.raises(PathNotInTree):
-        decompose_along_path(g, [1, 2, 1])
+        p_labeling(g, [1, 2, 1])
 
 
 def test_p_labeling_path_is_identity_from_x0():
     g = path(6)
-    dec = decompose_along_path(g, require_tree(g, "test").path)
-    lab = p_labeling(dec)
+    lab = p_labeling(g, require_tree(g, "test").path)
     assert [lab.label_of[v] for v in range(1, 7)] == [1, 2, 3, 4, 5, 6]
 
 
 def test_p_labeling_star_block_order():
     # path leaf-center-leaf: the off-path leaf is labeled before the center,
     # and the center closes its block
-    g = star(4)
-    lab = p_labeling(decompose_along_path(g, [2, 1, 3]))
+    lab = p_labeling(star(4), [2, 1, 3])
     assert lab.label_of[2] == 1
     assert lab.label_of[4] == 2
     assert lab.label_of[1] == 3
@@ -71,42 +75,76 @@ def test_p_labeling_star_block_order():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2 ** 60), st.integers(2, 60))
 def test_p_labeling_invariants(seed, n):
-    g, dec, lab = labeled_tree(seed, n)
+    g, p, lab = labeled_tree(seed, n)
+    ref = oracles.path_decomposition(g, p)
     labels = sorted(lab.label_of[1:])
     assert labels == list(range(1, n + 1))  # bijection
-    order_on_path = []
-    for v in dec.path:
-        block = sorted(lab.label_of[x] for x in dec.subtree_members[v])
-        assert block == list(range(block[0], block[0] + len(block)))  # consecutive
-        assert lab.label_of[v] == block[-1]  # path vertex takes the block maximum
-        order_on_path.append(lab.label_of[v])
-    assert order_on_path == sorted(order_on_path)  # label order follows the path
+    next_first = 1
+    for idx, v in enumerate(p):
+        i, first, last = lab.block(lab.label_of[v])
+        assert (i, first) == (idx, next_first)  # blocks follow the path, back to back
+        assert last == lab.label_of[v]  # path vertex takes the block maximum
+        block = sorted(lab.label_of[x] for x in ref.subtree_members[v])
+        assert block == list(range(first, last + 1))  # T_v is the block
+        next_first = last + 1
+    assert next_first == n + 1
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 60), st.integers(2, 30))
 def test_vertex_after_on_path_matches_path_order(seed, n):
-    # the tree containing label v+1 is the next subtree along the path
-    g, dec, lab = labeled_tree(seed, n)
-    for idx, v in enumerate(dec.path):
-        nxt = dec.subtree_of[lab.vertex(lab.label_of[v] + 1)]
-        if idx + 1 < len(dec.path):
-            assert nxt == dec.path[idx + 1]
+    # the block holding label v+1 is the next subtree along the path
+    g, p, lab = labeled_tree(seed, n)
+    for idx, v in enumerate(p):
+        nxt = p[lab.block(lab.label_of[v] + 1)[0]]
+        if idx + 1 < len(p):
+            assert nxt == p[idx + 1]
         else:
-            assert nxt == dec.path[0]  # wraps to x0
+            assert nxt == p[0]  # wraps to x0
+
+
+def reference_trees():
+    """Random trees, caterpillars and spiders, each with the path ``require_tree`` picks."""
+    random_trees = st.builds(
+        lambda seed, n, cap: random_tree_maxdeg(n, cap, Xorshift64Star(seed)),
+        st.integers(0, 2 ** 60), st.integers(1, 80), st.integers(2, 6),
+    )
+    caterpillars = st.builds(caterpillar_graph, st.integers(1, 40))
+    spiders = st.builds(spider_graph, st.integers(1, 6), st.integers(1, 8))
+    return st.one_of(random_trees, caterpillars, spiders)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reference_trees())
+def test_p_labeling_matches_the_reference_path_decomposition(g):
+    """Labels, marks and prefix counts as before; each label's block is its T_z."""
+    p = require_tree(g, "test").path
+    lab = p_labeling(g, p)
+    ref_dec = oracles.path_decomposition(g, p)
+    ref = oracles.p_labeling(ref_dec)
+    assert (lab.n, lab.num_path) == (ref.n, ref.num_path)
+    assert lab.label_of == ref.label_of
+    assert lab.vertex_of == ref.vertex_of
+    assert lab.on_path == ref.on_path
+    assert lab.path_prefix == ref.path_prefix
+    for x in range(1, g.n + 1):
+        z = ref_dec.subtree_of[lab.vertex_of[x]]
+        assert p[lab.block(x)[0]] == z
+        assert block_vertices(lab, x) == ref_dec.subtree_members[z]
+        assert lab.block(x + g.n) == lab.block(x - g.n) == lab.block(x)  # cyclic
 
 
 def test_d_p_against_naive_scan():
     rng = Xorshift64Star(99)
-    g, dec, lab = labeled_tree(31415, 200)
-    path_labels = {lab.label_of[v] for v in dec.path}
+    g, p, lab = labeled_tree(31415, 200)
+    path_labels = {lab.label_of[v] for v in p}
     for x in range(1, 201, 7):
         for y in range(1, 201, 11):
             assert d_p(lab, x, y) == oracles.naive_cyclic_count(path_labels, 200, x, y)
     for _ in range(40):
         n = rng.randint(2, 50)
-        g, dec, lab = labeled_tree(rng.next_u64(), n)
-        path_labels = {lab.label_of[v] for v in dec.path}
+        g, p, lab = labeled_tree(rng.next_u64(), n)
+        path_labels = {lab.label_of[v] for v in p}
         for _ in range(12):
             x, y = rng.randint(1, n), rng.randint(1, n)
             assert d_p(lab, x, y) == oracles.naive_cyclic_count(path_labels, n, x, y)
@@ -115,7 +153,7 @@ def test_d_p_against_naive_scan():
 
 def test_d_p_on_pure_path_is_label_difference():
     g = path(8)
-    lab = p_labeling(decompose_along_path(g, require_tree(g, "test").path))
+    lab = p_labeling(g, require_tree(g, "test").path)
     for x in range(1, 9):
         for y in range(x, 9):
             assert d_p(lab, x, y) == y - x
@@ -125,7 +163,7 @@ def test_d_p_shift_continuity():
     rng = Xorshift64Star(512)
     for _ in range(500):
         n = rng.randint(2, 24)
-        g, dec, lab = labeled_tree(rng.next_u64(), n)
+        g, p, lab = labeled_tree(rng.next_u64(), n)
         for x in range(1, n + 1):
             for y in range(1, n + 1):
                 assert abs(d_p(lab, x, y) - d_p(lab, x + 1, y + 1)) <= 1
@@ -133,7 +171,7 @@ def test_d_p_shift_continuity():
 
 def test_find_anchor_on_path_returns_first_label():
     g = path(9)
-    lab = p_labeling(decompose_along_path(g, require_tree(g, "test").path))
+    lab = p_labeling(g, require_tree(g, "test").path)
     for m in range(1, 9):
         assert find_anchor(lab, m) == 1
         assert d_p(lab, 1, 1 + m) == m
@@ -141,7 +179,7 @@ def test_find_anchor_on_path_returns_first_label():
 
 def test_find_anchor_star_m2():
     g = star(4)
-    lab = p_labeling(decompose_along_path(g, require_tree(g, "test").path))
+    lab = p_labeling(g, require_tree(g, "test").path)
     v = find_anchor(lab, 2)
     # d = 3/4, target = floor(3/2) = 1; label 1 qualifies
     assert v == 1
@@ -157,11 +195,11 @@ def test_find_anchor_star_m2():
 
 
 def test_find_anchor_exhaustive_scan_oracle():
-    g, dec, lab = labeled_tree(4242, 50, cap=4)
+    g, p, lab = labeled_tree(4242, 50, cap=4)
     n, m = 50, 20
     v = find_anchor(lab, m)
     target = (lab.num_path * m) // n
-    path_labels = {lab.label_of[u] for u in dec.path}
+    path_labels = {lab.label_of[u] for u in p}
     qualifying = [
         u
         for u in range(1, n + 1)

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -296,7 +294,8 @@ def test_dp_tree_merges_a_hubs_leaves_in_closed_form(monkeypatch):
     """
     spy = TreeDPSpy(monkeypatch)
     comb = _star_comb(40, 40)
-    cut, w = dp_min_size_cut_tree(comb, comb.n // 2, mem_limit_mb=1)
+    monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
+    cut, w = dp_min_size_cut_tree(comb, comb.n // 2)
     assert (len(cut.black), w) == (comb.n // 2, 1)
     cls = oracles.subtree_classes(comb)
     assert len(set(cls.values())) == len(spy.tables()) == 41
@@ -307,13 +306,6 @@ def test_dp_tree_merges_a_hubs_leaves_in_closed_form(monkeypatch):
 
 
 def test_a_malformed_memory_guard_is_named(monkeypatch):
-    td = tree_to_width1_td(path(4))
-    for bad in ("1", 1.5, True):
-        named = rf"mem_limit_mb must be an integer \(MB\), got {re.escape(repr(bad))}"
-        with pytest.raises(KsecError, match=named):
-            dp_min_size_cut_tree(path(4), 2, mem_limit_mb=bad)
-        with pytest.raises(KsecError, match=named):
-            dp_min_size_cut_td(path(4), td, 2, mem_limit_mb=bad)
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "1.5")
     with pytest.raises(KsecError, match=r"KSEC_MAX_MEM_MB must be an integer \(MB\), got '1\.5'"):
         dp_min_size_cut_tree(path(4), 2)
@@ -321,19 +313,21 @@ def test_a_malformed_memory_guard_is_named(monkeypatch):
         dp_min_size_cut_td(path(4), tree_to_width1_td(path(4)), 2)
 
 
-def test_dp_tree_memory_guard_trips_only_on_the_tables_of_all_components():
+def test_dp_tree_memory_guard_trips_only_on_the_tables_of_all_components(monkeypatch):
     # with n = 1200 and m = 600 a 600-vertex path keeps ~1.4 MB of tables: two identical
     # paths share them and fit under 2 MB, but a path beside a path ending in a fork does not
+    monkeypatch.setenv("KSEC_MAX_MEM_MB", "2")
     two_paths = Graph(1200, [(i, i + 1) for i in range(1, 1200) if i != 600])
-    assert dp_min_size_cut_tree(two_paths, 600, mem_limit_mb=2)[1] == 0
+    assert dp_min_size_cut_tree(two_paths, 600)[1] == 0
     path_and_fork = Graph(1200, [(i, i + 1) for i in range(1, 1199) if i != 600] + [(1198, 1200)])
     with pytest.raises(ResourceLimit):
-        dp_min_size_cut_tree(path_and_fork, 600, mem_limit_mb=2)
-    # with m = 400 a caterpillar on a 400-vertex spine keeps 0.61 MB of tables and 0.61 MB
-    # of accumulations: most accumulations are dropped, so a 1 MB guard does not trip
+        dp_min_size_cut_tree(path_and_fork, 600)
+    # with m = 400 a caterpillar on a 400-vertex spine keeps 0.61 MB of tables and no
+    # accumulations below the virtual root, so a 1 MB guard does not trip
+    monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
     spine = [(i, i + 1) for i in range(1, 400)]
     caterpillar = Graph(800, spine + [(i, 400 + i) for i in range(1, 401)])
-    assert dp_min_size_cut_tree(caterpillar, 400, mem_limit_mb=1)[1] == 1
+    assert dp_min_size_cut_tree(caterpillar, 400)[1] == 1
 
 
 def test_dp_tree_meets_existence_bound():

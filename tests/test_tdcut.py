@@ -36,23 +36,35 @@ def labeled(g, td):
     return td0, hp, td_p_labeling(g, td0, hp)
 
 
+def blocks_of(lab):
+    """(S_i, R_i) of each block in path order, read through ``lab.block`` from its first label."""
+    out, x = [], 1
+    while x <= lab.n:
+        i, first, last = lab.block(x)
+        assert (i, first) == (len(out), x)
+        labels = range(first, last + 1)
+        out.append((
+            tuple(lab.vertex_of[y] for y in labels if not lab.on_path[y]),
+            tuple(lab.vertex_of[y] for y in labels if lab.on_path[y]),
+        ))
+        x = last + 1
+    return out
+
+
 def test_td_labeling_path_decomposition():
     g, td = p4_with_td()
     td0, hp, lab = labeled(g, td)
-    assert lab.labeling.num_path == 4  # R = V
-    assert lab.r_of[lab.l_p[0]] == (1, 2)
-    assert lab.r_of[lab.l_p[1]] == (3,)
-    assert lab.r_of[lab.l_p[2]] == (4,)
-    assert all(not lab.s_of[i] for i in lab.l_p)
+    assert lab.num_path == 4  # R = V
+    assert blocks_of(lab) == [((), (1, 2)), ((), (3,)), ((), (4,))]
 
 
 def test_td_labeling_single_node():
     g = path(3)
     td = TreeDecomposition([{1, 2, 3}], [])
     td0, hp, lab = labeled(g, td)
-    assert lab.labeling.num_path == 3
-    assert lab.l_p == (1,)
-    assert lab.r_of[1] == (1, 2, 3)
+    assert lab.num_path == 3
+    assert hp.path == (1,)
+    assert blocks_of(lab) == [((), (1, 2, 3))]
 
 
 def test_td_labeling_rejects_redundant():
@@ -68,53 +80,69 @@ def test_td_labeling_invariants_random():
     for _ in range(60):
         g, td = random_partial_ktree(rng.randint(3, 40), rng.randint(2, 4), rng)
         td0, hp, lab = labeled(g, td)
-        label_of, marked = lab.labeling.label_of, lab.labeling.on_path
+        ref = oracles.td_p_labeling(g, td0, hp)
+        blocks = blocks_of(lab)
+        assert len(blocks) == len(hp.path)
         union_r = set()
-        for i in lab.l_p:
-            union_r |= set(lab.r_of[i])
-            assert lab.r_of[i], "nonredundant decomposition must feed every block"
-        assert union_r == {v for v in g.vertices() if marked[label_of[v]]}
-        assert len(union_r) == lab.labeling.num_path == hp.weight
+        for s_i, r_i in blocks:
+            union_r |= set(r_i)
+            assert r_i, "nonredundant decomposition must feed every block"
+        assert union_r == {v for i in ref.l_p for v in ref.r_of[i]}
+        assert len(union_r) == lab.num_path == hp.weight
         # blocks: S_i then R_i, consecutive, ordered along the path
         cursor = 0
-        for i in lab.l_p:
-            block = [label_of[v] for v in lab.s_of[i] + lab.r_of[i]]
+        for node, (s_i, r_i) in zip(hp.path, blocks):
+            assert (s_i, r_i) == (ref.s_of[node], ref.r_of[node])
+            block = [lab.label_of[v] for v in s_i + r_i]
             assert block == list(range(cursor + 1, cursor + 1 + len(block)))
-            r_labels = [label_of[v] for v in lab.r_of[i]]
-            assert r_labels == block[len(block) - len(r_labels):]
             cursor += len(block)
         assert cursor == g.n
-        # path-node bookkeeping
-        for v in g.vertices():
-            i = lab.a_p[v]
-            if marked[label_of[v]]:
-                assert v in lab.r_of[i]
-            else:
-                assert v in lab.s_of[i]
 
 
-def r_labels_of(lab):
-    """Labels of the R vertices, read off the blocks rather than the labeling's flags."""
-    return {lab.labeling.label_of[v] for i in lab.l_p for v in lab.r_of[i]}
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(1, 60), st.integers(2, 4))
+def test_td_labeling_matches_the_reference_blocks(seed, n, t):
+    """Labels, marks and prefix counts as before; each label's block is its node's S_i, R_i."""
+    g, td = random_partial_ktree(n, t, Xorshift64Star(seed))
+    td0, hp, lab = labeled(g, td)
+    ref = oracles.td_p_labeling(g, td0, hp)
+    assert (lab.n, lab.num_path) == (ref.labeling.n, ref.labeling.num_path)
+    assert lab.label_of == ref.labeling.label_of
+    assert lab.vertex_of == ref.labeling.vertex_of
+    assert lab.on_path == ref.labeling.on_path
+    assert lab.path_prefix == ref.labeling.path_prefix
+    blocks = blocks_of(lab)
+    for x in range(1, n + 1):
+        i = lab.block(x)[0]
+        node = ref.a_p[lab.vertex_of[x]]
+        assert hp.path[i] == node
+        assert blocks[i] == (ref.s_of[node], ref.r_of[node])
+        assert lab.block(x + n) == lab.block(x)  # cyclic
+
+
+def r_labels_of(g, td0, hp, lab):
+    """Labels of the R vertices, read off the reference blocks rather than the labeling's flags."""
+    ref = oracles.td_p_labeling(g, td0, hp)
+    return {lab.label_of[v] for i in ref.l_p for v in ref.r_of[i]}
 
 
 def test_d_r_examples_and_naive_scan():
     """d_R is d_P of the decomposition labeling, whose marked set is R."""
     g, td = p4_with_td()
     _, _, lab = labeled(g, td)
-    assert d_p(lab.labeling, 2, 2) == 0
+    assert d_p(lab, 2, 2) == 0
     for x in range(1, 5):
         for y in range(1, 5):
-            assert d_p(lab.labeling, x, y) == (y - x) % 4  # R = V: cyclic distance
+            assert d_p(lab, x, y) == (y - x) % 4  # R = V: cyclic distance
 
     rng = Xorshift64Star(4096)
     for _ in range(25):
         g, td = random_partial_ktree(rng.randint(3, 30), 3, rng)
-        _, _, lab = labeled(g, td)
-        r_labels = r_labels_of(lab)
+        td0, hp, lab = labeled(g, td)
+        r_labels = r_labels_of(g, td0, hp, lab)
         for _ in range(20):
             x, y = rng.randint(1, g.n), rng.randint(1, g.n)
-            assert d_p(lab.labeling, x, y) == oracles.naive_cyclic_count(r_labels, g.n, x, y)
+            assert d_p(lab, x, y) == oracles.naive_cyclic_count(r_labels, g.n, x, y)
 
 
 def test_find_anchor_td_matches_definition():
@@ -122,12 +150,12 @@ def test_find_anchor_td_matches_definition():
     rng = Xorshift64Star(888)
     for _ in range(40):
         g, td = random_partial_ktree(rng.randint(3, 30), 3, rng)
-        _, _, lab = labeled(g, td)
+        td0, hp, lab = labeled(g, td)
         m = rng.randint(1, g.n - 1)
-        v = find_anchor(lab.labeling, m)
-        r_labels = r_labels_of(lab)
+        v = find_anchor(lab, m)
+        r_labels = r_labels_of(g, td0, hp, lab)
         target = (len(r_labels) * m) // g.n
-        assert d_p(lab.labeling, v, v + m) == target
+        assert d_p(lab, v, v + m) == target
         assert v in r_labels or cyclic(v + m, g.n) in r_labels
         for u in range(1, v):
             um = (u + m - 1) % g.n + 1
@@ -291,17 +319,18 @@ def test_cut_plabeling_parts_edge_scan():
     for _ in range(40):
         g, td_in = random_partial_ktree(rng.randint(4, 30), 3, rng)
         td0, hp, lab = labeled(g, td_in)
-        for i in lab.l_p:
+        blocks = blocks_of(lab)
+        for pos, i in enumerate(hp.path):
             bag = td0.bag(i)
             removed = {e for e in g.edges if e[0] in bag or e[1] in bag}
             where = {}
-            for v in lab.r_of[i]:
+            s_i, r_i = blocks[pos]
+            for v in r_i:
                 where[v] = ("r", v)
-            for v in lab.s_of[i]:
+            for v in s_i:
                 where[v] = ("s", 0)
-            pos = lab.l_p.index(i)
-            before = [v for j in lab.l_p[:pos] for v in lab.s_of[j] + lab.r_of[j]]
-            after = [v for j in lab.l_p[pos + 1 :] for v in lab.s_of[j] + lab.r_of[j]]
+            before = [v for s_j, r_j in blocks[:pos] for v in s_j + r_j]
+            after = [v for s_j, r_j in blocks[pos + 1 :] for v in s_j + r_j]
             for v in before:
                 where[v] = ("lo", 0)
             for v in after:
@@ -310,10 +339,10 @@ def test_cut_plabeling_parts_edge_scan():
                 assert where[e[0]] == where[e[1]]
             # the two interval parts are exactly {1..x-} and {x+..n}
             if before:
-                labels = sorted(lab.labeling.label_of[v] for v in before)
+                labels = sorted(lab.label_of[v] for v in before)
                 assert labels == list(range(1, len(before) + 1))
             if after:
-                labels = sorted(lab.labeling.label_of[v] for v in after)
+                labels = sorted(lab.label_of[v] for v in after)
                 assert labels == list(range(g.n - len(after) + 1, g.n + 1))
 
 
