@@ -21,8 +21,10 @@ from .labeling import _p_labeling
 from .treedec import parse_td, write_td
 
 RUNTIME_NOTE = (
-    "note: inner exact-size cuts run a dynamic program, on trees in O(N*min(m, N-m)) "
-    "for m of N vertices with identical subtrees built once; "
+    "note: inner exact-size cuts on trees search the cuts of at most 2 edges first, "
+    "in O(N log N) for N vertices in few components; wider optima fall back to a "
+    "dynamic program in "
+    "O(N*min(m, N-m)), as do all inner cuts on decompositions; "
     "the linear-time subroutine behind the original O(kn) claim is not reproduced"
 )
 

@@ -188,9 +188,10 @@ class KSection:
 
     @classmethod
     def from_parts(cls, g: Graph, parts: Sequence[Iterable[int]]) -> "KSection":
-        tidy = tuple(tuple(sorted(p)) for p in parts)
-        width = cut_width(g, [set(p) for p in tidy])
-        return cls(tidy, width)
+        """The section with these parts; ``NotAPartition`` names a vertex repeated or not in 1..n."""
+        parts = [list(p) for p in parts]
+        width = cut_width(g, parts)
+        return cls(tuple(tuple(sorted(p)) for p in parts), width)
 
 
 def bfs_tree(adj: Sequence[Sequence[int]], root: int, parent: list[int] | None = None):

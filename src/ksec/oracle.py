@@ -1,8 +1,15 @@
 """Ground-truth computations: exact size-constrained cuts and minimum k-sections.
 
-The exact-size cut is one min-plus DP over a rooted tree, run over the
-vertices of a forest under a virtual root 0 (``dp_min_size_cut_tree``)
-or over the nodes of a tree decomposition (``dp_min_size_cut_td``).  A
+The exact-size cut of a forest (``dp_min_size_cut_tree``) first runs an
+exhaustive search over the cuts of at most 2 edges (``_small_width_cut``):
+subset sums over whole components, and subtree sizes looked up by count
+and by bisection over the preorder.  It returns an optimum whenever the
+optimum is at most 2, in O(n log n) time for a forest of few components,
+and gives up otherwise; only then does the tree DP (``_dp_cut_tree``) run.
+
+The DP is one min-plus DP over a rooted tree, run over the vertices of a
+forest under a virtual root 0 (``_dp_cut_tree``) or over the nodes of a
+tree decomposition (``dp_min_size_cut_td``).  A
 node's table is one 2-D array with a row per state (the color of the
 vertex, or a coloring of the cluster) and a column per black count;
 merging a child is one call of the row-wise min-plus kernel ``_minplus``
@@ -33,12 +40,14 @@ from __future__ import annotations
 
 import functools
 from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     InvariantViolation,
     KOutOfRange,
+    KsecError,
     MOutOfRange,
     ResourceLimit,
     TooLarge,
@@ -420,16 +429,21 @@ class _TreeTables(_Tables):
         return True
 
 
-def dp_min_size_cut_tree(forest: Graph, m: int) -> tuple[Cut, int]:
+def dp_min_size_cut_tree(
+    forest: Graph, m: int, *, outside: Sequence[int] | None = None
+) -> tuple[Cut, int]:
     """Exact minimum-width cut with |B| = m in a forest of n vertices.
 
-    The forest is one tree under a virtual root.  Time and kept memory are
-    O(n * min(m, n - m)): a table over s vertices keeps only the black
-    counts max(0, s - (n - m))..min(s, m) a cut can give them, identical
-    unordered subtrees, in one component or in several, share one table,
-    and a vertex's leaf children are merged in closed form.  Only the
-    tables stay, plus the virtual root's accumulations; the trace
-    recomputes the followed row of each vertex it splits.
+    The small-width search (``_small_width_cut``) answers every cut of
+    width at most 2; the tree DP (``_dp_cut_tree``) runs only when the
+    optimum is wider, or when the search would go quadratic.
+
+    ``outside`` holds n + 1 non-negative integers, entry v for vertex v
+    (entry 0 unused): a weight per vertex, such as its edges to vertices
+    outside the forest.  Among the cuts of least width up to 2, the
+    search returns one whose black set has the least total weight; ties
+    go to ascending ids.  Without ``outside`` every weight is 0, and the
+    DP ignores the weights.
 
     One BFS sweep, from each smallest id not yet reached, roots the
     components.  With the edge count it also checks that the graph is a
@@ -440,11 +454,345 @@ def dp_min_size_cut_tree(forest: Graph, m: int) -> tuple[Cut, int]:
     n = forest.n
     if not is_int(m) or not (0 <= m <= n):
         raise MOutOfRange(f"m={m!r} not in 0..{n}")
-    orders, parent = component_orders(forest)
-    if forest.num_edges != n - len(orders):
+    if outside is not None:
+        _check_outside(outside, n)
+    mem_limit_bytes()  # a malformed guard is named on every call, not only where the DP runs
+    rooted = component_orders(forest)
+    if forest.num_edges != n - len(rooted[0]):
         require_forest(forest, "dp_min_size_cut_tree")  # a cycle: raises NotAForest naming an edge
+    found = _small_width_cut(forest, m, outside, rooted=rooted)
+    return found if found is not None else _dp_cut_tree(forest, m)
+
+
+def _check_outside(outside: Sequence[int], n: int) -> None:
+    """Raise ``KsecError`` naming a bad entry, unless ``outside`` is n + 1 weights in 0..2^32."""
+    if len(outside) != n + 1:
+        raise KsecError(f"outside has {len(outside)} entries, expected n + 1 = {n + 1}")
+    if set(map(type, outside)) <= {int} and 0 <= min(outside) and max(outside) <= 1 << 32:
+        return
+    bad = next(w for w in outside if not (is_int(w) and 0 <= w <= 1 << 32))
+    raise KsecError(f"outside weight {bad!r} is not an integer in 0..2^32")
+
+
+def _dp_cut_tree(forest: Graph, m: int) -> tuple[Cut, int]:
+    """The tree DP: an exact minimum-width cut with |B| = m, of any width, in a forest.
+
+    The forest is one tree under a virtual root.  Time and kept memory are
+    O(n * min(m, n - m)): a table over s vertices keeps only the black
+    counts max(0, s - (n - m))..min(s, m) a cut can give them, identical
+    unordered subtrees, in one component or in several, share one table,
+    and a vertex's leaf children are merged in closed form.  Only the
+    tables stay, plus the virtual root's accumulations; the trace
+    recomputes the followed row of each vertex it splits.
+    """
+    orders, parent = component_orders(forest)
     kept = _Kept(mem_limit_bytes())
     return _TreeTables(forest, orders, parent, m, kept).cut(forest, m)
+
+
+# --- Small-width search -----------------------------------------------------
+
+SEARCH_COMPONENTS = 8  # at most this many components: 2^8 sets of whole components
+SEARCH_WORK = 32  # width 2 scans at most this many times n vertices, over all its targets
+
+
+def _first_min(*keys: np.ndarray) -> int:
+    """Index of the first entry that is least in ``keys[0]``, then in ``keys[1]``, and so on."""
+    idx = np.arange(len(keys[0]))
+    for key in keys:
+        at = key[idx]
+        idx = idx[at == at.min()]
+    return int(idx[0])
+
+
+class _Component:
+    """One component of the forest in the small-width search, rooted at its smallest id.
+
+    Its vertices take the preorder positions base..base + c - 1, and the
+    subtree of a vertex v is the run of ``size[v]`` positions from
+    ``tin[v]``.  Cutting the edge above each vertex of a set E and giving
+    the root color s colors a vertex by s plus the number of vertices of E
+    on its root path, mod 2: the black part is the symmetric difference
+    of their subtrees, or its complement when s is black.  ``total`` is
+    the component's weight; ``verts`` are its vertices but the root, with
+    their preorder positions from ``base`` (``pos``), subtree sizes
+    (``sz``) and subtree weights (``ow``).
+    """
+
+    def __init__(self, search: "_Search", root: int):
+        self.s = search
+        self.base, self.c = int(search.tin[root]), int(search.size[root])
+        self.total = int(search.osub[root])
+        self.verts = search.pre[self.base + 1 : self.base + self.c]  # all but the root
+        self.pos = search.tin[self.verts] - self.base
+        self.sz = search.size[self.verts]
+        self.ow = search.osub[self.verts]
+        self._one = self._two = None
+
+    def one(self) -> tuple[np.ndarray, ...]:
+        """Width 1: for each black count, its best (weight, vertex, root color), by size.
+
+        Cutting above v leaves T_v black (root white) or its complement
+        black (root black).  Returns the sorted counts and, for each, the
+        least weight, then vertex, then root color.
+        """
+        if self._one is None:
+            c, sz, ow, v = self.c, self.sz, self.ow, self.verts
+            count = np.concatenate([sz, c - sz])
+            weight = np.concatenate([ow, self.total - ow])
+            vert = np.concatenate([v, v])
+            side = np.repeat(np.array([0, 1]), len(v))
+            order = np.lexsort((side, vert, weight, count))
+            count = count[order]
+            first = np.flatnonzero(np.concatenate([count[:1] > 0, count[1:] != count[:-1]]))
+            self._one = (count[first], *(a[order][first] for a in (weight, vert, side)))
+        return self._one
+
+    def _pairs(self):
+        """Non-root vertices sorted by (size, position), and the best-weight ranks of runs.
+
+        For each sorted position: the best rank, by least weight then
+        least id (``lo``) or by most weight then least id (``hi``), over
+        the run of equal sizes up to it and from it on.
+        """
+        if self._two is None:
+            sz, ow, v, pos = self.sz, self.ow, self.verts, self.pos
+            key = sz * (self.c + 1) + pos
+            order = np.argsort(key)
+            ksz, nv = sz[order], len(v)
+            runs = {}
+            for name, by in (("lo", ow), ("hi", -ow)):
+                rank_order = np.lexsort((v, by))
+                rank = np.empty(nv, dtype=np.int64)
+                rank[rank_order] = np.arange(nv)
+                r = rank[order]
+                # offsets that fall with the size keep a running minimum inside its run
+                pre = np.minimum.accumulate((self.c - ksz) * nv + r) - (self.c - ksz) * nv
+                suf = np.minimum.accumulate((ksz * nv + r)[::-1])[::-1] - ksz * nv
+                runs[name] = (pre, suf, v[rank_order])
+            self._two = (key[order], ksz, pos[order], v[order], runs)
+        return self._two
+
+    def two(self, x: int, side: int) -> tuple[int, int, int] | None:
+        """The best cut of two edges, above a and b, whose symmetric difference T_a, T_b has x vertices.
+
+        That set is T_a minus T_b with b below a, or T_a plus T_b for
+        disjoint a and b.  It is the black part for root color ``side`` 0,
+        and its complement is for 1.  Returns the least (weight of the
+        black part, smaller id, larger id), or None.
+        """
+        keys, ksz, kpos, kv, runs = self._pairs()
+        if not len(keys):
+            return None
+        osub, K = self.s.osub, self.c + 1
+        sz, ow, v, pos = self.sz, self.ow, self.verts, self.pos
+        last = len(keys) - 1
+        # nested: the one vertex a of size sz + x whose subtree holds b = v
+        u = sz + x
+        e = np.searchsorted(keys, u * K + pos, side="right") - 1
+        ec = np.maximum(e, 0)
+        ok = (e >= 0) & (ksz[ec] == u) & (kpos[ec] + u > pos)
+        a_n, b_n = kv[ec[ok]], v[ok]
+        w_n = osub[a_n] - osub[b_n]
+        # disjoint: for a = v, the best b of size x - sz before or after T_a, not above a
+        u = x - sz
+        start = np.searchsorted(keys, u * K)
+        stop = np.searchsorted(keys, (u + 1) * K)
+        before = np.searchsorted(keys, u * K + pos)
+        above = (before > start) & (kpos[np.maximum(before - 1, 0)] + u > pos)
+        before -= above
+        after = np.searchsorted(keys, u * K + pos + sz)
+        pre, suf, by_rank = runs["lo" if side == 0 else "hi"]
+        big = len(keys)
+        rank = np.minimum(
+            np.where(before > start, pre[np.clip(before - 1, 0, last)], big),
+            np.where(after < stop, suf[np.minimum(after, last)], big),
+        )
+        ok = (u >= 1) & (rank < big)
+        a_d, b_d = v[ok], by_rank[rank[ok]]
+        w_d = ow[ok] + osub[b_d]
+        a, b, w = (np.concatenate(p) for p in ((a_n, a_d), (b_n, b_d), (w_n, w_d)))
+        if not len(w):
+            return None
+        if side:
+            w = self.total - w
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        i = _first_min(w, lo, hi)
+        return int(w[i]), int(lo[i]), int(hi[i])
+
+
+class _Search:
+    """The forest in preorder, for ``_small_width_cut``.
+
+    The components keep their order (ascending smallest id) and occupy
+    consecutive preorder positions; ``pre`` lists the vertices by
+    position, ``tin`` and ``size`` give each vertex's position and
+    subtree size, and ``osub`` its subtree's weight.  ``mask_size`` and
+    ``mask_weight`` give the vertex count and weight of each set of
+    whole components, as a bit mask.
+    """
+
+    def __init__(self, forest: Graph, orders: list[list[int]], parent: list[int], outside):
+        n = forest.n
+        flat = [v for order in orders for v in order]
+        size = [1] * (n + 1)
+        for v in reversed(flat):
+            size[parent[v]] += size[v]
+        # the roots hang below 0, so the components take consecutive runs of positions
+        tin, nxt = [0] * (n + 1), [0] * (n + 1)
+        for v in flat:
+            p = parent[v]
+            t = tin[v] = nxt[p]
+            nxt[p] = t + size[v]
+            nxt[v] = t + 1
+        self.size, self.tin = np.array(size, dtype=np.int64), np.array(tin, dtype=np.int64)
+        self.pre = np.empty(n, dtype=np.int64)
+        self.pre[self.tin[1:]] = np.arange(1, n + 1)
+        self.osub = np.zeros(n + 1, dtype=np.int64)
+        if outside is not None:
+            w = np.zeros(n + 1, dtype=np.int64)  # w[p]: the weight of positions 0..p - 1
+            np.cumsum(np.asarray(outside, dtype=np.int64)[self.pre], out=w[1:])
+            self.osub[1:] = w[self.tin[1:] + self.size[1:]] - w[self.tin[1:]]
+        self.comps = [_Component(self, order[0]) for order in orders]
+        r = len(self.comps)
+        self.mask_size, self.mask_weight = [0] * (1 << r), [0] * (1 << r)
+        for mask in range(1, 1 << r):
+            j = (mask & -mask).bit_length() - 1
+            rest = mask & (mask - 1)
+            self.mask_size[mask] = self.mask_size[rest] + self.comps[j].c
+            self.mask_weight[mask] = self.mask_weight[rest] + self.comps[j].total
+
+    def masks(self, m: int, cut: tuple[int, ...], lo: int = -1, hi: int = 1 << 62):
+        """(x, weight, root colors) for each set of whole black components beside the ``cut`` ones.
+
+        x is the number of black vertices left for the cut components,
+        which take root color 0 in the colors returned; only lo < x < hi
+        are listed.
+        """
+        r, skip = len(self.comps), sum(1 << j for j in cut)
+        return [
+            (m - size, self.mask_weight[mask], tuple((mask >> j) & 1 for j in range(r)))
+            for mask, size in enumerate(self.mask_size)
+            if not mask & skip and lo < m - size < hi
+        ]
+
+    def width_0(self, m: int):
+        return [(weight, (), colors) for _, weight, colors in self.masks(m, (), -1, 1)]
+
+    def width_1(self, m: int):
+        for j, comp in enumerate(self.comps):
+            targets = self.masks(m, (j,), 0, comp.c)
+            if not targets:
+                continue
+            count, weight, vert, side = comp.one()
+            for x, mw, colors in targets:
+                i = int(np.searchsorted(count, x))
+                if i < len(count) and count[i] == x:
+                    yield mw + int(weight[i]), (int(vert[i]),), _recolor(colors, j, int(side[i]))
+
+    def width_2_work(self, m: int) -> int:
+        """Vertices the width-2 stage would scan: each component or pair of them, per target."""
+        work, r = 0, len(self.comps)
+        for j, comp in enumerate(self.comps):
+            work += comp.c * len({x for x, _, _ in self.masks(m, (j,), 0, comp.c)})
+        for j1 in range(r):
+            for j2 in range(j1 + 1, r):
+                c = self.comps[j1].c + self.comps[j2].c
+                work += c * len({x for x, _, _ in self.masks(m, (j1, j2), 1, c - 1)})
+        return work
+
+    def width_2(self, m: int):
+        for j, comp in enumerate(self.comps):
+            best = {}
+            for x, mw, colors in self.masks(m, (j,), 0, comp.c):
+                if x not in best:
+                    found = [(*f, side) for side, y in ((0, x), (1, comp.c - x))
+                             if (f := comp.two(y, side)) is not None]
+                    best[x] = min(found) if found else None
+                if best[x] is not None:
+                    w, lo, hi, side = best[x]
+                    yield mw + w, (lo, hi), _recolor(colors, j, side)
+        r = len(self.comps)
+        for j1 in range(r):
+            for j2 in range(j1 + 1, r):
+                c1, w1, v1, s1 = self.comps[j1].one()
+                c2, w2, v2, s2 = self.comps[j2].one()
+                if not len(c1) or not len(c2):
+                    continue
+                for x, mw, colors in self.masks(m, (j1, j2), 1, c1[-1] + c2[-1] + 1):
+                    i2 = np.minimum(np.searchsorted(c2, x - c1), len(c2) - 1)
+                    i1 = np.flatnonzero(c2[i2] == x - c1)
+                    if not len(i1):
+                        continue
+                    i2 = i2[i1]
+                    w = w1[i1] + w2[i2]
+                    lo, hi = np.minimum(v1[i1], v2[i2]), np.maximum(v1[i1], v2[i2])
+                    k = _first_min(w, lo, hi, 2 * s1[i1] + s2[i2])
+                    colors = _recolor(_recolor(colors, j1, int(s1[i1[k]])), j2, int(s2[i2[k]]))
+                    yield mw + int(w[k]), (int(lo[k]), int(hi[k])), colors
+
+    def black(self, cuts: tuple[int, ...], colors: tuple[int, ...]) -> list[int]:
+        """The black set with the edges above ``cuts`` cut and the given root colors."""
+        flip = np.zeros(len(self.pre) + 1, dtype=np.int8)
+        for v in cuts:
+            flip[self.tin[v]] ^= 1
+            flip[self.tin[v] + self.size[v]] ^= 1
+        for comp, s in zip(self.comps, colors):
+            if s:
+                flip[comp.base] ^= 1
+                flip[comp.base + comp.c] ^= 1
+        return self.pre[np.flatnonzero(np.bitwise_xor.accumulate(flip[:-1]))].tolist()
+
+
+def _recolor(colors: tuple[int, ...], j: int, s: int) -> tuple[int, ...]:
+    return colors[:j] + (s,) + colors[j + 1 :]
+
+
+def _small_width_cut(
+    forest: Graph,
+    m: int,
+    outside: Sequence[int] | None = None,
+    w_max: int = 2,
+    *,
+    rooted: tuple[list[list[int]], list[int]] | None = None,
+) -> tuple[Cut, int] | None:
+    """A minimum-width cut with |B| = m if its width is at most ``w_max`` (0..2), else None.
+
+    Exhaustive per width: it returns width w only after it has ruled out
+    every smaller width, so the cut is an optimum.  A cut of width w
+    cuts w edges of the forest, in one component or two, and leaves the
+    other components whole; each component is black or white at its root.
+    Width 0 takes whole components; width 1 one subtree T_v or its
+    complement, found by black count; width 2 either one component cut
+    twice (``_Component.two``, by bisection over the subtrees sorted by
+    size and preorder position) or two components cut once each, matched
+    by count.  The sets of whole components are enumerated, so it returns
+    None beyond SEARCH_COMPONENTS components, and before a width-2 stage
+    that would scan more than SEARCH_WORK * n vertices.
+
+    Among the cuts of least width, it returns the one of least weight
+    (``outside``, as in ``dp_min_size_cut_tree``), then the one whose cut
+    edges hang above the smaller ids (compared as sorted tuples), then
+    the one with fewer black component roots, first in component order.
+    ``rooted`` is ``component_orders(forest)`` when the caller has it.
+    """
+    orders, parent = rooted or component_orders(forest)
+    if len(orders) > SEARCH_COMPONENTS:
+        return None
+    search = _Search(forest, orders, parent, outside)
+    stages = (search.width_0, search.width_1, search.width_2)
+    for width in range(w_max + 1):
+        if width == 2 and search.width_2_work(m) > SEARCH_WORK * max(forest.n, 1):
+            return None
+        best = min(stages[width](m), default=None)
+        if best is None:
+            continue
+        _, cuts, colors = best
+        cut = Cut._trusted(forest, search.black(cuts, colors))
+        if len(cut.black) != m or cut.width != width:
+            raise InvariantViolation("small-width search built a cut of the wrong size or width")
+        return cut, width
+    return None
 
 
 # --- Tree decompositions ----------------------------------------------------
@@ -574,6 +922,8 @@ def dp_min_size_cut_td(
     n = g.n
     if not is_int(m) or not (0 <= m <= n):
         raise MOutOfRange(f"m={m!r} not in 0..{n}")
+    if not is_int(max_width) or max_width < 0:
+        raise KsecError(f"max_width={max_width!r} must be an integer >= 0")
     if td.width > max_width:
         raise WidthTooLarge(f"decomposition width {td.width} exceeds limit {max_width}")
     require_decomposition(td, g, "dp_min_size_cut_td")
@@ -593,6 +943,8 @@ def brute_min_ksection(g: Graph, k: int, limit: int = 14) -> tuple[KSection, int
     """Exact MinSec(k, g) by enumerating balanced partitions (n <= limit)."""
     if not is_int(k) or k < 1:
         raise KOutOfRange(f"k={k!r} must be an integer >= 1")
+    if not is_int(limit) or limit < 0:
+        raise KsecError(f"limit={limit!r} must be an integer >= 0")
     if g.n > limit:
         raise TooLarge(f"n={g.n} exceeds enumeration limit {limit}")
     n = g.n

@@ -12,10 +12,16 @@ The second one follows a five-way case analysis over the anchor position
 in the path labeling; the executed case is recorded in a trace.  Its
 inner exact-size cut is ``oracle.dp_min_size_cut_tree``, whose optimum
 meets the relative-diameter guarantees since cuts within them exist.
+That cut is found by a search over the cuts of at most 2 edges, which
+answers every inner cut of the seeded random and adversarial trees; the
+tree DP runs only where the optimum is wider.  Among the optimal inner
+cuts it takes one with the fewest forest edges from the black side to
+the vertices outside Ṽ, which the final cut pays as well.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -158,6 +164,26 @@ def _subtree_cut(tree: Graph, members: frozenset, z: int, m_tilde: int) -> froze
     return frozenset(old_of[u - 1] for u in local)
 
 
+def _outside(
+    forest: Graph, linked: list[TreeSummary], v_tilde: frozenset, old_of: list[int], inner: Graph
+) -> list[int]:
+    """Entry i: the forest edges from Ṽ's vertex old_of[i - 1] to vertices outside Ṽ.
+
+    ``inner`` is G[Ṽ] of the tree that ``link_summarized`` made of the
+    forest and its summary ``linked``: a vertex's forest degree less its
+    degree there, plus the linking edges inside Ṽ, which G[Ṽ] counts and
+    the forest does not.
+    """
+    adj = forest.adj
+    out = [0, *map(int.__sub__, map(len, map(adj.__getitem__, old_of)), map(len, inner.adj[1:]))]
+    for a, b in zip(linked, linked[1:]):
+        x, y = a.path[-1], b.path[0]
+        if x in v_tilde and y in v_tilde:
+            out[bisect_left(old_of, x) + 1] += 1
+            out[bisect_left(old_of, y) + 1] += 1
+    return out
+
+
 def diameter_preserving_cut(
     forest: Graph, m: int, comps: list[TreeSummary] | None = None
 ) -> tuple[Cut, DiamCutTrace]:
@@ -228,7 +254,10 @@ def diameter_preserving_cut(
     if not (m <= len(v_tilde) <= 2 * m) or z in v_tilde:
         raise InvariantViolation(f"{case}: bad inner vertex set")
     old_of = sorted(v_tilde)
-    inner_cut, inner_width = oracle.dp_min_size_cut_tree(induced_sorted(tree, old_of), m)
+    inner = induced_sorted(tree, old_of)
+    # among optimal inner cuts, the fewest forest edges from B to the white rest of V
+    outside = _outside(forest, comps if tree is not forest else [], v_tilde, old_of, inner)
+    inner_cut, inner_width = oracle.dp_min_size_cut_tree(inner, m, outside=outside)
     black = {old_of[u - 1] for u in inner_cut.black}
     outer = boundary_width(tree, v_tilde)
     if outer > 2 * delta:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .errors import FormatError, InvariantViolation, NotATreeDecomposition
+from .errors import FormatError, InvariantViolation, KsecError, NotATreeDecomposition
 from .graph import Graph, bad_pair, bfs_tree, is_int, require_tree
 
 
@@ -249,6 +249,12 @@ def make_nonredundant(td: TreeDecomposition) -> TreeDecomposition:
     return TreeDecomposition([bags[i] for i in order], edges)
 
 
+def _require_vertex_count(n, who: str) -> None:
+    """Raise ``KsecError`` naming ``n`` unless it is an integer >= 1."""
+    if not is_int(n) or n < 1:
+        raise KsecError(f"{who}: vertex count {n!r} must be an integer >= 1")
+
+
 def heaviest_path(td: TreeDecomposition, n: int) -> HeaviestPathResult:
     """Path in the decomposition tree maximizing |union of clusters|.
 
@@ -258,6 +264,7 @@ def heaviest_path(td: TreeDecomposition, n: int) -> HeaviestPathResult:
     toward smaller endpoint ids, then the lexicographically smaller
     normalized endpoint pair.  One pass over the nodes, bottom up.
     """
+    _require_vertex_count(n, "heaviest_path")
     num = td.num_nodes
     bags = td.bags
     order, parent = bfs_tree(td.tree_adj, 1)
@@ -325,6 +332,7 @@ def td_summary(td: TreeDecomposition, n: int) -> TDSummary:
     For decompositions already checked against their graph, or derived
     from one by ``induced`` and ``relabel_clusters``.
     """
+    _require_vertex_count(n, "td_summary")
     td0 = make_nonredundant(td)
     return TDSummary(td=td0, path=heaviest_path(td0, n), t=td0.width + 1, n=n)
 

@@ -29,6 +29,14 @@ def star(n):
     return Graph(n, [(1, v) for v in range(2, n + 1)])
 
 
+def star_comb(hubs, leaves):
+    """``hubs`` vertices on a path, each with ``leaves`` pendant leaves numbered after them."""
+    edges = [(h, h + 1) for h in range(1, hubs)]
+    for h in range(1, hubs + 1):
+        edges += [(h, hubs + (h - 1) * leaves + i) for i in range(1, leaves + 1)]
+    return Graph(hubs * (leaves + 1), edges)
+
+
 def diam_star(g):
     """diam*(g) of a forest, read off its one forest summary."""
     return summary_relative_diameter(forest_summary(g), g.n)
@@ -67,7 +75,7 @@ def mutate(text, edits):
 
 
 class TreeDPSpy:
-    """What ``oracle.dp_min_size_cut_tree`` merged and kept since the last ``reset``.
+    """What the tree DP (``oracle._dp_cut_tree``) merged and kept since the last ``reset``.
 
     ``merges`` holds (rows, tracing, vertex) for each ``_minplus`` call:
     tracing is True once ``run`` has returned, and vertex is the one

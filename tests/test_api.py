@@ -57,7 +57,7 @@ PUBLIC_API = {
     "d_p": ("lab", "x", "y"),
     "diameter_preserving_cut": ("forest", "m", "comps"),
     "dp_min_size_cut_td": ("g", "td", "m", "max_width"),
-    "dp_min_size_cut_tree": ("forest", "m"),
+    "dp_min_size_cut_tree": ("forest", "m", "outside"),
     "find_anchor": ("lab", "m"),
     "forest_summary": ("g",),
     "generate": ("spec",),

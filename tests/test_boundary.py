@@ -23,7 +23,7 @@ from ksec.errors import (
     PathNotInTree,
     SizesDontSum,
 )
-from ksec.graph import Graph, cut_width, forest_summary
+from ksec.graph import Graph, KSection, cut_width, forest_summary
 from ksec.instances import BadParameters, GeneratorSpec, generate
 from ksec.labeling import p_labeling
 from ksec.oracle import brute_min_ksection, dp_min_size_cut_td, dp_min_size_cut_tree
@@ -182,6 +182,33 @@ def test_ksection_td_names_a_cluster_vertex_that_is_not_an_integer(bag, x):
 def test_cut_width_names_a_vertex_that_is_not_an_id():
     with pytest.raises(NotAPartition, match="vertex 'a' repeated or out of range"):
         cut_width(path(3), [[1, "a"], [2, 3]])
+
+
+@pytest.mark.parametrize("x", ["a", True])
+def test_ksection_from_parts_names_a_vertex_that_is_not_an_id(x):
+    with pytest.raises(NotAPartition, match=re.escape(f"vertex {x!r} repeated or out of range")):
+        KSection.from_parts(path(3), [[1, x], [2, 3]])
+
+
+# each numeric parameter other than an id or a size, handed a value that is no integer
+COUNT_PARAMETERS = {
+    "heaviest_path": (lambda: heaviest_path(tree_to_width1_td(path(3)), "x"),
+                      "heaviest_path: vertex count 'x' must be an integer >= 1"),
+    "td_summary": (lambda: td_summary(tree_to_width1_td(path(3)), 2.5),
+                   "td_summary: vertex count 2.5 must be an integer >= 1"),
+    "brute_min_ksection": (lambda: brute_min_ksection(path(3), 2, limit="x"),
+                           "limit='x' must be an integer >= 0"),
+    "dp_min_size_cut_td": (lambda: dp_min_size_cut_td(path(3), tree_to_width1_td(path(3)), 1,
+                                                      max_width="x"),
+                           "max_width='x' must be an integer >= 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_PARAMETERS))
+def test_numeric_parameters_name_a_value_that_is_not_an_integer(name):
+    call, named = COUNT_PARAMETERS[name]
+    with pytest.raises(KsecError, match=re.escape(named)):
+        call()
 
 
 def test_generate_names_a_parameter_that_is_not_an_integer():

@@ -176,12 +176,29 @@ def path_td(n):
 DP_TRIPPED = "resource guard: exact-cut DP tables exceed memory guard"
 
 
+def comb_gr(hubs):
+    """Hubs 1..``hubs`` on a path, each with three leaves numbered after them."""
+    edges = [(i, i + 1) for i in range(1, hubs)]
+    edges += [(i, hubs + 3 * (i - 1) + j) for i in range(1, hubs + 1) for j in (1, 2, 3)]
+    return f"p ks {4 * hubs} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
 def test_resource_guard_exit_4(tmp_path, capsys, monkeypatch):
+    # every cut of at most 2 edges blacks a count that is not 2 mod 4, so m = 2002 of the
+    # comb's 4004 vertices takes the tree DP, whose tables need about 8 MB
+    monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
+    gr = tmp_path / "comb.gr"
+    gr.write_text(comb_gr(1001))
+    assert run(["oracle", "mincut", "--input", str(gr), "-m", "2002"]) == 4
+    assert DP_TRIPPED in capsys.readouterr().err
+
+
+def test_a_cut_of_width_at_most_2_needs_no_dp_tables(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
     gr = tmp_path / "p.gr"
     gr.write_text(path_gr(2000))
-    assert run(["oracle", "mincut", "--input", str(gr), "-m", "1000"]) == 4
-    assert DP_TRIPPED in capsys.readouterr().err
+    assert run(["oracle", "mincut", "--input", str(gr), "-m", "1000"]) == 0
+    assert "min width with |B|=1000: 1" in capsys.readouterr().out
 
 
 def test_resource_guard_exit_4_on_the_decomposition_dp(tmp_path, capsys, monkeypatch):

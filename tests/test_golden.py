@@ -40,6 +40,12 @@ def _adversarial(height: int, k: int) -> str:
     return _digest([section.parts, section.width, report.to_dict(), traces])
 
 
+def _dary(arity: int, height: int, k: int) -> str:
+    g, _ = generate(GeneratorSpec("perfect_dary", arity=arity, height=height))
+    section, report, traces = ksection_tree_detailed(g, k)
+    return _digest([section.parts, section.width, report.to_dict(), traces])
+
+
 def _forest(seed: int, shares: tuple) -> str:
     g = oracles.random_forest(Xorshift64Star(seed), n_lo=300, n_hi=600, max_degree=5, drop=8)
     sizes = [g.n * s // sum(shares) for s in shares]
@@ -66,6 +72,9 @@ CASES = {
     "adversarial-h4-k3": (_adversarial, (4, 3)),
     "adversarial-h4-k16": (_adversarial, (4, 16)),
     "adversarial-h6-k2": (_adversarial, (6, 2)),
+    # inner optima of 5 and 6: the one inner cut of each runs the tree DP
+    "dary-3-h6-k2": (_dary, (3, 6, 2)),
+    "dary-5-h4-k2": (_dary, (5, 4, 2)),
     "forest-s21-1:1:1": (_forest, (21, (1, 1, 1))),
     "forest-s22-1:3:2:5": (_forest, (22, (1, 3, 2, 5))),
     "td-s31-n200-k2": (_td, (31, 200, 2)),
@@ -81,6 +90,8 @@ EXPECTED = {
     "adversarial-h4-k2": "3b94a5310c767ca911bab205e6ba05a3279de245e772b92b32974e33c34112b8",
     "adversarial-h4-k3": "f0278caebeb41df07ba9177e678aeda221e127574b2fab6a39e44647ea6abe77",
     "adversarial-h6-k2": "70488a951e4335939c3b41c0b563427be1c32d7722c53f96ba9ede0a0de9a88a",
+    "dary-3-h6-k2": "16bdab9d74f5703e94bb04182a34aa096f09ff08024e6521e0d9afdad9370602",
+    "dary-5-h4-k2": "b81155d64f5b3fe060a7d7ed0a0a266fe5592dce6029e742ed2a713685beeabc",
     "forest-s21-1:1:1": "2cd2f4bb71c4fab92c9c1d3e82107973f191429805240234c6c3ec69c9a931c2",
     "forest-s22-1:3:2:5": "c11250f215168f53425cfbc99ec06422b6f7dc34f002e0b64bba9bfa8735c37d",
     "td-s31-n200-k2": "478e92b0765dd040124042b62c0484f9acecfcc56e0726a34eda9d14acbe7141",

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import TreeDPSpy, diam_star, path, star
+from conftest import TreeDPSpy, diam_star, path, star, star_comb
 from ksec import bounds, oracle
 from ksec.errors import KsecError, MOutOfRange, ResourceLimit, TooLarge, WidthTooLarge
 from ksec.graph import Graph, forest_summary, max_degree
@@ -153,14 +153,6 @@ def test_dp_tree_on_random_forests_matches_subset_enumeration(seed):
         assert cut.width == w == oracles.min_cut_over_subsets(g, m)
 
 
-def _star_comb(hubs, leaves):
-    """``hubs`` vertices on a path, each with ``leaves`` pendant leaves numbered after them."""
-    edges = [(h, h + 1) for h in range(1, hubs)]
-    for h in range(1, hubs + 1):
-        edges += [(h, hubs + (h - 1) * leaves + i) for i in range(1, leaves + 1)]
-    return Graph(hubs * (leaves + 1), edges)
-
-
 def _union(*gs):
     """The disjoint union of ``gs``, each numbered after the ones before it."""
     edges, n = [], 0
@@ -177,9 +169,9 @@ def _relabel(g, seed):
 
 
 def _assert_full_width_cut(g, ms):
-    """The DP traces the black set and width of the full-width reference for each m."""
+    """The tree DP traces the black set and width of the full-width reference for each m."""
     for m in ms:
-        cut, w = dp_min_size_cut_tree(g, m)
+        cut, w = oracle._dp_cut_tree(g, m)
         ref, ref_w = oracles.dp_min_size_cut_tree_full_width(g, m)
         assert (cut.black, w) == (ref.black, ref_w), m
 
@@ -193,10 +185,10 @@ def test_dp_tree_traces_the_cut_of_the_full_width_dp_on_random_forests(seed, dat
 
 @pytest.mark.parametrize(
     "g",
-    [_star_comb(6, 5), _star_comb(12, 12), caterpillar_graph(120), caterpillar_graph(121),
+    [star_comb(6, 5), star_comb(12, 12), caterpillar_graph(120), caterpillar_graph(121),
      *(adversarial_ternary_path(h) for h in range(1, 5)),
-     _union(_star_comb(6, 5), Graph(1, []), _star_comb(6, 5), _star_comb(6, 5), Graph(2, []),
-            path(20), _star_comb(6, 5))],
+     _union(star_comb(6, 5), Graph(1, []), star_comb(6, 5), star_comb(6, 5), Graph(2, []),
+            path(20), star_comb(6, 5))],
     ids=["comb-6x5", "comb-12x12", "caterpillar-120", "caterpillar-121",
          *(f"adversarial-{h}" for h in range(1, 5)), "four-combs-forest"],
 )
@@ -212,7 +204,7 @@ def test_dp_tree_traces_the_cut_of_the_full_width_dp_with_siblings_in_shuffled_o
     if kind == "forest":
         g = oracles.random_forest(rng, n_lo=1, n_hi=80, drop=6)
     elif kind == "comb":
-        g = _star_comb(rng.randint(1, 8), rng.randint(1, 8))
+        g = star_comb(rng.randint(1, 8), rng.randint(1, 8))
     else:
         g = caterpillar_graph(rng.randint(1, 90))
     g = _relabel(g, seed)
@@ -236,14 +228,14 @@ def test_dp_tree_merges_each_class_of_identical_subtrees_once(monkeypatch):
     """
     spy = TreeDPSpy(monkeypatch)
     forest = oracles.random_forest(Xorshift64Star(77), n_lo=40, n_hi=40, drop=5)
-    g = _relabel(_union(forest, *[_star_comb(2, 3)] * 4), 77)
+    g = _relabel(_union(forest, *[star_comb(2, 3)] * 4), 77)
     assert len(forest_summary(g)) >= 7
     cls = oracles.subtree_classes(g)
     assert len(set(cls.values())) < len(set(oracles.subtree_classes(g, ordered=True).values()))
     assert len(set(cls.values())) < g.n - 30  # leaves and small shapes repeat
     for m in (1, g.n // 2, g.n):
         spy.reset()
-        cut, _ = dp_min_size_cut_tree(g, m)
+        cut, _ = oracle._dp_cut_tree(g, m)
         assert len(spy.tables()) == len(set(cls.values()))
         assert list(spy.dp.kept.accs) == [0]
         assert sorted(spy.traced) == sorted(_mixed(g, cut.black))
@@ -265,7 +257,7 @@ def test_dp_tree_merges_each_child_in_one_minplus_call(monkeypatch):
     assert merges < sum(len(shape) for shape in set(cls.values())) < len(g.edges)
     for m in (1, g.n // 2, g.n):
         spy.reset()
-        dp_min_size_cut_tree(g, m)
+        oracle._dp_cut_tree(g, m)
         assert spy.rows(False) == [1] * comps + [2] * merges
         assert spy.rows(True) == [1] * sum(len(cls[v]) for v in spy.traced)
         assert bool(spy.traced) == (m == g.n // 2)
@@ -278,7 +270,7 @@ def test_dp_tree_trace_reads_the_virtual_roots_kept_accumulations(monkeypatch):
     assert len(forest_summary(g)) == 3
     for m in range(g.n + 1):
         spy.reset()
-        dp_min_size_cut_tree(g, m)
+        oracle._dp_cut_tree(g, m)
         assert not [v for rows, tracing, v in spy.merges if tracing and v == 0], m
         assert len(spy.dp.kept.accs[0]) == 4  # the root's own row, then one per component
 
@@ -293,9 +285,9 @@ def test_dp_tree_merges_a_hubs_leaves_in_closed_form(monkeypatch):
     and never splits a leaf.
     """
     spy = TreeDPSpy(monkeypatch)
-    comb = _star_comb(40, 40)
+    comb = star_comb(40, 40)
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
-    cut, w = dp_min_size_cut_tree(comb, comb.n // 2)
+    cut, w = oracle._dp_cut_tree(comb, comb.n // 2)
     assert (len(cut.black), w) == (comb.n // 2, 1)
     cls = oracles.subtree_classes(comb)
     assert len(set(cls.values())) == len(spy.tables()) == 41
@@ -318,16 +310,16 @@ def test_dp_tree_memory_guard_trips_only_on_the_tables_of_all_components(monkeyp
     # paths share them and fit under 2 MB, but a path beside a path ending in a fork does not
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "2")
     two_paths = Graph(1200, [(i, i + 1) for i in range(1, 1200) if i != 600])
-    assert dp_min_size_cut_tree(two_paths, 600)[1] == 0
+    assert oracle._dp_cut_tree(two_paths, 600)[1] == 0
     path_and_fork = Graph(1200, [(i, i + 1) for i in range(1, 1199) if i != 600] + [(1198, 1200)])
     with pytest.raises(ResourceLimit):
-        dp_min_size_cut_tree(path_and_fork, 600)
+        oracle._dp_cut_tree(path_and_fork, 600)
     # with m = 400 a caterpillar on a 400-vertex spine keeps 0.61 MB of tables and no
     # accumulations below the virtual root, so a 1 MB guard does not trip
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
     spine = [(i, i + 1) for i in range(1, 400)]
     caterpillar = Graph(800, spine + [(i, 400 + i) for i in range(1, 401)])
-    assert dp_min_size_cut_tree(caterpillar, 400)[1] == 1
+    assert oracle._dp_cut_tree(caterpillar, 400)[1] == 1
 
 
 def test_dp_tree_meets_existence_bound():

@@ -224,17 +224,18 @@ def _full_width_columns(forest, m):
 
 @pytest.fixture(scope="module")
 def inner_dps():
-    """The inner DPs of 10 real Case 2b, 3a and 3b cuts: (forest, m, ``TreeDPSpy`` state) each."""
-    calls = []
+    """The inner DPs of 10 real Case 2b, 3a and 3b cuts: (forest, m, ``TreeDPSpy`` state) each.
+
+    The cuts' inner (forest, m) pairs are captured, then the tree DP
+    (``oracle._dp_cut_tree``) runs on each under the spy.
+    """
+    inner = []
     with pytest.MonkeyPatch.context() as mp:
-        spy = TreeDPSpy(mp)
         dp = oracle.dp_min_size_cut_tree
 
         def spy_dp(forest, m, *args, **kwargs):
-            spy.reset()
-            result = dp(forest, m, *args, **kwargs)
-            calls.append((forest, m, copy.copy(spy)))
-            return result
+            inner.append((forest, m))
+            return dp(forest, m, *args, **kwargs)
 
         mp.setattr(oracle, "dp_min_size_cut_tree", spy_dp)
         rng = Xorshift64Star(0xBA4D)
@@ -244,7 +245,14 @@ def inner_dps():
         cuts += [(random_tree_maxdeg(n, 6, rng), n // 2) for n in (1500, 3000)]
         for g, m in cuts:
             diameter_preserving_cut(g, m)
-    assert len(calls) == len(cuts)
+    assert len(inner) == len(cuts)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        spy = TreeDPSpy(mp)
+        for forest, m in inner:
+            spy.reset()
+            oracle._dp_cut_tree(forest, m)
+            calls.append((forest, m, copy.copy(spy)))
     return calls
 
 
