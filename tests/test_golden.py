@@ -86,26 +86,26 @@ CASES = {
 }
 
 EXPECTED = {
-    "adversarial-h4-k16": "280e1e7365715eeb8c479b9a53aac3f0539677bb4c2ac9e0436ee99f44a49349",
+    "adversarial-h4-k16": "5e622abd4fdb1db7c8cd218392267b7556aea75285207f43db2c90f1f40e4721",
     "adversarial-h4-k2": "3b94a5310c767ca911bab205e6ba05a3279de245e772b92b32974e33c34112b8",
     "adversarial-h4-k3": "f0278caebeb41df07ba9177e678aeda221e127574b2fab6a39e44647ea6abe77",
     "adversarial-h6-k2": "70488a951e4335939c3b41c0b563427be1c32d7722c53f96ba9ede0a0de9a88a",
     "dary-3-h6-k2": "16bdab9d74f5703e94bb04182a34aa096f09ff08024e6521e0d9afdad9370602",
     "dary-5-h4-k2": "b81155d64f5b3fe060a7d7ed0a0a266fe5592dce6029e742ed2a713685beeabc",
-    "forest-s21-1:1:1": "2cd2f4bb71c4fab92c9c1d3e82107973f191429805240234c6c3ec69c9a931c2",
+    "forest-s21-1:1:1": "6f4d2d16a91e2b2b17e0281e590d282c3196c702cec3f1edcbafaf7fae6070d0",
     "forest-s22-1:3:2:5": "c11250f215168f53425cfbc99ec06422b6f7dc34f002e0b64bba9bfa8735c37d",
     "td-s31-n200-k2": "478e92b0765dd040124042b62c0484f9acecfcc56e0726a34eda9d14acbe7141",
     "td-s32-n200-k4": "bc9b2a41901daeb9e54406d3ce97e1aa1bd0ffcd6b13db6695ea107d87c70e0b",
     "td-s34-n200-k4": "5a17a066a2840bc3938a65d1d8a4a0a5142d8274ea8bc2b42fe76053c8104fec",
     "td-s44-n200-k4": "79aa91defba1952cfcd6f2c01270726913d7d175ea86d1d7e52b15df3bbca6fe",
     "td-s51-n1000-k4": "c256296b653fe6884406cf95b168d0f2892da2d546713d39f0a01c567d77ece0",
-    "tree-s11-n200-k2": "64777b64159b4fa2f8ded3729fb8c2e180af6077d4b94dea38d5fabb3f1d3d9a",
-    "tree-s12-n200-k16": "40e9b6ede24d363116323f9158f3a946c3a5eb2f3c394f8415773ba30a566e2f",
-    "tree-s13-n700-k3": "268dfe184dfbf2ee375ba96828f6c2cd8c170f7265f1121543c28a85142e0342",
-    "tree-s14-n1200-k16": "3eded74add74a9ad8b9b6d76abfd3a683195ba47d112ea1ea5ab89e9de0f118f",
+    "tree-s11-n200-k2": "9496a1d556c4319bbc1e2761ea8d9c6094f63aaff04c29a5a8a7398879c9d8ca",
+    "tree-s12-n200-k16": "a19d6a0a3c198b3236a93098201ca907e507bcc8f37b174fab1ccbf47120547a",
+    "tree-s13-n700-k3": "e7ebf9479584c632a1a2e6063f01ed35fa51c70f7a90437ae09cd7ef89d83b8d",
+    "tree-s14-n1200-k16": "438fe8810a9129aed7c93aa9a65ba998570e7555af25d87cda28f6f1c1bf73d3",
     "tree-s15-n2000-k2": "29946586cf0212af3bb4da0b6798e6cfaf92ae2e4da2f6c4755119a111907b1b",
-    "tree-s16-n2000-k16": "6fb5a5d78dbb54d9d6520bf733263c7d9e93410145c78ef8e4643f8cc14735a3",
-    "tree-s19-n300-k16-cap3": "bfa6c038f24fcf44da26c0290bce84d3e4c8500269bc43ab2416af277eb47489",
+    "tree-s16-n2000-k16": "afe708fdc980f5ecf9bf6a7939450741f7f9123912759df20b82f8ee2b194552",
+    "tree-s19-n300-k16-cap3": "3a325103af65ea9d34ed204ce38f22c27c96f52cb0e11f6aa4e29a66e5445110",
 }
 
 
@@ -140,7 +140,7 @@ CLI_EXPECTED = {
     "labeling-s63-n120": "f3fff65f7c30c3424ab7baeb2be58a6c60cb2d2d072aadf85306610ff001e6d0",
     "td-s62-n150-k4": "a5a9c9ece5426104faecb41752fd3bd8d4c6358cf2dc642d1b544a74cfe431c0",
     "tree-adversarial-h4-k3": "6d37dcb1b7cc46072d0d1eaf634a50510345447f8194e699baa85dd8a87c389c",
-    "tree-s61-n400-k4": "746687047f5b5316c0849b9851a782a31564bfeef8790d0c4c3f6fd38c2d74fa",
+    "tree-s61-n400-k4": "31e7c8068ca0c6e3d8d07b773502c68f2f543b691cbb3df8b05c062d417dde99",
 }
 
 
@@ -170,7 +170,7 @@ BENCH_CASES = {
 BENCH_EXPECTED = {
     "adversarial-h3..5-k4": "f418f97ef5d3fddf59c1093c6eb53e2154b4ef735f4c50d88840becbdff2af9d",
     "partial-ktrees-s72": "b259d5c65b0d5d5290c6942d95edd762f041619ba89abb8d76e1b4b5767eb94b",
-    "random-trees-s71": "f6364cfe9a33f37fde91459efbd1d79ee88a4cc2f25eaf542a1570a7410ed7a3",
+    "random-trees-s71": "6a2229eb9971162f185cf7cead72a95649d3267349224af330ce0c7cb184fb26",
 }
 
 
