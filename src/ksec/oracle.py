@@ -493,7 +493,7 @@ def _dp_cut_tree(forest: Graph, m: int) -> tuple[Cut, int]:
 # --- Small-width search -----------------------------------------------------
 
 SEARCH_COMPONENTS = 8  # at most this many components: 2^8 sets of whole components
-SEARCH_WORK = 32  # width 2 scans at most this many times n vertices, over all its targets
+SEARCH_WORK = 64  # width 2 scans at most this many times n vertices, over all its targets
 
 
 def _first_min(*keys: np.ndarray) -> int:
@@ -773,7 +773,7 @@ def _small_width_cut(
     Among the cuts of least width, it returns the one of least weight
     (``outside``, as in ``dp_min_size_cut_tree``), then the one whose cut
     edges hang above the smaller ids (compared as sorted tuples), then
-    the one with fewer black component roots, first in component order.
+    by the components' root colors in component order, white first.
     ``rooted`` is ``component_orders(forest)`` when the caller has it.
     """
     orders, parent = rooted or component_orders(forest)
