@@ -23,8 +23,7 @@ from .treedec import parse_td, write_td
 RUNTIME_NOTE = (
     "note: inner exact-size cuts on trees search the cuts of at most 2 edges first, "
     "in O(N log N) for N vertices in few components; wider optima fall back to a "
-    "dynamic program in "
-    "O(N*min(m, N-m)), as do all inner cuts on decompositions; "
+    "dynamic program in O(N*min(m, N-m)), as do all inner cuts on decompositions; "
     "the linear-time subroutine behind the original O(kn) claim is not reproduced"
 )
 

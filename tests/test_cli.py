@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FILE_EDITS, mutate
+from conftest import FILE_EDITS, mutate, star_comb
 from ksec.cli import RunRecord, main
 from ksec.errors import KsecError
+from ksec.graph import write_gr
 from ksec.treedec import parse_td
 
 
@@ -176,19 +177,12 @@ def path_td(n):
 DP_TRIPPED = "resource guard: exact-cut DP tables exceed memory guard"
 
 
-def comb_gr(hubs):
-    """Hubs 1..``hubs`` on a path, each with three leaves numbered after them."""
-    edges = [(i, i + 1) for i in range(1, hubs)]
-    edges += [(i, hubs + 3 * (i - 1) + j) for i in range(1, hubs + 1) for j in (1, 2, 3)]
-    return f"p ks {4 * hubs} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
-
-
 def test_resource_guard_exit_4(tmp_path, capsys, monkeypatch):
     # every cut of at most 2 edges blacks a count that is not 2 mod 4, so m = 2002 of the
     # comb's 4004 vertices takes the tree DP, whose tables need about 8 MB
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
     gr = tmp_path / "comb.gr"
-    gr.write_text(comb_gr(1001))
+    gr.write_text(write_gr(star_comb(1001, 3)))
     assert run(["oracle", "mincut", "--input", str(gr), "-m", "2002"]) == 4
     assert DP_TRIPPED in capsys.readouterr().err
 
