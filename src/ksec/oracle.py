@@ -39,7 +39,7 @@ that must stay exceed it.
 from __future__ import annotations
 
 import functools
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Sequence
 
 import numpy as np
@@ -690,46 +690,56 @@ class _Search:
                 if i < len(count) and count[i] == x:
                     yield mw + int(weight[i]), (int(vert[i]),), _recolor(colors, j, int(side[i]))
 
-    def width_2_work(self, m: int) -> int:
-        """Vertices the width-2 stage would scan: each component or pair of them, per target."""
-        work, r = 0, len(self.comps)
-        for j, comp in enumerate(self.comps):
-            work += comp.c * len({x for x, _, _ in self.masks(m, (j,), 0, comp.c)})
-        for j1 in range(r):
-            for j2 in range(j1 + 1, r):
-                c = self.comps[j1].c + self.comps[j2].c
-                work += c * len({x for x, _, _ in self.masks(m, (j1, j2), 1, c - 1)})
-        return work
+    def width_2_targets(self, m: int) -> list[tuple[tuple[int, ...], list]] | None:
+        """The components that width 2 cuts, one or a pair, each with its targets from ``masks``.
+
+        None when the scan would pass more than SEARCH_WORK * n vertices:
+        the cut components' vertices, once per distinct target.
+        """
+        r = len(self.comps)
+        cuts = [(j,) for j in range(r)] + list(combinations(range(r), 2))
+        targets, work = [], 0
+        for cut in cuts:
+            c = sum(self.comps[j].c for j in cut)
+            found = self.masks(m, cut, len(cut) - 1, c - len(cut) + 1)
+            targets.append((cut, found))
+            work += c * len({x for x, _, _ in found})
+        return targets if work <= SEARCH_WORK * len(self.pre) else None
 
     def width_2(self, m: int):
-        for j, comp in enumerate(self.comps):
-            best = {}
-            for x, mw, colors in self.masks(m, (j,), 0, comp.c):
-                if x not in best:
-                    found = [(*f, side) for side, y in ((0, x), (1, comp.c - x))
-                             if (f := comp.two(y, side)) is not None]
-                    best[x] = min(found) if found else None
-                if best[x] is not None:
-                    w, lo, hi, side = best[x]
-                    yield mw + w, (lo, hi), _recolor(colors, j, side)
-        r = len(self.comps)
-        for j1 in range(r):
-            for j2 in range(j1 + 1, r):
-                c1, w1, v1, s1 = self.comps[j1].one()
-                c2, w2, v2, s2 = self.comps[j2].one()
-                if not len(c1) or not len(c2):
-                    continue
-                for x, mw, colors in self.masks(m, (j1, j2), 1, c1[-1] + c2[-1] + 1):
-                    i2 = np.minimum(np.searchsorted(c2, x - c1), len(c2) - 1)
-                    i1 = np.flatnonzero(c2[i2] == x - c1)
-                    if not len(i1):
-                        continue
-                    i2 = i2[i1]
-                    w = w1[i1] + w2[i2]
-                    lo, hi = np.minimum(v1[i1], v2[i2]), np.maximum(v1[i1], v2[i2])
-                    k = _first_min(w, lo, hi, 2 * s1[i1] + s2[i2])
-                    colors = _recolor(_recolor(colors, j1, int(s1[i1[k]])), j2, int(s2[i2[k]]))
-                    yield mw + int(w[k]), (int(lo[k]), int(hi[k])), colors
+        for cut, targets in self.width_2_targets(m) or ():
+            if len(cut) == 1:
+                yield from self._cut_twice(cut[0], targets)
+            else:
+                yield from self._cut_once_each(*cut, targets)
+
+    def _cut_twice(self, j: int, targets: list):
+        comp, best = self.comps[j], {}
+        for x, mw, colors in targets:
+            if x not in best:
+                found = [(*f, side) for side, y in ((0, x), (1, comp.c - x))
+                         if (f := comp.two(y, side)) is not None]
+                best[x] = min(found) if found else None
+            if best[x] is not None:
+                w, lo, hi, side = best[x]
+                yield mw + w, (lo, hi), _recolor(colors, j, side)
+
+    def _cut_once_each(self, j1: int, j2: int, targets: list):
+        c1, w1, v1, s1 = self.comps[j1].one()
+        c2, w2, v2, s2 = self.comps[j2].one()
+        if not len(c1) or not len(c2):
+            return
+        for x, mw, colors in targets:
+            i2 = np.minimum(np.searchsorted(c2, x - c1), len(c2) - 1)
+            i1 = np.flatnonzero(c2[i2] == x - c1)
+            if not len(i1):
+                continue
+            i2 = i2[i1]
+            w = w1[i1] + w2[i2]
+            lo, hi = np.minimum(v1[i1], v2[i2]), np.maximum(v1[i1], v2[i2])
+            k = _first_min(w, lo, hi, 2 * s1[i1] + s2[i2])
+            colors = _recolor(_recolor(colors, j1, int(s1[i1[k]])), j2, int(s2[i2[k]]))
+            yield mw + int(w[k]), (int(lo[k]), int(hi[k])), colors
 
     def black(self, cuts: tuple[int, ...], colors: tuple[int, ...]) -> list[int]:
         """The black set with the edges above ``cuts`` cut and the given root colors."""
@@ -752,11 +762,10 @@ def _small_width_cut(
     forest: Graph,
     m: int,
     outside: Sequence[int] | None = None,
-    w_max: int = 2,
     *,
     rooted: tuple[list[list[int]], list[int]] | None = None,
 ) -> tuple[Cut, int] | None:
-    """A minimum-width cut with |B| = m if its width is at most ``w_max`` (0..2), else None.
+    """A minimum-width cut with |B| = m if its width is at most 2, else None.
 
     Exhaustive per width: it returns width w only after it has ruled out
     every smaller width, so the cut is an optimum.  A cut of width w
@@ -780,11 +789,8 @@ def _small_width_cut(
     if len(orders) > SEARCH_COMPONENTS:
         return None
     search = _Search(forest, orders, parent, outside)
-    stages = (search.width_0, search.width_1, search.width_2)
-    for width in range(w_max + 1):
-        if width == 2 and search.width_2_work(m) > SEARCH_WORK * max(forest.n, 1):
-            return None
-        best = min(stages[width](m), default=None)
+    for width, stage in enumerate((search.width_0, search.width_1, search.width_2)):
+        best = min(stage(m), default=None)
         if best is None:
             continue
         _, cuts, colors = best

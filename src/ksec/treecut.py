@@ -256,7 +256,7 @@ def diameter_preserving_cut(
     old_of = sorted(v_tilde)
     inner = induced_sorted(tree, old_of)
     # among optimal inner cuts, the fewest forest edges from B to the white rest of V
-    outside = _outside(forest, comps if tree is not forest else [], v_tilde, old_of, inner)
+    outside = _outside(forest, comps, v_tilde, old_of, inner)
     inner_cut, inner_width = oracle.dp_min_size_cut_tree(inner, m, outside=outside)
     black = {old_of[u - 1] for u in inner_cut.black}
     outer = boundary_width(tree, v_tilde)

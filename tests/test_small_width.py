@@ -52,8 +52,7 @@ def _under_caps(g, m):
     orders, parent = component_orders(g)
     if len(orders) > oracle.SEARCH_COMPONENTS:
         return False
-    work = oracle._Search(g, orders, parent, None).width_2_work(m)
-    return work <= oracle.SEARCH_WORK * max(g.n, 1)
+    return oracle._Search(g, orders, parent, None).width_2_targets(m) is not None
 
 
 def _weight(black, outside):
