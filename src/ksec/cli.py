@@ -181,7 +181,10 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _parse_klist(text: str) -> list[int]:
+def _parse_klist(text: str | None) -> list[int]:
+    """A comma list of k, by default 2,3,4."""
+    if text is None:
+        return [2, 3, 4]
     try:
         ks = [int(x) for x in text.split(",") if x]
     except ValueError:
@@ -205,30 +208,40 @@ def _write_records(records: list[RunRecord], csv_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _tree_row(g: Graph, k: int, instance: str, family: str, baseline: bool = False) -> RunRecord:
+    """One tree benchmark row; ``seconds`` times the section, and the baseline when asked."""
+    t0 = time.perf_counter()
+    section, report = engine.ksection_tree(g, k)
+    base = str(engine.recursive_bisection_baseline(g, k).width) if baseline else ""
+    return RunRecord(
+        instance=instance,
+        family=family,
+        n=g.n,
+        k=k,
+        max_degree=report.max_degree,
+        diam=str(report.diam),
+        rel_diam=f"{report.diam + 1}/{g.n}",
+        width=section.width,
+        bound_tree=f"{float(report.bound_tree):.3f}",
+        bound_tree_improved=f"{report.bound_tree_improved:.3f}",
+        baseline_width=base,
+        seconds=f"{time.perf_counter() - t0:.3f}",
+    )
+
+
 def cmd_bench(args) -> int:
     records: list[RunRecord] = []
     if args.suite == "adversarial":
+        try:
+            k = int(args.k if args.k is not None else 4)
+        except ValueError:
+            raise KsecError(f"adversarial suite takes a single k, got {args.k!r}") from None
         lo, hi = _parse_range(args.heights)
         for h in range(lo, hi + 1):
             g = instances.adversarial_ternary_path(h)
-            t0 = time.perf_counter()
-            section, report = engine.ksection_tree(g, args.k)
-            base = engine.recursive_bisection_baseline(g, args.k)
-            rec = RunRecord(
-                instance=f"adversarial-h{h}",
-                family="adversarial_ternary_path",
-                n=g.n,
-                k=args.k,
-                max_degree=report.max_degree,
-                diam=str(report.diam),
-                rel_diam=f"{report.diam + 1}/{g.n}",
-                width=section.width,
-                bound_tree=f"{float(report.bound_tree):.3f}",
-                bound_tree_improved=f"{report.bound_tree_improved:.3f}",
-                baseline_width=str(base.width),
-                seconds=f"{time.perf_counter() - t0:.3f}",
+            records.append(
+                _tree_row(g, k, f"adversarial-h{h}", "adversarial_ternary_path", baseline=True)
             )
-            records.append(rec)
     elif args.suite == "random-trees":
         rng = instances.Xorshift64Star(args.seed)
         lo, hi = _parse_range(args.n)
@@ -237,21 +250,7 @@ def cmd_bench(args) -> int:
             n = rng.randint(lo, hi)
             g = instances.random_tree_maxdeg(n, args.max_degree, rng)
             for k in ks:
-                t0 = time.perf_counter()
-                section, report = engine.ksection_tree(g, k)
-                rec = RunRecord(
-                    instance=f"random-tree-{idx}",
-                    family="random_tree_maxdeg",
-                    n=n,
-                    k=k,
-                    max_degree=report.max_degree,
-                    diam=str(report.diam),
-                    rel_diam=f"{report.diam + 1}/{n}",
-                    width=section.width,
-                    bound_tree=f"{float(report.bound_tree):.3f}",
-                    bound_tree_improved=f"{report.bound_tree_improved:.3f}",
-                    seconds=f"{time.perf_counter() - t0:.3f}",
-                )
+                rec = _tree_row(g, k, f"random-tree-{idx}", "random_tree_maxdeg")
                 if args.oracle and n <= args.oracle_limit:
                     _, opt = oracle.brute_min_ksection(g, k, limit=args.oracle_limit)
                     rec.oracle_width = str(opt)
@@ -379,16 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # adversarial bench takes a single k, the other suites a comma list
-    if getattr(args, "cmd", "") == "bench":
-        if args.suite == "adversarial":
-            try:
-                args.k = int(args.k if args.k is not None else 4)
-            except ValueError:
-                print(f"error: adversarial suite takes a single k, got {args.k!r}", file=sys.stderr)
-                return 2
-        elif args.k is None:
-            args.k = "2,3,4"
     try:
         return args.func(args)
     except FormatError as exc:

@@ -15,7 +15,7 @@ guarantees are re-checked here and a violation raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import bounds, oracle
@@ -36,7 +36,7 @@ from .graph import (
     require_tree,
     summary_relative_diameter,
 )
-from .treecut import diameter_preserving_cut
+from .treecut import _plain, diameter_preserving_cut
 from .treedec import TreeDecomposition, induced_local, require_decomposition, td_summary
 from .tdcut import r_preserving_cut
 
@@ -80,20 +80,12 @@ class BoundReport:
             "approx_ratio_vs_lower": self.approx_ratio_vs_lower,
             "binding_bound": self.binding_bound,
         }
-        if self.diam is not None:
-            out["diam"] = self.diam
-        if self.rel_diam is not None:
-            out["rel_diam"] = [self.rel_diam.numerator, self.rel_diam.denominator]
-        if self.r is not None:
-            out["r"] = [self.r.numerator, self.r.denominator]
-        if self.t is not None:
-            out["t"] = self.t
-        if self.bound_tree is not None:
-            out["bound_tree"] = float(self.bound_tree)
-        if self.bound_tree_improved is not None:
-            out["bound_tree_improved"] = self.bound_tree_improved
-        if self.bound_td is not None:
-            out["bound_td"] = self.bound_td
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.default is None and value is not None:
+                # the fields that default to None, when set; a Fraction is written as
+                # [numerator, denominator], but bound_tree as a float
+                out[f.name] = float(value) if f.name == "bound_tree" else _plain(value)
         return out
 
 

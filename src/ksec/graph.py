@@ -446,11 +446,15 @@ def parse_gr(text: str) -> Graph:
     return Graph(n, edges)
 
 
+def comment_lines(comment: str | None) -> list[str]:
+    """The ``c`` lines of a .gr or .td comment; ``KsecError`` names one that is not a string."""
+    if comment is not None and not isinstance(comment, str):
+        raise KsecError(f"comment={comment!r} is not a string")
+    return [f"c {part}" for part in (comment or "").splitlines()]
+
+
 def write_gr(g: Graph, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"c {part}")
+    lines = comment_lines(comment)
     lines.append(f"p ks {g.n} {len(g.edges)}")
     for u, v in sorted(g.edges):
         lines.append(f"{u} {v}")

@@ -22,7 +22,7 @@ from collections.abc import Container
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import InvariantViolation, PathNotInTree
+from .errors import InvariantViolation, MOutOfRange, PathNotInTree
 from .graph import Graph, is_int, require_tree
 
 
@@ -141,9 +141,12 @@ def find_anchor(lab: PLabeling, m: int) -> int:
     The returned v satisfies: v or v+m is marked (a path vertex, or in
     R).  For a tree |P|/n is diam*, for a decomposition r.  Existence is
     guaranteed by an averaging argument; failure to find one means the
-    labeling is corrupt.
+    labeling is corrupt.  ``m`` must be an integer in 1..n - 1
+    (``MOutOfRange``).
     """
     n = lab.n
+    if not is_int(m) or not 1 <= m <= n - 1:
+        raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
     target = (lab.num_path * m) // n
     for v in range(1, n + 1):
         if lab.on_path[v] or lab.on_path[cyclic(v + m, n)]:

@@ -16,9 +16,9 @@ merging a child is one call of the row-wise min-plus kernel ``_minplus``
 over all rows.  Decomposition tables are padded with INF to their widest
 row.  A tree table over s of the forest's n vertices keeps only the
 counts max(0, s - (n - m))..min(s, m) that a cut of m vertices can give
-them, identical unordered subtrees, in any of its components, share one
-table, and a vertex's leaf children are merged in closed form, so the
-tree DP takes O(n * min(m, n - m)) time and memory.
+them, and identical unordered subtrees, in any of its components, share
+one table, so the tree DP takes O(n * min(m, n - m)) time and memory.
+Every child, a leaf too, is one merge into its parent's table.
 
 Both DPs share one engine, ``_Tables``, and end in its ``cut``: it fills
 the tables once, picks the root's state of least width at count m, and
@@ -314,10 +314,13 @@ class _TreeTables(_Tables):
     color at no cost.  ``run`` keeps one table per class of identical
     unordered subtrees, in any component, and no accumulations but the
     root's; the trace recomputes the followed row of any other vertex it
-    splits, in that vertex's own child order.  ``size`` holds the subtree
-    sizes, and ``cover`` the per-accumulation covers of the vertices the
-    trace splits.  ``orders`` are the components' BFS orders and
-    ``parent`` the parents of the sweep that found them.
+    splits, in that vertex's own child order.  ``leaf`` holds a vertex's
+    own rows over its band, white at count 0 and black at count 1, both
+    at no cost: every table starts from it, with one merge per child, and
+    every leaf shares it as its table.  ``size`` holds the subtree sizes,
+    and ``cover`` the per-accumulation covers of the vertices the trace
+    splits.  ``orders`` are the components' BFS orders and ``parent`` the
+    parents of the sweep that found them.
     """
 
     def __init__(self, g: Graph, orders: list[list[int]], parent: list[int], m: int, kept: _Kept):
@@ -332,9 +335,9 @@ class _TreeTables(_Tables):
         for v in reversed(self.order[1:]):
             self.size[parent[v]] += self.size[v]
         self.cover: dict[int, list[int]] = {}
-        self.closed: dict[int, np.ndarray] = {}
-        self.leaf = self.leaves(0)
-        self.leaf_best = _best(self.leaf)
+        lo, hi = _band(1, m, g.n)
+        c = np.arange(lo, hi + 1)
+        self.leaf = np.array([np.where(c == 0, 0, INF), np.where(c == 1, 0, INF)], dtype=np.int32)
 
     def band(self, v: int, idx: int) -> tuple[int, int]:
         if idx < 0:
@@ -344,28 +347,11 @@ class _TreeTables(_Tables):
             self.cover[v] = list(accumulate(sizes, initial=1 if v else 0))
         return _band(self.cover[v][idx], self.m, self.n)
 
-    def leaves(self, count: int) -> np.ndarray:
-        """A vertex merged with ``count`` leaf children, in closed form.
-
-        White, it pays one edge per black leaf: counts 0..count at cost
-        0..count.  Black, it pays one per white leaf: counts 1..count + 1
-        at cost count..0.  Built once per count and call, over its band.
-        """
-        if count not in self.closed:
-            lo, hi = _band(count + 1, self.m, self.n)
-            c = np.arange(lo, hi + 1)
-            white, black = np.where(c <= count, c, INF), np.where(c >= 1, count + 1 - c, INF)
-            self.closed[count] = np.array([white, black], dtype=np.int32)
-        return self.closed[count]
-
     def class_table(self, v: int) -> np.ndarray:
-        """Vertex v's table: its leaf children in closed form, then one merge per other child."""
+        """Vertex v's table: its own rows, then one merge per child."""
         m, n = self.m, self.n
-        inner = [u for u in self.children[v] if self.children[u]]
-        s = len(self.children[v]) - len(inner) + 1
-        acc = self.leaves(s - 1)
-        first = _band(s, m, n)[0]
-        for u in inner:
+        acc, s, first = self.leaf, 1, _band(1, m, n)[0]
+        for u in self.children[v]:
             s += self.size[u]
             lo, hi = _band(s, m, n)
             base = first + _band(self.size[u], m, n)[0]  # the count of index sum 0
@@ -404,10 +390,8 @@ class _TreeTables(_Tables):
 
     def child_rows(self, v: int, u: int, rows: int | slice | None) -> np.ndarray:
         du = self.kept.table[u]
-        if v == 0:
-            best = np.minimum(du[:1], du[1:])  # a component root takes either color
-        else:
-            best = self.leaf_best if du is self.leaf else _best(du)
+        # a component root under the virtual root takes either color
+        best = np.minimum(du[:1], du[1:]) if v == 0 else _best(du)
         return best if rows is None else best[rows]
 
     def child_state(self, v: int, u: int, s: int, part: np.ndarray, cu: int) -> tuple[int, int]:
@@ -479,11 +463,11 @@ def _dp_cut_tree(forest: Graph, m: int) -> tuple[Cut, int]:
 
     The forest is one tree under a virtual root.  Time and kept memory are
     O(n * min(m, n - m)): a table over s vertices keeps only the black
-    counts max(0, s - (n - m))..min(s, m) a cut can give them, identical
-    unordered subtrees, in one component or in several, share one table,
-    and a vertex's leaf children are merged in closed form.  Only the
-    tables stay, plus the virtual root's accumulations; the trace
-    recomputes the followed row of each vertex it splits.
+    counts max(0, s - (n - m))..min(s, m) a cut can give them, and
+    identical unordered subtrees, in one component or in several, share
+    one table, built with one merge per child.  Only the tables stay,
+    plus the virtual root's accumulations; the trace recomputes the
+    followed row of each vertex it splits.
     """
     orders, parent = component_orders(forest)
     kept = _Kept(mem_limit_bytes())

@@ -16,7 +16,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import FormatError, InvariantViolation, KsecError, NotATreeDecomposition
-from .graph import Graph, bad_pair, bfs_tree, is_int, require_tree
+from .graph import Graph, bad_pair, bfs_tree, comment_lines, is_int, require_tree
 
 
 class TreeDecomposition:
@@ -420,10 +420,11 @@ def parse_td(text: str) -> tuple[TreeDecomposition, int]:
 
 
 def write_td(td: TreeDecomposition, n: int, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"c {part}")
+    """The .td text of ``td`` for n vertices; ``KsecError`` names an n below a cluster vertex."""
+    top = max((v for bag in td.bags for v in bag), default=0)
+    if not is_int(n) or n < top:
+        raise KsecError(f"n={n!r} is not an integer >= {top}, the largest cluster vertex")
+    lines = comment_lines(comment)
     max_bag = max(len(b) for b in td.bags)
     lines.append(f"s td {td.num_nodes} {max_bag} {n}")
     for i in td.nodes():

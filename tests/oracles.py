@@ -102,18 +102,6 @@ def min_ksection_width(g, k) -> int:
     return best
 
 
-def naive_between(b, a, c, n) -> bool:
-    if a == c:
-        return b == a
-    x = a
-    while True:
-        if x == b:
-            return True
-        if x == c:
-            return False
-        x = x % n + 1
-
-
 def naive_cyclic_count(flagged: set, n: int, x: int, y: int) -> int:
     """|{v in flagged, v != y, v between x and y}| by walking the cycle."""
     x = (x - 1) % n + 1
@@ -294,12 +282,11 @@ def subtree_classes(g, ordered=False):
 
 
 def inner_merges(cls):
-    """Min-plus merges that build one table per class: one per child that is not a leaf.
+    """Min-plus merges that build one table per class: one per child, leaves included.
 
-    ``cls`` is ``subtree_classes``'s output; a class merges its leaf
-    children (class 0) in closed form.
+    ``cls`` is ``subtree_classes``'s output.
     """
-    return sum(1 for shape in set(cls.values()) for c in shape if c)
+    return sum(len(shape) for shape in set(cls.values()))
 
 
 def make_nonredundant_rescan(td):

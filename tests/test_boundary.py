@@ -23,9 +23,9 @@ from ksec.errors import (
     PathNotInTree,
     SizesDontSum,
 )
-from ksec.graph import Graph, KSection, cut_width, forest_summary
+from ksec.graph import Graph, KSection, cut_width, forest_summary, write_gr
 from ksec.instances import BadParameters, GeneratorSpec, generate
-from ksec.labeling import p_labeling
+from ksec.labeling import find_anchor, p_labeling
 from ksec.oracle import brute_min_ksection, dp_min_size_cut_td, dp_min_size_cut_tree
 from ksec.tdcut import approximate_cut_td, r_preserving_cut
 from ksec.treecut import approximate_cut, diameter_preserving_cut
@@ -36,6 +36,7 @@ from ksec.treedec import (
     td_summary,
     tree_to_width1_td,
     validation_errors,
+    write_td,
 )
 
 # a 5-cycle with a pendant vertex; BFS from 1 leaves (3,4) as the closing edge
@@ -93,6 +94,7 @@ CUT_ENTRY_POINTS = {
     "diameter_preserving_cut": lambda m: diameter_preserving_cut(path(6), m),
     "dp_min_size_cut_td": lambda m: dp_min_size_cut_td(path(6), tree_to_width1_td(path(6)), m),
     "dp_min_size_cut_tree": lambda m: dp_min_size_cut_tree(path(6), m),
+    "find_anchor": lambda m: find_anchor(p_labeling(path(6), [1, 2, 3, 4, 5, 6]), m),
     "r_preserving_cut": lambda m: r_preserving_cut(path(6), tree_to_width1_td(path(6)), m),
 }
 
@@ -118,6 +120,12 @@ K_ENTRY_POINTS = {
 def test_section_entry_points_name_a_k_that_is_not_an_integer(name, k):
     with pytest.raises(KOutOfRange, match=re.escape(f"k={k!r} must be an integer")):
         K_ENTRY_POINTS[name](k)
+
+
+@pytest.mark.parametrize("m", [0, 6])
+def test_find_anchor_names_an_m_out_of_range(m):
+    with pytest.raises(MOutOfRange, match=re.escape(f"m={m} not in 1..5")):
+        find_anchor(p_labeling(path(6), [1, 2, 3, 4, 5, 6]), m)
 
 
 def test_p_labeling_names_a_path_vertex_out_of_range():
@@ -207,6 +215,24 @@ COUNT_PARAMETERS = {
 @pytest.mark.parametrize("name", sorted(COUNT_PARAMETERS))
 def test_numeric_parameters_name_a_value_that_is_not_an_integer(name):
     call, named = COUNT_PARAMETERS[name]
+    with pytest.raises(KsecError, match=re.escape(named)):
+        call()
+
+
+# each writer, handed one argument that would write a malformed file or fail untyped
+WRITER_ARGUMENTS = {
+    "write_gr comment": (lambda: write_gr(path(3), comment=5), "comment=5 is not a string"),
+    "write_td comment": (lambda: write_td(tree_to_width1_td(path(3)), 3, comment=5),
+                         "comment=5 is not a string"),
+    "write_td n='x'": (lambda: write_td(tree_to_width1_td(path(3)), "x"),
+                       "n='x' is not an integer >= 3"),
+    "write_td n=1": (lambda: write_td(tree_to_width1_td(path(3)), 1), "n=1 is not an integer >= 3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_ARGUMENTS))
+def test_writers_name_a_bad_argument(name):
+    call, named = WRITER_ARGUMENTS[name]
     with pytest.raises(KsecError, match=re.escape(named)):
         call()
 

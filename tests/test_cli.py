@@ -104,7 +104,7 @@ def test_bench_adversarial_csv(tmp_path):
     out = tmp_path / "r.csv"
     assert run(["bench", "adversarial", "--heights", "2..3", "-k", "4",
                 "--seed", "1", "--csv", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 2
     assert rows[0]["family"] == "adversarial_ternary_path"
     assert int(rows[0]["width"]) <= float(rows[0]["bound_tree"])
@@ -115,11 +115,17 @@ def test_bench_adversarial_csv(tmp_path):
     assert list(rows[0].keys()) == RunRecord.csv_fields()
 
 
+@pytest.mark.parametrize("k", ["2,3", "x"])
+def test_bench_adversarial_takes_a_single_k(k, capsys):
+    assert run(["bench", "adversarial", "--heights", "2..2", "-k", k, "--seed", "1"]) == 2
+    assert f"error: adversarial suite takes a single k, got {k!r}" in capsys.readouterr().err
+
+
 def test_bench_random_trees_and_empty_suite(tmp_path):
     out = tmp_path / "rt.csv"
     assert run(["bench", "random-trees", "--count", "3", "--n", "10..40",
                 "-k", "2,3", "--seed", "9", "--csv", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 6
     for row in rows:
         assert int(row["width"]) <= float(row["bound_tree"])
@@ -134,7 +140,7 @@ def test_bench_partial_ktrees(tmp_path):
     out = tmp_path / "pk.csv"
     assert run(["bench", "partial-ktrees", "--count", "2", "--n", "10..30", "--t", "3",
                 "-k", "2", "--seed", "5", "--csv", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 2
     for row in rows:
         assert int(row["width"]) <= float(row["bound_td"])

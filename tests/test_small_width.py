@@ -146,7 +146,8 @@ def _count_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "arity, height, k, widths", [(3, 6, 2, [5]), (5, 4, 2, [6]), (4, 5, 3, [4, 3])]
+    "arity, height, k, widths",
+    [(3, 6, 2, [5]), (5, 4, 2, [6]), (4, 5, 3, [4, 3]), (7, 5, 2, [12])],
 )
 def test_the_tree_dp_runs_where_the_inner_optimum_exceeds_2(monkeypatch, arity, height, k, widths):
     calls = _count_calls(monkeypatch)

@@ -15,6 +15,7 @@ from ksec.instances import (
     Xorshift64Star,
     adversarial_ternary_path,
     caterpillar_graph,
+    perfect_dary_tree,
     random_tree_maxdeg,
     spider_graph,
 )
@@ -181,8 +182,6 @@ def test_case2b_and_3_internal_assertions():
 
 
 def test_pathological_families_all_m():
-    from ksec.instances import perfect_dary_tree, spider_graph
-
     broom = Graph(
         40, [(i, i + 1) for i in range(1, 20)] + [(20, v) for v in range(21, 41)]
     )
@@ -224,10 +223,12 @@ def _full_width_columns(forest, m):
 
 @pytest.fixture(scope="module")
 def inner_dps():
-    """The inner DPs of 10 real Case 2b, 3a and 3b cuts: (forest, m, ``TreeDPSpy`` state) each.
+    """The inner DPs of 12 real Case 2b, 3a and 3b cuts: (forest, m, ``TreeDPSpy`` state) each.
 
     The cuts' inner (forest, m) pairs are captured, then the tree DP
-    (``oracle._dp_cut_tree``) runs on each under the spy.
+    (``oracle._dp_cut_tree``) runs on each under the spy.  The last two
+    are the perfect d-ary cuts whose inner optimum (5 and 6) sends the
+    section itself to the DP.
     """
     inner = []
     with pytest.MonkeyPatch.context() as mp:
@@ -243,6 +244,7 @@ def inner_dps():
         cuts += [(adversarial_ternary_path(6), m) for m in (610, 1480, 2002)]
         cuts += [(caterpillar_graph(400), 65)]
         cuts += [(random_tree_maxdeg(n, 6, rng), n // 2) for n in (1500, 3000)]
+        cuts += [(perfect_dary_tree(3, 6), 547), (perfect_dary_tree(5, 4), 391)]
         for g, m in cuts:
             diameter_preserving_cut(g, m)
     assert len(inner) == len(cuts)
@@ -277,10 +279,10 @@ def test_inner_exact_cut_keeps_the_count_band_and_builds_each_subtree_class_once
 
 
 def test_inner_exact_cut_merges_once_per_inner_child_of_each_subtree_class(inner_dps):
-    """Counted, not timed: the kernel calls of the inner DP of 10 real cuts.
+    """Counted, not timed: the kernel calls of the inner DP of 12 real cuts.
 
-    Building the tables takes one two-row ``_minplus`` call per child that
-    is not a leaf, summed over the classes of identical unordered
+    Building the tables takes one two-row ``_minplus`` call per child,
+    leaves included, summed over the classes of identical unordered
     subtrees, and one one-row call per component at the virtual root.  The
     trace adds at most one one-row call per child of each vertex whose row
     it recomputes.
