@@ -22,7 +22,7 @@ from collections.abc import Container
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import InvariantViolation, MOutOfRange, PathNotInTree
+from .errors import InvariantViolation, KsecError, MOutOfRange, NotAPartition, PathNotInTree
 from .graph import Graph, is_int, require_tree
 
 
@@ -48,12 +48,22 @@ class PLabeling:
 
     @classmethod
     def from_blocks(cls, blocks: list[list[int]], marked: Container[int]) -> "PLabeling":
-        """Label the vertices of the blocks 1..n in order; the blocks partition 1..n."""
+        """Label the vertices of the blocks 1..n in order; the blocks partition 1..n.
+
+        ``NotAPartition`` names a vertex out of 1..n, or one in no block.
+        """
         order = [v for block in blocks for v in block]
         n = len(order)
         label_of = [0] * (n + 1)
-        for lbl, v in enumerate(order, start=1):
-            label_of[v] = lbl
+        try:
+            for lbl, v in enumerate(order, start=1):
+                label_of[v] = lbl
+        except (IndexError, TypeError):
+            raise NotAPartition(f"PLabeling: block vertex {v!r} out of vertex range 1..{n}") from None
+        if n and min(order) < 1:  # a negative id indexes from the end
+            raise NotAPartition(f"PLabeling: block vertex {min(order)} out of vertex range 1..{n}")
+        if label_of.count(0) > 1:  # with every id in 1..n, one came twice
+            raise NotAPartition(f"PLabeling: vertex {label_of.index(0, 1)} lies in no block")
         on_path = (False, *map(marked.__contains__, order))
         prefix = (0, *accumulate(on_path[1:], initial=0))
         return cls(
@@ -71,6 +81,8 @@ class PLabeling:
 
     def block(self, label: int) -> tuple[int, int, int]:
         """(i, first, last): block i holds the labels first..last, ``label`` (cyclic) among them."""
+        if not is_int(label):
+            raise KsecError(f"PLabeling.block: label {label!r} is not an integer")
         ends = self.ends
         i = bisect_left(ends, cyclic(label, self.n))
         return i, ends[i - 1] + 1 if i else 1, ends[i]

@@ -8,10 +8,12 @@ Two operations:
 * ``diameter_preserving_cut`` -- |B| = m and diam*(G[W]) >= diam*(G),
                                the workhorse the k-section loop iterates.
 
-The second one follows a five-way case analysis over the anchor position
-in the path labeling; the executed case is recorded in a trace.  Its
-inner exact-size cut is ``oracle.dp_min_size_cut_tree``, whose optimum
-meets the relative-diameter guarantees since cuts within them exist.
+The second one links a forest's components into a tree along the chain
+of their longest paths, labels it along that chain, and follows a
+five-way case analysis over the anchor position in the labeling; the
+executed case is recorded in a trace.  Its inner exact-size cut is
+``oracle.dp_min_size_cut_tree``, whose optimum meets the
+relative-diameter guarantees since cuts within them exist.
 That cut is found by a search over the cuts of at most 2 edges, which
 answers every inner cut of the seeded random and adversarial trees; the
 tree DP runs only where the optimum is wider.  Among the optimal inner
@@ -33,7 +35,6 @@ from .graph import (
     TreeSummary,
     bfs_tree,
     boundary_width,
-    forest_summary,
     induced_sorted,
     is_int,
     link_summarized,
@@ -139,24 +140,6 @@ def _approximate_cut(tree: Graph, v: int, m: int) -> frozenset:
     return frozenset(black)
 
 
-def _deg2_cut(g: Graph, comps: list[TreeSummary], m: int) -> tuple[Cut, DiamCutTrace]:
-    """Forests of maximum degree <= 2 are disjoint paths: take a prefix.
-
-    Each component's longest path is the whole component, starting at its
-    smaller end.
-    """
-    black: set[int] = set()
-    need = m
-    for comp in comps:
-        if need == 0:
-            break
-        take = min(need, len(comp.path))
-        black.update(comp.path[:take])
-        need -= take
-    cut = Cut._trusted(g, black)
-    return cut, DiamCutTrace(case_tag="Deg2", m=m)
-
-
 def _subtree_cut(tree: Graph, members: frozenset, z: int, m_tilde: int) -> frozenset:
     """Black set of an approximate m̃-cut inside T_z keeping z white, in original ids."""
     old_of = sorted(members)
@@ -191,7 +174,10 @@ def diameter_preserving_cut(
 
     Disconnected inputs are linked into a tree first; any cut of the
     linked tree only loses width when read back in the forest, and
-    removing the linking edges cannot decrease diam* of G[W].
+    removing the linking edges cannot decrease diam* of G[W].  The
+    labeling runs along the chain of the components' longest paths, a
+    longest path of the linked tree; a forest of paths lies wholly on it,
+    so its cut is the chain's first m vertices (``Case1``).
 
     ``comps`` is ``forest_summary(forest)`` when the caller already has
     it (the peel loop does).  It replaces the forest check and is checked
@@ -208,12 +194,8 @@ def diameter_preserving_cut(
         )
     if not is_int(m) or not (1 <= m <= n - 1):
         raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
-    delta = max_degree(forest)
-    if delta <= 2:
-        return _deg2_cut(forest, comps, m)
-
     tree = link_summarized(forest, comps)
-    path = comps[0].path if tree is forest else forest_summary(tree)[0].path
+    path = [v for c in comps for v in c.path]
     lab = _p_labeling(tree, path)
     floor_dm = (lab.num_path * m) // n
     v = find_anchor(lab, m)
@@ -260,7 +242,7 @@ def diameter_preserving_cut(
     inner_cut, inner_width = oracle.dp_min_size_cut_tree(inner, m, outside=outside)
     black = {old_of[u - 1] for u in inner_cut.black}
     outer = boundary_width(tree, v_tilde)
-    if outer > 2 * delta:
+    if outer > 2 * max_degree(forest):
         raise InvariantViolation(f"{case}: outer cut exceeds 2Δ")
     cut = Cut._trusted(forest, black)
     return cut, DiamCutTrace(

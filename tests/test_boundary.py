@@ -25,7 +25,7 @@ from ksec.errors import (
 )
 from ksec.graph import Graph, KSection, cut_width, forest_summary, write_gr
 from ksec.instances import BadParameters, GeneratorSpec, generate
-from ksec.labeling import find_anchor, p_labeling
+from ksec.labeling import PLabeling, find_anchor, p_labeling
 from ksec.oracle import brute_min_ksection, dp_min_size_cut_td, dp_min_size_cut_tree
 from ksec.tdcut import approximate_cut_td, r_preserving_cut
 from ksec.treecut import approximate_cut, diameter_preserving_cut
@@ -138,6 +138,21 @@ def test_p_labeling_names_a_path_vertex_out_of_range():
     for flag in (True, False):  # a bool is no vertex, though it is an int
         with pytest.raises(PathNotInTree, match=f"path vertex {flag}"):
             p_labeling(path(6), [flag, 2])
+
+
+@pytest.mark.parametrize(
+    "blocks, named",
+    [([[1], [1]], "vertex 2 lies in no block"),
+     ([[5]], "block vertex 5 out of vertex range 1..1")],
+)
+def test_plabeling_names_blocks_that_do_not_partition(blocks, named):
+    with pytest.raises(NotAPartition, match=re.escape(named)):
+        PLabeling.from_blocks(blocks, {1})
+
+
+def test_plabeling_block_names_a_label_that_is_not_an_integer():
+    with pytest.raises(KsecError, match=re.escape("label 0.5 is not an integer")):
+        p_labeling(path(6), [1, 2, 3]).block(0.5)
 
 
 def test_graph_names_a_bool_vertex_id():

@@ -204,13 +204,20 @@ def test_ksection_tree_balance_for_every_k():
         check_section(g, section, k)
 
 
-def test_tree_peel_rounds_build_no_checked_graph_and_two_summaries_a_round(monkeypatch):
-    """After the entry point every graph is derived, and each round summarizes two forests.
+@pytest.mark.parametrize("instance", [
+    lambda: random_tree_maxdeg(2000, 6, Xorshift64Star(2000)),
+    lambda: random_tree_maxdeg(16000, 6, Xorshift64Star(5)),
+    lambda: adversarial_ternary_path(5),
+], ids=["random-n2000", "random-n16000", "adversarial-h5"])
+def test_tree_peel_rounds_build_no_checked_graph_and_one_summary_a_round(monkeypatch, instance):
+    """After the entry point every graph is derived, and a section summarizes k forests.
 
-    The remainder and the linked tree are summarized once each; the inner
-    DP checks its forest from the BFS sweep it needs anyway.
+    They are the input and the k - 1 remainders.  The cut labels the
+    linked tree along the chain of the remainder's longest paths, so it
+    summarizes nothing; the inner DP checks its forest from the BFS sweep
+    it needs anyway.
     """
-    g = random_tree_maxdeg(2000, 6, Xorshift64Star(2000))
+    g = instance()
     k = 16
     built, summaries = [], []
     init = Graph.__init__
@@ -231,7 +238,7 @@ def test_tree_peel_rounds_build_no_checked_graph_and_two_summaries_a_round(monke
             monkeypatch.setattr(mod, "forest_summary", summarize)
     section, _ = ksection_tree(g, k)
     assert built == []
-    assert 1 + (k - 1) <= len(summaries) <= 1 + 2 * (k - 1)
+    assert len(summaries) == k
     monkeypatch.undo()
     check_section(g, section, k)
 

@@ -274,7 +274,12 @@ def test_trusted_derived_graphs_equal_checked_ones(seed, use_ktree):
     if not use_ktree:
         comps = forest_summary(g)
         links = [(a.path[-1], b.path[0]) for a, b in zip(comps, comps[1:])]
-        assert_checked_equal(link_summarized(g, comps), g.n, list(g.edges) + links)
+        linked = link_summarized(g, comps)
+        assert_checked_equal(linked, g.n, list(g.edges) + links)
+        # the chained longest paths are a longest path of the linked tree
+        chain = [v for c in comps for v in c.path]
+        assert all(linked.has_edge(a, b) for a, b in zip(chain, chain[1:]))
+        assert len(chain) - 1 == oracles.bfs_diameter(linked)
 
 
 @settings(max_examples=300, deadline=None)

@@ -19,7 +19,7 @@ from conftest import path, star_comb
 from ksec import oracle
 from ksec.engine import ksection_tree, ksection_tree_detailed
 from ksec.errors import KsecError
-from ksec.graph import Cut, component_orders
+from ksec.graph import Cut, Graph, component_orders
 from ksec.instances import (
     Xorshift64Star,
     adversarial_ternary_path,
@@ -170,3 +170,18 @@ def test_the_tree_dp_never_runs_on_the_adversarial_family(monkeypatch, height):
     for k in (2, 4, 16):
         ksection_tree(adversarial_ternary_path(height), k)
     assert calls["public"] and not calls["dp"]
+
+
+def test_the_width_2_work_cap_sends_a_width_2_cut_to_the_tree_dp(monkeypatch):
+    """Eight perfect d-ary trees side by side: width 2 would scan past SEARCH_WORK * n."""
+    edges, total = [], 0
+    for arity, height in [(3, 5), (4, 4), (5, 3), (3, 4), (6, 3), (7, 3), (2, 7), (3, 6)]:
+        part = perfect_dary_tree(arity, height)
+        edges += [(u + total, v + total) for u, v in part.edges]
+        total += part.n
+    g, m = Graph(total, edges), 1079
+    assert g.n == 2989 and not _under_caps(g, m)
+    calls = _count_calls(monkeypatch)
+    cut, width = oracle.dp_min_size_cut_tree(g, m)
+    assert width == 2 == Cut.from_black(g, cut.black).width and len(cut.black) == m
+    assert calls["dp"] == [m]

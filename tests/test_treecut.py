@@ -8,6 +8,7 @@ from ksec import bounds, oracle
 from ksec.errors import MOutOfRange
 from ksec.graph import (
     Graph,
+    forest_summary,
     induced_subgraph,
     max_degree,
 )
@@ -112,10 +113,16 @@ def check_diam_cut(g, m, cut):
         assert bounds.tree_cut_bound_improved_holds(cut.width, d, delta)
 
 
+def chain(g):
+    """The forest's longest paths in component order, the path its cut labels along."""
+    return [v for c in forest_summary(g) for v in c.path]
+
+
 def test_diameter_preserving_cut_path():
     g = path(10)
     cut, trace = diameter_preserving_cut(g, 3)
-    assert trace.case_tag == "Deg2"
+    assert trace.case_tag == "Case1"
+    assert cut.black == frozenset(chain(g)[:3])
     assert cut.width <= 1
     check_diam_cut(g, 3, cut)
     rest, _ = induced_subgraph(g, sorted(cut.white))
@@ -126,11 +133,21 @@ def test_diameter_preserving_cut_two_paths():
     g = Graph(9, [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8), (8, 9)])
     for m in range(1, 9):
         cut, trace = diameter_preserving_cut(g, m)
-        assert trace.case_tag == "Deg2"
+        assert trace.case_tag == "Case1"
+        assert cut.black == frozenset(chain(g)[:m])
         assert cut.width <= 2
         check_diam_cut(g, m, cut)
         rest, _ = induced_subgraph(g, sorted(cut.white))
         assert diam_star(rest) == 1
+    # a forest of paths lies wholly on its chain: every cut is the chain's prefix
+    rng = Xorshift64Star(2024)
+    for _ in range(60):
+        g = oracles.random_forest(rng, n_lo=2, n_hi=40, max_degree=2, drop=12)
+        prefix = chain(g)
+        for m in range(1, g.n):
+            cut, trace = diameter_preserving_cut(g, m)
+            assert trace.case_tag == "Case1" and trace.anchor == 1
+            assert cut.black == frozenset(prefix[:m])
 
 
 def test_diameter_preserving_cut_caterpillar16_case():
@@ -171,7 +188,6 @@ def test_case2b_and_3_internal_assertions():
             assert trace.outer_width <= 2 * max_degree(g)
         if trace.case_tag == "Case2b":
             # the inner graph splits: the approximate cut side is detached
-            from ksec.graph import forest_summary
             from ksec.graph import induced_subgraph as sub
 
             inner, _ = sub(g, sorted(trace.v_tilde))
