@@ -86,7 +86,7 @@ CASES = {
 }
 
 EXPECTED = {
-    "adversarial-h4-k16": "5e622abd4fdb1db7c8cd218392267b7556aea75285207f43db2c90f1f40e4721",
+    "adversarial-h4-k16": "eb1256792668c8a3285dcc8ee00ea2a3ea80cc7d81b4c3c92afc7eebcb5715b0",
     "adversarial-h4-k2": "3b94a5310c767ca911bab205e6ba05a3279de245e772b92b32974e33c34112b8",
     "adversarial-h4-k3": "f0278caebeb41df07ba9177e678aeda221e127574b2fab6a39e44647ea6abe77",
     "adversarial-h6-k2": "70488a951e4335939c3b41c0b563427be1c32d7722c53f96ba9ede0a0de9a88a",
@@ -100,12 +100,12 @@ EXPECTED = {
     "td-s44-n200-k4": "79aa91defba1952cfcd6f2c01270726913d7d175ea86d1d7e52b15df3bbca6fe",
     "td-s51-n1000-k4": "c256296b653fe6884406cf95b168d0f2892da2d546713d39f0a01c567d77ece0",
     "tree-s11-n200-k2": "9496a1d556c4319bbc1e2761ea8d9c6094f63aaff04c29a5a8a7398879c9d8ca",
-    "tree-s12-n200-k16": "a19d6a0a3c198b3236a93098201ca907e507bcc8f37b174fab1ccbf47120547a",
+    "tree-s12-n200-k16": "8070807933b2377042a7cb23660733417ba870be5a121e9c2aeede2e42745ab7",
     "tree-s13-n700-k3": "e7ebf9479584c632a1a2e6063f01ed35fa51c70f7a90437ae09cd7ef89d83b8d",
-    "tree-s14-n1200-k16": "438fe8810a9129aed7c93aa9a65ba998570e7555af25d87cda28f6f1c1bf73d3",
+    "tree-s14-n1200-k16": "ff9d7da051791a088965f18125a82f14a07f2432e1027b815fca6963d2f91a87",
     "tree-s15-n2000-k2": "29946586cf0212af3bb4da0b6798e6cfaf92ae2e4da2f6c4755119a111907b1b",
-    "tree-s16-n2000-k16": "afe708fdc980f5ecf9bf6a7939450741f7f9123912759df20b82f8ee2b194552",
-    "tree-s19-n300-k16-cap3": "3a325103af65ea9d34ed204ce38f22c27c96f52cb0e11f6aa4e29a66e5445110",
+    "tree-s16-n2000-k16": "90dda21a7aa85f562fcf30470d70b23ec6e8e354de21e6cabdf519bc15c86201",
+    "tree-s19-n300-k16-cap3": "00f5aab831e94e6f376b8cc9373eb4dd6ca590f0799dfe148b22a83e5fcffc48",
 }
 
 
@@ -140,7 +140,7 @@ CLI_EXPECTED = {
     "labeling-s63-n120": "f3fff65f7c30c3424ab7baeb2be58a6c60cb2d2d072aadf85306610ff001e6d0",
     "td-s62-n150-k4": "a5a9c9ece5426104faecb41752fd3bd8d4c6358cf2dc642d1b544a74cfe431c0",
     "tree-adversarial-h4-k3": "6d37dcb1b7cc46072d0d1eaf634a50510345447f8194e699baa85dd8a87c389c",
-    "tree-s61-n400-k4": "31e7c8068ca0c6e3d8d07b773502c68f2f543b691cbb3df8b05c062d417dde99",
+    "tree-s61-n400-k4": "87aa214bb704b199ab686b5534400876adfdff3a251e07b1b1aba064f899d68a",
 }
 
 
@@ -170,7 +170,7 @@ BENCH_CASES = {
 BENCH_EXPECTED = {
     "adversarial-h3..5-k4": "f418f97ef5d3fddf59c1093c6eb53e2154b4ef735f4c50d88840becbdff2af9d",
     "partial-ktrees-s72": "b259d5c65b0d5d5290c6942d95edd762f041619ba89abb8d76e1b4b5767eb94b",
-    "random-trees-s71": "6a2229eb9971162f185cf7cead72a95649d3267349224af330ce0c7cb184fb26",
+    "random-trees-s71": "6c1e130b1ad2bfb113655b312d5b945012aa04f851041b9c501c1f28be6205c0",
 }
 
 
