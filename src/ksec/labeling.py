@@ -77,6 +77,8 @@ class PLabeling:
         )
 
     def vertex(self, label: int) -> int:
+        if not is_int(label):
+            raise KsecError(f"PLabeling.vertex: label {label!r} is not an integer")
         return self.vertex_of[cyclic(label, self.n)]
 
     def block(self, label: int) -> tuple[int, int, int]:

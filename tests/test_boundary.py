@@ -150,9 +150,11 @@ def test_plabeling_names_blocks_that_do_not_partition(blocks, named):
         PLabeling.from_blocks(blocks, {1})
 
 
-def test_plabeling_block_names_a_label_that_is_not_an_integer():
-    with pytest.raises(KsecError, match=re.escape("label 0.5 is not an integer")):
-        p_labeling(path(6), [1, 2, 3]).block(0.5)
+@pytest.mark.parametrize("method", ["block", "vertex"])
+def test_plabeling_names_a_label_that_is_not_an_integer(method):
+    lab = p_labeling(path(6), [1, 2, 3])
+    with pytest.raises(KsecError, match=re.escape(f"{method}: label 0.5 is not an integer")):
+        getattr(lab, method)(0.5)
 
 
 def test_graph_names_a_bool_vertex_id():
