@@ -310,15 +310,32 @@ def summary_relative_diameter(comps: Sequence[TreeSummary], n: int) -> Fraction:
 
 
 def cut_width(g: Graph, parts: Sequence[Iterable[int]]) -> int:
-    """Number of edges of g whose endpoints lie in distinct parts."""
-    part_of = [-1] * (g.n + 1)
+    """Number of edges of g whose endpoints lie in distinct parts.
+
+    ``NotAPartition`` names a vertex repeated or out of range, or says
+    that the parts miss one.  Parts of plain ``int`` ids in 1..n, each
+    once, pass with C-level scans; only other input is scanned vertex by
+    vertex, to name the witness.
+    """
+    n = g.n
+    parts = [list(p) for p in parts]
+    flat = list(chain.from_iterable(parts))
+    if not (
+        set(map(type, flat)) <= {int}
+        and (not flat or (1 <= min(flat) and max(flat) <= n))
+        and len(set(flat)) == len(flat)
+    ):
+        seen = [False] * (n + 1)
+        for v in flat:
+            if not (is_int(v) and 1 <= v <= n) or seen[v]:
+                raise NotAPartition(f"vertex {v!r} repeated or out of range")
+            seen[v] = True
+    if len(flat) != n:
+        raise NotAPartition("parts do not cover the vertex set")
+    part_of = [0] * (n + 1)
     for idx, part in enumerate(parts):
         for v in part:
-            if not (is_int(v) and 1 <= v <= g.n) or part_of[v] != -1:
-                raise NotAPartition(f"vertex {v!r} repeated or out of range")
             part_of[v] = idx
-    if any(part_of[v] == -1 for v in g.vertices()):
-        raise NotAPartition("parts do not cover the vertex set")
     return sum(1 for (u, v) in g.edges if part_of[u] != part_of[v])
 
 

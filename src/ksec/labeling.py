@@ -54,6 +54,10 @@ class PLabeling:
         """
         order = [v for block in blocks for v in block]
         n = len(order)
+        if not set(map(type, order)) <= {int}:  # a bool would pass as 0 or 1 below
+            bad = next((v for v in order if not is_int(v)), None)
+            if bad is not None:
+                raise NotAPartition(f"PLabeling: block vertex {bad!r} out of vertex range 1..{n}")
         label_of = [0] * (n + 1)
         try:
             for lbl, v in enumerate(order, start=1):

@@ -31,15 +31,18 @@ times its table, and each child's table reduced to the coloring of the
 cluster it shares with its parent.  A tree subtree whose traced count is
 0 or its size can take one coloring only, so the trace paints it whole
 without splitting counts.  One hard memory guard (KSEC_MAX_MEM_MB)
-counts every distinct kept array once, at its allocated bytes; it drops
-the decomposition's accumulations first and trips only when the arrays
-that must stay exceed it.
+counts every kept array at its allocated bytes: a table that identical
+tree subtrees share once, and an array that decomposition nodes of one
+shape share at every node that keeps it.  It drops the decomposition's
+accumulations first and trips only when the arrays that must stay
+exceed it.
 """
 
 from __future__ import annotations
 
 import functools
 from itertools import accumulate, combinations
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -800,6 +803,51 @@ def _pack(b: int, positions: list[int]) -> np.ndarray:
     return _bits(b)[:, positions] @ (1 << np.arange(len(positions)))
 
 
+def _reduction_plan(bj: int, at_j: tuple, bi: int, at_i: tuple) -> tuple:
+    """The index work of reducing a child's table to the vertices it shares with its parent.
+
+    The child's cluster has bj vertices and the parent's bi; the shared
+    ones sit at positions ``at_j`` and ``at_i``.  A row's key packs the
+    shared colors in bag(j) order, and its shift is the key's number of
+    black vertices.  Returns the child's rows sorted by (shift, key),
+    stably, so a key's rows ascend; for each shift s >= 1, the run lo..hi
+    of the sorted keys that take it; each key's place in that order; and
+    for each coloring of bag(i) the key of its row, in the smallest
+    unsigned dtype that holds every key.  The arrays are read-only:
+    children of one shape share them.
+    """
+    shared = len(at_j)
+    by_shift = np.argsort(_bits(shared).sum(axis=1), kind="stable")
+    place = np.empty_like(by_shift)
+    place[by_shift] = np.arange(len(by_shift))
+    order = np.argsort(place[_pack(bj, list(at_j))], kind="stable")
+    first = list(accumulate((comb(shared, s) for s in range(shared + 1)), initial=0))
+    runs = [(s, first[s], first[s + 1]) for s in range(1, shared + 1)]
+    gather = _pack(bi, list(at_i)).astype(np.min_scalar_type((1 << shared) - 1))
+    for a in (order, place, gather):
+        a.flags.writeable = False
+    return order, runs, place, gather
+
+
+def _own_table(b: int, pairs: tuple, cap: int) -> np.ndarray:
+    """Own rows of a cluster of b vertices whose charged edges join the positions ``pairs``.
+
+    Row mask holds, at the mask's black count, the number of those edges
+    the mask cuts, and INF elsewhere; a row of more than ``cap`` black
+    vertices is all INF.  Read-only, as nodes of one pattern share it.
+    """
+    bits = _bits(b)
+    blacks = bits.sum(axis=1)
+    cost = np.zeros(len(bits), dtype=np.int32)
+    for p, q in pairs:
+        cost += bits[:, p] != bits[:, q]
+    t = np.full((len(bits), min(b, cap) + 1), INF, dtype=np.int32)
+    fit = np.flatnonzero(blacks <= cap)
+    t[fit, blacks[fit]] = cost[fit]
+    t.flags.writeable = False
+    return t
+
+
 class _TDTables(_Tables):
     """Per-node DP tables over the decomposition, rooted at node 1.
 
@@ -807,7 +855,11 @@ class _TDTables(_Tables):
     colors the p-th smallest cluster vertex.  A child's rows come from its
     table reduced to the coloring of the vertices it shares with its
     parent; ``red`` keeps each reduction, which the memory guard counts
-    as arrays that must stay.
+    as arrays that must stay.  A reduction's index work depends only on
+    the shape of the two clusters, and a node's own rows only on its
+    cluster size and the positions of the edges charged to it, so one DP
+    builds each once (``plans``, ``owns``) and nodes of one shape share it;
+    the memory guard still counts a shared array at every node.
     """
 
     def __init__(self, g: Graph, td: TreeDecomposition, cap: int, kept: _Kept):
@@ -819,14 +871,19 @@ class _TDTables(_Tables):
         }
         self.bag_list = {i: sorted(td.bag(i)) for i in td.nodes()}
         self.pos = {i: {v: p for p, v in enumerate(self.bag_list[i])} for i in td.nodes()}
-        # each edge is charged to the smallest node whose cluster contains it
-        self.cost_edges: dict[int, list[tuple[int, int]]] = {i: [] for i in td.nodes()}
+        # each edge is charged to the smallest node whose cluster contains it, as the
+        # positions of its ends there; sorted edges give sorted pairs
+        pairs: dict[int, list[tuple[int, int]]] = {i: [] for i in td.nodes()}
         occ = occurrences(td)
         for u, v in sorted(g.edges):
             home = edge_home(td, occ, u, v)
             if home is None:
                 raise InvariantViolation(f"edge ({u},{v}) not covered by any cluster (T2 fails)")
-            self.cost_edges[home].append((u, v))
+            pairs[home].append((self.pos[home][u], self.pos[home][v]))
+        self.own_key = {i: (len(self.bag_list[i]), tuple(p)) for i, p in pairs.items()}
+        self.owns: dict[tuple, np.ndarray] = {}
+        self.plans: dict[tuple, tuple] = {}
+        self.plan_of: dict[int, tuple] = {}  # child -> its reduction's plan
         self.red: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def band(self, i: int, idx: int) -> tuple[int, int]:
@@ -834,21 +891,17 @@ class _TDTables(_Tables):
 
     def own(self, i: int, rows: slice | None) -> np.ndarray:
         """Node i's base rows: the cut edges charged to it, at the cluster's own black count."""
-        pos = self.pos[i]
-        bits = _bits(len(pos)) if rows is None else _bits(len(pos))[rows]
-        blacks = bits.sum(axis=1)
-        cost = np.zeros(len(bits), dtype=np.int32)
-        for u, v in self.cost_edges[i]:
-            cost += bits[:, pos[u]] != bits[:, pos[v]]
-        t = np.full((len(bits), min(len(pos), self.cap) + 1), INF, dtype=np.int32)
-        fit = np.flatnonzero(blacks <= self.cap)
-        t[fit, blacks[fit]] = cost[fit]
-        return t
+        key = self.own_key[i]
+        t = self.owns.get(key)
+        if t is None:
+            t = self.owns[key] = _own_table(*key, self.cap)
+        return t if rows is None else t[rows]
 
-    def _shared(self, i: int, j: int) -> tuple[list[int], list[int]]:
+    def _shared(self, i: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Positions in bag(j) and in bag(i) of the vertices the two clusters share."""
-        shared = [v for v in self.bag_list[j] if v in self.pos[i]]
-        return [self.pos[j][v] for v in shared], [self.pos[i][v] for v in shared]
+        pos_i, pos_j = self.pos[i], self.pos[j]
+        shared = [v for v in self.bag_list[j] if v in pos_i]
+        return tuple(pos_j[v] for v in shared), tuple(pos_i[v] for v in shared)
 
     def reduce_child(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """Group the child table by the coloring of the shared vertices.
@@ -856,22 +909,23 @@ class _TDTables(_Tables):
         Returns the reduction, whose row key (the shared vertices' colors
         packed in bag(j) order) holds at column c the best child entry with
         c black vertices counted below j but outside the shared set, and
-        for each coloring of bag(i) the key of its row, in the smallest
-        unsigned dtype that holds every key.
+        for each coloring of bag(i) the key of its row (``_reduction_plan``).
         """
         at_j, at_i = self._shared(i, j)
+        shape = (len(self.bag_list[j]), at_j, len(self.bag_list[i]), at_i)
+        plan = self.plans.get(shape)
+        if plan is None:
+            plan = self.plans[shape] = _reduction_plan(*shape)
+        order, runs, place, gather = self.plan_of[j] = plan
         tab = self.kept.table[j]
         width = tab.shape[1]
-        # keys packed to 0..2^|shared| - 1; once sorted, each key's rows form one block
-        keys = _pack(len(self.bag_list[j]), at_j)
-        grouped = tab[np.argsort(keys, kind="stable")].reshape(1 << len(at_j), -1, width)
-        padded = np.full((len(grouped), width + len(at_j)), INF, dtype=np.int32)
-        padded[:, :width] = grouped.min(axis=1)
-        # shift each key's row left by its number of shared black vertices
-        shift = _bits(len(at_j)).sum(axis=1)
-        mat = padded[np.arange(len(padded))[:, None], np.arange(width) + shift[:, None]]
-        gather = _pack(len(self.bag_list[i]), at_i)
-        return mat, gather.astype(np.min_scalar_type(len(mat) - 1))
+        # once sorted, each key's rows form one block, and the keys of one shift one run
+        red = tab[order].reshape(len(place), -1, width).min(axis=1)
+        for s, lo, hi in runs:  # shift each key's row left by its number of shared black vertices
+            cut = min(s, width)
+            red[lo:hi, : width - cut] = red[lo:hi, cut:]
+            red[lo:hi, width - cut :] = INF
+        return red[place], gather
 
     def child_rows(self, i: int, j: int, rows: int | slice | None) -> np.ndarray:
         if j not in self.red:
@@ -882,12 +936,15 @@ class _TDTables(_Tables):
 
     def child_state(self, i: int, j: int, s: int, part: np.ndarray, ct: int) -> tuple[int, int]:
         """Smallest coloring of bag(j) agreeing with s on the shared vertices that gave part[ct]."""
-        key = int(self.red[j][1][s])
+        order, _, place, gather = self.plan_of[j]
+        key = int(gather[s])
         c = ct + key.bit_count()
         tab = self.kept.table[j]
         if c < tab.shape[1]:
-            keys = _pack(len(self.bag_list[j]), self._shared(i, j)[0])
-            hits = np.flatnonzero((keys == key) & (tab[:, c] == part[ct]))
+            block = len(order) // len(place)  # the key's rows, ascending
+            at = int(place[key]) * block
+            rows = order[at : at + block]
+            hits = rows[tab[rows, c] == part[ct]]
             if len(hits):
                 return int(hits[0]), c
         raise InvariantViolation("exact-cut DP trace failed on a cluster coloring")

@@ -299,7 +299,8 @@ def _glue_decompositions(
 
     Copy 1 covers the non-split side, copy 2 the approximate-cut side;
     the new edge runs from the far path end j0 (copy 1) to the smallest
-    copy-2 node with a nonempty cluster.
+    copy-2 node with a nonempty cluster.  Two copies of td0's checked
+    tree joined by one edge form a tree, so nothing is checked again.
     """
     rest_set = {new_of[v] for v in vt_sorted} - b_local
     bags1 = []
@@ -310,7 +311,9 @@ def _glue_decompositions(
         bags2.append(frozenset(local & b_local))
     num = td0.num_nodes
     h0 = next(i for i, b in enumerate(bags2, start=1) if b)
-    edges = list(td0.tree_edges)
-    edges += [(i + num, j + num) for (i, j) in td0.tree_edges]
-    edges.append((j0, h0 + num))
-    return TreeDecomposition(bags1 + bags2, edges)
+    # copy 2's nodes all follow copy 1's, so the bridge keeps both adjacencies sorted
+    adj = [*td0.tree_adj, *(tuple(x + num for x in a) for a in td0.tree_adj[1:])]
+    adj[j0] += (h0 + num,)
+    adj[h0 + num] = (j0, *adj[h0 + num])
+    edges = {*td0.tree_edges, *((i + num, j + num) for i, j in td0.tree_edges), (j0, h0 + num)}
+    return TreeDecomposition._trusted(tuple(bags1 + bags2), tuple(adj), frozenset(edges))

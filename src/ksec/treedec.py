@@ -57,6 +57,21 @@ class TreeDecomposition:
         self.tree_adj = tuple(tuple(sorted(a)) for a in adj)
         self.tree_edges = frozenset(edge_set)
 
+    @classmethod
+    def _trusted(cls, bags: tuple, tree_adj: tuple, tree_edges: frozenset) -> "TreeDecomposition":
+        """A decomposition whose tree is built from checked ones; nothing is checked.
+
+        ``bags`` are frozensets of ids, ``tree_adj[i]`` is the sorted tuple
+        of node i's neighbors (``tree_adj[0]`` is empty), and ``tree_edges``
+        holds each tree edge as (smaller node, larger node) and forms a tree.
+        """
+        out = cls.__new__(cls)
+        out.num_nodes = len(bags)
+        out.bags = bags
+        out.tree_adj = tree_adj
+        out.tree_edges = tree_edges
+        return out
+
     def bag(self, i: int) -> frozenset:
         return self.bags[i - 1]
 
@@ -169,12 +184,7 @@ def require_decomposition(td: TreeDecomposition, g: Graph, who: str) -> None:
 
 def _with_bags(td: TreeDecomposition, bags: Iterable[frozenset]) -> TreeDecomposition:
     """``td``'s own tree with new clusters, one per node; the tree was checked when ``td`` was built."""
-    out = TreeDecomposition.__new__(TreeDecomposition)
-    out.num_nodes = td.num_nodes
-    out.bags = tuple(bags)
-    out.tree_adj = td.tree_adj
-    out.tree_edges = td.tree_edges
-    return out
+    return TreeDecomposition._trusted(tuple(bags), td.tree_adj, td.tree_edges)
 
 
 def induced(td: TreeDecomposition, vertex_set: Iterable[int]) -> TreeDecomposition:

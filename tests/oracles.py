@@ -12,6 +12,7 @@ from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import networkx as nx
@@ -458,6 +459,81 @@ class TDTablesPerColoring:
             self.table[i] = tabs
             self._keep(tabs)
         return self.table[self.order[0]]
+
+
+# --- The decomposition DP's reductions and own rows, node by node ----------
+#
+# ``oracle._TDTables.own`` and ``reduce_child`` as they were before one DP
+# built each node's index work once per cluster shape: every node packs its
+# keys, sorts them and shifts its reduction's rows through a padded copy, and
+# every node builds its own rows.  The method bodies are verbatim; the class
+# around them holds only what they read.  The reference for the plans and
+# the shared own tables.
+
+
+def _bits(b: int) -> np.ndarray:
+    """Entry [mask, p] is bit p of mask, for the masks 0..2^b - 1."""
+    return (np.arange(1 << b)[:, None] >> np.arange(b)) & 1
+
+
+def _pack(b: int, positions: list[int]) -> np.ndarray:
+    """For each mask of b bits, its bits at ``positions`` packed into its low bits, in order."""
+    return _bits(b)[:, positions] @ (1 << np.arange(len(positions)))
+
+
+class TDReductionsPerNode:
+    """A node's own rows and a child's reduction, recomputed per node from the child tables ``table``."""
+
+    def __init__(self, g: Graph, td: TreeDecomposition, cap: int, table: dict[int, np.ndarray]):
+        self.cap = cap
+        self.kept = SimpleNamespace(table=table)
+        self.bag_list = {i: sorted(td.bag(i)) for i in td.nodes()}
+        self.pos = {i: {v: p for p, v in enumerate(self.bag_list[i])} for i in td.nodes()}
+        self.cost_edges: dict[int, list[tuple[int, int]]] = {i: [] for i in td.nodes()}
+        occ = occurrences(td)
+        for u, v in sorted(g.edges):
+            self.cost_edges[edge_home(td, occ, u, v)].append((u, v))
+
+    def own(self, i: int, rows: slice | None) -> np.ndarray:
+        """Node i's base rows: the cut edges charged to it, at the cluster's own black count."""
+        pos = self.pos[i]
+        bits = _bits(len(pos)) if rows is None else _bits(len(pos))[rows]
+        blacks = bits.sum(axis=1)
+        cost = np.zeros(len(bits), dtype=np.int32)
+        for u, v in self.cost_edges[i]:
+            cost += bits[:, pos[u]] != bits[:, pos[v]]
+        t = np.full((len(bits), min(len(pos), self.cap) + 1), INF, dtype=np.int32)
+        fit = np.flatnonzero(blacks <= self.cap)
+        t[fit, blacks[fit]] = cost[fit]
+        return t
+
+    def _shared(self, i: int, j: int) -> tuple[list[int], list[int]]:
+        """Positions in bag(j) and in bag(i) of the vertices the two clusters share."""
+        shared = [v for v in self.bag_list[j] if v in self.pos[i]]
+        return [self.pos[j][v] for v in shared], [self.pos[i][v] for v in shared]
+
+    def reduce_child(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Group the child table by the coloring of the shared vertices.
+
+        Returns the reduction, whose row key (the shared vertices' colors
+        packed in bag(j) order) holds at column c the best child entry with
+        c black vertices counted below j but outside the shared set, and
+        for each coloring of bag(i) the key of its row, in the smallest
+        unsigned dtype that holds every key.
+        """
+        at_j, at_i = self._shared(i, j)
+        tab = self.kept.table[j]
+        width = tab.shape[1]
+        # keys packed to 0..2^|shared| - 1; once sorted, each key's rows form one block
+        keys = _pack(len(self.bag_list[j]), at_j)
+        grouped = tab[np.argsort(keys, kind="stable")].reshape(1 << len(at_j), -1, width)
+        padded = np.full((len(grouped), width + len(at_j)), INF, dtype=np.int32)
+        padded[:, :width] = grouped.min(axis=1)
+        # shift each key's row left by its number of shared black vertices
+        shift = _bits(len(at_j)).sum(axis=1)
+        mat = padded[np.arange(len(padded))[:, None], np.arange(width) + shift[:, None]]
+        gather = _pack(len(self.bag_list[i]), at_i)
+        return mat, gather.astype(np.min_scalar_type(len(mat) - 1))
 
 
 # --- The tree DP with full-width tables ------------------------------------

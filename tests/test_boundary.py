@@ -143,7 +143,8 @@ def test_p_labeling_names_a_path_vertex_out_of_range():
 @pytest.mark.parametrize(
     "blocks, named",
     [([[1], [1]], "vertex 2 lies in no block"),
-     ([[5]], "block vertex 5 out of vertex range 1..1")],
+     ([[5]], "block vertex 5 out of vertex range 1..1"),
+     ([[True], [2]], "block vertex True out of vertex range 1..2")],
 )
 def test_plabeling_names_blocks_that_do_not_partition(blocks, named):
     with pytest.raises(NotAPartition, match=re.escape(named)):

@@ -135,6 +135,18 @@ def test_cut_width_examples():
         cut_width(g, [{1, 2, 3}])
 
 
+def test_cut_width_takes_ids_of_an_int_subclass_and_one_pass_parts():
+    """Ids that are no plain ``int`` miss the C-level scans and are checked one by one."""
+
+    class Id(int):
+        pass
+
+    g = path(9)
+    assert cut_width(g, [[Id(v) for v in range(1, 5)], iter(range(5, 10))]) == 1
+    with pytest.raises(NotAPartition, match="vertex 4 repeated or out of range"):
+        cut_width(g, [[Id(v) for v in range(1, 5)], iter(range(4, 10))])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 60), st.integers(2, 40), st.integers(2, 5))
 def test_cut_width_matches_recount(seed, n, k):

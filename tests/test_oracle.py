@@ -430,6 +430,101 @@ def test_dp_td_padded_tables_extend_the_per_coloring_rows(seed, n, t, half):
             assert mat[gather[key]].tolist() == arr.tolist()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(10, 120), st.integers(2, 4), st.booleans(),
+       st.booleans())
+def test_dp_td_shared_plans_and_own_rows_equal_the_per_node_ones(seed, n, t, half, small):
+    """Every reduction and own row built once per shape equals the one built per node.
+
+    m of 0 to 2 makes tables narrower than a key's shift.
+    """
+    rng = Xorshift64Star(seed)
+    g, td = random_partial_ktree(n, t, rng)
+    if half:  # the peel loop's shape: induced clusters, many of them empty
+        keep = set(rng.sample(list(range(1, n + 1)), n // 2))
+        td = induced(td, keep)
+        g = Graph(n, [(u, v) for u, v in g.edges if u in keep and v in keep])
+    m = rng.randint(0, min(2, n)) if small else rng.randint(0, n)
+    new = oracle._TDTables(g, td, m, oracle._Kept(1 << 40))
+    new.run()
+    old = oracles.TDReductionsPerNode(g, td, m, new.kept.table)
+    for i in td.nodes():
+        own, want = new.own(i, None), old.own(i, None)
+        assert own.dtype == want.dtype and np.array_equal(own, want)
+        for s in {0, len(want) // 2, len(want) - 1}:  # the rows a trace recomputes
+            assert np.array_equal(new.own(i, slice(s, s + 1)), old.own(i, slice(s, s + 1)))
+    assert len(new.red) == len(td.tree_edges)
+    for j, (mat, gather) in new.red.items():
+        want_mat, want_gather = old.reduce_child(new.parent[j], j)
+        assert mat.dtype == want_mat.dtype and np.array_equal(mat, want_mat)
+        assert gather.dtype == want_gather.dtype and np.array_equal(gather, want_gather)
+
+
+def _shapes(g, td, parent):
+    """The distinct reduction shapes (cluster sizes and shared positions) and own-row patterns."""
+    per_node = oracles.TDReductionsPerNode(g, td, 0, {})
+    shapes = set()
+    for j in td.nodes():
+        i = parent[j]
+        if i:
+            at_j, at_i = per_node._shared(i, j)
+            shapes.add((len(td.bag(j)), tuple(at_j), len(td.bag(i)), tuple(at_i)))
+    patterns = {
+        (len(td.bag(i)), tuple(sorted((pos[u], pos[v]) for u, v in per_node.cost_edges[i])))
+        for i, pos in per_node.pos.items()
+    }
+    return shapes, patterns
+
+
+def test_dp_td_builds_one_plan_per_shape_and_one_own_table_per_pattern(monkeypatch):
+    """Nodes of one shape share their index work; a partial 3-tree has far fewer shapes than nodes."""
+    built = {"plan": 0, "own": 0}
+
+    def counted(name, build):
+        def spy(*args):
+            built[name] += 1
+            return build(*args)
+        return spy
+
+    monkeypatch.setattr(oracle, "_reduction_plan", counted("plan", oracle._reduction_plan))
+    monkeypatch.setattr(oracle, "_own_table", counted("own", oracle._own_table))
+    g, td = random_partial_ktree(400, 4, Xorshift64Star(34))
+    m = g.n // 3
+    tables = oracle._TDTables(g, td, m, oracle._Kept(1 << 40))
+    tables.cut(g, m)
+    shapes, patterns = _shapes(g, td, tables.parent)
+    assert built["plan"] == len(tables.plans) == len(shapes) < len(td.tree_edges)
+    assert built["own"] == len(tables.owns) == len(patterns) < td.num_nodes
+    assert all(not t.flags.writeable for t in tables.owns.values())
+    for i in td.nodes():  # a traced row is a view of its node's shared table
+        assert np.shares_memory(tables.own(i, slice(0, 1)), tables.owns[tables.own_key[i]])
+    for order, _, place, gather in tables.plans.values():
+        assert not (order.flags.writeable or place.flags.writeable or gather.flags.writeable)
+
+
+def _module_caches():
+    """The size of every cache and container at module level in ``oracle``."""
+    sizes = {}
+    for name, obj in vars(oracle).items():
+        if hasattr(obj, "cache_info"):
+            sizes[name] = obj.cache_info().currsize
+        elif isinstance(obj, (dict, list, set)):
+            sizes[name] = len(obj)
+    return sizes
+
+
+def test_dp_td_memos_live_and_die_with_one_call():
+    """Only ``_bits`` grows across DP calls; the plans and own tables belong to one call."""
+    dp_min_size_cut_td(*random_partial_ktree(30, 3, Xorshift64Star(35))[:2], 10)
+    before = _module_caches()
+    for n, t in ((60, 4), (40, 6), (80, 2)):
+        g, td = random_partial_ktree(n, t, Xorshift64Star(n + t))
+        dp_min_size_cut_td(g, td, n // 2)
+    after = _module_caches()
+    del before["_bits"], after["_bits"]
+    assert after == before
+
+
 def test_dp_td_reduction_indices_take_the_smallest_dtype():
     """Keys stay below 2^|shared|: one byte each for partial 3-trees, two for wide clusters."""
     g, td = random_partial_ktree(120, 4, Xorshift64Star(32))

@@ -385,3 +385,18 @@ def test_glued_decompositions_are_valid_and_weigh_as_before(seed, n, t):
         assert not validation_errors(make_nonredundant(glued), g_tilde)
         assert heaviest_path(glued, g_tilde.n) == \
             oracles.heaviest_path_candidate_list(glued, g_tilde.n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(10, 120), st.integers(2, 4))
+def test_glued_decompositions_equal_the_checked_constructors(seed, n, t):
+    """The glued tree, built without the constructor's checks, is the one the constructor builds."""
+    rng = Xorshift64Star(seed)
+    g, td = random_partial_ktree(n, t, rng)
+    for g_tilde, glued in glued_decompositions(g, td, rng.sample(range(1, n), 4)):
+        checked = TreeDecomposition(glued.bags, glued.tree_edges)
+        assert glued.num_nodes == checked.num_nodes
+        assert glued.bags == checked.bags
+        assert glued.tree_adj == checked.tree_adj
+        assert glued.tree_edges == checked.tree_edges
+        assert not validation_errors(glued, g_tilde)
