@@ -225,7 +225,7 @@ def cut_prescribed_sizes(
     delta = max_degree(forest)
     section, _ = _peel_forest(forest, comps, sizes)
     k = len(sizes)
-    bound = (k - 1) * bounds.tree_cut_bound(d0, delta) if delta else Fraction(0)
+    bound = (k - 1) * bounds.tree_cut_bound(d0, delta)
     if section.width > bound:
         raise InvariantViolation("prescribed-size cut violates its bound")
     report = BoundReport(
@@ -278,10 +278,6 @@ def ksection_td_detailed(
         )
 
     _check_balance(section, n, k)
-    if delta == 0:
-        report = BoundReport(n=n, k=k, max_degree=0, achieved=section.width,
-                             r=r0, t=t, bound_td=0.0)
-        return section, report, [t_.to_dict() for t_ in traces]
     bound_val = bounds.ksection_td_bound(k, r0, t, delta)
     if not bounds.ksection_td_bound_holds(section.width, k, r0, t, delta):
         raise InvariantViolation(

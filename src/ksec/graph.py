@@ -7,9 +7,10 @@ else.
 Validation policy: each public entry point checks its input once, through
 ``require_forest`` / ``require_tree`` (both built on ``forest_summary``),
 and rejects bad input with a typed ``KsecError`` that names a witness.
-Internal layers take the summary the entry point computed and do not
-check the same forest again.  ``InvariantViolation`` is reserved for
-failed postconditions, i.e. bugs.
+A sequence of ids (vertices, path vertices, weights) is checked by
+``first_bad`` alone.  Internal layers take the summary the entry point
+computed and do not check the same forest again.  ``InvariantViolation``
+is reserved for failed postconditions, i.e. bugs.
 
 Derived graphs skip validation by construction.  ``Graph(n, edges)`` is
 the one public, checked constructor.  Every graph the pipelines derive
@@ -139,9 +140,17 @@ def bad_pair(pairs: list, what: str) -> str | None:
     return None
 
 
-def _out_of_range(vertices: Iterable, n: int):
-    """The first of ``vertices`` that is not an id in 1..n, or None."""
-    return next((v for v in vertices if not (is_int(v) and 1 <= v <= n)), None)
+def first_bad(values: Sequence, lo: int, hi: int) -> tuple | None:
+    """``(v,)`` for the first of ``values`` that is not an integer (``is_int``) in lo..hi, or None.
+
+    The one-tuple tells a bad ``None`` apart from "nothing found".
+    ``values`` is read more than once, so it must be a collection, not
+    an iterator.  Plain ``int`` values cost three passes at C speed (type,
+    min, max); only other input is scanned value by value.
+    """
+    if set(map(type, values)) <= {int} and (not values or lo <= min(values) and max(values) <= hi):
+        return None
+    return next(((v,) for v in values if not (is_int(v) and lo <= v <= hi)), None)
 
 
 def boundary_width(g: Graph, side) -> int:
@@ -161,11 +170,11 @@ class Cut:
     @classmethod
     def from_black(cls, g: Graph, black: Iterable[int]) -> "Cut":
         """The cut with black side ``black``; ``NotAPartition`` names an id outside 1..n."""
-        b = frozenset(black)
-        bad = _out_of_range(b, g.n)
+        black = list(black)
+        bad = first_bad(black, 1, g.n)
         if bad is not None:
-            raise NotAPartition(f"Cut.from_black: vertex {bad!r} out of vertex range 1..{g.n}")
-        return cls._trusted(g, b)
+            raise NotAPartition(f"Cut.from_black: vertex {bad[0]!r} out of vertex range 1..{g.n}")
+        return cls._trusted(g, black)
 
     @classmethod
     def _trusted(cls, g: Graph, black: Iterable[int]) -> "Cut":
@@ -312,24 +321,18 @@ def summary_relative_diameter(comps: Sequence[TreeSummary], n: int) -> Fraction:
 def cut_width(g: Graph, parts: Sequence[Iterable[int]]) -> int:
     """Number of edges of g whose endpoints lie in distinct parts.
 
-    ``NotAPartition`` names a vertex repeated or out of range, or says
-    that the parts miss one.  Parts of plain ``int`` ids in 1..n, each
-    once, pass with C-level scans; only other input is scanned vertex by
-    vertex, to name the witness.
+    ``NotAPartition`` names a vertex out of range or repeated, or says
+    that the parts miss one.
     """
     n = g.n
     parts = [list(p) for p in parts]
     flat = list(chain.from_iterable(parts))
-    if not (
-        set(map(type, flat)) <= {int}
-        and (not flat or (1 <= min(flat) and max(flat) <= n))
-        and len(set(flat)) == len(flat)
-    ):
-        seen = [False] * (n + 1)
-        for v in flat:
-            if not (is_int(v) and 1 <= v <= n) or seen[v]:
-                raise NotAPartition(f"vertex {v!r} repeated or out of range")
-            seen[v] = True
+    bad = first_bad(flat, 1, n)
+    if bad is None and len(set(flat)) != len(flat):
+        seen = set()  # name the first id that comes twice
+        bad = next((v,) for v in flat if v in seen or seen.add(v))
+    if bad is not None:
+        raise NotAPartition(f"vertex {bad[0]!r} repeated or out of range")
     if len(flat) != n:
         raise NotAPartition("parts do not cover the vertex set")
     part_of = [0] * (n + 1)
@@ -366,9 +369,9 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     Raises ``KsecError`` naming a vertex that is not an id in 1..n.
     """
     vertices = list(vertices)
-    bad = _out_of_range(vertices, g.n)
+    bad = first_bad(vertices, 1, g.n)
     if bad is not None:
-        raise KsecError(f"induced_subgraph: vertex {bad!r} out of vertex range 1..{g.n}")
+        raise KsecError(f"induced_subgraph: vertex {bad[0]!r} out of vertex range 1..{g.n}")
     old_of = sorted(set(vertices))
     return induced_sorted(g, old_of), old_of
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InvariantViolation, KsecError, MOutOfRange, NotAPartition, PathNotInTree
-from .graph import Graph, is_int, require_tree
+from .graph import Graph, first_bad, is_int, require_tree
 
 
 @dataclass(frozen=True)
@@ -54,18 +54,12 @@ class PLabeling:
         """
         order = [v for block in blocks for v in block]
         n = len(order)
-        if not set(map(type, order)) <= {int}:  # a bool would pass as 0 or 1 below
-            bad = next((v for v in order if not is_int(v)), None)
-            if bad is not None:
-                raise NotAPartition(f"PLabeling: block vertex {bad!r} out of vertex range 1..{n}")
+        bad = first_bad(order, 1, n)
+        if bad is not None:
+            raise NotAPartition(f"PLabeling: block vertex {bad[0]!r} out of vertex range 1..{n}")
         label_of = [0] * (n + 1)
-        try:
-            for lbl, v in enumerate(order, start=1):
-                label_of[v] = lbl
-        except (IndexError, TypeError):
-            raise NotAPartition(f"PLabeling: block vertex {v!r} out of vertex range 1..{n}") from None
-        if n and min(order) < 1:  # a negative id indexes from the end
-            raise NotAPartition(f"PLabeling: block vertex {min(order)} out of vertex range 1..{n}")
+        for lbl, v in enumerate(order, start=1):
+            label_of[v] = lbl
         if label_of.count(0) > 1:  # with every id in 1..n, one came twice
             raise NotAPartition(f"PLabeling: vertex {label_of.index(0, 1)} lies in no block")
         on_path = (False, *map(marked.__contains__, order))
@@ -102,9 +96,10 @@ def cyclic(label: int, n: int) -> int:
 def p_labeling(tree: Graph, path) -> PLabeling:
     """The labeling of ``tree`` with ``path`` marked, one block per subtree T_v off the path."""
     require_tree(tree, "p_labeling")
-    for v in path:
-        if not is_int(v) or not 1 <= v <= tree.n:
-            raise PathNotInTree(f"path vertex {v!r} out of vertex range 1..{tree.n}")
+    path = tuple(path)
+    bad = first_bad(path, 1, tree.n)
+    if bad is not None:
+        raise PathNotInTree(f"path vertex {bad[0]!r} out of vertex range 1..{tree.n}")
     return _p_labeling(tree, path)
 
 

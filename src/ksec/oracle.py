@@ -62,6 +62,7 @@ from .graph import (
     KSection,
     bfs_tree,
     component_orders,
+    first_bad,
     is_int,
     mem_limit_bytes,
     require_forest,
@@ -455,10 +456,9 @@ def _check_outside(outside: Sequence[int], n: int) -> None:
     """Raise ``KsecError`` naming a bad entry, unless ``outside`` is n + 1 weights in 0..2^32."""
     if len(outside) != n + 1:
         raise KsecError(f"outside has {len(outside)} entries, expected n + 1 = {n + 1}")
-    if set(map(type, outside)) <= {int} and 0 <= min(outside) and max(outside) <= 1 << 32:
-        return
-    bad = next(w for w in outside if not (is_int(w) and 0 <= w <= 1 << 32))
-    raise KsecError(f"outside weight {bad!r} is not an integer in 0..2^32")
+    bad = first_bad(outside, 0, 1 << 32)
+    if bad is not None:
+        raise KsecError(f"outside weight {bad[0]!r} is not an integer in 0..2^32")
 
 
 def _dp_cut_tree(forest: Graph, m: int) -> tuple[Cut, int]:

@@ -118,23 +118,21 @@ def _approximate_cut(tree: Graph, v: int, m: int) -> frozenset:
 
     children = [w for w in tree.adj[x] if parent[w] == x]
     heavy = [w for w in children if 2 * size[w] >= m]
-    black: set[int] = set()
     if heavy:
-        pick = min(heavy)
-        stack = [pick]
-        while stack:
-            u = stack.pop()
-            black.add(u)
-            stack.extend(w for w in tree.adj[u] if parent[w] == u)
-    else:
-        for w in sorted(children):
-            if 2 * len(black) >= m:
+        roots = [min(heavy)]
+    else:  # light children in id order, while they hold fewer than m/2 vertices
+        roots, total = [], 0
+        for w in children:
+            if 2 * total >= m:
                 break
-            stack = [w]
-            while stack:
-                u = stack.pop()
-                black.add(u)
-                stack.extend(ww for ww in tree.adj[u] if parent[ww] == u)
+            roots.append(w)
+            total += size[w]
+    black: set[int] = set()
+    stack = roots
+    while stack:
+        u = stack.pop()
+        black.add(u)
+        stack.extend(w for w in tree.adj[u] if parent[w] == u)
     if not (m <= 2 * len(black) and len(black) <= m):
         raise InvariantViolation("approximate cut missed its size window")
     return frozenset(black)

@@ -250,13 +250,12 @@ def make_nonredundant(td: TreeDecomposition) -> TreeDecomposition:
                     heapq.heappush(heap, (min(survivor, w), max(survivor, w)))
         adj[survivor].discard(absorbed)
         del adj[absorbed], bags[absorbed]
+    # contracting tree edges of a checked tree leaves a tree: no second check
     order = sorted(bags)
-    new_id = {old: k + 1 for k, old in enumerate(order)}
-    edges = set()
-    for i in order:
-        for j in adj[i]:
-            edges.add((min(new_id[i], new_id[j]), max(new_id[i], new_id[j])))
-    return TreeDecomposition([bags[i] for i in order], edges)
+    new_id = {old: k for k, old in enumerate(order, start=1)}
+    tree_adj = ((), *(tuple(sorted(new_id[j] for j in adj[i])) for i in order))
+    edges = frozenset((i, j) for i, nbrs in enumerate(tree_adj) for j in nbrs if i < j)
+    return TreeDecomposition._trusted(tuple(bags[i] for i in order), tree_adj, edges)
 
 
 def _require_vertex_count(n, who: str) -> None:

@@ -138,6 +138,8 @@ def test_p_labeling_names_a_path_vertex_out_of_range():
     for flag in (True, False):  # a bool is no vertex, though it is an int
         with pytest.raises(PathNotInTree, match=f"path vertex {flag}"):
             p_labeling(path(6), [flag, 2])
+    # the check reads a one-shot path once, and labels along the same vertices
+    assert p_labeling(path(3), iter([1, 2, 3])) == p_labeling(path(3), [1, 2, 3])
 
 
 @pytest.mark.parametrize(

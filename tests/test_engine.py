@@ -197,6 +197,20 @@ def test_bound_report_serialization():
     assert payload["binding_bound"] <= float(report.bound_tree)
 
 
+def test_edgeless_graph_reports_zero_bounds():
+    """Δ = 0 takes the general path: every bound is 0 and the width 0 meets it."""
+    g = Graph(7, [])
+    star_td = TreeDecomposition([{v} for v in range(1, 8)], [(1, v) for v in range(2, 8)])
+    for k in (2, 3, 6):
+        _, report = ksection_td(g, star_td, k)
+        assert report.to_dict() == {
+            "n": 7, "k": k, "max_degree": 0, "achieved": 0, "approx_ratio_vs_lower": 0.0,
+            "binding_bound": 0.0, "r": [3, 7], "t": 1, "bound_td": 0.0,
+        }
+    parts, report = cut_prescribed_sizes(g, [3, 4])
+    assert sorted(map(len, parts)) == [3, 4] and report.bound_tree == 0 and report.achieved == 0
+
+
 def test_ksection_tree_balance_for_every_k():
     g = random_tree_maxdeg(20, 4, Xorshift64Star(5005))
     for k in range(2, 21):

@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -13,9 +14,11 @@ from ksec.graph import (
     Cut,
     Graph,
     cut_width,
+    first_bad,
     forest_summary,
     induced_sorted,
     induced_subgraph,
+    is_int,
     link_summarized,
     max_degree,
     parse_gr,
@@ -234,13 +237,35 @@ def test_graph_names_a_count_edge_or_id_of_the_wrong_type(n, edges, named):
 
 
 def test_induced_subgraph_and_cut_name_a_vertex_out_of_range():
-    for bad, vertices in [(9, [1, 9]), (0, [0, 2]), (-1, [-1]), (2.0, [2.0]), ("a", ["a"])]:
-        with pytest.raises(KsecError, match=rf"induced_subgraph: vertex {bad!r} out of vertex range"):
+    for bad, vertices in [
+        (9, [1, 9]), (0, [0, 2]), (-1, [-1]), (2.0, [2.0]), ("a", ["a"]),
+        (None, [None]), ([1], [[1]]),
+    ]:
+        named = re.escape(f"induced_subgraph: vertex {bad!r} out of vertex range")
+        with pytest.raises(KsecError, match=named):
             induced_subgraph(path(4), vertices)
     with pytest.raises(NotAPartition, match=r"Cut\.from_black: vertex 9 out of vertex range 1\.\.3"):
         Cut.from_black(Graph(3, [(1, 2)]), [9])
     with pytest.raises(NotAPartition, match="vertex -1"):
         Cut.from_black(path(3), [1, -1])
+    for bad in (None, [1]):  # named, not a bare TypeError from indexing or hashing
+        named = re.escape(f"Cut.from_black: vertex {bad!r} out of vertex range")
+        with pytest.raises(NotAPartition, match=named):
+            Cut.from_black(path(3), [bad])
+
+
+ID_LIKE = st.one_of(
+    st.integers(-3, 12), st.booleans(), st.none(), st.floats(allow_nan=False),
+    st.text(max_size=2), st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+@given(
+    st.one_of(st.lists(st.integers(-3, 12)), st.lists(ID_LIKE)), st.integers(-2, 4), st.integers(0, 10)
+)
+def test_first_bad_names_what_a_plain_scan_names(values, lo, hi):
+    scan = next(((v,) for v in values if not (is_int(v) and lo <= v <= hi)), None)
+    assert first_bad(values, lo, hi) == scan
 
 
 def test_cut_width_is_counted_from_either_side():

@@ -131,6 +131,9 @@ def test_make_nonredundant_random_postconditions():
         before_r = heaviest_path(redundant, n).relative_weight
 
         out = make_nonredundant(redundant)
+        checked = TreeDecomposition(out.bags, out.tree_edges)  # the rebuild skips this constructor
+        assert out.bags == checked.bags and out.num_nodes == checked.num_nodes
+        assert out.tree_adj == checked.tree_adj and out.tree_edges == checked.tree_edges
         assert not validation_errors(out, g)
         assert out.width == redundant.width
         assert out.size <= redundant.size
