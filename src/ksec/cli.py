@@ -136,7 +136,7 @@ def cmd_td(args) -> int:
 def cmd_labeling(args) -> int:
     g = _load_graph(args.input)
     path = require_tree(g, "ksec labeling").path
-    lab = _p_labeling(g, path)
+    lab, _ = _p_labeling(g, path)
     payload = {
         "path": path,
         "label_of": {str(v): lab.label_of[v] for v in g.vertices()},

@@ -7,7 +7,11 @@ diameter of the remainder never drops), the decomposition pipeline with
 ``r_preserving_cut`` and the ``td_summary`` of the remainder of the
 cut's own nonredundant decomposition (its relative heaviest-path weight
 never drops).  The floor is checked on the same summary that the next
-cut receives.  Each run returns the section together with a
+cut receives.  A tree is peeled in place, in its own ids: each round
+deletes the part's edges from a private copy of the adjacency and
+summarizes the ids left, so no tree remainder is relabeled.  A
+decomposition remainder is induced and relabeled 1..|W|, as its cut and
+exact DP index it.  Each run returns the section together with a
 ``BoundReport`` evaluating every applicable width guarantee; the
 guarantees are re-checked here and a violation raises
 ``InvariantViolation`` (CLI exit 3) because it can only mean a bug.
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import filterfalse
 
 from . import bounds, oracle
 from .errors import (
@@ -33,6 +38,7 @@ from .graph import (
     is_int,
     max_degree,
     require_forest,
+    require_memory,
     require_tree,
     summary_relative_diameter,
 )
@@ -90,49 +96,47 @@ class BoundReport:
 
 
 def _trivial_sections(g: Graph, k: int) -> KSection:
-    """k >= n: singletons plus empty parts, no cutting needed."""
+    """k >= n: singletons plus empty parts, no cutting needed, if k parts fit the memory guard."""
+    require_memory(k * 200, f"k={k} parts")  # 10^6 parts peak at about 200 MB on 64-bit CPython
     parts = [[v] for v in g.vertices()] + [[] for _ in range(k - g.n)]
     return KSection.from_parts(g, parts)
 
 
 def _peel(
-    g: Graph, summary, sizes: list[int], cut, rest_summary, measure
+    g: Graph, summary, sizes: list[int], cut, remainder, measure
 ) -> tuple[KSection, list]:
     """Cut parts of the given sizes off g, one at a time, keeping a floor.
 
-    ``summary`` describes g.  Each round calls ``cut(graph, summary, m)
-    -> (Cut, trace)``, then summarizes the remainder once with
-    ``rest_summary(remainder, summary, keep)``, where ``keep`` lists the
-    remainder's vertices in the cut graph's ids.  ``measure(summary, n)``
-    is the quantity the cut must not lower (diam* for trees, r for
-    decompositions): it is read off that one summary, which then goes to
-    the next cut.  The loop checks that every cut has |B| = m, that the
-    measure never drops and that the per-cut widths add up to the width
-    of the section; a failure raises ``InvariantViolation``.  Returns the
-    section, parts in the order of ``sizes``, and the per-cut traces.
+    ``summary`` describes g.  Each round calls ``cut(cur, summary, m) ->
+    (Cut, trace)``, then ``remainder(cur, cut, summary, ids) -> (part,
+    ids, cur, summary)``: the part and the ids left, ascending, in g's
+    ids, then the next graph to cut and its one summary.
+    ``measure(summary, n)`` is the quantity the cut must not lower (diam*
+    for trees, r for decompositions): it is read off that one summary,
+    which then goes to the next cut.  The loop checks that every cut has
+    |B| = m, that the measure never drops and that the per-cut widths add
+    up to the width of the section; a failure raises
+    ``InvariantViolation``.  Returns the section, parts in the order of
+    ``sizes``, and the per-cut traces.
     """
     parts: list[tuple[int, ...]] = []
     width = 0
     traces = []
-    cur = g
-    old_of = list(g.vertices())
+    cur, ids = g, list(g.vertices())
     floor = measure(summary, g.n)
     for m in sizes[:-1]:
         c, trace = cut(cur, summary, m)
         if len(c.black) != m:
             raise InvariantViolation(f"cut returned {len(c.black)} vertices, wanted {m}")
-        parts.append(tuple(sorted(old_of[u - 1] for u in c.black)))
+        part, ids, cur, summary = remainder(cur, c, summary, ids)
+        parts.append(part)
         width += c.width
         traces.append(trace)
-        keep = sorted(c.white)
-        rest = induced_sorted(cur, keep)
-        old_of = [old_of[u - 1] for u in keep]
-        summary = rest_summary(rest, summary, keep)
-        after = measure(summary, rest.n)
+        after = measure(summary, len(ids))
         if after < floor:
             raise InvariantViolation(f"the remainder's measure fell from {floor} to {after}")
-        floor, cur = after, rest
-    parts.append(tuple(sorted(old_of)))
+        floor = after
+    parts.append(tuple(ids))
     section = KSection.from_parts(g, parts)
     if section.width != width:
         raise InvariantViolation("per-cut widths do not add up to the final width")
@@ -142,13 +146,25 @@ def _peel(
 def _peel_forest(forest: Graph, comps: list, sizes: list[int]) -> tuple[KSection, list]:
     """``_peel`` with the diameter-preserving cut; diam* never drops.
 
-    ``comps`` is the forest summary of ``forest``; each remainder gets
-    its own ``forest_summary``.
+    ``comps`` is the forest summary of ``forest``.  Each round deletes the
+    black side's edges from one private copy of the adjacency, O(n) over a
+    section, and summarizes the live ids: every remainder keeps g's ids.
     """
+    adj = list(forest.adj)
+
+    def remainder(_cur, c, _comps, ids):
+        for b in c.black:
+            for w in adj[b]:
+                if w not in c.black:
+                    adj[w] = tuple(x for x in adj[w] if x != b)
+            adj[b] = ()
+        live, rest = list(filterfalse(c.black.__contains__, ids)), Graph._trusted(forest.n, adj)
+        return tuple(sorted(c.black)), live, rest, forest_summary(rest, live)
+
     return _peel(
         forest, comps, sizes,
         cut=lambda f, c, m: diameter_preserving_cut(f, m, c),
-        rest_summary=lambda rest, c, keep: forest_summary(rest),
+        remainder=remainder,
         measure=summary_relative_diameter,
     )
 
@@ -268,12 +284,18 @@ def ksection_td_detailed(
         section = _trivial_sections(g, k)
         traces = []
     else:
-        # the input was checked once above; each remainder's decomposition is
-        # derived from the cut's own normalized one, so it is not checked again
+        # each remainder is relabeled 1..|W|; the input was checked once above, and each
+        # remainder's decomposition is derived from the cut's own normalized one
+        def remainder(cur, c, s, ids):
+            keep = sorted(c.white)
+            rest = induced_sorted(cur, keep)
+            part, ids = tuple(sorted(ids[u - 1] for u in c.black)), [ids[u - 1] for u in keep]
+            return part, ids, rest, td_summary(induced_local(s.td, keep), rest.n)
+
         section, traces = _peel(
             g, summary, oracle.balanced_sizes(n, k),
             cut=lambda cur, s, m: r_preserving_cut(cur, s.td, m, summary=s),
-            rest_summary=lambda rest, s, keep: td_summary(induced_local(s.td, keep), rest.n),
+            remainder=remainder,
             measure=lambda s, _n: s.path.relative_weight,
         )
 

@@ -2,7 +2,9 @@
 
 Everything here is immutable after construction and safe for concurrent
 reads.  Vertices are dense 1-indexed integers; parsers reject anything
-else.
+else.  The one exception is private: the tree peel (``engine``) keeps a
+mutable copy of its input's adjacency and deletes each cut's edges from
+it, so every remainder keeps the input's ids.
 
 Validation policy: each public entry point checks its input once, through
 ``require_forest`` / ``require_tree`` (both built on ``forest_summary``),
@@ -140,6 +142,15 @@ def bad_pair(pairs: list, what: str) -> str | None:
     return None
 
 
+def read_ids(values: Iterable, error: type[KsecError], who: str) -> list:
+    """``values`` read once into a list, for ``first_bad``; ``error`` names a non-iterable."""
+    try:
+        it = iter(values)
+    except TypeError:
+        raise error(f"{who}: {values!r} is not a sequence of ids") from None
+    return list(it)
+
+
 def first_bad(values: Sequence, lo: int, hi: int) -> tuple | None:
     """``(v,)`` for the first of ``values`` that is not an integer (``is_int``) in lo..hi, or None.
 
@@ -170,17 +181,17 @@ class Cut:
     @classmethod
     def from_black(cls, g: Graph, black: Iterable[int]) -> "Cut":
         """The cut with black side ``black``; ``NotAPartition`` names an id outside 1..n."""
-        black = list(black)
+        black = read_ids(black, NotAPartition, "Cut.from_black")
         bad = first_bad(black, 1, g.n)
         if bad is not None:
             raise NotAPartition(f"Cut.from_black: vertex {bad[0]!r} out of vertex range 1..{g.n}")
         return cls._trusted(g, black)
 
     @classmethod
-    def _trusted(cls, g: Graph, black: Iterable[int]) -> "Cut":
-        """``from_black`` for ids known to lie in 1..n; the width is counted over the smaller side."""
+    def _trusted(cls, g: Graph, black: Iterable[int], live: Iterable[int] | None = None) -> "Cut":
+        """``from_black`` for ids in 1..n, splitting ``live`` (default all); width over the smaller side."""
         b = frozenset(black)
-        w = frozenset(g.vertices()) - b
+        w = frozenset(g.vertices() if live is None else live) - b
         return cls(b, w, boundary_width(g, b if len(b) <= len(w) else w))
 
 
@@ -198,7 +209,8 @@ class KSection:
     @classmethod
     def from_parts(cls, g: Graph, parts: Sequence[Iterable[int]]) -> "KSection":
         """The section with these parts; ``NotAPartition`` names a vertex repeated or not in 1..n."""
-        parts = [list(p) for p in parts]
+        parts = [read_ids(p, NotAPartition, "KSection.from_parts")
+                 for p in read_ids(parts, NotAPartition, "KSection.from_parts")]
         width = cut_width(g, parts)
         return cls(tuple(tuple(sorted(p)) for p in parts), width)
 
@@ -223,10 +235,11 @@ def bfs_tree(adj: Sequence[Sequence[int]], root: int, parent: list[int] | None =
     return order, parent
 
 
-def component_orders(g: Graph) -> tuple[list[list[int]], list[int]]:
-    """One BFS sweep: each component's order from its smallest id, ascending, and the parents."""
+def component_orders(g: Graph, vertices: Iterable[int] | None = None) -> tuple[list, list[int]]:
+    """One BFS sweep: each component's order from its smallest id in ``vertices``, and the parents."""
     parent = [-1] * (g.n + 1)
-    return [bfs_tree(g.adj, s, parent)[0] for s in g.vertices() if parent[s] < 0], parent
+    vertices = g.vertices() if vertices is None else vertices
+    return [bfs_tree(g.adj, s, parent)[0] for s in vertices if parent[s] < 0], parent
 
 
 class TreeSummary(NamedTuple):
@@ -259,15 +272,16 @@ def _farthest(order: list[int], parent: list[int], depth: list[int]) -> int:
     return best
 
 
-def forest_summary(g: Graph) -> list[TreeSummary]:
+def forest_summary(g: Graph, vertices: Sequence[int] | None = None) -> list[TreeSummary]:
     """Components of a forest, ascending by smallest id, each with a longest path.
 
     O(n + m): one BFS sweep finds the components and rejects cycles, a
     second sweep per component from the far end of the first gives a
-    longest path.  Raises ``NotAForest`` naming an edge on a cycle.
+    longest path.  Raises ``NotAForest`` naming an edge on a cycle.  Only
+    ``vertices`` (ascending, default all) are summarized; the rest must be isolated.
     """
-    orders, parent = component_orders(g)
-    if g.num_edges != g.n - len(orders):
+    orders, parent = component_orders(g, vertices)
+    if g.num_edges != (g.n if vertices is None else len(vertices)) - len(orders):
         u, v = min(e for e in g.edges if parent[e[0]] != e[1] and parent[e[1]] != e[0])
         raise NotAForest(f"edge ({u},{v}) closes a cycle")
     depth = [0] * (g.n + 1)
@@ -325,7 +339,8 @@ def cut_width(g: Graph, parts: Sequence[Iterable[int]]) -> int:
     that the parts miss one.
     """
     n = g.n
-    parts = [list(p) for p in parts]
+    parts = [read_ids(p, NotAPartition, "cut_width")
+             for p in read_ids(parts, NotAPartition, "cut_width")]
     flat = list(chain.from_iterable(parts))
     bad = first_bad(flat, 1, n)
     if bad is None and len(set(flat)) != len(flat):
@@ -368,7 +383,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     Returns (subgraph, old_ids) with old_ids[new - 1] = original id.
     Raises ``KsecError`` naming a vertex that is not an id in 1..n.
     """
-    vertices = list(vertices)
+    vertices = read_ids(vertices, KsecError, "induced_subgraph")
     bad = first_bad(vertices, 1, g.n)
     if bad is not None:
         raise KsecError(f"induced_subgraph: vertex {bad[0]!r} out of vertex range 1..{g.n}")
@@ -403,6 +418,15 @@ def mem_limit_bytes() -> int:
         raise KsecError(f"KSEC_MAX_MEM_MB must be an integer (MB), got {raw!r}") from None
 
 
+def require_memory(need: int, what: str) -> None:
+    """``ResourceLimit`` when ``what`` would need ``need`` bytes, over the memory guard."""
+    limit = mem_limit_bytes()
+    if need > limit:
+        raise ResourceLimit(
+            f"{what} need about {need >> 20} MB, over the {limit >> 20} MB of KSEC_MAX_MEM_MB"
+        )
+
+
 # --- .gr file format ------------------------------------------------------
 #
 # c <comment>
@@ -435,12 +459,7 @@ def parse_gr(text: str) -> Graph:
                 raise FormatError(lineno, "non-integer counts in problem line") from None
             if n < 0 or m < 0:
                 raise FormatError(lineno, "negative counts in problem line")
-            limit = mem_limit_bytes()
-            if n * GR_BYTES_PER_VERTEX > limit:
-                raise ResourceLimit(
-                    f"line {lineno}: {n} vertices need about {n * GR_BYTES_PER_VERTEX >> 20} MB, "
-                    f"over the {limit >> 20} MB of KSEC_MAX_MEM_MB"
-                )
+            require_memory(n * GR_BYTES_PER_VERTEX, f"line {lineno}: {n} vertices")
             continue
         if n < 0:
             raise FormatError(lineno, "edge line before problem line")

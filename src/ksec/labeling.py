@@ -8,6 +8,12 @@ labeling keeps where each block ends, so a cut reads the block that
 holds a label (``PLabeling.block``) instead of a vertex->block map.
 All label arithmetic is cyclic modulo n (residues kept in 1..n).
 
+The labeled vertices keep their own ids, which need not be 1..n: the
+tree peel labels the n vertices still live in its input's id space.
+The sweep that finds each T_v also records its parents, so a cut can
+size a subtree and read it off the block's post-order, where a subtree
+is the run of labels that ends at its root.
+
 The same labeling serves a graph with a tree decomposition
 (``tdcut.td_p_labeling``): there the marked set is R, the vertices
 covered by the heaviest path's clusters, block i is S_i followed by
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import InvariantViolation, KsecError, MOutOfRange, NotAPartition, PathNotInTree
-from .graph import Graph, first_bad, is_int, require_tree
+from .graph import Graph, first_bad, is_int, read_ids, require_tree
 
 
 @dataclass(frozen=True)
@@ -52,16 +58,25 @@ class PLabeling:
 
         ``NotAPartition`` names a vertex out of 1..n, or one in no block.
         """
-        order = [v for block in blocks for v in block]
-        n = len(order)
-        bad = first_bad(order, 1, n)
+        blocks = [read_ids(b, NotAPartition, "PLabeling")
+                  for b in read_ids(blocks, NotAPartition, "PLabeling")]
+        n = sum(map(len, blocks))
+        bad = first_bad([v for block in blocks for v in block], 1, n)
         if bad is not None:
             raise NotAPartition(f"PLabeling: block vertex {bad[0]!r} out of vertex range 1..{n}")
-        label_of = [0] * (n + 1)
+        lab = cls._trusted(blocks, marked, n)
+        if lab.label_of.count(0) > 1:  # with every id in 1..n, one came twice
+            raise NotAPartition(f"PLabeling: vertex {lab.label_of.index(0, 1)} lies in no block")
+        return lab
+
+    @classmethod
+    def _trusted(cls, blocks: list[list[int]], marked: Container[int], max_id: int) -> "PLabeling":
+        """``from_blocks`` for distinct ids in 1..max_id, unchecked; ids in no block label 0."""
+        order = [v for block in blocks for v in block]
+        n = len(order)
+        label_of = [0] * (max_id + 1)
         for lbl, v in enumerate(order, start=1):
             label_of[v] = lbl
-        if label_of.count(0) > 1:  # with every id in 1..n, one came twice
-            raise NotAPartition(f"PLabeling: vertex {label_of.index(0, 1)} lies in no block")
         on_path = (False, *map(marked.__contains__, order))
         prefix = (0, *accumulate(on_path[1:], initial=0))
         return cls(
@@ -96,20 +111,21 @@ def cyclic(label: int, n: int) -> int:
 def p_labeling(tree: Graph, path) -> PLabeling:
     """The labeling of ``tree`` with ``path`` marked, one block per subtree T_v off the path."""
     require_tree(tree, "p_labeling")
-    path = tuple(path)
+    path = read_ids(path, PathNotInTree, "p_labeling")
     bad = first_bad(path, 1, tree.n)
     if bad is not None:
         raise PathNotInTree(f"path vertex {bad[0]!r} out of vertex range 1..{tree.n}")
-    return _p_labeling(tree, path)
+    return _p_labeling(tree, path)[0]
 
 
-def _p_labeling(tree: Graph, path) -> PLabeling:
-    """``p_labeling`` for a graph the caller already knows is a tree.
+def _p_labeling(tree: Graph, path) -> tuple[PLabeling, list[int]]:
+    """``p_labeling`` for a graph the caller already knows is a tree, and its sweeps' parents.
 
     Removing the path's edges leaves one subtree T_v per path vertex v;
     block i is T_v of the i-th path vertex v, in post-order with v last.
     One sweep per path vertex finds T_v and its post-order: a pre-order
-    that takes the largest child first, reversed.
+    that takes the largest child first, reversed.  ``parent[u]`` is u's
+    neighbour toward its path vertex, u on the path, 0 where no sweep came.
     """
     path = tuple(path)
     if len(set(path)) != len(path) or not path:
@@ -118,10 +134,10 @@ def _p_labeling(tree: Graph, path) -> PLabeling:
     for a, b in zip(path, path[1:]):
         if b not in adj[a]:
             raise PathNotInTree(f"({a},{b}) is not an edge of the tree")
-    # path vertices start out seen, so each sweep stays inside its T_v
-    seen = [False] * (tree.n + 1)
+    # path vertices start out reached, so each sweep stays inside its T_v
+    parent = [0] * (tree.n + 1)
     for v in path:
-        seen[v] = True
+        parent[v] = v
     blocks = []
     for v in path:
         stack, block = [v], []
@@ -129,14 +145,12 @@ def _p_labeling(tree: Graph, path) -> PLabeling:
             u = stack.pop()
             block.append(u)
             for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
+                if not parent[w]:
+                    parent[w] = u
                     stack.append(w)
         block.reverse()
         blocks.append(block)
-    if sum(map(len, blocks)) != tree.n:
-        raise PathNotInTree("path does not lie in this tree")
-    return PLabeling.from_blocks(blocks, frozenset(path))
+    return PLabeling._trusted(blocks, frozenset(path), tree.n), parent
 
 
 def d_p(lab: PLabeling, x: int, y: int) -> int:

@@ -65,6 +65,7 @@ from .graph import (
     first_bad,
     is_int,
     mem_limit_bytes,
+    read_ids,
     require_forest,
 )
 from .treedec import TreeDecomposition, edge_home, occurrences, require_decomposition
@@ -443,6 +444,7 @@ def dp_min_size_cut_tree(
     if not is_int(m) or not (0 <= m <= n):
         raise MOutOfRange(f"m={m!r} not in 0..{n}")
     if outside is not None:
+        outside = read_ids(outside, KsecError, "outside")
         _check_outside(outside, n)
     mem_limit_bytes()  # a malformed guard is named on every call, not only where the DP runs
     rooted = component_orders(forest)

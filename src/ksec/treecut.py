@@ -11,7 +11,10 @@ Two operations:
 The second one links a forest's components into a tree along the chain
 of their longest paths, labels it along that chain, and follows a
 five-way case analysis over the anchor position in the labeling; the
-executed case is recorded in a trace.  Its inner exact-size cut is
+executed case is recorded in a trace.  It works in the forest's own ids,
+which may leave isolated ids out (the tree peel's remainders), and
+cuts the subtree T_z off the labeling's post-order with the sweep's
+parents; only the inner vertex set Ṽ is induced, for the exact cut.  Its inner exact-size cut is
 ``oracle.dp_min_size_cut_tree``, whose optimum meets the
 relative-diameter guarantees since cuts within them exist.
 That cut is found by a search over the cuts of at most 2 edges, which
@@ -26,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
 
 from . import oracle
 from .errors import InvariantViolation, KsecError, MOutOfRange, NotAPartition
@@ -33,7 +37,6 @@ from .graph import (
     Cut,
     Graph,
     TreeSummary,
-    bfs_tree,
     boundary_width,
     induced_sorted,
     is_int,
@@ -42,7 +45,7 @@ from .graph import (
     require_forest,
     require_tree,
 )
-from .labeling import _p_labeling, cyclic, find_anchor, labels_interval
+from .labeling import PLabeling, _p_labeling, cyclic, find_anchor, labels_interval
 
 
 class CutTrace:
@@ -90,33 +93,37 @@ def approximate_cut(tree: Graph, v: int, m: int) -> Cut:
     still exceeds m.
     """
     require_tree(tree, "approximate_cut")
-    if not is_int(v) or not 1 <= v <= tree.n:
-        raise KsecError(f"approximate_cut: vertex {v!r} out of vertex range 1..{tree.n}")
-    return Cut._trusted(tree, _approximate_cut(tree, v, m))
-
-
-def _approximate_cut(tree: Graph, v: int, m: int) -> frozenset:
-    """Black set of ``approximate_cut``."""
     n = tree.n
+    if not is_int(v) or not 1 <= v <= n:
+        raise KsecError(f"approximate_cut: vertex {v!r} out of vertex range 1..{n}")
     if not is_int(m) or not (1 <= m <= 2 * n - 2):
         raise MOutOfRange(f"m={m!r} not in 1..{2 * n - 2}")
-    if m >= n - 1:
-        return frozenset(tree.vertices()) - {v}
+    lab, parent = _p_labeling(tree, (v,))
+    return Cut._trusted(tree, _subtree_cut(tree.adj, lab, parent, 1, n, m))
 
-    order, parent = bfs_tree(tree.adj, v)
-    size = [1] * (n + 1)
-    for u in reversed(order):
-        if parent[u]:
-            size[parent[u]] += size[u]
 
-    x = v
+def _subtree_cut(
+    adj, lab: PLabeling, parent: list[int], first: int, last: int, m: int
+) -> frozenset:
+    """Black set of ``approximate_cut`` in T_z, labels first..last of ``lab`` in post-order, z last.
+
+    With the sweep's ``parent``, a subtree is the run of labels ending at its root.
+    """
+    post = lab.vertex_of[first : last + 1]
+    if m >= len(post) - 1:
+        return frozenset(post[:-1])
+    size = dict.fromkeys(post, 1)
+    for u in post[:-1]:
+        size[parent[u]] += size[u]
+
+    x = post[-1]
     while True:
-        down = [w for w in tree.adj[x] if parent[w] == x and size[w] > m]
+        down = [w for w in adj[x] if parent[w] == x and size[w] > m]
         if not down:
             break
         x = min(down)
 
-    children = [w for w in tree.adj[x] if parent[w] == x]
+    children = [w for w in adj[x] if parent[w] == x]
     heavy = [w for w in children if 2 * size[w] >= m]
     if heavy:
         roots = [min(heavy)]
@@ -127,22 +134,13 @@ def _approximate_cut(tree: Graph, v: int, m: int) -> frozenset:
                 break
             roots.append(w)
             total += size[w]
-    black: set[int] = set()
-    stack = roots
-    while stack:
-        u = stack.pop()
-        black.add(u)
-        stack.extend(w for w in tree.adj[u] if parent[w] == u)
+    label_of, vertex_of = lab.label_of, lab.vertex_of
+    black = frozenset(chain.from_iterable(
+        vertex_of[label_of[r] - size[r] + 1 : label_of[r] + 1] for r in roots
+    ))
     if not (m <= 2 * len(black) and len(black) <= m):
         raise InvariantViolation("approximate cut missed its size window")
-    return frozenset(black)
-
-
-def _subtree_cut(tree: Graph, members: frozenset, z: int, m_tilde: int) -> frozenset:
-    """Black set of an approximate m̃-cut inside T_z keeping z white, in original ids."""
-    old_of = sorted(members)
-    local = _approximate_cut(induced_sorted(tree, old_of), old_of.index(z) + 1, m_tilde)
-    return frozenset(old_of[u - 1] for u in local)
+    return black
 
 
 def _outside(
@@ -177,24 +175,25 @@ def diameter_preserving_cut(
     longest path of the linked tree; a forest of paths lies wholly on it,
     so its cut is the chain's first m vertices (``Case1``).
 
-    ``comps`` is ``forest_summary(forest)`` when the caller already has
-    it (the peel loop does).  It replaces the forest check and is checked
-    only against the forest's vertex and edge counts.
+    ``comps`` is ``forest_summary(forest[, vertices])`` when the caller
+    already has it.  It replaces the forest check and is checked only
+    against the forest's vertex and edge counts.  The cut splits the
+    summarized vertices; the peel's cut ones are isolated, on no side.
     """
-    n = forest.n
     if comps is None:
         comps = require_forest(forest, "diameter_preserving_cut")
-    elif sum(len(c.order) for c in comps) != n or len(comps) != n - forest.num_edges:
+    n = sum(len(c.order) for c in comps)  # the vertices the cut splits
+    if n > forest.n or len(comps) != n - forest.num_edges:
         raise NotAPartition(
-            f"diameter_preserving_cut: a summary of {len(comps)} component(s) on "
-            f"{sum(len(c.order) for c in comps)} vertices does not fit a forest "
-            f"of {n} vertices and {forest.num_edges} edges"
+            f"diameter_preserving_cut: a summary of {len(comps)} component(s) on {n} vertices "
+            f"does not fit a forest of {forest.n} vertices and {forest.num_edges} edges"
         )
     if not is_int(m) or not (1 <= m <= n - 1):
         raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
     tree = link_summarized(forest, comps)
     path = [v for c in comps for v in c.path]
-    lab = _p_labeling(tree, path)
+    lab, parent = _p_labeling(tree, path)
+    live = lab.vertex_of[1:]
     floor_dm = (lab.num_path * m) // n
     v = find_anchor(lab, m)
     m_vertices = frozenset(labels_interval(lab, v, m))
@@ -202,7 +201,7 @@ def diameter_preserving_cut(
     vm_on = lab.on_path[cyclic(v + m, n)]
 
     if v_on and vm_on:
-        cut = Cut._trusted(forest, m_vertices)
+        cut = Cut._trusted(forest, m_vertices, live)
         return cut, DiamCutTrace(
             case_tag="Case1", m=m, anchor=v, floor_dm=floor_dm, m_set=m_vertices
         )
@@ -211,14 +210,14 @@ def diameter_preserving_cut(
     i, first, last = lab.block(v + m if v_on else v)
     z = path[i]
     if v_on and lab.on_path[cyclic(v + m - 1, n)]:
-        cut = Cut._trusted(forest, m_vertices)
+        cut = Cut._trusted(forest, m_vertices, live)
         return cut, DiamCutTrace(
             case_tag="Case2a", m=m, anchor=v, floor_dm=floor_dm, m_set=m_vertices, z=z
         )
     members = frozenset(lab.vertex_of[first : last + 1])
     t_z_prime = members - {z}
     m_tilde = 2 * len(t_z_prime & m_vertices)
-    b_z = _subtree_cut(tree, members, z, m_tilde)
+    b_z = _subtree_cut(tree.adj, lab, parent, first, last, m_tilde)
     if v_on:
         v_tilde = (m_vertices - t_z_prime) | b_z
         case = "Case2b"
@@ -242,7 +241,7 @@ def diameter_preserving_cut(
     outer = boundary_width(tree, v_tilde)
     if outer > 2 * max_degree(forest):
         raise InvariantViolation(f"{case}: outer cut exceeds 2Δ")
-    cut = Cut._trusted(forest, black)
+    cut = Cut._trusted(forest, black, live)
     return cut, DiamCutTrace(
         case_tag=case,
         m=m,

@@ -793,6 +793,49 @@ def dp_min_size_cut_tree_full_width(forest: Graph, m: int) -> tuple[Cut, int]:
     return cut, width
 
 
+# --- The approximate cut on a BFS of a graph of its own ---------------------
+#
+# The black set of ``treecut.approximate_cut`` as computed before the cut
+# read its subtree off a labeling's post-order: BFS-root the tree at v, size
+# the subtrees, descend to a deepest vertex whose child subtree exceeds m,
+# and collect the chosen roots' subtrees by a walk.
+
+
+def approximate_black(tree: Graph, v: int, m: int) -> frozenset:
+    n = tree.n
+    if m >= n - 1:
+        return frozenset(tree.vertices()) - {v}
+    order, parent = bfs_tree(tree.adj, v)
+    size = [1] * (n + 1)
+    for u in reversed(order):
+        if parent[u]:
+            size[parent[u]] += size[u]
+    x = v
+    while True:
+        down = [w for w in tree.adj[x] if parent[w] == x and size[w] > m]
+        if not down:
+            break
+        x = min(down)
+    children = [w for w in tree.adj[x] if parent[w] == x]
+    heavy = [w for w in children if 2 * size[w] >= m]
+    if heavy:
+        roots = [min(heavy)]
+    else:
+        roots, total = [], 0
+        for w in children:
+            if 2 * total >= m:
+                break
+            roots.append(w)
+            total += size[w]
+    black: set[int] = set()
+    stack = roots
+    while stack:
+        u = stack.pop()
+        black.add(u)
+        stack.extend(w for w in tree.adj[u] if parent[w] == u)
+    return frozenset(black)
+
+
 # --- Labelings with a vertex->block map beside them ---------------------------
 #
 # The tree and decomposition labelings as built before ``PLabeling`` kept

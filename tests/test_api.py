@@ -59,7 +59,7 @@ PUBLIC_API = {
     "dp_min_size_cut_td": ("g", "td", "m", "max_width"),
     "dp_min_size_cut_tree": ("forest", "m", "outside"),
     "find_anchor": ("lab", "m"),
-    "forest_summary": ("g",),
+    "forest_summary": ("g", "vertices"),
     "generate": ("spec",),
     "heaviest_path": ("td", "n"),
     "induced": ("td", "vertex_set"),

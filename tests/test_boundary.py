@@ -21,9 +21,10 @@ from ksec.errors import (
     NotATree,
     NotATreeDecomposition,
     PathNotInTree,
+    ResourceLimit,
     SizesDontSum,
 )
-from ksec.graph import Graph, KSection, cut_width, forest_summary, write_gr
+from ksec.graph import Cut, Graph, KSection, cut_width, forest_summary, induced_subgraph, write_gr
 from ksec.instances import BadParameters, GeneratorSpec, generate
 from ksec.labeling import PLabeling, find_anchor, p_labeling
 from ksec.oracle import brute_min_ksection, dp_min_size_cut_td, dp_min_size_cut_tree
@@ -140,6 +141,48 @@ def test_p_labeling_names_a_path_vertex_out_of_range():
             p_labeling(path(6), [flag, 2])
     # the check reads a one-shot path once, and labels along the same vertices
     assert p_labeling(path(3), iter([1, 2, 3])) == p_labeling(path(3), [1, 2, 3])
+
+
+# each public entry point given a non-iterable where it reads a sequence of ids
+NOT_ITERABLE = {
+    "cut_width": (lambda: cut_width(path(3), [1, 2, 3]), NotAPartition, "cut_width: 1"),
+    "KSection.from_parts": (
+        lambda: KSection.from_parts(path(3), [1, [2, 3]]), NotAPartition, "KSection.from_parts: 1",
+    ),
+    "induced_subgraph": (lambda: induced_subgraph(path(3), 5), KsecError, "induced_subgraph: 5"),
+    "Cut.from_black": (lambda: Cut.from_black(path(3), 5), NotAPartition, "Cut.from_black: 5"),
+    "PLabeling.from_blocks": (
+        lambda: PLabeling.from_blocks([1, 2], set()), NotAPartition, "PLabeling: 1",
+    ),
+    "p_labeling": (lambda: p_labeling(path(3), 3), PathNotInTree, "p_labeling: 3"),
+    "dp_min_size_cut_tree": (
+        lambda: dp_min_size_cut_tree(path(3), 1, outside=5), KsecError, "outside: 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_ITERABLE))
+def test_a_non_iterable_id_sequence_is_named_with_a_typed_error(name):
+    call, error, named = NOT_ITERABLE[name]
+    with pytest.raises(error, match=re.escape(f"{named} is not a sequence of ids")):
+        call()
+
+
+def test_one_shot_outside_weights_are_read_once():
+    assert (dp_min_size_cut_tree(path(3), 1, outside=iter([0, 0, 0, 0]))
+            == dp_min_size_cut_tree(path(3), 1, outside=[0, 0, 0, 0]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: ksection_tree(path(3), k),
+    lambda k: ksection_td(path(3), tree_to_width1_td(path(3)), k),
+], ids=["ksection_tree", "ksection_td"])
+def test_a_huge_k_trips_the_memory_guard_before_its_parts_are_built(monkeypatch, call):
+    monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
+    with pytest.raises(ResourceLimit, match="k=1000000 parts need about 190 MB, over the 1 MB"):
+        call(10**6)
+    monkeypatch.delenv("KSEC_MAX_MEM_MB")
+    assert len(call(7)[0].parts) == 7
 
 
 @pytest.mark.parametrize(

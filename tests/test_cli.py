@@ -211,6 +211,15 @@ def test_resource_guard_exit_4_on_the_decomposition_dp(tmp_path, capsys, monkeyp
     assert DP_TRIPPED in capsys.readouterr().err
 
 
+def test_resource_guard_exit_4_on_a_huge_k(tmp_path, capsys, monkeypatch):
+    """k >= n builds k parts, most of them empty; the guard is read before they are."""
+    monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
+    gr = tmp_path / "p.gr"
+    gr.write_text(path_gr(3))
+    assert run(["tree", "--input", str(gr), "-k", str(10**6)]) == 4
+    assert "resource guard: k=1000000 parts need about 190 MB" in capsys.readouterr().err
+
+
 def test_resource_guard_exit_4_on_the_parse(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "0")
     gr = tmp_path / "p.gr"

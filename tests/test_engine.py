@@ -242,9 +242,9 @@ def test_tree_peel_rounds_build_no_checked_graph_and_one_summary_a_round(monkeyp
 
     real = graph.forest_summary
 
-    def summarize(forest):
+    def summarize(forest, *live):
         summaries.append(forest.n)
-        return real(forest)
+        return real(forest, *live)
 
     monkeypatch.setattr(Graph, "__init__", counting_init)
     for mod in [m for name, m in sys.modules.items() if name.startswith("ksec.")]:
@@ -255,6 +255,48 @@ def test_tree_peel_rounds_build_no_checked_graph_and_one_summary_a_round(monkeyp
     assert len(summaries) == k
     monkeypatch.undo()
     check_section(g, section, k)
+
+
+SECTIONED_TREES = {
+    "random-n16000": lambda: random_tree_maxdeg(16000, 6, Xorshift64Star(5)),
+    "adversarial-h7": lambda: adversarial_ternary_path(7),
+    # the only one of these whose rounds take Case1 and Case2a as well as Case2b and 3b
+    "random-n400-cap3": lambda: random_tree_maxdeg(400, 3, Xorshift64Star(12)),
+}
+
+
+@pytest.mark.parametrize("name", ["random-n16000", "adversarial-h7"])
+def test_a_tree_section_induces_only_its_inner_vertex_sets(monkeypatch, name):
+    """The peel cuts its input's adjacency in place; only each Ṽ, of at most 2m vertices, is induced."""
+    g, k = SECTIONED_TREES[name](), 16
+    induced = []
+    real = graph.induced_sorted
+
+    def spy(h, old_of):
+        induced.append(len(old_of))
+        return real(h, old_of)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("ksec.")]:
+        if getattr(mod, "induced_sorted", None) is real:
+            monkeypatch.setattr(mod, "induced_sorted", spy)
+    section, _ = ksection_tree(g, k)
+    monkeypatch.undo()
+    assert induced and max(induced) <= 2 * -(-g.n // k)
+    assert sum(induced) <= 2 * g.n
+    check_section(g, section, k)
+
+
+@pytest.mark.parametrize("name", sorted(SECTIONED_TREES))
+def test_tree_traces_name_the_input_ids(name):
+    """Each round's trace names vertices in the input's ids, like the part it cut."""
+    g, k = SECTIONED_TREES[name](), 16
+    section, _, traces = ksection_tree_detailed(g, k)
+    assert len(traces) == k - 1
+    for part, trace in zip(section.parts, traces):
+        if trace["case_tag"] in ("Case1", "Case2a"):
+            assert trace["m_set"] == list(part)
+        else:
+            assert set(part) <= set(trace["v_tilde"]) and trace["z"] not in part
 
 
 def spy_on(monkeypatch, name, modules, record):

@@ -108,6 +108,25 @@ def test_forest_summary_matches_bfs_diameter(seed, n_hi, isolated):
         assert all(g.has_edge(a, b) for a, b in zip(c.path, c.path[1:]))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(1, 60))
+def test_forest_summary_of_live_ids_is_that_of_their_induced_forest(seed, n_hi):
+    """Summarizing the live ids of a graph whose other ids are isolated relabels nothing.
+
+    The peel's remainders keep their input's ids; their summary must be
+    the one of the induced forest, whose ids are the live ones in order.
+    """
+    rng = Xorshift64Star(seed)
+    g = oracles.random_forest(rng, n_lo=1, n_hi=n_hi, drop=5)
+    live = sorted(rng.sample(list(g.vertices()), rng.randint(0, g.n)))
+    alive = set(live)
+    cut = Graph(g.n, [e for e in g.edges if alive.issuperset(e)])
+    sub, old_of = induced_subgraph(g, live)
+    back = [([old_of[u - 1] for u in c.order], tuple(old_of[u - 1] for u in c.path))
+            for c in forest_summary(sub)]
+    assert [(c.order, c.path) for c in forest_summary(cut, live)] == back
+
+
 def test_forest_summary_single_vertex_and_cycle():
     (only,) = forest_summary(Graph(1, []))
     assert only.order == [1] and only.path == (1,) and only.diameter == 0

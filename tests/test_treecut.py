@@ -70,6 +70,36 @@ def test_approximate_cut_random_instances():
         check_approx(g, approximate_cut(g, v, m), v, m)
 
 
+def test_approximate_cut_takes_the_black_set_of_a_bfs_rooted_cut():
+    """The cut read off the labeling's post-order equals the one a BFS of the tree gives."""
+    rng = Xorshift64Star(7272)
+    for _ in range(120):
+        n = rng.randint(2, 50)
+        g = random_tree_maxdeg(n, rng.randint(2, 6), rng)
+        v = rng.randint(1, n)
+        for m in range(1, 2 * n - 1):
+            assert approximate_cut(g, v, m).black == oracles.approximate_black(g, v, m)
+
+
+def test_the_subtree_cut_is_the_approximate_cut_of_t_z_induced():
+    """Case 2b and 3 cut T_z in the forest's ids, as an approximate cut of G[T_z] would."""
+    rng = Xorshift64Star(7373)
+    seen = 0
+    for i in range(150):
+        g = (random_tree_maxdeg(rng.randint(4, 80), rng.randint(3, 5), rng) if i % 2
+             else oracles.random_forest(rng, n_lo=4, n_hi=80))
+        for m in range(1, g.n):
+            _, trace = diameter_preserving_cut(g, m)
+            if trace.b_z is None:
+                continue
+            seen += 1
+            members = trace.b_z | trace.w_z
+            sub, old_of = induced_subgraph(g, members)
+            local = oracles.approximate_black(sub, old_of.index(trace.z) + 1, trace.m_tilde)
+            assert trace.b_z == {old_of[u - 1] for u in local}
+    assert seen > 1000
+
+
 # The diameter-preserving cut's inner exact cut is the DP's optimum: it
 # must meet the size-cut bounds, since cuts within them exist.
 def test_exact_cut_bounded_path_width_one():
