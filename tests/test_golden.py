@@ -86,9 +86,9 @@ CASES = {
 }
 
 EXPECTED = {
-    "adversarial-h4-k16": "eb1256792668c8a3285dcc8ee00ea2a3ea80cc7d81b4c3c92afc7eebcb5715b0",
+    "adversarial-h4-k16": "e9fc622519e843db2c5e955814fdf8e6e1ddfd5b0cc882d8435b2f02907b1b7f",
     "adversarial-h4-k2": "3b94a5310c767ca911bab205e6ba05a3279de245e772b92b32974e33c34112b8",
-    "adversarial-h4-k3": "f0278caebeb41df07ba9177e678aeda221e127574b2fab6a39e44647ea6abe77",
+    "adversarial-h4-k3": "5cf6d4ada6b5461d858af677a6a69ae5e65aabd377111e01e53a1d591a467acc",
     "adversarial-h6-k2": "70488a951e4335939c3b41c0b563427be1c32d7722c53f96ba9ede0a0de9a88a",
     "dary-3-h6-k2": "16bdab9d74f5703e94bb04182a34aa096f09ff08024e6521e0d9afdad9370602",
     "dary-5-h4-k2": "b81155d64f5b3fe060a7d7ed0a0a266fe5592dce6029e742ed2a713685beeabc",
@@ -100,12 +100,12 @@ EXPECTED = {
     "td-s44-n200-k4": "79aa91defba1952cfcd6f2c01270726913d7d175ea86d1d7e52b15df3bbca6fe",
     "td-s51-n1000-k4": "c256296b653fe6884406cf95b168d0f2892da2d546713d39f0a01c567d77ece0",
     "tree-s11-n200-k2": "9496a1d556c4319bbc1e2761ea8d9c6094f63aaff04c29a5a8a7398879c9d8ca",
-    "tree-s12-n200-k16": "8070807933b2377042a7cb23660733417ba870be5a121e9c2aeede2e42745ab7",
-    "tree-s13-n700-k3": "e7ebf9479584c632a1a2e6063f01ed35fa51c70f7a90437ae09cd7ef89d83b8d",
-    "tree-s14-n1200-k16": "ff9d7da051791a088965f18125a82f14a07f2432e1027b815fca6963d2f91a87",
+    "tree-s12-n200-k16": "d0aecf3aea570d2730497cb87296ba796538c8c314b85b3a954b7b48e561dafa",
+    "tree-s13-n700-k3": "a406cd57b7efefef6a11c0e0ea34f6dc1df4b5fbd9046f066038f87e121a4d66",
+    "tree-s14-n1200-k16": "c1041df0ed2125ed93019588a945dbce1bdb2c1570e8130b19bd3d100c124671",
     "tree-s15-n2000-k2": "29946586cf0212af3bb4da0b6798e6cfaf92ae2e4da2f6c4755119a111907b1b",
-    "tree-s16-n2000-k16": "90dda21a7aa85f562fcf30470d70b23ec6e8e354de21e6cabdf519bc15c86201",
-    "tree-s19-n300-k16-cap3": "00f5aab831e94e6f376b8cc9373eb4dd6ca590f0799dfe148b22a83e5fcffc48",
+    "tree-s16-n2000-k16": "ef2b85e2bdbdb156eae708e1c4faab2a35f0d8475181ae6465148b18c722195d",
+    "tree-s19-n300-k16-cap3": "a55a880aca64f0d050c3d7184712b8b4989b0798c13b9f5c6a51ab2f497bca3f",
 }
 
 
@@ -139,8 +139,8 @@ CLI_CASES = {
 CLI_EXPECTED = {
     "labeling-s63-n120": "f3fff65f7c30c3424ab7baeb2be58a6c60cb2d2d072aadf85306610ff001e6d0",
     "td-s62-n150-k4": "a5a9c9ece5426104faecb41752fd3bd8d4c6358cf2dc642d1b544a74cfe431c0",
-    "tree-adversarial-h4-k3": "6d37dcb1b7cc46072d0d1eaf634a50510345447f8194e699baa85dd8a87c389c",
-    "tree-s61-n400-k4": "87aa214bb704b199ab686b5534400876adfdff3a251e07b1b1aba064f899d68a",
+    "tree-adversarial-h4-k3": "02e68313ef42cf8bb694b12e3570db0f4d2431a6862cc4b0b7c7e7130a7aee8d",
+    "tree-s61-n400-k4": "1a9f045f5dcc76d402ba98779dad658841bdb97d90143f61cd336015e5458307",
 }
 
 
