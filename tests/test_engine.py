@@ -276,7 +276,7 @@ def test_a_tree_section_induces_only_its_inner_vertex_sets(monkeypatch, name):
         induced.append(len(old_of))
         return real(h, old_of)
 
-    for mod in [m for name, m in sys.modules.items() if name.startswith("ksec.")]:
+    for mod in [m for key, m in sys.modules.items() if key.startswith("ksec.")]:
         if getattr(mod, "induced_sorted", None) is real:
             monkeypatch.setattr(mod, "induced_sorted", spy)
     section, _ = ksection_tree(g, k)
