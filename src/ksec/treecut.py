@@ -12,11 +12,12 @@ The second one links a forest's components into a tree along the chain
 of their longest paths, labels it along that chain, and follows a
 five-way case analysis over the anchor position in the labeling; the
 executed case is recorded in a trace.  It works in the forest's own ids,
-which may leave isolated ids out (the tree peel's remainders), and
-cuts the subtree T_z off the labeling's post-order with the sweep's
-parents; only the inner vertex set Ṽ is induced, for the exact cut.  Its inner exact-size cut is
-``oracle.dp_min_size_cut_tree``, whose optimum meets the
-relative-diameter guarantees since cuts within them exist.
+whose summary may leave isolated ids out (the tree peel's remainders),
+and cuts the subtree T_z off the labeling's post-order with the sweep's
+parents; only the inner vertex set Ṽ is induced, for the exact cut.
+Its inner exact-size cut is ``oracle.dp_min_size_cut_tree``, whose
+optimum meets the relative-diameter guarantees since cuts within them
+exist.
 That cut is found by a search over the cuts of at most 2 edges, which
 answers every inner cut of the seeded random and adversarial trees; the
 tree DP runs only where the optimum is wider.  Among the optimal inner
