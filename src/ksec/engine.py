@@ -4,17 +4,17 @@ Both pipelines share one peel loop, ``_peel``, which cuts off one part
 at a time and summarizes each remainder once: the tree pipeline with
 ``diameter_preserving_cut`` and ``forest_summary`` (the relative
 diameter of the remainder never drops), the decomposition pipeline with
-``r_preserving_cut`` and the ``td_summary`` of the remainder of the
-cut's own nonredundant decomposition (its relative heaviest-path weight
+``r_preserving_cut`` and the ``td_summary`` of the cut's own nonredundant
+decomposition induced on the live ids (its relative heaviest-path weight
 never drops).  The floor is checked on the same summary that the next
-cut receives.  A tree is peeled in place, in its own ids: each round
+cut receives.  Both are peeled in place, in the input's ids: each round
 deletes the part's edges from a private copy of the adjacency and
-summarizes the ids left, so no tree remainder is relabeled.  A
-decomposition remainder is induced and relabeled 1..|W|, as its cut and
-exact DP index it.  Each run returns the section together with a
-``BoundReport`` evaluating every applicable width guarantee; the
-guarantees are re-checked here and a violation raises
-``InvariantViolation`` (CLI exit 3) because it can only mean a bug.
+summarizes the ids left, so no remainder is induced or relabeled; only
+each cut's inner set Ṽ is, for its exact DP.  Each run returns the
+section together with a ``BoundReport`` evaluating every applicable
+width guarantee; the guarantees are re-checked here and a violation
+raises ``InvariantViolation`` (CLI exit 3) because it can only mean a
+bug.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .graph import (
     summary_relative_diameter,
 )
 from .treecut import _plain, diameter_preserving_cut
-from .treedec import TreeDecomposition, induced_local, require_decomposition, td_summary
+from .treedec import TreeDecomposition, induced, require_decomposition, td_summary
 from .tdcut import r_preserving_cut
 
 
@@ -103,40 +103,49 @@ def _trivial_sections(g: Graph, k: int) -> KSection:
 
 
 def _peel(
-    g: Graph, summary, sizes: list[int], cut, remainder, measure
+    g: Graph, summary, sizes: list[int], cut, summarize, measure
 ) -> tuple[KSection, list]:
     """Cut parts of the given sizes off g, one at a time, keeping a floor.
 
     ``summary`` describes g.  Each round calls ``cut(cur, summary, m) ->
-    (Cut, trace)``, then ``remainder(cur, cut, summary, ids) -> (part,
-    ids, cur, summary)``: the part and the ids left, ascending, in g's
-    ids, then the next graph to cut and its one summary.
-    ``measure(summary, n)`` is the quantity the cut must not lower (diam*
-    for trees, r for decompositions): it is read off that one summary,
-    which then goes to the next cut.  The loop checks that every cut has
-    |B| = m, that the measure never drops and that the per-cut widths add
-    up to the width of the section; a failure raises
-    ``InvariantViolation``.  Returns the section, parts in the order of
-    ``sizes``, and the per-cut traces.
+    (Cut, trace)``, deletes the black side's edges from one private copy
+    of g's adjacency (O(Σ deg(B ∪ N(B))) a round) and calls
+    ``summarize(cur, summary, live)`` for the remainder's one summary:
+    ``cur`` is g with every cut vertex isolated and ``live`` the ids left,
+    ascending, so every round works in g's ids.  ``measure(summary, n)``
+    is the quantity the cut must not lower (diam* for trees, r for
+    decompositions): it is read off that one summary, which then goes to
+    the next cut.  The loop checks that every cut has |B| = m, that the
+    measure never drops and that the per-cut widths add up to the width
+    of the section; a failure raises ``InvariantViolation``.  Returns the
+    section, parts in the order of ``sizes``, and the per-cut traces.
     """
-    parts: list[tuple[int, ...]] = []
-    width = 0
-    traces = []
-    cur, ids = g, list(g.vertices())
+    parts, width, traces = [], 0, []
+    adj, live, cur = list(g.adj), list(g.vertices()), g
     floor = measure(summary, g.n)
     for m in sizes[:-1]:
         c, trace = cut(cur, summary, m)
-        if len(c.black) != m:
-            raise InvariantViolation(f"cut returned {len(c.black)} vertices, wanted {m}")
-        part, ids, cur, summary = remainder(cur, c, summary, ids)
-        parts.append(part)
+        black = c.black
+        if len(black) != m:
+            raise InvariantViolation(f"cut returned {len(black)} vertices, wanted {m}")
+        ends = set()  # rebuilt once each: a hub of a decomposed graph may lose many edges
+        for b in black:
+            for w in adj[b]:
+                if w not in black:
+                    ends.add(w)
+            adj[b] = ()
+        for w in ends:
+            adj[w] = tuple(filterfalse(black.__contains__, adj[w]))
+        live, cur = list(filterfalse(black.__contains__, live)), Graph._trusted(g.n, adj)
+        summary = summarize(cur, summary, live)
+        parts.append(tuple(sorted(black)))
         width += c.width
         traces.append(trace)
-        after = measure(summary, len(ids))
+        after = measure(summary, len(live))
         if after < floor:
             raise InvariantViolation(f"the remainder's measure fell from {floor} to {after}")
         floor = after
-    parts.append(tuple(ids))
+    parts.append(tuple(live))
     section = KSection.from_parts(g, parts)
     if section.width != width:
         raise InvariantViolation("per-cut widths do not add up to the final width")
@@ -144,27 +153,11 @@ def _peel(
 
 
 def _peel_forest(forest: Graph, comps: list, sizes: list[int]) -> tuple[KSection, list]:
-    """``_peel`` with the diameter-preserving cut; diam* never drops.
-
-    ``comps`` is the forest summary of ``forest``.  Each round deletes the
-    black side's edges from one private copy of the adjacency, O(n) over a
-    section, and summarizes the live ids: every remainder keeps g's ids.
-    """
-    adj = list(forest.adj)
-
-    def remainder(_cur, c, _comps, ids):
-        for b in c.black:
-            for w in adj[b]:
-                if w not in c.black:
-                    adj[w] = tuple(x for x in adj[w] if x != b)
-            adj[b] = ()
-        live, rest = list(filterfalse(c.black.__contains__, ids)), Graph._trusted(forest.n, adj)
-        return tuple(sorted(c.black)), live, rest, forest_summary(rest, live)
-
+    """``_peel`` of ``forest``, summarized by ``comps``, with the diameter-preserving cut."""
     return _peel(
         forest, comps, sizes,
         cut=lambda f, c, m: diameter_preserving_cut(f, m, c),
-        remainder=remainder,
+        summarize=lambda rest, _comps, live: forest_summary(rest, live),
         measure=summary_relative_diameter,
     )
 
@@ -284,18 +277,12 @@ def ksection_td_detailed(
         section = _trivial_sections(g, k)
         traces = []
     else:
-        # each remainder is relabeled 1..|W|; the input was checked once above, and each
-        # remainder's decomposition is derived from the cut's own normalized one
-        def remainder(cur, c, s, ids):
-            keep = sorted(c.white)
-            rest = induced_sorted(cur, keep)
-            part, ids = tuple(sorted(ids[u - 1] for u in c.black)), [ids[u - 1] for u in keep]
-            return part, ids, rest, td_summary(induced_local(s.td, keep), rest.n)
-
+        # the input was checked once above; each remainder's decomposition is the
+        # cut's own normalized one induced on the live ids, so its clusters keep g's ids
         section, traces = _peel(
             g, summary, oracle.balanced_sizes(n, k),
             cut=lambda cur, s, m: r_preserving_cut(cur, s.td, m, summary=s),
-            remainder=remainder,
+            summarize=lambda _cur, s, live: td_summary(induced(s.td, live), len(live)),
             measure=lambda s, _n: s.path.relative_weight,
         )
 

@@ -2,9 +2,10 @@
 
 Everything here is immutable after construction and safe for concurrent
 reads.  Vertices are dense 1-indexed integers; parsers reject anything
-else.  The one exception is private: the tree peel (``engine``) keeps a
-mutable copy of its input's adjacency and deletes each cut's edges from
-it, so every remainder keeps the input's ids.
+else.  The one exception is private: the peel (``engine``), of a tree or
+of a decomposed graph, keeps a mutable copy of its input's adjacency and
+deletes each cut's edges from it, so every remainder keeps the input's
+ids.
 
 Validation policy: each public entry point checks its input once, through
 ``require_forest`` / ``require_tree`` (both built on ``forest_summary``),
@@ -16,10 +17,10 @@ is reserved for failed postconditions, i.e. bugs.
 
 Derived graphs skip validation by construction.  ``Graph(n, edges)`` is
 the one public, checked constructor.  Every graph the pipelines derive
-from a checked one (an induced subgraph, a linked forest, a subgraph
-with a cluster's edges removed) is built by ``Graph._trusted`` straight
-from adjacency tuples, which are sorted because each builder keeps them
-so.  Such a graph builds its ``edges`` frozenset on first use.  Two
+from a checked one (an inner vertex set Ṽ, a linked forest, a subgraph
+with a cluster's edges removed, a peel's remainder) is built by
+``Graph._trusted`` straight from adjacency tuples, which are sorted
+because each builder keeps them so.  Such a graph builds its ``edges`` frozenset on first use.  Two
 threads that race on that first use build equal sets, and one of them
 is kept, so the lazy cache stays safe for concurrent reads.  Widths and
 edge counts are read off the adjacency (``boundary_width``,
@@ -440,6 +441,8 @@ GR_BYTES_PER_VERTEX = 80
 
 def parse_gr(text: str) -> Graph:
     """Parse a .gr file; ``ResourceLimit`` when the declared n would not fit the memory guard."""
+    if not isinstance(text, str):
+        raise KsecError(f"parse_gr: {text!r} is not a string")
     n = m = -1
     edges: list[tuple[int, int]] = []
     seen = set()

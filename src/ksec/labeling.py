@@ -56,8 +56,10 @@ class PLabeling:
     def from_blocks(cls, blocks: list[list[int]], marked: Container[int]) -> "PLabeling":
         """Label the vertices of the blocks 1..n in order; the blocks partition 1..n.
 
-        ``NotAPartition`` names a vertex out of 1..n, or one in no block.
+        ``NotAPartition`` names a vertex out of 1..n or in no block, and a non-container ``marked``.
         """
+        if not isinstance(marked, Container):
+            raise NotAPartition(f"PLabeling: marked={marked!r} is not a set of vertex ids")
         blocks = [read_ids(b, NotAPartition, "PLabeling")
                   for b in read_ids(blocks, NotAPartition, "PLabeling")]
         n = sum(map(len, blocks))
@@ -154,7 +156,14 @@ def _p_labeling(tree: Graph, path) -> tuple[PLabeling, list[int]]:
 
 
 def d_p(lab: PLabeling, x: int, y: int) -> int:
-    """Count marked vertices between labels x and y, excluding y (cyclic)."""
+    """Count marked vertices between labels x and y, excluding y (cyclic); labels are integers."""
+    if not (is_int(x) and is_int(y)):
+        raise KsecError(f"d_p: label {y if is_int(x) else x!r} is not an integer")
+    return _d_p(lab, x, y)
+
+
+def _d_p(lab: PLabeling, x: int, y: int) -> int:
+    """``d_p`` unchecked, for the anchor search."""
     n = lab.n
     x, y = cyclic(x, n), cyclic(y, n)
     if x <= y:
@@ -177,7 +186,7 @@ def find_anchor(lab: PLabeling, m: int) -> int:
     target = (lab.num_path * m) // n
     for v in range(1, n + 1):
         if lab.on_path[v] or lab.on_path[cyclic(v + m, n)]:
-            if d_p(lab, v, v + m) == target:
+            if _d_p(lab, v, v + m) == target:
                 return v
     raise InvariantViolation(f"no anchor for m={m}; labeling corrupt")
 

@@ -7,7 +7,9 @@ cyclic labeling (``labeling.PLabeling``, with R marked in place of the
 path) gives path node i the block S_i ∪ R_i, with R_i last.  The anchor,
 the label interval and the block to split are found as for a tree.  The
 r-preserving cut peels off exactly m vertices while the relative
-heaviest-path weight of the remainder never drops.
+heaviest-path weight of the remainder never drops.  Like the tree cut,
+it works in its graph's ids, of which the peel's remainders use a part;
+only the inner vertex set Ṽ is relabeled 1..|Ṽ|, for the exact DP.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     NotATreeDecomposition,
     RedundantDecomposition,
 )
-from .graph import Cut, Graph, bfs_tree, boundary_width, induced_sorted, is_int, max_degree
+from .graph import Cut, Graph, bfs_tree, boundary_width, first_bad, is_int, max_degree
 from .labeling import PLabeling, cyclic, find_anchor, labels_interval
 from .treecut import CutTrace
 from .treedec import (
@@ -30,7 +32,7 @@ from .treedec import (
     TDSummary,
     TreeDecomposition,
     heaviest_path,
-    induced_local,
+    induced,
     make_nonredundant,
     require_decomposition,
     td_summary,
@@ -65,7 +67,11 @@ def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> 
     when some R_i is empty, which cannot happen after
     ``make_nonredundant``.
     """
-    n = g.n
+    return PLabeling.from_blocks(*_td_blocks(td, path, g.n))
+
+
+def _td_blocks(td: TreeDecomposition, path: HeaviestPathResult, n: int) -> tuple[list, set]:
+    """The blocks of ``td_p_labeling`` for the n vertices of td's clusters, and R."""
     path_nodes = tuple(path.path)
 
     # component of T - E_P containing each node; path nodes start out
@@ -101,7 +107,7 @@ def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> 
     blocks = [sorted(s_of[i]) + r_of[i] for i in path_nodes]
     if sum(map(len, blocks)) != n:
         raise InvariantViolation("labeling blocks do not partition the vertex set")
-    return PLabeling.from_blocks(blocks, in_r)
+    return blocks, in_r
 
 
 def approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
@@ -112,16 +118,20 @@ def approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
     (``NotATreeDecomposition`` with a witness).
     """
     require_decomposition(td, g, "approximate_cut_td")
-    return Cut._trusted(g, _approximate_cut_td(g, td, m))
+    return Cut._trusted(g, _approximate_cut_td(td, g.vertices(), m))
 
 
-def _approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> frozenset:
-    """Black set of ``approximate_cut_td``."""
-    n = g.n
+def _approximate_cut_td(td: TreeDecomposition, vertices, m: int) -> frozenset:
+    """Black set of ``approximate_cut_td`` for a decomposition of a graph on ``vertices``.
+
+    Reads the graph through td's clusters alone, so it takes only the
+    vertex set, in any ids.
+    """
+    n = len(vertices)
     if not is_int(m) or not (1 <= m <= 2 * n):
         raise MOutOfRange(f"m={m!r} not in 1..{2 * n}")
     if m >= n:
-        return frozenset(g.vertices())
+        return frozenset(vertices)
 
     order, parent = bfs_tree(td.tree_adj, 1)
     depth = [0] * (td.num_nodes + 1)
@@ -205,26 +215,27 @@ def r_preserving_cut(
 
     ``td`` is checked against ``g`` (``NotATreeDecomposition`` with a
     witness), then normalized and weighed.  ``summary`` is
-    ``td_summary(td, g.n)`` when the caller already has it (the peel loop
-    does): it replaces all three, ``td`` is then not read, and the summary
-    is checked only against g's vertex set (``NotATreeDecomposition``).
-    The inner exact DP checks the glued decomposition it is handed, and
-    refuses widths above its default limit (``WidthTooLarge``).
+    ``td_summary(td, n)`` when the caller already has it (the peel loop
+    does): it replaces all three, and ``td`` is then not read.  The cut
+    splits the n ids of the summary's clusters, which must be closed
+    under g's edges (``NotATreeDecomposition``); g's other ids lie on no
+    side.  The inner exact DP checks the glued decomposition it is
+    handed, and refuses widths above its default limit (``WidthTooLarge``).
     """
-    n = g.n
-    if not is_int(m) or not (1 <= m <= n - 1):
-        raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
     if summary is None:
         require_decomposition(td, g, "r_preserving_cut")
-        summary = td_summary(td, n)
-    elif summary.n != n or frozenset().union(*summary.td.bags) != frozenset(g.vertices()):
+        summary = td_summary(td, g.n)
+    n, live = summary.n, frozenset().union(*summary.td.bags)
+    if first_bad(live, 1, g.n) or len(live) != n or boundary_width(g, live):
         raise NotATreeDecomposition(
-            f"r_preserving_cut: a summary of a decomposition of {summary.n} vertices"
-            f" does not cover the {n} vertices of the graph"
+            f"r_preserving_cut: a summary of a decomposition of {n} vertices does not cover"
+            f" {n} of the graph's ids 1..{g.n} that no edge of the graph leaves"
         )
+    if not is_int(m) or not (1 <= m <= n - 1):
+        raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
     td0, t, hp = summary.td, summary.t, summary.path
     r = hp.relative_weight
-    lab = td_p_labeling(g, td0, hp)
+    lab = PLabeling._trusted(*_td_blocks(td0, hp, n), g.n)
     floor_rm = (lab.num_path * m) // n
     v = find_anchor(lab, m)
     m_vertices = frozenset(labels_interval(lab, v, m))
@@ -233,23 +244,20 @@ def r_preserving_cut(
 
     base = dict(m=m, r=r, t=t, anchor=v, floor_rm=floor_rm, normalized_td=td0)
     if v_in_r and vm_in_r:
-        return Cut._trusted(g, m_vertices), RCutTrace(case_tag="Case1", **base)
+        return Cut._trusted(g, m_vertices, live), RCutTrace(case_tag="Case1", **base)
     # the end of the m-window outside R lies in S_i of the split node i
     i, first, last = lab.block(v + m if v_in_r else v)
-    split_node = hp.path[i]
+    base["node"] = split_node = hp.path[i]
     if v_in_r and lab.on_path[cyclic(v + m - 1, n)]:
-        return Cut._trusted(g, m_vertices), RCutTrace(case_tag="Case2a", node=split_node, **base)
+        return Cut._trusted(g, m_vertices, live), RCutTrace(case_tag="Case2a", **base)
 
     case = "Case2b" if v_in_r else "Case3"
-    s_sorted = sorted(lab.vertex_of[x] for x in range(first, last + 1) if not lab.on_path[x])
-    s_set = set(s_sorted)
+    s_set = frozenset(lab.vertex_of[x] for x in range(first, last + 1) if not lab.on_path[x])
     m_tilde = 2 * len(s_set & m_vertices)
     if not (2 <= m_tilde <= 2 * m):
         raise InvariantViolation(f"{case}: m-tilde {m_tilde} out of range")
 
-    sub_s = induced_sorted(g, s_sorted)
-    local_black = _approximate_cut_td(sub_s, induced_local(td0, s_sorted), m_tilde)
-    b_side = frozenset(s_sorted[u - 1] for u in local_black)
+    b_side = _approximate_cut_td(induced(td0, s_set), s_set, m_tilde)
 
     v_tilde = frozenset((m_vertices - s_set) | b_side)
     if not (m <= len(v_tilde) <= 2 * m):
@@ -275,9 +283,8 @@ def r_preserving_cut(
     outer = boundary_width(g, v_tilde)
     if outer > 3 * t * max_degree(g):
         raise InvariantViolation(f"{case}: outer cut exceeds 3tΔ")
-    return Cut._trusted(g, black), RCutTrace(
+    return Cut._trusted(g, black, live), RCutTrace(
         case_tag=case,
-        node=split_node,
         m_tilde=m_tilde,
         b_side=b_side,
         v_tilde=v_tilde,

@@ -182,29 +182,16 @@ def require_decomposition(td: TreeDecomposition, g: Graph, who: str) -> None:
         )
 
 
-def _with_bags(td: TreeDecomposition, bags: Iterable[frozenset]) -> TreeDecomposition:
-    """``td``'s own tree with new clusters, one per node; the tree was checked when ``td`` was built."""
-    return TreeDecomposition._trusted(tuple(bags), td.tree_adj, td.tree_edges)
-
-
 def induced(td: TreeDecomposition, vertex_set: Iterable[int]) -> TreeDecomposition:
-    """Same tree, clusters intersected with ``vertex_set``."""
-    keep = frozenset(vertex_set)
-    return _with_bags(td, (b & keep for b in td.bags))
+    """Same tree, which is not checked again, with clusters intersected with ``vertex_set``.
 
-
-def relabel_clusters(td: TreeDecomposition, new_of: dict) -> TreeDecomposition:
-    """Rename cluster vertices through ``new_of`` (same decomposition tree)."""
-    return _with_bags(td, (frozenset(new_of[v] for v in b) for b in td.bags))
-
-
-def induced_local(td: TreeDecomposition, vertices: Sequence[int]) -> TreeDecomposition:
-    """``induced`` on ``vertices``, renamed to 1..len(vertices) in their order.
-
-    For a sorted list, a decomposition of the subgraph that
-    ``graph.induced_subgraph`` builds from it.
+    Ids are kept.  ``KsecError`` names a ``vertex_set`` that is no set of ids.
     """
-    return relabel_clusters(induced(td, vertices), {v: i + 1 for i, v in enumerate(vertices)})
+    try:
+        keep = frozenset(vertex_set)
+    except TypeError:  # not iterable, or holds an unhashable value
+        raise KsecError(f"induced: {vertex_set!r} is not a sequence of ids") from None
+    return TreeDecomposition._trusted(tuple(b & keep for b in td.bags), td.tree_adj, td.tree_edges)
 
 
 def make_nonredundant(td: TreeDecomposition) -> TreeDecomposition:
@@ -339,7 +326,9 @@ def td_summary(td: TreeDecomposition, n: int) -> TDSummary:
     """Normalize ``td`` and weigh its heaviest path; ``td`` is not checked.
 
     For decompositions already checked against their graph, or derived
-    from one by ``induced`` and ``relabel_clusters``.
+    from one by ``induced``.  ``n`` counts the vertices of td's clusters,
+    whose ids need not be 1..n: the decomposition peel summarizes the ids
+    still live in its input's id space.
     """
     _require_vertex_count(n, "td_summary")
     td0 = make_nonredundant(td)
@@ -366,6 +355,8 @@ def tree_to_width1_td(tree: Graph) -> TreeDecomposition:
 
 def parse_td(text: str) -> tuple[TreeDecomposition, int]:
     """Parse a .td file; returns (decomposition, declared vertex count)."""
+    if not isinstance(text, str):
+        raise KsecError(f"parse_td: {text!r} is not a string")
     header = None
     bags: dict[int, frozenset] = {}
     edges: list[tuple[int, int]] = []

@@ -290,6 +290,38 @@ def inner_merges(cls):
     return sum(len(shape) for shape in set(cls.values()))
 
 
+def live_decomposition_errors(td, g, live) -> list:
+    """(T1), (T2), (T3) of ``td`` for g on the ids ``live``, checked naively.
+
+    The decomposition peel's graphs keep their input's ids, with every cut
+    vertex isolated: a cluster may hold only live ids ("off-live"), each
+    live id lies in a cluster (T1), each edge of g in one cluster (T2),
+    and the nodes holding a vertex are connected in the tree (T3).
+    """
+    live = set(live)
+    tree = {i: set() for i in td.nodes()}
+    for i, j in td.tree_edges:
+        tree[i].add(j)
+        tree[j].add(i)
+    holders: dict = {}
+    for i in td.nodes():
+        for v in td.bag(i):
+            holders.setdefault(v, set()).add(i)
+    problems = [("off-live", v) for v in sorted(set(holders) - live)]
+    problems += [("T1", v) for v in sorted(live - set(holders))]
+    problems += [("T2", (u, v)) for u, v in sorted(g.edges)
+                 if not holders.get(u, set()) & holders.get(v, set())]
+    for v, nodes in sorted(holders.items()):
+        seen, stack = {min(nodes)}, [min(nodes)]
+        while stack:
+            for j in tree[stack.pop()] & nodes - seen:
+                seen.add(j)
+                stack.append(j)
+        if seen != nodes:
+            problems.append(("T3", v))
+    return problems
+
+
 def make_nonredundant_rescan(td):
     """``treedec.make_nonredundant`` as first written: rescan every node after each contraction.
 

@@ -24,16 +24,27 @@ from ksec.errors import (
     ResourceLimit,
     SizesDontSum,
 )
-from ksec.graph import Cut, Graph, KSection, cut_width, forest_summary, induced_subgraph, write_gr
+from ksec.graph import (
+    Cut,
+    Graph,
+    KSection,
+    cut_width,
+    forest_summary,
+    induced_subgraph,
+    parse_gr,
+    write_gr,
+)
 from ksec.instances import BadParameters, GeneratorSpec, generate
-from ksec.labeling import PLabeling, find_anchor, p_labeling
+from ksec.labeling import PLabeling, d_p, find_anchor, p_labeling
 from ksec.oracle import brute_min_ksection, dp_min_size_cut_td, dp_min_size_cut_tree
 from ksec.tdcut import approximate_cut_td, r_preserving_cut
 from ksec.treecut import approximate_cut, diameter_preserving_cut
 from ksec.treedec import (
     TreeDecomposition,
     heaviest_path,
+    induced,
     make_nonredundant,
+    parse_td,
     td_summary,
     tree_to_width1_td,
     validation_errors,
@@ -158,6 +169,7 @@ NOT_ITERABLE = {
     "dp_min_size_cut_tree": (
         lambda: dp_min_size_cut_tree(path(3), 1, outside=5), KsecError, "outside: 5",
     ),
+    "induced": (lambda: induced(tree_to_width1_td(path(3)), 5), KsecError, "induced: 5"),
 }
 
 
@@ -165,6 +177,26 @@ NOT_ITERABLE = {
 def test_a_non_iterable_id_sequence_is_named_with_a_typed_error(name):
     call, error, named = NOT_ITERABLE[name]
     with pytest.raises(error, match=re.escape(f"{named} is not a sequence of ids")):
+        call()
+
+
+# each public entry point given an argument of the wrong type, not a sequence of ids
+WRONG_TYPE = {
+    "PLabeling.from_blocks": (
+        lambda: PLabeling.from_blocks([[1]], 5), NotAPartition,
+        "PLabeling: marked=5 is not a set of vertex ids",
+    ),
+    "d_p": (lambda: d_p(p_labeling(path(3), [1, 2]), "x", 2), KsecError,
+            "d_p: label 'x' is not an integer"),
+    "parse_gr": (lambda: parse_gr(5), KsecError, "parse_gr: 5 is not a string"),
+    "parse_td": (lambda: parse_td(5), KsecError, "parse_td: 5 is not a string"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPE))
+def test_an_argument_of_the_wrong_type_is_named_with_a_typed_error(name):
+    call, error, named = WRONG_TYPE[name]
+    with pytest.raises(error, match=re.escape(named)):
         call()
 
 
@@ -366,6 +398,16 @@ def test_r_preserving_cut_rejects_a_summary_of_another_graph():
     # right vertex count, but vertex 4 lies in no cluster of the summary
     with pytest.raises(NotATreeDecomposition, match="does not cover"):
         r_preserving_cut(path(4), p4_td, 2, summary=td_summary(T1_BROKEN, 4))
+
+
+def test_r_preserving_cut_splits_the_ids_its_summary_covers_and_no_more():
+    """A summary may leave isolated ids out, as the peel's do; one that cuts an edge is refused."""
+    p5_td = TreeDecomposition([{i, i + 1} for i in range(1, 5)], [(i, i + 1) for i in range(1, 4)])
+    live = td_summary(induced(p5_td, {3, 4, 5}), 3)
+    cut, _ = r_preserving_cut(Graph(5, [(3, 4), (4, 5)]), p5_td, 1, summary=live)
+    assert (cut.black, cut.white, cut.width) == ({3}, {4, 5}, 1)
+    with pytest.raises(NotATreeDecomposition, match="that no edge of the graph leaves"):
+        r_preserving_cut(path(5), p5_td, 1, summary=live)
 
 
 def test_heaviest_path_reports_broken_t3_as_invariant_violation():

@@ -29,7 +29,6 @@ from ksec.treedec import (
     make_nonredundant,
     td_summary,
     tree_to_width1_td,
-    validation_errors,
 )
 
 
@@ -347,24 +346,95 @@ def test_ksection_td_weighs_the_input_once(monkeypatch):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 60), st.integers(10, 120), st.integers(2, 4), st.integers(2, 6))
 def test_peel_loop_hands_each_cut_a_valid_decomposition_and_its_summary(seed, n, t, k):
-    """The remainders' decompositions are derived, not checked, at run time; they stay valid."""
+    """The remainders' decompositions are derived, not checked, at run time; they stay valid.
+
+    Each round's graph is the input with the cut vertices isolated, and
+    the peel mutates it in place, so each round is checked when its cut
+    is called, on the ids still live.
+    """
     g, td = random_partial_ktree(n, t, Xorshift64Star(seed))
-    seen = []
+    live, rounds = set(g.vertices()), []
     real = engine.r_preserving_cut
 
     def cut(cur, cur_td, m, **kwargs):
-        seen.append((cur, cur_td, kwargs["summary"]))
-        return real(cur, cur_td, m, **kwargs)
+        summ = kwargs["summary"]
+        assert cur.n == g.n and not any(cur.adj[v] for v in set(g.vertices()) - live)
+        assert not oracles.live_decomposition_errors(cur_td, cur, live)
+        assert not oracles.live_decomposition_errors(summ.td, cur, live)
+        fresh = td_summary(cur_td, len(live))
+        assert (summ.td.bags, summ.td.tree_edges) == (fresh.td.bags, fresh.td.tree_edges)
+        assert (summ.path, summ.t, summ.n) == (fresh.path, fresh.t, fresh.n)
+        c, trace = real(cur, cur_td, m, **kwargs)
+        live.difference_update(c.black)
+        rounds.append(m)
+        return c, trace
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "r_preserving_cut", cut)
         ksection_td(g, td, k)
-    assert len(seen) == k - 1
-    for cur, cur_td, summ in seen:
-        assert not validation_errors(cur_td, cur) and not validation_errors(summ.td, cur)
-        fresh = td_summary(cur_td, cur.n)
-        assert (summ.td.bags, summ.td.tree_edges) == (fresh.td.bags, fresh.td.tree_edges)
-        assert (summ.path, summ.t, summ.n) == (fresh.path, fresh.t, fresh.n)
+    assert len(rounds) == k - 1
+
+
+def td_section_lives(g, section):
+    """The ids live at each cut of a section: the input less the parts cut before it."""
+    live, lives = set(g.vertices()), []
+    for part in section.parts[:-1]:
+        lives.append(frozenset(live))
+        live -= set(part)
+    return lives
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_td_traces_name_the_input_ids(k):
+    """Each round's trace names vertices in the input's ids, like the part it cut."""
+    g, td = random_partial_ktree(600, 4, Xorshift64Star(7))
+    section, _, traces = engine.ksection_td_detailed(g, td, k)
+    assert len(traces) == k - 1
+    inner = [t for t in traces if t["case_tag"] in ("Case2b", "Case3")]
+    assert len(inner) >= 2  # rounds past the first take the inner cut too
+    for live, part, trace in zip(td_section_lives(g, section), section.parts, traces):
+        if trace["case_tag"] in ("Case2b", "Case3"):
+            assert set(trace["b_side"]) <= set(trace["v_tilde"]) <= live
+            assert set(part) <= set(trace["v_tilde"])
+
+
+def test_a_td_section_induces_no_remainder(monkeypatch):
+    """The decomposition peel works in the input's ids: no graph is induced, only each cluster set.
+
+    Each round after the first summarizes ``induced`` of the last cut's
+    decomposition on that round's live ids.
+    """
+    g, td = random_partial_ktree(400, 4, Xorshift64Star(2024))
+    k = 8
+    graphs, induced, summarized = [], [], []
+    real_sorted, real_induced, real_summary = graph.induced_sorted, treedec.induced, engine.td_summary
+
+    def spy_sorted(h, old_of):
+        graphs.append(len(old_of))
+        return real_sorted(h, old_of)
+
+    def spy_induced(cur_td, live):
+        induced.append((sorted(live), real_induced(cur_td, live)))
+        return induced[-1][1]
+
+    def spy_summary(cur_td, n):
+        summarized.append((cur_td, n))
+        return real_summary(cur_td, n)
+
+    for mod in [m for key, m in sys.modules.items() if key.startswith("ksec.")]:
+        if getattr(mod, "induced_sorted", None) is real_sorted:
+            monkeypatch.setattr(mod, "induced_sorted", spy_sorted)
+    monkeypatch.setattr(engine, "induced", spy_induced)
+    monkeypatch.setattr(engine, "td_summary", spy_summary)
+    section, _ = ksection_td(g, td, k)
+    monkeypatch.undo()
+    check_section(g, section, k)
+    assert graphs == []
+    lives = td_section_lives(g, section)[1:] + [frozenset(section.parts[-1])]
+    assert [live for live, _ in induced] == [sorted(live) for live in lives]
+    assert [(cur_td, n) for cur_td, n in summarized[1:]] == [
+        (sub, len(live)) for (live, sub) in induced
+    ]
 
 
 def seeded_partial_ktree(seed):

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 import oracles
 from conftest import path
 from ksec.errors import FormatError, InvariantViolation, NotATreeDecomposition
-from ksec.graph import Graph, induced_subgraph, require_tree
+from ksec.graph import Graph, require_tree
 from ksec.instances import Xorshift64Star, random_partial_ktree, random_tree_maxdeg
 from ksec.treedec import (
     TreeDecomposition,
     edge_home,
     heaviest_path,
     induced,
-    induced_local,
     make_nonredundant,
     occurrences,
     parse_td,
@@ -194,19 +193,19 @@ def test_make_nonredundant_returns_the_path_decomposition_itself():
 def test_derived_decompositions_stay_valid(seed, n, t):
     """What the peel loop derives from a checked decomposition is valid without a check.
 
-    A remainder's decomposition is the input's induced on the kept
-    vertices and renamed onto ``induced_subgraph``'s ids (``induced_local``);
-    the cuts then normalize it.
+    A remainder is the input with the cut vertices isolated, in the
+    input's ids; its decomposition is the input's induced on the kept
+    vertices (``induced``), and the cuts then normalize it.
     """
     rng = Xorshift64Star(seed)
     g, td = random_partial_ktree(n, t, rng)
     assert not validation_errors(make_nonredundant(td), g)
     keep = sorted(rng.sample(list(range(1, n + 1)), rng.randint(1, n)))
-    sub, old_of = induced_subgraph(g, keep)
-    assert old_of == keep
-    sub_td = induced_local(td, keep)
-    assert not validation_errors(sub_td, sub)
-    assert not validation_errors(make_nonredundant(sub_td), sub)
+    rest = Graph(n, [(u, v) for u, v in g.edges if u in keep and v in keep])
+    dead = [("T1", v) for v in range(1, n + 1) if v not in keep]
+    for sub_td in (induced(td, keep), make_nonredundant(induced(td, keep))):
+        assert not oracles.live_decomposition_errors(sub_td, rest, keep)
+        assert validation_errors(sub_td, rest) == dead  # only the cut ids lie in no cluster
 
 
 def heaviest_path_outcome(fn, td, n):
