@@ -95,10 +95,10 @@ EXPECTED = {
     "forest-s21-1:1:1": "6f4d2d16a91e2b2b17e0281e590d282c3196c702cec3f1edcbafaf7fae6070d0",
     "forest-s22-1:3:2:5": "c11250f215168f53425cfbc99ec06422b6f7dc34f002e0b64bba9bfa8735c37d",
     "td-s31-n200-k2": "478e92b0765dd040124042b62c0484f9acecfcc56e0726a34eda9d14acbe7141",
-    "td-s32-n200-k4": "bc9b2a41901daeb9e54406d3ce97e1aa1bd0ffcd6b13db6695ea107d87c70e0b",
-    "td-s34-n200-k4": "5a17a066a2840bc3938a65d1d8a4a0a5142d8274ea8bc2b42fe76053c8104fec",
-    "td-s44-n200-k4": "79aa91defba1952cfcd6f2c01270726913d7d175ea86d1d7e52b15df3bbca6fe",
-    "td-s51-n1000-k4": "c256296b653fe6884406cf95b168d0f2892da2d546713d39f0a01c567d77ece0",
+    "td-s32-n200-k4": "b41f5a88211bfd26e7065794af9da0ccdf87d4c0381f27037bbcbbe58b60055f",
+    "td-s34-n200-k4": "731eeb4880287ce6cb68a3e007c905480f480c9684d53512a6c7d97a5ec37f91",
+    "td-s44-n200-k4": "5ff29890f1af38db46ccb7273781390e3dcc77165c8809f6b14cb25fd5f2608b",
+    "td-s51-n1000-k4": "e317d95f760c0bcfaf74220010c4b8dd9b688e1d4c44015ba31ce25f612c32e1",
     "tree-s11-n200-k2": "9496a1d556c4319bbc1e2761ea8d9c6094f63aaff04c29a5a8a7398879c9d8ca",
     "tree-s12-n200-k16": "d0aecf3aea570d2730497cb87296ba796538c8c314b85b3a954b7b48e561dafa",
     "tree-s13-n700-k3": "a406cd57b7efefef6a11c0e0ea34f6dc1df4b5fbd9046f066038f87e121a4d66",
@@ -138,7 +138,7 @@ CLI_CASES = {
 
 CLI_EXPECTED = {
     "labeling-s63-n120": "f3fff65f7c30c3424ab7baeb2be58a6c60cb2d2d072aadf85306610ff001e6d0",
-    "td-s62-n150-k4": "a5a9c9ece5426104faecb41752fd3bd8d4c6358cf2dc642d1b544a74cfe431c0",
+    "td-s62-n150-k4": "0e633025f2364f08bdbe91958065e183e543c18bc8bf07c92d90ca4bdb862a89",
     "tree-adversarial-h4-k3": "02e68313ef42cf8bb694b12e3570db0f4d2431a6862cc4b0b7c7e7130a7aee8d",
     "tree-s61-n400-k4": "1a9f045f5dcc76d402ba98779dad658841bdb97d90143f61cd336015e5458307",
 }
