@@ -38,7 +38,6 @@ from .graph import (
     is_int,
     max_degree,
     require_forest,
-    require_memory,
     require_tree,
     summary_relative_diameter,
 )
@@ -96,10 +95,9 @@ class BoundReport:
 
 
 def _trivial_sections(g: Graph, k: int) -> KSection:
-    """k >= n: singletons plus empty parts, no cutting needed, if k parts fit the memory guard."""
-    require_memory(k * 200, f"k={k} parts")  # 10^6 parts peak at about 200 MB on 64-bit CPython
-    parts = [[v] for v in g.vertices()] + [[] for _ in range(k - g.n)]
-    return KSection.from_parts(g, parts)
+    """k >= n: n singletons, then k - n empty parts (``balanced_sizes`` checks k); no cutting."""
+    sizes = oracle.balanced_sizes(g.n, k)
+    return KSection.from_parts(g, [[v] for v in g.vertices()] + [[] for _ in sizes[g.n :]])
 
 
 def _peel(

@@ -56,6 +56,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not is_int(n) or n < 0:
             raise KsecError(f"vertex count must be a non-negative integer, got {n!r}")
+        require_memory(n * GR_BYTES_PER_VERTEX, f"{n} vertices")
         edges = list(edges)
         why = bad_pair(edges, "vertex")
         if why:
@@ -434,7 +435,7 @@ def require_memory(need: int, what: str) -> None:
 # p ks <n> <m>
 # <u> <v>          (m edge lines, 1-indexed)
 
-# what a parsed graph costs per declared vertex: 10^6 isolated vertices
+# what a graph costs per vertex: 10^6 isolated vertices
 # take about 77 MB on 64-bit CPython
 GR_BYTES_PER_VERTEX = 80
 

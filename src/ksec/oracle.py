@@ -67,8 +67,9 @@ from .graph import (
     mem_limit_bytes,
     read_ids,
     require_forest,
+    require_memory,
 )
-from .treedec import TreeDecomposition, edge_home, occurrences, require_decomposition
+from .treedec import TreeDecomposition, require_decomposition
 
 INF = 1 << 28
 
@@ -864,7 +865,7 @@ class _TDTables(_Tables):
     the memory guard still counts a shared array at every node.
     """
 
-    def __init__(self, g: Graph, td: TreeDecomposition, cap: int, kept: _Kept):
+    def __init__(self, homes: list, td: TreeDecomposition, cap: int, kept: _Kept):
         self.cap = cap
         self.kept = kept
         self.order, self.parent = bfs_tree(td.tree_adj, 1)
@@ -873,14 +874,10 @@ class _TDTables(_Tables):
         }
         self.bag_list = {i: sorted(td.bag(i)) for i in td.nodes()}
         self.pos = {i: {v: p for p, v in enumerate(self.bag_list[i])} for i in td.nodes()}
-        # each edge is charged to the smallest node whose cluster contains it, as the
-        # positions of its ends there; sorted edges give sorted pairs
+        # homes (from require_decomposition) charge each edge, ascending, to the smallest
+        # node whose cluster contains it, as the positions of its ends there: sorted pairs
         pairs: dict[int, list[tuple[int, int]]] = {i: [] for i in td.nodes()}
-        occ = occurrences(td)
-        for u, v in sorted(g.edges):
-            home = edge_home(td, occ, u, v)
-            if home is None:
-                raise InvariantViolation(f"edge ({u},{v}) not covered by any cluster (T2 fails)")
+        for (u, v), home in homes:
             pairs[home].append((self.pos[home][u], self.pos[home][v]))
         self.own_key = {i: (len(self.bag_list[i]), tuple(p)) for i, p in pairs.items()}
         self.owns: dict[tuple, np.ndarray] = {}
@@ -975,15 +972,15 @@ def dp_min_size_cut_td(
         raise KsecError(f"max_width={max_width!r} must be an integer >= 0")
     if td.width > max_width:
         raise WidthTooLarge(f"decomposition width {td.width} exceeds limit {max_width}")
-    require_decomposition(td, g, "dp_min_size_cut_td")
-
-    return _TDTables(g, td, m, _Kept(mem_limit_bytes())).cut(g, m)
+    homes = require_decomposition(td, g, "dp_min_size_cut_td")
+    return _TDTables(homes, td, m, _Kept(mem_limit_bytes())).cut(g, m)
 
 
 # --- Brute force ------------------------------------------------------------
 
 def balanced_sizes(n: int, k: int) -> list[int]:
-    """Part sizes of a k-section: (n mod k) ceilings first, then floors."""
+    """Part sizes of a k-section: (n mod k) ceilings first, then floors; k is checked first."""
+    require_memory(k * 200, f"k={k} parts")  # 10^6 parts peak at about 200 MB on 64-bit CPython
     q, r = divmod(n, k)
     return [q + 1] * r + [q] * (k - r)
 

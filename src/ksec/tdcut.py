@@ -9,7 +9,8 @@ the label interval and the block to split are found as for a tree.  The
 r-preserving cut peels off exactly m vertices while the relative
 heaviest-path weight of the remainder never drops.  Like the tree cut,
 it works in its graph's ids, of which the peel's remainders use a part;
-only the inner vertex set Ṽ is relabeled 1..|Ṽ|, for the exact DP.
+only the inner vertex set Ṽ is relabeled 1..|Ṽ|, by one map that serves
+its graph G̃, the glued decomposition and the exact DP's cut.
 """
 
 from __future__ import annotations
@@ -186,18 +187,13 @@ def _approximate_cut_td(td: TreeDecomposition, vertices, m: int) -> frozenset:
     return frozenset(black)
 
 
-def _subgraph_minus_cluster_edges(
-    g: Graph, vertices: list[int], bag: frozenset
-) -> Graph:
-    """``induced_sorted(g, vertices)`` without the edges that touch ``bag``."""
-    new_of = [0] * (g.n + 1)
-    for i, v in enumerate(vertices, start=1):
-        if v not in bag:
-            new_of[v] = i
-    get, adj = new_of.__getitem__, g.adj
+def _subgraph_minus_cluster_edges(g: Graph, new_of: dict, bag: frozenset) -> Graph:
+    """``induced_sorted`` of the ids ``new_of`` maps in order, minus the edges touching ``bag``."""
+    outside = {v: i for v, i in new_of.items() if v not in bag}
+    get, adj = outside.get, g.adj
     return Graph._trusted(
-        len(vertices),
-        ((), *[tuple(filter(None, map(get, adj[v]))) if new_of[v] else () for v in vertices]),
+        len(new_of),
+        ((), *[tuple(filter(None, map(get, adj[v]))) if v in outside else () for v in new_of]),
     )
 
 
@@ -263,23 +259,22 @@ def r_preserving_cut(
     if not (m <= len(v_tilde) <= 2 * m):
         raise InvariantViolation(f"{case}: inner vertex set size {len(v_tilde)}")
 
-    bag = td0.bag(split_node)
-    vt_sorted = sorted(v_tilde)
-    g_tilde = _subgraph_minus_cluster_edges(g, vt_sorted, bag)
-    new_of = {old: i + 1 for i, old in enumerate(vt_sorted)}
+    # Ṽ's one map to the ids 1..|Ṽ| of its graph G̃, the glue and the inner DP
+    new_of = {old: i for i, old in enumerate(sorted(v_tilde), start=1)}
+    g_tilde = _subgraph_minus_cluster_edges(g, new_of, td0.bag(split_node))
     b_local = {new_of[u] for u in b_side}
     if boundary_width(g_tilde, b_local):
         raise InvariantViolation(f"{case}: split sides are still connected")
 
-    glued = _glue_decompositions(td0, vt_sorted, new_of, b_local, hp.path[-1])
+    glued = _glue_decompositions(td0, new_of, b_local, hp.path[-1])
     if glued.width > t - 1:
         raise InvariantViolation(f"{case}: glued decomposition too wide")
-    r_tilde = heaviest_path(glued, len(vt_sorted)).relative_weight
+    r_tilde = heaviest_path(glued, len(new_of)).relative_weight
     if 2 * r_tilde < r:
         raise InvariantViolation(f"{case}: glued decomposition too light ({r_tilde} < {r}/2)")
     glued_small = make_nonredundant(glued)
     inner_cut, inner_width = oracle.dp_min_size_cut_td(g_tilde, glued_small, m)
-    black = {vt_sorted[u - 1] for u in inner_cut.black}
+    black = {old for old, i in new_of.items() if i in inner_cut.black}
     outer = boundary_width(g, v_tilde)
     if outer > 3 * t * max_degree(g):
         raise InvariantViolation(f"{case}: outer cut exceeds 3tΔ")
@@ -296,11 +291,7 @@ def r_preserving_cut(
 
 
 def _glue_decompositions(
-    td0: TreeDecomposition,
-    vt_sorted: list[int],
-    new_of: dict,
-    b_local: set,
-    j0: int,
+    td0: TreeDecomposition, new_of: dict, b_local: set, j0: int
 ) -> TreeDecomposition:
     """Join induced decompositions of the two split sides by one edge.
 
@@ -308,14 +299,12 @@ def _glue_decompositions(
     the new edge runs from the far path end j0 (copy 1) to the smallest
     copy-2 node with a nonempty cluster.  Two copies of td0's checked
     tree joined by one edge form a tree, so nothing is checked again.
+    The clusters are written in Ṽ's local ids (``new_of``), in which
+    ``b_local`` is the approximate-cut side.
     """
-    rest_set = {new_of[v] for v in vt_sorted} - b_local
-    bags1 = []
-    bags2 = []
-    for bag in td0.bags:
-        local = {new_of[v] for v in bag if v in new_of}
-        bags1.append(frozenset(local & rest_set))
-        bags2.append(frozenset(local & b_local))
+    local = [frozenset(new_of[v] for v in bag if v in new_of) for bag in td0.bags]
+    bags1 = [b - b_local for b in local]
+    bags2 = [b & b_local for b in local]
     num = td0.num_nodes
     h0 = next(i for i, b in enumerate(bags2, start=1) if b)
     # copy 2's nodes all follow copy 1's, so the bridge keeps both adjacencies sorted

@@ -150,6 +150,26 @@ def edge_home(td: TreeDecomposition, occ: dict, u: int, v: int) -> int | None:
 
 def validation_errors(td: TreeDecomposition, g: Graph) -> list[tuple[str, object]]:
     """Violations of (T1), (T2), (T3'), each with a witness; linear in the sizes."""
+    return _checked(td, g)[0]
+
+
+def require_decomposition(td: TreeDecomposition, g: Graph, who: str) -> list:
+    """Each edge of g, ascending, with its home (``edge_home``), once td is checked against g.
+
+    ``NotATreeDecomposition`` names the first failed condition and its witness.
+    """
+    problems, homes = _checked(td, g)
+    if problems:
+        cond, witness = problems[0]
+        raise NotATreeDecomposition(
+            f"{who}: the decomposition fails {cond} at {witness}"
+            f" ({len(problems)} violation(s) in all)"
+        )
+    return homes
+
+
+def _checked(td: TreeDecomposition, g: Graph) -> tuple[list, list]:
+    """``validation_errors``, and each edge of g, ascending, with its home (None if T2 fails)."""
     problems: list[tuple[str, object]] = []
     occ = occurrences(td)
     for v in sorted(occ):
@@ -158,9 +178,8 @@ def validation_errors(td: TreeDecomposition, g: Graph) -> list[tuple[str, object
     for v in g.vertices():
         if v not in occ:
             problems.append(("T1", v))
-    for u, v in sorted(g.edges):
-        if edge_home(td, occ, u, v) is None:
-            problems.append(("T2", (u, v)))
+    homes = [((u, v), edge_home(td, occ, u, v)) for u, v in sorted(g.edges)]
+    problems.extend(("T2", e) for e, home in homes if home is None)
     # the nodes holding v span a subtree iff exactly |occ[v]| - 1 tree edges join them
     joined: Counter = Counter()
     for i, j in td.tree_edges:
@@ -168,18 +187,7 @@ def validation_errors(td: TreeDecomposition, g: Graph) -> list[tuple[str, object
     for v in sorted(occ):
         if joined[v] != len(occ[v]) - 1:
             problems.append(("T3", v))
-    return problems
-
-
-def require_decomposition(td: TreeDecomposition, g: Graph, who: str) -> None:
-    """``NotATreeDecomposition`` naming the first failed condition and its witness."""
-    problems = validation_errors(td, g)
-    if problems:
-        cond, witness = problems[0]
-        raise NotATreeDecomposition(
-            f"{who}: the decomposition fails {cond} at {witness}"
-            f" ({len(problems)} violation(s) in all)"
-        )
+    return problems, homes
 
 
 def induced(td: TreeDecomposition, vertex_set: Iterable[int]) -> TreeDecomposition:

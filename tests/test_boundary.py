@@ -1,9 +1,14 @@
 """Input checks at the public entry points: each rejects bad input with a typed error."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ksec
 from conftest import path
 from ksec.engine import (
     cut_prescribed_sizes,
@@ -215,6 +220,42 @@ def test_a_huge_k_trips_the_memory_guard_before_its_parts_are_built(monkeypatch,
         call(10**6)
     monkeypatch.delenv("KSEC_MAX_MEM_MB")
     assert len(call(7)[0].parts) == 7
+
+
+def run_capped(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a child under a 1 GiB address-space cap and a 64 MB memory guard.
+
+    An allocation the guard lets through then ends the child with a bare
+    ``MemoryError`` instead of exhausting the machine.
+    """
+    env = {**os.environ, "KSEC_MAX_MEM_MB": "64", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(ksec.__file__).resolve().parents[1])}
+    capped = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    return subprocess.run([sys.executable, "-c", capped + code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@pytest.mark.parametrize("call", [
+    "brute_min_ksection(Graph(6, [(i, i + 1) for i in range(1, 6)]), 10**9)",
+    "Graph(10**8, [(1, 2)])",
+], ids=["brute_min_ksection", "Graph"])
+def test_a_call_over_the_memory_guard_raises_resource_limit_before_allocating(call):
+    out = run_capped(
+        "from ksec.errors import ResourceLimit\nfrom ksec.graph import Graph\n"
+        "from ksec.oracle import brute_min_ksection\n"
+        f"try:\n    {call}\nexcept ResourceLimit as exc:\n    print(exc)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert "over the 64 MB of KSEC_MAX_MEM_MB" in out.stdout
+
+
+def test_the_cli_exits_4_on_a_huge_k_for_the_brute_force_oracle(tmp_path):
+    gr = tmp_path / "p6.gr"
+    gr.write_text(write_gr(path(6)))
+    argv = ["oracle", "minksec", "--input", str(gr), "-k", str(10**9)]
+    out = run_capped(f"import sys\nfrom ksec.cli import main\nsys.exit(main({argv!r}))\n")
+    assert out.returncode == 4, out.stderr
+    assert "resource guard: k=1000000000 parts need about" in out.stderr
 
 
 @pytest.mark.parametrize(

@@ -310,11 +310,21 @@ def forest_or_partial_ktree(seed, use_ktree):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2 ** 60), st.booleans())
-def test_trusted_derived_graphs_equal_checked_ones(seed, use_ktree):
-    """Each derived graph skips the checked constructor, yet equals what it would build."""
-    g, rng = forest_or_partial_ktree(seed, use_ktree)
-    keep = sorted(rng.sample(list(g.vertices()), rng.randint(0, g.n)))
+@given(st.integers(0, 2 ** 60), st.sampled_from(["forest", "ktree", "peeled"]))
+def test_trusted_derived_graphs_equal_checked_ones(seed, shape):
+    """Each derived graph skips the checked constructor, yet equals what it would build.
+
+    A "peeled" graph has the shape of the decomposition peel's remainder:
+    a partial k-tree whose cut ids keep no edge, with the kept ids and the
+    cluster drawn from the live rest.
+    """
+    g, rng = forest_or_partial_ktree(seed, shape != "forest")
+    live = list(g.vertices())
+    if shape == "peeled":
+        cut = set(rng.sample(live, rng.randint(0, g.n)))
+        g = Graph(g.n, [(u, v) for u, v in g.edges if u not in cut and v not in cut])
+        live = [v for v in live if v not in cut]
+    keep = sorted(rng.sample(live, rng.randint(0, len(live))))
     new_of = {v: i for i, v in enumerate(keep, start=1)}
     inside = [(new_of[u], new_of[v]) for u, v in g.edges if u in new_of and v in new_of]
     assert_checked_equal(induced_sorted(g, keep), len(keep), inside)
@@ -322,12 +332,12 @@ def test_trusted_derived_graphs_equal_checked_ones(seed, use_ktree):
     assert old == keep
     assert_checked_equal(sub, len(keep), inside)
 
-    bag = frozenset(rng.sample(list(g.vertices()), rng.randint(0, min(4, g.n))))
+    bag = frozenset(rng.sample(live, rng.randint(0, min(4, len(live)))))
     outside = [(new_of[u], new_of[v]) for u, v in g.edges
                if u in new_of and v in new_of and u not in bag and v not in bag]
-    assert_checked_equal(_subgraph_minus_cluster_edges(g, keep, bag), len(keep), outside)
+    assert_checked_equal(_subgraph_minus_cluster_edges(g, new_of, bag), len(keep), outside)
 
-    if not use_ktree:
+    if shape == "forest":
         comps = forest_summary(g)
         links = [(a.path[-1], b.path[0]) for a, b in zip(comps, comps[1:])]
         linked = link_summarized(g, comps)

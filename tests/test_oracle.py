@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import TreeDPSpy, diam_star, path, star, star_comb
-from ksec import bounds, oracle
+from ksec import bounds, oracle, treedec
+from ksec.engine import ksection_td
 from ksec.errors import KsecError, MOutOfRange, ResourceLimit, TooLarge, WidthTooLarge
 from ksec.graph import Graph, forest_summary, max_degree
 from ksec.instances import (
@@ -377,6 +380,45 @@ def test_dp_td_reduces_each_child_once(monkeypatch):
         assert sorted(tuple(sorted(e)) for e in calls) == sorted(td.tree_edges)
 
 
+def _homes(g, td):
+    """Each edge of g, ascending, with its home, from the homing pass of the DP's check.
+
+    Taken from the pass itself, not from ``require_decomposition``: on
+    the peel's induced clusters, T1 fails by design.
+    """
+    return treedec._checked(td, g)[1]
+
+
+def test_dp_td_homes_each_edge_once(monkeypatch):
+    """The DP's one check homes each edge, and the tables take its homes: one pass per DP."""
+    counts = Counter()
+    for name in ("occurrences", "edge_home"):
+        real = getattr(treedec, name)
+
+        def spy(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        for mod in (treedec, oracle):  # every module that binds it
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, spy)
+    per_call = []
+    real_dp = oracle.dp_min_size_cut_td
+
+    def dp(g, *args):
+        counts.clear()
+        out = real_dp(g, *args)
+        per_call.append((counts["occurrences"], counts["edge_home"], g.num_edges))
+        return out
+
+    monkeypatch.setattr(oracle, "dp_min_size_cut_td", dp)
+    g, td = random_partial_ktree(200, 4, Xorshift64Star(36))
+    oracle.dp_min_size_cut_td(g, td, g.n // 2)
+    ksection_td(*random_partial_ktree(400, 4, Xorshift64Star(2024)), 4)  # its inner DPs
+    assert len(per_call) > 1
+    assert per_call == [(1, edges, edges) for _, _, edges in per_call]
+
+
 def _count_minplus(monkeypatch):
     """Record the row count of every ``oracle._minplus`` call."""
     rows = []
@@ -394,7 +436,7 @@ def test_dp_td_merges_each_child_in_one_minplus_call(monkeypatch):
     """One kernel call per decomposition tree edge, over every coloring of the parent's cluster."""
     calls = _count_minplus(monkeypatch)
     g, td = random_partial_ktree(60, 4, Xorshift64Star(33))
-    tables = oracle._TDTables(g, td, g.n // 2, oracle._Kept(1 << 40))
+    tables = oracle._TDTables(_homes(g, td), td, g.n // 2, oracle._Kept(1 << 40))
     tables.run()
     want = [1 << len(td.bag(tables.parent[j])) for j in td.nodes() if j != tables.order[0]]
     assert sorted(calls) == sorted(want) and len(calls) == len(td.tree_edges)
@@ -411,7 +453,7 @@ def test_dp_td_padded_tables_extend_the_per_coloring_rows(seed, n, t, half):
         td = induced(td, keep)
         g = Graph(n, [(u, v) for u, v in g.edges if u in keep and v in keep])
     m = rng.randint(0, n)
-    new = oracle._TDTables(g, td, m, oracle._Kept(1 << 40))
+    new = oracle._TDTables(_homes(g, td), td, m, oracle._Kept(1 << 40))
     new.run()
     old = oracles.TDTablesPerColoring(g, td, m, mem_limit=1 << 40)
     old.run()
@@ -445,7 +487,7 @@ def test_dp_td_shared_plans_and_own_rows_equal_the_per_node_ones(seed, n, t, hal
         td = induced(td, keep)
         g = Graph(n, [(u, v) for u, v in g.edges if u in keep and v in keep])
     m = rng.randint(0, min(2, n)) if small else rng.randint(0, n)
-    new = oracle._TDTables(g, td, m, oracle._Kept(1 << 40))
+    new = oracle._TDTables(_homes(g, td), td, m, oracle._Kept(1 << 40))
     new.run()
     old = oracles.TDReductionsPerNode(g, td, m, new.kept.table)
     for i in td.nodes():
@@ -490,7 +532,7 @@ def test_dp_td_builds_one_plan_per_shape_and_one_own_table_per_pattern(monkeypat
     monkeypatch.setattr(oracle, "_own_table", counted("own", oracle._own_table))
     g, td = random_partial_ktree(400, 4, Xorshift64Star(34))
     m = g.n // 3
-    tables = oracle._TDTables(g, td, m, oracle._Kept(1 << 40))
+    tables = oracle._TDTables(_homes(g, td), td, m, oracle._Kept(1 << 40))
     tables.cut(g, m)
     shapes, patterns = _shapes(g, td, tables.parent)
     assert built["plan"] == len(tables.plans) == len(shapes) < len(td.tree_edges)
@@ -530,7 +572,7 @@ def test_dp_td_reduction_indices_take_the_smallest_dtype():
     g, td = random_partial_ktree(120, 4, Xorshift64Star(32))
     wide = TreeDecomposition([set(range(1, 11)), set(range(2, 12))], [(1, 2)])
     for graph, dec, itemsize in ((g, td, 1), (Graph(11, [(2, 11)]), wide, 2)):
-        tables = oracle._TDTables(graph, dec, graph.n // 2, oracle._Kept(1 << 40))
+        tables = oracle._TDTables(_homes(graph, dec), dec, graph.n // 2, oracle._Kept(1 << 40))
         tables.run()
         assert tables.red
         for mat, gather in tables.red.values():
@@ -542,14 +584,14 @@ def test_dp_td_memory_guard_counts_the_kept_reductions():
     g, td = random_partial_ktree(120, 4, Xorshift64Star(32))
     m = g.n // 2
     kept = oracle._Kept(1 << 40)
-    tables = oracle._TDTables(g, td, m, kept)
+    tables = oracle._TDTables(_homes(g, td), td, m, kept)
     tables.run()
     table_bytes = sum(t.nbytes for tabs in kept.table.values() for t in tabs)
     red_bytes = sum(a.nbytes for red in tables.red.values() for a in red)
     assert red_bytes > 0 and kept.need_bytes == table_bytes + red_bytes
-    oracle._TDTables(g, td, m, oracle._Kept(table_bytes + red_bytes)).run()
+    oracle._TDTables(_homes(g, td), td, m, oracle._Kept(table_bytes + red_bytes)).run()
     with pytest.raises(ResourceLimit):  # the tables alone would fit
-        oracle._TDTables(g, td, m, oracle._Kept(table_bytes + red_bytes - 1)).run()
+        oracle._TDTables(_homes(g, td), td, m, oracle._Kept(table_bytes + red_bytes - 1)).run()
 
 
 def test_dp_td_accumulates_each_node_once(monkeypatch):
@@ -585,7 +627,7 @@ def test_dp_td_accumulates_each_node_once(monkeypatch):
 
 def _td_trace(g, td, m, kept):
     """Width and black set the decomposition DP traces from its best root coloring."""
-    tables = oracle._TDTables(g, td, m, kept)
+    tables = oracle._TDTables(_homes(g, td), td, m, kept)
     root = tables.run()
     color = {}
     tables.trace(int(np.argmin(root[:, m])), m, color)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import path
+from ksec import treedec
 from ksec.errors import FormatError, InvariantViolation, NotATreeDecomposition
 from ksec.graph import Graph, require_tree
 from ksec.instances import Xorshift64Star, random_partial_ktree, random_tree_maxdeg
@@ -17,6 +18,7 @@ from ksec.treedec import (
     make_nonredundant,
     occurrences,
     parse_td,
+    require_decomposition,
     tree_to_width1_td,
     validation_errors,
     write_td,
@@ -71,10 +73,18 @@ def test_validate_equals_triple_checker():
             assert (not validation_errors(hacked, g)) == oracles.naive_t3_holds(hacked)
 
 
+def scanned_homes(td, g):
+    """Each edge of g, ascending, with the first node whose cluster holds it, or None."""
+    return [((u, v), next((i for i in td.nodes() if {u, v} <= td.bag(i)), None))
+            for u, v in sorted(g.edges)]
+
+
 def test_edge_homes_and_t2_witnesses_match_a_scan_of_all_clusters():
+    """The check's one homing pass finds each edge's home; a passed check returns them."""
     rng = Xorshift64Star(4048)
     for _ in range(40):
         g, td = random_partial_ktree(rng.randint(3, 30), rng.randint(2, 4), rng)
+        assert require_decomposition(td, g, "test") == scanned_homes(td, g)
         bags = [set(b) for b in td.bags]
         for _ in range(rng.randint(0, 3)):  # drop vertices from clusters to break T2
             bag = bags[rng.randint(0, len(bags) - 1)]
@@ -82,14 +92,11 @@ def test_edge_homes_and_t2_witnesses_match_a_scan_of_all_clusters():
                 bag.discard(min(bag))
         hacked = TreeDecomposition(bags, td.tree_edges)
         occ = occurrences(hacked)
-        uncovered = []
-        for u, v in sorted(g.edges):
-            homes = [i for i in hacked.nodes() if {u, v} <= hacked.bag(i)]
-            assert edge_home(hacked, occ, u, v) == (homes[0] if homes else None)
-            if not homes:
-                uncovered.append((u, v))
+        homes = scanned_homes(hacked, g)
+        assert [(e, edge_home(hacked, occ, *e)) for e, _ in homes] == homes
+        assert treedec._checked(hacked, g)[1] == homes
         t2 = [w for cond, w in validation_errors(hacked, g) if cond == "T2"]
-        assert t2 == uncovered
+        assert t2 == [e for e, home in homes if home is None]
 
 
 def test_induced_examples():
