@@ -166,12 +166,18 @@ def ksection_tree(tree: Graph, k: int) -> tuple[KSection, BoundReport]:
     Also satisfies the polylog refinement of that bound; both are
     re-verified before returning.
     """
-    section, report, _ = ksection_tree_detailed(tree, k)
+    section, report, _ = _ksection_tree(tree, k)
     return section, report
 
 
 def ksection_tree_detailed(tree: Graph, k: int) -> tuple[KSection, BoundReport, list]:
     """Like ksection_tree but also returns one trace dict per cut."""
+    section, report, traces = _ksection_tree(tree, k)
+    return section, report, [t.to_dict() for t in traces]
+
+
+def _ksection_tree(tree: Graph, k: int) -> tuple[KSection, BoundReport, list]:
+    """``ksection_tree`` and its per-cut traces, as the cuts returned them."""
     if not is_int(k) or k < 2:
         raise KOutOfRange(f"k={k!r} must be an integer >= 2")
     summary = require_tree(tree, "ksection_tree")
@@ -187,7 +193,7 @@ def ksection_tree_detailed(tree: Graph, k: int) -> tuple[KSection, BoundReport, 
 
     _check_balance(section, n, k)
     report = _tree_report(section.width, n, k, diam, delta)
-    return section, report, [t.to_dict() for t in traces]
+    return section, report, traces
 
 
 def _check_balance(section: KSection, n: int, k: int) -> None:
@@ -252,7 +258,7 @@ def ksection_td(g: Graph, td: TreeDecomposition, k: int) -> tuple[KSection, Boun
     Width <= (1/2)(k-1) t Δ (log2(1/r)^2 + 11 log2(1/r) + 24) with r and
     t read off the nonredundant form of the input decomposition.
     """
-    section, report, _ = ksection_td_detailed(g, td, k)
+    section, report, _ = _ksection_td(g, td, k)
     return section, report
 
 
@@ -260,6 +266,12 @@ def ksection_td_detailed(
     g: Graph, td: TreeDecomposition, k: int
 ) -> tuple[KSection, BoundReport, list]:
     """Like ksection_td but also returns one trace dict per cut."""
+    section, report, traces = _ksection_td(g, td, k)
+    return section, report, [t.to_dict() for t in traces]
+
+
+def _ksection_td(g: Graph, td: TreeDecomposition, k: int) -> tuple[KSection, BoundReport, list]:
+    """``ksection_td`` and its per-cut traces, as the cuts returned them."""
     if not is_int(k) or k < 2:
         raise KOutOfRange(f"k={k!r} must be an integer >= 2")
     if g.n == 0:
@@ -300,7 +312,7 @@ def ksection_td_detailed(
         t=t,
         bound_td=bound_val,
     )
-    return section, report, [t_.to_dict() for t_ in traces]
+    return section, report, traces
 
 
 def recursive_bisection_baseline(tree: Graph, k: int) -> KSection:

@@ -397,12 +397,9 @@ def induced_sorted(g: Graph, old_of: Sequence[int]) -> Graph:
     """``induced_subgraph`` for ids the caller knows are ascending, distinct and in 1..n.
 
     The relabeling is monotone, so each parent adjacency list, filtered
-    and mapped through one array, stays sorted.  Nothing is checked.
+    and mapped through one dict, stays sorted.  Nothing is checked.
     """
-    new_of = [0] * (g.n + 1)
-    for i, v in enumerate(old_of, start=1):
-        new_of[v] = i
-    get, adj = new_of.__getitem__, g.adj
+    get, adj = dict(zip(old_of, range(1, len(old_of) + 1))).get, g.adj
     return Graph._trusted(
         len(old_of), ((), *[tuple(filter(None, map(get, adj[v]))) for v in old_of])
     )

@@ -13,8 +13,10 @@ tree decomposition (``dp_min_size_cut_td``).  A
 node's table is one 2-D array with a row per state (the color of the
 vertex, or a coloring of the cluster) and a column per black count;
 merging a child is one call of the row-wise min-plus kernel ``_minplus``
-over all rows.  Decomposition tables are padded with INF to their widest
-row.  A tree table over s of the forest's n vertices keeps only the
+over all rows: one strided reduction when the merge has at most 16 rows,
+512 output counts and 2^16 sums, and otherwise a loop over the narrower
+operand's columns.  Decomposition tables are padded with INF to their
+widest row.  A tree table over s of the forest's n vertices keeps only the
 counts max(0, s - (n - m))..min(s, m) that a cut of m vertices can give
 them, and identical unordered subtrees, in any of its components, share
 one table, so the tree DP takes O(n * min(m, n - m)) time and memory.
@@ -77,10 +79,14 @@ INF = 1 << 28
 def _strided(rows: int, out_len: int, narrow: int) -> bool:
     """Whether ``_minplus`` merges in one strided reduction rather than a column loop.
 
-    A merge of at most two rows with at most 512 output counts and at most
-    2^16 sums is; bigger merges and the decomposition's many-row tables loop.
+    A merge of at most 16 rows, 512 output counts and 2^16 sums (rows x
+    counts x narrow columns) is.  A tree merge has one or two rows, a
+    decomposition merge one per coloring of a cluster, so 16 rows admit
+    clusters of up to 4 vertices.  Bigger merges loop: from 64 rows up the
+    loop was measured faster on partial 5- to 8-trees, whose wide rows
+    amortize its per-column steps.
     """
-    return rows <= 2 and out_len <= 512 and rows * out_len * narrow <= 1 << 16
+    return rows <= 16 and out_len <= 512 and rows * out_len * narrow <= 1 << 16
 
 
 def _minplus(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -89,8 +95,8 @@ def _minplus(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
     ``a`` and ``b`` are 2-D with one row per coloring (one row for a single
     sequence) and entries in 0..INF; the output ends early where the
     operands do, and ``lo`` is at most its last index sum.  A small merge
-    (``_strided``) is one reduction over a strided view of the INF-padded
-    wider operand.  Otherwise each step of a loop advances every row at
+    (``_strided``: at most 16 rows, 512 output counts and 2^16 sums) is one
+    reduction over a strided view of the INF-padded wider operand.  Otherwise each step of a loop advances every row at
     once; it runs over the columns of the narrower operand that are finite
     in some row.
     """

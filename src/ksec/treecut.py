@@ -240,7 +240,9 @@ def diameter_preserving_cut(
     inner_cut, inner_width = oracle.dp_min_size_cut_tree(inner, m, outside=outside)
     black = {old_of[u - 1] for u in inner_cut.black}
     outer = boundary_width(tree, v_tilde)
-    if outer > 2 * max_degree(forest):
+    # Ṽ's largest degree is a lower bound on Δ: every id is scanned only when it does not settle
+    delta_low = max(map(len, map(forest.adj.__getitem__, old_of)))
+    if outer > 2 * delta_low and outer > 2 * max_degree(forest):
         raise InvariantViolation(f"{case}: outer cut exceeds 2Δ")
     cut = Cut._trusted(forest, black, live)
     return cut, DiamCutTrace(

@@ -12,7 +12,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import FormatError, InvariantViolation, KsecError, NotATreeDecomposition
@@ -214,43 +214,41 @@ def make_nonredundant(td: TreeDecomposition) -> TreeDecomposition:
     holds the nesting edges as (min, max) pairs, stale ones are skipped
     when popped, and each contraction pushes the survivor's new nesting
     edges.  O(E log E) for E tree edges, plus the neighbours each
-    contraction moves over to its survivor.  Returns ``td`` itself when
-    no tree edge nests.
+    contraction moves over to its survivor.  The state is indexed by node
+    id: the clusters, a liveness flag and an adjacency set per node.
+    Returns ``td`` itself when no tree edge nests.
     """
-    bags = dict(enumerate(td.bags, start=1))
-
-    def nests(i: int, j: int) -> bool:
-        return bags[i] <= bags[j] or bags[j] <= bags[i]
-
-    heap = sorted(e for e in td.tree_edges if nests(*e))
+    bags = (frozenset(), *td.bags)
+    heap = sorted((i, j) for i, j in td.tree_edges if bags[i] <= bags[j] or bags[j] <= bags[i])
     if not heap:
         return td  # already nonredundant: the rebuild below would be the identity
-    adj = {i: set(td.tree_adj[i]) for i in td.nodes()}
+    alive = [False, *[True] * td.num_nodes]
+    adj = [set(a) for a in td.tree_adj]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        i, j = heapq.heappop(heap)
-        if i not in bags or j not in bags or j not in adj[i]:
+        i, j = pop(heap)
+        # a live node's neighbours are live: absorbing a node unlinks it everywhere
+        if not alive[i] or j not in adj[i]:
             continue
-        if bags[i] == bags[j]:
-            absorbed, survivor = j, i
-        elif bags[i] < bags[j]:
-            absorbed, survivor = i, j
-        else:
-            absorbed, survivor = j, i
+        # the subset side is absorbed; on equal clusters, the larger id j
+        absorbed, survivor = (i, j) if bags[i] < bags[j] else (j, i)
+        kept, around = bags[survivor], adj[survivor]
         for w in adj[absorbed]:
             if w != survivor:
-                adj[w].discard(absorbed)
-                adj[w].add(survivor)
-                adj[survivor].add(w)
-                if nests(survivor, w):
-                    heapq.heappush(heap, (min(survivor, w), max(survivor, w)))
-        adj[survivor].discard(absorbed)
-        del adj[absorbed], bags[absorbed]
+                near = adj[w]
+                near.discard(absorbed)
+                near.add(survivor)
+                around.add(w)
+                if kept <= bags[w] or bags[w] <= kept:
+                    push(heap, (survivor, w) if survivor < w else (w, survivor))
+        around.discard(absorbed)
+        alive[absorbed] = False
     # contracting tree edges of a checked tree leaves a tree: no second check
-    order = sorted(bags)
-    new_id = {old: k for k, old in enumerate(order, start=1)}
-    tree_adj = ((), *(tuple(sorted(new_id[j] for j in adj[i])) for i in order))
+    order = list(compress(range(len(alive)), alive))
+    new_id = dict(zip(order, range(1, len(order) + 1)))
+    tree_adj = ((), *(tuple(sorted(map(new_id.__getitem__, adj[i]))) for i in order))
     edges = frozenset((i, j) for i, nbrs in enumerate(tree_adj) for j in nbrs if i < j)
-    return TreeDecomposition._trusted(tuple(bags[i] for i in order), tree_adj, edges)
+    return TreeDecomposition._trusted(tuple(map(bags.__getitem__, order)), tree_adj, edges)
 
 
 def _require_vertex_count(n, who: str) -> None:

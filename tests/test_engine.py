@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import diam_star, path, star
-from ksec import bounds, engine, graph, oracle, tdcut, treedec
+from ksec import bounds, engine, graph, oracle, tdcut, treecut, treedec
 from ksec.engine import (
     ksection_tree_detailed,
     cut_prescribed_sizes,
@@ -396,6 +396,21 @@ def test_td_traces_name_the_input_ids(k):
         if trace["case_tag"] in ("Case2b", "Case3"):
             assert set(trace["b_side"]) <= set(trace["v_tilde"]) <= live
             assert set(part) <= set(trace["v_tilde"])
+
+
+def test_only_the_detailed_sections_write_trace_dicts(monkeypatch):
+    """``ksection_tree`` and ``ksection_td`` drop their traces unwritten; the _detailed ones write each."""
+    written = []
+    to_dict = treecut.CutTrace.to_dict
+    monkeypatch.setattr(treecut.CutTrace, "to_dict", lambda t: written.append(t) or to_dict(t))
+    tree = random_tree_maxdeg(300, 4, Xorshift64Star(11))
+    g, td = random_partial_ktree(200, 4, Xorshift64Star(12))
+    ksection_tree(tree, 4)
+    ksection_td(g, td, 4)
+    assert written == []
+    _, _, tree_traces = ksection_tree_detailed(tree, 4)
+    _, _, td_traces = engine.ksection_td_detailed(g, td, 4)
+    assert len(written) == len(tree_traces) + len(td_traces) == 6
 
 
 def test_a_td_section_induces_no_remainder(monkeypatch):

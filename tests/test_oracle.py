@@ -48,13 +48,17 @@ def _naive_minplus(a, b, lo, hi):
 
 
 # (rows, both widths) on each side of ``oracle._strided``: small merges of one or two rows,
-# with wide or narrow operands; many rows; too much work
+# with wide or narrow operands, and of up to 16 rows; too much work for two rows and for
+# many; more than 16 rows
 _SHAPES = {
     "strided": ((1, 2), (5, 40), (5, 40)),
     "narrow": ((1, 2), (1, 4), (1, 60)),
     "many rows": ((3, 16), (1, 40), (1, 40)),
     "large": ((2, 2), (200, 260), (200, 260)),
+    "many rows, large": ((6, 16), (100, 120), (100, 120)),
+    "too many rows": ((17, 64), (1, 12), (1, 12)),
 }
+_LOOPED = ("large", "many rows, large", "too many rows")
 
 
 @settings(max_examples=150, deadline=None)
@@ -73,11 +77,11 @@ def test_minplus_matches_a_per_row_double_loop(shape, data):
 
     a, b = (operand(data.draw(st.integers(*w))) for w in width_ranges)
     full = a.shape[1] + b.shape[1] - 2  # the last index sum
-    hi = full if shape == "large" else data.draw(st.integers(0, full + 5))
+    hi = full if shape in _LOOPED else data.draw(st.integers(0, full + 5))
     lo = data.draw(st.integers(0, min(full, hi, 50)))
     out_len = min(full, hi) + 1 - lo
     strided = oracle._strided(rows, out_len, min(a.shape[1], b.shape[1]))
-    assert strided == (shape in ("strided", "narrow"))
+    assert strided == (shape not in _LOOPED)
     want = _naive_minplus(a.tolist(), b.tolist(), lo, hi)
     for x, y in ((a, b), (b, a)):  # the kernel loops over the narrower operand
         out = oracle._minplus(x, y, lo, hi)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import path
-from ksec import treedec
+from ksec import tdcut, treedec
 from ksec.errors import FormatError, InvariantViolation, NotATreeDecomposition
 from ksec.graph import Graph, require_tree
 from ksec.instances import Xorshift64Star, random_partial_ktree, random_tree_maxdeg
@@ -179,6 +179,27 @@ def test_make_nonredundant_keeps_the_rescan_order_on_induced_halves(seed, n, t):
     sub = induced(td, rng.sample(list(range(1, n + 1)), n // 2))
     out, ref = make_nonredundant(sub), oracles.make_nonredundant_rescan(sub)
     assert out.bags == ref.bags and out.tree_edges == ref.tree_edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(10, 120), st.integers(2, 4))
+def test_make_nonredundant_keeps_the_rescan_order_on_glued_decompositions(seed, n, t):
+    """The inner cut's shape: two induced copies of a nonredundant decomposition, bridged.
+
+    A random vertex subset is split at random between the copies, so the glued
+    tree carries the empty and equal clusters whose tie rules pick the survivors.
+    """
+    rng = Xorshift64Star(seed)
+    _, td = random_partial_ktree(n, t, rng)
+    td0 = make_nonredundant(td)
+    kept = sorted(rng.sample(list(range(1, n + 1)), rng.randint(1, n)))
+    new_of = {old: i for i, old in enumerate(kept, start=1)}
+    b_local = set(rng.sample(list(new_of.values()), rng.randint(1, len(kept))))
+    glued = tdcut._glue_decompositions(td0, new_of, b_local, rng.randint(1, td0.num_nodes))
+    out, ref = make_nonredundant(glued), oracles.make_nonredundant_rescan(glued)
+    assert out.bags == ref.bags
+    assert out.tree_adj == ref.tree_adj
+    assert out.tree_edges == ref.tree_edges
 
 
 @settings(max_examples=300, deadline=None)
