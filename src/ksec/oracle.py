@@ -82,9 +82,10 @@ def _strided(rows: int, out_len: int, narrow: int) -> bool:
     A merge of at most 16 rows, 512 output counts and 2^16 sums (rows x
     counts x narrow columns) is.  A tree merge has one or two rows, a
     decomposition merge one per coloring of a cluster, so 16 rows admit
-    clusters of up to 4 vertices.  Bigger merges loop: from 64 rows up the
-    loop was measured faster on partial 5- to 8-trees, whose wide rows
-    amortize its per-column steps.
+    clusters of up to 4 vertices.  Bigger merges loop: on partial 5- to
+    8-trees the two routes tie at 32 rows, and from 64 rows up the loop is
+    faster, its per-column steps amortized over wide rows
+    (``scripts/wide_side.py --merges`` times both).
     """
     return rows <= 16 and out_len <= 512 and rows * out_len * narrow <= 1 << 16
 
@@ -96,9 +97,9 @@ def _minplus(a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
     sequence) and entries in 0..INF; the output ends early where the
     operands do, and ``lo`` is at most its last index sum.  A small merge
     (``_strided``: at most 16 rows, 512 output counts and 2^16 sums) is one
-    reduction over a strided view of the INF-padded wider operand.  Otherwise each step of a loop advances every row at
-    once; it runs over the columns of the narrower operand that are finite
-    in some row.
+    reduction over a strided view of the INF-padded wider operand.
+    Otherwise each step of a loop advances every row at once; it runs over
+    the columns of the narrower operand that are finite in some row.
     """
     if b.shape[1] > a.shape[1]:
         a, b = b, a

@@ -145,17 +145,21 @@ def _subtree_cut(
 
 
 def _outside(
-    forest: Graph, linked: list[TreeSummary], v_tilde: frozenset, old_of: list[int], inner: Graph
+    degree: list[int],
+    linked: list[TreeSummary],
+    v_tilde: frozenset,
+    old_of: list[int],
+    inner: Graph,
 ) -> list[int]:
     """Entry i: the forest edges from Ṽ's vertex old_of[i - 1] to vertices outside Ṽ.
 
-    ``inner`` is G[Ṽ] of the tree that ``link_summarized`` made of the
-    forest and its summary ``linked``: a vertex's forest degree less its
-    degree there, plus the linking edges inside Ṽ, which G[Ṽ] counts and
-    the forest does not.
+    ``degree`` holds the forest degrees of ``old_of``, and ``inner`` is
+    G[Ṽ] of the tree that ``link_summarized`` made of the forest and its
+    summary ``linked``: a vertex's forest degree less its degree there,
+    plus the linking edges inside Ṽ, which G[Ṽ] counts and the forest does
+    not.
     """
-    adj = forest.adj
-    out = [0, *map(int.__sub__, map(len, map(adj.__getitem__, old_of)), map(len, inner.adj[1:]))]
+    out = [0, *map(int.__sub__, degree, map(len, inner.adj[1:]))]
     for a, b in zip(linked, linked[1:]):
         x, y = a.path[-1], b.path[0]
         if x in v_tilde and y in v_tilde:
@@ -235,14 +239,14 @@ def diameter_preserving_cut(
         raise InvariantViolation(f"{case}: bad inner vertex set")
     old_of = sorted(v_tilde)
     inner = induced_sorted(tree, old_of)
+    degree = list(map(len, map(forest.adj.__getitem__, old_of)))
     # among optimal inner cuts, the fewest forest edges from B to the white rest of V
-    outside = _outside(forest, comps, v_tilde, old_of, inner)
+    outside = _outside(degree, comps, v_tilde, old_of, inner)
     inner_cut, inner_width = oracle.dp_min_size_cut_tree(inner, m, outside=outside)
     black = {old_of[u - 1] for u in inner_cut.black}
     outer = boundary_width(tree, v_tilde)
-    # Ṽ's largest degree is a lower bound on Δ: every id is scanned only when it does not settle
-    delta_low = max(map(len, map(forest.adj.__getitem__, old_of)))
-    if outer > 2 * delta_low and outer > 2 * max_degree(forest):
+    # max(degree) <= Δ, so testing it first leaves the predicate as it is
+    if outer > 2 * max(degree) and outer > 2 * max_degree(forest):
         raise InvariantViolation(f"{case}: outer cut exceeds 2Δ")
     cut = Cut._trusted(forest, black, live)
     return cut, DiamCutTrace(

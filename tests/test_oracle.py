@@ -59,6 +59,7 @@ _SHAPES = {
     "too many rows": ((17, 64), (1, 12), (1, 12)),
 }
 _LOOPED = ("large", "many rows, large", "too many rows")
+_FULL = ("large", "many rows, large")  # over the 2^16-sum cap only with the whole output
 
 
 @settings(max_examples=150, deadline=None)
@@ -77,7 +78,7 @@ def test_minplus_matches_a_per_row_double_loop(shape, data):
 
     a, b = (operand(data.draw(st.integers(*w))) for w in width_ranges)
     full = a.shape[1] + b.shape[1] - 2  # the last index sum
-    hi = full if shape in _LOOPED else data.draw(st.integers(0, full + 5))
+    hi = full if shape in _FULL else data.draw(st.integers(0, full + 5))
     lo = data.draw(st.integers(0, min(full, hi, 50)))
     out_len = min(full, hi) + 1 - lo
     strided = oracle._strided(rows, out_len, min(a.shape[1], b.shape[1]))
