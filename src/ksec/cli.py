@@ -87,16 +87,21 @@ def _fraction_str(fr) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
-def cmd_tree(args) -> int:
-    g = _load_graph(args.input)
-    section, report, traces = engine.ksection_tree_detailed(g, args.k)
-    payload = {
+def _section_payload(section, report, traces) -> dict:
+    """The ``--json`` payload of a tree or decomposition section."""
+    return {
         "parts": [list(p) for p in section.parts],
         "width": section.width,
         "bounds": report.to_dict(),
         "trace": [t["case_tag"] for t in traces],
         "cuts": traces,
     }
+
+
+def cmd_tree(args) -> int:
+    g = _load_graph(args.input)
+    section, report, traces = engine.ksection_tree_detailed(g, args.k)
+    payload = _section_payload(section, report, traces)
     if args.oracle:
         _, opt = oracle.brute_min_ksection(g, args.k, limit=args.oracle_limit)
         payload["oracle_width"] = opt
@@ -115,13 +120,7 @@ def cmd_td(args) -> int:
     g = _load_graph(args.graph)
     td = _load_td(args.td, g)
     section, report, traces = engine.ksection_td_detailed(g, td, args.k)
-    payload = {
-        "parts": [list(p) for p in section.parts],
-        "width": section.width,
-        "bounds": report.to_dict(),
-        "trace": [t["case_tag"] for t in traces],
-        "cuts": traces,
-    }
+    payload = _section_payload(section, report, traces)
     if args.json:
         _emit_json(payload, args.json)
     print(

@@ -6,6 +6,7 @@ subset sums over whole components, and subtree sizes looked up by count
 and by bisection over the preorder.  It returns an optimum whenever the
 optimum is at most 2, in O(n log n) time for a forest of few components,
 and gives up otherwise; only then does the tree DP (``_dp_cut_tree``) run.
+One BFS sweep (``component_orders``) roots the forest for both.
 
 The DP is one min-plus DP over a rooted tree, run over the vertices of a
 forest under a virtual root 0 (``_dp_cut_tree``) or over the nodes of a
@@ -22,10 +23,12 @@ them, and identical unordered subtrees, in any of its components, share
 one table, so the tree DP takes O(n * min(m, n - m)) time and memory.
 Every child, a leaf too, is one merge into its parent's table.
 
-Both DPs share one engine, ``_Tables``, and end in its ``cut``: it fills
-the tables once, picks the root's state of least width at count m, and
-rebuilds an optimal black set deterministically (ascending scans
-everywhere).  It reads the accumulations a node kept, and recomputes
+Both DPs share one engine, ``_Tables``, and end in its ``cut``.  Its
+``accumulate`` is the one merge loop: it builds every table, a tree
+class's and a decomposition node's, and every row the trace recomputes.
+``cut`` fills the tables once, picks the root's state of least width at
+count m, and rebuilds an optimal black set deterministically (ascending
+scans everywhere).  It reads the accumulations a node kept, and recomputes
 only the followed row of a node that kept none.  A tree keeps its tables
 only, plus the virtual root's accumulations; a decomposition node also
 keeps its per-child accumulations where they take at most KEEP_RATIO
@@ -325,14 +328,15 @@ class _TreeTables(_Tables):
     root's children are the components' roots, its one state pays nothing
     and covers no vertex, and a component root under it may take either
     color at no cost.  ``run`` keeps one table per class of identical
-    unordered subtrees, in any component, and no accumulations but the
-    root's; the trace recomputes the followed row of any other vertex it
-    splits, in that vertex's own child order.  ``leaf`` holds a vertex's
-    own rows over its band, white at count 0 and black at count 1, both
-    at no cost: every table starts from it, with one merge per child, and
-    every leaf shares it as its table.  ``size`` holds the subtree sizes,
-    and ``cover`` the per-accumulation covers of the vertices the trace
-    splits.  ``orders`` are the components' BFS orders and ``parent`` the
+    unordered subtrees, in any component: the last accumulation of the
+    class's first vertex.  It keeps no accumulations but the root's; the
+    trace recomputes the followed row of any other vertex it splits, in
+    that vertex's own child order.  ``leaf`` holds a vertex's own rows
+    over its band, white at count 0 and black at count 1, both at no
+    cost: every table starts from it, with one merge per child, and every
+    leaf shares it as its table.  ``size`` holds the subtree sizes, and
+    ``cover`` the per-accumulation covers of the vertices ``accumulate``
+    merges.  ``orders`` are the components' BFS orders and ``parent`` the
     parents of the sweep that found them.
     """
 
@@ -360,18 +364,6 @@ class _TreeTables(_Tables):
             self.cover[v] = list(accumulate(sizes, initial=1 if v else 0))
         return _band(self.cover[v][idx], self.m, self.n)
 
-    def class_table(self, v: int) -> np.ndarray:
-        """Vertex v's table: its own rows, then one merge per child."""
-        m, n = self.m, self.n
-        acc, s, first = self.leaf, 1, _band(1, m, n)[0]
-        for u in self.children[v]:
-            s += self.size[u]
-            lo, hi = _band(s, m, n)
-            base = first + _band(self.size[u], m, n)[0]  # the count of index sum 0
-            acc = _minplus(acc, _best(self.kept.table[u]), lo - base, hi - base)
-            first = lo
-        return acc
-
     def run(self) -> np.ndarray:
         """Fill one table per class of identical unordered subtrees; returns the root's.
 
@@ -389,7 +381,7 @@ class _TreeTables(_Tables):
             key = tuple(sorted([rep[u] for u in self.children[v]]))
             r = rep[v] = class_of.setdefault(key, v)
             if r == v:
-                table[v] = self.class_table(v)
+                table[v] = self.accumulate(v)[-1]
                 kept.need(table[v].nbytes)
             else:
                 table[v] = table[r]
@@ -443,10 +435,10 @@ def dp_min_size_cut_tree(
     DP ignores the weights.
 
     One BFS sweep, from each smallest id not yet reached, roots the
-    components.  With the edge count it also checks that the graph is a
-    forest, so a caller that knows it has one pays no second check; only
-    a graph with a cycle goes through ``require_forest``, which names an
-    edge on it.
+    components for both routes.  With the edge count it also checks that
+    the graph is a forest, so a caller that knows it has one pays no
+    second check; only a graph with a cycle goes through
+    ``require_forest``, which names an edge on it.
     """
     n = forest.n
     if not is_int(m) or not (0 <= m <= n):
@@ -458,8 +450,8 @@ def dp_min_size_cut_tree(
     rooted = component_orders(forest)
     if forest.num_edges != n - len(rooted[0]):
         require_forest(forest, "dp_min_size_cut_tree")  # a cycle: raises NotAForest naming an edge
-    found = _small_width_cut(forest, m, outside, rooted=rooted)
-    return found if found is not None else _dp_cut_tree(forest, m)
+    found = _small_width_cut(forest, m, rooted, outside)
+    return found if found is not None else _dp_cut_tree(forest, m, rooted)
 
 
 def _check_outside(outside: Sequence[int], n: int) -> None:
@@ -471,7 +463,9 @@ def _check_outside(outside: Sequence[int], n: int) -> None:
         raise KsecError(f"outside weight {bad[0]!r} is not an integer in 0..2^32")
 
 
-def _dp_cut_tree(forest: Graph, m: int) -> tuple[Cut, int]:
+def _dp_cut_tree(
+    forest: Graph, m: int, rooted: tuple[list[list[int]], list[int]]
+) -> tuple[Cut, int]:
     """The tree DP: an exact minimum-width cut with |B| = m, of any width, in a forest.
 
     The forest is one tree under a virtual root.  Time and kept memory are
@@ -480,11 +474,11 @@ def _dp_cut_tree(forest: Graph, m: int) -> tuple[Cut, int]:
     identical unordered subtrees, in one component or in several, share
     one table, built with one merge per child.  Only the tables stay,
     plus the virtual root's accumulations; the trace recomputes the
-    followed row of each vertex it splits.
+    followed row of each vertex it splits.  ``rooted`` is
+    ``component_orders(forest)``: the components' BFS orders and parents.
     """
-    orders, parent = component_orders(forest)
     kept = _Kept(mem_limit_bytes())
-    return _TreeTables(forest, orders, parent, m, kept).cut(forest, m)
+    return _TreeTables(forest, *rooted, m, kept).cut(forest, m)
 
 
 # --- Small-width search -----------------------------------------------------
@@ -758,9 +752,8 @@ def _recolor(colors: tuple[int, ...], j: int, s: int) -> tuple[int, ...]:
 def _small_width_cut(
     forest: Graph,
     m: int,
+    rooted: tuple[list[list[int]], list[int]],
     outside: Sequence[int] | None = None,
-    *,
-    rooted: tuple[list[list[int]], list[int]] | None = None,
 ) -> tuple[Cut, int] | None:
     """A minimum-width cut with |B| = m if its width is at most 2, else None.
 
@@ -780,9 +773,9 @@ def _small_width_cut(
     (``outside``, as in ``dp_min_size_cut_tree``), then the one whose cut
     edges hang above the smaller ids (compared as sorted tuples), then
     by the components' root colors in component order, white first.
-    ``rooted`` is ``component_orders(forest)`` when the caller has it.
+    ``rooted`` is ``component_orders(forest)``, as for ``_dp_cut_tree``.
     """
-    orders, parent = rooted or component_orders(forest)
+    orders, parent = rooted
     if len(orders) > SEARCH_COMPONENTS:
         return None
     search = _Search(forest, orders, parent, outside)

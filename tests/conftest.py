@@ -79,7 +79,8 @@ class TreeDPSpy:
 
     ``merges`` holds (rows, tracing, vertex) for each ``_minplus`` call:
     tracing is True once ``run`` has returned, and vertex is the one
-    ``accumulate`` merges (None outside it, as in a class's table build).
+    ``accumulate`` merges: every merge runs inside it, a class's table
+    build as well as a traced row.
     ``traced`` holds the vertices whose followed row the trace recomputed,
     and ``dp`` is the last run's ``_TreeTables``.
     """

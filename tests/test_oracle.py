@@ -10,7 +10,7 @@ from conftest import TreeDPSpy, diam_star, path, star, star_comb
 from ksec import bounds, oracle, treedec
 from ksec.engine import ksection_td
 from ksec.errors import KsecError, MOutOfRange, ResourceLimit, TooLarge, WidthTooLarge
-from ksec.graph import Graph, forest_summary, max_degree
+from ksec.graph import Graph, component_orders, forest_summary, max_degree
 from ksec.instances import (
     Xorshift64Star,
     adversarial_ternary_path,
@@ -178,8 +178,9 @@ def _relabel(g, seed):
 
 def _assert_full_width_cut(g, ms):
     """The tree DP traces the black set and width of the full-width reference for each m."""
+    rooted = component_orders(g)
     for m in ms:
-        cut, w = oracle._dp_cut_tree(g, m)
+        cut, w = oracle._dp_cut_tree(g, m, rooted)
         ref, ref_w = oracles.dp_min_size_cut_tree_full_width(g, m)
         assert (cut.black, w) == (ref.black, ref_w), m
 
@@ -241,9 +242,10 @@ def test_dp_tree_merges_each_class_of_identical_subtrees_once(monkeypatch):
     cls = oracles.subtree_classes(g)
     assert len(set(cls.values())) < len(set(oracles.subtree_classes(g, ordered=True).values()))
     assert len(set(cls.values())) < g.n - 30  # leaves and small shapes repeat
+    rooted = component_orders(g)
     for m in (1, g.n // 2, g.n):
         spy.reset()
-        cut, _ = oracle._dp_cut_tree(g, m)
+        cut, _ = oracle._dp_cut_tree(g, m, rooted)
         assert len(spy.tables()) == len(set(cls.values()))
         assert list(spy.dp.kept.accs) == [0]
         assert sorted(spy.traced) == sorted(_mixed(g, cut.black))
@@ -262,9 +264,10 @@ def test_dp_tree_merges_each_child_in_one_minplus_call(monkeypatch):
     cls = oracles.subtree_classes(g)
     merges = oracles.inner_merges(cls)
     assert merges < len(g.edges)
+    rooted = component_orders(g)
     for m in (1, g.n // 2, g.n):
         spy.reset()
-        oracle._dp_cut_tree(g, m)
+        oracle._dp_cut_tree(g, m, rooted)
         assert spy.rows(False) == [1] * comps + [2] * merges
         assert spy.rows(True) == [1] * sum(len(cls[v]) for v in spy.traced)
         assert bool(spy.traced) == (m == g.n // 2)
@@ -275,9 +278,10 @@ def test_dp_tree_trace_reads_the_virtual_roots_kept_accumulations(monkeypatch):
     spy = TreeDPSpy(monkeypatch)
     g = oracles.random_forest(Xorshift64Star(78), n_lo=40, n_hi=40, drop=5)
     assert len(forest_summary(g)) == 3
+    rooted = component_orders(g)
     for m in range(g.n + 1):
         spy.reset()
-        oracle._dp_cut_tree(g, m)
+        oracle._dp_cut_tree(g, m, rooted)
         assert not [v for rows, tracing, v in spy.merges if tracing and v == 0], m
         assert len(spy.dp.kept.accs[0]) == 4  # the root's own row, then one per component
 
@@ -294,7 +298,7 @@ def test_dp_tree_merges_each_child_of_a_star_comb_under_a_1mb_guard(monkeypatch)
     spy = TreeDPSpy(monkeypatch)
     comb = star_comb(40, 40)
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
-    cut, w = oracle._dp_cut_tree(comb, comb.n // 2)
+    cut, w = oracle._dp_cut_tree(comb, comb.n // 2, component_orders(comb))
     assert (len(cut.black), w) == (comb.n // 2, 1)
     cls = oracles.subtree_classes(comb)
     assert len(set(cls.values())) == len(spy.tables()) == 41
@@ -317,16 +321,16 @@ def test_dp_tree_memory_guard_trips_only_on_the_tables_of_all_components(monkeyp
     # paths share them and fit under 2 MB, but a path beside a path ending in a fork does not
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "2")
     two_paths = Graph(1200, [(i, i + 1) for i in range(1, 1200) if i != 600])
-    assert oracle._dp_cut_tree(two_paths, 600)[1] == 0
+    assert oracle._dp_cut_tree(two_paths, 600, component_orders(two_paths))[1] == 0
     path_and_fork = Graph(1200, [(i, i + 1) for i in range(1, 1199) if i != 600] + [(1198, 1200)])
     with pytest.raises(ResourceLimit):
-        oracle._dp_cut_tree(path_and_fork, 600)
+        oracle._dp_cut_tree(path_and_fork, 600, component_orders(path_and_fork))
     # with m = 400 a caterpillar on a 400-vertex spine keeps 0.61 MB of tables and no
     # accumulations below the virtual root, so a 1 MB guard does not trip
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
     spine = [(i, i + 1) for i in range(1, 400)]
     caterpillar = Graph(800, spine + [(i, 400 + i) for i in range(1, 401)])
-    assert oracle._dp_cut_tree(caterpillar, 400)[1] == 1
+    assert oracle._dp_cut_tree(caterpillar, 400, component_orders(caterpillar))[1] == 1
 
 
 def test_dp_tree_meets_existence_bound():

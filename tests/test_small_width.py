@@ -65,9 +65,10 @@ def test_search_agrees_with_the_tree_dp_at_every_m(kind, seed):
     rng = Xorshift64Star(seed)
     g = _family(kind, rng, small=False)
     outside = [0, *(rng.randint(0, 3) for _ in range(g.n))]
+    rooted = component_orders(g)
     for m in range(g.n + 1):
-        dp_cut, dp_width = oracle._dp_cut_tree(g, m)
-        found = oracle._small_width_cut(g, m, outside)
+        dp_cut, dp_width = oracle._dp_cut_tree(g, m, rooted)
+        found = oracle._small_width_cut(g, m, rooted, outside)
         if found is None:
             assert dp_width > 2 or not _under_caps(g, m), m
             continue
@@ -84,12 +85,13 @@ def test_search_finds_the_least_width_then_weight_over_all_m_subsets(kind, seed)
     g = _family(kind, rng, small=True)
     assert g.n <= 12
     outside = [0, *(rng.randint(0, 3) for _ in range(g.n))]
+    rooted = component_orders(g)
     for m in range(g.n + 1):
         best = min(
             (Cut.from_black(g, black).width, _weight(black, outside))
             for black in itertools.combinations(g.vertices(), m)
         )
-        found = oracle._small_width_cut(g, m, outside)
+        found = oracle._small_width_cut(g, m, rooted, outside)
         if found is None:
             assert best[0] > 2 or not _under_caps(g, m), m
         else:
@@ -102,8 +104,9 @@ def test_search_meets_every_width_and_the_fallback_on_small_forests():
     rng = Xorshift64Star(2024)
     for kind in KINDS * 20:
         g = _family(kind, rng, small=True)
+        rooted = component_orders(g)
         for m in range(g.n + 1):
-            found = oracle._small_width_cut(g, m)
+            found = oracle._small_width_cut(g, m, rooted)
             seen.add(found and found[1])
     assert seen == {0, 1, 2, None}
 
@@ -136,13 +139,32 @@ def _count_calls(monkeypatch):
         calls["public"].append(m)
         return public(forest, m, **kwargs)
 
-    def spy_dp(forest, m):
+    def spy_dp(forest, m, rooted):
         calls["dp"].append(m)
-        return dp(forest, m)
+        return dp(forest, m, rooted)
 
     monkeypatch.setattr(oracle, "dp_min_size_cut_tree", spy_public)
     monkeypatch.setattr(oracle, "_dp_cut_tree", spy_dp)
     return calls
+
+
+@pytest.mark.parametrize(
+    "g, m, width",
+    [(perfect_dary_tree(3, 5), 182, 5), (path(9), 3, 1)],
+    ids=["dp-fallback", "search-hit"],
+)
+def test_the_inner_cut_roots_its_forest_once(monkeypatch, g, m, width):
+    """One ``component_orders`` sweep feeds the search and, where it gives up, the tree DP."""
+    calls, sweep = _count_calls(monkeypatch), oracle.component_orders
+    sweeps = []
+
+    def spy_sweep(*args):
+        sweeps.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(oracle, "component_orders", spy_sweep)
+    assert oracle.dp_min_size_cut_tree(g, m)[1] == width
+    assert len(sweeps) == 1 and len(calls["dp"]) == (width > 2)
 
 
 @pytest.mark.parametrize(

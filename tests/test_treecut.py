@@ -8,6 +8,7 @@ from ksec import bounds, oracle
 from ksec.errors import MOutOfRange
 from ksec.graph import (
     Graph,
+    component_orders,
     forest_summary,
     induced_subgraph,
     max_degree,
@@ -299,7 +300,7 @@ def inner_dps():
         spy = TreeDPSpy(mp)
         for forest, m in inner:
             spy.reset()
-            oracle._dp_cut_tree(forest, m)
+            oracle._dp_cut_tree(forest, m, component_orders(forest))
             calls.append((forest, m, copy.copy(spy)))
     return calls
 
