@@ -17,7 +17,7 @@ is reserved for failed postconditions, i.e. bugs.
 
 Derived graphs skip validation by construction.  ``Graph(n, edges)`` is
 the one public, checked constructor.  Every graph the pipelines derive
-from a checked one (an inner vertex set Ṽ, a linked forest, a subgraph
+from a checked one (an inner vertex set Ṽ and its links, a subgraph
 with a cluster's edges removed, a peel's remainder) is built by
 ``Graph._trusted`` straight from adjacency tuples, which are sorted
 because each builder keeps them so.  Such a graph builds its ``edges`` frozenset on first use.  Two
@@ -101,9 +101,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
 
     @property
     def num_edges(self) -> int:
@@ -357,26 +354,6 @@ def cut_width(g: Graph, parts: Sequence[Iterable[int]]) -> int:
         for v in part:
             part_of[v] = idx
     return sum(1 for (u, v) in g.edges if part_of[u] != part_of[v])
-
-
-def link_summarized(g: Graph, comps: Sequence[TreeSummary]) -> Graph:
-    """Connect a forest into a tree without changing diam* or (for Δ ≥ 2) Δ.
-
-    ``comps`` is the forest's ``forest_summary``.  Each added edge joins
-    the ends of longest paths in two consecutive components, so the
-    longest paths chain into one longest path.
-    """
-    if len(comps) <= 1:
-        return g
-    adj = list(g.adj)
-    for a, b in zip(comps, comps[1:]):
-        x, y = a.path[-1], b.path[0]
-        adj[x] += (y,)
-        adj[y] += (x,)
-    # only the path ends gained a neighbor; a lone vertex may gain two
-    for v in {c.path[i] for c in comps for i in (0, -1)}:
-        adj[v] = tuple(sorted(adj[v]))
-    return Graph._trusted(g.n, tuple(adj))
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:

@@ -12,7 +12,10 @@ The labeled vertices keep their own ids, which need not be 1..n: the
 tree peel labels the n vertices still live in its input's id space.
 The sweep that finds each T_v also records its parents, so a cut can
 size a subtree and read it off the block's post-order, where a subtree
-is the run of labels that ends at its root.
+is the run of labels that ends at its root.  The public ``p_labeling``
+checks the tree and the path; ``_p_labeling`` checks nothing, so the
+tree cut labels a forest along its chain of longest paths, whose links
+are not forest edges.
 
 The same labeling serves a graph with a tree decomposition
 (``tdcut.td_p_labeling``): there the marked set is R, the vertices
@@ -117,11 +120,16 @@ def p_labeling(tree: Graph, path) -> PLabeling:
     bad = first_bad(path, 1, tree.n)
     if bad is not None:
         raise PathNotInTree(f"path vertex {bad[0]!r} out of vertex range 1..{tree.n}")
+    if len(set(path)) != len(path) or not path:
+        raise PathNotInTree("path vertices must be distinct and non-empty")
+    for a, b in zip(path, path[1:]):
+        if b not in tree.adj[a]:
+            raise PathNotInTree(f"({a},{b}) is not an edge of the tree")
     return _p_labeling(tree, path)[0]
 
 
 def _p_labeling(tree: Graph, path) -> tuple[PLabeling, list[int]]:
-    """``p_labeling`` for a graph the caller already knows is a tree, and its sweeps' parents.
+    """``p_labeling`` unchecked, and its sweeps' parents; ``path`` is read more than once.
 
     Removing the path's edges leaves one subtree T_v per path vertex v;
     block i is T_v of the i-th path vertex v, in post-order with v last.
@@ -129,13 +137,7 @@ def _p_labeling(tree: Graph, path) -> tuple[PLabeling, list[int]]:
     that takes the largest child first, reversed.  ``parent[u]`` is u's
     neighbour toward its path vertex, u on the path, 0 where no sweep came.
     """
-    path = tuple(path)
-    if len(set(path)) != len(path) or not path:
-        raise PathNotInTree("path vertices must be distinct and non-empty")
     adj = tree.adj
-    for a, b in zip(path, path[1:]):
-        if b not in adj[a]:
-            raise PathNotInTree(f"({a},{b}) is not an edge of the tree")
     # path vertices start out reached, so each sweep stays inside its T_v
     parent = [0] * (tree.n + 1)
     for v in path:

@@ -14,15 +14,21 @@ five-way case analysis over the anchor position in the labeling; the
 executed case is recorded in a trace.  It works in the forest's own ids,
 whose summary may leave isolated ids out (the tree peel's remainders),
 and cuts the subtree T_z off the labeling's post-order with the sweep's
-parents; only the inner vertex set Ṽ is induced, for the exact cut.
+parents.  Every link joins two path vertices, which no sweep and no T_z
+crosses, so the linked tree itself is never built: only its share in
+the inner vertex set Ṽ, induced for the exact cut, and its edges
+leaving Ṽ, for the outer width.
 Its inner exact-size cut is ``oracle.dp_min_size_cut_tree``, whose
 optimum meets the relative-diameter guarantees since cuts within them
 exist.
-That cut is found by a search over the cuts of at most 2 edges, which
-answers every inner cut of the seeded random and adversarial trees; the
-tree DP runs only where the optimum is wider.  Among the optimal inner
-cuts it takes one with the fewest forest edges from the black side to
-the vertices outside Ṽ, which the final cut pays as well.
+That cut is found by a search over the cuts of at most 2 edges; the
+tree DP runs only where the optimum is wider.  The search answers every
+inner cut of the adversarial family and of the random trees at the
+seeds ``tests/test_small_width.py`` samples, but not every random tree:
+one inner cut of ``random_tree_maxdeg(8000, 6, Xorshift64Star(2))`` at
+k = 16 has optimum 3.  Among the optimal inner cuts it takes one with
+the fewest forest edges from the black side to the vertices outside Ṽ,
+which the final cut pays as well.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from .graph import (
     boundary_width,
     induced_sorted,
     is_int,
-    link_summarized,
     max_degree,
     require_forest,
     require_tree,
@@ -144,41 +149,21 @@ def _subtree_cut(
     return black
 
 
-def _outside(
-    degree: list[int],
-    linked: list[TreeSummary],
-    v_tilde: frozenset,
-    old_of: list[int],
-    inner: Graph,
-) -> list[int]:
-    """Entry i: the forest edges from Ṽ's vertex old_of[i - 1] to vertices outside Ṽ.
-
-    ``degree`` holds the forest degrees of ``old_of``, and ``inner`` is
-    G[Ṽ] of the tree that ``link_summarized`` made of the forest and its
-    summary ``linked``: a vertex's forest degree less its degree there,
-    plus the linking edges inside Ṽ, which G[Ṽ] counts and the forest does
-    not.
-    """
-    out = [0, *map(int.__sub__, degree, map(len, inner.adj[1:]))]
-    for a, b in zip(linked, linked[1:]):
-        x, y = a.path[-1], b.path[0]
-        if x in v_tilde and y in v_tilde:
-            out[bisect_left(old_of, x) + 1] += 1
-            out[bisect_left(old_of, y) + 1] += 1
-    return out
-
-
 def diameter_preserving_cut(
     forest: Graph, m: int, comps: list[TreeSummary] | None = None
 ) -> tuple[Cut, DiamCutTrace]:
     """Cut with |B| = m, diam*(G[W]) >= diam*(G), width <= (2 + 16/diam*)Δ.
 
-    Disconnected inputs are linked into a tree first; any cut of the
-    linked tree only loses width when read back in the forest, and
-    removing the linking edges cannot decrease diam* of G[W].  The
+    Disconnected inputs are linked into a tree: each link joins the last
+    vertex of a component's longest path to the first of the next one's.
+    Any cut of the linked tree only loses width when read back in the
+    forest, and removing the links cannot decrease diam* of G[W].  The
     labeling runs along the chain of the components' longest paths, a
     longest path of the linked tree; a forest of paths lies wholly on it,
-    so its cut is the chain's first m vertices (``Case1``).
+    so its cut is the chain's first m vertices (``Case1``).  Of the
+    linked tree only Ṽ's share is built: G[Ṽ], the forest's plus the
+    links inside Ṽ, and the outer width, the forest's edges leaving Ṽ
+    plus the links with one end in it.
 
     ``comps`` is ``forest_summary(forest[, vertices])`` when the caller
     already has it.  It replaces the forest check and is checked only
@@ -195,9 +180,9 @@ def diameter_preserving_cut(
         )
     if not is_int(m) or not (1 <= m <= n - 1):
         raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
-    tree = link_summarized(forest, comps)
+    links = [(a.path[-1], b.path[0]) for a, b in zip(comps, comps[1:])]
     path = [v for c in comps for v in c.path]
-    lab, parent = _p_labeling(tree, path)
+    lab, parent = _p_labeling(forest, path)
     live = lab.vertex_of[1:]
     floor_dm = (lab.num_path * m) // n
     v = find_anchor(lab, m)
@@ -222,7 +207,7 @@ def diameter_preserving_cut(
     members = frozenset(lab.vertex_of[first : last + 1])
     t_z_prime = members - {z}
     m_tilde = 2 * len(t_z_prime & m_vertices)
-    b_z = _subtree_cut(tree.adj, lab, parent, first, last, m_tilde)
+    b_z = _subtree_cut(forest.adj, lab, parent, first, last, m_tilde)
     if v_on:
         v_tilde = (m_vertices - t_z_prime) | b_z
         case = "Case2b"
@@ -238,13 +223,21 @@ def diameter_preserving_cut(
     if not (m <= len(v_tilde) <= 2 * m) or z in v_tilde:
         raise InvariantViolation(f"{case}: bad inner vertex set")
     old_of = sorted(v_tilde)
-    inner = induced_sorted(tree, old_of)
+    inner = induced_sorted(forest, old_of)
     degree = list(map(len, map(forest.adj.__getitem__, old_of)))
     # among optimal inner cuts, the fewest forest edges from B to the white rest of V
-    outside = _outside(degree, comps, v_tilde, old_of, inner)
-    inner_cut, inner_width = oracle.dp_min_size_cut_tree(inner, m, outside=outside)
+    outside = [0, *map(int.__sub__, degree, map(len, inner.adj[1:]))]
+    adj = list(inner.adj)
+    for x, y in links:
+        if x in v_tilde and y in v_tilde:  # G[Ṽ] of the linked tree holds this link
+            a, b = bisect_left(old_of, x) + 1, bisect_left(old_of, y) + 1
+            adj[a], adj[b] = tuple(sorted((*adj[a], b))), tuple(sorted((*adj[b], a)))
+    inner_cut, inner_width = oracle.dp_min_size_cut_tree(
+        Graph._trusted(inner.n, tuple(adj)), m, outside=outside
+    )
     black = {old_of[u - 1] for u in inner_cut.black}
-    outer = boundary_width(tree, v_tilde)
+    outer = boundary_width(forest, v_tilde)
+    outer += sum((x in v_tilde) != (y in v_tilde) for x, y in links)  # the links leaving Ṽ
     # max(degree) <= Δ, so testing it first leaves the predicate as it is
     if outer > 2 * max(degree) and outer > 2 * max_degree(forest):
         raise InvariantViolation(f"{case}: outer cut exceeds 2Δ")

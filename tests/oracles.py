@@ -232,6 +232,19 @@ def random_forest(rng, n_lo=2, n_hi=60, max_degree=5, drop=3):
     return Graph(n, edges)
 
 
+def link_summarized(g: Graph, comps) -> Graph:
+    """The linked tree of a forest with summary ``comps``, as the paper builds it.
+
+    Each link joins the last vertex of a component's longest path to the
+    first of the next one's, so the paths chain into one path.  A forest
+    of at most one component is returned as it is.
+    """
+    if len(comps) <= 1:
+        return g
+    links = [(a.path[-1], b.path[0]) for a, b in zip(comps, comps[1:])]
+    return Graph(g.n, [*g.edges, *links])
+
+
 def rooted_forest(g):
     """BFS order and parents (0 at a root) of a forest, as in the tree DP.
 

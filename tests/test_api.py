@@ -27,7 +27,6 @@ PUBLIC_API = {
     "GeneratorSpec": ("family", "seed", "n", "max_degree", "arity", "height", "t"),
     "Graph": ("n", "edges"),
     "Graph.degree": ("v",),
-    "Graph.has_edge": ("u", "v"),
     "Graph.vertices": (),
     "HeaviestPathResult": ("path", "weight", "relative_weight"),
     "KSection": ("parts", "width"),

@@ -3,8 +3,11 @@
 ``oracle._small_width_cut`` must agree with the tree DP (``oracle._dp_cut_tree``)
 on the width, return None exactly when the optimum exceeds 2 (on inputs
 under its caps), and among the optimal cuts pick one of least outside
-weight.  The tree DP still runs where the inner optimum exceeds 2, and
-never on the random and adversarial trees the benchmark sections.
+weight.  The tree DP still runs where the inner optimum exceeds 2.  It
+never runs on the adversarial family at heights 2 to 7, nor on the
+random trees at the seeds sampled here; other seeds of the random trees
+the benchmark sections do reach it, as one inner cut of
+``random_tree_maxdeg(8000, 6, Xorshift64Star(2))`` at k = 16 does.
 """
 
 import itertools
@@ -181,9 +184,18 @@ def test_the_tree_dp_runs_where_the_inner_optimum_exceeds_2(monkeypatch, arity, 
 @pytest.mark.parametrize("k", [2, 16])
 @pytest.mark.parametrize("n", [2000, 8000])
 def test_the_tree_dp_never_runs_on_random_trees(monkeypatch, n, k):
+    """At the seeds ``Xorshift64Star(n + k)`` only: other seeds reach the DP (the test below)."""
     calls = _count_calls(monkeypatch)
     ksection_tree(random_tree_maxdeg(n, 6, Xorshift64Star(n + k)), k)
     assert calls["public"] and not calls["dp"]
+
+
+def test_the_tree_dp_runs_once_on_a_random_tree_whose_inner_optimum_is_3(monkeypatch):
+    """At seed 2 one inner cut (|Ṽ| = 862, m = 500) has no cut of width 2 or less."""
+    calls = _count_calls(monkeypatch)
+    _, _, traces = ksection_tree_detailed(random_tree_maxdeg(8000, 6, Xorshift64Star(2)), 16)
+    assert calls["dp"] == [500]
+    assert [t["inner_width"] for t in traces if (t["inner_width"] or 0) > 2] == [3]
 
 
 @pytest.mark.parametrize("height", range(2, 8))

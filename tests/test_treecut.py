@@ -1,6 +1,8 @@
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import TreeDPSpy, diam_star, path, star
@@ -10,6 +12,7 @@ from ksec.graph import (
     Graph,
     component_orders,
     forest_summary,
+    induced_sorted,
     induced_subgraph,
     max_degree,
 )
@@ -261,6 +264,67 @@ def test_m_tilde_definition_matches_trace():
         t_z_prime = (trace.b_z | trace.w_z) - {trace.z}
         assert trace.m_tilde == 2 * len(t_z_prime & trace.m_set)
     assert hits > 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 60), st.booleans())
+def test_the_inner_cut_sees_the_linked_trees_share_of_v_tilde(seed, sparse):
+    """G[Ṽ], the outside weights and the outer width are those of the reference linked tree.
+
+    A sparse forest has the shape of a peel's remainder: its cut ids keep
+    no edge, and its summary covers only the live ids.
+    """
+    rng = Xorshift64Star(seed)
+    g = oracles.random_forest(rng, n_lo=2, n_hi=60, drop=8)
+    live = list(g.vertices())
+    if sparse:
+        live = sorted(rng.sample(live, rng.randint(2, g.n)))
+        alive = set(live)
+        g = Graph(g.n, [e for e in g.edges if alive.issuperset(e)])
+    comps = forest_summary(g, live)
+    m = rng.randint(1, len(live) - 1)
+    calls, dp = [], oracle.dp_min_size_cut_tree
+
+    def spy_dp(inner, size, outside=None):
+        calls.append((inner, size, outside))
+        return dp(inner, size, outside=outside)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "dp_min_size_cut_tree", spy_dp)
+        _, trace = diameter_preserving_cut(g, m, comps)
+    assert len(calls) == (trace.v_tilde is not None)
+    if not calls:
+        return
+    (inner, inner_m, outside), v_tilde = calls[0], trace.v_tilde
+    tree = oracles.link_summarized(g, comps)
+    assert inner_m == m
+    assert inner.adj == induced_sorted(tree, sorted(v_tilde)).adj
+    assert outside[1:] == [sum(u not in v_tilde for u in g.adj[v]) for v in sorted(v_tilde)]
+    assert trace.outer_width == sum((u in v_tilde) != (v in v_tilde) for u, v in tree.edges)
+
+
+def test_a_forest_cut_builds_no_graph_over_the_forests_id_range(monkeypatch):
+    """Only Ṽ's share of the linked tree is built: no graph has more than 2m vertices."""
+    built, trusted = [], Graph._trusted
+
+    def spy_trusted(cls, n, adj):
+        built.append(n)
+        return trusted(n, adj)
+
+    monkeypatch.setattr(Graph, "_trusted", classmethod(spy_trusted))
+    rng = Xorshift64Star(0x5EC7)
+    cases = set()
+    for _ in range(300):
+        g = oracles.random_forest(rng, n_lo=8, n_hi=60, drop=6)
+        comps = forest_summary(g)
+        if len(comps) < 2:
+            continue
+        m = rng.randint(1, (g.n - 1) // 2)
+        built.clear()
+        _, trace = diameter_preserving_cut(g, m, comps)
+        assert all(n <= 2 * m for n in built)
+        cases.add(trace.case_tag)
+    assert {"Case1", "Case2a", "Case2b", "Case3a", "Case3b"} <= cases
 
 
 def _full_width_columns(forest, m):
