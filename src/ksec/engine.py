@@ -37,6 +37,7 @@ from .graph import (
     induced_sorted,
     is_int,
     max_degree,
+    read_ids,
     require_forest,
     require_tree,
     summary_relative_diameter,
@@ -73,8 +74,11 @@ class BoundReport:
 
     @property
     def approx_ratio_vs_lower(self) -> float:
-        """achieved / (k-1): every k-section of a connected graph cuts >= k-1 edges."""
-        return self.achieved / max(1, self.k - 1)
+        """achieved / (p - 1), p = min(k, n): a k-section of a connected graph cuts >= p - 1 edges.
+
+        Its p non-empty parts are joined by the cut edges, so at least p - 1 of them.
+        """
+        return self.achieved / max(1, min(self.k, self.n) - 1)
 
     def to_dict(self) -> dict:
         out = {
@@ -230,6 +234,7 @@ def cut_prescribed_sizes(
 ) -> tuple[tuple[tuple[int, ...], ...], BoundReport]:
     """Partition with exactly the prescribed part sizes, in the given order."""
     comps = require_forest(forest, "cut_prescribed_sizes")
+    sizes = read_ids(sizes, SizesDontSum, "cut_prescribed_sizes")
     if not sizes or any(not is_int(s) or s <= 0 for s in sizes):
         raise SizesDontSum("sizes must be positive integers")
     if sum(sizes) != forest.n:

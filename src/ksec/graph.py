@@ -57,7 +57,7 @@ class Graph:
         if not is_int(n) or n < 0:
             raise KsecError(f"vertex count must be a non-negative integer, got {n!r}")
         require_memory(n * GR_BYTES_PER_VERTEX, f"{n} vertices")
-        edges = list(edges)
+        edges = read_ids(edges, KsecError, "Graph edges")
         why = bad_pair(edges, "vertex")
         if why:
             raise KsecError(why)

@@ -22,6 +22,8 @@ class Xorshift64Star:
     """xorshift64* PRNG; state is a nonzero 64-bit integer."""
 
     def __init__(self, seed: int):
+        if not is_int(seed):
+            raise BadParameters(f"Xorshift64Star: seed {seed!r} must be an integer")
         self.state = seed & MASK64
         if self.state == 0:
             self.state = 0x9E3779B97F4A7C15

@@ -7,7 +7,10 @@ cyclic labeling (``labeling.PLabeling``, with R marked in place of the
 path) gives path node i the block S_i ∪ R_i, with R_i last.  The anchor,
 the label interval and the block to split are found as for a tree.  The
 r-preserving cut peels off exactly m vertices while the relative
-heaviest-path weight of the remainder never drops.  Like the tree cut,
+heaviest-path weight of the remainder never drops.  S_i is split by the
+approximate cluster cut, which reads the whole decomposition's clusters
+through S_i and makes the tree cut's choice (``treecut._approximate_black``)
+on its tree, so no decomposition is induced on S_i.  Like the tree cut,
 it works in its graph's ids, of which the peel's remainders use a part;
 only the inner vertex set Ṽ is relabeled 1..|Ṽ|, by one map that serves
 its graph G̃, the glued decomposition and the exact DP's cut.
@@ -27,13 +30,12 @@ from .errors import (
 )
 from .graph import Cut, Graph, bfs_tree, boundary_width, first_bad, is_int, max_degree
 from .labeling import PLabeling, cyclic, find_anchor, labels_interval
-from .treecut import CutTrace
+from .treecut import CutTrace, _approximate_black
 from .treedec import (
     HeaviestPathResult,
     TDSummary,
     TreeDecomposition,
     heaviest_path,
-    induced,
     make_nonredundant,
     require_decomposition,
     td_summary,
@@ -123,65 +125,36 @@ def approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
 
 
 def _approximate_cut_td(td: TreeDecomposition, vertices, m: int) -> frozenset:
-    """Black set of ``approximate_cut_td`` for a decomposition of a graph on ``vertices``.
+    """Black set of ``approximate_cut_td`` for the graph on ``vertices`` that td decomposes.
 
-    Reads the graph through td's clusters alone, so it takes only the
-    vertex set, in any ids.
+    Reads td's clusters through ``vertices`` alone, so the peel passes its
+    whole decomposition and the set S_i it splits, in any ids.  Each
+    vertex is carried by the first node of the BFS from node 1 whose
+    cluster holds it: by (T3) the nodes holding a vertex form a subtree,
+    so that node is its one shallowest occurrence and no depth is needed.
+    The rule is ``treecut._approximate_black``'s; after it, the vertices
+    of x's cluster are added in id order while B holds fewer than m/2.
     """
     n = len(vertices)
     if not is_int(m) or not (1 <= m <= 2 * n):
         raise MOutOfRange(f"m={m!r} not in 1..{2 * n}")
     if m >= n:
         return frozenset(vertices)
-
+    keep = frozenset(vertices)
     order, parent = bfs_tree(td.tree_adj, 1)
-    depth = [0] * (td.num_nodes + 1)
-    for u in order[1:]:
-        depth[u] = depth[parent[u]] + 1
-
-    top = {}
-    for i in td.nodes():
-        for v in td.bag(i):
-            if v not in top or depth[i] < depth[top[v]]:
-                top[v] = i
-
-    by_top: dict[int, list[int]] = {}
+    top: dict[int, int] = {}
+    for i in order:
+        for v in td.bag(i) & keep:
+            top.setdefault(v, i)
+    tops: list[list[int]] = [[] for _ in range(td.num_nodes + 1)]
     for v, i in top.items():
-        by_top.setdefault(i, []).append(v)
-    d_size = [0] * (td.num_nodes + 1)
-    for i in reversed(order):
-        d_size[i] += len(by_top.get(i, ()))
-        if parent[i]:
-            d_size[parent[i]] += d_size[i]
+        tops[i].append(v)
 
-    x = 1
-    while True:
-        down = [w for w in td.tree_adj[x] if parent[w] == x and d_size[w] > m]
-        if not down:
+    x, black = _approximate_black(td.tree_adj, order, parent, tops.__getitem__, m)
+    for v in sorted(td.bag(x) & keep):
+        if 2 * len(black) >= m:
             break
-        x = min(down)
-
-    parts: list[list[int]] = []
-    for y in sorted(w for w in td.tree_adj[x] if parent[w] == x):
-        nodes = [y]
-        for u in nodes:
-            nodes.extend(w for w in td.tree_adj[u] if parent[w] == u)
-        part: list[int] = []
-        for node in nodes:
-            part.extend(by_top.get(node, ()))
-        parts.append(sorted(part))
-    parts.extend([v] for v in sorted(td.bag(x)))
-
-    black: set[int] = set()
-    for part in parts:
-        if m <= 2 * len(part) and len(part) <= m:
-            black = set(part)
-            break
-    else:
-        for part in parts:
-            if 2 * len(black) >= m:
-                break
-            black.update(part)
+        black.append(v)
     if not (m <= 2 * len(black) and len(black) <= m):
         raise InvariantViolation("approximate cluster cut missed its size window")
     return frozenset(black)
@@ -253,7 +226,7 @@ def r_preserving_cut(
     if not (2 <= m_tilde <= 2 * m):
         raise InvariantViolation(f"{case}: m-tilde {m_tilde} out of range")
 
-    b_side = _approximate_cut_td(induced(td0, s_set), s_set, m_tilde)
+    b_side = _approximate_cut_td(td0, s_set, m_tilde)
 
     v_tilde = frozenset((m_vertices - s_set) | b_side)
     if not (m <= len(v_tilde) <= 2 * m):

@@ -13,7 +13,7 @@ of their longest paths, labels it along that chain, and follows a
 five-way case analysis over the anchor position in the labeling; the
 executed case is recorded in a trace.  It works in the forest's own ids,
 whose summary may leave isolated ids out (the tree peel's remainders),
-and cuts the subtree T_z off the labeling's post-order with the sweep's
+and cuts the subtree T_z, its block read in reverse, with the sweep's
 parents.  Every link joins two path vertices, which no sweep and no T_z
 crosses, so the linked tree itself is never built: only its share in
 the inner vertex set Ṽ, induced for the exact cut, and its edges
@@ -29,6 +29,10 @@ one inner cut of ``random_tree_maxdeg(8000, 6, Xorshift64Star(2))`` at
 k = 16 has optimum 3.  Among the optimal inner cuts it takes one with
 the fewest forest edges from the black side to the vertices outside Ṽ,
 which the final cut pays as well.
+
+The approximate cut's choice, ``_approximate_black``, is written once
+for trees and decompositions: ``tdcut``'s cluster cut makes it on its
+decomposition tree, where a node carries the vertices it tops.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import chain
 
 from . import oracle
 from .errors import InvariantViolation, KsecError, MOutOfRange, NotAPartition
@@ -44,6 +47,7 @@ from .graph import (
     Cut,
     Graph,
     TreeSummary,
+    bfs_tree,
     boundary_width,
     induced_sorted,
     is_int,
@@ -51,7 +55,7 @@ from .graph import (
     require_forest,
     require_tree,
 )
-from .labeling import PLabeling, _p_labeling, cyclic, find_anchor, labels_interval
+from .labeling import _p_labeling, cyclic, find_anchor, labels_interval
 
 
 class CutTrace:
@@ -104,25 +108,41 @@ def approximate_cut(tree: Graph, v: int, m: int) -> Cut:
         raise KsecError(f"approximate_cut: vertex {v!r} out of vertex range 1..{n}")
     if not is_int(m) or not (1 <= m <= 2 * n - 2):
         raise MOutOfRange(f"m={m!r} not in 1..{2 * n - 2}")
-    lab, parent = _p_labeling(tree, (v,))
-    return Cut._trusted(tree, _subtree_cut(tree.adj, lab, parent, 1, n, m))
+    order, parent = bfs_tree(tree.adj, v)
+    return Cut._trusted(tree, _subtree_cut(tree.adj, order, parent, m))
 
 
-def _subtree_cut(
-    adj, lab: PLabeling, parent: list[int], first: int, last: int, m: int
-) -> frozenset:
-    """Black set of ``approximate_cut`` in T_z, labels first..last of ``lab`` in post-order, z last.
+def _subtree_cut(adj, order: list[int], parent: list[int], m: int) -> frozenset:
+    """Black set of ``approximate_cut`` of the tree rooted at ``order[0]``, which stays white.
 
-    With the sweep's ``parent``, a subtree is the run of labels ending at its root.
+    ``order`` lists the tree's vertices with parents before children.
     """
-    post = lab.vertex_of[first : last + 1]
-    if m >= len(post) - 1:
-        return frozenset(post[:-1])
-    size = dict.fromkeys(post, 1)
-    for u in post[:-1]:
+    if m >= len(order) - 1:
+        return frozenset(order[1:])
+    black = frozenset(_approximate_black(adj, order, parent, lambda u: (u,), m)[1])
+    if not (m <= 2 * len(black) and len(black) <= m):
+        raise InvariantViolation("approximate cut missed its size window")
+    return black
+
+
+def _approximate_black(adj, order, parent, carried, m: int) -> tuple[int, list]:
+    """(x, black): the choice of the tree's and the decomposition's approximate cuts.
+
+    The tree is rooted at ``order[0]``, ``order`` lists parents before
+    children, and ``carried(u)`` gives the vertices node u contributes:
+    a tree vertex itself, a decomposition node the vertices it tops.  A
+    subtree holds the vertices its nodes carry.  x is the node reached
+    from the root by stepping to the smallest child whose subtree holds
+    more than m.  black lists the vertices carried in the subtree of x's
+    smallest child that holds at least m/2, or else in x's children's
+    subtrees in id order until they hold m/2.  ``adj`` lists each node's
+    neighbours in id order.
+    """
+    size = dict(zip(order, map(len, map(carried, order))))
+    for u in order[:0:-1]:
         size[parent[u]] += size[u]
 
-    x = post[-1]
+    x = order[0]
     while True:
         down = [w for w in adj[x] if parent[w] == x and size[w] > m]
         if not down:
@@ -140,13 +160,11 @@ def _subtree_cut(
                 break
             roots.append(w)
             total += size[w]
-    label_of, vertex_of = lab.label_of, lab.vertex_of
-    black = frozenset(chain.from_iterable(
-        vertex_of[label_of[r] - size[r] + 1 : label_of[r] + 1] for r in roots
-    ))
-    if not (m <= 2 * len(black) and len(black) <= m):
-        raise InvariantViolation("approximate cut missed its size window")
-    return black
+    inside = set(roots)  # the chosen subtrees: each node follows its parent in order
+    for u in order:
+        if parent[u] in inside:
+            inside.add(u)
+    return x, [v for u in inside for v in carried(u)]
 
 
 def diameter_preserving_cut(
@@ -207,7 +225,7 @@ def diameter_preserving_cut(
     members = frozenset(lab.vertex_of[first : last + 1])
     t_z_prime = members - {z}
     m_tilde = 2 * len(t_z_prime & m_vertices)
-    b_z = _subtree_cut(forest.adj, lab, parent, first, last, m_tilde)
+    b_z = _subtree_cut(forest.adj, lab.vertex_of[last : first - 1 : -1], parent, m_tilde)
     if v_on:
         v_tilde = (m_vertices - t_z_prime) | b_z
         case = "Case2b"

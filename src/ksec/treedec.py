@@ -16,17 +16,18 @@ from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import FormatError, InvariantViolation, KsecError, NotATreeDecomposition
-from .graph import Graph, bad_pair, bfs_tree, comment_lines, is_int, require_tree
+from .graph import Graph, bad_pair, bfs_tree, comment_lines, is_int, read_ids, require_tree
 
 
 class TreeDecomposition:
     __slots__ = ("num_nodes", "bags", "tree_adj", "tree_edges")
 
     def __init__(self, bags: Sequence[Iterable[int]], tree_edges: Iterable[tuple[int, int]]):
+        bags = read_ids(bags, NotATreeDecomposition, "TreeDecomposition clusters")
         num = len(bags)
         if num == 0:
             raise NotATreeDecomposition("a decomposition needs at least one node")
-        tree_edges = list(tree_edges)
+        tree_edges = read_ids(tree_edges, NotATreeDecomposition, "TreeDecomposition tree edges")
         why = bad_pair(tree_edges, "node")
         if why:
             raise NotATreeDecomposition(why)

@@ -881,6 +881,75 @@ def approximate_black(tree: Graph, v: int, m: int) -> frozenset:
     return frozenset(black)
 
 
+# --- The decomposition approximate cut on an induced decomposition -----------
+#
+# ``tdcut._approximate_cut_td`` as it was before it read S_i through its
+# vertex set: it takes ``induced(td, S)``, depth-ranks every node to top each
+# vertex at its shallowest occurrence, collects every child's part and x's
+# cluster as singleton parts, and takes the first part within m/2..m or
+# else parts in order until they hold m/2.  The body is verbatim.
+
+
+def approximate_td_black(td: TreeDecomposition, vertices, m: int) -> frozenset:
+    n = len(vertices)
+    if not is_int(m) or not (1 <= m <= 2 * n):
+        raise MOutOfRange(f"m={m!r} not in 1..{2 * n}")
+    if m >= n:
+        return frozenset(vertices)
+
+    order, parent = bfs_tree(td.tree_adj, 1)
+    depth = [0] * (td.num_nodes + 1)
+    for u in order[1:]:
+        depth[u] = depth[parent[u]] + 1
+
+    top = {}
+    for i in td.nodes():
+        for v in td.bag(i):
+            if v not in top or depth[i] < depth[top[v]]:
+                top[v] = i
+
+    by_top: dict[int, list[int]] = {}
+    for v, i in top.items():
+        by_top.setdefault(i, []).append(v)
+    d_size = [0] * (td.num_nodes + 1)
+    for i in reversed(order):
+        d_size[i] += len(by_top.get(i, ()))
+        if parent[i]:
+            d_size[parent[i]] += d_size[i]
+
+    x = 1
+    while True:
+        down = [w for w in td.tree_adj[x] if parent[w] == x and d_size[w] > m]
+        if not down:
+            break
+        x = min(down)
+
+    parts: list[list[int]] = []
+    for y in sorted(w for w in td.tree_adj[x] if parent[w] == x):
+        nodes = [y]
+        for u in nodes:
+            nodes.extend(w for w in td.tree_adj[u] if parent[w] == u)
+        part: list[int] = []
+        for node in nodes:
+            part.extend(by_top.get(node, ()))
+        parts.append(sorted(part))
+    parts.extend([v] for v in sorted(td.bag(x)))
+
+    black: set[int] = set()
+    for part in parts:
+        if m <= 2 * len(part) and len(part) <= m:
+            black = set(part)
+            break
+    else:
+        for part in parts:
+            if 2 * len(black) >= m:
+                break
+            black.update(part)
+    if not (m <= 2 * len(black) and len(black) <= m):
+        raise InvariantViolation("approximate cluster cut missed its size window")
+    return frozenset(black)
+
+
 # --- Labelings with a vertex->block map beside them ---------------------------
 #
 # The tree and decomposition labelings as built before ``PLabeling`` kept

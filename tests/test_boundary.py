@@ -39,7 +39,7 @@ from ksec.graph import (
     parse_gr,
     write_gr,
 )
-from ksec.instances import BadParameters, GeneratorSpec, generate
+from ksec.instances import BadParameters, GeneratorSpec, Xorshift64Star, generate
 from ksec.labeling import PLabeling, d_p, find_anchor, p_labeling
 from ksec.oracle import brute_min_ksection, dp_min_size_cut_td, dp_min_size_cut_tree
 from ksec.tdcut import approximate_cut_td, r_preserving_cut
@@ -175,6 +175,17 @@ NOT_ITERABLE = {
         lambda: dp_min_size_cut_tree(path(3), 1, outside=5), KsecError, "outside: 5",
     ),
     "induced": (lambda: induced(tree_to_width1_td(path(3)), 5), KsecError, "induced: 5"),
+    "Graph": (lambda: Graph(3, 5), KsecError, "Graph edges: 5"),
+    "TreeDecomposition clusters": (
+        lambda: TreeDecomposition(5, []), NotATreeDecomposition, "TreeDecomposition clusters: 5",
+    ),
+    "TreeDecomposition tree edges": (
+        lambda: TreeDecomposition([[1]], 5), NotATreeDecomposition,
+        "TreeDecomposition tree edges: 5",
+    ),
+    "cut_prescribed_sizes": (
+        lambda: cut_prescribed_sizes(path(3), 5), SizesDontSum, "cut_prescribed_sizes: 5",
+    ),
 }
 
 
@@ -376,6 +387,11 @@ def test_writers_name_a_bad_argument(name):
 def test_generate_names_a_parameter_that_is_not_an_integer():
     with pytest.raises(BadParameters, match="parameter 'n' must be an integer, got '3'"):
         generate(GeneratorSpec("path", n="3"))
+
+
+def test_xorshift_names_a_seed_that_is_not_an_integer():
+    with pytest.raises(BadParameters, match="Xorshift64Star: seed 'a' must be an integer"):
+        Xorshift64Star("a")
 
 
 def test_cut_prescribed_sizes_rejects_a_size_that_is_not_an_integer():

@@ -66,6 +66,13 @@ def test_ksection_tree_k_at_least_n():
     check_section(g, section, 7)
 
 
+def test_the_ratio_floor_counts_the_non_empty_parts_only():
+    """With k > n only n parts hold a vertex, so a section cuts at least n - 1 edges, not k - 1."""
+    section, report = ksection_tree(path(3), 5)
+    assert section.width == 2
+    assert report.approx_ratio_vs_lower == 1.0
+
+
 def test_ksection_tree_random_versus_bruteforce():
     rng = Xorshift64Star(2718)
     for _ in range(25):

@@ -194,6 +194,29 @@ def test_approximate_cut_td_partial_two_tree_all_m():
         check_approx_td(g, td, approximate_cut_td(g, td, m), m)
 
 
+def test_approximate_cut_td_takes_the_black_set_of_the_induced_decompositions_cut():
+    """Reading the clusters through S picks what the cut of ``induced(td, S)`` picked.
+
+    Raw and nonredundant partial k-trees; random sets S at every m in
+    1..2|S|, and the whole vertex set through the public cut at every m in 1..2n.
+    """
+    rng = Xorshift64Star(31313)
+    for _ in range(60):
+        n = rng.randint(2, 60)
+        g, raw = random_partial_ktree(n, rng.randint(1, 5), rng)
+        for td in (raw, make_nonredundant(raw)):
+            keep = rng.randint(1, 9)
+            s_set = frozenset(v for v in g.vertices() if rng.chance(keep, 10)) or frozenset({n})
+            for m in range(1, 2 * len(s_set) + 1):
+                assert tdcut._approximate_cut_td(td, s_set, m) == oracles.approximate_td_black(
+                    induced(td, s_set), s_set, m
+                )
+            for m in range(1, 2 * n + 1):
+                assert approximate_cut_td(g, td, m).black == oracles.approximate_td_black(
+                    td, g.vertices(), m
+                )
+
+
 def test_exact_cut_bounded_td_bound_specializations():
     # r = 1: the bound collapses to 4tΔ
     g, td = p4_with_td()
