@@ -37,10 +37,16 @@ class Xorshift64Star:
         return (x * 0x2545F4914F6CDD1D) & MASK64
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], inclusive; rejection sampling."""
-        span = hi - lo + 1
-        if span <= 0:
-            raise ValueError(f"empty range [{lo},{hi}]")
+        """Uniform integer in [lo, hi], inclusive; rejection sampling.
+
+        ``BadParameters`` names a bound that is no integer, or an empty range.
+        """
+        try:
+            span = hi - lo + 1
+        except TypeError:
+            span = None
+        if type(span) is not int or span <= 0:
+            raise BadParameters(_range_error(lo, hi))
         limit = (1 << 64) - ((1 << 64) % span)
         while True:
             r = self.next_u64()
@@ -48,17 +54,36 @@ class Xorshift64Star:
                 return lo + (r % span)
 
     def chance(self, num: int, den: int) -> bool:
-        """True with probability num/den."""
-        return self.randint(0, den - 1) < num
+        """True with probability num/den; ``BadParameters`` names a bad num or den."""
+        try:
+            return self.randint(0, den - 1) < num
+        except (BadParameters, TypeError):
+            if not is_int(den) or den < 1:
+                raise BadParameters(f"chance: den {den!r} must be an integer >= 1") from None
+            raise BadParameters(f"chance: num {num!r} must be a number") from None
 
     def sample(self, items: list, count: int) -> list:
-        pool = list(items)
+        """``count`` distinct entries of ``items``; ``BadParameters`` names a bad count."""
+        try:
+            pool = list(items)
+        except TypeError:
+            raise BadParameters(f"sample: {items!r} is not a sequence") from None
+        if type(count) is not int or not 0 <= count <= len(pool):
+            raise BadParameters(f"sample: count {count!r} is not an integer in 0..{len(pool)}")
         out = []
         for _ in range(count):
             idx = self.randint(0, len(pool) - 1)
             pool[idx], pool[-1] = pool[-1], pool[idx]
             out.append(pool.pop())
         return out
+
+
+def _range_error(lo, hi) -> str:
+    """What is wrong with ``randint``'s bounds lo and hi."""
+    for name, x in (("lo", lo), ("hi", hi)):
+        if not is_int(x):
+            return f"randint: {name} {x!r} must be an integer"
+    return f"randint: empty range [{lo},{hi}]"
 
 
 class BadParameters(KsecError):

@@ -14,12 +14,21 @@ on its tree, so no decomposition is induced on S_i.  Like the tree cut,
 it works in its graph's ids, of which the peel's remainders use a part;
 only the inner vertex set Ṽ is relabeled 1..|Ṽ|, by one map that serves
 its graph G̃, the glued decomposition and the exact DP's cut.
+
+The glued decomposition is built on the span of Ṽ's clusters alone, in
+each copy the subtree spanned by the nodes whose cluster meets its side.
+Each empty span node s keeps the smallest id μ < s of the regions hanging
+at it as one empty leaf, so the glue normalizes as two whole copies do:
+a region at a nonempty node is only ever absorbed into that node, and a
+region at an empty node acts on the contraction order only through μ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
+from operator import not_
 
 from . import oracle
 from .errors import (
@@ -150,7 +159,9 @@ def _approximate_cut_td(td: TreeDecomposition, vertices, m: int) -> frozenset:
     for v, i in top.items():
         tops[i].append(v)
 
-    x, black = _approximate_black(td.tree_adj, order, parent, tops.__getitem__, m)
+    size = dict(zip(order, map(len, map(tops.__getitem__, order))))
+    x, inside = _approximate_black(td.tree_adj, order, parent, size, m)
+    black = [v for u in inside for v in tops[u]]
     for v in sorted(td.bag(x) & keep):
         if 2 * len(black) >= m:
             break
@@ -266,23 +277,97 @@ def r_preserving_cut(
 def _glue_decompositions(
     td0: TreeDecomposition, new_of: dict, b_local: set, j0: int
 ) -> TreeDecomposition:
-    """Join induced decompositions of the two split sides by one edge.
+    """Join induced decompositions of the two split sides by one edge, on their spans.
 
-    Copy 1 covers the non-split side, copy 2 the approximate-cut side;
-    the new edge runs from the far path end j0 (copy 1) to the smallest
-    copy-2 node with a nonempty cluster.  Two copies of td0's checked
-    tree joined by one edge form a tree, so nothing is checked again.
+    Copy 1 covers the non-split side, copy 2 the approximate-cut side
+    (node i of td0 is i + num there); the new edge runs from the far path
+    end j0 (copy 1) to the smallest copy-2 node with a nonempty cluster.
     The clusters are written in Ṽ's local ids (``new_of``), in which
     ``b_local`` is the approximate-cut side.
+
+    Of each copy only its span is built: the subtree spanned by the nodes
+    whose cluster meets its side, and by j0 in copy 1, which drops out
+    with its bridge when no cluster meets its side.  Each empty span node
+    s keeps the smallest id μ < s of the off-span regions hanging at it
+    as an empty leaf, and the kept ids are renumbered in order.  Then
+    ``make_nonredundant`` and r̃ come out as on the two whole copies: the
+    off-span nodes are empty; a region at a nonempty node is only ever
+    absorbed into that node; and a region at an empty node acts on the
+    contraction order only through its smallest id, since on equal
+    clusters the larger id is absorbed.  The span of a tree is a tree, so
+    nothing is checked again.
     """
-    local = [frozenset(new_of[v] for v in bag if v in new_of) for bag in td0.bags]
-    bags1 = [b - b_local for b in local]
-    bags2 = [b & b_local for b in local]
-    num = td0.num_nodes
-    h0 = next(i for i, b in enumerate(bags2, start=1) if b)
-    # copy 2's nodes all follow copy 1's, so the bridge keeps both adjacencies sorted
-    adj = [*td0.tree_adj, *(tuple(x + num for x in a) for a in td0.tree_adj[1:])]
-    adj[j0] += (h0 + num,)
-    adj[h0 + num] = (j0, *adj[h0 + num])
-    edges = {*td0.tree_edges, *((i + num, j + num) for i, j in td0.tree_edges), (j0, h0 + num)}
-    return TreeDecomposition._trusted(tuple(bags1 + bags2), tuple(adj), frozenset(edges))
+    num, adj = td0.num_nodes, td0.tree_adj
+    order, parent = bfs_tree(adj, 1)
+    low = list(range(num + 1))  # the smallest node of each subtree
+    for u in order[:0:-1]:
+        if low[u] < low[parent[u]]:
+            low[parent[u]] = low[u]
+    side2 = {v for v, i in new_of.items() if i in b_local}
+    bags1, edges1, _ = _span(td0, parent, low, new_of.keys() - side2, new_of, j0) or ({}, [], 0)
+    bags2, edges2, h0 = _span(td0, parent, low, side2, new_of, 0)
+    ids = [*sorted(bags1), *(i + num for i in sorted(bags2))]
+    edges = [*edges1, *((i + num, j + num) for i, j in edges2)]
+    if bags1:
+        edges.append((j0, h0 + num))
+    bags = [bags1[i] if i <= num else bags2[i - num] for i in ids]
+    # renumbering in ascending order keeps each edge's (smaller, larger) order
+    new_id = dict(zip(ids, range(1, len(ids) + 1)))
+    edges = [(new_id[i], new_id[j]) for i, j in edges]
+    around: list[list[int]] = [[] for _ in range(len(ids) + 1)]
+    for i, j in edges:
+        around[i].append(j)
+        around[j].append(i)
+    return TreeDecomposition._trusted(
+        tuple(bags), tuple(map(tuple, map(sorted, around))), frozenset(edges)
+    )
+
+
+def _span(td0: TreeDecomposition, parent: list, low: list, side, new_of: dict, j0: int):
+    """One copy of ``_glue_decompositions``: (clusters by node, edges, first nonempty node).
+
+    ``side`` holds the copy's vertices in td0's ids, j0 is a node the span
+    must hold (0 for none), and ``parent``/``low`` are td0's BFS parents
+    from node 1 and subtree minima.  Edges are (smaller, larger) nodes;
+    the clusters include the empty stand-ins.  None when no cluster meets
+    ``side``.
+    """
+    bags, adj = td0.bags, td0.tree_adj
+    hit = list(compress(range(1, len(bags) + 1), map(not_, map(side.isdisjoint, bags))))
+    if not hit:
+        return None
+    inside = [False] * len(adj)
+    inside[0] = True  # the root's parent stops the first walk
+    span = []
+    for x in (*hit, j0) if j0 else hit:
+        while not inside[x]:
+            inside[x] = True
+            span.append(x)
+            x = parent[x]
+    # the first walk reached the root: cut the chain above the lowest common ancestor
+    top = 1
+    while top != j0 and bags[top - 1].isdisjoint(side):
+        below = [w for w in adj[top] if parent[w] == top and inside[w]]
+        if len(below) != 1:
+            break
+        inside[top] = False
+        top = below[0]
+    get, empty = new_of.__getitem__, frozenset()
+    clusters, edges = {}, []
+    for s in span:
+        if not inside[s]:
+            continue
+        clusters[s] = bag = frozenset(map(get, bags[s - 1] & side))
+        if s != top:
+            p = parent[s]
+            edges.append((p, s) if p < s else (s, p))
+        if not bag:
+            # the smallest id of the off-span regions hanging at s; the root's above the top
+            mu = 1 if s == top else s
+            for w in adj[s]:
+                if parent[w] == s and not inside[w] and low[w] < mu:
+                    mu = low[w]
+            if mu < s:
+                clusters[mu] = empty
+                edges.append((mu, s))
+    return clusters, edges, hit[0]

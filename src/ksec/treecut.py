@@ -119,26 +119,25 @@ def _subtree_cut(adj, order: list[int], parent: list[int], m: int) -> frozenset:
     """
     if m >= len(order) - 1:
         return frozenset(order[1:])
-    black = frozenset(_approximate_black(adj, order, parent, lambda u: (u,), m)[1])
+    black = frozenset(_approximate_black(adj, order, parent, dict.fromkeys(order, 1), m)[1])
     if not (m <= 2 * len(black) and len(black) <= m):
         raise InvariantViolation("approximate cut missed its size window")
     return black
 
 
-def _approximate_black(adj, order, parent, carried, m: int) -> tuple[int, list]:
-    """(x, black): the choice of the tree's and the decomposition's approximate cuts.
+def _approximate_black(adj, order, parent, size: dict, m: int) -> tuple[int, set]:
+    """(x, inside): the choice of the tree's and the decomposition's approximate cuts.
 
     The tree is rooted at ``order[0]``, ``order`` lists parents before
-    children, and ``carried(u)`` gives the vertices node u contributes:
-    a tree vertex itself, a decomposition node the vertices it tops.  A
-    subtree holds the vertices its nodes carry.  x is the node reached
-    from the root by stepping to the smallest child whose subtree holds
-    more than m.  black lists the vertices carried in the subtree of x's
-    smallest child that holds at least m/2, or else in x's children's
-    subtrees in id order until they hold m/2.  ``adj`` lists each node's
-    neighbours in id order.
+    children, and ``size[u]`` counts the vertices node u carries: 1 for a
+    tree vertex, for a decomposition node the vertices it tops.  ``size``
+    is summed into subtree counts in place.  x is the node reached from
+    the root by stepping to the smallest child whose subtree carries more
+    than m.  inside holds the nodes of the subtree of x's smallest child
+    that carries at least m/2, or else of x's children's subtrees in id
+    order until they carry m/2; the cut's black set is what they carry.
+    ``adj`` lists each node's neighbours in id order.
     """
-    size = dict(zip(order, map(len, map(carried, order))))
     for u in order[:0:-1]:
         size[parent[u]] += size[u]
 
@@ -164,7 +163,7 @@ def _approximate_black(adj, order, parent, carried, m: int) -> tuple[int, list]:
     for u in order:
         if parent[u] in inside:
             inside.add(u)
-    return x, [v for u in inside for v in carried(u)]
+    return x, inside
 
 
 def diameter_preserving_cut(

@@ -382,6 +382,27 @@ def make_nonredundant_rescan(td):
     return TreeDecomposition([bags[i] for i in order], edges)
 
 
+def glue_decompositions_whole(
+    td0: TreeDecomposition, new_of: dict, b_local: set, j0: int
+) -> TreeDecomposition:
+    """``tdcut._glue_decompositions`` as it was before it glued only the spans.
+
+    Two whole induced copies of td0, bridged; the reference whose normal
+    form and relative path weight the span-only glue must keep.
+    """
+    local = [frozenset(new_of[v] for v in bag if v in new_of) for bag in td0.bags]
+    bags1 = [b - b_local for b in local]
+    bags2 = [b & b_local for b in local]
+    num = td0.num_nodes
+    h0 = next(i for i, b in enumerate(bags2, start=1) if b)
+    # copy 2's nodes all follow copy 1's, so the bridge keeps both adjacencies sorted
+    adj = [*td0.tree_adj, *(tuple(x + num for x in a) for a in td0.tree_adj[1:])]
+    adj[j0] += (h0 + num,)
+    adj[h0 + num] = (j0, *adj[h0 + num])
+    edges = {*td0.tree_edges, *((i + num, j + num) for i, j in td0.tree_edges), (j0, h0 + num)}
+    return TreeDecomposition._trusted(tuple(bags1 + bags2), tuple(adj), frozenset(edges))
+
+
 # --- The decomposition DP with one table row per coloring -------------------
 #
 # ``oracle._TDTables`` as it was before its tables became padded row arrays:

@@ -81,8 +81,11 @@ CASES = {
     "td-s32-n200-k4": (_td, (32, 200, 4)),
     "td-s34-n200-k4": (_td, (34, 200, 4)),
     "td-s44-n200-k4": (_td, (44, 200, 4)),
-    # its induced and glued decompositions hold about 2600 empty nodes in all
+    # its induced decompositions hold 182 empty nodes in all, its glued ones 28:
+    # the glue builds only the spans of Ṽ's clusters (two whole copies held 2374)
     "td-s51-n1000-k4": (_td, (51, 1000, 4)),
+    # its parts change if the glue drops its empty stand-ins: the width goes 1071 -> 1070
+    "td-s1-n1000-k16": (_td, (1, 1000, 16)),
 }
 
 EXPECTED = {
@@ -94,6 +97,7 @@ EXPECTED = {
     "dary-5-h4-k2": "b81155d64f5b3fe060a7d7ed0a0a266fe5592dce6029e742ed2a713685beeabc",
     "forest-s21-1:1:1": "6f4d2d16a91e2b2b17e0281e590d282c3196c702cec3f1edcbafaf7fae6070d0",
     "forest-s22-1:3:2:5": "c11250f215168f53425cfbc99ec06422b6f7dc34f002e0b64bba9bfa8735c37d",
+    "td-s1-n1000-k16": "5e9d223597d1f86ce42815b88138c4cc02c16855915e515294b437642a4de219",
     "td-s31-n200-k2": "478e92b0765dd040124042b62c0484f9acecfcc56e0726a34eda9d14acbe7141",
     "td-s32-n200-k4": "b41f5a88211bfd26e7065794af9da0ccdf87d4c0381f27037bbcbbe58b60055f",
     "td-s34-n200-k4": "731eeb4880287ce6cb68a3e007c905480f480c9684d53512a6c7d97a5ec37f91",

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import oracles
@@ -28,6 +30,25 @@ def test_randint_bounds():
     draws = [rng.randint(3, 7) for _ in range(200)]
     assert set(draws) <= set(range(3, 8))
     assert len(set(draws)) == 5
+
+
+@pytest.mark.parametrize(
+    "method, args, named",
+    [
+        ("randint", (3, 1), "empty range [3,1]"),
+        ("randint", ("a", 2), "lo 'a'"),
+        ("randint", (1, 2.5), "hi 2.5"),
+        ("chance", (1, 0), "den 0"),
+        ("chance", (1, "x"), "den 'x'"),
+        ("chance", (None, 2), "num None"),
+        ("sample", ([1, 2], 5), "count 5"),
+        ("sample", ([1, 2], -1), "count -1"),
+        ("sample", (3, 1), "3 is not a sequence"),
+    ],
+)
+def test_xorshift_names_bad_arguments(method, args, named):
+    with pytest.raises(BadParameters, match=re.escape(named)):
+        getattr(Xorshift64Star(1), method)(*args)
 
 
 def test_generate_deterministic_bytes():

@@ -8,7 +8,7 @@ import oracles
 from conftest import path
 from ksec import tdcut, treedec
 from ksec.errors import FormatError, InvariantViolation, NotATreeDecomposition
-from ksec.graph import Graph, require_tree
+from ksec.graph import Graph, bfs_tree, require_tree
 from ksec.instances import Xorshift64Star, random_partial_ktree, random_tree_maxdeg
 from ksec.treedec import (
     TreeDecomposition,
@@ -200,6 +200,52 @@ def test_make_nonredundant_keeps_the_rescan_order_on_glued_decompositions(seed, 
     assert out.bags == ref.bags
     assert out.tree_adj == ref.tree_adj
     assert out.tree_edges == ref.tree_edges
+
+
+def random_glue_input(seed, n, t):
+    """(td0, new_of, b_local, j0): a random Ṽ of a partial t-tree, split at random, and a j0."""
+    rng = Xorshift64Star(seed)
+    _, td = random_partial_ktree(n, t, rng)
+    td0 = make_nonredundant(td)
+    kept = sorted(rng.sample(list(range(1, n + 1)), rng.randint(1, n)))
+    new_of = {old: i for i, old in enumerate(kept, start=1)}
+    b_local = set(rng.sample(list(new_of.values()), rng.randint(1, len(kept))))
+    return td0, new_of, b_local, rng.randint(1, td0.num_nodes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(10, 120), st.integers(1, 6))
+def test_glue_on_the_spans_normalizes_and_weighs_as_the_whole_copies(seed, n, t):
+    """The glue builds only the spans and the empty stand-ins, and loses nothing by it."""
+    args = random_glue_input(seed, n, t)
+    glued, whole = tdcut._glue_decompositions(*args), oracles.glue_decompositions_whole(*args)
+    out, ref = make_nonredundant(glued), make_nonredundant(whole)
+    assert out.bags == ref.bags
+    assert out.tree_adj == ref.tree_adj
+    assert out.tree_edges == ref.tree_edges
+    size = len(args[1])
+    assert heaviest_path(glued, size).relative_weight == heaviest_path(whole, size).relative_weight
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(10, 120), st.integers(1, 6))
+def test_glued_empty_nodes_are_span_nodes_or_stand_ins(seed, n, t):
+    """Each empty node lies between two nonempty ones, or is a leaf on an empty larger id."""
+    glued = tdcut._glue_decompositions(*random_glue_input(seed, n, t))
+    order, parent = bfs_tree(glued.tree_adj, 1)
+    full = [0] * (glued.num_nodes + 1)  # nonempty nodes in each subtree
+    for i in reversed(order):
+        full[i] += bool(glued.bag(i))
+        full[parent[i]] += full[i]
+    for i in glued.nodes():
+        if glued.bag(i):
+            continue
+        around = [full[w] for w in glued.tree_adj[i] if parent[w] == i]
+        around.append(full[1] - full[i])  # the side above i
+        if sum(map(bool, around)) >= 2:
+            continue
+        (w,) = glued.tree_adj[i]
+        assert not glued.bag(w) and w > i
 
 
 @settings(max_examples=300, deadline=None)
