@@ -114,22 +114,29 @@ def _peel(
     of g's adjacency (O(Σ deg(B ∪ N(B))) a round) and calls
     ``summarize(cur, summary, live)`` for the remainder's one summary:
     ``cur`` is g with every cut vertex isolated and ``live`` the ids left,
-    ascending, so every round works in g's ids.  ``measure(summary, n)``
-    is the quantity the cut must not lower (diam* for trees, r for
-    decompositions): it is read off that one summary, which then goes to
-    the next cut.  The loop checks that every cut has |B| = m, that the
+    ascending, so every round works in g's ids.  The round counts the
+    edges it deletes, B's degrees plus the cut's width, halved, and
+    builds ``cur`` with the edges left, so neither the forest check nor
+    the cut's summary check scans the adjacency for them.  Nothing scans
+    a count and keeps it: every ``cur`` shares the one adjacency list,
+    which later rounds keep cutting, so a kept count would go stale.
+    ``measure(summary, n)`` is the quantity the cut must not lower (diam*
+    for trees, r for decompositions): it is read off that one summary,
+    which then goes to the next cut.  The loop checks that every cut has |B| = m, that the
     measure never drops and that the per-cut widths add up to the width
     of the section; a failure raises ``InvariantViolation``.  Returns the
     section, parts in the order of ``sizes``, and the per-cut traces.
     """
     parts, width, traces = [], 0, []
-    adj, live, cur = list(g.adj), list(g.vertices()), g
+    adj, live, cur, edges = list(g.adj), list(g.vertices()), g, g.num_edges
     floor = measure(summary, g.n)
     for m in sizes[:-1]:
         c, trace = cut(cur, summary, m)
         black = c.black
         if len(black) != m:
             raise InvariantViolation(f"cut returned {len(black)} vertices, wanted {m}")
+        # B's degrees count its inner edges twice and its c.width edges to the rest once
+        edges -= (sum(map(len, map(adj.__getitem__, black))) + c.width) // 2
         ends = set()  # rebuilt once each: a hub of a decomposed graph may lose many edges
         for b in black:
             for w in adj[b]:
@@ -138,7 +145,7 @@ def _peel(
             adj[b] = ()
         for w in ends:
             adj[w] = tuple(filterfalse(black.__contains__, adj[w]))
-        live, cur = list(filterfalse(black.__contains__, live)), Graph._trusted(g.n, adj)
+        live, cur = list(filterfalse(black.__contains__, live)), Graph._trusted(g.n, adj, edges)
         summary = summarize(cur, summary, live)
         parts.append(tuple(sorted(black)))
         width += c.width

@@ -24,7 +24,9 @@ because each builder keeps them so.  Such a graph builds its ``edges`` frozenset
 threads that race on that first use build equal sets, and one of them
 is kept, so the lazy cache stays safe for concurrent reads.  Widths and
 edge counts are read off the adjacency (``boundary_width``,
-``num_edges``), not off ``edges``.
+``num_edges``), not off ``edges``.  A checked graph knows its edge
+count, and so does a derived one whose builder passes it (the peel's
+remainders); ``num_edges`` scans the adjacency only for the others.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class Graph:
     traversal in the package is deterministic.
     """
 
-    __slots__ = ("n", "adj", "_edges")
+    __slots__ = ("n", "adj", "_edges", "_m")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not is_int(n) or n < 0:
@@ -76,19 +78,23 @@ class Graph:
             adj[v].append(u)
         self.n = n
         self._edges = frozenset(edge_set)
+        self._m = len(edge_set)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
 
     @classmethod
-    def _trusted(cls, n: int, adj: tuple) -> "Graph":
+    def _trusted(cls, n: int, adj: tuple, m: int | None = None) -> "Graph":
         """A graph derived from a checked one, built from its adjacency; nothing is checked.
 
         ``adj[v]`` is the sorted tuple of v's neighbors for v in 1..n, and
-        ``adj[0]`` is empty.  The caller guarantees the invariants.
+        ``adj[0]`` is empty.  ``m``, when given, is the number of edges
+        ``adj`` holds, which ``num_edges`` then returns without a scan.
+        The caller guarantees the invariants and the count.
         """
         g = cls.__new__(cls)
         g.n = n
         g.adj = adj
         g._edges = None
+        g._m = m
         return g
 
     @property
@@ -104,7 +110,13 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return sum(map(len, self.adj)) // 2
+        """The edge count given at construction, or else one scan of the adjacency.
+
+        A scanned count is not kept: the peel deletes edges from the one
+        adjacency list that all of its remainders share, so a count kept
+        by an earlier remainder would go stale.
+        """
+        return _count_edges(self.adj) if self._m is None else self._m
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
@@ -117,6 +129,11 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+def _count_edges(adj: Sequence[Sequence[int]]) -> int:
+    """The edges of an adjacency, each seen from both ends: the scan behind ``num_edges``."""
+    return sum(map(len, adj)) // 2
 
 
 def bad_pair(pairs: list, what: str) -> str | None:
@@ -220,18 +237,35 @@ def bfs_tree(adj: Sequence[Sequence[int]], root: int, parent: list[int] | None =
     ``adj`` is any 1-indexed adjacency (graph vertices or decomposition
     nodes).  ``parent`` marks unvisited entries with -1; pass one array to
     several calls to sweep a forest without allocating per component.  The
-    root gets parent 0, every other reached entry its BFS parent.
+    root gets parent 0, every other reached entry its BFS parent.  The
+    sweep is ``_bfs_levels``, the one BFS, which also tells
+    ``forest_summary`` where the last level starts.
     """
     if parent is None:
         parent = [-1] * len(adj)
+    return _bfs_levels(adj, root, parent)[0], parent
+
+
+def _bfs_levels(adj: Sequence[Sequence[int]], root: int, parent: list[int]) -> tuple[list, int]:
+    """The sweep behind ``bfs_tree``, level by level: (order, where the last level starts).
+
+    Each level is scanned in order before the next, so ``order`` and the
+    parents set in ``parent`` are those of a FIFO sweep, and
+    ``order[last:]`` holds the vertices farthest from ``root``.
+    """
     parent[root] = 0
     order = [root]
-    for u in order:
-        for w in adj[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                order.append(w)
-    return order, parent
+    start = 0
+    while True:
+        end = len(order)
+        for u in order[start:end]:
+            for w in adj[u]:
+                if parent[w] < 0:
+                    parent[w] = u
+                    order.append(w)
+        if len(order) == end:
+            return order, start
+        start = end
 
 
 def component_orders(g: Graph, vertices: Iterable[int] | None = None) -> tuple[list, list[int]]:
@@ -257,39 +291,30 @@ class TreeSummary(NamedTuple):
         return len(self.path) - 1
 
 
-def _farthest(order: list[int], parent: list[int], depth: list[int]) -> int:
-    """Deepest vertex of a BFS order, ties toward the smaller id."""
-    depth[order[0]] = 0
-    for w in order[1:]:
-        depth[w] = depth[parent[w]] + 1
-    last = depth[order[-1]]
-    best = order[-1]
-    for w in reversed(order):
-        if depth[w] != last:
-            break
-        best = min(best, w)
-    return best
-
-
 def forest_summary(g: Graph, vertices: Sequence[int] | None = None) -> list[TreeSummary]:
     """Components of a forest, ascending by smallest id, each with a longest path.
 
-    O(n + m): one BFS sweep finds the components and rejects cycles, a
+    O(n + m): one level sweep finds the components and rejects cycles, a
     second sweep per component from the far end of the first gives a
-    longest path.  Raises ``NotAForest`` naming an edge on a cycle.  Only
-    ``vertices`` (ascending, default all) are summarized; the rest must be isolated.
+    longest path.  A far end is the smallest id on a sweep's last level,
+    so no depth is kept.  Raises ``NotAForest`` naming an edge on a
+    cycle; the edge count it checks is ``num_edges``, which the peel
+    passes its remainders, so a peel round scans no edges for it.  Only
+    ``vertices`` (ascending, default all) are summarized; the rest must
+    be isolated.
     """
-    orders, parent = component_orders(g, vertices)
-    if g.num_edges != (g.n if vertices is None else len(vertices)) - len(orders):
+    adj, parent = g.adj, [-1] * (g.n + 1)
+    vertices = g.vertices() if vertices is None else vertices
+    sweeps = [_bfs_levels(adj, s, parent) for s in vertices if parent[s] < 0]
+    if g.num_edges != len(vertices) - len(sweeps):
         u, v = min(e for e in g.edges if parent[e[0]] != e[1] and parent[e[1]] != e[0])
         raise NotAForest(f"edge ({u},{v}) closes a cycle")
-    depth = [0] * (g.n + 1)
     parent2 = [-1] * (g.n + 1)
     out = []
-    for order in orders:
-        a = _farthest(order, parent, depth)
-        order2, _ = bfs_tree(g.adj, a, parent2)
-        path = [_farthest(order2, parent2, depth)]
+    for order, last in sweeps:
+        a = min(order[last:])
+        order2, last2 = _bfs_levels(adj, a, parent2)
+        path = [min(order2[last2:])]
         while path[-1] != a:
             path.append(parent2[path[-1]])
         if path[0] > path[-1]:

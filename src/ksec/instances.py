@@ -54,13 +54,19 @@ class Xorshift64Star:
                 return lo + (r % span)
 
     def chance(self, num: int, den: int) -> bool:
-        """True with probability num/den; ``BadParameters`` names a bad num or den."""
+        """True with probability num/den; ``BadParameters`` names a bad den, else a bad num.
+
+        Both must be integers: a fraction ``num`` would not give the
+        probability num/den.
+        """
         try:
-            return self.randint(0, den - 1) < num
+            if type(num) is int:
+                return self.randint(0, den - 1) < num
         except (BadParameters, TypeError):
-            if not is_int(den) or den < 1:
-                raise BadParameters(f"chance: den {den!r} must be an integer >= 1") from None
-            raise BadParameters(f"chance: num {num!r} must be a number") from None
+            pass
+        if not is_int(den) or den < 1:
+            raise BadParameters(f"chance: den {den!r} must be an integer >= 1")
+        raise BadParameters(f"chance: num {num!r} must be an integer")
 
     def sample(self, items: list, count: int) -> list:
         """``count`` distinct entries of ``items``; ``BadParameters`` names a bad count."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Container
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .errors import InvariantViolation, KsecError, MOutOfRange, NotAPartition, PathNotInTree
 from .graph import Graph, first_bad, is_int, read_ids, require_tree
@@ -44,7 +44,10 @@ class PLabeling:
     d_P(x, y) is a prefix difference.  ``on_path[x]`` flags labels of
     marked vertices, and ``num_path`` counts them.  The labels run in
     blocks of consecutive labels, one per path vertex or path node, in
-    path order; ``ends[i]`` is the last label of block i.
+    path order; ``ends[i]`` is the last label of block i.  Every
+    labeling is built by ``_trusted`` from one flat vertex order and its
+    block ends: the tree sweep writes them so, and ``from_blocks`` and
+    the decomposition's blocks (``tdcut._td_blocks``) flatten into them.
     """
 
     n: int
@@ -65,19 +68,26 @@ class PLabeling:
             raise NotAPartition(f"PLabeling: marked={marked!r} is not a set of vertex ids")
         blocks = [read_ids(b, NotAPartition, "PLabeling")
                   for b in read_ids(blocks, NotAPartition, "PLabeling")]
-        n = sum(map(len, blocks))
-        bad = first_bad([v for block in blocks for v in block], 1, n)
+        order = list(chain.from_iterable(blocks))
+        n = len(order)
+        bad = first_bad(order, 1, n)
         if bad is not None:
             raise NotAPartition(f"PLabeling: block vertex {bad[0]!r} out of vertex range 1..{n}")
-        lab = cls._trusted(blocks, marked, n)
+        lab = cls._trusted(order, list(accumulate(map(len, blocks))), marked, n)
         if lab.label_of.count(0) > 1:  # with every id in 1..n, one came twice
             raise NotAPartition(f"PLabeling: vertex {lab.label_of.index(0, 1)} lies in no block")
         return lab
 
     @classmethod
-    def _trusted(cls, blocks: list[list[int]], marked: Container[int], max_id: int) -> "PLabeling":
-        """``from_blocks`` for distinct ids in 1..max_id, unchecked; ids in no block label 0."""
-        order = [v for block in blocks for v in block]
+    def _trusted(
+        cls, order: list[int], ends: list[int], marked: Container[int], max_id: int
+    ) -> "PLabeling":
+        """The one builder: label ``order`` 1..n, its blocks ending at ``ends``; unchecked.
+
+        ``order`` lists the blocks' vertices, distinct ids in 1..max_id,
+        block after block, and ``ends[i]`` is the length of the first
+        i + 1 blocks.  Ids in no block label 0.
+        """
         n = len(order)
         label_of = [0] * (max_id + 1)
         for lbl, v in enumerate(order, start=1):
@@ -91,7 +101,7 @@ class PLabeling:
             path_prefix=prefix,
             on_path=on_path,
             num_path=prefix[n + 1],
-            ends=tuple(accumulate(map(len, blocks))),
+            ends=tuple(ends),
         )
 
     def vertex(self, label: int) -> int:
@@ -134,38 +144,35 @@ def _p_labeling(tree: Graph, path) -> tuple[PLabeling, list[int]]:
     Removing the path's edges leaves one subtree T_v per path vertex v;
     block i is T_v of the i-th path vertex v, in post-order with v last.
     One sweep per path vertex finds T_v and its post-order: a pre-order
-    that takes the largest child first, reversed.  ``parent[u]`` is u's
-    neighbour toward its path vertex, u on the path, 0 where no sweep came.
+    that takes the largest child first, appended to the one flat order
+    and reversed there, its end recorded as the block's.  ``parent[u]``
+    is u's neighbour toward its path vertex, u on the path, 0 where no
+    sweep came.
     """
     adj = tree.adj
     # path vertices start out reached, so each sweep stays inside its T_v
     parent = [0] * (tree.n + 1)
     for v in path:
         parent[v] = v
-    blocks = []
+    order, ends = [], []
     for v in path:
-        stack, block = [v], []
+        start, stack = len(order), [v]
         while stack:
             u = stack.pop()
-            block.append(u)
+            order.append(u)
             for w in adj[u]:
                 if not parent[w]:
                     parent[w] = u
                     stack.append(w)
-        block.reverse()
-        blocks.append(block)
-    return PLabeling._trusted(blocks, frozenset(path), tree.n), parent
+        order[start:] = order[start:][::-1]
+        ends.append(len(order))
+    return PLabeling._trusted(order, ends, frozenset(path), tree.n), parent
 
 
 def d_p(lab: PLabeling, x: int, y: int) -> int:
     """Count marked vertices between labels x and y, excluding y (cyclic); labels are integers."""
     if not (is_int(x) and is_int(y)):
         raise KsecError(f"d_p: label {y if is_int(x) else x!r} is not an integer")
-    return _d_p(lab, x, y)
-
-
-def _d_p(lab: PLabeling, x: int, y: int) -> int:
-    """``d_p`` unchecked, for the anchor search."""
     n = lab.n
     x, y = cyclic(x, n), cyclic(y, n)
     if x <= y:
@@ -180,20 +187,33 @@ def find_anchor(lab: PLabeling, m: int) -> int:
     R).  For a tree |P|/n is diam*, for a decomposition r.  Existence is
     guaranteed by an averaging argument; failure to find one means the
     labeling is corrupt.  ``m`` must be an integer in 1..n - 1
-    (``MOutOfRange``).
+    (``MOutOfRange``).  The labels whose window v..v+m stays within n
+    are tried first, then those whose window wraps past n, so the first
+    match is the smallest.
     """
     n = lab.n
     if not is_int(m) or not 1 <= m <= n - 1:
         raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
     target = (lab.num_path * m) // n
-    for v in range(1, n + 1):
-        if lab.on_path[v] or lab.on_path[cyclic(v + m, n)]:
-            if _d_p(lab, v, v + m) == target:
-                return v
+    on, prefix = lab.on_path, lab.path_prefix
+    for v in range(1, n - m + 1):
+        if (on[v] or on[v + m]) and prefix[v + m] - prefix[v] == target:
+            return v
+    wrapped = target - lab.num_path  # d_P(v, v+m) = num_path - prefix[v] + prefix[v+m-n]
+    for v in range(n - m + 1, n + 1):
+        if (on[v] or on[v + m - n]) and prefix[v + m - n] - prefix[v] == wrapped:
+            return v
     raise InvariantViolation(f"no anchor for m={m}; labeling corrupt")
 
 
 def labels_interval(lab: PLabeling, start: int, count: int) -> set[int]:
-    """Vertices whose labels are start, start+1, ..., start+count-1 (cyclic)."""
-    n = lab.n
-    return {lab.vertex_of[cyclic(start + i, n)] for i in range(count)}
+    """Vertices whose labels are start, start+1, ..., start+count-1 (cyclic).
+
+    One slice of the labels, or two where the window wraps past n.
+    """
+    n, vertex_of = lab.n, lab.vertex_of
+    first = cyclic(start, n)
+    out = set(vertex_of[first : first + count])
+    if first + count - 1 > n:
+        out.update(vertex_of[1 : first + count - n])
+    return out

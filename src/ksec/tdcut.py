@@ -79,11 +79,16 @@ def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> 
     when some R_i is empty, which cannot happen after
     ``make_nonredundant``.
     """
-    return PLabeling.from_blocks(*_td_blocks(td, path, g.n))
+    order, ends, in_r = _td_blocks(td, path, g.n)
+    return PLabeling.from_blocks([order[a:b] for a, b in zip((0, *ends), ends)], in_r)
 
 
-def _td_blocks(td: TreeDecomposition, path: HeaviestPathResult, n: int) -> tuple[list, set]:
-    """The blocks of ``td_p_labeling`` for the n vertices of td's clusters, and R."""
+def _td_blocks(td: TreeDecomposition, path: HeaviestPathResult, n: int) -> tuple[list, list, set]:
+    """``(order, ends, R)``: the blocks of ``td_p_labeling`` for td's n vertices, flat, and R.
+
+    ``ends[i]`` is where block i ends in ``order``; ``PLabeling._trusted``
+    builds the labeling from the three.
+    """
     path_nodes = tuple(path.path)
 
     # component of T - E_P containing each node; path nodes start out
@@ -116,10 +121,14 @@ def _td_blocks(td: TreeDecomposition, path: HeaviestPathResult, n: int) -> tuple
         if not r_of[i]:
             raise RedundantDecomposition(f"cluster block of node {i} adds no new vertex")
 
-    blocks = [sorted(s_of[i]) + r_of[i] for i in path_nodes]
-    if sum(map(len, blocks)) != n:
+    order, ends = [], []
+    for i in path_nodes:
+        order += sorted(s_of[i])
+        order += r_of[i]
+        ends.append(len(order))
+    if len(order) != n:
         raise InvariantViolation("labeling blocks do not partition the vertex set")
-    return blocks, in_r
+    return order, ends, in_r
 
 
 def approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:

@@ -48,7 +48,6 @@ from .graph import (
     Graph,
     TreeSummary,
     bfs_tree,
-    boundary_width,
     induced_sorted,
     is_int,
     max_degree,
@@ -184,7 +183,8 @@ def diameter_preserving_cut(
 
     ``comps`` is ``forest_summary(forest[, vertices])`` when the caller
     already has it.  It replaces the forest check and is checked only
-    against the forest's vertex and edge counts.  The cut splits the
+    against the forest's vertex and edge counts; a peel remainder carries
+    its edge count, so the check scans nothing.  The cut splits the
     summarized vertices; the peel's cut ones are isolated, on no side.
     """
     if comps is None:
@@ -253,7 +253,7 @@ def diameter_preserving_cut(
         Graph._trusted(inner.n, tuple(adj)), m, outside=outside
     )
     black = {old_of[u - 1] for u in inner_cut.black}
-    outer = boundary_width(forest, v_tilde)
+    outer = sum(outside)  # the forest's edges leaving Ṽ, counted before the links went in
     outer += sum((x in v_tilde) != (y in v_tilde) for x, y in links)  # the links leaving Ṽ
     # max(degree) <= Δ, so testing it first leaves the predicate as it is
     if outer > 2 * max(degree) and outer > 2 * max_degree(forest):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ksec import oracle
 from ksec.graph import Graph, forest_summary, summary_relative_diameter
+from ksec.instances import caterpillar_graph, random_tree_maxdeg, spider_graph
 
 
 @pytest.fixture
@@ -35,6 +36,28 @@ def star_comb(hubs, leaves):
     for h in range(1, hubs + 1):
         edges += [(h, hubs + (h - 1) * leaves + i) for i in range(1, leaves + 1)]
     return Graph(hubs * (leaves + 1), edges)
+
+
+# component shapes of ``mixed_forest``: paths, stars, caterpillars and spiders
+# tie several vertices on a sweep's last level
+TREE_SHAPES = {
+    "random": lambda rng: random_tree_maxdeg(rng.randint(1, 14), 4, rng),
+    "path": lambda rng: path(rng.randint(1, 10)),
+    "star": lambda rng: star(rng.randint(1, 8)),
+    "caterpillar": lambda rng: caterpillar_graph(rng.randint(1, 12)),
+    "spider": lambda rng: spider_graph(rng.randint(1, 4), rng.randint(1, 3)),
+}
+
+
+def mixed_forest(rng, shapes):
+    """A forest with one component of each of ``shapes`` (``TREE_SHAPES`` keys), ids shuffled."""
+    edges, n = [], 0
+    for shape in shapes:
+        tree = TREE_SHAPES[shape](rng)
+        edges += [(u + n, v + n) for u, v in tree.edges]
+        n += tree.n
+    new_id = [0, *rng.sample(list(range(1, n + 1)), n)]
+    return Graph(n, [(new_id[u], new_id[v]) for u, v in edges])
 
 
 def diam_star(g):

@@ -21,6 +21,7 @@ import numpy as np
 from ksec.errors import (
     InvariantViolation,
     MOutOfRange,
+    NotAForest,
     PathNotInTree,
     RedundantDecomposition,
     ResourceLimit,
@@ -28,12 +29,14 @@ from ksec.errors import (
 from ksec.graph import (
     Cut,
     Graph,
+    TreeSummary,
     bfs_tree,
     component_orders,
     is_int,
     mem_limit_bytes,
     require_forest,
 )
+from ksec.labeling import PLabeling
 from ksec.treedec import HeaviestPathResult, TreeDecomposition, edge_home, occurrences
 
 
@@ -1138,3 +1141,171 @@ def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> 
         r_of={i: tuple(r_of[i]) for i in path_nodes},
         s_of={i: tuple(sorted(s_of[i])) for i in path_nodes},
     )
+
+
+# --- A tree round's passes before they were trimmed ----------------------------
+#
+# ``graph.forest_summary`` as it was when a FIFO sweep found each component and
+# ``_farthest`` rebuilt its depths to find a far end; ``labeling._p_labeling``
+# as it was when it built one list per path vertex and ``PLabeling`` flattened
+# them; and ``find_anchor`` and ``labels_interval`` as they were when every
+# label went through ``cyclic``.  The bodies are verbatim; the names that
+# would clash with the package's, and the calls between them, are renamed.
+# The reference for the level sweeps, the flat labeling and the label windows.
+
+
+def fifo_bfs_tree(adj, root: int, parent: list[int] | None = None):
+    """(order, parent) of a BFS from ``root`` that scans each adjacency in order.
+
+    ``adj`` is any 1-indexed adjacency (graph vertices or decomposition
+    nodes).  ``parent`` marks unvisited entries with -1; pass one array to
+    several calls to sweep a forest without allocating per component.  The
+    root gets parent 0, every other reached entry its BFS parent.
+    """
+    if parent is None:
+        parent = [-1] * len(adj)
+    parent[root] = 0
+    order = [root]
+    for u in order:
+        for w in adj[u]:
+            if parent[w] < 0:
+                parent[w] = u
+                order.append(w)
+    return order, parent
+
+
+def fifo_component_orders(g: Graph, vertices=None) -> tuple[list, list[int]]:
+    """One BFS sweep: each component's order from its smallest id in ``vertices``, and the parents."""
+    parent = [-1] * (g.n + 1)
+    vertices = g.vertices() if vertices is None else vertices
+    return [fifo_bfs_tree(g.adj, s, parent)[0] for s in vertices if parent[s] < 0], parent
+
+
+def _farthest(order: list[int], parent: list[int], depth: list[int]) -> int:
+    """Deepest vertex of a BFS order, ties toward the smaller id."""
+    depth[order[0]] = 0
+    for w in order[1:]:
+        depth[w] = depth[parent[w]] + 1
+    last = depth[order[-1]]
+    best = order[-1]
+    for w in reversed(order):
+        if depth[w] != last:
+            break
+        best = min(best, w)
+    return best
+
+
+def forest_summary_by_depths(g: Graph, vertices=None) -> list[TreeSummary]:
+    """Components of a forest, ascending by smallest id, each with a longest path.
+
+    O(n + m): one BFS sweep finds the components and rejects cycles, a
+    second sweep per component from the far end of the first gives a
+    longest path.  Raises ``NotAForest`` naming an edge on a cycle.  Only
+    ``vertices`` (ascending, default all) are summarized; the rest must be isolated.
+    """
+    orders, parent = fifo_component_orders(g, vertices)
+    if g.num_edges != (g.n if vertices is None else len(vertices)) - len(orders):
+        u, v = min(e for e in g.edges if parent[e[0]] != e[1] and parent[e[1]] != e[0])
+        raise NotAForest(f"edge ({u},{v}) closes a cycle")
+    depth = [0] * (g.n + 1)
+    parent2 = [-1] * (g.n + 1)
+    out = []
+    for order in orders:
+        a = _farthest(order, parent, depth)
+        order2, _ = fifo_bfs_tree(g.adj, a, parent2)
+        path = [_farthest(order2, parent2, depth)]
+        while path[-1] != a:
+            path.append(parent2[path[-1]])
+        if path[0] > path[-1]:
+            path.reverse()
+        out.append(TreeSummary(order, tuple(path)))
+    return out
+
+
+def plabeling_of_blocks(blocks: list[list[int]], marked: Container[int], max_id: int) -> PLabeling:
+    """``from_blocks`` for distinct ids in 1..max_id, unchecked; ids in no block label 0."""
+    order = [v for block in blocks for v in block]
+    n = len(order)
+    label_of = [0] * (max_id + 1)
+    for lbl, v in enumerate(order, start=1):
+        label_of[v] = lbl
+    on_path = (False, *map(marked.__contains__, order))
+    prefix = (0, *accumulate(on_path[1:], initial=0))
+    return PLabeling(
+        n=n,
+        label_of=tuple(label_of),
+        vertex_of=(0, *order),
+        path_prefix=prefix,
+        on_path=on_path,
+        num_path=prefix[n + 1],
+        ends=tuple(accumulate(map(len, blocks))),
+    )
+
+
+def p_labeling_by_blocks(tree: Graph, path) -> tuple[PLabeling, list[int]]:
+    """``p_labeling`` unchecked, and its sweeps' parents; ``path`` is read more than once.
+
+    Removing the path's edges leaves one subtree T_v per path vertex v;
+    block i is T_v of the i-th path vertex v, in post-order with v last.
+    One sweep per path vertex finds T_v and its post-order: a pre-order
+    that takes the largest child first, reversed.  ``parent[u]`` is u's
+    neighbour toward its path vertex, u on the path, 0 where no sweep came.
+    """
+    adj = tree.adj
+    # path vertices start out reached, so each sweep stays inside its T_v
+    parent = [0] * (tree.n + 1)
+    for v in path:
+        parent[v] = v
+    blocks = []
+    for v in path:
+        stack, block = [v], []
+        while stack:
+            u = stack.pop()
+            block.append(u)
+            for w in adj[u]:
+                if not parent[w]:
+                    parent[w] = u
+                    stack.append(w)
+        block.reverse()
+        blocks.append(block)
+    return plabeling_of_blocks(blocks, frozenset(path), tree.n), parent
+
+
+def cyclic(label: int, n: int) -> int:
+    """Normalize an integer to its representative in 1..n."""
+    return (label - 1) % n + 1
+
+
+def _d_p(lab: PLabeling, x: int, y: int) -> int:
+    """``d_p`` unchecked, for the anchor search."""
+    n = lab.n
+    x, y = cyclic(x, n), cyclic(y, n)
+    if x <= y:
+        return lab.path_prefix[y] - lab.path_prefix[x]
+    return lab.num_path - lab.path_prefix[x] + lab.path_prefix[y]
+
+
+def find_anchor_cyclic(lab: PLabeling, m: int) -> int:
+    """Smallest label v with d_P(v, v+m) = floor(|P| m / n) hitting the path.
+
+    The returned v satisfies: v or v+m is marked (a path vertex, or in
+    R).  For a tree |P|/n is diam*, for a decomposition r.  Existence is
+    guaranteed by an averaging argument; failure to find one means the
+    labeling is corrupt.  ``m`` must be an integer in 1..n - 1
+    (``MOutOfRange``).
+    """
+    n = lab.n
+    if not is_int(m) or not 1 <= m <= n - 1:
+        raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
+    target = (lab.num_path * m) // n
+    for v in range(1, n + 1):
+        if lab.on_path[v] or lab.on_path[cyclic(v + m, n)]:
+            if _d_p(lab, v, v + m) == target:
+                return v
+    raise InvariantViolation(f"no anchor for m={m}; labeling corrupt")
+
+
+def labels_interval_cyclic(lab: PLabeling, start: int, count: int) -> set[int]:
+    """Vertices whose labels are start, start+1, ..., start+count-1 (cyclic)."""
+    n = lab.n
+    return {lab.vertex_of[cyclic(start + i, n)] for i in range(count)}

@@ -263,6 +263,27 @@ def test_tree_peel_rounds_build_no_checked_graph_and_one_summary_a_round(monkeyp
     check_section(g, section, k)
 
 
+def test_a_tree_peel_round_scans_no_adjacency_for_its_edge_count(monkeypatch):
+    """Each round counts the edges it deletes, so no remainder's edges are counted by a scan.
+
+    Only an inner exact cut's small graph of at most 2m vertices falls
+    back on the scan; the input may be scanned once, at the entry check.
+    """
+    g, k = random_tree_maxdeg(16000, 6, Xorshift64Star(5)), 16
+    scanned, real = [], graph._count_edges
+
+    def spy(adj):
+        scanned.append(len(adj) - 1)
+        return real(adj)
+
+    monkeypatch.setattr(graph, "_count_edges", spy)
+    section, _ = ksection_tree(g, k)
+    monkeypatch.undo()
+    assert scanned.count(g.n) <= 1
+    assert all(size <= 2 * -(-g.n // k) for size in scanned if size != g.n)
+    check_section(g, section, k)
+
+
 SECTIONED_TREES = {
     "random-n16000": lambda: random_tree_maxdeg(16000, 6, Xorshift64Star(5)),
     "adversarial-h7": lambda: adversarial_ternary_path(7),

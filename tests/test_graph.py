@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FILE_EDITS, diam_star, mutate, path, star
+from conftest import FILE_EDITS, TREE_SHAPES, diam_star, mixed_forest, mutate, path, star
 from ksec.errors import FormatError, KsecError, NotAForest, NotAPartition, NotATree, ResourceLimit
 from ksec.graph import (
     Cut,
     Graph,
+    bfs_tree,
     cut_width,
     first_bad,
     forest_summary,
@@ -124,6 +125,35 @@ def test_forest_summary_of_live_ids_is_that_of_their_induced_forest(seed, n_hi):
     back = [([old_of[u - 1] for u in c.order], tuple(old_of[u - 1] for u in c.path))
             for c in forest_summary(sub)]
     assert [(c.order, c.path) for c in forest_summary(cut, live)] == back
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 60),
+       st.lists(st.sampled_from(sorted(TREE_SHAPES)), min_size=1, max_size=4))
+def test_level_sweeps_summarize_like_fifo_sweeps_with_depths(seed, shapes):
+    """The level sweeps give the FIFO sweep's order and parents, and the far ends depths gave.
+
+    Paths, stars and caterpillars tie several vertices on a last level,
+    where the far end is the smallest id.  A summary of live ids leaves
+    the others isolated; a cycle is named by the same edge.
+    """
+    rng = Xorshift64Star(seed)
+    g = mixed_forest(rng, shapes)
+    for root in {1, g.n, rng.randint(1, g.n)}:
+        assert bfs_tree(g.adj, root) == oracles.fifo_bfs_tree(g.adj, root)
+    assert forest_summary(g) == oracles.forest_summary_by_depths(g)
+    live = sorted(rng.sample(list(g.vertices()), rng.randint(0, g.n)))
+    alive = set(live)
+    cut = Graph(g.n, [e for e in g.edges if alive.issuperset(e)])
+    assert forest_summary(cut, live) == oracles.forest_summary_by_depths(cut, live)
+    extra = next(((c.order[0], v) for c in forest_summary(g) for v in c.order[1:]
+                  if v not in g.adj[c.order[0]]), None)  # a chord of one component
+    if extra is not None:
+        cyclic = Graph(g.n, [*g.edges, extra])
+        with pytest.raises(NotAForest) as expected:
+            oracles.forest_summary_by_depths(cyclic)
+        with pytest.raises(NotAForest, match=re.escape(str(expected.value))):
+            forest_summary(cyclic)
 
 
 def test_forest_summary_single_vertex_and_cycle():

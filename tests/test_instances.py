@@ -41,6 +41,8 @@ def test_randint_bounds():
         ("chance", (1, 0), "den 0"),
         ("chance", (1, "x"), "den 'x'"),
         ("chance", (None, 2), "num None"),
+        ("chance", (1.5, 2), "num 1.5"),
+        ("chance", (0.5, 2), "num 0.5"),
         ("sample", ([1, 2], 5), "count 5"),
         ("sample", ([1, 2], -1), "count -1"),
         ("sample", (3, 1), "3 is not a sequence"),

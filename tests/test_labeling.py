@@ -3,16 +3,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import path, star
-from ksec.errors import PathNotInTree
-from ksec.graph import require_tree
+from conftest import TREE_SHAPES, mixed_forest, path, star
+from ksec.errors import InvariantViolation, PathNotInTree
+from ksec.graph import Graph, forest_summary, require_tree
 from ksec.instances import (
     Xorshift64Star,
     caterpillar_graph,
     random_tree_maxdeg,
     spider_graph,
 )
-from ksec.labeling import cyclic, d_p, find_anchor, p_labeling
+from ksec.labeling import (
+    PLabeling,
+    _p_labeling,
+    cyclic,
+    d_p,
+    find_anchor,
+    labels_interval,
+    p_labeling,
+)
 
 
 def labeled_tree(seed, n, cap=5):
@@ -207,3 +215,61 @@ def test_find_anchor_exhaustive_scan_oracle():
         and oracles.naive_cyclic_count(path_labels, n, u, u + m) == target
     ]
     assert qualifying and qualifying[0] == v
+
+
+def anchor_or_none(find, lab, m):
+    """``find(lab, m)``, or None where no label qualifies."""
+    try:
+        return find(lab, m)
+    except InvariantViolation:
+        return None
+
+
+def assert_windows_match_the_cyclic_ones(lab, rng):
+    """Every anchor, and windows from every start, some wrapping past n, as the ``cyclic`` ones."""
+    n = lab.n
+    for m in range(1, n):
+        assert anchor_or_none(find_anchor, lab, m) == anchor_or_none(
+            oracles.find_anchor_cyclic, lab, m
+        )
+    for start in range(-n, 2 * n + 1):
+        for count in {0, 1, n - 1, n, rng.randint(0, 2 * n)}:
+            assert labels_interval(lab, start, count) == oracles.labels_interval_cyclic(
+                lab, start, count
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 60),
+       st.lists(st.sampled_from(sorted(TREE_SHAPES)), min_size=1, max_size=4), st.booleans())
+def test_the_flat_p_labeling_is_the_block_list_one(seed, shapes, sparse):
+    """The tree cut's labeling along its chain of longest paths, flat or built block by block.
+
+    A sparse forest has the shape of a peel's remainder: its other ids are
+    isolated and labeled 0.
+    """
+    rng = Xorshift64Star(seed)
+    g = mixed_forest(rng, shapes)
+    live = list(g.vertices())
+    if sparse:
+        live = sorted(rng.sample(live, rng.randint(1, g.n)))
+        alive = set(live)
+        g = Graph(g.n, [e for e in g.edges if alive.issuperset(e)])
+    chain = [v for c in forest_summary(g, live) for v in c.path]
+    lab, parent = _p_labeling(g, chain)
+    assert (lab, parent) == oracles.p_labeling_by_blocks(g, chain)
+    assert_windows_match_the_cyclic_ones(lab, rng)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(1, 30))
+def test_labelings_from_blocks_and_their_windows_match_the_cyclic_ones(seed, n):
+    """Random blocks and marked sets, where some m has no anchor at all."""
+    rng = Xorshift64Star(seed)
+    order = rng.sample(list(range(1, n + 1)), n)
+    cuts = sorted(rng.sample(list(range(1, n)), rng.randint(0, n - 1)))
+    blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+    marked = set(rng.sample(order, rng.randint(0, n)))
+    lab = PLabeling.from_blocks(blocks, marked)
+    assert lab == oracles.plabeling_of_blocks(blocks, marked, n)
+    assert_windows_match_the_cyclic_ones(lab, rng)

@@ -10,6 +10,7 @@ from ksec import bounds, oracle
 from ksec.errors import MOutOfRange
 from ksec.graph import (
     Graph,
+    boundary_width,
     component_orders,
     forest_summary,
     induced_sorted,
@@ -301,6 +302,10 @@ def test_the_inner_cut_sees_the_linked_trees_share_of_v_tilde(seed, sparse):
     assert inner.adj == induced_sorted(tree, sorted(v_tilde)).adj
     assert outside[1:] == [sum(u not in v_tilde for u in g.adj[v]) for v in sorted(v_tilde)]
     assert trace.outer_width == sum((u in v_tilde) != (v in v_tilde) for u, v in tree.edges)
+    links = [(a.path[-1], b.path[0]) for a, b in zip(comps, comps[1:])]
+    assert trace.outer_width == boundary_width(g, v_tilde) + sum(
+        (x in v_tilde) != (y in v_tilde) for x, y in links
+    )
 
 
 def test_a_forest_cut_builds_no_graph_over_the_forests_id_range(monkeypatch):
