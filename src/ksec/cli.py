@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields
 
-from . import bounds, engine, instances, oracle
+from . import engine, instances, oracle
 from .errors import FormatError, InvariantViolation, KsecError, ResourceLimit
 from .graph import Graph, parse_gr, require_tree, write_gr
 from .labeling import _p_labeling

@@ -268,22 +268,21 @@ def _bfs_levels(adj: Sequence[Sequence[int]], root: int, parent: list[int]) -> t
         start = end
 
 
-def component_orders(g: Graph, vertices: Iterable[int] | None = None) -> tuple[list, list[int]]:
-    """One BFS sweep: each component's order from its smallest id in ``vertices``, and the parents."""
+def component_orders(g: Graph) -> tuple[list, list[int]]:
+    """One BFS sweep: each component's order from its smallest id, and the parents."""
     parent = [-1] * (g.n + 1)
-    vertices = g.vertices() if vertices is None else vertices
-    return [bfs_tree(g.adj, s, parent)[0] for s in vertices if parent[s] < 0], parent
+    return [bfs_tree(g.adj, s, parent)[0] for s in g.vertices() if parent[s] < 0], parent
 
 
 class TreeSummary(NamedTuple):
-    """One component of a forest: its vertices and a longest path.
+    """One component of a forest: its smallest id, its vertex count and a longest path.
 
-    ``order`` lists the vertices in BFS order from the smallest id;
     ``path`` runs between the ends of the double BFS sweep, smaller
     endpoint first.
     """
 
-    order: list
+    root: int
+    size: int
     path: tuple
 
     @property
@@ -292,7 +291,7 @@ class TreeSummary(NamedTuple):
 
 
 def forest_summary(g: Graph, vertices: Sequence[int] | None = None) -> list[TreeSummary]:
-    """Components of a forest, ascending by smallest id, each with a longest path.
+    """Components of a forest, ascending by smallest id, each with its size and a longest path.
 
     O(n + m): one level sweep finds the components and rejects cycles, a
     second sweep per component from the far end of the first gives a
@@ -319,7 +318,7 @@ def forest_summary(g: Graph, vertices: Sequence[int] | None = None) -> list[Tree
             path.append(parent2[path[-1]])
         if path[0] > path[-1]:
             path.reverse()
-        out.append(TreeSummary(order, tuple(path)))
+        out.append(TreeSummary(order[0], len(order), tuple(path)))
     return out
 
 
@@ -341,8 +340,8 @@ def require_tree(g: Graph, who: str) -> TreeSummary:
         raise NotATree(f"{who} requires a tree; the graph is empty")
     if len(comps) > 1:
         raise NotATree(
-            f"{who} requires a tree; vertices {comps[0].order[0]} and "
-            f"{comps[1].order[0]} are not connected"
+            f"{who} requires a tree; vertices {comps[0].root} and "
+            f"{comps[1].root} are not connected"
         )
     return comps[0]
 

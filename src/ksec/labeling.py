@@ -9,7 +9,9 @@ holds a label (``PLabeling.block``) instead of a vertex->block map.
 All label arithmetic is cyclic modulo n (residues kept in 1..n).
 
 The labeled vertices keep their own ids, which need not be 1..n: the
-tree peel labels the n vertices still live in its input's id space.
+tree peel labels the n vertices still live in its input's id space, and
+the labeling keeps no map over that id range (``label_of`` is built on
+first read).
 The sweep that finds each T_v also records its parents, so a cut can
 size a subtree and read it off the block's post-order, where a subtree
 is the run of labels that ends at its root.  The public ``p_labeling``
@@ -21,7 +23,8 @@ The same labeling serves a graph with a tree decomposition
 (``tdcut.td_p_labeling``): there the marked set is R, the vertices
 covered by the heaviest path's clusters, block i is S_i followed by
 R_i of path node i, and d_P, the anchor and the label intervals are
-read exactly as for a tree.
+read exactly as for a tree.  Its blocks come from one pass over the
+decomposition's rooting.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Container
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 
 from .errors import InvariantViolation, KsecError, MOutOfRange, NotAPartition, PathNotInTree
@@ -51,7 +55,6 @@ class PLabeling:
     """
 
     n: int
-    label_of: tuple
     vertex_of: tuple
     path_prefix: tuple
     on_path: tuple
@@ -73,36 +76,37 @@ class PLabeling:
         bad = first_bad(order, 1, n)
         if bad is not None:
             raise NotAPartition(f"PLabeling: block vertex {bad[0]!r} out of vertex range 1..{n}")
-        lab = cls._trusted(order, list(accumulate(map(len, blocks))), marked, n)
-        if lab.label_of.count(0) > 1:  # with every id in 1..n, one came twice
-            raise NotAPartition(f"PLabeling: vertex {lab.label_of.index(0, 1)} lies in no block")
-        return lab
+        if len(set(order)) != n:  # with every id in 1..n, one came twice
+            missing = min(set(range(1, n + 1)).difference(order))
+            raise NotAPartition(f"PLabeling: vertex {missing} lies in no block")
+        return cls._trusted(order, list(accumulate(map(len, blocks))), marked)
 
     @classmethod
-    def _trusted(
-        cls, order: list[int], ends: list[int], marked: Container[int], max_id: int
-    ) -> "PLabeling":
+    def _trusted(cls, order: list[int], ends: list[int], marked: Container[int]) -> "PLabeling":
         """The one builder: label ``order`` 1..n, its blocks ending at ``ends``; unchecked.
 
-        ``order`` lists the blocks' vertices, distinct ids in 1..max_id,
-        block after block, and ``ends[i]`` is the length of the first
-        i + 1 blocks.  Ids in no block label 0.
+        ``order`` lists the blocks' vertices, distinct ids, block after
+        block, and ``ends[i]`` is the length of the first i + 1 blocks.
         """
         n = len(order)
-        label_of = [0] * (max_id + 1)
-        for lbl, v in enumerate(order, start=1):
-            label_of[v] = lbl
         on_path = (False, *map(marked.__contains__, order))
         prefix = (0, *accumulate(on_path[1:], initial=0))
         return cls(
             n=n,
-            label_of=tuple(label_of),
             vertex_of=(0, *order),
             path_prefix=prefix,
             on_path=on_path,
             num_path=prefix[n + 1],
             ends=tuple(ends),
         )
+
+    @cached_property
+    def label_of(self) -> tuple:
+        """``label_of[v]`` is v's label, 0 for an id in no block; built on first read."""
+        label_of = [0] * (max(self.vertex_of) + 1)
+        for lbl, v in enumerate(self.vertex_of):
+            label_of[v] = lbl
+        return tuple(label_of)
 
     def vertex(self, label: int) -> int:
         if not is_int(label):
@@ -126,16 +130,26 @@ def cyclic(label: int, n: int) -> int:
 def p_labeling(tree: Graph, path) -> PLabeling:
     """The labeling of ``tree`` with ``path`` marked, one block per subtree T_v off the path."""
     require_tree(tree, "p_labeling")
-    path = read_ids(path, PathNotInTree, "p_labeling")
-    bad = first_bad(path, 1, tree.n)
+    return _p_labeling(tree, require_path(path, tree.adj, "p_labeling"))[0]
+
+
+def require_path(path, adj, who: str, what: str = "vertex") -> list:
+    """``path`` read into a list, once it is a path of the tree whose adjacency is ``adj``.
+
+    ``adj`` is 1-indexed, and ``what`` names its entries.  ``PathNotInTree``
+    names an id out of range, a repeated or empty path, or a step that is
+    no tree edge.
+    """
+    path = read_ids(path, PathNotInTree, who)
+    bad = first_bad(path, 1, len(adj) - 1)
     if bad is not None:
-        raise PathNotInTree(f"path vertex {bad[0]!r} out of vertex range 1..{tree.n}")
+        raise PathNotInTree(f"path {what} {bad[0]!r} out of {what} range 1..{len(adj) - 1}")
     if len(set(path)) != len(path) or not path:
-        raise PathNotInTree("path vertices must be distinct and non-empty")
+        raise PathNotInTree(f"a path's {what} ids must be distinct and non-empty")
     for a, b in zip(path, path[1:]):
-        if b not in tree.adj[a]:
+        if b not in adj[a]:
             raise PathNotInTree(f"({a},{b}) is not an edge of the tree")
-    return _p_labeling(tree, path)[0]
+    return path
 
 
 def _p_labeling(tree: Graph, path) -> tuple[PLabeling, list[int]]:
@@ -166,7 +180,7 @@ def _p_labeling(tree: Graph, path) -> tuple[PLabeling, list[int]]:
                     stack.append(w)
         order[start:] = order[start:][::-1]
         ends.append(len(order))
-    return PLabeling._trusted(order, ends, frozenset(path), tree.n), parent
+    return PLabeling._trusted(order, ends, frozenset(path)), parent
 
 
 def d_p(lab: PLabeling, x: int, y: int) -> int:

@@ -65,7 +65,6 @@ from .graph import (
     Cut,
     Graph,
     KSection,
-    bfs_tree,
     component_orders,
     first_bad,
     is_int,
@@ -868,7 +867,7 @@ class _TDTables(_Tables):
     def __init__(self, homes: list, td: TreeDecomposition, cap: int, kept: _Kept):
         self.cap = cap
         self.kept = kept
-        self.order, self.parent = bfs_tree(td.tree_adj, 1)
+        self.order, self.parent = td.rooted
         self.children = {
             i: [w for w in td.tree_adj[i] if self.parent[w] == i] for i in td.nodes()
         }

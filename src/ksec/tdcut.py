@@ -4,8 +4,11 @@ Mirrors the tree machinery: the heaviest path of the decomposition
 plays the role of a longest path, the vertex set splits into R (covered
 by path clusters) and the per-node remainders S_i, and the tree's
 cyclic labeling (``labeling.PLabeling``, with R marked in place of the
-path) gives path node i the block S_i ∪ R_i, with R_i last.  The anchor,
-the label interval and the block to split are found as for a tree.  The
+path) gives path node i the block S_i ∪ R_i, with R_i last.  S_i is
+read off the clusters of i's component of T - E_P, which one pass over the
+decomposition's rooting (``TreeDecomposition.rooted``) finds; the cluster
+cut and the glue read that rooting too.  The anchor, the label interval
+and the block to split are found as for a tree.  The
 r-preserving cut peels off exactly m vertices while the relative
 heaviest-path weight of the remainder never drops.  S_i is split by the
 approximate cluster cut, which reads the whole decomposition's clusters
@@ -37,8 +40,8 @@ from .errors import (
     NotATreeDecomposition,
     RedundantDecomposition,
 )
-from .graph import Cut, Graph, bfs_tree, boundary_width, first_bad, is_int, max_degree
-from .labeling import PLabeling, cyclic, find_anchor, labels_interval
+from .graph import Cut, Graph, boundary_width, first_bad, is_int, max_degree
+from .labeling import PLabeling, cyclic, find_anchor, labels_interval, require_path
 from .treecut import CutTrace, _approximate_black
 from .treedec import (
     HeaviestPathResult,
@@ -75,32 +78,31 @@ def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> 
     """Labeling of g along a path of a nonredundant decomposition, with R marked.
 
     Block i holds the vertices of path node i: S_i first, then R_i, which
-    take the block's largest labels.  Raises ``RedundantDecomposition``
-    when some R_i is empty, which cannot happen after
-    ``make_nonredundant``.
+    take the block's largest labels.  ``td`` is checked against ``g``
+    (``NotATreeDecomposition``) and ``path.path`` against td's tree
+    (``PathNotInTree``), as ``p_labeling`` checks a tree's path.  Raises
+    ``RedundantDecomposition`` when some R_i is empty, which cannot
+    happen after ``make_nonredundant``.
     """
-    order, ends, in_r = _td_blocks(td, path, g.n)
-    return PLabeling.from_blocks([order[a:b] for a, b in zip((0, *ends), ends)], in_r)
+    require_decomposition(td, g, "td_p_labeling")
+    path_nodes = require_path(path.path, td.tree_adj, "td_p_labeling", "node")
+    return PLabeling._trusted(*_td_blocks(td, path_nodes, g.n))
 
 
-def _td_blocks(td: TreeDecomposition, path: HeaviestPathResult, n: int) -> tuple[list, list, set]:
+def _td_blocks(td: TreeDecomposition, path_nodes, n: int) -> tuple[list, list, set]:
     """``(order, ends, R)``: the blocks of ``td_p_labeling`` for td's n vertices, flat, and R.
 
-    ``ends[i]`` is where block i ends in ``order``; ``PLabeling._trusted``
-    builds the labeling from the three.
+    ``path_nodes`` is a path of td's tree.  ``ends[i]`` is where block i
+    ends in ``order``; ``PLabeling._trusted`` builds the labeling from the
+    three.
     """
-    path_nodes = tuple(path.path)
-
-    # component of T - E_P containing each node; path nodes start out
-    # visited, so each search stays inside its component
-    parent = [-1] * (td.num_nodes + 1)
-    for i in path_nodes:
-        parent[i] = 0
-    comp_of = {}
-    for i in path_nodes:
-        comp_of.update(dict.fromkeys(bfs_tree(td.tree_adj, i, parent)[0], i))
-    if len(comp_of) != td.num_nodes:
-        raise InvariantViolation("path does not lie in the decomposition tree")
+    # the path node of each node's component of T - E_P: a node off the path
+    # takes its parent's, the root the path's first node in BFS order
+    nodes, parent = td.rooted
+    comp_of = dict(zip(path_nodes, path_nodes))
+    comp_of.setdefault(nodes[0], next(filter(comp_of.__contains__, nodes)))
+    for i in nodes[1:]:
+        comp_of.setdefault(i, comp_of[parent[i]])
 
     in_r: set[int] = set()
     r_of: dict[int, list[int]] = {i: [] for i in path_nodes}
@@ -159,7 +161,7 @@ def _approximate_cut_td(td: TreeDecomposition, vertices, m: int) -> frozenset:
     if m >= n:
         return frozenset(vertices)
     keep = frozenset(vertices)
-    order, parent = bfs_tree(td.tree_adj, 1)
+    order, parent = td.rooted
     top: dict[int, int] = {}
     for i in order:
         for v in td.bag(i) & keep:
@@ -224,7 +226,7 @@ def r_preserving_cut(
         raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
     td0, t, hp = summary.td, summary.t, summary.path
     r = hp.relative_weight
-    lab = PLabeling._trusted(*_td_blocks(td0, hp, n), g.n)
+    lab = PLabeling._trusted(*_td_blocks(td0, hp.path, n))
     floor_rm = (lab.num_path * m) // n
     v = find_anchor(lab, m)
     m_vertices = frozenset(labels_interval(lab, v, m))
@@ -306,8 +308,7 @@ def _glue_decompositions(
     clusters the larger id is absorbed.  The span of a tree is a tree, so
     nothing is checked again.
     """
-    num, adj = td0.num_nodes, td0.tree_adj
-    order, parent = bfs_tree(adj, 1)
+    num, (order, parent) = td0.num_nodes, td0.rooted
     low = list(range(num + 1))  # the smallest node of each subtree
     for u in order[:0:-1]:
         if low[u] < low[parent[u]]:

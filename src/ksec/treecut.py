@@ -189,7 +189,7 @@ def diameter_preserving_cut(
     """
     if comps is None:
         comps = require_forest(forest, "diameter_preserving_cut")
-    n = sum(len(c.order) for c in comps)  # the vertices the cut splits
+    n = sum(c.size for c in comps)  # the vertices the cut splits
     if n > forest.n or len(comps) != n - forest.num_edges:
         raise NotAPartition(
             f"diameter_preserving_cut: a summary of {len(comps)} component(s) on {n} vertices "

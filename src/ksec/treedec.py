@@ -3,7 +3,9 @@
 Decomposition nodes are dense 1-indexed integers; clusters are vertex
 sets of the underlying graph.  Empty clusters are allowed (they arise
 from induced decompositions); ``make_nonredundant`` removes them except
-in the degenerate single-node case.
+in the degenerate single-node case.  Each decomposition carries its one
+rooting, ``rooted``: the (order, parent) of its tree's BFS from node 1,
+which every reader of the tree shares.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .graph import Graph, bad_pair, bfs_tree, comment_lines, is_int, read_ids, r
 
 
 class TreeDecomposition:
-    __slots__ = ("num_nodes", "bags", "tree_adj", "tree_edges")
+    __slots__ = ("num_nodes", "bags", "tree_adj", "tree_edges", "rooted")
 
     def __init__(self, bags: Sequence[Iterable[int]], tree_edges: Iterable[tuple[int, int]]):
         bags = read_ids(bags, NotATreeDecomposition, "TreeDecomposition clusters")
@@ -50,27 +52,32 @@ class TreeDecomposition:
         for i, j in edge_set:
             adj[i].append(j)
             adj[j].append(i)
-        # connectivity: num-1 edges + connected <=> tree
-        if len(bfs_tree(adj, 1)[0]) != num:
-            raise NotATreeDecomposition("decomposition tree is disconnected")
         self.num_nodes = num
         self.bags = frozen
         self.tree_adj = tuple(tuple(sorted(a)) for a in adj)
         self.tree_edges = frozenset(edge_set)
+        self.rooted = bfs_tree(self.tree_adj, 1)
+        # connectivity: num-1 edges + connected <=> tree
+        if len(self.rooted[0]) != num:
+            raise NotATreeDecomposition("decomposition tree is disconnected")
 
     @classmethod
-    def _trusted(cls, bags: tuple, tree_adj: tuple, tree_edges: frozenset) -> "TreeDecomposition":
+    def _trusted(
+        cls, bags: tuple, tree_adj: tuple, tree_edges: frozenset, rooted: tuple | None = None
+    ) -> "TreeDecomposition":
         """A decomposition whose tree is built from checked ones; nothing is checked.
 
         ``bags`` are frozensets of ids, ``tree_adj[i]`` is the sorted tuple
         of node i's neighbors (``tree_adj[0]`` is empty), and ``tree_edges``
         holds each tree edge as (smaller node, larger node) and forms a tree.
+        ``rooted`` is that tree's ``rooted`` when another decomposition has it.
         """
         out = cls.__new__(cls)
         out.num_nodes = len(bags)
         out.bags = bags
         out.tree_adj = tree_adj
         out.tree_edges = tree_edges
+        out.rooted = bfs_tree(tree_adj, 1) if rooted is None else rooted
         return out
 
     def bag(self, i: int) -> frozenset:
@@ -200,7 +207,8 @@ def induced(td: TreeDecomposition, vertex_set: Iterable[int]) -> TreeDecompositi
         keep = frozenset(vertex_set)
     except TypeError:  # not iterable, or holds an unhashable value
         raise KsecError(f"induced: {vertex_set!r} is not a sequence of ids") from None
-    return TreeDecomposition._trusted(tuple(b & keep for b in td.bags), td.tree_adj, td.tree_edges)
+    bags = tuple(b & keep for b in td.bags)
+    return TreeDecomposition._trusted(bags, td.tree_adj, td.tree_edges, td.rooted)
 
 
 def make_nonredundant(td: TreeDecomposition) -> TreeDecomposition:
@@ -270,7 +278,7 @@ def heaviest_path(td: TreeDecomposition, n: int) -> HeaviestPathResult:
     _require_vertex_count(n, "heaviest_path")
     num = td.num_nodes
     bags = td.bags
-    order, parent = bfs_tree(td.tree_adj, 1)
+    order, parent = td.rooted
 
     # g[i]: best weight of a chain from some descendant endpoint up to i
     g_val = [0] * (num + 1)

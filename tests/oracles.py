@@ -1218,28 +1218,32 @@ def forest_summary_by_depths(g: Graph, vertices=None) -> list[TreeSummary]:
             path.append(parent2[path[-1]])
         if path[0] > path[-1]:
             path.reverse()
-        out.append(TreeSummary(order, tuple(path)))
+        out.append(TreeSummary(order[0], len(order), tuple(path)))
     return out
 
 
-def plabeling_of_blocks(blocks: list[list[int]], marked: Container[int], max_id: int) -> PLabeling:
-    """``from_blocks`` for distinct ids in 1..max_id, unchecked; ids in no block label 0."""
+def plabeling_of_blocks(blocks: list[list[int]], marked: Container[int]) -> PLabeling:
+    """``from_blocks`` for distinct ids, unchecked."""
     order = [v for block in blocks for v in block]
     n = len(order)
-    label_of = [0] * (max_id + 1)
-    for lbl, v in enumerate(order, start=1):
-        label_of[v] = lbl
     on_path = (False, *map(marked.__contains__, order))
     prefix = (0, *accumulate(on_path[1:], initial=0))
     return PLabeling(
         n=n,
-        label_of=tuple(label_of),
         vertex_of=(0, *order),
         path_prefix=prefix,
         on_path=on_path,
         num_path=prefix[n + 1],
         ends=tuple(accumulate(map(len, blocks))),
     )
+
+
+def label_map(order: list[int], max_id: int) -> tuple:
+    """``PLabeling.label_of`` as a field held it: order[i] labels i + 1, other ids to max_id 0."""
+    label_of = [0] * (max_id + 1)
+    for lbl, v in enumerate(order, start=1):
+        label_of[v] = lbl
+    return tuple(label_of)
 
 
 def p_labeling_by_blocks(tree: Graph, path) -> tuple[PLabeling, list[int]]:
@@ -1268,7 +1272,7 @@ def p_labeling_by_blocks(tree: Graph, path) -> tuple[PLabeling, list[int]]:
                     stack.append(w)
         block.reverse()
         blocks.append(block)
-    return plabeling_of_blocks(blocks, frozenset(path), tree.n), parent
+    return plabeling_of_blocks(blocks, frozenset(path)), parent
 
 
 def cyclic(label: int, n: int) -> int:

@@ -31,7 +31,7 @@ PUBLIC_API = {
     "HeaviestPathResult": ("path", "weight", "relative_weight"),
     "KSection": ("parts", "width"),
     "KSection.from_parts": ("g", "parts"),
-    "PLabeling": ("n", "label_of", "vertex_of", "path_prefix", "on_path", "num_path", "ends"),
+    "PLabeling": ("n", "vertex_of", "path_prefix", "on_path", "num_path", "ends"),
     "PLabeling.from_blocks": ("blocks", "marked"),
     "PLabeling.vertex": ("label",),
     "PLabeling.block": ("label",),

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -42,9 +43,10 @@ from ksec.graph import (
 from ksec.instances import BadParameters, GeneratorSpec, Xorshift64Star, generate
 from ksec.labeling import PLabeling, d_p, find_anchor, p_labeling
 from ksec.oracle import brute_min_ksection, dp_min_size_cut_td, dp_min_size_cut_tree
-from ksec.tdcut import approximate_cut_td, r_preserving_cut
+from ksec.tdcut import approximate_cut_td, r_preserving_cut, td_p_labeling
 from ksec.treecut import approximate_cut, diameter_preserving_cut
 from ksec.treedec import (
+    HeaviestPathResult,
     TreeDecomposition,
     heaviest_path,
     induced,
@@ -157,6 +159,24 @@ def test_p_labeling_names_a_path_vertex_out_of_range():
             p_labeling(path(6), [flag, 2])
     # the check reads a one-shot path once, and labels along the same vertices
     assert p_labeling(path(3), iter([1, 2, 3])) == p_labeling(path(3), [1, 2, 3])
+
+
+def test_td_p_labeling_names_a_path_node_out_of_range():
+    td = tree_to_width1_td(path(4))
+    with pytest.raises(PathNotInTree, match=r"path node 99 out of node range 1\.\.4"):
+        td_p_labeling(path(4), td, HeaviestPathResult((99,), 1, Fraction(1)))
+
+
+def test_td_p_labeling_checks_the_decomposition_against_its_graph():
+    td = tree_to_width1_td(path(4))
+    with pytest.raises(NotATreeDecomposition, match="td_p_labeling: .* fails T1 at 5"):
+        td_p_labeling(path(5), td, HeaviestPathResult((1, 2), 2, Fraction(2, 5)))
+
+
+def test_td_p_labeling_names_a_step_off_the_decomposition_tree():
+    td = tree_to_width1_td(path(4))
+    with pytest.raises(PathNotInTree, match=r"\(1,3\) is not an edge of the tree"):
+        td_p_labeling(path(4), td, HeaviestPathResult((1, 3), 3, Fraction(3, 4)))
 
 
 # each public entry point given a non-iterable where it reads a sequence of ids

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import tempfile
@@ -168,6 +169,22 @@ def test_labeling_dump(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["path"] == [1, 2, 3, 4, 5]
     assert payload["label_of"]["1"] == 1
+
+
+def test_labeling_dump_of_a_tree_off_its_path_is_pinned(tmp_path):
+    """The whole ``--json`` dump, byte for byte, where labels are no longer the ids.
+
+    The longest path is 6 5 2 3 7 8; vertices 1, 4 and 9 hang off it, and
+    1 and 9 share the block of path vertex 2.
+    """
+    gr, out = tmp_path / "t.gr", tmp_path / "lab.json"
+    gr.write_text("p ks 9 8\n1 2\n2 3\n3 4\n2 5\n5 6\n3 7\n7 8\n1 9\n")
+    assert run(["labeling", "--input", str(gr), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["label_of"] == {
+        "1": 4, "2": 5, "3": 7, "4": 6, "5": 2, "6": 1, "7": 8, "8": 9, "9": 3,
+    }
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "4c7b16f83ef32346c4dacc661a5354cea39a8064e12d139d3badc229e12988d9"
 
 
 def path_gr(n):

@@ -12,6 +12,7 @@ from ksec.engine import (
     ksection_tree_detailed,
     cut_prescribed_sizes,
     ksection_td,
+    ksection_td_detailed,
     ksection_tree,
     recursive_bisection_baseline,
 )
@@ -23,6 +24,7 @@ from ksec.instances import (
     random_partial_ktree,
     random_tree_maxdeg,
 )
+from ksec.labeling import PLabeling
 from ksec.oracle import brute_min_ksection
 from ksec.treedec import (
     TreeDecomposition,
@@ -282,6 +284,53 @@ def test_a_tree_peel_round_scans_no_adjacency_for_its_edge_count(monkeypatch):
     assert scanned.count(g.n) <= 1
     assert all(size <= 2 * -(-g.n // k) for size in scanned if size != g.n)
     check_section(g, section, k)
+
+
+def test_a_tree_section_builds_no_label_map_for_its_peel_labelings(monkeypatch):
+    """A cut reads its labeling's ``vertex_of``; ``label_of`` is built only where it is read.
+
+    After the first round the remainder's ids are sparse in the input's
+    id range, which a label map would have to span.
+    """
+    g, k = random_tree_maxdeg(2000, 6, Xorshift64Star(3)), 16
+    labs, real = [], PLabeling._trusted.__func__
+
+    def spy(cls, *args):
+        labs.append(real(cls, *args))
+        return labs[-1]
+
+    monkeypatch.setattr(PLabeling, "_trusted", classmethod(spy))
+    section, _ = ksection_tree(g, k)
+    monkeypatch.undo()
+    assert len(labs) == k - 1 and any(lab.n < max(lab.vertex_of) for lab in labs)
+    assert all("label_of" not in vars(lab) for lab in labs)
+    check_section(g, section, k)
+
+
+def test_a_decomposition_section_roots_each_decomposition_tree_once(monkeypatch):
+    """Each decomposition carries its one rooting, which every reader of its tree shares.
+
+    The heaviest path, the labeling's blocks, the cluster cut, the glue and
+    the inner DP read ``TreeDecomposition.rooted``; an induced decomposition
+    keeps its source's.  The section's rounds take Case2b and Case3, so
+    every one of them runs.
+    """
+    g, td = random_partial_ktree(300, 3, Xorshift64Star(1))
+    rootings, real = {}, graph.bfs_tree
+
+    def spy(adj, *args):
+        count, _ = rootings.get(id(adj), (0, adj))  # holding adj keeps its id from reuse
+        rootings[id(adj)] = (count + 1, adj)
+        return real(adj, *args)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("ksec.")]:
+        if getattr(mod, "bfs_tree", None) is real:
+            monkeypatch.setattr(mod, "bfs_tree", spy)
+    section, _, traces = ksection_td_detailed(g, td, 4)
+    monkeypatch.undo()
+    assert {"Case2b", "Case3"} <= {t["case_tag"] for t in traces}
+    assert rootings and max(count for count, _ in rootings.values()) == 1
+    check_section(g, section, 4)
 
 
 SECTIONED_TREES = {

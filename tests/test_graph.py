@@ -14,6 +14,7 @@ from ksec.graph import (
     Cut,
     Graph,
     bfs_tree,
+    component_orders,
     cut_width,
     first_bad,
     forest_summary,
@@ -52,7 +53,9 @@ def test_max_degree_examples():
 
 
 def components(g):
-    return [set(c.order) for c in forest_summary(g)]
+    orders, _ = component_orders(g)
+    assert [(c.root, c.size) for c in forest_summary(g)] == [(o[0], len(o)) for o in orders]
+    return [set(o) for o in orders]
 
 
 def longest_path(tree):
@@ -99,10 +102,10 @@ def test_forest_summary_matches_bfs_diameter(seed, n_hi, isolated):
     g = Graph(base.n + isolated, base.edges)  # trailing isolated vertices
     comps = forest_summary(g)
     expected = sorted((sorted(c) for c in nx.connected_components(oracles.to_nx(g))), key=min)
-    assert [sorted(c.order) for c in comps] == expected
-    for c in comps:
-        assert c.order[0] == min(c.order)
-        sub, _ = induced_subgraph(g, c.order)
+    assert [sorted(o) for o in component_orders(g)[0]] == expected
+    assert [(c.root, c.size) for c in comps] == [(min(e), len(e)) for e in expected]
+    for c, members in zip(comps, expected):
+        sub, _ = induced_subgraph(g, members)
         assert c.diameter == oracles.bfs_diameter(sub)
         assert c.path[0] <= c.path[-1] and len(set(c.path)) == len(c.path)
         assert all(b in g.adj[a] for a, b in zip(c.path, c.path[1:]))
@@ -122,9 +125,9 @@ def test_forest_summary_of_live_ids_is_that_of_their_induced_forest(seed, n_hi):
     alive = set(live)
     cut = Graph(g.n, [e for e in g.edges if alive.issuperset(e)])
     sub, old_of = induced_subgraph(g, live)
-    back = [([old_of[u - 1] for u in c.order], tuple(old_of[u - 1] for u in c.path))
+    back = [(old_of[c.root - 1], c.size, tuple(old_of[u - 1] for u in c.path))
             for c in forest_summary(sub)]
-    assert [(c.order, c.path) for c in forest_summary(cut, live)] == back
+    assert forest_summary(cut, live) == back
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,8 +149,8 @@ def test_level_sweeps_summarize_like_fifo_sweeps_with_depths(seed, shapes):
     alive = set(live)
     cut = Graph(g.n, [e for e in g.edges if alive.issuperset(e)])
     assert forest_summary(cut, live) == oracles.forest_summary_by_depths(cut, live)
-    extra = next(((c.order[0], v) for c in forest_summary(g) for v in c.order[1:]
-                  if v not in g.adj[c.order[0]]), None)  # a chord of one component
+    extra = next(((o[0], v) for o in component_orders(g)[0] for v in o[1:]
+                  if v not in g.adj[o[0]]), None)  # a chord of one component
     if extra is not None:
         cyclic = Graph(g.n, [*g.edges, extra])
         with pytest.raises(NotAForest) as expected:
@@ -158,7 +161,7 @@ def test_level_sweeps_summarize_like_fifo_sweeps_with_depths(seed, shapes):
 
 def test_forest_summary_single_vertex_and_cycle():
     (only,) = forest_summary(Graph(1, []))
-    assert only.order == [1] and only.path == (1,) and only.diameter == 0
+    assert only == (1, 1, (1,)) and only.diameter == 0
     rng = Xorshift64Star(77)
     for _ in range(50):
         tree = random_tree_maxdeg(rng.randint(3, 40), 4, rng)

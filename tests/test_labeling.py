@@ -258,6 +258,7 @@ def test_the_flat_p_labeling_is_the_block_list_one(seed, shapes, sparse):
     chain = [v for c in forest_summary(g, live) for v in c.path]
     lab, parent = _p_labeling(g, chain)
     assert (lab, parent) == oracles.p_labeling_by_blocks(g, chain)
+    assert_labels_match_the_label_map(lab, g.n)
     assert_windows_match_the_cyclic_ones(lab, rng)
 
 
@@ -271,5 +272,13 @@ def test_labelings_from_blocks_and_their_windows_match_the_cyclic_ones(seed, n):
     blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
     marked = set(rng.sample(order, rng.randint(0, n)))
     lab = PLabeling.from_blocks(blocks, marked)
-    assert lab == oracles.plabeling_of_blocks(blocks, marked, n)
+    assert lab == oracles.plabeling_of_blocks(blocks, marked)
+    assert_labels_match_the_label_map(lab, n)
     assert_windows_match_the_cyclic_ones(lab, rng)
+
+
+def assert_labels_match_the_label_map(lab, max_id):
+    """``label_of``, built on first read, labels as the map built with every labeling did."""
+    assert "label_of" not in vars(lab)
+    want = oracles.label_map(lab.vertex_of[1:], max_id)
+    assert lab.label_of == want[: len(lab.label_of)] and not any(want[len(lab.label_of) :])
