@@ -6,12 +6,11 @@ from .graph import (
     KSection,
     cut_width,
     forest_summary,
-    induced_subgraph,
     max_degree,
     parse_gr,
     write_gr,
 )
-from .labeling import PLabeling, d_p, find_anchor, p_labeling
+from .labeling import PLabeling, find_anchor
 from .treecut import DiamCutTrace, approximate_cut, diameter_preserving_cut
 from .treedec import (
     HeaviestPathResult,
@@ -22,16 +21,10 @@ from .treedec import (
     make_nonredundant,
     parse_td,
     td_summary,
-    tree_to_width1_td,
     validation_errors,
     write_td,
 )
-from .tdcut import (
-    RCutTrace,
-    approximate_cut_td,
-    r_preserving_cut,
-    td_p_labeling,
-)
+from .tdcut import RCutTrace, approximate_cut_td, r_preserving_cut
 from .engine import (
     BoundReport,
     cut_prescribed_sizes,

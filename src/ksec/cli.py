@@ -1,7 +1,8 @@
 """Command-line front end: run sections, generate instances, benchmark.
 
-Exit codes: 0 success, 2 malformed input or bad arguments, 3 internal
-invariant violation (a bug, never expected), 4 resource guard tripped.
+Exit codes: 0 success, 2 malformed input, bad arguments or a file that
+cannot be read or written, 3 internal invariant violation (a bug, never
+expected), 4 resource guard tripped.
 """
 
 from __future__ import annotations
@@ -55,20 +56,14 @@ class RunRecord:
 
 
 def _load_graph(path: str) -> Graph:
-    try:
-        with open(path) as fh:
-            return parse_gr(fh.read())
-    except OSError as exc:
-        raise FormatError(0, f"cannot read {path}: {exc}") from None
+    with open(path) as fh:
+        return parse_gr(fh.read())
 
 
 def _load_td(path: str, g: Graph):
     """Parse a .td file for ``g``; the library call it feeds checks T1-T3."""
-    try:
-        with open(path) as fh:
-            td, declared_n = parse_td(fh.read())
-    except OSError as exc:
-        raise FormatError(0, f"cannot read {path}: {exc}") from None
+    with open(path) as fh:
+        td, declared_n = parse_td(fh.read())
     if declared_n != g.n:
         raise FormatError(0, f"decomposition declares {declared_n} vertices, graph has {g.n}")
     return td
@@ -379,16 +374,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceLimit as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 4
     except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    except KsecError as exc:
+    except (KsecError, OSError) as exc:  # an OSError names the file it could not open
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

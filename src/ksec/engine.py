@@ -2,7 +2,7 @@
 
 Both pipelines share one peel loop, ``_peel``, which cuts off one part
 at a time and summarizes each remainder once: the tree pipeline with
-``diameter_preserving_cut`` and ``forest_summary`` (the relative
+``diameter_preserving_cut`` and ``_forest_summary`` (the relative
 diameter of the remainder never drops), the decomposition pipeline with
 ``r_preserving_cut`` and the ``td_summary`` of the cut's own nonredundant
 decomposition induced on the live ids (its relative heaviest-path weight
@@ -33,7 +33,7 @@ from .errors import (
 from .graph import (
     Graph,
     KSection,
-    forest_summary,
+    _forest_summary,
     induced_sorted,
     is_int,
     max_degree,
@@ -166,7 +166,7 @@ def _peel_forest(forest: Graph, comps: list, sizes: list[int]) -> tuple[KSection
     return _peel(
         forest, comps, sizes,
         cut=lambda f, c, m: diameter_preserving_cut(f, m, c),
-        summarize=lambda rest, _comps, live: forest_summary(rest, live),
+        summarize=lambda rest, _comps, live: _forest_summary(rest, live),
         measure=summary_relative_diameter,
     )
 

@@ -33,10 +33,6 @@ class SizesDontSum(KsecError):
     pass
 
 
-class PathNotInTree(KsecError):
-    pass
-
-
 class RedundantDecomposition(KsecError):
     pass
 

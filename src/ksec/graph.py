@@ -10,9 +10,11 @@ ids.
 Validation policy: each public entry point checks its input once, through
 ``require_forest`` / ``require_tree`` (both built on ``forest_summary``),
 and rejects bad input with a typed ``KsecError`` that names a witness.
-A sequence of ids (vertices, path vertices, weights) is checked by
+A sequence of ids (parts, weights) is checked by
 ``first_bad`` alone.  Internal layers take the summary the entry point
-computed and do not check the same forest again.  ``InvariantViolation``
+computed and do not check the same forest again; the peel summarizes
+each remainder's live ids with ``_forest_summary``, which checks nothing
+about them.  ``InvariantViolation``
 is reserved for failed postconditions, i.e. bugs.
 
 Derived graphs skip validation by construction.  ``Graph(n, edges)`` is
@@ -105,9 +107,6 @@ class Graph:
             self._edges = frozenset((u, v) for u in range(1, self.n + 1) for v in adj[u] if u < v)
         return self._edges
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     @property
     def num_edges(self) -> int:
         """The edge count given at construction, or else one scan of the adjacency.
@@ -195,17 +194,8 @@ class Cut:
     width: int
 
     @classmethod
-    def from_black(cls, g: Graph, black: Iterable[int]) -> "Cut":
-        """The cut with black side ``black``; ``NotAPartition`` names an id outside 1..n."""
-        black = read_ids(black, NotAPartition, "Cut.from_black")
-        bad = first_bad(black, 1, g.n)
-        if bad is not None:
-            raise NotAPartition(f"Cut.from_black: vertex {bad[0]!r} out of vertex range 1..{g.n}")
-        return cls._trusted(g, black)
-
-    @classmethod
     def _trusted(cls, g: Graph, black: Iterable[int], live: Iterable[int] | None = None) -> "Cut":
-        """``from_black`` for ids in 1..n, splitting ``live`` (default all); width over the smaller side."""
+        """The cut of ``live`` (default all) with black side ``black``; nothing is checked."""
         b = frozenset(black)
         w = frozenset(g.vertices() if live is None else live) - b
         return cls(b, w, boundary_width(g, b if len(b) <= len(w) else w))
@@ -290,20 +280,27 @@ class TreeSummary(NamedTuple):
         return len(self.path) - 1
 
 
-def forest_summary(g: Graph, vertices: Sequence[int] | None = None) -> list[TreeSummary]:
+def forest_summary(g: Graph) -> list[TreeSummary]:
     """Components of a forest, ascending by smallest id, each with its size and a longest path.
 
-    O(n + m): one level sweep finds the components and rejects cycles, a
+    O(n + m).  Raises ``NotAForest`` naming an edge on a cycle.
+    """
+    return _forest_summary(g, g.vertices())
+
+
+def _forest_summary(g: Graph, vertices: Sequence[int]) -> list[TreeSummary]:
+    """``forest_summary`` of the ascending ``vertices`` alone; the rest must be isolated.
+
+    Nothing about ``vertices`` is checked: the peel passes its live ids,
+    and checking them would cost the scan for isolated vertices that it
+    avoids.  One level sweep finds the components and rejects cycles, a
     second sweep per component from the far end of the first gives a
     longest path.  A far end is the smallest id on a sweep's last level,
-    so no depth is kept.  Raises ``NotAForest`` naming an edge on a
-    cycle; the edge count it checks is ``num_edges``, which the peel
-    passes its remainders, so a peel round scans no edges for it.  Only
-    ``vertices`` (ascending, default all) are summarized; the rest must
-    be isolated.
+    so no depth is kept.  The edge count the cycle check reads is
+    ``num_edges``, which the peel passes its remainders, so a peel round
+    scans no edges for it.
     """
     adj, parent = g.adj, [-1] * (g.n + 1)
-    vertices = g.vertices() if vertices is None else vertices
     sweeps = [_bfs_levels(adj, s, parent) for s in vertices if parent[s] < 0]
     if g.num_edges != len(vertices) - len(sweeps):
         u, v = min(e for e in g.edges if parent[e[0]] != e[1] and parent[e[1]] != e[0])
@@ -380,25 +377,12 @@ def cut_width(g: Graph, parts: Sequence[Iterable[int]]) -> int:
     return sum(1 for (u, v) in g.edges if part_of[u] != part_of[v])
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:
-    """Induced subgraph relabeled to 1..|S| by ascending original id.
-
-    Returns (subgraph, old_ids) with old_ids[new - 1] = original id.
-    Raises ``KsecError`` naming a vertex that is not an id in 1..n.
-    """
-    vertices = read_ids(vertices, KsecError, "induced_subgraph")
-    bad = first_bad(vertices, 1, g.n)
-    if bad is not None:
-        raise KsecError(f"induced_subgraph: vertex {bad[0]!r} out of vertex range 1..{g.n}")
-    old_of = sorted(set(vertices))
-    return induced_sorted(g, old_of), old_of
-
-
 def induced_sorted(g: Graph, old_of: Sequence[int]) -> Graph:
-    """``induced_subgraph`` for ids the caller knows are ascending, distinct and in 1..n.
+    """Induced subgraph on ``old_of``, relabeled so that ``old_of[new - 1]`` is new's id.
 
-    The relabeling is monotone, so each parent adjacency list, filtered
-    and mapped through one dict, stays sorted.  Nothing is checked.
+    The caller knows the ids are ascending, distinct and in 1..n.  The
+    relabeling is monotone, so each parent adjacency list, filtered and
+    mapped through one dict, stays sorted.  Nothing is checked.
     """
     get, adj = dict(zip(old_of, range(1, len(old_of) + 1))).get, g.adj
     return Graph._trusted(

@@ -14,13 +14,13 @@ the labeling keeps no map over that id range (``label_of`` is built on
 first read).
 The sweep that finds each T_v also records its parents, so a cut can
 size a subtree and read it off the block's post-order, where a subtree
-is the run of labels that ends at its root.  The public ``p_labeling``
-checks the tree and the path; ``_p_labeling`` checks nothing, so the
-tree cut labels a forest along its chain of longest paths, whose links
-are not forest edges.
+is the run of labels that ends at its root.  ``_p_labeling`` checks
+nothing: its callers hand it a path they found themselves, so the tree
+cut labels a forest along its chain of longest paths, whose links are
+not forest edges.
 
 The same labeling serves a graph with a tree decomposition
-(``tdcut.td_p_labeling``): there the marked set is R, the vertices
+(``tdcut._td_blocks``): there the marked set is R, the vertices
 covered by the heaviest path's clusters, block i is S_i followed by
 R_i of path node i, and d_P, the anchor and the label intervals are
 read exactly as for a tree.  Its blocks come from one pass over the
@@ -33,10 +33,10 @@ from bisect import bisect_left
 from collections.abc import Container
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 
-from .errors import InvariantViolation, KsecError, MOutOfRange, NotAPartition, PathNotInTree
-from .graph import Graph, first_bad, is_int, read_ids, require_tree
+from .errors import InvariantViolation, KsecError, MOutOfRange
+from .graph import Graph, is_int
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class PLabeling:
     blocks of consecutive labels, one per path vertex or path node, in
     path order; ``ends[i]`` is the last label of block i.  Every
     labeling is built by ``_trusted`` from one flat vertex order and its
-    block ends: the tree sweep writes them so, and ``from_blocks`` and
-    the decomposition's blocks (``tdcut._td_blocks``) flatten into them.
+    block ends: the tree sweep writes them so, and the decomposition's
+    blocks (``tdcut._td_blocks``) flatten into them.
     """
 
     n: int
@@ -60,26 +60,6 @@ class PLabeling:
     on_path: tuple
     num_path: int
     ends: tuple
-
-    @classmethod
-    def from_blocks(cls, blocks: list[list[int]], marked: Container[int]) -> "PLabeling":
-        """Label the vertices of the blocks 1..n in order; the blocks partition 1..n.
-
-        ``NotAPartition`` names a vertex out of 1..n or in no block, and a non-container ``marked``.
-        """
-        if not isinstance(marked, Container):
-            raise NotAPartition(f"PLabeling: marked={marked!r} is not a set of vertex ids")
-        blocks = [read_ids(b, NotAPartition, "PLabeling")
-                  for b in read_ids(blocks, NotAPartition, "PLabeling")]
-        order = list(chain.from_iterable(blocks))
-        n = len(order)
-        bad = first_bad(order, 1, n)
-        if bad is not None:
-            raise NotAPartition(f"PLabeling: block vertex {bad[0]!r} out of vertex range 1..{n}")
-        if len(set(order)) != n:  # with every id in 1..n, one came twice
-            missing = min(set(range(1, n + 1)).difference(order))
-            raise NotAPartition(f"PLabeling: vertex {missing} lies in no block")
-        return cls._trusted(order, list(accumulate(map(len, blocks))), marked)
 
     @classmethod
     def _trusted(cls, order: list[int], ends: list[int], marked: Container[int]) -> "PLabeling":
@@ -127,33 +107,8 @@ def cyclic(label: int, n: int) -> int:
     return (label - 1) % n + 1
 
 
-def p_labeling(tree: Graph, path) -> PLabeling:
-    """The labeling of ``tree`` with ``path`` marked, one block per subtree T_v off the path."""
-    require_tree(tree, "p_labeling")
-    return _p_labeling(tree, require_path(path, tree.adj, "p_labeling"))[0]
-
-
-def require_path(path, adj, who: str, what: str = "vertex") -> list:
-    """``path`` read into a list, once it is a path of the tree whose adjacency is ``adj``.
-
-    ``adj`` is 1-indexed, and ``what`` names its entries.  ``PathNotInTree``
-    names an id out of range, a repeated or empty path, or a step that is
-    no tree edge.
-    """
-    path = read_ids(path, PathNotInTree, who)
-    bad = first_bad(path, 1, len(adj) - 1)
-    if bad is not None:
-        raise PathNotInTree(f"path {what} {bad[0]!r} out of {what} range 1..{len(adj) - 1}")
-    if len(set(path)) != len(path) or not path:
-        raise PathNotInTree(f"a path's {what} ids must be distinct and non-empty")
-    for a, b in zip(path, path[1:]):
-        if b not in adj[a]:
-            raise PathNotInTree(f"({a},{b}) is not an edge of the tree")
-    return path
-
-
 def _p_labeling(tree: Graph, path) -> tuple[PLabeling, list[int]]:
-    """``p_labeling`` unchecked, and its sweeps' parents; ``path`` is read more than once.
+    """The labeling of ``tree`` with ``path`` marked, and its sweeps' parents; unchecked.
 
     Removing the path's edges leaves one subtree T_v per path vertex v;
     block i is T_v of the i-th path vertex v, in post-order with v last.
@@ -161,7 +116,7 @@ def _p_labeling(tree: Graph, path) -> tuple[PLabeling, list[int]]:
     that takes the largest child first, appended to the one flat order
     and reversed there, its end recorded as the block's.  ``parent[u]``
     is u's neighbour toward its path vertex, u on the path, 0 where no
-    sweep came.
+    sweep came.  ``path`` is read more than once.
     """
     adj = tree.adj
     # path vertices start out reached, so each sweep stays inside its T_v
@@ -181,17 +136,6 @@ def _p_labeling(tree: Graph, path) -> tuple[PLabeling, list[int]]:
         order[start:] = order[start:][::-1]
         ends.append(len(order))
     return PLabeling._trusted(order, ends, frozenset(path)), parent
-
-
-def d_p(lab: PLabeling, x: int, y: int) -> int:
-    """Count marked vertices between labels x and y, excluding y (cyclic); labels are integers."""
-    if not (is_int(x) and is_int(y)):
-        raise KsecError(f"d_p: label {y if is_int(x) else x!r} is not an integer")
-    n = lab.n
-    x, y = cyclic(x, n), cyclic(y, n)
-    if x <= y:
-        return lab.path_prefix[y] - lab.path_prefix[x]
-    return lab.num_path - lab.path_prefix[x] + lab.path_prefix[y]
 
 
 def find_anchor(lab: PLabeling, m: int) -> int:

@@ -4,10 +4,11 @@ Mirrors the tree machinery: the heaviest path of the decomposition
 plays the role of a longest path, the vertex set splits into R (covered
 by path clusters) and the per-node remainders S_i, and the tree's
 cyclic labeling (``labeling.PLabeling``, with R marked in place of the
-path) gives path node i the block S_i ∪ R_i, with R_i last.  S_i is
-read off the clusters of i's component of T - E_P, which one pass over the
-decomposition's rooting (``TreeDecomposition.rooted``) finds; the cluster
-cut and the glue read that rooting too.  The anchor, the label interval
+path) gives path node i the block S_i ∪ R_i, with R_i last
+(``_td_blocks``).  S_i is read off the clusters of i's component of
+T - E_P, which one pass over the decomposition's rooting
+(``TreeDecomposition.rooted``) finds; the cluster cut and the glue read
+that rooting too.  The anchor, the label interval
 and the block to split are found as for a tree.  The
 r-preserving cut peels off exactly m vertices while the relative
 heaviest-path weight of the remainder never drops.  S_i is split by the
@@ -41,10 +42,9 @@ from .errors import (
     RedundantDecomposition,
 )
 from .graph import Cut, Graph, boundary_width, first_bad, is_int, max_degree
-from .labeling import PLabeling, cyclic, find_anchor, labels_interval, require_path
+from .labeling import PLabeling, cyclic, find_anchor, labels_interval
 from .treecut import CutTrace, _approximate_black
 from .treedec import (
-    HeaviestPathResult,
     TDSummary,
     TreeDecomposition,
     heaviest_path,
@@ -74,27 +74,15 @@ class RCutTrace(CutTrace):
     normalized_td: TreeDecomposition | None = field(default=None, repr=False)
 
 
-def td_p_labeling(g: Graph, td: TreeDecomposition, path: HeaviestPathResult) -> PLabeling:
-    """Labeling of g along a path of a nonredundant decomposition, with R marked.
-
-    Block i holds the vertices of path node i: S_i first, then R_i, which
-    take the block's largest labels.  ``td`` is checked against ``g``
-    (``NotATreeDecomposition``) and ``path.path`` against td's tree
-    (``PathNotInTree``), as ``p_labeling`` checks a tree's path.  Raises
-    ``RedundantDecomposition`` when some R_i is empty, which cannot
-    happen after ``make_nonredundant``.
-    """
-    require_decomposition(td, g, "td_p_labeling")
-    path_nodes = require_path(path.path, td.tree_adj, "td_p_labeling", "node")
-    return PLabeling._trusted(*_td_blocks(td, path_nodes, g.n))
-
-
 def _td_blocks(td: TreeDecomposition, path_nodes, n: int) -> tuple[list, list, set]:
-    """``(order, ends, R)``: the blocks of ``td_p_labeling`` for td's n vertices, flat, and R.
+    """``(order, ends, R)``: the blocks of g's labeling along a path of td, flat, and R.
 
-    ``path_nodes`` is a path of td's tree.  ``ends[i]`` is where block i
-    ends in ``order``; ``PLabeling._trusted`` builds the labeling from the
-    three.
+    ``td`` is a nonredundant decomposition of g's n vertices and
+    ``path_nodes`` a path of its tree.  Block i holds the vertices of path
+    node i: S_i first, then R_i, which take the block's largest labels.
+    ``ends[i]`` is where block i ends in ``order``; ``PLabeling._trusted``
+    builds the labeling from the three.  Raises ``RedundantDecomposition``
+    when some R_i is empty, which cannot happen after ``make_nonredundant``.
     """
     # the path node of each node's component of T - E_P: a node off the path
     # takes its parent's, the root the path's first node in BFS order

@@ -181,11 +181,12 @@ def diameter_preserving_cut(
     links inside Ṽ, and the outer width, the forest's edges leaving Ṽ
     plus the links with one end in it.
 
-    ``comps`` is ``forest_summary(forest[, vertices])`` when the caller
-    already has it.  It replaces the forest check and is checked only
-    against the forest's vertex and edge counts; a peel remainder carries
-    its edge count, so the check scans nothing.  The cut splits the
-    summarized vertices; the peel's cut ones are isolated, on no side.
+    ``comps`` is ``forest_summary(forest)``, or the peel's summary of its
+    live ids, when the caller already has it.  It replaces the forest
+    check and is checked only against the forest's vertex and edge
+    counts; a peel remainder carries its edge count, so the check scans
+    nothing.  The cut splits the summarized vertices; the peel's cut ones
+    are isolated, on no side.
     """
     if comps is None:
         comps = require_forest(forest, "diameter_preserving_cut")

@@ -18,7 +18,7 @@ from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import FormatError, InvariantViolation, KsecError, NotATreeDecomposition
-from .graph import Graph, bad_pair, bfs_tree, comment_lines, is_int, read_ids, require_tree
+from .graph import Graph, bad_pair, bfs_tree, comment_lines, is_int, read_ids
 
 
 class TreeDecomposition:
@@ -348,17 +348,6 @@ def td_summary(td: TreeDecomposition, n: int) -> TDSummary:
     _require_vertex_count(n, "td_summary")
     td0 = make_nonredundant(td)
     return TDSummary(td=td0, path=heaviest_path(td0, n), t=td0.width + 1, n=n)
-
-
-def tree_to_width1_td(tree: Graph) -> TreeDecomposition:
-    """Width-1 decomposition of a tree: one node per vertex, bag {v, parent}."""
-    require_tree(tree, "tree_to_width1_td")
-    root = 1
-    _, parent = bfs_tree(tree.adj, root)
-    bags = []
-    for v in tree.vertices():
-        bags.append({v} if v == root else {v, parent[v]})
-    return TreeDecomposition(bags, [(v, parent[v]) for v in tree.vertices() if v != root])
 
 
 # --- PACE-2017 .td format ---------------------------------------------------

@@ -22,7 +22,6 @@ from ksec.errors import (
     InvariantViolation,
     MOutOfRange,
     NotAForest,
-    PathNotInTree,
     RedundantDecomposition,
     ResourceLimit,
 )
@@ -35,6 +34,7 @@ from ksec.graph import (
     is_int,
     mem_limit_bytes,
     require_forest,
+    require_tree,
 )
 from ksec.labeling import PLabeling
 from ksec.treedec import HeaviestPathResult, TreeDecomposition, edge_home, occurrences
@@ -219,6 +219,17 @@ def heaviest_path_candidate_list(td: TreeDecomposition, n: int) -> HeaviestPathR
     if path[0] > path[-1]:
         path = path[::-1]
     return HeaviestPathResult(path=path, weight=best[0], relative_weight=Fraction(best[0], n))
+
+
+def tree_to_width1_td(tree: Graph) -> TreeDecomposition:
+    """Width-1 decomposition of a tree: one node per vertex, bag {v, parent}."""
+    require_tree(tree, "tree_to_width1_td")
+    root = 1
+    _, parent = bfs_tree(tree.adj, root)
+    bags = []
+    for v in tree.vertices():
+        bags.append({v} if v == root else {v, parent[v]})
+    return TreeDecomposition(bags, [(v, parent[v]) for v in tree.vertices() if v != root])
 
 
 def random_forest(rng, n_lo=2, n_hi=60, max_degree=5, drop=3):
@@ -1015,7 +1026,7 @@ class PathDecomposition:
     ``subtree_of`` maps every vertex to its path vertex; ``subtree_members``
     maps each path vertex v to V(T_v) (including v itself).  ``order``
     lists every T_v in post-order, children ascending, so v closes its
-    block, with the blocks in path order: the order ``p_labeling`` labels.
+    block, with the blocks in path order: the order ``labeling._p_labeling`` labels.
     """
 
     tree: Graph
@@ -1033,11 +1044,11 @@ def path_decomposition(tree: Graph, path) -> PathDecomposition:
     """
     path = tuple(path)
     if len(set(path)) != len(path) or not path:
-        raise PathNotInTree("path vertices must be distinct and non-empty")
+        raise ValueError("path vertices must be distinct and non-empty")
     adj = tree.adj
     for a, b in zip(path, path[1:]):
         if b not in adj[a]:
-            raise PathNotInTree(f"({a},{b}) is not an edge of the tree")
+            raise ValueError(f"({a},{b}) is not an edge of the tree")
     # path vertices start out seen, so each sweep stays inside its T_v
     seen = [False] * (tree.n + 1)
     for v in path:
@@ -1059,7 +1070,7 @@ def path_decomposition(tree: Graph, path) -> PathDecomposition:
         members[v] = frozenset(block)
         subtree_of.update(dict.fromkeys(block, v))
     if len(order) != tree.n:
-        raise PathNotInTree("path does not lie in this tree")
+        raise ValueError("path does not lie in this tree")
     return PathDecomposition(
         tree=tree,
         path=path,
@@ -1223,7 +1234,7 @@ def forest_summary_by_depths(g: Graph, vertices=None) -> list[TreeSummary]:
 
 
 def plabeling_of_blocks(blocks: list[list[int]], marked: Container[int]) -> PLabeling:
-    """``from_blocks`` for distinct ids, unchecked."""
+    """The labeling of the blocks' vertices 1..n in order, the blocks of distinct ids."""
     order = [v for block in blocks for v in block]
     n = len(order)
     on_path = (False, *map(marked.__contains__, order))
@@ -1247,13 +1258,14 @@ def label_map(order: list[int], max_id: int) -> tuple:
 
 
 def p_labeling_by_blocks(tree: Graph, path) -> tuple[PLabeling, list[int]]:
-    """``p_labeling`` unchecked, and its sweeps' parents; ``path`` is read more than once.
+    """The labeling along ``path``, block by block, and its sweeps' parents; unchecked.
 
     Removing the path's edges leaves one subtree T_v per path vertex v;
     block i is T_v of the i-th path vertex v, in post-order with v last.
     One sweep per path vertex finds T_v and its post-order: a pre-order
     that takes the largest child first, reversed.  ``parent[u]`` is u's
     neighbour toward its path vertex, u on the path, 0 where no sweep came.
+    ``path`` is read more than once.
     """
     adj = tree.adj
     # path vertices start out reached, so each sweep stays inside its T_v
@@ -1281,7 +1293,7 @@ def cyclic(label: int, n: int) -> int:
 
 
 def _d_p(lab: PLabeling, x: int, y: int) -> int:
-    """``d_p`` unchecked, for the anchor search."""
+    """Count marked vertices between labels x and y, excluding y (cyclic)."""
     n = lab.n
     x, y = cyclic(x, n), cyclic(y, n)
     if x <= y:

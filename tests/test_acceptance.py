@@ -19,7 +19,7 @@ from ksec import bounds
 from ksec.engine import ksection_td, ksection_tree, recursive_bisection_baseline
 from ksec.graph import (
     Graph,
-    induced_subgraph,
+    induced_sorted,
     max_degree,
 )
 from ksec.instances import (
@@ -119,7 +119,7 @@ def test_criterion_3_cutting_primitive_properties():
         cut, _ = diameter_preserving_cut(g, m)
         if len(cut.black) != m:
             bad += 1
-        rest, _ = induced_subgraph(g, sorted(cut.white))
+        rest = induced_sorted(g, sorted(cut.white))
         if diam_star(rest) < d:
             bad += 1
         if delta and Fraction(cut.width) > bounds.tree_cut_bound(d, delta):

@@ -3,14 +3,20 @@
 Each public callable is pinned to its parameter names, each public
 dataclass to its fields, and each public method of a public class
 (``Class.method``) to its parameter names without ``self`` or ``cls``.
-Annotations and defaults are not pinned.
+Annotations and defaults are not pinned.  Each public name must also
+have a caller outside the tests, or a reason in ``KEPT``: every entry
+point needs its own boundary checks.
 """
 
+import ast
 import dataclasses
 import inspect
 import types
+from pathlib import Path
 
 import ksec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_API = {
     "BoundReport": (
@@ -19,20 +25,17 @@ PUBLIC_API = {
     ),
     "BoundReport.to_dict": (),
     "Cut": ("black", "white", "width"),
-    "Cut.from_black": ("g", "black"),
     "DiamCutTrace": (
         "case_tag", "m", "anchor", "floor_dm", "m_set", "z", "m_tilde", "b_z", "w_z", "v_tilde",
         "inner_width", "outer_width",
     ),
     "GeneratorSpec": ("family", "seed", "n", "max_degree", "arity", "height", "t"),
     "Graph": ("n", "edges"),
-    "Graph.degree": ("v",),
     "Graph.vertices": (),
     "HeaviestPathResult": ("path", "weight", "relative_weight"),
     "KSection": ("parts", "width"),
     "KSection.from_parts": ("g", "parts"),
     "PLabeling": ("n", "vertex_of", "path_prefix", "on_path", "num_path", "ends"),
-    "PLabeling.from_blocks": ("blocks", "marked"),
     "PLabeling.vertex": ("label",),
     "PLabeling.block": ("label",),
     "RCutTrace": (
@@ -53,30 +56,25 @@ PUBLIC_API = {
     "brute_min_ksection": ("g", "k", "limit"),
     "cut_prescribed_sizes": ("forest", "sizes"),
     "cut_width": ("g", "parts"),
-    "d_p": ("lab", "x", "y"),
     "diameter_preserving_cut": ("forest", "m", "comps"),
     "dp_min_size_cut_td": ("g", "td", "m", "max_width"),
     "dp_min_size_cut_tree": ("forest", "m", "outside"),
     "find_anchor": ("lab", "m"),
-    "forest_summary": ("g", "vertices"),
+    "forest_summary": ("g",),
     "generate": ("spec",),
     "heaviest_path": ("td", "n"),
     "induced": ("td", "vertex_set"),
-    "induced_subgraph": ("g", "vertices"),
     "ksection_td": ("g", "td", "k"),
     "ksection_td_detailed": ("g", "td", "k"),
     "ksection_tree": ("tree", "k"),
     "ksection_tree_detailed": ("tree", "k"),
     "make_nonredundant": ("td",),
     "max_degree": ("g",),
-    "p_labeling": ("tree", "path"),
     "parse_gr": ("text",),
     "parse_td": ("text",),
     "r_preserving_cut": ("g", "td", "m", "summary"),
     "recursive_bisection_baseline": ("tree", "k"),
-    "td_p_labeling": ("g", "td", "path"),
     "td_summary": ("td", "n"),
-    "tree_to_width1_td": ("tree",),
     "validation_errors": ("td", "g"),
     "write_gr": ("g", "comment"),
     "write_td": ("td", "n", "comment"),
@@ -87,15 +85,15 @@ def params(f) -> tuple:
     return tuple(p for p in inspect.signature(f).parameters if p not in ("self", "cls"))
 
 
-def test_public_names_of_ksec_are_pinned():
-    names = sorted(n for n, v in vars(ksec).items()
-                   if not n.startswith("_") and not isinstance(v, types.ModuleType))
-    assert names == sorted(n for n in PUBLIC_API if "." not in n)
+def public_names() -> list:
+    return sorted(n for n, v in vars(ksec).items()
+                  if not n.startswith("_") and not isinstance(v, types.ModuleType))
 
 
-def test_public_signatures_and_fields_are_pinned():
+def public_shapes() -> dict:
+    """The shape of each public name of ``ksec`` and of each public method of its classes."""
     shapes = {}
-    for name in (n for n in PUBLIC_API if "." not in n):
+    for name in public_names():
         v = getattr(ksec, name)
         if dataclasses.is_dataclass(v):
             shapes[name] = tuple(f.name for f in dataclasses.fields(v))
@@ -106,4 +104,62 @@ def test_public_signatures_and_fields_are_pinned():
                 f = m.__func__ if isinstance(m, (classmethod, staticmethod)) else m
                 if not attr.startswith("_") and inspect.isfunction(f):
                     shapes[f"{name}.{attr}"] = params(f)
-    assert shapes == PUBLIC_API
+    return shapes
+
+
+def test_public_names_of_ksec_are_pinned():
+    assert public_names() == sorted(n for n in PUBLIC_API if "." not in n)
+
+
+def test_public_signatures_and_fields_are_pinned():
+    assert public_shapes() == PUBLIC_API
+
+
+# public names that nothing outside the tests calls, each kept for a reason
+KEPT = {
+    "approximate_cut": "the paper's approximate-cut lemma for trees (acceptance criterion 3)",
+    "approximate_cut_td": "the paper's approximate-cut lemma for decompositions (criterion 3)",
+    "cut_prescribed_sizes": "the paper's forest partition into prescribed sizes (golden hashes)",
+    "validation_errors": "README's way to list every violation of a decomposition",
+}
+
+
+def _trees(paths):
+    return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests_or_a_reason_to_stay():
+    """A public function, class or method is named in the library or its tools, or is KEPT.
+
+    The library's own modules (not ``__init__``), ``perfbench`` and
+    ``scripts`` count; a function's name counts as a name or an
+    attribute, a method's as an attribute.
+    """
+    src = ROOT / "src" / "ksec"
+    paths = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+    paths += [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    names, attrs = set(), set()
+    for node in (n for t in _trees(paths) for n in ast.walk(t)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+    uncalled = {key for key in public_shapes()
+                if key.rpartition(".")[2] not in (attrs if "." in key else names | attrs)}
+    assert uncalled == set(KEPT)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = [p for p in (ROOT / "src" / "ksec").glob("*.py") if p.name != "__init__.py"]
+    paths += (ROOT / "tests").glob("*.py")
+    unused = {}
+    for path, tree in zip(paths, _trees(paths)):
+        bound = {alias.asname or alias.name.split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if bound - used:
+            unused[path.name] = sorted(bound - used)
+    assert unused == {}

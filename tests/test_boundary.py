@@ -1,16 +1,18 @@
 """Input checks at the public entry points: each rejects bad input with a typed error."""
 
+import argparse
 import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
+import tempfile
 from pathlib import Path
 
 import pytest
 
 import ksec
 from conftest import path
+from ksec.cli import cmd_labeling
 from ksec.engine import (
     cut_prescribed_sizes,
     ksection_td,
@@ -26,47 +28,53 @@ from ksec.errors import (
     NotAPartition,
     NotATree,
     NotATreeDecomposition,
-    PathNotInTree,
     ResourceLimit,
     SizesDontSum,
 )
 from ksec.graph import (
-    Cut,
     Graph,
     KSection,
     cut_width,
     forest_summary,
-    induced_subgraph,
     parse_gr,
     write_gr,
 )
 from ksec.instances import BadParameters, GeneratorSpec, Xorshift64Star, generate
-from ksec.labeling import PLabeling, d_p, find_anchor, p_labeling
+from ksec.labeling import _p_labeling, find_anchor
 from ksec.oracle import brute_min_ksection, dp_min_size_cut_td, dp_min_size_cut_tree
-from ksec.tdcut import approximate_cut_td, r_preserving_cut, td_p_labeling
+from ksec.tdcut import approximate_cut_td, r_preserving_cut
 from ksec.treecut import approximate_cut, diameter_preserving_cut
 from ksec.treedec import (
-    HeaviestPathResult,
     TreeDecomposition,
     heaviest_path,
     induced,
     make_nonredundant,
     parse_td,
     td_summary,
-    tree_to_width1_td,
     validation_errors,
     write_td,
 )
+from oracles import tree_to_width1_td
+
 
 # a 5-cycle with a pendant vertex; BFS from 1 leaves (3,4) as the closing edge
 CYCLE = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (5, 6)])
 DISCONNECTED = Graph(5, [(1, 2), (2, 3), (4, 5)])
 
+
+def labeling_command(g):
+    """The p-labeling of g as ``ksec labeling`` computes it, its one public entry point."""
+    with tempfile.TemporaryDirectory() as tmp:
+        gr = Path(tmp) / "g.gr"
+        gr.write_text(write_gr(g))
+        return cmd_labeling(argparse.Namespace(input=str(gr), json=str(Path(tmp) / "out.json")))
+
+
 TREE_ENTRY_POINTS = {
     "approximate_cut": lambda g: approximate_cut(g, 1, 2),
     "ksection_tree": lambda g: ksection_tree(g, 2),
-    "p_labeling": lambda g: p_labeling(g, [1, 2]),
-    "tree_to_width1_td": tree_to_width1_td,
+    "p_labeling": labeling_command,
+    "tree_to_width1_td": tree_to_width1_td,  # the test oracle keeps its tree check
 }
 
 FOREST_ENTRY_POINTS = {
@@ -113,7 +121,7 @@ CUT_ENTRY_POINTS = {
     "diameter_preserving_cut": lambda m: diameter_preserving_cut(path(6), m),
     "dp_min_size_cut_td": lambda m: dp_min_size_cut_td(path(6), tree_to_width1_td(path(6)), m),
     "dp_min_size_cut_tree": lambda m: dp_min_size_cut_tree(path(6), m),
-    "find_anchor": lambda m: find_anchor(p_labeling(path(6), [1, 2, 3, 4, 5, 6]), m),
+    "find_anchor": lambda m: find_anchor(_p_labeling(path(6), [1, 2, 3, 4, 5, 6])[0], m),
     "r_preserving_cut": lambda m: r_preserving_cut(path(6), tree_to_width1_td(path(6)), m),
 }
 
@@ -144,53 +152,19 @@ def test_section_entry_points_name_a_k_that_is_not_an_integer(name, k):
 @pytest.mark.parametrize("m", [0, 6])
 def test_find_anchor_names_an_m_out_of_range(m):
     with pytest.raises(MOutOfRange, match=re.escape(f"m={m} not in 1..5")):
-        find_anchor(p_labeling(path(6), [1, 2, 3, 4, 5, 6]), m)
-
-
-def test_p_labeling_names_a_path_vertex_out_of_range():
-    with pytest.raises(PathNotInTree, match=r"path vertex 99 out of vertex range 1\.\.6"):
-        p_labeling(path(6), [99])
-    with pytest.raises(PathNotInTree, match="path vertex 0"):
-        p_labeling(path(6), [1, 0])
-    with pytest.raises(PathNotInTree, match="path vertex 2.5"):
-        p_labeling(path(6), [2.5])
-    for flag in (True, False):  # a bool is no vertex, though it is an int
-        with pytest.raises(PathNotInTree, match=f"path vertex {flag}"):
-            p_labeling(path(6), [flag, 2])
-    # the check reads a one-shot path once, and labels along the same vertices
-    assert p_labeling(path(3), iter([1, 2, 3])) == p_labeling(path(3), [1, 2, 3])
-
-
-def test_td_p_labeling_names_a_path_node_out_of_range():
-    td = tree_to_width1_td(path(4))
-    with pytest.raises(PathNotInTree, match=r"path node 99 out of node range 1\.\.4"):
-        td_p_labeling(path(4), td, HeaviestPathResult((99,), 1, Fraction(1)))
-
-
-def test_td_p_labeling_checks_the_decomposition_against_its_graph():
-    td = tree_to_width1_td(path(4))
-    with pytest.raises(NotATreeDecomposition, match="td_p_labeling: .* fails T1 at 5"):
-        td_p_labeling(path(5), td, HeaviestPathResult((1, 2), 2, Fraction(2, 5)))
-
-
-def test_td_p_labeling_names_a_step_off_the_decomposition_tree():
-    td = tree_to_width1_td(path(4))
-    with pytest.raises(PathNotInTree, match=r"\(1,3\) is not an edge of the tree"):
-        td_p_labeling(path(4), td, HeaviestPathResult((1, 3), 3, Fraction(3, 4)))
+        find_anchor(_p_labeling(path(6), [1, 2, 3, 4, 5, 6])[0], m)
 
 
 # each public entry point given a non-iterable where it reads a sequence of ids
 NOT_ITERABLE = {
     "cut_width": (lambda: cut_width(path(3), [1, 2, 3]), NotAPartition, "cut_width: 1"),
+    "cut_width parts": (lambda: cut_width(path(3), 5), NotAPartition, "cut_width: 5"),
     "KSection.from_parts": (
         lambda: KSection.from_parts(path(3), [1, [2, 3]]), NotAPartition, "KSection.from_parts: 1",
     ),
-    "induced_subgraph": (lambda: induced_subgraph(path(3), 5), KsecError, "induced_subgraph: 5"),
-    "Cut.from_black": (lambda: Cut.from_black(path(3), 5), NotAPartition, "Cut.from_black: 5"),
-    "PLabeling.from_blocks": (
-        lambda: PLabeling.from_blocks([1, 2], set()), NotAPartition, "PLabeling: 1",
+    "KSection.from_parts parts": (
+        lambda: KSection.from_parts(path(3), 5), NotAPartition, "KSection.from_parts: 5",
     ),
-    "p_labeling": (lambda: p_labeling(path(3), 3), PathNotInTree, "p_labeling: 3"),
     "dp_min_size_cut_tree": (
         lambda: dp_min_size_cut_tree(path(3), 1, outside=5), KsecError, "outside: 5",
     ),
@@ -218,12 +192,6 @@ def test_a_non_iterable_id_sequence_is_named_with_a_typed_error(name):
 
 # each public entry point given an argument of the wrong type, not a sequence of ids
 WRONG_TYPE = {
-    "PLabeling.from_blocks": (
-        lambda: PLabeling.from_blocks([[1]], 5), NotAPartition,
-        "PLabeling: marked=5 is not a set of vertex ids",
-    ),
-    "d_p": (lambda: d_p(p_labeling(path(3), [1, 2]), "x", 2), KsecError,
-            "d_p: label 'x' is not an integer"),
     "parse_gr": (lambda: parse_gr(5), KsecError, "parse_gr: 5 is not a string"),
     "parse_td": (lambda: parse_td(5), KsecError, "parse_td: 5 is not a string"),
 }
@@ -289,20 +257,9 @@ def test_the_cli_exits_4_on_a_huge_k_for_the_brute_force_oracle(tmp_path):
     assert "resource guard: k=1000000000 parts need about" in out.stderr
 
 
-@pytest.mark.parametrize(
-    "blocks, named",
-    [([[1], [1]], "vertex 2 lies in no block"),
-     ([[5]], "block vertex 5 out of vertex range 1..1"),
-     ([[True], [2]], "block vertex True out of vertex range 1..2")],
-)
-def test_plabeling_names_blocks_that_do_not_partition(blocks, named):
-    with pytest.raises(NotAPartition, match=re.escape(named)):
-        PLabeling.from_blocks(blocks, {1})
-
-
 @pytest.mark.parametrize("method", ["block", "vertex"])
 def test_plabeling_names_a_label_that_is_not_an_integer(method):
-    lab = p_labeling(path(6), [1, 2, 3])
+    lab = _p_labeling(path(6), [1, 2, 3])[0]
     with pytest.raises(KsecError, match=re.escape(f"{method}: label 0.5 is not an integer")):
         getattr(lab, method)(0.5)
 
@@ -357,6 +314,13 @@ def test_ksection_td_names_a_cluster_vertex_that_is_not_an_integer(bag, x):
 def test_cut_width_names_a_vertex_that_is_not_an_id():
     with pytest.raises(NotAPartition, match="vertex 'a' repeated or out of range"):
         cut_width(path(3), [[1, "a"], [2, 3]])
+
+
+@pytest.mark.parametrize("bad", [9, 0, -1, 2.0, "a", None, [1]])
+def test_cut_width_names_a_vertex_out_of_range(bad):
+    # named, not a bare TypeError from indexing or hashing
+    with pytest.raises(NotAPartition, match=re.escape(f"vertex {bad!r} repeated or out of range")):
+        cut_width(path(4), [[1, 2], [bad, 4]])
 
 
 @pytest.mark.parametrize("x", ["a", True])

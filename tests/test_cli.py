@@ -196,6 +196,45 @@ def path_td(n):
             + "".join(f"{i} {i+1}\n" for i in range(1, n - 1)))
 
 
+@pytest.mark.parametrize("cmd", [
+    ["tree", "--input", "{gr}", "-k", "2", "--json", "{out}"],
+    ["td", "--graph", "{gr}", "--td", "{td}", "-k", "2", "--json", "{out}"],
+    ["labeling", "--input", "{gr}", "--json", "{out}"],
+    ["bench", "random-trees", "--count", "1", "--n", "10..10", "-k", "2", "--seed", "1",
+     "--csv", "{out}"],
+    ["gen", "random_tree_maxdeg", "--n", "10", "--max-degree", "3", "--seed", "1",
+     "--out", "{out}"],
+], ids=["tree", "td", "labeling", "bench", "gen"])
+def test_an_output_path_in_a_missing_directory_exits_2_naming_it(tmp_path, capsys, cmd):
+    gr, td = tmp_path / "p4.gr", tmp_path / "p4.td"
+    gr.write_text(path_gr(4))
+    td.write_text(path_td(4))
+    out = tmp_path / "missing" / "x"
+    assert run([arg.format(gr=gr, td=td, out=out) for arg in cmd]) == 2
+    assert str(out) in capsys.readouterr().err
+
+
+# each input a command reads, with "{bad}" standing for the one it cannot open
+@pytest.mark.parametrize("cmd", [
+    ["tree", "--input", "{bad}", "-k", "2"],
+    ["td", "--graph", "{bad}", "--td", "{td}", "-k", "2"],
+    ["td", "--graph", "{gr}", "--td", "{bad}", "-k", "2"],
+    ["labeling", "--input", "{bad}"],
+    ["oracle", "minksec", "--input", "{bad}", "-k", "2"],
+    ["oracle", "mincut", "--input", "{bad}", "-m", "2"],
+    ["oracle", "mincut-td", "--graph", "{bad}", "--td", "{td}", "-m", "2"],
+    ["oracle", "mincut-td", "--graph", "{gr}", "--td", "{bad}", "-m", "2"],
+], ids=["tree", "td-graph", "td-td", "labeling", "minksec", "mincut", "mincut-td-graph",
+        "mincut-td-td"])
+def test_an_input_path_that_cannot_be_read_exits_2_naming_it(tmp_path, capsys, cmd):
+    gr, td = tmp_path / "p4.gr", tmp_path / "p4.td"
+    gr.write_text(path_gr(4))
+    td.write_text(path_td(4))
+    bad = tmp_path / "missing" / "x"
+    assert run([arg.format(gr=gr, td=td, bad=bad) for arg in cmd]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 # the DP guard: 1 MB admits the parse of a 2000-vertex path (160 kB) but not its tables
 DP_TRIPPED = "resource guard: exact-cut DP tables exceed memory guard"
 

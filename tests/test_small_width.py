@@ -77,7 +77,7 @@ def test_search_agrees_with_the_tree_dp_at_every_m(kind, seed):
             continue
         cut, width = found
         assert width == dp_width <= 2, m
-        assert len(cut.black) == m and Cut.from_black(g, cut.black).width == width
+        assert len(cut.black) == m and Cut._trusted(g, cut.black).width == width
         assert _weight(cut.black, outside) <= _weight(dp_cut.black, outside), m
 
 
@@ -91,7 +91,7 @@ def test_search_finds_the_least_width_then_weight_over_all_m_subsets(kind, seed)
     rooted = component_orders(g)
     for m in range(g.n + 1):
         best = min(
-            (Cut.from_black(g, black).width, _weight(black, outside))
+            (Cut._trusted(g, black).width, _weight(black, outside))
             for black in itertools.combinations(g.vertices(), m)
         )
         found = oracle._small_width_cut(g, m, rooted, outside)
@@ -217,5 +217,5 @@ def test_the_width_2_work_cap_sends_a_width_2_cut_to_the_tree_dp(monkeypatch):
     assert g.n == 2989 and not _under_caps(g, m)
     calls = _count_calls(monkeypatch)
     cut, width = oracle.dp_min_size_cut_tree(g, m)
-    assert width == 2 == Cut.from_black(g, cut.black).width and len(cut.black) == m
+    assert width == 2 == Cut._trusted(g, cut.black).width and len(cut.black) == m
     assert calls["dp"] == [m]

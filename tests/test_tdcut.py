@@ -11,15 +11,14 @@ from ksec import bounds, tdcut
 from ksec.errors import MOutOfRange, RedundantDecomposition
 from ksec.graph import max_degree
 from ksec.instances import Xorshift64Star, random_partial_ktree, random_tree_maxdeg
-from ksec.labeling import cyclic, d_p, find_anchor
+from ksec.labeling import PLabeling, cyclic, find_anchor
 from ksec.oracle import dp_min_size_cut_td, dp_min_size_cut_tree
-from ksec.tdcut import approximate_cut_td, r_preserving_cut, td_p_labeling
+from ksec.tdcut import approximate_cut_td, r_preserving_cut
 from ksec.treedec import (
     TreeDecomposition,
     heaviest_path,
     induced,
     make_nonredundant,
-    tree_to_width1_td,
     validation_errors,
 )
 
@@ -33,7 +32,7 @@ def p4_with_td():
 def labeled(g, td):
     td0 = make_nonredundant(td)
     hp = heaviest_path(td0, g.n)
-    return td0, hp, td_p_labeling(g, td0, hp)
+    return td0, hp, PLabeling._trusted(*tdcut._td_blocks(td0, hp.path, g.n))
 
 
 def blocks_of(lab):
@@ -72,7 +71,7 @@ def test_td_labeling_rejects_redundant():
     td = TreeDecomposition([{1, 2}, {2}, {2, 3}], [(1, 2), (2, 3)])
     hp = heaviest_path(td, 3)
     with pytest.raises(RedundantDecomposition):
-        td_p_labeling(g, td, hp)
+        PLabeling._trusted(*tdcut._td_blocks(td, hp.path, g.n))
 
 
 def test_td_labeling_invariants_random():
@@ -130,10 +129,10 @@ def test_d_r_examples_and_naive_scan():
     """d_R is d_P of the decomposition labeling, whose marked set is R."""
     g, td = p4_with_td()
     _, _, lab = labeled(g, td)
-    assert d_p(lab, 2, 2) == 0
+    assert oracles._d_p(lab, 2, 2) == 0
     for x in range(1, 5):
         for y in range(1, 5):
-            assert d_p(lab, x, y) == (y - x) % 4  # R = V: cyclic distance
+            assert oracles._d_p(lab, x, y) == (y - x) % 4  # R = V: cyclic distance
 
     rng = Xorshift64Star(4096)
     for _ in range(25):
@@ -142,7 +141,7 @@ def test_d_r_examples_and_naive_scan():
         r_labels = r_labels_of(g, td0, hp, lab)
         for _ in range(20):
             x, y = rng.randint(1, g.n), rng.randint(1, g.n)
-            assert d_p(lab, x, y) == oracles.naive_cyclic_count(r_labels, g.n, x, y)
+            assert oracles._d_p(lab, x, y) == oracles.naive_cyclic_count(r_labels, g.n, x, y)
 
 
 def test_find_anchor_td_matches_definition():
@@ -155,7 +154,7 @@ def test_find_anchor_td_matches_definition():
         v = find_anchor(lab, m)
         r_labels = r_labels_of(g, td0, hp, lab)
         target = (len(r_labels) * m) // g.n
-        assert d_p(lab, v, v + m) == target
+        assert oracles._d_p(lab, v, v + m) == target
         assert v in r_labels or cyclic(v + m, g.n) in r_labels
         for u in range(1, v):
             um = (u + m - 1) % g.n + 1
@@ -171,7 +170,7 @@ def check_approx_td(g, td, cut, m):
 
 def test_approximate_cut_td_tree_width1():
     g = random_tree_maxdeg(20, 4, Xorshift64Star(5))
-    td = tree_to_width1_td(g)
+    td = oracles.tree_to_width1_td(g)
     cut = approximate_cut_td(g, td, 4)
     check_approx_td(g, td, cut, 4)
     assert cut.width <= 2 * max_degree(g)
@@ -229,7 +228,7 @@ def test_exact_cut_bounded_td_bound_specializations():
 def test_exact_cut_bounded_td_cross_checks():
     rng = Xorshift64Star(777)
     g = random_tree_maxdeg(14, 4, rng)
-    td = tree_to_width1_td(g)
+    td = oracles.tree_to_width1_td(g)
     for m in range(1, g.n + 1):
         assert dp_min_size_cut_td(g, td, m)[0].width == dp_min_size_cut_tree(g, m)[1]
 
@@ -261,7 +260,7 @@ def test_r_preserving_cut_tree_width1():
     rng = Xorshift64Star(98765)
     for _ in range(25):
         g = random_tree_maxdeg(rng.randint(4, 30), 5, rng)
-        td = tree_to_width1_td(g)
+        td = oracles.tree_to_width1_td(g)
         m = rng.randint(1, g.n - 1)
         cut, trace = r_preserving_cut(g, td, m)
         assert len(cut.black) == m
@@ -314,7 +313,7 @@ def test_r_preserving_cut_degenerate_decompositions():
 
     star = star_graph(24)
     for m in (1, 11, 23):
-        cut, trace = r_preserving_cut(star, tree_to_width1_td(star), m)
+        cut, trace = r_preserving_cut(star, oracles.tree_to_width1_td(star), m)
         assert len(cut.black) == m
         assert r_after_cut(star, trace.normalized_td, cut.white) >= trace.r
 

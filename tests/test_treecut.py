@@ -10,11 +10,11 @@ from ksec import bounds, oracle
 from ksec.errors import MOutOfRange
 from ksec.graph import (
     Graph,
+    _forest_summary,
     boundary_width,
     component_orders,
     forest_summary,
     induced_sorted,
-    induced_subgraph,
     max_degree,
 )
 from ksec.instances import (
@@ -55,7 +55,7 @@ def test_approximate_cut_max_m_takes_everything_but_v():
         m = 2 * g.n - 2
         cut = approximate_cut(g, v, m)
         assert cut.black == frozenset(set(g.vertices()) - {v})
-        assert cut.width == g.degree(v)
+        assert cut.width == len(g.adj[v])
 
 
 def test_approximate_cut_m_out_of_range():
@@ -99,7 +99,8 @@ def test_the_subtree_cut_is_the_approximate_cut_of_t_z_induced():
                 continue
             seen += 1
             members = trace.b_z | trace.w_z
-            sub, old_of = induced_subgraph(g, members)
+            old_of = sorted(members)
+            sub = induced_sorted(g, old_of)
             local = oracles.approximate_black(sub, old_of.index(trace.z) + 1, trace.m_tilde)
             assert trace.b_z == {old_of[u - 1] for u in local}
     assert seen > 1000
@@ -141,7 +142,7 @@ def check_diam_cut(g, m, cut):
     d = diam_star(g)
     delta = max_degree(g)
     assert len(cut.black) == m
-    rest, _ = induced_subgraph(g, sorted(cut.white))
+    rest = induced_sorted(g, sorted(cut.white))
     assert diam_star(rest) >= d
     assert cut.width <= bounds.tree_cut_bound(d, delta)
     if delta:
@@ -160,7 +161,7 @@ def test_diameter_preserving_cut_path():
     assert cut.black == frozenset(chain(g)[:3])
     assert cut.width <= 1
     check_diam_cut(g, 3, cut)
-    rest, _ = induced_subgraph(g, sorted(cut.white))
+    rest = induced_sorted(g, sorted(cut.white))
     assert diam_star(rest) == 1
 
 
@@ -172,7 +173,7 @@ def test_diameter_preserving_cut_two_paths():
         assert cut.black == frozenset(chain(g)[:m])
         assert cut.width <= 2
         check_diam_cut(g, m, cut)
-        rest, _ = induced_subgraph(g, sorted(cut.white))
+        rest = induced_sorted(g, sorted(cut.white))
         assert diam_star(rest) == 1
     # a forest of paths lies wholly on its chain: every cut is the chain's prefix
     rng = Xorshift64Star(2024)
@@ -223,9 +224,7 @@ def test_case2b_and_3_internal_assertions():
             assert trace.outer_width <= 2 * max_degree(g)
         if trace.case_tag == "Case2b":
             # the inner graph splits: the approximate cut side is detached
-            from ksec.graph import induced_subgraph as sub
-
-            inner, _ = sub(g, sorted(trace.v_tilde))
+            inner = induced_sorted(g, sorted(trace.v_tilde))
             # inside the *linked* tree this has >= 2 components; in the
             # original forest it can only split further
             assert len(forest_summary(inner)) >= 2
@@ -282,7 +281,7 @@ def test_the_inner_cut_sees_the_linked_trees_share_of_v_tilde(seed, sparse):
         live = sorted(rng.sample(live, rng.randint(2, g.n)))
         alive = set(live)
         g = Graph(g.n, [e for e in g.edges if alive.issuperset(e)])
-    comps = forest_summary(g, live)
+    comps = _forest_summary(g, live)
     m = rng.randint(1, len(live) - 1)
     calls, dp = [], oracle.dp_min_size_cut_tree
 

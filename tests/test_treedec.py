@@ -19,7 +19,6 @@ from ksec.treedec import (
     occurrences,
     parse_td,
     require_decomposition,
-    tree_to_width1_td,
     validation_errors,
     write_td,
 )
@@ -340,7 +339,7 @@ def test_width1_td_of_tree_reaches_diameter_weight():
     rng = Xorshift64Star(31337)
     for _ in range(50):
         tree = random_tree_maxdeg(rng.randint(2, 40), 5, rng)
-        td = tree_to_width1_td(tree)
+        td = oracles.tree_to_width1_td(tree)
         assert not validation_errors(td, tree)
         assert td.width <= 1
         r = heaviest_path(td, tree.n).relative_weight
