@@ -9,8 +9,10 @@ decomposition induced on the live ids (its relative heaviest-path weight
 never drops).  The floor is checked on the same summary that the next
 cut receives.  Both are peeled in place, in the input's ids: each round
 deletes the part's edges from a private copy of the adjacency and
-summarizes the ids left, so no remainder is induced or relabeled; only
-each cut's inner set Ṽ is, for its exact DP.  Each run returns the
+summarizes the ids left, so no remainder is induced or relabeled.  A
+decomposition cut relabels its inner set Ṽ for its exact DP; a tree cut
+takes its exact inner cut, the small-width search's or the tree DP's,
+in the input's ids and induces nothing.  Each run returns the
 section together with a ``BoundReport`` evaluating every applicable
 width guarantee; the guarantees are re-checked here and a violation
 raises ``InvariantViolation`` (CLI exit 3) because it can only mean a

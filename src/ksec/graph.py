@@ -19,8 +19,8 @@ is reserved for failed postconditions, i.e. bugs.
 
 Derived graphs skip validation by construction.  ``Graph(n, edges)`` is
 the one public, checked constructor.  Every graph the pipelines derive
-from a checked one (an inner vertex set Ṽ and its links, a subgraph
-with a cluster's edges removed, a peel's remainder) is built by
+from a checked one (a subgraph with a cluster's edges removed, a
+peel's remainder) is built by
 ``Graph._trusted`` straight from adjacency tuples, which are sorted
 because each builder keeps them so.  Such a graph builds its ``edges`` frozenset on first use.  Two
 threads that race on that first use build equal sets, and one of them

@@ -6,7 +6,10 @@ subset sums over whole components, and subtree sizes looked up by count
 and by bisection over the preorder.  It returns an optimum whenever the
 optimum is at most 2, in O(n log n) time for a forest of few components,
 and gives up otherwise; only then does the tree DP (``_dp_cut_tree``) run.
-One BFS sweep (``component_orders``) roots the forest for both.
+One BFS sweep (``component_orders``) roots the forest for both.  Both
+take any ids: the tree cut hands over its inner set Ṽ in the forest's
+ids, rooted over the forest's adjacency (``_InnerForest``), so neither
+route relabels it.
 
 The DP is one min-plus DP over a rooted tree, run over the vertices of a
 forest under a virtual root 0 (``_dp_cut_tree``) or over the nodes of a
@@ -46,7 +49,8 @@ exceed it.
 from __future__ import annotations
 
 import functools
-from itertools import accumulate, combinations
+from dataclasses import dataclass
+from itertools import accumulate, chain, combinations
 from math import comb
 from typing import Sequence
 
@@ -287,10 +291,11 @@ class _Tables:
         """Color all of node i's subtree when ``c`` leaves it one coloring; True if it did."""
         return False
 
-    def cut(self, g: Graph, m: int) -> tuple[Cut, int]:
-        """Fill the tables and trace a minimum-width cut of ``g`` with |B| = m.
+    def cut(self, adj: Sequence[Sequence[int]], m: int) -> tuple[list[int], int]:
+        """Fill the tables and trace a minimum-width cut with |B| = m: (B, width).
 
         The root's state is the first one of least width at count m.
+        ``adj`` holds the graph's edges, for the post-check.
         """
         root = self.run()
         col = m - self.band(self.order[0], -1)[0]
@@ -300,10 +305,21 @@ class _Tables:
         width = int(root[state, col])
         color: dict[int, int] = {}
         self.trace(state, m, color)
-        cut = Cut._trusted(g, {v for v, s in color.items() if s == 1})
-        if len(cut.black) != m or cut.width != width:
-            raise InvariantViolation("exact-cut DP reconstruction mismatch")
-        return cut, width
+        black = [v for v, s in color.items() if s == 1]
+        _check_cut(adj, black, [v for v, s in color.items() if s == 0], m, width, "exact-cut DP")
+        return black, width
+
+
+def _check_cut(adj, black: list[int], white: list[int], m: int, width: int, what: str) -> None:
+    """Raise ``InvariantViolation`` unless |B| = m and ``width`` edges of ``adj`` join the sides.
+
+    The edges are counted from the smaller side, so an edge of ``adj``
+    to a vertex on neither side does not count.
+    """
+    small, big = (black, white) if len(black) <= len(white) else (white, black)
+    crossing = sum(map(set(big).__contains__, chain.from_iterable(map(adj.__getitem__, small))))
+    if len(black) != m or crossing != width:
+        raise InvariantViolation(f"{what} built a cut of the wrong size or width")
 
 
 # --- Trees ------------------------------------------------------------------
@@ -336,14 +352,14 @@ class _TreeTables(_Tables):
     leaf shares it as its table.  ``size`` holds the subtree sizes, and
     ``cover`` the per-accumulation covers of the vertices ``accumulate``
     merges.  ``orders`` are the components' BFS orders and ``parent`` the
-    parents of the sweep that found them.
+    parents of the sweep that found them; the forest is the vertices of
+    ``orders``, in any ids, and the edges of ``adj`` between them.
     """
 
-    def __init__(self, g: Graph, orders: list[list[int]], parent: list[int], m: int, kept: _Kept):
-        self.m, self.n = m, g.n
+    def __init__(self, adj, orders: list[list[int]], parent: Sequence[int], m: int, kept: _Kept):
         self.kept = kept
         self.order = [0, *(v for order in orders for v in order)]
-        adj = g.adj
+        self.m, self.n = m, len(self.order) - 1
         self.children = {v: [w for w in adj[v] if parent[w] == v] for v in self.order[1:]}
         self.children[0] = [order[0] for order in orders]
         self.size = dict.fromkeys(self.order, 1)
@@ -351,7 +367,7 @@ class _TreeTables(_Tables):
         for v in reversed(self.order[1:]):
             self.size[parent[v]] += self.size[v]
         self.cover: dict[int, list[int]] = {}
-        lo, hi = _band(1, m, g.n)
+        lo, hi = _band(1, m, self.n)
         c = np.arange(lo, hi + 1)
         self.leaf = np.array([np.where(c == 0, 0, INF), np.where(c == 1, 0, INF)], dtype=np.int32)
 
@@ -417,9 +433,26 @@ class _TreeTables(_Tables):
         return True
 
 
+@dataclass(frozen=True)
+class _InnerForest:
+    """A forest that lies in a larger adjacency, rooted and weighed by its builder.
+
+    The tree cut's G[Ṽ] of the linked tree, in the forest's own ids: the
+    forest is the ``n`` vertices that ``rooted`` reaches and the edges of
+    ``adj`` between them.  ``rooted`` and ``outside`` are as
+    ``_small_width_cut`` takes them: the BFS rooting over the ids of
+    ``adj``, and the nonzero weights by vertex.
+    """
+
+    adj: Sequence[Sequence[int]]
+    n: int
+    rooted: tuple[list[list[int]], Sequence[int]]
+    outside: dict[int, int]
+
+
 def dp_min_size_cut_tree(
-    forest: Graph, m: int, *, outside: Sequence[int] | None = None
-) -> tuple[Cut, int]:
+    forest: Graph | _InnerForest, m: int, *, outside: Sequence[int] | None = None
+) -> tuple[Cut, int] | tuple[list[int], int]:
     """Exact minimum-width cut with |B| = m in a forest of n vertices.
 
     The small-width search (``_small_width_cut``) answers every cut of
@@ -438,19 +471,33 @@ def dp_min_size_cut_tree(
     the graph is a forest, so a caller that knows it has one pays no
     second check; only a graph with a cycle goes through
     ``require_forest``, which names an edge on it.
+
+    The tree cut hands over its inner set instead, as an ``_InnerForest``
+    it has rooted and weighed in the forest's ids; that is trusted, runs
+    the same two routes, and gets back its black vertices as a list.
     """
+    if isinstance(forest, _InnerForest):
+        return _exact_cut(forest.adj, m, forest.rooted, forest.outside)
     n = forest.n
     if not is_int(m) or not (0 <= m <= n):
         raise MOutOfRange(f"m={m!r} not in 0..{n}")
+    weights = None
     if outside is not None:
         outside = read_ids(outside, KsecError, "outside")
         _check_outside(outside, n)
+        weights = {v: w for v, w in enumerate(outside) if v and w}
     mem_limit_bytes()  # a malformed guard is named on every call, not only where the DP runs
     rooted = component_orders(forest)
     if forest.num_edges != n - len(rooted[0]):
         require_forest(forest, "dp_min_size_cut_tree")  # a cycle: raises NotAForest naming an edge
-    found = _small_width_cut(forest, m, rooted, outside)
-    return found if found is not None else _dp_cut_tree(forest, m, rooted)
+    black, width = _exact_cut(forest.adj, m, rooted, weights)
+    return Cut._trusted(forest, black), width
+
+
+def _exact_cut(adj, m: int, rooted, outside: dict[int, int] | None) -> tuple[list[int], int]:
+    """(B, width): the small-width search's cut, or the tree DP's where the search gives up."""
+    found = _small_width_cut(adj, m, rooted, outside)
+    return found if found is not None else _dp_cut_tree(adj, m, rooted)
 
 
 def _check_outside(outside: Sequence[int], n: int) -> None:
@@ -463,21 +510,21 @@ def _check_outside(outside: Sequence[int], n: int) -> None:
 
 
 def _dp_cut_tree(
-    forest: Graph, m: int, rooted: tuple[list[list[int]], list[int]]
-) -> tuple[Cut, int]:
-    """The tree DP: an exact minimum-width cut with |B| = m, of any width, in a forest.
+    adj: Sequence[Sequence[int]], m: int, rooted: tuple[list[list[int]], Sequence[int]]
+) -> tuple[list[int], int]:
+    """The tree DP: (B, width) of an exact minimum-width cut with |B| = m, of any width.
 
-    The forest is one tree under a virtual root.  Time and kept memory are
+    The forest, its ids and ``rooted`` are as ``_small_width_cut`` takes
+    them, and the DP runs it as one tree under a virtual root.  Time and kept memory are
     O(n * min(m, n - m)): a table over s vertices keeps only the black
     counts max(0, s - (n - m))..min(s, m) a cut can give them, and
     identical unordered subtrees, in one component or in several, share
     one table, built with one merge per child.  Only the tables stay,
     plus the virtual root's accumulations; the trace recomputes the
-    followed row of each vertex it splits.  ``rooted`` is
-    ``component_orders(forest)``: the components' BFS orders and parents.
+    followed row of each vertex it splits.
     """
     kept = _Kept(mem_limit_bytes())
-    return _TreeTables(forest, *rooted, m, kept).cut(forest, m)
+    return _TreeTables(adj, *rooted, m, kept).cut(adj, m)
 
 
 # --- Small-width search -----------------------------------------------------
@@ -499,24 +546,24 @@ class _Component:
     """One component of the forest in the small-width search, rooted at its smallest id.
 
     Its vertices take the preorder positions base..base + c - 1, and the
-    subtree of a vertex v is the run of ``size[v]`` positions from
-    ``tin[v]``.  Cutting the edge above each vertex of a set E and giving
-    the root color s colors a vertex by s plus the number of vertices of E
-    on its root path, mod 2: the black part is the symmetric difference
-    of their subtrees, or its complement when s is black.  ``total`` is
-    the component's weight; ``verts`` are its vertices but the root, with
-    their preorder positions from ``base`` (``pos``), subtree sizes
-    (``sz``) and subtree weights (``ow``).
+    subtree of the vertex at position p is the run of ``size[p]``
+    positions from p.  Cutting the edge above each vertex of a set E and
+    giving the root color s colors a vertex by s plus the number of
+    vertices of E on its root path, mod 2: the black part is the
+    symmetric difference of their subtrees, or its complement when s is
+    black.  ``total`` is the component's weight; ``verts`` are its
+    vertices but the root, with their preorder positions from ``base``
+    (``pos``), subtree sizes (``sz``) and subtree weights (``ow``).
     """
 
-    def __init__(self, search: "_Search", root: int):
-        self.s = search
-        self.base, self.c = int(search.tin[root]), int(search.size[root])
-        self.total = int(search.osub[root])
-        self.verts = search.pre[self.base + 1 : self.base + self.c]  # all but the root
-        self.pos = search.tin[self.verts] - self.base
-        self.sz = search.size[self.verts]
-        self.ow = search.osub[self.verts]
+    def __init__(self, search: "_Search", base: int, c: int):
+        self.base, self.c = base, c
+        self.total = int(search.osub[base])
+        rest = slice(base + 1, base + c)  # all but the root
+        self.verts = search.pre[rest]
+        self.pos = np.arange(1, c)
+        self.sz = search.size[rest]
+        self.ow = search.osub[rest]
         self._one = self._two = None
 
     def one(self) -> tuple[np.ndarray, ...]:
@@ -541,9 +588,11 @@ class _Component:
     def _pairs(self):
         """Non-root vertices sorted by (size, position), and the best-weight ranks of runs.
 
-        For each sorted position: the best rank, by least weight then
-        least id (``lo``) or by most weight then least id (``hi``), over
-        the run of equal sizes up to it and from it on.
+        Returns the sorted keys, sizes, positions, vertices and subtree
+        weights, and for each sorted position the best rank, by least
+        weight then least id (``lo``) or by most weight then least id
+        (``hi``), over the run of equal sizes up to it and from it on,
+        with the vertices and subtree weights in rank order.
         """
         if self._two is None:
             sz, ow, v, pos = self.sz, self.ow, self.verts, self.pos
@@ -559,8 +608,8 @@ class _Component:
                 # offsets that fall with the size keep a running minimum inside its run
                 pre = np.minimum.accumulate((self.c - ksz) * nv + r) - (self.c - ksz) * nv
                 suf = np.minimum.accumulate((ksz * nv + r)[::-1])[::-1] - ksz * nv
-                runs[name] = (pre, suf, v[rank_order])
-            self._two = (key[order], ksz, pos[order], v[order], runs)
+                runs[name] = (pre, suf, v[rank_order], ow[rank_order])
+            self._two = (key[order], ksz, pos[order], v[order], ow[order], runs)
         return self._two
 
     def two(self, x: int, side: int) -> tuple[int, int, int] | None:
@@ -571,10 +620,10 @@ class _Component:
         and its complement is for 1.  Returns the least (weight of the
         black part, smaller id, larger id), or None.
         """
-        keys, ksz, kpos, kv, runs = self._pairs()
+        keys, ksz, kpos, kv, kow, runs = self._pairs()
         if not len(keys):
             return None
-        osub, K = self.s.osub, self.c + 1
+        K = self.c + 1
         sz, ow, v, pos = self.sz, self.ow, self.verts, self.pos
         last = len(keys) - 1
         # nested: the one vertex a of size sz + x whose subtree holds b = v
@@ -583,7 +632,7 @@ class _Component:
         ec = np.maximum(e, 0)
         ok = (e >= 0) & (ksz[ec] == u) & (kpos[ec] + u > pos)
         a_n, b_n = kv[ec[ok]], v[ok]
-        w_n = osub[a_n] - osub[b_n]
+        w_n = kow[ec[ok]] - ow[ok]
         # disjoint: for a = v, the best b of size x - sz before or after T_a, not above a
         u = x - sz
         start = np.searchsorted(keys, u * K)
@@ -592,7 +641,7 @@ class _Component:
         above = (before > start) & (kpos[np.maximum(before - 1, 0)] + u > pos)
         before -= above
         after = np.searchsorted(keys, u * K + pos + sz)
-        pre, suf, by_rank = runs["lo" if side == 0 else "hi"]
+        pre, suf, by_rank, ow_by_rank = runs["lo" if side == 0 else "hi"]
         big = len(keys)
         rank = np.minimum(
             np.where(before > start, pre[np.clip(before - 1, 0, last)], big),
@@ -600,7 +649,7 @@ class _Component:
         )
         ok = (u >= 1) & (rank < big)
         a_d, b_d = v[ok], by_rank[rank[ok]]
-        w_d = ow[ok] + osub[b_d]
+        w_d = ow[ok] + ow_by_rank[rank[ok]]
         a, b, w = (np.concatenate(p) for p in ((a_n, a_d), (b_n, b_d), (w_n, w_d)))
         if not len(w):
             return None
@@ -615,35 +664,45 @@ class _Search:
     """The forest in preorder, for ``_small_width_cut``.
 
     The components keep their order (ascending smallest id) and occupy
-    consecutive preorder positions; ``pre`` lists the vertices by
-    position, ``tin`` and ``size`` give each vertex's position and
-    subtree size, and ``osub`` its subtree's weight.  ``mask_size`` and
-    ``mask_weight`` give the vertex count and weight of each set of
-    whole components, as a bit mask.
+    consecutive preorder positions.  The arrays run over the positions:
+    ``pre`` lists the vertices, ``size`` their subtree sizes and ``osub``
+    their subtrees' weights.  A vertex v has the index ``index_of[v]`` in
+    the BFS orders, laid end to end, and the position ``tin`` at that
+    index; only ``index_of`` spans the id range of the adjacency the
+    forest lies in.  ``mask_size`` and ``mask_weight`` give the vertex
+    count and weight of each set of whole components, as a bit mask.
     """
 
-    def __init__(self, forest: Graph, orders: list[list[int]], parent: list[int], outside):
-        n = forest.n
-        flat = [v for order in orders for v in order]
+    def __init__(self, orders: list[list[int]], parent: Sequence[int], outside: dict | None):
+        flat = list(chain.from_iterable(orders))
+        n = len(flat)
+        starts = list(accumulate(map(len, orders), initial=0))
+        ids = np.array(flat, dtype=np.int64)
+        self.index_of = np.empty(len(parent), dtype=np.int64)
+        self.index_of[ids] = np.arange(n)
+        up = self.index_of[np.fromiter(map(parent.__getitem__, flat), np.int64, n)]
+        up[starts[:-1]] = n  # the roots hang below n, so the components take consecutive runs
+        up = up.tolist()  # up[i]: the index of the parent of the vertex at index i
         size = [1] * (n + 1)
-        for v in reversed(flat):
-            size[parent[v]] += size[v]
-        # the roots hang below 0, so the components take consecutive runs of positions
+        for i in range(n - 1, -1, -1):
+            size[up[i]] += size[i]
         tin, nxt = [0] * (n + 1), [0] * (n + 1)
-        for v in flat:
-            p = parent[v]
-            t = tin[v] = nxt[p]
-            nxt[p] = t + size[v]
-            nxt[v] = t + 1
-        self.size, self.tin = np.array(size, dtype=np.int64), np.array(tin, dtype=np.int64)
+        for i, p in enumerate(up):
+            t = tin[i] = nxt[p]
+            nxt[p] = t + size[i]
+            nxt[i] = t + 1
+        self.tin = np.array(tin[:n], dtype=np.int64)
         self.pre = np.empty(n, dtype=np.int64)
-        self.pre[self.tin[1:]] = np.arange(1, n + 1)
-        self.osub = np.zeros(n + 1, dtype=np.int64)
-        if outside is not None:
-            w = np.zeros(n + 1, dtype=np.int64)  # w[p]: the weight of positions 0..p - 1
-            np.cumsum(np.asarray(outside, dtype=np.int64)[self.pre], out=w[1:])
-            self.osub[1:] = w[self.tin[1:] + self.size[1:]] - w[self.tin[1:]]
-        self.comps = [_Component(self, order[0]) for order in orders]
+        self.pre[self.tin] = ids
+        self.size = np.empty(n, dtype=np.int64)
+        self.size[self.tin] = size[:n]
+        w = np.zeros(n + 1, dtype=np.int64)  # after the cumsum, w[p]: the weight of positions 0..p - 1
+        if outside:
+            heavy = np.fromiter(outside, np.int64, len(outside))
+            w[self.tin[self.index_of[heavy]] + 1] = np.fromiter(outside.values(), np.int64, len(heavy))
+            np.cumsum(w, out=w)
+        self.osub = w[self.size + np.arange(n)] - w[:n]
+        self.comps = [_Component(self, base, len(order)) for base, order in zip(starts, orders)]
         r = len(self.comps)
         self.mask_size, self.mask_weight = [0] * (1 << r), [0] * (1 << r)
         for mask in range(1, 1 << r):
@@ -731,17 +790,19 @@ class _Search:
             colors = _recolor(_recolor(colors, j1, int(s1[i1[k]])), j2, int(s2[i2[k]]))
             yield mw + int(w[k]), (int(lo[k]), int(hi[k])), colors
 
-    def black(self, cuts: tuple[int, ...], colors: tuple[int, ...]) -> list[int]:
-        """The black set with the edges above ``cuts`` cut and the given root colors."""
+    def sides(self, cuts: tuple[int, ...], colors: tuple[int, ...]) -> tuple[list, list]:
+        """The black and white vertices with the edges above ``cuts`` cut and the given root colors."""
         flip = np.zeros(len(self.pre) + 1, dtype=np.int8)
         for v in cuts:
-            flip[self.tin[v]] ^= 1
-            flip[self.tin[v] + self.size[v]] ^= 1
+            t = self.tin[self.index_of[v]]
+            flip[t] ^= 1
+            flip[t + self.size[t]] ^= 1
         for comp, s in zip(self.comps, colors):
             if s:
                 flip[comp.base] ^= 1
                 flip[comp.base + comp.c] ^= 1
-        return self.pre[np.flatnonzero(np.bitwise_xor.accumulate(flip[:-1]))].tolist()
+        black = np.bitwise_xor.accumulate(flip[:-1]).astype(bool)
+        return self.pre[black].tolist(), self.pre[~black].tolist()
 
 
 def _recolor(colors: tuple[int, ...], j: int, s: int) -> tuple[int, ...]:
@@ -749,12 +810,21 @@ def _recolor(colors: tuple[int, ...], j: int, s: int) -> tuple[int, ...]:
 
 
 def _small_width_cut(
-    forest: Graph,
+    adj: Sequence[Sequence[int]],
     m: int,
-    rooted: tuple[list[list[int]], list[int]],
-    outside: Sequence[int] | None = None,
-) -> tuple[Cut, int] | None:
-    """A minimum-width cut with |B| = m if its width is at most 2, else None.
+    rooted: tuple[list[list[int]], Sequence[int]],
+    outside: dict[int, int] | None = None,
+) -> tuple[list[int], int] | None:
+    """A minimum-width black set of m vertices and its width, if that is at most 2, else None.
+
+    The forest is the vertices ``rooted`` reaches, in any ids, and the
+    edges of ``adj`` between them.  ``rooted`` is its BFS rooting: the
+    components' orders, each from its smallest id, ascending by that id,
+    and the parents (0 at a root), over the ids of ``adj``; every edge of
+    the forest joins a vertex to its parent.  ``dp_min_size_cut_tree``
+    hands it ``component_orders(forest)`` for a graph, and an
+    ``_InnerForest``'s rooting for the tree cut's inner set Ṽ, rooted over
+    the forest's own adjacency, so nothing is relabeled.
 
     Exhaustive per width: it returns width w only after it has ruled out
     every smaller width, so the cut is an optimum.  A cut of width w
@@ -768,25 +838,26 @@ def _small_width_cut(
     None beyond SEARCH_COMPONENTS components, and before a width-2 stage
     that would scan more than SEARCH_WORK * n vertices.
 
-    Among the cuts of least width, it returns the one of least weight
-    (``outside``, as in ``dp_min_size_cut_tree``), then the one whose cut
-    edges hang above the smaller ids (compared as sorted tuples), then
-    by the components' root colors in component order, white first.
-    ``rooted`` is ``component_orders(forest)``, as for ``_dp_cut_tree``.
+    Among the cuts of least width, it returns the one of least weight,
+    ``outside`` giving a vertex's weight (0 where it has none), then the
+    one whose cut edges hang above the smaller ids (compared as sorted
+    tuples), then by the components' root colors in component order,
+    white first.  The black set it returns has m vertices and that many
+    edges of ``adj`` to the forest's other vertices, or it raises
+    ``InvariantViolation``.
     """
     orders, parent = rooted
     if len(orders) > SEARCH_COMPONENTS:
         return None
-    search = _Search(forest, orders, parent, outside)
+    search = _Search(orders, parent, outside)
     for width, stage in enumerate((search.width_0, search.width_1, search.width_2)):
         best = min(stage(m), default=None)
         if best is None:
             continue
         _, cuts, colors = best
-        cut = Cut._trusted(forest, search.black(cuts, colors))
-        if len(cut.black) != m or cut.width != width:
-            raise InvariantViolation("small-width search built a cut of the wrong size or width")
-        return cut, width
+        black, white = search.sides(cuts, colors)
+        _check_cut(adj, black, white, m, width, "small-width search")
+        return black, width
     return None
 
 
@@ -972,7 +1043,8 @@ def dp_min_size_cut_td(
     if td.width > max_width:
         raise WidthTooLarge(f"decomposition width {td.width} exceeds limit {max_width}")
     homes = require_decomposition(td, g, "dp_min_size_cut_td")
-    return _TDTables(homes, td, m, _Kept(mem_limit_bytes())).cut(g, m)
+    black, width = _TDTables(homes, td, m, _Kept(mem_limit_bytes())).cut(g.adj, m)
+    return Cut._trusted(g, black), width
 
 
 # --- Brute force ------------------------------------------------------------

@@ -259,7 +259,9 @@ def r_preserving_cut(
     inner_cut, inner_width = oracle.dp_min_size_cut_td(g_tilde, glued_small, m)
     black = {old for old, i in new_of.items() if i in inner_cut.black}
     outer = boundary_width(g, v_tilde)
-    if outer > 3 * t * max_degree(g):
+    # Ṽ's degrees are at most Δ, so testing them first leaves the predicate as it is
+    gadj = g.adj
+    if outer > 3 * t * max([len(gadj[v]) for v in v_tilde]) and outer > 3 * t * max_degree(g):
         raise InvariantViolation(f"{case}: outer cut exceeds 3tΔ")
     return Cut._trusted(g, black, live), RCutTrace(
         case_tag=case,

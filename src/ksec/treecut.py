@@ -16,15 +16,17 @@ whose summary may leave isolated ids out (the tree peel's remainders),
 and cuts the subtree T_z, its block read in reverse, with the sweep's
 parents.  Every link joins two path vertices, which no sweep and no T_z
 crosses, so the linked tree itself is never built: only its share in
-the inner vertex set Ṽ, induced for the exact cut, and its edges
-leaving Ṽ, for the outer width.
+the inner vertex set Ṽ, the links inside Ṽ added to a copy of the
+forest's adjacency list, and its edges leaving Ṽ, for the outer width.
 Its inner exact-size cut is ``oracle.dp_min_size_cut_tree``, whose
 optimum meets the relative-diameter guarantees since cuts within them
-exist.
-That cut is found by a search over the cuts of at most 2 edges; the
-tree DP runs only where the optimum is wider.  The search answers every
-inner cut of the adversarial family and of the random trees at the
-seeds ``tests/test_small_width.py`` samples, but not every random tree:
+exist.  It takes G[Ṽ] in the forest's ids, rooted by one BFS over that
+copy with the ids outside Ṽ marked as reached, so Ṽ is never induced
+or relabeled.  Its search finds every cut of at most 2 edges; only
+where the optimum is wider does the tree DP run, on the same rooting.
+The search answers every inner cut of the adversarial family and of
+the random trees at the seeds ``tests/test_small_width.py`` samples,
+but not every random tree:
 one inner cut of ``random_tree_maxdeg(8000, 6, Xorshift64Star(2))`` at
 k = 16 has optimum 3.  Among the optimal inner cuts it takes one with
 the fewest forest edges from the black side to the vertices outside Ṽ,
@@ -37,9 +39,10 @@ decomposition tree, where a node carries the vertices it tops.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
 
 from . import oracle
 from .errors import InvariantViolation, KsecError, MOutOfRange, NotAPartition
@@ -48,7 +51,6 @@ from .graph import (
     Graph,
     TreeSummary,
     bfs_tree,
-    induced_sorted,
     is_int,
     max_degree,
     require_forest,
@@ -177,9 +179,10 @@ def diameter_preserving_cut(
     labeling runs along the chain of the components' longest paths, a
     longest path of the linked tree; a forest of paths lies wholly on it,
     so its cut is the chain's first m vertices (``Case1``).  Of the
-    linked tree only Ṽ's share is built: G[Ṽ], the forest's plus the
-    links inside Ṽ, and the outer width, the forest's edges leaving Ṽ
-    plus the links with one end in it.
+    linked tree only Ṽ's share is built (``_inner_cut``): G[Ṽ], the
+    forest's edges plus the links inside Ṽ, in the forest's ids, and the
+    outer width, the forest's edges leaving Ṽ plus the links with one end
+    in it.  Ṽ is never induced.
 
     ``comps`` is ``forest_summary(forest)``, or the peel's summary of its
     live ids, when the caller already has it.  It replaces the forest
@@ -240,24 +243,10 @@ def diameter_preserving_cut(
 
     if not (m <= len(v_tilde) <= 2 * m) or z in v_tilde:
         raise InvariantViolation(f"{case}: bad inner vertex set")
-    old_of = sorted(v_tilde)
-    inner = induced_sorted(forest, old_of)
-    degree = list(map(len, map(forest.adj.__getitem__, old_of)))
-    # among optimal inner cuts, the fewest forest edges from B to the white rest of V
-    outside = [0, *map(int.__sub__, degree, map(len, inner.adj[1:]))]
-    adj = list(inner.adj)
-    for x, y in links:
-        if x in v_tilde and y in v_tilde:  # G[Ṽ] of the linked tree holds this link
-            a, b = bisect_left(old_of, x) + 1, bisect_left(old_of, y) + 1
-            adj[a], adj[b] = tuple(sorted((*adj[a], b))), tuple(sorted((*adj[b], a)))
-    inner_cut, inner_width = oracle.dp_min_size_cut_tree(
-        Graph._trusted(inner.n, tuple(adj)), m, outside=outside
-    )
-    black = {old_of[u - 1] for u in inner_cut.black}
-    outer = sum(outside)  # the forest's edges leaving Ṽ, counted before the links went in
+    black, inner_width, outer, top = _inner_cut(forest, v_tilde, links, m)
     outer += sum((x in v_tilde) != (y in v_tilde) for x, y in links)  # the links leaving Ṽ
-    # max(degree) <= Δ, so testing it first leaves the predicate as it is
-    if outer > 2 * max(degree) and outer > 2 * max_degree(forest):
+    # Ṽ's degrees are at most Δ, so testing them first leaves the predicate as it is
+    if outer > 2 * top and outer > 2 * max_degree(forest):
         raise InvariantViolation(f"{case}: outer cut exceeds 2Δ")
     cut = Cut._trusted(forest, black, live)
     return cut, DiamCutTrace(
@@ -274,3 +263,38 @@ def diameter_preserving_cut(
         inner_width=inner_width,
         outer_width=outer,
     )
+
+
+def _inner_cut(forest: Graph, v_tilde: frozenset, links: list, m: int) -> tuple[list, int, int, int]:
+    """(B, width, leaving, top): an exact m-cut of the linked tree's G[Ṽ], in the forest's ids.
+
+    G[Ṽ] is rooted over a copy of the forest's adjacency that holds the
+    links inside Ṽ (``bfs_tree``); the ids outside Ṽ are marked as
+    reached, so no sweep leaves it.  A vertex's outside weight, its
+    forest edges leaving Ṽ, is its degree in that copy less its edges to
+    its parent and children, as every edge of the linked G[Ṽ] joins the
+    two; only Ṽ's boundary has any.  ``oracle.dp_min_size_cut_tree``
+    takes this rooting and these weights as they are (``_InnerForest``),
+    for the small-width search and for the tree DP alike, so nothing is
+    relabeled or induced.  ``leaving`` counts the forest's edges that
+    leave Ṽ, and ``top`` is the largest degree in the forest of a vertex
+    of Ṽ.
+    """
+    vs = sorted(v_tilde)
+    fadj = forest.adj
+    adj = list(fadj)
+    for x, y in links:
+        if x in v_tilde and y in v_tilde:  # G[Ṽ] of the linked tree holds this link
+            adj[x], adj[y] = tuple(sorted((*adj[x], y))), tuple(sorted((*adj[y], x)))
+    parent = [0] * len(adj)  # the ids outside Ṽ count as reached
+    for v in vs:
+        parent[v] = -1
+    orders = [bfs_tree(adj, s, parent)[0] for s in vs if parent[s] < 0]
+    below = [order[1:] for order in orders]  # each edge of the linked G[Ṽ] joins one to its parent
+    degree = Counter(chain.from_iterable(below))  # degrees in the linked G[Ṽ]
+    degree.update(map(parent.__getitem__, chain.from_iterable(below)))
+    # among optimal inner cuts, the fewest forest edges from B to the white rest of V
+    outside = {v: w for v in vs if (w := len(adj[v]) - degree.get(v, 0))}
+    inner = oracle._InnerForest(adj, len(vs), (orders, parent), outside)
+    black, width = oracle.dp_min_size_cut_tree(inner, m)
+    return black, width, sum(outside.values()), max([len(fadj[v]) for v in vs])

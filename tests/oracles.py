@@ -31,12 +31,14 @@ from ksec.graph import (
     TreeSummary,
     bfs_tree,
     component_orders,
+    induced_sorted,
     is_int,
     mem_limit_bytes,
     require_forest,
     require_tree,
 )
 from ksec.labeling import PLabeling
+from ksec.oracle import dp_min_size_cut_tree
 from ksec.treedec import HeaviestPathResult, TreeDecomposition, edge_home, occurrences
 
 
@@ -257,6 +259,21 @@ def link_summarized(g: Graph, comps) -> Graph:
         return g
     links = [(a.path[-1], b.path[0]) for a, b in zip(comps, comps[1:])]
     return Graph(g.n, [*g.edges, *links])
+
+
+def inner_cut_by_public_dp(g: Graph, comps, trace) -> tuple[frozenset, int]:
+    """The exact inner cut of a tree cut's ``trace``, by the public DP on a relabeled copy.
+
+    ``dp_min_size_cut_tree`` runs on the linked tree's G[Ṽ] relabeled
+    1..|Ṽ| (``induced_sorted``), with each vertex's forest edges leaving
+    Ṽ as its outside weight; the black set is mapped back to g's ids.
+    """
+    v_tilde = trace.v_tilde
+    old_of = sorted(v_tilde)
+    inner = induced_sorted(link_summarized(g, comps), old_of)
+    outside = [0, *(sum(u not in v_tilde for u in g.adj[v]) for v in old_of)]
+    cut, width = dp_min_size_cut_tree(inner, trace.m, outside=outside)
+    return frozenset(old_of[u - 1] for u in cut.black), width
 
 
 def rooted_forest(g):

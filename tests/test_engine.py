@@ -340,25 +340,65 @@ SECTIONED_TREES = {
 }
 
 
-@pytest.mark.parametrize("name", ["random-n16000", "adversarial-h7"])
-def test_a_tree_section_induces_only_its_inner_vertex_sets(monkeypatch, name):
-    """The peel cuts its input's adjacency in place; only each Ṽ, of at most 2m vertices, is induced."""
-    g, k = SECTIONED_TREES[name](), 16
-    induced = []
-    real = graph.induced_sorted
+# one inner cut of its k = 16 section (|Ṽ| = 862, m = 500) has optimum 3, so the tree DP runs
+DP_FALLBACK_TREES = {"random-n8000-seed2": lambda: random_tree_maxdeg(8000, 6, Xorshift64Star(2))}
+
+
+@pytest.mark.parametrize(
+    "name, dp_runs",
+    [("random-n16000", []), ("adversarial-h7", []), ("random-n8000-seed2", [(862, 500)])],
+    ids=["random-n16000", "adversarial-h7", "random-n8000-seed2"],
+)
+def test_a_tree_section_induces_no_vertex_set(monkeypatch, name, dp_runs):
+    """The peel cuts its input's adjacency in place, and the exact inner cut runs in its ids.
+
+    No vertex set is induced, not even for the tree DP, which runs (|Ṽ|,
+    m) only where the small-width search gives up.
+    """
+    g, k = {**SECTIONED_TREES, **DP_FALLBACK_TREES}[name](), 16
+    sizes, dp_sizes = [], []
+    real, dp = graph.induced_sorted, oracle._dp_cut_tree
 
     def spy(h, old_of):
-        induced.append(len(old_of))
+        sizes.append(len(old_of))
         return real(h, old_of)
+
+    def spy_dp(adj, m, rooted):
+        dp_sizes.append((sum(map(len, rooted[0])), m))
+        return dp(adj, m, rooted)
 
     for mod in [m for key, m in sys.modules.items() if key.startswith("ksec.")]:
         if getattr(mod, "induced_sorted", None) is real:
             monkeypatch.setattr(mod, "induced_sorted", spy)
+    monkeypatch.setattr(oracle, "_dp_cut_tree", spy_dp)
     section, _ = ksection_tree(g, k)
     monkeypatch.undo()
-    assert induced and max(induced) <= 2 * -(-g.n // k)
-    assert sum(induced) <= 2 * g.n
+    assert sizes == [] and dp_sizes == dp_runs
     check_section(g, section, k)
+
+
+@pytest.mark.parametrize("name", sorted(SECTIONED_TREES) + sorted(DP_FALLBACK_TREES))
+def test_every_inner_cut_of_a_tree_section_is_the_public_exact_cut(monkeypatch, name):
+    """Each round's inner cut: the black set and width of ``dp_min_size_cut_tree`` on G[Ṽ] relabeled.
+
+    The reference runs on a copy of the round's remainder, taken before
+    the peel deletes the part's edges, with Ṽ's outside weights.
+    """
+    g, k = {**SECTIONED_TREES, **DP_FALLBACK_TREES}[name](), 16
+    rounds, real = [], engine.diameter_preserving_cut
+
+    def spy(forest, m, comps=None):
+        copy = Graph._trusted(forest.n, tuple(forest.adj))
+        cut, trace = real(forest, m, comps)
+        rounds.append((copy, comps, cut, trace))
+        return cut, trace
+
+    monkeypatch.setattr(engine, "diameter_preserving_cut", spy)
+    ksection_tree(g, k)
+    inner = [(copy, comps, cut, trace) for copy, comps, cut, trace in rounds if trace.v_tilde]
+    assert len(rounds) == k - 1 and inner
+    for copy, comps, cut, trace in inner:
+        assert (cut.black, trace.inner_width) == oracles.inner_cut_by_public_dp(copy, comps, trace)
 
 
 @pytest.mark.parametrize("name", sorted(SECTIONED_TREES))

@@ -180,9 +180,9 @@ def _assert_full_width_cut(g, ms):
     """The tree DP traces the black set and width of the full-width reference for each m."""
     rooted = component_orders(g)
     for m in ms:
-        cut, w = oracle._dp_cut_tree(g, m, rooted)
+        black, w = oracle._dp_cut_tree(g.adj, m, rooted)
         ref, ref_w = oracles.dp_min_size_cut_tree_full_width(g, m)
-        assert (cut.black, w) == (ref.black, ref_w), m
+        assert (frozenset(black), w) == (ref.black, ref_w), m
 
 
 @settings(max_examples=80, deadline=None)
@@ -245,10 +245,10 @@ def test_dp_tree_merges_each_class_of_identical_subtrees_once(monkeypatch):
     rooted = component_orders(g)
     for m in (1, g.n // 2, g.n):
         spy.reset()
-        cut, _ = oracle._dp_cut_tree(g, m, rooted)
+        black, _ = oracle._dp_cut_tree(g.adj, m, rooted)
         assert len(spy.tables()) == len(set(cls.values()))
         assert list(spy.dp.kept.accs) == [0]
-        assert sorted(spy.traced) == sorted(_mixed(g, cut.black))
+        assert sorted(spy.traced) == sorted(_mixed(g, frozenset(black)))
 
 
 def test_dp_tree_merges_each_child_in_one_minplus_call(monkeypatch):
@@ -267,7 +267,7 @@ def test_dp_tree_merges_each_child_in_one_minplus_call(monkeypatch):
     rooted = component_orders(g)
     for m in (1, g.n // 2, g.n):
         spy.reset()
-        oracle._dp_cut_tree(g, m, rooted)
+        oracle._dp_cut_tree(g.adj, m, rooted)
         assert spy.rows(False) == [1] * comps + [2] * merges
         assert spy.rows(True) == [1] * sum(len(cls[v]) for v in spy.traced)
         assert bool(spy.traced) == (m == g.n // 2)
@@ -281,7 +281,7 @@ def test_dp_tree_trace_reads_the_virtual_roots_kept_accumulations(monkeypatch):
     rooted = component_orders(g)
     for m in range(g.n + 1):
         spy.reset()
-        oracle._dp_cut_tree(g, m, rooted)
+        oracle._dp_cut_tree(g.adj, m, rooted)
         assert not [v for rows, tracing, v in spy.merges if tracing and v == 0], m
         assert len(spy.dp.kept.accs[0]) == 4  # the root's own row, then one per component
 
@@ -298,13 +298,13 @@ def test_dp_tree_merges_each_child_of_a_star_comb_under_a_1mb_guard(monkeypatch)
     spy = TreeDPSpy(monkeypatch)
     comb = star_comb(40, 40)
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
-    cut, w = oracle._dp_cut_tree(comb, comb.n // 2, component_orders(comb))
-    assert (len(cut.black), w) == (comb.n // 2, 1)
+    black, w = oracle._dp_cut_tree(comb.adj, comb.n // 2, component_orders(comb))
+    assert (len(black), w) == (comb.n // 2, 1)
     cls = oracles.subtree_classes(comb)
     assert len(set(cls.values())) == len(spy.tables()) == 41
     assert spy.rows(False) == [1] + [2] * (40 * 40 + 39)
     assert list(spy.dp.kept.accs) == [0] and spy.dp.kept.need_bytes < 1 << 18
-    mixed = _mixed(comb, cut.black)
+    mixed = _mixed(comb, frozenset(black))
     assert mixed and sorted(spy.traced) == sorted(mixed)
 
 
@@ -321,16 +321,16 @@ def test_dp_tree_memory_guard_trips_only_on_the_tables_of_all_components(monkeyp
     # paths share them and fit under 2 MB, but a path beside a path ending in a fork does not
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "2")
     two_paths = Graph(1200, [(i, i + 1) for i in range(1, 1200) if i != 600])
-    assert oracle._dp_cut_tree(two_paths, 600, component_orders(two_paths))[1] == 0
+    assert oracle._dp_cut_tree(two_paths.adj, 600, component_orders(two_paths))[1] == 0
     path_and_fork = Graph(1200, [(i, i + 1) for i in range(1, 1199) if i != 600] + [(1198, 1200)])
     with pytest.raises(ResourceLimit):
-        oracle._dp_cut_tree(path_and_fork, 600, component_orders(path_and_fork))
+        oracle._dp_cut_tree(path_and_fork.adj, 600, component_orders(path_and_fork))
     # with m = 400 a caterpillar on a 400-vertex spine keeps 0.61 MB of tables and no
     # accumulations below the virtual root, so a 1 MB guard does not trip
     monkeypatch.setenv("KSEC_MAX_MEM_MB", "1")
     spine = [(i, i + 1) for i in range(1, 400)]
     caterpillar = Graph(800, spine + [(i, 400 + i) for i in range(1, 401)])
-    assert oracle._dp_cut_tree(caterpillar, 400, component_orders(caterpillar))[1] == 1
+    assert oracle._dp_cut_tree(caterpillar.adj, 400, component_orders(caterpillar))[1] == 1
 
 
 def test_dp_tree_meets_existence_bound():
@@ -542,7 +542,7 @@ def test_dp_td_builds_one_plan_per_shape_and_one_own_table_per_pattern(monkeypat
     g, td = random_partial_ktree(400, 4, Xorshift64Star(34))
     m = g.n // 3
     tables = oracle._TDTables(_homes(g, td), td, m, oracle._Kept(1 << 40))
-    tables.cut(g, m)
+    tables.cut(g.adj, m)
     shapes, patterns = _shapes(g, td, tables.parent)
     assert built["plan"] == len(tables.plans) == len(shapes) < len(td.tree_edges)
     assert built["own"] == len(tables.owns) == len(patterns) < td.num_nodes

@@ -55,11 +55,16 @@ def _under_caps(g, m):
     orders, parent = component_orders(g)
     if len(orders) > oracle.SEARCH_COMPONENTS:
         return False
-    return oracle._Search(g, orders, parent, None).width_2_targets(m) is not None
+    return oracle._Search(orders, parent, None).width_2_targets(m) is not None
 
 
 def _weight(black, outside):
     return sum(outside[v] for v in black)
+
+
+def _sparse(outside):
+    """The search's form of the dense weights ``outside``: vertex -> weight."""
+    return dict(enumerate(outside[1:], 1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -70,15 +75,15 @@ def test_search_agrees_with_the_tree_dp_at_every_m(kind, seed):
     outside = [0, *(rng.randint(0, 3) for _ in range(g.n))]
     rooted = component_orders(g)
     for m in range(g.n + 1):
-        dp_cut, dp_width = oracle._dp_cut_tree(g, m, rooted)
-        found = oracle._small_width_cut(g, m, rooted, outside)
+        dp_black, dp_width = oracle._dp_cut_tree(g.adj, m, rooted)
+        found = oracle._small_width_cut(g.adj, m, rooted, _sparse(outside))
         if found is None:
             assert dp_width > 2 or not _under_caps(g, m), m
             continue
-        cut, width = found
+        black, width = found
         assert width == dp_width <= 2, m
-        assert len(cut.black) == m and Cut._trusted(g, cut.black).width == width
-        assert _weight(cut.black, outside) <= _weight(dp_cut.black, outside), m
+        assert len(black) == m and Cut._trusted(g, black).width == width
+        assert _weight(black, outside) <= _weight(dp_black, outside), m
 
 
 @settings(max_examples=80, deadline=None)
@@ -94,11 +99,11 @@ def test_search_finds_the_least_width_then_weight_over_all_m_subsets(kind, seed)
             (Cut._trusted(g, black).width, _weight(black, outside))
             for black in itertools.combinations(g.vertices(), m)
         )
-        found = oracle._small_width_cut(g, m, rooted, outside)
+        found = oracle._small_width_cut(g.adj, m, rooted, _sparse(outside))
         if found is None:
             assert best[0] > 2 or not _under_caps(g, m), m
         else:
-            assert (found[1], _weight(found[0].black, outside)) == best, m
+            assert (found[1], _weight(found[0], outside)) == best, m
 
 
 def test_search_meets_every_width_and_the_fallback_on_small_forests():
@@ -109,7 +114,7 @@ def test_search_meets_every_width_and_the_fallback_on_small_forests():
         g = _family(kind, rng, small=True)
         rooted = component_orders(g)
         for m in range(g.n + 1):
-            found = oracle._small_width_cut(g, m, rooted)
+            found = oracle._small_width_cut(g.adj, m, rooted)
             seen.add(found and found[1])
     assert seen == {0, 1, 2, None}
 
@@ -142,9 +147,9 @@ def _count_calls(monkeypatch):
         calls["public"].append(m)
         return public(forest, m, **kwargs)
 
-    def spy_dp(forest, m, rooted):
+    def spy_dp(adj, m, rooted):
         calls["dp"].append(m)
-        return dp(forest, m, rooted)
+        return dp(adj, m, rooted)
 
     monkeypatch.setattr(oracle, "dp_min_size_cut_tree", spy_public)
     monkeypatch.setattr(oracle, "_dp_cut_tree", spy_dp)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import path
 from ksec import bounds, tdcut
-from ksec.errors import MOutOfRange, RedundantDecomposition
+from ksec.errors import InvariantViolation, MOutOfRange, RedundantDecomposition
 from ksec.graph import max_degree
 from ksec.instances import Xorshift64Star, random_partial_ktree, random_tree_maxdeg
 from ksec.labeling import PLabeling, cyclic, find_anchor
@@ -422,3 +422,27 @@ def test_glued_decompositions_equal_the_checked_constructors(seed, n, t):
         assert glued.tree_adj == checked.tree_adj
         assert glued.tree_edges == checked.tree_edges
         assert not validation_errors(glued, g_tilde)
+
+
+@pytest.mark.parametrize("outer, raises", [(27, False), (144, False), (145, True)])
+def test_the_outer_check_raises_exactly_above_3t_times_the_max_degree(monkeypatch, outer, raises):
+    """Ṽ's degrees (here at most 3) are tested first, then Δ = 16 of the whole graph; t = 3."""
+    g, td = random_partial_ktree(30, 3, Xorshift64Star(1))
+    _, trace = r_preserving_cut(g, td, 1)
+    assert (trace.case_tag, trace.t, max_degree(g)) == ("Case3", 3, 16)
+    assert max(len(g.adj[v]) for v in trace.v_tilde) == 3
+    real, forged = tdcut.boundary_width, []
+
+    def spy(h, side):  # the count of Ṽ's edges leaving it in g is its outer width
+        if h is g and side == trace.v_tilde:
+            forged.append(side)
+            return outer
+        return real(h, side)
+
+    monkeypatch.setattr(tdcut, "boundary_width", spy)
+    if raises:
+        with pytest.raises(InvariantViolation, match="outer cut exceeds 3tΔ"):
+            r_preserving_cut(g, td, 1)
+    else:
+        assert r_preserving_cut(g, td, 1)[1].outer_width == outer
+    assert len(forged) == 1

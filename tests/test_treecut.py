@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import TreeDPSpy, diam_star, path, star
-from ksec import bounds, oracle
-from ksec.errors import MOutOfRange
+from ksec import bounds, oracle, treecut
+from ksec.errors import InvariantViolation, MOutOfRange
 from ksec.graph import (
     Graph,
     _forest_summary,
     boundary_width,
-    component_orders,
     forest_summary,
     induced_sorted,
     max_degree,
@@ -266,10 +265,8 @@ def test_m_tilde_definition_matches_trace():
     assert hits > 20
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2 ** 60), st.booleans())
-def test_the_inner_cut_sees_the_linked_trees_share_of_v_tilde(seed, sparse):
-    """G[Ṽ], the outside weights and the outer width are those of the reference linked tree.
+def _sparse_forest_cut(seed, sparse):
+    """A random forest, its summary and an m, shaped like the peel's remainders when ``sparse``.
 
     A sparse forest has the shape of a peel's remainder: its cut ids keep
     no edge, and its summary covers only the live ids.
@@ -281,13 +278,24 @@ def test_the_inner_cut_sees_the_linked_trees_share_of_v_tilde(seed, sparse):
         live = sorted(rng.sample(live, rng.randint(2, g.n)))
         alive = set(live)
         g = Graph(g.n, [e for e in g.edges if alive.issuperset(e)])
-    comps = _forest_summary(g, live)
-    m = rng.randint(1, len(live) - 1)
+    return g, _forest_summary(g, live), rng.randint(1, len(live) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 60), st.booleans())
+def test_the_inner_cut_sees_the_linked_trees_share_of_v_tilde(seed, sparse):
+    """G[Ṽ], its rooting, the outside weights and the outer width are those of the reference linked tree.
+
+    The exact cut gets G[Ṽ] in the forest's ids: the adjacency restricted
+    to Ṽ is the linked tree's, and the rooting is the BFS sweep of the
+    linked tree's G[Ṽ] relabeled 1..|Ṽ|, read back in the forest's ids.
+    """
+    g, comps, m = _sparse_forest_cut(seed, sparse)
     calls, dp = [], oracle.dp_min_size_cut_tree
 
-    def spy_dp(inner, size, outside=None):
-        calls.append((inner, size, outside))
-        return dp(inner, size, outside=outside)
+    def spy_dp(inner, size, **kwargs):
+        calls.append((inner, size, kwargs))
+        return dp(inner, size, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "dp_min_size_cut_tree", spy_dp)
@@ -295,16 +303,33 @@ def test_the_inner_cut_sees_the_linked_trees_share_of_v_tilde(seed, sparse):
     assert len(calls) == (trace.v_tilde is not None)
     if not calls:
         return
-    (inner, inner_m, outside), v_tilde = calls[0], trace.v_tilde
-    tree = oracles.link_summarized(g, comps)
-    assert inner_m == m
-    assert inner.adj == induced_sorted(tree, sorted(v_tilde)).adj
-    assert outside[1:] == [sum(u not in v_tilde for u in g.adj[v]) for v in sorted(v_tilde)]
+    (inner, inner_m, kwargs), v_tilde = calls[0], trace.v_tilde
+    adj, (orders, parent), outside = inner.adj, inner.rooted, inner.outside
+    tree, old_of = oracles.link_summarized(g, comps), sorted(v_tilde)
+    assert inner_m == m and not kwargs and inner.n == len(v_tilde)
+    assert [[u for u in adj[v] if u in v_tilde] for v in old_of] == [
+        [u for u in tree.adj[v] if u in v_tilde] for v in old_of
+    ]
+    ref_orders, ref_parent = oracles.fifo_component_orders(induced_sorted(tree, old_of))
+    assert orders == [[old_of[u - 1] for u in order] for order in ref_orders]
+    assert [parent[v] for v in old_of] == [old_of[p - 1] if p else 0 for p in ref_parent[1:]]
+    weights = {v: sum(u not in v_tilde for u in g.adj[v]) for v in old_of}
+    assert outside == {v: w for v, w in weights.items() if w}
     assert trace.outer_width == sum((u in v_tilde) != (v in v_tilde) for u, v in tree.edges)
     links = [(a.path[-1], b.path[0]) for a, b in zip(comps, comps[1:])]
     assert trace.outer_width == boundary_width(g, v_tilde) + sum(
         (x in v_tilde) != (y in v_tilde) for x, y in links
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 60), st.booleans())
+def test_the_inner_cut_is_the_public_exact_cut_of_the_linked_trees_g_v_tilde(seed, sparse):
+    """The same black set and width as ``dp_min_size_cut_tree`` on G[Ṽ] relabeled, with the outside weights."""
+    g, comps, m = _sparse_forest_cut(seed, sparse)
+    cut, trace = diameter_preserving_cut(g, m, comps)
+    if trace.v_tilde is not None:
+        assert (cut.black, trace.inner_width) == oracles.inner_cut_by_public_dp(g, comps, trace)
 
 
 def test_a_forest_cut_builds_no_graph_over_the_forests_id_range(monkeypatch):
@@ -340,18 +365,20 @@ def _full_width_columns(forest, m):
 def inner_dps():
     """The inner DPs of 12 real Case 2b, 3a and 3b cuts: (forest, m, ``TreeDPSpy`` state) each.
 
-    The cuts' inner (forest, m) pairs are captured, then the tree DP
-    (``oracle._dp_cut_tree``) runs on each under the spy.  The last two
-    are the perfect d-ary cuts whose inner optimum (5 and 6) sends the
-    section itself to the DP.
+    The cuts' inner forests are captured where ``dp_min_size_cut_tree``
+    receives them, in the forest's ids, then the tree DP
+    (``oracle._dp_cut_tree``) runs on each under the spy; the forest
+    kept beside it is the linked G[Ṽ] relabeled 1..|Ṽ|, for the
+    reference counts.  The last two are the perfect d-ary cuts whose
+    inner optimum (5 and 6) sends the section itself to the DP.
     """
     inner = []
     with pytest.MonkeyPatch.context() as mp:
         dp = oracle.dp_min_size_cut_tree
 
-        def spy_dp(forest, m, *args, **kwargs):
+        def spy_dp(forest, m, **kwargs):
             inner.append((forest, m))
-            return dp(forest, m, *args, **kwargs)
+            return dp(forest, m, **kwargs)
 
         mp.setattr(oracle, "dp_min_size_cut_tree", spy_dp)
         rng = Xorshift64Star(0xBA4D)
@@ -368,8 +395,10 @@ def inner_dps():
         spy = TreeDPSpy(mp)
         for forest, m in inner:
             spy.reset()
-            oracle._dp_cut_tree(forest, m, component_orders(forest))
-            calls.append((forest, m, copy.copy(spy)))
+            oracle._dp_cut_tree(forest.adj, m, forest.rooted)
+            vertices = sorted(v for order in forest.rooted[0] for v in order)
+            relabeled = induced_sorted(Graph._trusted(len(forest.adj) - 1, tuple(forest.adj)), vertices)
+            calls.append((relabeled, m, copy.copy(spy)))
     return calls
 
 
@@ -408,3 +437,24 @@ def test_inner_exact_cut_merges_once_per_inner_child_of_each_subtree_class(inner
         retraced = spy.rows(True)
         assert set(retraced) <= {1}
         assert len(retraced) <= sum(len(spy.dp.children[v]) for v in spy.traced)
+
+
+@pytest.mark.parametrize("outer, raises", [(2, False), (12, False), (13, True)])
+def test_the_outer_check_raises_exactly_above_twice_the_max_degree(monkeypatch, outer, raises):
+    """Ṽ's degrees (here at most 1) are tested first, then Δ = 6 of the whole tree."""
+    g, m = random_tree_maxdeg(40, 6, Xorshift64Star(1)), 1
+    _, trace = diameter_preserving_cut(g, m)
+    assert trace.case_tag == "Case3a" and max_degree(g) == 6
+    assert max(len(g.adj[v]) for v in trace.v_tilde) == 1
+    real = treecut._inner_cut
+
+    def forged(*args):
+        black, width, _, top = real(*args)
+        return black, width, outer, top
+
+    monkeypatch.setattr(treecut, "_inner_cut", forged)
+    if raises:
+        with pytest.raises(InvariantViolation, match="outer cut exceeds 2Δ"):
+            diameter_preserving_cut(g, m)
+    else:
+        assert diameter_preserving_cut(g, m)[1].outer_width == outer
