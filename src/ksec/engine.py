@@ -124,7 +124,8 @@ def _peel(
     which later rounds keep cutting, so a kept count would go stale.
     ``measure(summary, n)`` is the quantity the cut must not lower (diam*
     for trees, r for decompositions): it is read off that one summary,
-    which then goes to the next cut.  The loop checks that every cut has |B| = m, that the
+    which then goes to the next cut.  The loop checks that every cut has |B| = m
+    live ids (the pass that drops B from them must drop m), that the
     measure never drops and that the per-cut widths add up to the width
     of the section; a failure raises ``InvariantViolation``.  Returns the
     section, parts in the order of ``sizes``, and the per-cut traces.
@@ -137,6 +138,10 @@ def _peel(
         black = c.black
         if len(black) != m:
             raise InvariantViolation(f"cut returned {len(black)} vertices, wanted {m}")
+        rest = list(filterfalse(black.__contains__, live))
+        if len(rest) != len(live) - m:
+            stray = next(iter(black.difference(live)))
+            raise InvariantViolation(f"cut returned vertex {stray!r}, which is not live")
         # B's degrees count its inner edges twice and its c.width edges to the rest once
         edges -= (sum(map(len, map(adj.__getitem__, black))) + c.width) // 2
         ends = set()  # rebuilt once each: a hub of a decomposed graph may lose many edges
@@ -147,7 +152,7 @@ def _peel(
             adj[b] = ()
         for w in ends:
             adj[w] = tuple(filterfalse(black.__contains__, adj[w]))
-        live, cur = list(filterfalse(black.__contains__, live)), Graph._trusted(g.n, adj, edges)
+        live, cur = rest, Graph._trusted(g.n, adj, edges)
         summary = summarize(cur, summary, live)
         parts.append(tuple(sorted(black)))
         width += c.width

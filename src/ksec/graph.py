@@ -18,9 +18,9 @@ about them.  ``InvariantViolation``
 is reserved for failed postconditions, i.e. bugs.
 
 Derived graphs skip validation by construction.  ``Graph(n, edges)`` is
-the one public, checked constructor.  Every graph the pipelines derive
-from a checked one (a subgraph with a cluster's edges removed, a
-peel's remainder) is built by
+the one public, checked constructor (``parse_gr`` shares its last step).
+Every graph the pipelines derive from a checked one (a subgraph with a
+cluster's edges removed, a peel's remainder) is built by
 ``Graph._trusted`` straight from adjacency tuples, which are sorted
 because each builder keeps them so.  Such a graph builds its ``edges`` frozenset on first use.  Two
 threads that race on that first use build equal sets, and one of them
@@ -37,7 +37,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, NamedTuple, Sequence
 
 from .errors import FormatError, KsecError, NotAForest, NotAPartition, NotATree, ResourceLimit
 
@@ -66,7 +66,6 @@ class Graph:
         if why:
             raise KsecError(why)
         edge_set = set()
-        adj: list[list[int]] = [[] for _ in range(n + 1)]
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise KsecError(f"edge ({u},{v}) out of vertex range 1..{n}")
@@ -76,12 +75,24 @@ class Graph:
             if e in edge_set:
                 raise KsecError(f"parallel edge ({e[0]},{e[1]})")
             edge_set.add(e)
+        self._freeze(n, edges, edge_set)
+
+    def _freeze(self, n: int, edges: list, edge_set: set) -> "Graph":
+        """This graph, given its checked ``edges`` and their ``edge_set`` of ascending pairs.
+
+        The adjacency is built once every edge is read: lists grown while a
+        parser reads the ids would lie among them in memory and slow every
+        later sweep.
+        """
+        adj: list[list[int]] = [[] for _ in range(n + 1)]
+        for u, v in edges:
             adj[u].append(v)
             adj[v].append(u)
         self.n = n
         self._edges = frozenset(edge_set)
         self._m = len(edge_set)
         self.adj = tuple(tuple(sorted(a)) for a in adj)
+        return self
 
     @classmethod
     def _trusted(cls, n: int, adj: tuple, m: int | None = None) -> "Graph":
@@ -377,16 +388,19 @@ def cut_width(g: Graph, parts: Sequence[Iterable[int]]) -> int:
     return sum(1 for (u, v) in g.edges if part_of[u] != part_of[v])
 
 
-def induced_sorted(g: Graph, old_of: Sequence[int]) -> Graph:
+def induced_sorted(g: Graph, old_of: Sequence[int], without: Container[int] = ()) -> Graph:
     """Induced subgraph on ``old_of``, relabeled so that ``old_of[new - 1]`` is new's id.
 
-    The caller knows the ids are ascending, distinct and in 1..n.  The
+    The edges touching the ids in ``without`` are left out.  The
+    caller knows the ids are ascending, distinct and in 1..n.  The
     relabeling is monotone, so each parent adjacency list, filtered and
     mapped through one dict, stays sorted.  Nothing is checked.
     """
-    get, adj = dict(zip(old_of, range(1, len(old_of) + 1))).get, g.adj
+    new_of = {v: i for i, v in enumerate(old_of, 1) if v not in without}
+    get, adj = new_of.get, g.adj
     return Graph._trusted(
-        len(old_of), ((), *[tuple(filter(None, map(get, adj[v]))) for v in old_of])
+        len(old_of),
+        ((), *[tuple(filter(None, map(get, adj[v]))) if v in new_of else () for v in old_of]),
     )
 
 
@@ -423,7 +437,10 @@ GR_BYTES_PER_VERTEX = 80
 
 
 def parse_gr(text: str) -> Graph:
-    """Parse a .gr file; ``ResourceLimit`` when the declared n would not fit the memory guard."""
+    """Parse a .gr file; ``ResourceLimit`` when the declared n would not fit the memory guard.
+
+    Each line is checked once, here; the constructor's checks do not run again.
+    """
     if not isinstance(text, str):
         raise KsecError(f"parse_gr: {text!r} is not a string")
     n = m = -1
@@ -468,7 +485,7 @@ def parse_gr(text: str) -> Graph:
         raise FormatError(1, "missing problem line")
     if len(edges) != m:
         raise FormatError(1, f"problem line declares {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    return Graph.__new__(Graph)._freeze(n, edges, seen)
 
 
 def comment_lines(comment: str | None) -> list[str]:

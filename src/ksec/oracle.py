@@ -70,10 +70,8 @@ from .graph import (
     Graph,
     KSection,
     component_orders,
-    first_bad,
     is_int,
     mem_limit_bytes,
-    read_ids,
     require_forest,
     require_memory,
 )
@@ -451,20 +449,14 @@ class _InnerForest:
 
 
 def dp_min_size_cut_tree(
-    forest: Graph | _InnerForest, m: int, *, outside: Sequence[int] | None = None
+    forest: Graph | _InnerForest, m: int
 ) -> tuple[Cut, int] | tuple[list[int], int]:
     """Exact minimum-width cut with |B| = m in a forest of n vertices.
 
     The small-width search (``_small_width_cut``) answers every cut of
     width at most 2; the tree DP (``_dp_cut_tree``) runs only when the
-    optimum is wider, or when the search would go quadratic.
-
-    ``outside`` holds n + 1 non-negative integers, entry v for vertex v
-    (entry 0 unused): a weight per vertex, such as its edges to vertices
-    outside the forest.  Among the cuts of least width up to 2, the
-    search returns one whose black set has the least total weight; ties
-    go to ascending ids.  Without ``outside`` every weight is 0, and the
-    DP ignores the weights.
+    optimum is wider, or when the search would go quadratic.  Among the
+    cuts of least width up to 2, ties go to ascending ids.
 
     One BFS sweep, from each smallest id not yet reached, roots the
     components for both routes.  With the edge count it also checks that
@@ -475,22 +467,19 @@ def dp_min_size_cut_tree(
     The tree cut hands over its inner set instead, as an ``_InnerForest``
     it has rooted and weighed in the forest's ids; that is trusted, runs
     the same two routes, and gets back its black vertices as a list.
+    Its weights are the one tie-break among the search's cuts of least
+    width: it takes one whose black set has the least total weight.
     """
     if isinstance(forest, _InnerForest):
         return _exact_cut(forest.adj, m, forest.rooted, forest.outside)
     n = forest.n
     if not is_int(m) or not (0 <= m <= n):
         raise MOutOfRange(f"m={m!r} not in 0..{n}")
-    weights = None
-    if outside is not None:
-        outside = read_ids(outside, KsecError, "outside")
-        _check_outside(outside, n)
-        weights = {v: w for v, w in enumerate(outside) if v and w}
     mem_limit_bytes()  # a malformed guard is named on every call, not only where the DP runs
     rooted = component_orders(forest)
     if forest.num_edges != n - len(rooted[0]):
         require_forest(forest, "dp_min_size_cut_tree")  # a cycle: raises NotAForest naming an edge
-    black, width = _exact_cut(forest.adj, m, rooted, weights)
+    black, width = _exact_cut(forest.adj, m, rooted, None)
     return Cut._trusted(forest, black), width
 
 
@@ -498,15 +487,6 @@ def _exact_cut(adj, m: int, rooted, outside: dict[int, int] | None) -> tuple[lis
     """(B, width): the small-width search's cut, or the tree DP's where the search gives up."""
     found = _small_width_cut(adj, m, rooted, outside)
     return found if found is not None else _dp_cut_tree(adj, m, rooted)
-
-
-def _check_outside(outside: Sequence[int], n: int) -> None:
-    """Raise ``KsecError`` naming a bad entry, unless ``outside`` is n + 1 weights in 0..2^32."""
-    if len(outside) != n + 1:
-        raise KsecError(f"outside has {len(outside)} entries, expected n + 1 = {n + 1}")
-    bad = first_bad(outside, 0, 1 << 32)
-    if bad is not None:
-        raise KsecError(f"outside weight {bad[0]!r} is not an integer in 0..2^32")
 
 
 def _dp_cut_tree(

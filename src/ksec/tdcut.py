@@ -41,7 +41,7 @@ from .errors import (
     NotATreeDecomposition,
     RedundantDecomposition,
 )
-from .graph import Cut, Graph, boundary_width, first_bad, is_int, max_degree
+from .graph import Cut, Graph, boundary_width, first_bad, induced_sorted, is_int, max_degree
 from .labeling import PLabeling, cyclic, find_anchor, labels_interval
 from .treecut import CutTrace, _approximate_black
 from .treedec import (
@@ -129,6 +129,8 @@ def approximate_cut_td(g: Graph, td: TreeDecomposition, m: int) -> Cut:
     (``NotATreeDecomposition`` with a witness).
     """
     require_decomposition(td, g, "approximate_cut_td")
+    if not is_int(m) or not (1 <= m <= 2 * g.n):
+        raise MOutOfRange(f"m={m!r} not in 1..{2 * g.n}")
     return Cut._trusted(g, _approximate_cut_td(td, g.vertices(), m))
 
 
@@ -142,10 +144,9 @@ def _approximate_cut_td(td: TreeDecomposition, vertices, m: int) -> frozenset:
     so that node is its one shallowest occurrence and no depth is needed.
     The rule is ``treecut._approximate_black``'s; after it, the vertices
     of x's cluster are added in id order while B holds fewer than m/2.
+    The caller checks that m is an integer in 1..2n, n = len(vertices).
     """
     n = len(vertices)
-    if not is_int(m) or not (1 <= m <= 2 * n):
-        raise MOutOfRange(f"m={m!r} not in 1..{2 * n}")
     if m >= n:
         return frozenset(vertices)
     keep = frozenset(vertices)
@@ -168,16 +169,6 @@ def _approximate_cut_td(td: TreeDecomposition, vertices, m: int) -> frozenset:
     if not (m <= 2 * len(black) and len(black) <= m):
         raise InvariantViolation("approximate cluster cut missed its size window")
     return frozenset(black)
-
-
-def _subgraph_minus_cluster_edges(g: Graph, new_of: dict, bag: frozenset) -> Graph:
-    """``induced_sorted`` of the ids ``new_of`` maps in order, minus the edges touching ``bag``."""
-    outside = {v: i for v, i in new_of.items() if v not in bag}
-    get, adj = outside.get, g.adj
-    return Graph._trusted(
-        len(new_of),
-        ((), *[tuple(filter(None, map(get, adj[v]))) if v in outside else () for v in new_of]),
-    )
 
 
 def r_preserving_cut(
@@ -210,13 +201,11 @@ def r_preserving_cut(
             f"r_preserving_cut: a summary of a decomposition of {n} vertices does not cover"
             f" {n} of the graph's ids 1..{g.n} that no edge of the graph leaves"
         )
-    if not is_int(m) or not (1 <= m <= n - 1):
-        raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
     td0, t, hp = summary.td, summary.t, summary.path
     r = hp.relative_weight
     lab = PLabeling._trusted(*_td_blocks(td0, hp.path, n))
+    v = find_anchor(lab, m)  # checks m: MOutOfRange unless an integer in 1..n - 1
     floor_rm = (lab.num_path * m) // n
-    v = find_anchor(lab, m)
     m_vertices = frozenset(labels_interval(lab, v, m))
     v_in_r = lab.on_path[v]
     vm_in_r = lab.on_path[cyclic(v + m, n)]
@@ -244,7 +233,7 @@ def r_preserving_cut(
 
     # Ṽ's one map to the ids 1..|Ṽ| of its graph G̃, the glue and the inner DP
     new_of = {old: i for i, old in enumerate(sorted(v_tilde), start=1)}
-    g_tilde = _subgraph_minus_cluster_edges(g, new_of, td0.bag(split_node))
+    g_tilde = induced_sorted(g, list(new_of), without=td0.bag(split_node))
     b_local = {new_of[u] for u in b_side}
     if boundary_width(g_tilde, b_local):
         raise InvariantViolation(f"{case}: split sides are still connected")

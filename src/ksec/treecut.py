@@ -199,14 +199,12 @@ def diameter_preserving_cut(
             f"diameter_preserving_cut: a summary of {len(comps)} component(s) on {n} vertices "
             f"does not fit a forest of {forest.n} vertices and {forest.num_edges} edges"
         )
-    if not is_int(m) or not (1 <= m <= n - 1):
-        raise MOutOfRange(f"m={m!r} not in 1..{n - 1}")
     links = [(a.path[-1], b.path[0]) for a, b in zip(comps, comps[1:])]
     path = [v for c in comps for v in c.path]
     lab, parent = _p_labeling(forest, path)
     live = lab.vertex_of[1:]
+    v = find_anchor(lab, m)  # checks m: MOutOfRange unless an integer in 1..n - 1
     floor_dm = (lab.num_path * m) // n
-    v = find_anchor(lab, m)
     m_vertices = frozenset(labels_interval(lab, v, m))
     v_on = lab.on_path[v]
     vm_on = lab.on_path[cyclic(v + m, n)]

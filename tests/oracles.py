@@ -19,13 +19,16 @@ import networkx as nx
 import numpy as np
 
 from ksec.errors import (
+    FormatError,
     InvariantViolation,
+    KsecError,
     MOutOfRange,
     NotAForest,
     RedundantDecomposition,
     ResourceLimit,
 )
 from ksec.graph import (
+    GR_BYTES_PER_VERTEX,
     Cut,
     Graph,
     TreeSummary,
@@ -35,10 +38,11 @@ from ksec.graph import (
     is_int,
     mem_limit_bytes,
     require_forest,
+    require_memory,
     require_tree,
 )
 from ksec.labeling import PLabeling
-from ksec.oracle import dp_min_size_cut_tree
+from ksec.oracle import _InnerForest, dp_min_size_cut_tree
 from ksec.treedec import HeaviestPathResult, TreeDecomposition, edge_home, occurrences
 
 
@@ -265,15 +269,19 @@ def inner_cut_by_public_dp(g: Graph, comps, trace) -> tuple[frozenset, int]:
     """The exact inner cut of a tree cut's ``trace``, by the public DP on a relabeled copy.
 
     ``dp_min_size_cut_tree`` runs on the linked tree's G[Ṽ] relabeled
-    1..|Ṽ| (``induced_sorted``), with each vertex's forest edges leaving
-    Ṽ as its outside weight; the black set is mapped back to g's ids.
+    1..|Ṽ| (``induced_sorted``), rooted by ``component_orders`` and handed
+    over as the tree cut hands its own (``_InnerForest``), with each
+    vertex's forest edges leaving Ṽ as its weight; the black set is
+    mapped back to g's ids.
     """
     v_tilde = trace.v_tilde
     old_of = sorted(v_tilde)
     inner = induced_sorted(link_summarized(g, comps), old_of)
-    outside = [0, *(sum(u not in v_tilde for u in g.adj[v]) for v in old_of)]
-    cut, width = dp_min_size_cut_tree(inner, trace.m, outside=outside)
-    return frozenset(old_of[u - 1] for u in cut.black), width
+    weights = {new: w for new, v in enumerate(old_of, 1)
+               if (w := sum(u not in v_tilde for u in g.adj[v]))}
+    rooted = component_orders(inner)
+    black, width = dp_min_size_cut_tree(_InnerForest(inner.adj, inner.n, rooted, weights), trace.m)
+    return frozenset(old_of[u - 1] for u in black), width
 
 
 def rooted_forest(g):
@@ -1342,3 +1350,60 @@ def labels_interval_cyclic(lab: PLabeling, start: int, count: int) -> set[int]:
     """Vertices whose labels are start, start+1, ..., start+count-1 (cyclic)."""
     n = lab.n
     return {lab.vertex_of[cyclic(start + i, n)] for i in range(count)}
+
+
+# --- The .gr parser that checked each line twice ------------------------------
+#
+# ``graph.parse_gr`` as it was when it checked each line and then handed the
+# edges to ``Graph(n, edges)``, which checked them again.  The body is
+# verbatim; only the name is changed.  The reference for the parser, which
+# must give the same graph or the same error.
+
+
+def parse_gr_through_the_constructor(text: str) -> Graph:
+    """Parse a .gr file; ``ResourceLimit`` when the declared n would not fit the memory guard."""
+    if not isinstance(text, str):
+        raise KsecError(f"parse_gr: {text!r} is not a string")
+    n = m = -1
+    edges: list[tuple[int, int]] = []
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        tok = line.split()
+        if tok[0] == "p":
+            if n >= 0:
+                raise FormatError(lineno, "duplicate problem line")
+            if len(tok) != 4 or tok[1] not in ("ks", "tw"):
+                raise FormatError(lineno, f"expected 'p ks <n> <m>', got {line!r}")
+            try:
+                n, m = int(tok[2]), int(tok[3])
+            except ValueError:
+                raise FormatError(lineno, "non-integer counts in problem line") from None
+            if n < 0 or m < 0:
+                raise FormatError(lineno, "negative counts in problem line")
+            require_memory(n * GR_BYTES_PER_VERTEX, f"line {lineno}: {n} vertices")
+            continue
+        if n < 0:
+            raise FormatError(lineno, "edge line before problem line")
+        if len(tok) != 2:
+            raise FormatError(lineno, f"expected edge '<u> <v>', got {line!r}")
+        try:
+            u, v = int(tok[0]), int(tok[1])
+        except ValueError:
+            raise FormatError(lineno, "non-integer vertex id") from None
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise FormatError(lineno, f"vertex id out of range 1..{n}")
+        if u == v:
+            raise FormatError(lineno, "self-loop")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise FormatError(lineno, f"duplicate edge ({e[0]},{e[1]})")
+        seen.add(e)
+        edges.append(e)
+    if n < 0:
+        raise FormatError(1, "missing problem line")
+    if len(edges) != m:
+        raise FormatError(1, f"problem line declares {m} edges, found {len(edges)}")
+    return Graph(n, edges)

@@ -5,13 +5,17 @@ dataclass to its fields, and each public method of a public class
 (``Class.method``) to its parameter names without ``self`` or ``cls``.
 Annotations and defaults are not pinned.  Each public name must also
 have a caller outside the tests, or a reason in ``KEPT``: every entry
-point needs its own boundary checks.
+point needs its own boundary checks.  So must each defaulted parameter
+of a public callable, or a reason in ``KEPT_PARAMETERS``: every option
+is one more input to check.
 """
 
 import ast
 import dataclasses
 import inspect
+import math
 import types
+from collections import defaultdict
 from pathlib import Path
 
 import ksec
@@ -58,7 +62,7 @@ PUBLIC_API = {
     "cut_width": ("g", "parts"),
     "diameter_preserving_cut": ("forest", "m", "comps"),
     "dp_min_size_cut_td": ("g", "td", "m", "max_width"),
-    "dp_min_size_cut_tree": ("forest", "m", "outside"),
+    "dp_min_size_cut_tree": ("forest", "m"),
     "find_anchor": ("lab", "m"),
     "forest_summary": ("g",),
     "generate": ("spec",),
@@ -128,6 +132,12 @@ def _trees(paths):
     return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
 
 
+def _tool_paths() -> list:
+    """The library's own modules (not ``__init__``), ``perfbench`` and ``scripts``."""
+    paths = [p for p in (ROOT / "src" / "ksec").glob("*.py") if p.name != "__init__.py"]
+    return paths + [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+
+
 def test_every_public_name_has_a_caller_outside_the_tests_or_a_reason_to_stay():
     """A public function, class or method is named in the library or its tools, or is KEPT.
 
@@ -135,11 +145,8 @@ def test_every_public_name_has_a_caller_outside_the_tests_or_a_reason_to_stay():
     ``scripts`` count; a function's name counts as a name or an
     attribute, a method's as an attribute.
     """
-    src = ROOT / "src" / "ksec"
-    paths = [p for p in src.glob("*.py") if p.name != "__init__.py"]
-    paths += [*(ROOT / "perfbench").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
     names, attrs = set(), set()
-    for node in (n for t in _trees(paths) for n in ast.walk(t)):
+    for node in (n for t in _trees(_tool_paths()) for n in ast.walk(t)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -147,6 +154,53 @@ def test_every_public_name_has_a_caller_outside_the_tests_or_a_reason_to_stay():
     uncalled = {key for key in public_shapes()
                 if key.rpartition(".")[2] not in (attrs if "." in key else names | attrs)}
     assert uncalled == set(KEPT)
+
+
+# defaulted parameters of public callables that nothing outside the tests passes, each kept
+# for a reason
+KEPT_PARAMETERS = {}
+
+
+def _passed(paths) -> tuple[dict, dict]:
+    """(keywords, positions): by called name, the keywords and the most positions some call passes.
+
+    A call is named by its function's name or attribute.  A ``**`` splat
+    counts as passing every keyword (``None``), a ``*`` splat every
+    position.
+    """
+    keywords, positions = defaultdict(set), defaultdict(int)
+    for node in (n for t in _trees(paths) for n in ast.walk(t)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            keywords[name].update(k.arg for k in node.keywords)
+            star = any(isinstance(a, ast.Starred) for a in node.args)
+            positions[name] = max(positions[name], math.inf if star else len(node.args))
+    return keywords, positions
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests_or_has_a_reason_to_stay():
+    """Each defaulted parameter of a public callable is passed in the library or its tools, or is KEPT.
+
+    The callables are those ``public_shapes`` pins, a dataclass by its
+    fields, and the paths those of the caller check above.  A parameter
+    counts as passed by a call of its callable's name (a method's by its
+    attribute) that names it or reaches its position.
+    """
+    keywords, positions = _passed(_tool_paths())
+    unpassed = set()
+    for key in public_shapes():
+        obj = ksec
+        for part in key.split("."):
+            obj = getattr(obj, part)
+        name = key.rpartition(".")[2]
+        shown = [p for p in inspect.signature(obj).parameters.values()
+                 if p.name not in ("self", "cls")]
+        for i, p in enumerate(shown):
+            by_position = p.kind != p.KEYWORD_ONLY and positions[name] > i
+            if p.default is not p.empty and not (by_position or {p.name, None} & keywords[name]):
+                unpassed.add(f"{key}({p.name})")
+    assert unpassed == set(KEPT_PARAMETERS)
 
 
 def test_no_module_imports_a_name_it_never_uses():

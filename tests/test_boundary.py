@@ -114,23 +114,42 @@ def test_approximate_cut_names_a_vertex_out_of_range(v):
     assert not isinstance(exc.value, InvariantViolation)
 
 
-# each cut entry point on path(6), called with the size m it is handed
+# each cut entry point on path(6), called with the size m it is handed, and the sizes it takes
 CUT_ENTRY_POINTS = {
-    "approximate_cut": lambda m: approximate_cut(path(6), 1, m),
-    "approximate_cut_td": lambda m: approximate_cut_td(path(6), tree_to_width1_td(path(6)), m),
-    "diameter_preserving_cut": lambda m: diameter_preserving_cut(path(6), m),
-    "dp_min_size_cut_td": lambda m: dp_min_size_cut_td(path(6), tree_to_width1_td(path(6)), m),
-    "dp_min_size_cut_tree": lambda m: dp_min_size_cut_tree(path(6), m),
-    "find_anchor": lambda m: find_anchor(_p_labeling(path(6), [1, 2, 3, 4, 5, 6])[0], m),
-    "r_preserving_cut": lambda m: r_preserving_cut(path(6), tree_to_width1_td(path(6)), m),
+    "approximate_cut": (lambda m: approximate_cut(path(6), 1, m), "1..10"),
+    "approximate_cut_td": (
+        lambda m: approximate_cut_td(path(6), tree_to_width1_td(path(6)), m), "1..12",
+    ),
+    "diameter_preserving_cut": (lambda m: diameter_preserving_cut(path(6), m), "1..5"),
+    "dp_min_size_cut_td": (
+        lambda m: dp_min_size_cut_td(path(6), tree_to_width1_td(path(6)), m), "0..6",
+    ),
+    "dp_min_size_cut_tree": (lambda m: dp_min_size_cut_tree(path(6), m), "0..6"),
+    "find_anchor": (
+        lambda m: find_anchor(_p_labeling(path(6), [1, 2, 3, 4, 5, 6])[0], m), "1..5",
+    ),
+    "r_preserving_cut": (
+        lambda m: r_preserving_cut(path(6), tree_to_width1_td(path(6)), m), "1..5",
+    ),
 }
 
 
-@pytest.mark.parametrize("m", [2.5, "a", True, False])
+@pytest.mark.parametrize("m", [2.5, "a", True, False, None])
 @pytest.mark.parametrize("name", sorted(CUT_ENTRY_POINTS))
 def test_cut_entry_points_name_an_m_that_is_not_an_integer(name, m):
-    with pytest.raises(MOutOfRange, match=re.escape(f"m={m!r} not in")):
-        CUT_ENTRY_POINTS[name](m)
+    call, sizes = CUT_ENTRY_POINTS[name]
+    with pytest.raises(MOutOfRange) as exc:
+        call(m)
+    assert str(exc.value) == f"m={m!r} not in {sizes}"
+
+
+@pytest.mark.parametrize("m", [-1, 13])
+@pytest.mark.parametrize("name", sorted(CUT_ENTRY_POINTS))
+def test_cut_entry_points_name_an_m_out_of_range(name, m):
+    call, sizes = CUT_ENTRY_POINTS[name]
+    with pytest.raises(MOutOfRange) as exc:
+        call(m)
+    assert str(exc.value) == f"m={m} not in {sizes}"
 
 
 # each section entry point on path(6), called with the part count k it is handed
@@ -164,9 +183,6 @@ NOT_ITERABLE = {
     ),
     "KSection.from_parts parts": (
         lambda: KSection.from_parts(path(3), 5), NotAPartition, "KSection.from_parts: 5",
-    ),
-    "dp_min_size_cut_tree": (
-        lambda: dp_min_size_cut_tree(path(3), 1, outside=5), KsecError, "outside: 5",
     ),
     "induced": (lambda: induced(tree_to_width1_td(path(3)), 5), KsecError, "induced: 5"),
     "Graph": (lambda: Graph(3, 5), KsecError, "Graph edges: 5"),
@@ -202,11 +218,6 @@ def test_an_argument_of_the_wrong_type_is_named_with_a_typed_error(name):
     call, error, named = WRONG_TYPE[name]
     with pytest.raises(error, match=re.escape(named)):
         call()
-
-
-def test_one_shot_outside_weights_are_read_once():
-    assert (dp_min_size_cut_tree(path(3), 1, outside=iter([0, 0, 0, 0]))
-            == dp_min_size_cut_tree(path(3), 1, outside=[0, 0, 0, 0]))
 
 
 @pytest.mark.parametrize("call", [

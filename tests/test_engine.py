@@ -359,9 +359,9 @@ def test_a_tree_section_induces_no_vertex_set(monkeypatch, name, dp_runs):
     sizes, dp_sizes = [], []
     real, dp = graph.induced_sorted, oracle._dp_cut_tree
 
-    def spy(h, old_of):
+    def spy(h, old_of, without=()):
         sizes.append(len(old_of))
-        return real(h, old_of)
+        return real(h, old_of, without)
 
     def spy_dp(adj, m, rooted):
         dp_sizes.append((sum(map(len, rooted[0])), m))
@@ -530,19 +530,20 @@ def test_only_the_detailed_sections_write_trace_dicts(monkeypatch):
 
 
 def test_a_td_section_induces_no_remainder(monkeypatch):
-    """The decomposition peel works in the input's ids: no graph is induced, only each cluster set.
+    """The decomposition peel works in the input's ids: no remainder is induced, only each cluster set.
 
-    Each round after the first summarizes ``induced`` of the last cut's
-    decomposition on that round's live ids.
+    The one graph a round induces is its cut's G̃, on Ṽ without the split
+    cluster's edges.  Each round after the first summarizes ``induced`` of
+    the last cut's decomposition on that round's live ids.
     """
     g, td = random_partial_ktree(400, 4, Xorshift64Star(2024))
     k = 8
     graphs, induced, summarized = [], [], []
     real_sorted, real_induced, real_summary = graph.induced_sorted, treedec.induced, engine.td_summary
 
-    def spy_sorted(h, old_of):
-        graphs.append(len(old_of))
-        return real_sorted(h, old_of)
+    def spy_sorted(h, old_of, without=()):
+        graphs.append((len(old_of), bool(without)))
+        return real_sorted(h, old_of, without)
 
     def spy_induced(cur_td, live):
         induced.append((sorted(live), real_induced(cur_td, live)))
@@ -557,10 +558,10 @@ def test_a_td_section_induces_no_remainder(monkeypatch):
             monkeypatch.setattr(mod, "induced_sorted", spy_sorted)
     monkeypatch.setattr(engine, "induced", spy_induced)
     monkeypatch.setattr(engine, "td_summary", spy_summary)
-    section, _ = ksection_td(g, td, k)
+    section, _, traces = ksection_td_detailed(g, td, k)
     monkeypatch.undo()
     check_section(g, section, k)
-    assert graphs == []
+    assert graphs == [(len(t["v_tilde"]), True) for t in traces if t["v_tilde"]]
     lives = td_section_lives(g, section)[1:] + [frozenset(section.parts[-1])]
     assert [live for live, _ in induced] == [sorted(live) for live in lives]
     assert [(cur_td, n) for cur_td, n in summarized[1:]] == [
@@ -624,3 +625,32 @@ def test_the_floor_check_catches_a_remainder_that_weighs_less(monkeypatch, pipel
         else:
             ksection_td(g, oracles.tree_to_width1_td(g), 2)
     assert len(calls) == (1 if pipeline == "tree" else 2)
+
+
+@pytest.mark.parametrize("pipeline", ["tree", "td"])
+def test_a_cut_that_returns_a_vertex_cut_before_is_named(monkeypatch, pipeline):
+    """A cut's black side must lie in the live ids: the peel names a stray vertex.
+
+    The second round's cut hands back, in place of one of its own black
+    vertices, the smallest vertex the first round cut.  Its white side is
+    the real one, so only the peel's own record of the live ids shows it.
+    """
+    name = "diameter_preserving_cut" if pipeline == "tree" else "r_preserving_cut"
+    real, blacks = getattr(engine, name), []
+
+    def faulty(*args, **kwargs):
+        cut, trace = real(*args, **kwargs)
+        black = cut.black
+        if blacks:
+            black = black - {max(black)} | {min(blacks[0])}
+        blacks.append(cut.black)
+        return dataclasses.replace(cut, black=black), trace
+
+    monkeypatch.setattr(engine, name, faulty)
+    if pipeline == "tree":
+        call = lambda: ksection_tree(random_tree_maxdeg(200, 6, Xorshift64Star(1)), 4)
+    else:
+        call = lambda: ksection_td(*random_partial_ktree(200, 3, Xorshift64Star(1)), 4)
+    with pytest.raises(InvariantViolation) as exc:
+        call()
+    assert str(exc.value) == f"cut returned vertex {min(blacks[0])}, which is not live"

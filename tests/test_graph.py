@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FILE_EDITS, TREE_SHAPES, diam_star, mixed_forest, mutate, path, star
+from conftest import (
+    FILE_EDITS, FILE_TOKENS, TREE_SHAPES, diam_star, mixed_forest, mutate, path, star,
+)
 from ksec.errors import FormatError, KsecError, NotAForest, NotAPartition, NotATree, ResourceLimit
 from ksec.graph import (
     Cut,
@@ -27,7 +29,6 @@ from ksec.graph import (
     write_gr,
 )
 from ksec.instances import Xorshift64Star, random_partial_ktree, random_tree_maxdeg
-from ksec.tdcut import _subgraph_minus_cluster_edges
 
 
 def test_graph_rejects_bad_edges():
@@ -351,7 +352,7 @@ def test_trusted_derived_graphs_equal_checked_ones(seed, shape):
     bag = frozenset(rng.sample(live, rng.randint(0, min(4, len(live)))))
     outside = [(new_of[u], new_of[v]) for u, v in g.edges
                if u in new_of and v in new_of and u not in bag and v not in bag]
-    assert_checked_equal(_subgraph_minus_cluster_edges(g, new_of, bag), len(keep), outside)
+    assert_checked_equal(induced_sorted(g, keep, without=bag), len(keep), outside)
 
     if shape == "forest":
         # the linking lemma on the reference linked tree: diam* and Δ >= 2 stay
@@ -376,6 +377,55 @@ def test_parse_gr_on_mutated_files_raises_only_typed_errors(seed, edits):
     except KsecError:
         return
     assert parse_gr(write_gr(g)) == g
+
+
+# edit tokens for the parser's equivalence with its reference: loops, both orders of
+# an edge, ids just out of range and a vertex count over the memory guard
+GR_EDITS = st.lists(
+    st.tuples(st.sampled_from(["token", "insert", "delete", "duplicate", "swap"]),
+              st.integers(0, 10 ** 6), st.integers(0, 10 ** 6),
+              st.sampled_from([*FILE_TOKENS, "2 2", "1 2", "2 1", "0 1", "1 10", "-1 2",
+                               "p ks 9 1", "p tw 3 0", f"p ks {10 ** 9} 0"])),
+    max_size=4,
+)
+
+
+def _gr_text(rng) -> str:
+    """A valid .gr text: up to 9 vertices, edges in random order and orientation, comments."""
+    n = rng.randint(0, 9)
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = rng.sample(pairs, rng.randint(0, min(len(pairs), 12)))
+    lines = [f"{u} {v}" if rng.chance(1, 2) else f"{v} {u}" for u, v in edges]
+    lines.insert(rng.randint(0, len(lines)), "c a comment")
+    return "\n".join([f"p {'ks' if rng.chance(1, 2) else 'tw'} {n} {len(edges)}", *lines, ""])
+
+
+def _parsed(parse, text):
+    """What ``parse`` makes of ``text``: the graph's n, adj, edges and edge count, or its error."""
+    try:
+        g = parse(text)
+    except KsecError as exc:
+        return type(exc), str(exc)
+    return g.n, g.adj, g.edges, g.num_edges
+
+
+@pytest.mark.parametrize("text", [
+    "p ks 3 2\n1 2\n2 3\n", "p ks 3 1\n1 x\n", "p ks 3 1\n1 4\n", "p ks 3 1\n0 1\n",
+    "p ks 3 1\n2 2\n", "p ks 3 2\n1 2\n2 1\n", "p ks 3 2\n1 2\n1 2\n", "p ks 3 2\n1 2\n",
+    "p ks 3 0\n1 2\n", "1 2\n", "c only\n", "p ks 3 0\np ks 3 0\n", f"p ks {10 ** 9} 0\n",
+    "p ks 3 -1\n", "p ks a 0\n", "p xx 3 0\n", "p ks 3 1\n1 2 3\n", "p ks 0 0\n", 5,
+])
+def test_parse_gr_checks_each_line_as_the_constructor_did(text):
+    assert _parsed(parse_gr, text) == _parsed(oracles.parse_gr_through_the_constructor, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2 ** 60), GR_EDITS)
+def test_parse_gr_gives_the_reference_graph_or_error_on_mutated_files(seed, edits):
+    """The same n, adjacency, edges and edge count, or the same error type and message."""
+    text = _gr_text(Xorshift64Star(seed))
+    text = mutate(text, edits) if edits else text
+    assert _parsed(parse_gr, text) == _parsed(oracles.parse_gr_through_the_constructor, text)
 
 
 def test_parse_gr_names_a_vertex_count_over_the_memory_guard(monkeypatch):

@@ -11,7 +11,6 @@ the benchmark sections do reach it, as one inner cut of
 """
 
 import itertools
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,6 @@ import oracles
 from conftest import path, star_comb
 from ksec import oracle
 from ksec.engine import ksection_tree, ksection_tree_detailed
-from ksec.errors import KsecError
 from ksec.graph import Cut, Graph, component_orders
 from ksec.instances import (
     Xorshift64Star,
@@ -121,21 +119,10 @@ def test_search_meets_every_width_and_the_fallback_on_small_forests():
 
 def test_ties_go_to_the_least_weight_then_to_ascending_ids():
     # the path is rooted at 1: {1, 2, 3} lies above the cut over 4, {7, 8, 9} below the one over 7
-    assert oracle.dp_min_size_cut_tree(path(9), 3)[0].black == {1, 2, 3}
-    outside = [0, 1] + [0] * 8
-    assert oracle.dp_min_size_cut_tree(path(9), 3, outside=outside)[0].black == {7, 8, 9}
-
-
-@pytest.mark.parametrize(
-    "outside, named",
-    [([0] * 5, "outside has 5 entries, expected n + 1 = 7"),
-     ([0, 0, 1, -1, 0, 0, 0], "outside weight -1 is not"),
-     ([0, 0, 1, True, 0, 0, 0], "outside weight True is not"),
-     ([0, 0, 1, "a", 0, 0, 0], "outside weight 'a' is not")],
-)
-def test_outside_weights_are_checked(outside, named):
-    with pytest.raises(KsecError, match=re.escape(named)):
-        oracle.dp_min_size_cut_tree(path(6), 3, outside=outside)
+    g = path(9)
+    assert oracle.dp_min_size_cut_tree(g, 3)[0].black == {1, 2, 3}
+    weighed = oracle._InnerForest(g.adj, g.n, component_orders(g), {1: 1})
+    assert sorted(oracle.dp_min_size_cut_tree(weighed, 3)[0]) == [7, 8, 9]
 
 
 def _count_calls(monkeypatch):

@@ -372,10 +372,10 @@ def test_cut_plabeling_parts_edge_scan():
 def glue_spy():
     """Yield a list that gets (inner graph, glued decomposition) of each Case 2b/3 cut made."""
     captured = []
-    real_inner, real_glue = tdcut._subgraph_minus_cluster_edges, tdcut._glue_decompositions
+    real_inner, real_glue = tdcut.induced_sorted, tdcut._glue_decompositions
 
-    def inner(*args):
-        captured.append([real_inner(*args)])
+    def inner(*args, **kwargs):
+        captured.append([real_inner(*args, **kwargs)])
         return captured[-1][0]
 
     def glue(*args):
@@ -383,7 +383,7 @@ def glue_spy():
         return captured[-1][1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tdcut, "_subgraph_minus_cluster_edges", inner)
+        mp.setattr(tdcut, "induced_sorted", inner)
         mp.setattr(tdcut, "_glue_decompositions", glue)
         yield captured
 
