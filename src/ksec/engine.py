@@ -117,18 +117,19 @@ def _peel(
     ``summarize(cur, summary, live)`` for the remainder's one summary:
     ``cur`` is g with every cut vertex isolated and ``live`` the ids left,
     ascending, so every round works in g's ids.  The round counts the
-    edges it deletes, B's degrees plus the cut's width, halved, and
+    edges it deletes, B's degrees plus its edges to the rest, halved, and
     builds ``cur`` with the edges left, so neither the forest check nor
     the cut's summary check scans the adjacency for them.  Nothing scans
     a count and keeps it: every ``cur`` shares the one adjacency list,
     which later rounds keep cutting, so a kept count would go stale.
     ``measure(summary, n)`` is the quantity the cut must not lower (diam*
     for trees, r for decompositions): it is read off that one summary,
-    which then goes to the next cut.  The loop checks that every cut has |B| = m
-    live ids (the pass that drops B from them must drop m), that the
-    measure never drops and that the per-cut widths add up to the width
-    of the section; a failure raises ``InvariantViolation``.  Returns the
-    section, parts in the order of ``sizes``, and the per-cut traces.
+    which then goes to the next cut.  The loop checks that every cut has
+    |B| = m live ids (the pass that drops B from them must drop m), that
+    its width counts B's edges to the rest, that the measure never drops
+    and that the per-cut widths add up to the width of the section; a
+    failure raises ``InvariantViolation``.  Returns the section, parts in
+    the order of ``sizes``, and the per-cut traces.
     """
     parts, width, traces = [], 0, []
     adj, live, cur, edges = list(g.adj), list(g.vertices()), g, g.num_edges
@@ -142,15 +143,14 @@ def _peel(
         if len(rest) != len(live) - m:
             stray = next(iter(black.difference(live)))
             raise InvariantViolation(f"cut returned vertex {stray!r}, which is not live")
-        # B's degrees count its inner edges twice and its c.width edges to the rest once
-        edges -= (sum(map(len, map(adj.__getitem__, black))) + c.width) // 2
-        ends = set()  # rebuilt once each: a hub of a decomposed graph may lose many edges
+        out = [w for b in black for w in adj[b] if w not in black]  # B's edges to the rest
+        if len(out) != c.width:
+            raise InvariantViolation(f"cut claims width {c.width}, but {len(out)} edges leave B")
+        # B's degrees count its inner edges twice and its edges to the rest once
+        edges -= (sum(map(len, map(adj.__getitem__, black))) + len(out)) // 2
         for b in black:
-            for w in adj[b]:
-                if w not in black:
-                    ends.add(w)
             adj[b] = ()
-        for w in ends:
+        for w in set(out):  # rebuilt once each: a hub of a decomposed graph may lose many edges
             adj[w] = tuple(filterfalse(black.__contains__, adj[w]))
         live, cur = rest, Graph._trusted(g.n, adj, edges)
         summary = summarize(cur, summary, live)
@@ -351,9 +351,9 @@ def recursive_bisection_baseline(tree: Graph, k: int) -> KSection:
     def rec(g: Graph, old_of: list[int], kk: int) -> list[tuple[int, ...]]:
         if kk == 1:
             return [tuple(sorted(old_of))]
-        cut, _ = oracle.dp_min_size_cut_tree(g, g.n // 2)
+        black = oracle.dp_min_size_cut_tree(g, g.n // 2)[0].black
         out = []
-        for side in (sorted(cut.black), sorted(cut.white)):
+        for side in (sorted(black), [v for v in g.vertices() if v not in black]):
             out.extend(rec(induced_sorted(g, side), [old_of[u - 1] for u in side], kk // 2))
         return out
 

@@ -198,18 +198,16 @@ def boundary_width(g: Graph, side) -> int:
 
 @dataclass(frozen=True)
 class Cut:
-    """Two-sided cut (B, W); ``width`` is the number of crossing edges."""
+    """Cut (B, W) of a vertex set V, kept as B since W = V∖B; ``width`` counts crossing edges."""
 
     black: frozenset
-    white: frozenset
     width: int
 
     @classmethod
-    def _trusted(cls, g: Graph, black: Iterable[int], live: Iterable[int] | None = None) -> "Cut":
-        """The cut of ``live`` (default all) with black side ``black``; nothing is checked."""
+    def _trusted(cls, g: Graph, black: Iterable[int]) -> "Cut":
+        """The cut of a vertex set closed under g's edges with black side ``black``; no check."""
         b = frozenset(black)
-        w = frozenset(g.vertices() if live is None else live) - b
-        return cls(b, w, boundary_width(g, b if len(b) <= len(w) else w))
+        return cls(b, boundary_width(g, b))
 
 
 @dataclass(frozen=True)

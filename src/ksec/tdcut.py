@@ -187,9 +187,9 @@ def r_preserving_cut(
     witness), then normalized and weighed.  ``summary`` is
     ``td_summary(td, n)`` when the caller already has it (the peel loop
     does): it replaces all three, and ``td`` is then not read.  The cut
-    splits the n ids of the summary's clusters, which must be closed
-    under g's edges (``NotATreeDecomposition``); g's other ids lie on no
-    side.  The inner exact DP checks the glued decomposition it is
+    splits the n ids V of the summary's clusters, W = V∖B, and V must be
+    closed under g's edges (``NotATreeDecomposition``), so B's edges all
+    end in V.  The inner exact DP checks the glued decomposition it is
     handed, and refuses widths above its default limit (``WidthTooLarge``).
     """
     if summary is None:
@@ -212,12 +212,12 @@ def r_preserving_cut(
 
     base = dict(m=m, r=r, t=t, anchor=v, floor_rm=floor_rm, normalized_td=td0)
     if v_in_r and vm_in_r:
-        return Cut._trusted(g, m_vertices, live), RCutTrace(case_tag="Case1", **base)
+        return Cut._trusted(g, m_vertices), RCutTrace(case_tag="Case1", **base)
     # the end of the m-window outside R lies in S_i of the split node i
     i, first, last = lab.block(v + m if v_in_r else v)
     base["node"] = split_node = hp.path[i]
     if v_in_r and lab.on_path[cyclic(v + m - 1, n)]:
-        return Cut._trusted(g, m_vertices, live), RCutTrace(case_tag="Case2a", **base)
+        return Cut._trusted(g, m_vertices), RCutTrace(case_tag="Case2a", **base)
 
     case = "Case2b" if v_in_r else "Case3"
     s_set = frozenset(lab.vertex_of[x] for x in range(first, last + 1) if not lab.on_path[x])
@@ -238,7 +238,7 @@ def r_preserving_cut(
     if boundary_width(g_tilde, b_local):
         raise InvariantViolation(f"{case}: split sides are still connected")
 
-    glued = _glue_decompositions(td0, new_of, b_local, hp.path[-1])
+    glued = _glue_decompositions(td0, new_of, b_side, hp.path[-1])
     if glued.width > t - 1:
         raise InvariantViolation(f"{case}: glued decomposition too wide")
     r_tilde = heaviest_path(glued, len(new_of)).relative_weight
@@ -252,7 +252,7 @@ def r_preserving_cut(
     gadj = g.adj
     if outer > 3 * t * max([len(gadj[v]) for v in v_tilde]) and outer > 3 * t * max_degree(g):
         raise InvariantViolation(f"{case}: outer cut exceeds 3tΔ")
-    return Cut._trusted(g, black, live), RCutTrace(
+    return Cut._trusted(g, black), RCutTrace(
         case_tag=case,
         m_tilde=m_tilde,
         b_side=b_side,
@@ -265,15 +265,15 @@ def r_preserving_cut(
 
 
 def _glue_decompositions(
-    td0: TreeDecomposition, new_of: dict, b_local: set, j0: int
+    td0: TreeDecomposition, new_of: dict, b_side: frozenset, j0: int
 ) -> TreeDecomposition:
     """Join induced decompositions of the two split sides by one edge, on their spans.
 
     Copy 1 covers the non-split side, copy 2 the approximate-cut side
     (node i of td0 is i + num there); the new edge runs from the far path
     end j0 (copy 1) to the smallest copy-2 node with a nonempty cluster.
-    The clusters are written in Ṽ's local ids (``new_of``), in which
-    ``b_local`` is the approximate-cut side.
+    The clusters are written in Ṽ's local ids (``new_of``); ``b_side``,
+    the approximate-cut side, is in td0's ids.
 
     Of each copy only its span is built: the subtree spanned by the nodes
     whose cluster meets its side, and by j0 in copy 1, which drops out
@@ -292,9 +292,8 @@ def _glue_decompositions(
     for u in order[:0:-1]:
         if low[u] < low[parent[u]]:
             low[parent[u]] = low[u]
-    side2 = {v for v, i in new_of.items() if i in b_local}
-    bags1, edges1, _ = _span(td0, parent, low, new_of.keys() - side2, new_of, j0) or ({}, [], 0)
-    bags2, edges2, h0 = _span(td0, parent, low, side2, new_of, 0)
+    bags1, edges1, _ = _span(td0, parent, low, new_of.keys() - b_side, new_of, j0) or ({}, [], 0)
+    bags2, edges2, h0 = _span(td0, parent, low, b_side, new_of, 0)
     ids = [*sorted(bags1), *(i + num for i in sorted(bags2))]
     edges = [*edges1, *((i + num, j + num) for i, j in edges2)]
     if bags1:

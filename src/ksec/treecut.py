@@ -188,8 +188,8 @@ def diameter_preserving_cut(
     live ids, when the caller already has it.  It replaces the forest
     check and is checked only against the forest's vertex and edge
     counts; a peel remainder carries its edge count, so the check scans
-    nothing.  The cut splits the summarized vertices; the peel's cut ones
-    are isolated, on no side.
+    nothing.  The cut splits the summarized vertices V, W = V∖B; the ids
+    the peel has cut are outside V and isolated, so B's edges all end in V.
     """
     if comps is None:
         comps = require_forest(forest, "diameter_preserving_cut")
@@ -202,7 +202,6 @@ def diameter_preserving_cut(
     links = [(a.path[-1], b.path[0]) for a, b in zip(comps, comps[1:])]
     path = [v for c in comps for v in c.path]
     lab, parent = _p_labeling(forest, path)
-    live = lab.vertex_of[1:]
     v = find_anchor(lab, m)  # checks m: MOutOfRange unless an integer in 1..n - 1
     floor_dm = (lab.num_path * m) // n
     m_vertices = frozenset(labels_interval(lab, v, m))
@@ -210,7 +209,7 @@ def diameter_preserving_cut(
     vm_on = lab.on_path[cyclic(v + m, n)]
 
     if v_on and vm_on:
-        cut = Cut._trusted(forest, m_vertices, live)
+        cut = Cut._trusted(forest, m_vertices)
         return cut, DiamCutTrace(
             case_tag="Case1", m=m, anchor=v, floor_dm=floor_dm, m_set=m_vertices
         )
@@ -219,7 +218,7 @@ def diameter_preserving_cut(
     i, first, last = lab.block(v + m if v_on else v)
     z = path[i]
     if v_on and lab.on_path[cyclic(v + m - 1, n)]:
-        cut = Cut._trusted(forest, m_vertices, live)
+        cut = Cut._trusted(forest, m_vertices)
         return cut, DiamCutTrace(
             case_tag="Case2a", m=m, anchor=v, floor_dm=floor_dm, m_set=m_vertices, z=z
         )
@@ -246,7 +245,7 @@ def diameter_preserving_cut(
     # Ṽ's degrees are at most Δ, so testing them first leaves the predicate as it is
     if outer > 2 * top and outer > 2 * max_degree(forest):
         raise InvariantViolation(f"{case}: outer cut exceeds 2Δ")
-    cut = Cut._trusted(forest, black, live)
+    cut = Cut._trusted(forest, black)
     return cut, DiamCutTrace(
         case_tag=case,
         m=m,

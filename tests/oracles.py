@@ -422,13 +422,14 @@ def make_nonredundant_rescan(td):
 
 
 def glue_decompositions_whole(
-    td0: TreeDecomposition, new_of: dict, b_local: set, j0: int
+    td0: TreeDecomposition, new_of: dict, b_side: frozenset, j0: int
 ) -> TreeDecomposition:
     """``tdcut._glue_decompositions`` as it was before it glued only the spans.
 
     Two whole induced copies of td0, bridged; the reference whose normal
     form and relative path weight the span-only glue must keep.
     """
+    b_local = {new_of[v] for v in b_side}
     local = [frozenset(new_of[v] for v in bag if v in new_of) for bag in td0.bags]
     bags1 = [b - b_local for b in local]
     bags2 = [b & b_local for b in local]

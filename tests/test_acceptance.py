@@ -107,7 +107,7 @@ def test_criterion_3_cutting_primitive_properties():
         cut = approximate_cut(g, v, m)
         if not (m <= 2 * len(cut.black) <= 2 * m):
             bad += 1
-        if cut.width > max_degree(g) or v not in cut.white:
+        if cut.width > max_degree(g) or v in cut.black:
             bad += 1
 
     rng = Xorshift64Star(0xAC3B)
@@ -119,7 +119,7 @@ def test_criterion_3_cutting_primitive_properties():
         cut, _ = diameter_preserving_cut(g, m)
         if len(cut.black) != m:
             bad += 1
-        rest = induced_sorted(g, sorted(cut.white))
+        rest = induced_sorted(g, [u for u in g.vertices() if u not in cut.black])
         if diam_star(rest) < d:
             bad += 1
         if delta and Fraction(cut.width) > bounds.tree_cut_bound(d, delta):
@@ -137,8 +137,9 @@ def test_criterion_3_cutting_primitive_properties():
         cut, trace = r_preserving_cut(g, td, m)
         if len(cut.black) != m:
             bad += 1
-        rest_td = induced(trace.normalized_td, cut.white)
-        if heaviest_path(rest_td, len(cut.white)).relative_weight < trace.r:
+        white = [u for u in g.vertices() if u not in cut.black]
+        rest_td = induced(trace.normalized_td, white)
+        if heaviest_path(rest_td, len(white)).relative_weight < trace.r:
             bad += 1
         if delta and not bounds.td_cut_bound_holds(cut.width, trace.r, trace.t, delta):
             bad += 1

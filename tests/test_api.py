@@ -28,7 +28,7 @@ PUBLIC_API = {
         "bound_tree_improved", "bound_td",
     ),
     "BoundReport.to_dict": (),
-    "Cut": ("black", "white", "width"),
+    "Cut": ("black", "width"),
     "DiamCutTrace": (
         "case_tag", "m", "anchor", "floor_dm", "m_set", "z", "m_tilde", "b_z", "w_z", "v_tilde",
         "inner_width", "outer_width",

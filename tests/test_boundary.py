@@ -39,7 +39,14 @@ from ksec.graph import (
     parse_gr,
     write_gr,
 )
-from ksec.instances import BadParameters, GeneratorSpec, Xorshift64Star, generate
+from ksec.instances import (
+    BadParameters,
+    GeneratorSpec,
+    Xorshift64Star,
+    generate,
+    random_partial_ktree,
+    random_tree_maxdeg,
+)
 from ksec.labeling import _p_labeling, find_anchor
 from ksec.oracle import brute_min_ksection, dp_min_size_cut_td, dp_min_size_cut_tree
 from ksec.tdcut import approximate_cut_td, r_preserving_cut
@@ -457,9 +464,41 @@ def test_r_preserving_cut_splits_the_ids_its_summary_covers_and_no_more():
     p5_td = TreeDecomposition([{i, i + 1} for i in range(1, 5)], [(i, i + 1) for i in range(1, 4)])
     live = td_summary(induced(p5_td, {3, 4, 5}), 3)
     cut, _ = r_preserving_cut(Graph(5, [(3, 4), (4, 5)]), p5_td, 1, summary=live)
-    assert (cut.black, cut.white, cut.width) == ({3}, {4, 5}, 1)
+    assert (cut.black, cut.width) == ({3}, 1)
     with pytest.raises(NotATreeDecomposition, match="that no edge of the graph leaves"):
         r_preserving_cut(path(5), p5_td, 1, summary=live)
+
+
+@pytest.mark.parametrize("pipeline", ["tree", "td"])
+def test_preserving_cuts_count_the_width_when_black_is_the_larger_side(pipeline):
+    """m > n/2 on a summary that leaves isolated ids out, as the peel's do: W is V∖B.
+
+    The width is counted from B, here the larger side, and must equal the
+    edges between B and the summarized ids V left white.
+    """
+    rng = Xorshift64Star(34)
+    if pipeline == "tree":
+        g, td = random_tree_maxdeg(40, 4, rng), None
+    else:
+        g, td = random_partial_ktree(40, 3, rng)
+    cut_ids = set(rng.sample(list(g.vertices()), 6))
+    g = Graph(g.n, [e for e in g.edges if cut_ids.isdisjoint(e)])  # the peel isolates its cut ids
+    live = [v for v in g.vertices() if v not in cut_ids]
+    n = len(live)
+    if pipeline == "tree":
+        comps = [c for c in forest_summary(g) if c.root not in cut_ids]
+        run = lambda m: diameter_preserving_cut(g, m, comps)
+    else:
+        summary = td_summary(induced(td, live), n)
+        run = lambda m: r_preserving_cut(g, td, m, summary=summary)
+    cases = set()
+    for m in range(n // 2 + 1, n):
+        cut, trace = run(m)
+        cases.add(trace.case_tag)
+        white = set(live) - cut.black
+        assert len(cut.black) == m and len(white) == n - m
+        assert cut.width == sum(1 for x, y in g.edges if {x, y} & cut.black and {x, y} & white)
+    assert cases - {"Case1", "Case2a"}  # an inner exact cut chose B
 
 
 def test_heaviest_path_reports_broken_t3_as_invariant_violation():

@@ -632,8 +632,8 @@ def test_a_cut_that_returns_a_vertex_cut_before_is_named(monkeypatch, pipeline):
     """A cut's black side must lie in the live ids: the peel names a stray vertex.
 
     The second round's cut hands back, in place of one of its own black
-    vertices, the smallest vertex the first round cut.  Its white side is
-    the real one, so only the peel's own record of the live ids shows it.
+    vertices, the smallest vertex the first round cut.  Its width is the
+    real one's, so only the peel's own record of the live ids shows it.
     """
     name = "diameter_preserving_cut" if pipeline == "tree" else "r_preserving_cut"
     real, blacks = getattr(engine, name), []
@@ -654,3 +654,29 @@ def test_a_cut_that_returns_a_vertex_cut_before_is_named(monkeypatch, pipeline):
     with pytest.raises(InvariantViolation) as exc:
         call()
     assert str(exc.value) == f"cut returned vertex {min(blacks[0])}, which is not live"
+
+
+@pytest.mark.parametrize("pipeline", ["tree", "td"])
+def test_a_cut_that_overstates_its_width_is_named_in_its_round(monkeypatch, pipeline):
+    """The peel counts the edges it deletes itself: a cut's width must match them.
+
+    Each cut claims two edges more than it cuts.  The peel names the first
+    one, before its edge count goes wrong and the next summary with it.
+    """
+    name = "diameter_preserving_cut" if pipeline == "tree" else "r_preserving_cut"
+    real, widths = getattr(engine, name), []
+
+    def faulty(*args, **kwargs):
+        cut, trace = real(*args, **kwargs)
+        widths.append(cut.width)
+        return dataclasses.replace(cut, width=cut.width + 2), trace
+
+    monkeypatch.setattr(engine, name, faulty)
+    if pipeline == "tree":
+        call = lambda: ksection_tree(random_tree_maxdeg(200, 6, Xorshift64Star(1)), 4)
+    else:
+        call = lambda: ksection_td(*random_partial_ktree(200, 3, Xorshift64Star(1)), 4)
+    with pytest.raises(InvariantViolation) as exc:
+        call()
+    assert len(widths) == 1
+    assert str(exc.value) == f"cut claims width {widths[0] + 2}, but {widths[0]} edges leave B"

@@ -237,7 +237,8 @@ def test_exact_cut_bounded_td_cross_checks():
         assert dp_min_size_cut_td(g2, td2, m)[0].width == oracles.min_cut_over_subsets(g2, m)
 
 
-def r_after_cut(g, td_used, white):
+def r_after_cut(g, td_used, black):
+    white = [v for v in g.vertices() if v not in black]
     sub = induced(td_used, white)
     return heaviest_path(sub, len(white)).relative_weight
 
@@ -250,7 +251,7 @@ def test_r_preserving_cut_path_graph():
         assert trace.case_tag == "Case1"
         assert len(cut.black) == m
         assert cut.width <= 2 * trace.t * max_degree(g)
-        assert r_after_cut(g, trace.normalized_td, cut.white) == 1
+        assert r_after_cut(g, trace.normalized_td, cut.black) == 1
         # black set is a label interval, here a path prefix or suffix
         blk = sorted(cut.black)
         assert blk == list(range(blk[0], blk[0] + m))
@@ -264,7 +265,7 @@ def test_r_preserving_cut_tree_width1():
         m = rng.randint(1, g.n - 1)
         cut, trace = r_preserving_cut(g, td, m)
         assert len(cut.black) == m
-        assert r_after_cut(g, trace.normalized_td, cut.white) >= trace.r
+        assert r_after_cut(g, trace.normalized_td, cut.black) >= trace.r
         assert bounds.td_cut_bound_holds(cut.width, trace.r, trace.t, max_degree(g))
 
 
@@ -275,7 +276,7 @@ def test_r_preserving_cut_partial_two_tree_selected_m():
     for m in (1, 20, 59):
         cut, trace = r_preserving_cut(g, td, m)
         assert len(cut.black) == m
-        assert r_after_cut(g, trace.normalized_td, cut.white) >= trace.r
+        assert r_after_cut(g, trace.normalized_td, cut.black) >= trace.r
         assert bounds.td_cut_bound_holds(cut.width, trace.r, trace.t, delta)
 
 
@@ -290,7 +291,7 @@ def test_r_preserving_case_internals():
             cut, trace = r_preserving_cut(g, td, m)
             seen.add(trace.case_tag)
             assert len(cut.black) == m
-            assert r_after_cut(g, trace.normalized_td, cut.white) >= trace.r
+            assert r_after_cut(g, trace.normalized_td, cut.black) >= trace.r
             assert bounds.td_cut_bound_holds(cut.width, trace.r, trace.t, max_degree(g))
             if trace.case_tag in ("Case2b", "Case3"):
                 assert 2 <= trace.m_tilde <= 2 * m
@@ -315,14 +316,14 @@ def test_r_preserving_cut_degenerate_decompositions():
     for m in (1, 11, 23):
         cut, trace = r_preserving_cut(star, oracles.tree_to_width1_td(star), m)
         assert len(cut.black) == m
-        assert r_after_cut(star, trace.normalized_td, cut.white) >= trace.r
+        assert r_after_cut(star, trace.normalized_td, cut.black) >= trace.r
 
     g, _ = random_partial_ktree(12, 4, Xorshift64Star(3))
     one = TreeDecomposition([set(g.vertices())], [])
     for m in range(1, 12):
         cut, trace = r_preserving_cut(g, one, m)
         assert len(cut.black) == m
-        assert r_after_cut(g, trace.normalized_td, cut.white) >= trace.r
+        assert r_after_cut(g, trace.normalized_td, cut.black) >= trace.r
 
     g2, td2 = random_partial_ktree(30, 3, Xorshift64Star(8))
     sparse = Graph(30, sorted(g2.edges)[::2])
@@ -330,7 +331,7 @@ def test_r_preserving_cut_degenerate_decompositions():
     for m in range(1, 30):
         cut, trace = r_preserving_cut(sparse, td2, m)
         assert len(cut.black) == m
-        assert r_after_cut(sparse, trace.normalized_td, cut.white) >= trace.r
+        assert r_after_cut(sparse, trace.normalized_td, cut.black) >= trace.r
         assert delta == 0 or bounds.td_cut_bound_holds(cut.width, trace.r, trace.t, delta)
 
 

@@ -193,8 +193,8 @@ def test_make_nonredundant_keeps_the_rescan_order_on_glued_decompositions(seed, 
     td0 = make_nonredundant(td)
     kept = sorted(rng.sample(list(range(1, n + 1)), rng.randint(1, n)))
     new_of = {old: i for i, old in enumerate(kept, start=1)}
-    b_local = set(rng.sample(list(new_of.values()), rng.randint(1, len(kept))))
-    glued = tdcut._glue_decompositions(td0, new_of, b_local, rng.randint(1, td0.num_nodes))
+    b_side = frozenset(rng.sample(kept, rng.randint(1, len(kept))))
+    glued = tdcut._glue_decompositions(td0, new_of, b_side, rng.randint(1, td0.num_nodes))
     out, ref = make_nonredundant(glued), oracles.make_nonredundant_rescan(glued)
     assert out.bags == ref.bags
     assert out.tree_adj == ref.tree_adj
@@ -202,14 +202,14 @@ def test_make_nonredundant_keeps_the_rescan_order_on_glued_decompositions(seed, 
 
 
 def random_glue_input(seed, n, t):
-    """(td0, new_of, b_local, j0): a random Ṽ of a partial t-tree, split at random, and a j0."""
+    """(td0, new_of, b_side, j0): a random Ṽ of a partial t-tree, split at random, and a j0."""
     rng = Xorshift64Star(seed)
     _, td = random_partial_ktree(n, t, rng)
     td0 = make_nonredundant(td)
     kept = sorted(rng.sample(list(range(1, n + 1)), rng.randint(1, n)))
     new_of = {old: i for i, old in enumerate(kept, start=1)}
-    b_local = set(rng.sample(list(new_of.values()), rng.randint(1, len(kept))))
-    return td0, new_of, b_local, rng.randint(1, td0.num_nodes)
+    b_side = frozenset(rng.sample(kept, rng.randint(1, len(kept))))
+    return td0, new_of, b_side, rng.randint(1, td0.num_nodes)
 
 
 @settings(max_examples=150, deadline=None)
