@@ -10,7 +10,6 @@ from .graph import (
     parse_gr,
     write_gr,
 )
-from .labeling import PLabeling, find_anchor
 from .treecut import DiamCutTrace, approximate_cut, diameter_preserving_cut
 from .treedec import (
     HeaviestPathResult,

@@ -190,6 +190,21 @@ def first_bad(values: Sequence, lo: int, hi: int) -> tuple | None:
     return next(((v,) for v in values if not (is_int(v) and lo <= v <= hi)), None)
 
 
+def disjoint_paths(adj, paths) -> bool:
+    """Whether each of ``paths`` is a nonempty path in ``adj``, and no id lies on two of them.
+
+    Their ids must be integers in 1..len(adj) - 1 (``first_bad``), each
+    adjacent in ``adj`` to the next of its path, and distinct.
+    """
+    ids = [v for p in paths for v in p]
+    return (
+        all(paths)
+        and first_bad(ids, 1, len(adj) - 1) is None
+        and len(set(ids)) == len(ids)
+        and all(y in adj[x] for p in paths for x, y in zip(p, p[1:]))
+    )
+
+
 def boundary_width(g: Graph, side) -> int:
     """Edges of g with exactly one end in the vertex set ``side``, counted from side's adjacency."""
     adj = g.adj

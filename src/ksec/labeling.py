@@ -1,4 +1,4 @@
-"""Cyclic labelings along a fixed path, with a marked vertex set.
+"""Cyclic labelings along a fixed path, with a marked vertex set, and their anchor windows.
 
 Removing the edges of a path P from a tree splits the tree into one
 subtree T_v per path vertex v.  The labeling built here assigns
@@ -25,6 +25,12 @@ covered by the heaviest path's clusters, block i is S_i followed by
 R_i of path node i, and d_P, the anchor and the label intervals are
 read exactly as for a tree.  Its blocks come from one pass over the
 decomposition's rooting.
+
+Both preserving cuts read the anchor's m-window the same way, so the
+rule is written once, in ``anchor_window``: the anchor, the window M,
+the case, and the block the cut splits with its unmarked vertices S.
+Each cut keeps only its own split of that block.  Nothing here is
+public: every labeling is built by a cut from a path it found itself.
 """
 
 from __future__ import annotations
@@ -34,8 +40,9 @@ from collections.abc import Container
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
-from .errors import InvariantViolation, KsecError, MOutOfRange
+from .errors import InvariantViolation, MOutOfRange
 from .graph import Graph, is_int
 
 
@@ -88,15 +95,8 @@ class PLabeling:
             label_of[v] = lbl
         return tuple(label_of)
 
-    def vertex(self, label: int) -> int:
-        if not is_int(label):
-            raise KsecError(f"PLabeling.vertex: label {label!r} is not an integer")
-        return self.vertex_of[cyclic(label, self.n)]
-
     def block(self, label: int) -> tuple[int, int, int]:
         """(i, first, last): block i holds the labels first..last, ``label`` (cyclic) among them."""
-        if not is_int(label):
-            raise KsecError(f"PLabeling.block: label {label!r} is not an integer")
         ends = self.ends
         i = bisect_left(ends, cyclic(label, self.n))
         return i, ends[i - 1] + 1 if i else 1, ends[i]
@@ -175,3 +175,53 @@ def labels_interval(lab: PLabeling, start: int, count: int) -> set[int]:
     if first + count - 1 > n:
         out.update(vertex_of[1 : first + count - n])
     return out
+
+
+class AnchorWindow(NamedTuple):
+    """The anchor's m-window of a labeling, as both preserving cuts read it.
+
+    ``anchor`` is v, ``floor`` is floor(|P| m / n) and ``m_set`` is M, the
+    vertices of the labels v..v+m-1.  ``case`` is ``Case1`` (v and v+m
+    marked: M is the cut), ``Case2a`` (v and v+m-1 marked, v+m not: M
+    is the cut), ``Case2b`` (v marked, v+m-1 and v+m not) or ``Case3``
+    (v unmarked).  Outside ``Case1``, ``block`` is ``(i, first, last)``
+    of the block that holds the window's unmarked end, v+m if v is
+    marked and v otherwise.  Where the block is split (``Case2b``,
+    ``Case3``), ``s_set`` holds its unmarked vertices S and ``m_tilde``
+    is 2|S ∩ M|.  ``vm_vertex`` is the vertex of label v+m.
+    """
+
+    anchor: int
+    floor: int
+    m_set: frozenset
+    case: str
+    block: tuple | None
+    s_set: frozenset | None
+    m_tilde: int | None
+    vm_vertex: int
+
+
+def anchor_window(lab: PLabeling, m: int) -> AnchorWindow:
+    """The window of ``find_anchor(lab, m)``, which checks m (``MOutOfRange``).
+
+    Every block lists its unmarked vertices first and its marked ones
+    last (the tree's path vertex closes its T_v, the decomposition's R_i
+    follows S_i), so S is one slice of the block.
+    """
+    v = find_anchor(lab, m)
+    n, on, prefix, vertex_of = lab.n, lab.on_path, lab.path_prefix, lab.vertex_of
+    floor = (lab.num_path * m) // n
+    m_set = frozenset(labels_interval(lab, v, m))
+    vm = cyclic(v + m, n)
+    if on[v] and on[vm]:
+        return AnchorWindow(v, floor, m_set, "Case1", None, None, None, vertex_of[vm])
+    block = lab.block(vm if on[v] else v)
+    if on[v] and on[cyclic(v + m - 1, n)]:
+        return AnchorWindow(v, floor, m_set, "Case2a", block, None, None, vertex_of[vm])
+    case = "Case2b" if on[v] else "Case3"
+    _, first, last = block
+    s_set = frozenset(vertex_of[first : last + 1 - (prefix[last + 1] - prefix[first])])
+    m_tilde = 2 * len(s_set & m_set)
+    if not (2 <= m_tilde <= 2 * m):
+        raise InvariantViolation(f"{case}: m-tilde {m_tilde} out of range")
+    return AnchorWindow(v, floor, m_set, case, block, s_set, m_tilde, vertex_of[vm])

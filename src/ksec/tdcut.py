@@ -3,21 +3,22 @@
 Mirrors the tree machinery: the heaviest path of the decomposition
 plays the role of a longest path, the vertex set splits into R (covered
 by path clusters) and the per-node remainders S_i, and the tree's
-cyclic labeling (``labeling.PLabeling``, with R marked in place of the
-path) gives path node i the block S_i ∪ R_i, with R_i last
-(``_td_blocks``).  S_i is read off the clusters of i's component of
-T - E_P, which one pass over the decomposition's rooting
-(``TreeDecomposition.rooted``) finds; the cluster cut and the glue read
-that rooting too.  The anchor, the label interval
-and the block to split are found as for a tree.  The
-r-preserving cut peels off exactly m vertices while the relative
-heaviest-path weight of the remainder never drops.  S_i is split by the
-approximate cluster cut, which reads the whole decomposition's clusters
-through S_i and makes the tree cut's choice (``treecut._approximate_black``)
-on its tree, so no decomposition is induced on S_i.  Like the tree cut,
-it works in its graph's ids, of which the peel's remainders use a part;
-only the inner vertex set Ṽ is relabeled 1..|Ṽ|, by one map that serves
-its graph G̃, the glued decomposition and the exact DP's cut.
+labeling (``labeling.PLabeling``, with R marked in place of the path)
+gives path node i the block S_i ∪ R_i, with R_i last (``_td_blocks``).
+S_i is read off the clusters of i's component of T - E_P, which one
+pass over the decomposition's rooting (``TreeDecomposition.rooted``)
+finds; the cluster cut and the glue read that rooting too.  The
+anchor's window, with its case, the node to split and that node's S_i,
+is the tree cut's (``labeling.anchor_window``); only the split of S_i
+and what follows it are this module's own.  The r-preserving cut peels
+off exactly m vertices while the relative heaviest-path weight of the
+remainder never drops.  S_i is split by the approximate cluster cut,
+which reads the whole decomposition's clusters through S_i and makes
+the tree cut's choice (``treecut._approximate_black``) on its tree, so
+no decomposition is induced on S_i.  Like the tree cut, it works in its
+graph's ids, of which the peel's remainders use a part; only the inner
+vertex set Ṽ is relabeled 1..|Ṽ|, by one map that serves its graph G̃,
+the glued decomposition and the exact DP's cut.
 
 The glued decomposition is built on the span of Ṽ's clusters alone, in
 each copy the subtree spanned by the nodes whose cluster meets its side.
@@ -41,8 +42,17 @@ from .errors import (
     NotATreeDecomposition,
     RedundantDecomposition,
 )
-from .graph import Cut, Graph, boundary_width, first_bad, induced_sorted, is_int, max_degree
-from .labeling import PLabeling, cyclic, find_anchor, labels_interval
+from .graph import (
+    Cut,
+    Graph,
+    boundary_width,
+    disjoint_paths,
+    first_bad,
+    induced_sorted,
+    is_int,
+    max_degree,
+)
+from .labeling import PLabeling, anchor_window
 from .treecut import CutTrace, _approximate_black
 from .treedec import (
     TDSummary,
@@ -188,9 +198,11 @@ def r_preserving_cut(
     ``td_summary(td, n)`` when the caller already has it (the peel loop
     does): it replaces all three, and ``td`` is then not read.  The cut
     splits the n ids V of the summary's clusters, W = V∖B, and V must be
-    closed under g's edges (``NotATreeDecomposition``), so B's edges all
-    end in V.  The inner exact DP checks the glued decomposition it is
-    handed, and refuses widths above its default limit (``WidthTooLarge``).
+    closed under g's edges, so B's edges all end in V.  The summary's
+    heaviest path must be a nonempty path of its decomposition tree with
+    no node twice.  Both are checked (``NotATreeDecomposition``).  The
+    inner exact DP checks the glued decomposition it is handed, and
+    refuses widths above its default limit (``WidthTooLarge``).
     """
     if summary is None:
         require_decomposition(td, g, "r_preserving_cut")
@@ -202,32 +214,26 @@ def r_preserving_cut(
             f" {n} of the graph's ids 1..{g.n} that no edge of the graph leaves"
         )
     td0, t, hp = summary.td, summary.t, summary.path
+    if not disjoint_paths(td0.tree_adj, [hp.path]):
+        raise NotATreeDecomposition(
+            "r_preserving_cut: the heaviest path of a summary must be a nonempty path of its "
+            "decomposition tree with no node twice"
+        )
     r = hp.relative_weight
     lab = PLabeling._trusted(*_td_blocks(td0, hp.path, n))
-    v = find_anchor(lab, m)  # checks m: MOutOfRange unless an integer in 1..n - 1
-    floor_rm = (lab.num_path * m) // n
-    m_vertices = frozenset(labels_interval(lab, v, m))
-    v_in_r = lab.on_path[v]
-    vm_in_r = lab.on_path[cyclic(v + m, n)]
-
-    base = dict(m=m, r=r, t=t, anchor=v, floor_rm=floor_rm, normalized_td=td0)
-    if v_in_r and vm_in_r:
-        return Cut._trusted(g, m_vertices), RCutTrace(case_tag="Case1", **base)
+    w = anchor_window(lab, m)  # checks m: MOutOfRange unless an integer in 1..n - 1
+    base = dict(m=m, r=r, t=t, anchor=w.anchor, floor_rm=w.floor, normalized_td=td0)
+    if w.case == "Case1":
+        return Cut._trusted(g, w.m_set), RCutTrace(case_tag="Case1", **base)
     # the end of the m-window outside R lies in S_i of the split node i
-    i, first, last = lab.block(v + m if v_in_r else v)
-    base["node"] = split_node = hp.path[i]
-    if v_in_r and lab.on_path[cyclic(v + m - 1, n)]:
-        return Cut._trusted(g, m_vertices), RCutTrace(case_tag="Case2a", **base)
+    base["node"] = split_node = hp.path[w.block[0]]
+    if w.case == "Case2a":
+        return Cut._trusted(g, w.m_set), RCutTrace(case_tag="Case2a", **base)
 
-    case = "Case2b" if v_in_r else "Case3"
-    s_set = frozenset(lab.vertex_of[x] for x in range(first, last + 1) if not lab.on_path[x])
-    m_tilde = 2 * len(s_set & m_vertices)
-    if not (2 <= m_tilde <= 2 * m):
-        raise InvariantViolation(f"{case}: m-tilde {m_tilde} out of range")
-
+    case, s_set, m_tilde = w.case, w.s_set, w.m_tilde
     b_side = _approximate_cut_td(td0, s_set, m_tilde)
 
-    v_tilde = frozenset((m_vertices - s_set) | b_side)
+    v_tilde = (w.m_set - s_set) | b_side
     if not (m <= len(v_tilde) <= 2 * m):
         raise InvariantViolation(f"{case}: inner vertex set size {len(v_tilde)}")
 

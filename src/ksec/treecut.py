@@ -11,10 +11,13 @@ Two operations:
 The second one links a forest's components into a tree along the chain
 of their longest paths, labels it along that chain, and follows a
 five-way case analysis over the anchor position in the labeling; the
-executed case is recorded in a trace.  It works in the forest's own ids,
-whose summary may leave isolated ids out (the tree peel's remainders),
-and cuts the subtree T_z, its block read in reverse, with the sweep's
-parents.  Every link joins two path vertices, which no sweep and no T_z
+executed case is recorded in a trace.  The anchor's window and its case
+are read as for a decomposition (``labeling.anchor_window``); this
+module splits the window's block T_z and tells ``Case3a`` from
+``Case3b`` by whether z has the label v+m.  It works in the forest's
+own ids, whose summary may leave isolated ids out (the tree peel's
+remainders), and cuts the subtree T_z, its block read in reverse, with
+the sweep's parents.  Every link joins two path vertices, which no sweep and no T_z
 crosses, so the linked tree itself is never built: only its share in
 the inner vertex set Ṽ, the links inside Ṽ added to a copy of the
 forest's adjacency list, and its edges leaving Ṽ, for the outer width.
@@ -51,12 +54,13 @@ from .graph import (
     Graph,
     TreeSummary,
     bfs_tree,
+    disjoint_paths,
     is_int,
     max_degree,
     require_forest,
     require_tree,
 )
-from .labeling import _p_labeling, cyclic, find_anchor, labels_interval
+from .labeling import _p_labeling, anchor_window
 
 
 class CutTrace:
@@ -186,10 +190,12 @@ def diameter_preserving_cut(
 
     ``comps`` is ``forest_summary(forest)``, or the peel's summary of its
     live ids, when the caller already has it.  It replaces the forest
-    check and is checked only against the forest's vertex and edge
-    counts; a peel remainder carries its edge count, so the check scans
-    nothing.  The cut splits the summarized vertices V, W = V∖B; the ids
-    the peel has cut are outside V and isolated, so B's edges all end in V.
+    check.  It is checked against the forest's vertex and edge counts,
+    which a peel remainder carries, and its paths must be nonempty paths
+    of the forest with no id on two of them that reach its n vertices
+    (``NotAPartition``).  The cut splits the summarized vertices V,
+    W = V∖B; the ids the peel has cut are outside V and isolated, so B's
+    edges all end in V.
     """
     if comps is None:
         comps = require_forest(forest, "diameter_preserving_cut")
@@ -199,44 +205,36 @@ def diameter_preserving_cut(
             f"diameter_preserving_cut: a summary of {len(comps)} component(s) on {n} vertices "
             f"does not fit a forest of {forest.n} vertices and {forest.num_edges} edges"
         )
-    links = [(a.path[-1], b.path[0]) for a, b in zip(comps, comps[1:])]
-    path = [v for c in comps for v in c.path]
-    lab, parent = _p_labeling(forest, path)
-    v = find_anchor(lab, m)  # checks m: MOutOfRange unless an integer in 1..n - 1
-    floor_dm = (lab.num_path * m) // n
-    m_vertices = frozenset(labels_interval(lab, v, m))
-    v_on = lab.on_path[v]
-    vm_on = lab.on_path[cyclic(v + m, n)]
-
-    if v_on and vm_on:
-        cut = Cut._trusted(forest, m_vertices)
-        return cut, DiamCutTrace(
-            case_tag="Case1", m=m, anchor=v, floor_dm=floor_dm, m_set=m_vertices
+    if not disjoint_paths(forest.adj, [c.path for c in comps]):
+        raise NotAPartition(
+            "diameter_preserving_cut: the paths of a summary must be nonempty paths of the "
+            "forest with no id on two of them"
         )
+    path = [v for c in comps for v in c.path]
+    links = [(a.path[-1], b.path[0]) for a, b in zip(comps, comps[1:])]
+    lab, parent = _p_labeling(forest, path)
+    if lab.n != n:
+        raise NotAPartition(
+            f"diameter_preserving_cut: the paths of a summary of {n} vertices reach {lab.n}"
+        )
+    w = anchor_window(lab, m)  # checks m: MOutOfRange unless an integer in 1..n - 1
+    base = dict(m=m, anchor=w.anchor, floor_dm=w.floor, m_set=w.m_set)
+    if w.case == "Case1":
+        return Cut._trusted(forest, w.m_set), DiamCutTrace(case_tag="Case1", **base)
 
     # the unmarked end of the m-window lies in T_z, z the path vertex of its block
-    i, first, last = lab.block(v + m if v_on else v)
-    z = path[i]
-    if v_on and lab.on_path[cyclic(v + m - 1, n)]:
-        cut = Cut._trusted(forest, m_vertices)
-        return cut, DiamCutTrace(
-            case_tag="Case2a", m=m, anchor=v, floor_dm=floor_dm, m_set=m_vertices, z=z
-        )
+    i, first, last = w.block
+    base["z"] = z = path[i]
+    if w.case == "Case2a":
+        return Cut._trusted(forest, w.m_set), DiamCutTrace(case_tag="Case2a", **base)
     members = frozenset(lab.vertex_of[first : last + 1])
-    t_z_prime = members - {z}
-    m_tilde = 2 * len(t_z_prime & m_vertices)
-    b_z = _subtree_cut(forest.adj, lab.vertex_of[last : first - 1 : -1], parent, m_tilde)
-    if v_on:
-        v_tilde = (m_vertices - t_z_prime) | b_z
-        case = "Case2b"
-    else:
-        vm_vertex = lab.vertex(v + m)
-        if z == vm_vertex:
-            v_tilde = b_z
-            case = "Case3a"
-        else:
-            v_tilde = (m_vertices - members) | b_z | {vm_vertex}
-            case = "Case3b"
+    b_z = _subtree_cut(forest.adj, lab.vertex_of[last : first - 1 : -1], parent, w.m_tilde)
+    v_tilde = (w.m_set - w.s_set) | b_z  # M ⊆ S in Case3a, where z has label v+m
+    case = w.case
+    if case == "Case3":
+        case = "Case3a" if z == w.vm_vertex else "Case3b"
+    if case == "Case3b":  # z gives way to the vertex of label v+m
+        v_tilde = (v_tilde - {z}) | {w.vm_vertex}
 
     if not (m <= len(v_tilde) <= 2 * m) or z in v_tilde:
         raise InvariantViolation(f"{case}: bad inner vertex set")
@@ -245,20 +243,15 @@ def diameter_preserving_cut(
     # Ṽ's degrees are at most Δ, so testing them first leaves the predicate as it is
     if outer > 2 * top and outer > 2 * max_degree(forest):
         raise InvariantViolation(f"{case}: outer cut exceeds 2Δ")
-    cut = Cut._trusted(forest, black)
-    return cut, DiamCutTrace(
+    return Cut._trusted(forest, black), DiamCutTrace(
         case_tag=case,
-        m=m,
-        anchor=v,
-        floor_dm=floor_dm,
-        m_set=m_vertices,
-        z=z,
-        m_tilde=m_tilde,
+        m_tilde=w.m_tilde,
         b_z=b_z,
         w_z=members - b_z,
         v_tilde=v_tilde,
         inner_width=inner_width,
         outer_width=outer,
+        **base,
     )
 
 

@@ -41,7 +41,7 @@ from ksec.graph import (
     require_memory,
     require_tree,
 )
-from ksec.labeling import PLabeling
+from ksec.labeling import AnchorWindow, PLabeling
 from ksec.oracle import _InnerForest, dp_min_size_cut_tree
 from ksec.treedec import HeaviestPathResult, TreeDecomposition, edge_home, occurrences
 
@@ -1351,6 +1351,70 @@ def labels_interval_cyclic(lab: PLabeling, start: int, count: int) -> set[int]:
     """Vertices whose labels are start, start+1, ..., start+count-1 (cyclic)."""
     n = lab.n
     return {lab.vertex_of[cyclic(start + i, n)] for i in range(count)}
+
+
+# --- The anchor's window as each preserving cut read it -----------------------
+#
+# ``treecut.diameter_preserving_cut`` and ``tdcut.r_preserving_cut`` as they
+# were when each read the anchor's m-window inline, up to the split of their
+# block, before ``labeling.anchor_window`` read it for both.  The lines are
+# verbatim, except: ``find_anchor``, ``labels_interval`` and ``cyclic`` are the
+# ones above; the tree's ``lab.vertex(v + m)``, whose method is gone, reads
+# ``vertex_of`` and is taken in every case; and each returns the window where
+# its cut went on to use it.  The reference for ``anchor_window``.
+
+
+def tree_cut_window(lab: PLabeling, m: int, path) -> AnchorWindow:
+    """The tree cut's read of the window of ``lab``, labeled along the chain ``path``."""
+    n = lab.n
+    v = find_anchor_cyclic(lab, m)  # checks m: MOutOfRange unless an integer in 1..n - 1
+    floor_dm = (lab.num_path * m) // n
+    m_vertices = frozenset(labels_interval_cyclic(lab, v, m))
+    v_on = lab.on_path[v]
+    vm_on = lab.on_path[cyclic(v + m, n)]
+    vm_vertex = lab.vertex_of[cyclic(v + m, n)]
+
+    if v_on and vm_on:
+        return AnchorWindow(v, floor_dm, m_vertices, "Case1", None, None, None, vm_vertex)
+
+    # the unmarked end of the m-window lies in T_z, z the path vertex of its block
+    i, first, last = lab.block(v + m if v_on else v)
+    z = path[i]
+    if v_on and lab.on_path[cyclic(v + m - 1, n)]:
+        return AnchorWindow(v, floor_dm, m_vertices, "Case2a", (i, first, last), None, None,
+                            vm_vertex)
+    members = frozenset(lab.vertex_of[first : last + 1])
+    t_z_prime = members - {z}
+    m_tilde = 2 * len(t_z_prime & m_vertices)
+    return AnchorWindow(v, floor_dm, m_vertices, "Case2b" if v_on else "Case3",
+                        (i, first, last), t_z_prime, m_tilde, vm_vertex)
+
+
+def td_cut_window(lab: PLabeling, m: int) -> AnchorWindow:
+    """The decomposition cut's read of the window of ``lab``, with R marked."""
+    n = lab.n
+    v = find_anchor_cyclic(lab, m)  # checks m: MOutOfRange unless an integer in 1..n - 1
+    floor_rm = (lab.num_path * m) // n
+    m_vertices = frozenset(labels_interval_cyclic(lab, v, m))
+    v_in_r = lab.on_path[v]
+    vm_in_r = lab.on_path[cyclic(v + m, n)]
+    vm_vertex = lab.vertex_of[cyclic(v + m, n)]
+
+    if v_in_r and vm_in_r:
+        return AnchorWindow(v, floor_rm, m_vertices, "Case1", None, None, None, vm_vertex)
+    # the end of the m-window outside R lies in S_i of the split node i
+    i, first, last = lab.block(v + m if v_in_r else v)
+    if v_in_r and lab.on_path[cyclic(v + m - 1, n)]:
+        return AnchorWindow(v, floor_rm, m_vertices, "Case2a", (i, first, last), None, None,
+                            vm_vertex)
+
+    case = "Case2b" if v_in_r else "Case3"
+    s_set = frozenset(lab.vertex_of[x] for x in range(first, last + 1) if not lab.on_path[x])
+    m_tilde = 2 * len(s_set & m_vertices)
+    if not (2 <= m_tilde <= 2 * m):
+        raise InvariantViolation(f"{case}: m-tilde {m_tilde} out of range")
+    return AnchorWindow(v, floor_rm, m_vertices, case, (i, first, last), s_set, m_tilde,
+                        vm_vertex)
 
 
 # --- The .gr parser that checked each line twice ------------------------------

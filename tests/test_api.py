@@ -39,9 +39,6 @@ PUBLIC_API = {
     "HeaviestPathResult": ("path", "weight", "relative_weight"),
     "KSection": ("parts", "width"),
     "KSection.from_parts": ("g", "parts"),
-    "PLabeling": ("n", "vertex_of", "path_prefix", "on_path", "num_path", "ends"),
-    "PLabeling.vertex": ("label",),
-    "PLabeling.block": ("label",),
     "RCutTrace": (
         "case_tag", "m", "r", "t", "anchor", "floor_rm", "node", "m_tilde", "b_side", "v_tilde",
         "r_tilde", "inner_width", "outer_width", "normalized_td",
@@ -63,7 +60,6 @@ PUBLIC_API = {
     "diameter_preserving_cut": ("forest", "m", "comps"),
     "dp_min_size_cut_td": ("g", "td", "m", "max_width"),
     "dp_min_size_cut_tree": ("forest", "m"),
-    "find_anchor": ("lab", "m"),
     "forest_summary": ("g",),
     "generate": ("spec",),
     "heaviest_path": ("td", "n"),

@@ -6,12 +6,15 @@ import re
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ksec
-from conftest import path
+from conftest import TREE_SHAPES, mixed_forest, path
 from ksec.cli import cmd_labeling
 from ksec.engine import (
     cut_prescribed_sizes,
@@ -34,6 +37,8 @@ from ksec.errors import (
 from ksec.graph import (
     Graph,
     KSection,
+    TreeSummary,
+    bfs_tree,
     cut_width,
     forest_summary,
     parse_gr,
@@ -52,6 +57,8 @@ from ksec.oracle import brute_min_ksection, dp_min_size_cut_td, dp_min_size_cut_
 from ksec.tdcut import approximate_cut_td, r_preserving_cut
 from ksec.treecut import approximate_cut, diameter_preserving_cut
 from ksec.treedec import (
+    HeaviestPathResult,
+    TDSummary,
     TreeDecomposition,
     heaviest_path,
     induced,
@@ -275,13 +282,6 @@ def test_the_cli_exits_4_on_a_huge_k_for_the_brute_force_oracle(tmp_path):
     assert "resource guard: k=1000000000 parts need about" in out.stderr
 
 
-@pytest.mark.parametrize("method", ["block", "vertex"])
-def test_plabeling_names_a_label_that_is_not_an_integer(method):
-    lab = _p_labeling(path(6), [1, 2, 3])[0]
-    with pytest.raises(KsecError, match=re.escape(f"{method}: label 0.5 is not an integer")):
-        getattr(lab, method)(0.5)
-
-
 def test_graph_names_a_bool_vertex_id():
     with pytest.raises(KsecError, match=r"vertex id True in edge \(True, 2\) is not an integer"):
         Graph(3, [(True, 2), (2, 3)])
@@ -467,6 +467,95 @@ def test_r_preserving_cut_splits_the_ids_its_summary_covers_and_no_more():
     assert (cut.black, cut.width) == ({3}, 1)
     with pytest.raises(NotATreeDecomposition, match="that no edge of the graph leaves"):
         r_preserving_cut(path(5), p5_td, 1, summary=live)
+
+
+# a summary's paths that are no paths: an id out of range, an id twice, ids not adjacent
+TREE_SUMMARIES_OF_NO_PATH = [
+    (path(6), 2, [TreeSummary(1, 6, (1, 9))]),
+    (Graph(5, [(1, 2), (2, 3), (2, 4), (3, 5)]), 4, [TreeSummary(1, 5, (1, 3, 1, 4))]),
+    (
+        Graph(12, [(1, 2), (2, 3), (2, 4), (3, 7), (4, 5), (4, 6), (6, 8), (6, 10), (8, 9),
+                   (10, 11), (11, 12)]),
+        4,
+        [TreeSummary(1, 12, (12, 4, 10, 9, 1))],
+    ),
+]
+
+
+@pytest.mark.parametrize("forest, m, comps", TREE_SUMMARIES_OF_NO_PATH)
+def test_diameter_preserving_cut_rejects_a_summary_whose_path_is_no_path(forest, m, comps):
+    with pytest.raises(NotAPartition, match="must be nonempty paths of the forest"):
+        diameter_preserving_cut(forest, m, comps)
+
+
+def test_diameter_preserving_cut_rejects_a_summary_whose_paths_miss_a_component():
+    """Two disjoint paths of the first of two components: the second would go unlabeled."""
+    g = Graph(9, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (7, 8), (8, 9)])
+    comps = [TreeSummary(1, 6, (1, 2, 3)), TreeSummary(7, 3, (5, 6))]
+    with pytest.raises(NotAPartition, match="a summary of 9 vertices reach 6"):
+        diameter_preserving_cut(g, 1, comps)
+
+
+@pytest.mark.parametrize("nodes, m", [((1, 999), 3), ((), 3), ((4, 1), 20)])
+def test_r_preserving_cut_rejects_a_summary_whose_path_is_no_path(nodes, m):
+    """A node out of range, no node at all, two nodes that are not adjacent."""
+    g, td = random_partial_ktree(40, 3, Xorshift64Star(1))
+    s = td_summary(td, 40)
+    summary = TDSummary(s.td, HeaviestPathResult(nodes, 5, Fraction(1, 8)), s.t, s.n)
+    with pytest.raises(NotATreeDecomposition, match="must be a nonempty path of its"):
+        r_preserving_cut(g, s.td, m, summary=summary)
+
+
+def a_path_or_ids(adj, ids, real):
+    """The path of ``adj`` between the first two ``ids`` if ``real`` and one exists, else ids."""
+    if real and len(ids) >= 2 and all(1 <= v < len(adj) for v in ids[:2]):
+        a, b = ids[:2]
+        order, parent = bfs_tree(adj, a)
+        if b in order:
+            walk = [b]
+            while walk[-1] != a:
+                walk.append(parent[walk[-1]])
+            return tuple(walk)
+    return tuple(ids)
+
+
+def cut_or_typed_error(run):
+    """Run the cut; a typed error is an answer, ``InvariantViolation`` is not."""
+    try:
+        run()
+    except InvariantViolation:
+        raise
+    except KsecError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 60),
+       st.lists(st.sampled_from(sorted(TREE_SHAPES)), min_size=1, max_size=3),
+       st.lists(st.integers(-1, 45), max_size=8), st.booleans(), st.integers(0, 10 ** 6))
+def test_a_tree_summary_of_any_ids_gives_a_cut_or_a_typed_error(seed, shapes, ids, real, pick):
+    """One component's path replaced by random ids, or by a path between two of them."""
+    forest = mixed_forest(Xorshift64Star(seed), shapes)
+    comps = forest_summary(forest)
+    j = pick % len(comps)
+    comps[j] = comps[j]._replace(path=a_path_or_ids(forest.adj, ids, real))
+    m = 1 + pick % max(forest.n - 1, 1)
+    cut_or_typed_error(lambda: diameter_preserving_cut(forest, m, comps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(4, 30), st.integers(1, 4),
+       st.lists(st.integers(-1, 40), max_size=6), st.booleans(), st.integers(0, 10 ** 6))
+def test_a_decomposition_summary_of_any_ids_gives_a_cut_or_a_typed_error(
+    seed, n, t, ids, real, pick
+):
+    """The heaviest path replaced by random node ids, or by a path between two of them."""
+    g, td = random_partial_ktree(n, t, Xorshift64Star(seed))
+    s = td_summary(td, n)
+    nodes = a_path_or_ids(s.td.tree_adj, ids, real)
+    summary = TDSummary(s.td, HeaviestPathResult(nodes, s.path.weight, s.path.relative_weight),
+                        s.t, s.n)
+    cut_or_typed_error(lambda: r_preserving_cut(g, s.td, 1 + pick % (n - 1), summary=summary))
 
 
 @pytest.mark.parametrize("pipeline", ["tree", "td"])

@@ -8,16 +8,20 @@ from ksec.graph import Graph, _forest_summary, require_tree
 from ksec.instances import (
     Xorshift64Star,
     caterpillar_graph,
+    random_partial_ktree,
     random_tree_maxdeg,
     spider_graph,
 )
 from ksec.labeling import (
     PLabeling,
     _p_labeling,
+    anchor_window,
     cyclic,
     find_anchor,
     labels_interval,
 )
+from ksec.tdcut import _td_blocks
+from ksec.treedec import heaviest_path, make_nonredundant
 
 
 def labeled_tree(seed, n, cap=5):
@@ -272,3 +276,35 @@ def assert_labels_match_the_label_map(lab, max_id):
     assert "label_of" not in vars(lab)
     want = oracles.label_map(lab.vertex_of[1:], max_id)
     assert lab.label_of == want[: len(lab.label_of)] and not any(want[len(lab.label_of) :])
+
+
+def assert_marked_labels_close_each_block(lab):
+    """Each block lists its unmarked labels first and its marked ones last, at least one."""
+    for first, last in zip((1, *(e + 1 for e in lab.ends)), lab.ends):
+        marks = lab.on_path[first : last + 1]
+        assert marks[-1] and list(marks) == sorted(marks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 60),
+       st.lists(st.sampled_from(sorted(TREE_SHAPES)), min_size=1, max_size=4))
+def test_anchor_window_of_a_forest_is_the_tree_cuts_own(seed, shapes):
+    """Along the chain of a forest's longest paths, for every m, as the tree cut read it inline."""
+    g = mixed_forest(Xorshift64Star(seed), shapes)
+    chain = [v for c in _forest_summary(g, g.vertices()) for v in c.path]
+    lab = _p_labeling(g, chain)[0]
+    assert_marked_labels_close_each_block(lab)
+    for m in range(1, lab.n):
+        assert anchor_window(lab, m) == oracles.tree_cut_window(lab, m, chain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 60), st.integers(2, 60), st.integers(1, 5))
+def test_anchor_window_of_a_decomposition_is_the_decomposition_cuts_own(seed, n, t):
+    """With R marked along the heaviest path, for every m, as the r-preserving cut read it."""
+    g, td = random_partial_ktree(n, t, Xorshift64Star(seed))
+    td0 = make_nonredundant(td)
+    lab = PLabeling._trusted(*_td_blocks(td0, heaviest_path(td0, n).path, n))
+    assert_marked_labels_close_each_block(lab)
+    for m in range(1, n):
+        assert anchor_window(lab, m) == oracles.td_cut_window(lab, m)
