@@ -2,10 +2,12 @@
 
 The exact-size cut of a forest (``dp_min_size_cut_tree``) first runs an
 exhaustive search over the cuts of at most 2 edges (``_small_width_cut``):
-subset sums over whole components, and subtree sizes looked up by count
-and by bisection over the preorder.  It returns an optimum whenever the
-optimum is at most 2, in O(n log n) time for a forest of few components,
-and gives up otherwise; only then does the tree DP (``_dp_cut_tree``) run.
+subset sums over whole components, subtree sizes filtered by count for
+one cut edge, and bisection over a preorder, built only then, for two.
+It returns an optimum whenever the optimum is at most 2, for a forest of
+few components in O(n) time when that optimum is 0 or 1 and in
+O(n log n) time per black-count target when it is 2, and gives up
+otherwise; only then does the tree DP (``_dp_cut_tree``) run.
 One BFS sweep (``component_orders``) roots the forest for both.  Both
 take any ids: the tree cut hands over its inner set Ṽ in the forest's
 ids, rooted over the forest's adjacency (``_InnerForest``), so neither
@@ -50,8 +52,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, compress
 from math import comb
+from operator import not_
 from typing import Sequence
 
 import numpy as np
@@ -523,31 +526,31 @@ def _first_min(*keys: np.ndarray) -> int:
 
 
 class _Component:
-    """One component of the forest in the small-width search, rooted at its smallest id.
+    """One component of the forest in width 2 of the small-width search, rooted at its smallest id.
 
-    Its vertices take the preorder positions base..base + c - 1, and the
-    subtree of the vertex at position p is the run of ``size[p]``
-    positions from p.  Cutting the edge above each vertex of a set E and
-    giving the root color s colors a vertex by s plus the number of
-    vertices of E on its root path, mod 2: the black part is the
-    symmetric difference of their subtrees, or its complement when s is
-    black.  ``total`` is the component's weight; ``verts`` are its
+    Its vertices take the preorder positions base..base + c - 1 of
+    ``pre``, and the subtree of the vertex at position p is the run of
+    ``size[p]`` positions from p.  Cutting the edge above each vertex of
+    a set E and giving the root color s colors a vertex by s plus the
+    number of vertices of E on its root path, mod 2: the black part is
+    the symmetric difference of their subtrees, or its complement when s
+    is black.  ``total`` is the component's weight; ``verts`` are its
     vertices but the root, with their preorder positions from ``base``
     (``pos``), subtree sizes (``sz``) and subtree weights (``ow``).
     """
 
-    def __init__(self, search: "_Search", base: int, c: int):
-        self.base, self.c = base, c
-        self.total = int(search.osub[base])
+    def __init__(self, pre: np.ndarray, size: np.ndarray, osub: np.ndarray, base: int, c: int):
+        self.c = c
+        self.total = int(osub[base])
         rest = slice(base + 1, base + c)  # all but the root
-        self.verts = search.pre[rest]
+        self.verts = pre[rest]
         self.pos = np.arange(1, c)
-        self.sz = search.size[rest]
-        self.ow = search.osub[rest]
+        self.sz = size[rest]
+        self.ow = osub[rest]
         self._one = self._two = None
 
     def one(self) -> tuple[np.ndarray, ...]:
-        """Width 1: for each black count, its best (weight, vertex, root color), by size.
+        """One cut edge, for the pairs of components cut once each: for each black count, its best cut.
 
         Cutting above v leaves T_v black (root white) or its complement
         black (root black).  Returns the sorted counts and, for each, the
@@ -556,13 +559,16 @@ class _Component:
         if self._one is None:
             c, sz, ow, v = self.c, self.sz, self.ow, self.verts
             count = np.concatenate([sz, c - sz])
-            weight = np.concatenate([ow, self.total - ow])
-            vert = np.concatenate([v, v])
-            side = np.repeat(np.array([0, 1]), len(v))
-            order = np.lexsort((side, vert, weight, count))
+            order = np.argsort(count)
             count = count[order]
-            first = np.flatnonzero(np.concatenate([count[:1] > 0, count[1:] != count[:-1]]))
-            self._one = (count[first], *(a[order][first] for a in (weight, vert, side)))
+            weight = np.concatenate([ow, self.total - ow])[order]
+            key = np.concatenate([2 * v, 2 * v + 1])[order]  # the vertex, then the root color
+            starts = np.concatenate([count[:1] > 0, count[1:] != count[:-1]])
+            first = np.flatnonzero(starts)
+            least = np.minimum.reduceat(weight, first)
+            tied = weight == least[np.cumsum(starts) - 1]
+            key = np.minimum.reduceat(np.where(tied, key, np.iinfo(np.int64).max), first)
+            self._one = (count[first], least, key >> 1, key & 1)
         return self._one
 
     def _pairs(self):
@@ -640,56 +646,82 @@ class _Component:
         return int(w[i]), int(lo[i]), int(hi[i])
 
 
-class _Search:
-    """The forest in preorder, for ``_small_width_cut``.
+def _subtree_sums(up: list[int], weight: list[int]) -> tuple[list[int], list[int]]:
+    """Each index's subtree size and weight, in one reverse pass; ``weight`` is summed in place.
 
-    The components keep their order (ascending smallest id) and occupy
-    consecutive preorder positions.  The arrays run over the positions:
-    ``pre`` lists the vertices, ``size`` their subtree sizes and ``osub``
-    their subtrees' weights.  A vertex v has the index ``index_of[v]`` in
-    the BFS orders, laid end to end, and the position ``tin`` at that
-    index; only ``index_of`` spans the id range of the adjacency the
-    forest lies in.  ``mask_size`` and ``mask_weight`` give the vertex
-    count and weight of each set of whole components, as a bit mask.
+    ``up[i]`` is the index of the parent of index i, which comes before
+    it, or n at a root, so index n ends up with the whole forest.
+    ``weight`` holds each of the n + 1 indices' own weights.
+    """
+    size = [1] * len(weight)
+    for i, p in zip(range(len(up) - 1, -1, -1), reversed(up)):
+        size[p] += size[i]
+        weight[p] += weight[i]
+    return size, weight
+
+
+def _preorder(flat: list[int], up: list[int], size: list[int], osub: list[int]) -> np.ndarray:
+    """The rows (vertex, subtree size, subtree weight) of the forest by preorder position.
+
+    The inputs run over the indices of the BFS orders laid end to end, as
+    ``_Search`` keeps them.  A subtree takes the run of positions from
+    its root's, its children's runs come in BFS order, and the roots'
+    runs come one after another, in component order.
+    """
+    n = len(up)
+    tin, nxt = [0] * (n + 1), [0] * (n + 1)
+    for i, p in enumerate(up):
+        t = tin[i] = nxt[p]
+        nxt[p] = t + size[i]
+        nxt[i] = t + 1
+    at = np.fromiter(tin, np.int64, n)
+    rows = np.empty((3, n), dtype=np.int64)
+    for row, by_index in zip(rows, (flat, size, osub)):
+        row[at] = np.fromiter(by_index, np.int64, n)
+    return rows
+
+
+class _Search:
+    """The forest for ``_small_width_cut``: its BFS orders laid end to end, in plain lists.
+
+    The components keep their order (ascending smallest id) and take
+    consecutive runs of indices, root first: component j runs from
+    ``starts[j]`` to ``starts[j + 1]``.  ``flat`` lists the vertices by
+    index and ``index_of`` maps them back; ``up[i]`` is the index of the
+    parent of the vertex at index i, or n at a root; ``size`` and ``osub``
+    hold each index's subtree size and subtree weight.  Nothing spans the
+    id range of the adjacency the forest lies in.  ``mask_size`` and
+    ``mask_weight`` give the vertex count and weight of each set of whole
+    components, as a bit mask.  Only width 2 reads the forest in
+    preorder, through ``comps``, which it builds at its first use.
     """
 
     def __init__(self, orders: list[list[int]], parent: Sequence[int], outside: dict | None):
-        flat = list(chain.from_iterable(orders))
+        flat = self.flat = list(chain.from_iterable(orders))
         n = len(flat)
-        starts = list(accumulate(map(len, orders), initial=0))
-        ids = np.array(flat, dtype=np.int64)
-        self.index_of = np.empty(len(parent), dtype=np.int64)
-        self.index_of[ids] = np.arange(n)
-        up = self.index_of[np.fromiter(map(parent.__getitem__, flat), np.int64, n)]
-        up[starts[:-1]] = n  # the roots hang below n, so the components take consecutive runs
-        up = up.tolist()  # up[i]: the index of the parent of the vertex at index i
-        size = [1] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            size[up[i]] += size[i]
-        tin, nxt = [0] * (n + 1), [0] * (n + 1)
-        for i, p in enumerate(up):
-            t = tin[i] = nxt[p]
-            nxt[p] = t + size[i]
-            nxt[i] = t + 1
-        self.tin = np.array(tin[:n], dtype=np.int64)
-        self.pre = np.empty(n, dtype=np.int64)
-        self.pre[self.tin] = ids
-        self.size = np.empty(n, dtype=np.int64)
-        self.size[self.tin] = size[:n]
-        w = np.zeros(n + 1, dtype=np.int64)  # after the cumsum, w[p]: the weight of positions 0..p - 1
-        if outside:
-            heavy = np.fromiter(outside, np.int64, len(outside))
-            w[self.tin[self.index_of[heavy]] + 1] = np.fromiter(outside.values(), np.int64, len(heavy))
-            np.cumsum(w, out=w)
-        self.osub = w[self.size + np.arange(n)] - w[:n]
-        self.comps = [_Component(self, base, len(order)) for base, order in zip(starts, orders)]
-        r = len(self.comps)
+        starts = self.starts = list(accumulate(map(len, orders), initial=0))
+        index_of = self.index_of = dict(zip(flat, range(n)))
+        up = self.up = list(map(index_of.get, map(parent.__getitem__, flat)))
+        for s in starts[:-1]:
+            up[s] = n  # the roots hang below n
+        weight = [0] * (n + 1)
+        for v, w in (outside or {}).items():
+            weight[index_of[v]] = w
+        self.size, self.osub = _subtree_sums(up, weight)
+        r = len(orders)
         self.mask_size, self.mask_weight = [0] * (1 << r), [0] * (1 << r)
         for mask in range(1, 1 << r):
             j = (mask & -mask).bit_length() - 1
             rest = mask & (mask - 1)
-            self.mask_size[mask] = self.mask_size[rest] + self.comps[j].c
-            self.mask_weight[mask] = self.mask_weight[rest] + self.comps[j].total
+            self.mask_size[mask] = self.mask_size[rest] + len(orders[j])
+            self.mask_weight[mask] = self.mask_weight[rest] + self.osub[starts[j]]
+
+    @functools.cached_property
+    def comps(self) -> list[_Component]:
+        """The components over the forest in preorder, built at width 2's first use."""
+        rows = _preorder(self.flat, self.up, self.size, self.osub)
+        starts = self.starts
+        return [_Component(*rows, base, end - base) for base, end in zip(starts, starts[1:])]
 
     def masks(self, m: int, cut: tuple[int, ...], lo: int = -1, hi: int = 1 << 62):
         """(x, weight, root colors) for each set of whole black components beside the ``cut`` ones.
@@ -698,7 +730,7 @@ class _Search:
         which take root color 0 in the colors returned; only lo < x < hi
         are listed.
         """
-        r, skip = len(self.comps), sum(1 << j for j in cut)
+        r, skip = len(self.starts) - 1, sum(1 << j for j in cut)
         return [
             (m - size, self.mask_weight[mask], tuple((mask >> j) & 1 for j in range(r)))
             for mask, size in enumerate(self.mask_size)
@@ -709,15 +741,33 @@ class _Search:
         return [(weight, (), colors) for _, weight, colors in self.masks(m, (), -1, 1)]
 
     def width_1(self, m: int):
-        for j, comp in enumerate(self.comps):
-            targets = self.masks(m, (j,), 0, comp.c)
+        starts = self.starts
+        for j, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            targets = self.masks(m, (j,), 0, hi - lo)
             if not targets:
                 continue
-            count, weight, vert, side = comp.one()
+            best = self._cut_once(lo, hi, {x for x, _, _ in targets})
             for x, mw, colors in targets:
-                i = int(np.searchsorted(count, x))
-                if i < len(count) and count[i] == x:
-                    yield mw + int(weight[i]), (int(vert[i]),), _recolor(colors, j, int(side[i]))
+                if x in best:
+                    w, v, side = best[x]
+                    yield mw + w, (v,), _recolor(colors, j, side)
+
+    def _cut_once(self, lo: int, hi: int, counts: set[int]) -> dict[int, tuple[int, int, int]]:
+        """For each black count in ``counts`` that one cut edge gives, its least (weight, vertex, root color).
+
+        The component takes the indices lo..hi - 1.  Cutting above v
+        leaves T_v black (root white) or its complement black (root
+        black), so only the vertices whose subtree size is a count, or c
+        less a count, are candidates.
+        """
+        c, total, size, osub, flat = hi - lo, self.osub[lo], self.size, self.osub, self.flat
+        sizes = counts | {c - x for x in counts}
+        best: dict[int, tuple[int, int, int]] = {}
+        for i in compress(range(lo + 1, hi), map(sizes.__contains__, size[lo + 1 : hi])):
+            for x, found in ((size[i], (osub[i], flat[i], 0)), (c - size[i], (total - osub[i], flat[i], 1))):
+                if x in counts and (x not in best or found < best[x]):
+                    best[x] = found
+        return best
 
     def width_2_targets(self, m: int) -> list[tuple[tuple[int, ...], list]] | None:
         """The components that width 2 cuts, one or a pair, each with its targets from ``masks``.
@@ -725,15 +775,15 @@ class _Search:
         None when the scan would pass more than SEARCH_WORK * n vertices:
         the cut components' vertices, once per distinct target.
         """
-        r = len(self.comps)
+        r, starts = len(self.starts) - 1, self.starts
         cuts = [(j,) for j in range(r)] + list(combinations(range(r), 2))
         targets, work = [], 0
         for cut in cuts:
-            c = sum(self.comps[j].c for j in cut)
+            c = sum(starts[j + 1] - starts[j] for j in cut)
             found = self.masks(m, cut, len(cut) - 1, c - len(cut) + 1)
             targets.append((cut, found))
             work += c * len({x for x, _, _ in found})
-        return targets if work <= SEARCH_WORK * len(self.pre) else None
+        return targets if work <= SEARCH_WORK * len(self.flat) else None
 
     def width_2(self, m: int):
         for cut, targets in self.width_2_targets(m) or ():
@@ -771,18 +821,21 @@ class _Search:
             yield mw + int(w[k]), (int(lo[k]), int(hi[k])), colors
 
     def sides(self, cuts: tuple[int, ...], colors: tuple[int, ...]) -> tuple[list, list]:
-        """The black and white vertices with the edges above ``cuts`` cut and the given root colors."""
-        flip = np.zeros(len(self.pre) + 1, dtype=np.int8)
+        """The black and white vertices with the edges above ``cuts`` cut and the given root colors.
+
+        One pass in BFS order: a vertex takes its parent's color, flipped
+        where the edge above it is cut.  A root hangs below the white index
+        n, and its flip is its component's color.
+        """
+        color = bytearray(len(self.flat) + 1)  # the flips, then the colors
         for v in cuts:
-            t = self.tin[self.index_of[v]]
-            flip[t] ^= 1
-            flip[t + self.size[t]] ^= 1
-        for comp, s in zip(self.comps, colors):
-            if s:
-                flip[comp.base] ^= 1
-                flip[comp.base + comp.c] ^= 1
-        black = np.bitwise_xor.accumulate(flip[:-1]).astype(bool)
-        return self.pre[black].tolist(), self.pre[~black].tolist()
+            color[self.index_of[v]] = 1
+        for s, c in zip(self.starts, colors):
+            color[s] = c
+        for i, p in enumerate(self.up):
+            if color[p]:
+                color[i] ^= 1
+        return list(compress(self.flat, color)), list(compress(self.flat, map(not_, color)))
 
 
 def _recolor(colors: tuple[int, ...], j: int, s: int) -> tuple[int, ...]:
@@ -810,11 +863,14 @@ def _small_width_cut(
     every smaller width, so the cut is an optimum.  A cut of width w
     cuts w edges of the forest, in one component or two, and leaves the
     other components whole; each component is black or white at its root.
-    Width 0 takes whole components; width 1 one subtree T_v or its
-    complement, found by black count; width 2 either one component cut
-    twice (``_Component.two``, by bisection over the subtrees sorted by
-    size and preorder position) or two components cut once each, matched
-    by count.  The sets of whole components are enumerated, so it returns
+    One reverse pass over the BFS orders (``_Search``) sizes and weighs
+    every subtree.  Width 0 takes whole components; width 1 one subtree
+    T_v or its complement, whose vertices it picks by a filter of the
+    subtree sizes against the counts it needs; width 2 either one
+    component cut twice (``_Component.two``, by bisection over the
+    subtrees sorted by size and preorder position) or two components cut
+    once each, matched by count.  Only width 2 builds the preorder and its
+    arrays.  The sets of whole components are enumerated, so it returns
     None beyond SEARCH_COMPONENTS components, and before a width-2 stage
     that would scan more than SEARCH_WORK * n vertices.
 

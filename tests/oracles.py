@@ -11,9 +11,9 @@ import itertools
 from collections.abc import Container
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import networkx as nx
 import numpy as np
@@ -1472,3 +1472,171 @@ def parse_gr_through_the_constructor(text: str) -> Graph:
     if len(edges) != m:
         raise FormatError(1, f"problem line declares {m} edges, found {len(edges)}")
     return Graph(n, edges)
+
+
+# --- The small-width search's widths 0 and 1 over a numpy preorder -------------
+#
+# ``oracle._Search`` and ``_Component`` as they were when every search built
+# the forest's numpy preorder: width 1 sorted each component's candidates by
+# (count, weight, vertex, root color) in ``one``, and ``sides`` flipped and
+# accumulated over the preorder.  The bodies are verbatim; the class names
+# are renamed, and ``search_upto_width_1`` is ``_small_width_cut`` without its
+# width-2 stage, its caps and its check.  The reference for which tied cut of
+# width 0 or 1 the search takes, and for ``_Component.one``'s table.
+
+
+class PreorderComponent:
+    """One component of the forest in the small-width search, rooted at its smallest id.
+
+    Its vertices take the preorder positions base..base + c - 1, and the
+    subtree of the vertex at position p is the run of ``size[p]``
+    positions from p.  Cutting the edge above each vertex of a set E and
+    giving the root color s colors a vertex by s plus the number of
+    vertices of E on its root path, mod 2: the black part is the
+    symmetric difference of their subtrees, or its complement when s is
+    black.  ``total`` is the component's weight; ``verts`` are its
+    vertices but the root, with their preorder positions from ``base``
+    (``pos``), subtree sizes (``sz``) and subtree weights (``ow``).
+    """
+
+    def __init__(self, search: "PreorderSearch", base: int, c: int):
+        self.base, self.c = base, c
+        self.total = int(search.osub[base])
+        rest = slice(base + 1, base + c)  # all but the root
+        self.verts = search.pre[rest]
+        self.pos = np.arange(1, c)
+        self.sz = search.size[rest]
+        self.ow = search.osub[rest]
+        self._one = self._two = None
+
+    def one(self) -> tuple[np.ndarray, ...]:
+        """Width 1: for each black count, its best (weight, vertex, root color), by size.
+
+        Cutting above v leaves T_v black (root white) or its complement
+        black (root black).  Returns the sorted counts and, for each, the
+        least weight, then vertex, then root color.
+        """
+        if self._one is None:
+            c, sz, ow, v = self.c, self.sz, self.ow, self.verts
+            count = np.concatenate([sz, c - sz])
+            weight = np.concatenate([ow, self.total - ow])
+            vert = np.concatenate([v, v])
+            side = np.repeat(np.array([0, 1]), len(v))
+            order = np.lexsort((side, vert, weight, count))
+            count = count[order]
+            first = np.flatnonzero(np.concatenate([count[:1] > 0, count[1:] != count[:-1]]))
+            self._one = (count[first], *(a[order][first] for a in (weight, vert, side)))
+        return self._one
+
+
+class PreorderSearch:
+    """The forest in preorder, for ``_small_width_cut``.
+
+    The components keep their order (ascending smallest id) and occupy
+    consecutive preorder positions.  The arrays run over the positions:
+    ``pre`` lists the vertices, ``size`` their subtree sizes and ``osub``
+    their subtrees' weights.  A vertex v has the index ``index_of[v]`` in
+    the BFS orders, laid end to end, and the position ``tin`` at that
+    index; only ``index_of`` spans the id range of the adjacency the
+    forest lies in.  ``mask_size`` and ``mask_weight`` give the vertex
+    count and weight of each set of whole components, as a bit mask.
+    """
+
+    def __init__(self, orders: list[list[int]], parent: Sequence[int], outside: dict | None):
+        flat = list(chain.from_iterable(orders))
+        n = len(flat)
+        starts = list(accumulate(map(len, orders), initial=0))
+        ids = np.array(flat, dtype=np.int64)
+        self.index_of = np.empty(len(parent), dtype=np.int64)
+        self.index_of[ids] = np.arange(n)
+        up = self.index_of[np.fromiter(map(parent.__getitem__, flat), np.int64, n)]
+        up[starts[:-1]] = n  # the roots hang below n, so the components take consecutive runs
+        up = up.tolist()  # up[i]: the index of the parent of the vertex at index i
+        size = [1] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            size[up[i]] += size[i]
+        tin, nxt = [0] * (n + 1), [0] * (n + 1)
+        for i, p in enumerate(up):
+            t = tin[i] = nxt[p]
+            nxt[p] = t + size[i]
+            nxt[i] = t + 1
+        self.tin = np.array(tin[:n], dtype=np.int64)
+        self.pre = np.empty(n, dtype=np.int64)
+        self.pre[self.tin] = ids
+        self.size = np.empty(n, dtype=np.int64)
+        self.size[self.tin] = size[:n]
+        w = np.zeros(n + 1, dtype=np.int64)  # after the cumsum, w[p]: the weight of positions 0..p - 1
+        if outside:
+            heavy = np.fromiter(outside, np.int64, len(outside))
+            w[self.tin[self.index_of[heavy]] + 1] = np.fromiter(outside.values(), np.int64, len(heavy))
+            np.cumsum(w, out=w)
+        self.osub = w[self.size + np.arange(n)] - w[:n]
+        self.comps = [PreorderComponent(self, base, len(order)) for base, order in zip(starts, orders)]
+        r = len(self.comps)
+        self.mask_size, self.mask_weight = [0] * (1 << r), [0] * (1 << r)
+        for mask in range(1, 1 << r):
+            j = (mask & -mask).bit_length() - 1
+            rest = mask & (mask - 1)
+            self.mask_size[mask] = self.mask_size[rest] + self.comps[j].c
+            self.mask_weight[mask] = self.mask_weight[rest] + self.comps[j].total
+
+    def masks(self, m: int, cut: tuple[int, ...], lo: int = -1, hi: int = 1 << 62):
+        """(x, weight, root colors) for each set of whole black components beside the ``cut`` ones.
+
+        x is the number of black vertices left for the cut components,
+        which take root color 0 in the colors returned; only lo < x < hi
+        are listed.
+        """
+        r, skip = len(self.comps), sum(1 << j for j in cut)
+        return [
+            (m - size, self.mask_weight[mask], tuple((mask >> j) & 1 for j in range(r)))
+            for mask, size in enumerate(self.mask_size)
+            if not mask & skip and lo < m - size < hi
+        ]
+
+    def width_0(self, m: int):
+        return [(weight, (), colors) for _, weight, colors in self.masks(m, (), -1, 1)]
+
+    def width_1(self, m: int):
+        for j, comp in enumerate(self.comps):
+            targets = self.masks(m, (j,), 0, comp.c)
+            if not targets:
+                continue
+            count, weight, vert, side = comp.one()
+            for x, mw, colors in targets:
+                i = int(np.searchsorted(count, x))
+                if i < len(count) and count[i] == x:
+                    yield mw + int(weight[i]), (int(vert[i]),), _recolor(colors, j, int(side[i]))
+
+    def sides(self, cuts: tuple[int, ...], colors: tuple[int, ...]) -> tuple[list, list]:
+        """The black and white vertices with the edges above ``cuts`` cut and the given root colors."""
+        flip = np.zeros(len(self.pre) + 1, dtype=np.int8)
+        for v in cuts:
+            t = self.tin[self.index_of[v]]
+            flip[t] ^= 1
+            flip[t + self.size[t]] ^= 1
+        for comp, s in zip(self.comps, colors):
+            if s:
+                flip[comp.base] ^= 1
+                flip[comp.base + comp.c] ^= 1
+        black = np.bitwise_xor.accumulate(flip[:-1]).astype(bool)
+        return self.pre[black].tolist(), self.pre[~black].tolist()
+
+
+def _recolor(colors: tuple[int, ...], j: int, s: int) -> tuple[int, ...]:
+    return colors[:j] + (s,) + colors[j + 1 :]
+
+
+def search_upto_width_1(
+    m: int, rooted: tuple[list[list[int]], Sequence[int]], outside: dict[int, int] | None = None
+) -> tuple[list[int], int] | None:
+    """The small-width search's (B, width) where the optimum is 0 or 1, else None; no caps."""
+    orders, parent = rooted
+    search = PreorderSearch(orders, parent, outside)
+    for width, stage in enumerate((search.width_0, search.width_1)):
+        best = min(stage(m), default=None)
+        if best is None:
+            continue
+        _, cuts, colors = best
+        return search.sides(cuts, colors)[0], width
+    return None

@@ -680,3 +680,16 @@ def test_a_cut_that_overstates_its_width_is_named_in_its_round(monkeypatch, pipe
         call()
     assert len(widths) == 1
     assert str(exc.value) == f"cut claims width {widths[0] + 2}, but {widths[0]} edges leave B"
+
+
+@pytest.mark.parametrize("pipeline", ["tree", "td"])
+def test_a_section_of_unbalanced_sizes_is_named(monkeypatch, pipeline):
+    """Part sizes that add up to n but are not balanced must not pass as a k-section."""
+    monkeypatch.setattr(oracle, "balanced_sizes", lambda n, k: [n // 2 - 1, n - n // 2 + 1])
+    g = path(10)
+    with pytest.raises(InvariantViolation) as exc:
+        if pipeline == "tree":
+            ksection_tree(g, 2)
+        else:
+            ksection_td(g, oracles.tree_to_width1_td(g), 2)
+    assert str(exc.value) == "part size 4 outside [5,5]"

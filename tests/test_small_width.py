@@ -20,6 +20,7 @@ import oracles
 from conftest import path, star_comb
 from ksec import oracle
 from ksec.engine import ksection_tree, ksection_tree_detailed
+from ksec.errors import InvariantViolation
 from ksec.graph import Cut, Graph, component_orders
 from ksec.instances import (
     Xorshift64Star,
@@ -104,6 +105,42 @@ def test_search_finds_the_least_width_then_weight_over_all_m_subsets(kind, seed)
             assert (found[1], _weight(found[0], outside)) == best, m
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(0, 2 ** 60))
+def test_widths_0_and_1_take_the_tied_cut_of_the_preorder_search(kind, seed):
+    """The same black set as the search that built a numpy preorder for every width.
+
+    The weights are all 0 in a quarter of the draws, so that many cuts
+    tie and only the ids and root colors break the tie.
+    """
+    rng = Xorshift64Star(seed)
+    g = _family(kind, rng, small=False)
+    top = rng.randint(0, 3)
+    outside = _sparse([0, *(rng.randint(0, top) for _ in range(g.n))])
+    rooted = component_orders(g)
+    for m in range(g.n + 1):
+        found = oracle._small_width_cut(g.adj, m, rooted, outside)
+        ref = oracles.search_upto_width_1(m, rooted, outside)
+        if ref is None:
+            assert found is None or found[1] == 2, m
+        else:
+            assert (sorted(found[0]), found[1]) == (sorted(ref[0]), ref[1]), m
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(0, 2 ** 60))
+def test_the_pair_stage_takes_the_best_cut_per_count_of_the_preorder_search(kind, seed):
+    """Each component's table of one cut edge by black count, as the sort of four keys built it."""
+    rng = Xorshift64Star(seed)
+    g = _family(kind, rng, small=False)
+    top = rng.randint(0, 3)
+    outside = _sparse([0, *(rng.randint(0, top) for _ in range(g.n))])
+    orders, parent = component_orders(g)
+    comps = oracle._Search(orders, parent, outside).comps
+    for comp, ref in zip(comps, oracles.PreorderSearch(orders, parent, outside).comps, strict=True):
+        assert [a.tolist() for a in comp.one()] == [a.tolist() for a in ref.one()]
+
+
 def test_search_meets_every_width_and_the_fallback_on_small_forests():
     """The inputs of the tests above reach widths 0, 1 and 2, and optima above 2."""
     seen = set()
@@ -123,6 +160,44 @@ def test_ties_go_to_the_least_weight_then_to_ascending_ids():
     assert oracle.dp_min_size_cut_tree(g, 3)[0].black == {1, 2, 3}
     weighed = oracle._InnerForest(g.adj, g.n, component_orders(g), {1: 1})
     assert sorted(oracle.dp_min_size_cut_tree(weighed, 3)[0]) == [7, 8, 9]
+
+
+@pytest.mark.parametrize(
+    "g, m, width",
+    [
+        (Graph(6, [(1, 2), (2, 3), (4, 5), (5, 6)]), 3, 0),
+        (path(9), 3, 1),
+        (perfect_dary_tree(2, 2), 2, 2),
+    ],
+    ids=["width-0", "width-1", "width-2"],
+)
+def test_only_width_2_builds_the_preorder(monkeypatch, g, m, width):
+    """One reverse pass sizes the subtrees for every width; the preorder is built for width 2 alone."""
+    calls = {"_subtree_sums": 0, "_preorder": 0}
+    for name in calls:
+        real = getattr(oracle, name)
+
+        def spy(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(oracle, name, spy)
+    assert oracle.dp_min_size_cut_tree(g, m)[1] == width
+    assert calls == {"_subtree_sums": 1, "_preorder": int(width == 2)}
+
+
+def test_a_search_cut_that_moves_a_vertex_across_is_named(monkeypatch):
+    """The search checks the black set it rebuilds: one vertex too many must raise."""
+    sides = oracle._Search.sides
+
+    def moved(self, cuts, colors):
+        black, white = sides(self, cuts, colors)
+        return black + white[:1], white[1:]
+
+    monkeypatch.setattr(oracle._Search, "sides", moved)
+    with pytest.raises(InvariantViolation) as exc:
+        oracle.dp_min_size_cut_tree(path(9), 3)
+    assert str(exc.value) == "small-width search built a cut of the wrong size or width"
 
 
 def _count_calls(monkeypatch):
